@@ -76,7 +76,7 @@ def run_case(policy: str | None, frac: float | None) -> dict:
     rt = OMPCRuntime(ClusterSpec(num_nodes=NODES), cfg)
     prog, outs, _total = workload()
     res = rt.run(prog)
-    counters = rt.last_cluster.trace.counters
+    counters = res.counters
     return {
         "makespan_ms": res.makespan * 1e3,
         "network_bytes": res.network_bytes,

@@ -43,7 +43,7 @@ def run_overhead_cell(iterations: int) -> OMPCRunResult:
 def first_event_interval(runtime: OMPCRuntime) -> float:
     cluster = runtime.last_cluster
     assert cluster is not None
-    return cluster.trace.total_duration("ompc", "first_event_interval")
+    return cluster.obs.counters.get("ompc.first_event_interval", 0.0)
 
 
 class TestFig7a:

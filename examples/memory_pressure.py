@@ -105,7 +105,7 @@ def main() -> None:
     prog, results = build_workload()
     runtime = FaultTolerantRuntime(ClusterSpec(num_nodes=4), cfg)
     ft = runtime.run(prog, failures=[NodeFailure(time=0.004, node=2)])
-    counters = runtime.last_cluster.trace.counters
+    counters = ft.counters
     print("\n--- same budget, node 2 dies at t=4ms (FT runtime) ---")
     print(f"makespan             : {ft.makespan * 1e3:.1f} ms, "
           f"failures survived: {ft.failures}")
@@ -128,7 +128,7 @@ def main() -> None:
     prog, results = build_workload()
     runtime = FaultTolerantRuntime(ClusterSpec(num_nodes=4), flaky_cfg)
     ft = runtime.run(prog, fault_plan=plan)
-    counters = runtime.last_cluster.trace.counters
+    counters = ft.counters
     print("\n--- node 1 squeezed to 50% capacity, 50% of its "
           "re-fetches fail ---")
     print(f"makespan             : {ft.makespan * 1e3:.1f} ms")

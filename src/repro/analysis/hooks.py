@@ -2,8 +2,8 @@
 
 The simulator never talks to the individual analyzers — it holds one
 :class:`Analysis` (or the no-op :data:`NULL_ANALYSIS`) installed on the
-cluster via ``cluster.install_analysis``, exactly mirroring the
-``Observer`` / ``NULL_OBSERVER`` pattern in :mod:`repro.obs`.  Every
+cluster via ``cluster.install_analysis``, mirroring the
+``Observer`` / ``NullObserver`` pattern in :mod:`repro.obs`.  Every
 hook is a plain (non-yielding) call, so enabling analysis never
 advances simulated time.
 """
@@ -14,7 +14,6 @@ from repro.analysis.findings import AnalysisReport, Severity
 from repro.analysis.lint import lint_program
 from repro.analysis.mpicheck import MpiChecker
 from repro.analysis.race import RaceDetector
-from repro.obs.observer import NULL_OBSERVER
 
 
 class Analysis:
@@ -61,13 +60,13 @@ class Analysis:
 
     # -- finalize ----------------------------------------------------------
     def finalize(self, worlds=(), failed=frozenset(),
-                 obs=NULL_OBSERVER) -> AnalysisReport:
+                 obs=None) -> AnalysisReport:
         """Close out both dynamic analyzers; idempotent."""
         if not self._finalized:
             self._finalized = True
             self.report.extend(self.race.finalize())
             self.report.extend(self.mpi.finalize(worlds, failed))
-            if obs.enabled:
+            if obs is not None and obs.enabled:
                 obs.count("analysis.findings", float(len(self.report)))
                 for sev in Severity:
                     obs.count(f"analysis.findings.{sev.name.lower()}",
@@ -135,7 +134,7 @@ class NullAnalysis:
     def check_mapped(self, task, buffer):
         pass
 
-    def finalize(self, worlds=(), failed=frozenset(), obs=NULL_OBSERVER):
+    def finalize(self, worlds=(), failed=frozenset(), obs=None):
         return AnalysisReport()
 
 

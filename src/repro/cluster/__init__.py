@@ -16,7 +16,6 @@ from repro.cluster.partition import (
     PartitionError,
     shard_reserved,
 )
-from repro.cluster.trace import Span, TraceRecorder
 
 __all__ = [
     "Cluster",
@@ -29,7 +28,5 @@ __all__ = [
     "NodePool",
     "NodeSpec",
     "PartitionError",
-    "Span",
-    "TraceRecorder",
     "shard_reserved",
 ]

@@ -1,4 +1,4 @@
-"""Cluster assembly: one simulator + nodes + network + trace.
+"""Cluster assembly: one simulator + nodes + network + observer.
 
 A :class:`Cluster` is the complete simulated machine handed to a
 runtime.  By convention (matching the paper's Fig. 1) node 0 is the
@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 from repro.cluster.network import Network, NetworkSpec
 from repro.cluster.node import Node, NodeSpec
-from repro.cluster.trace import TraceRecorder
 from repro.analysis.hooks import NULL_ANALYSIS
-from repro.obs.observer import NULL_OBSERVER
+from repro.obs.observer import NullObserver
 from repro.sim.core import Simulator
 
 
@@ -57,11 +56,11 @@ class Cluster:
             for i in range(self.spec.num_nodes)
         ]
         self.network = Network(self.sim, self.spec.num_nodes, self.spec.network)
-        self.trace = TraceRecorder(self.sim)
-        #: Observability sink (see :mod:`repro.obs`): the no-op observer
-        #: unless a runtime installs a recording one via
+        #: The run's one recorder (see :mod:`repro.obs`): counters only
+        #: unless a traced runtime installs a full observer via
         #: :meth:`install_observer`.
-        self.obs = NULL_OBSERVER
+        self.obs = NullObserver(self.sim)
+        self.network.obs = self.obs
         #: Correctness-analysis sink (see :mod:`repro.analysis`): the
         #: no-op analysis unless a runtime installs a recording one via
         #: :meth:`install_analysis`.
@@ -73,11 +72,12 @@ class Cluster:
     def install_observer(self, obs) -> None:
         """Attach an :class:`~repro.obs.observer.Observer` to every layer.
 
-        Must run before MPI worlds or runtimes are built on this cluster
-        — they capture ``cluster.obs`` at construction time.
+        The new observer takes over the counters recorded so far.  Must
+        run before MPI worlds or runtimes are built on this cluster —
+        they capture ``cluster.obs`` at construction time.
         """
-        self.obs = obs
-        self.network.obs = obs
+        obs.counters = self.obs.counters
+        self.obs = self.network.obs = obs
 
     def install_analysis(self, analysis) -> None:
         """Attach a :class:`~repro.analysis.hooks.Analysis`.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.observer import NULL_OBSERVER
+from repro.obs.observer import NullObserver
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import Resource
 from repro.util.units import Gbps, MICROSECOND
@@ -109,10 +109,10 @@ class Network:
         self.sim = sim
         self.spec = spec or NetworkSpec()
         self.nics = [Nic(sim, i, self.spec) for i in range(num_nodes)]
-        #: Observability sink; ``Cluster.install_observer`` swaps in a
-        #: recording observer, which then sees per-link flow-count
-        #: gauges and byte counters (the utilization report's input).
-        self.obs = NULL_OBSERVER
+        #: Observability sink: the owning cluster's observer, which sees
+        #: per-link flow-count gauges and byte counters when tracing
+        #: (the utilization report's input).
+        self.obs = NullObserver(sim)
         #: Installed transient-fault state (see :mod:`repro.core.faultmodel`);
         #: ``None`` models the paper's clean fabric.  When set, transfers
         #: honour link-degradation windows and node-hang holds, and the

@@ -14,7 +14,7 @@ sharing the physical simulator clock, CPU/NIC resources, and fabric:
   serialize on the shared NICs and fluid fair-share engine, so jobs in
   different partitions still fight over the fabric like real tenants;
 * everything *stateful at the software layer* is private: each view
-  owns its own trace recorder, observer slot, and byte counters, and
+  owns its own observer and byte counters, and
   the runtime built on top of it owns its own MPI world (communicator
   and tag space) and device-memory tables.
 
@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.cluster.node import Node
-from repro.cluster.trace import TraceRecorder
 from repro.analysis.hooks import NULL_ANALYSIS
-from repro.obs.observer import NULL_OBSERVER
+from repro.obs.observer import NullObserver
 
 
 class PartitionError(Exception):
@@ -124,13 +123,12 @@ class _NetworkView:
     multi-tenant run reports.
     """
 
-    def __init__(self, network, mapping: tuple[int, ...]):
+    def __init__(self, network, mapping: tuple[int, ...], obs):
         self._net = network
         self._map = mapping
         self.spec = network.spec
-        #: Per-view observability sink (``ClusterView.install_observer``
-        #: swaps in a recording observer for traced jobs).
-        self.obs = NULL_OBSERVER
+        #: The owning view's observer.
+        self.obs = obs
         #: Bytes/messages moved by *this view's* traffic only.
         self.total_bytes = 0
         self.total_messages = 0
@@ -214,11 +212,10 @@ class ClusterView:
             _NodeView(cluster.nodes[phys], virt)
             for virt, phys in enumerate(ids)
         ]
-        self.network = _NetworkView(cluster.network, ids)
-        #: Per-view trace recorder: a job's counters and phase spans do
-        #: not bleed into other tenants' runs.
-        self.trace = TraceRecorder(self.sim)
-        self.obs = NULL_OBSERVER
+        #: Per-view observer: a job's counters and spans do not bleed
+        #: into other tenants' runs.
+        self.obs = NullObserver(self.sim)
+        self.network = _NetworkView(cluster.network, ids, self.obs)
         self.analysis = NULL_ANALYSIS
 
     # -- Cluster interface -------------------------------------------------
@@ -244,11 +241,12 @@ class ClusterView:
     def install_observer(self, obs) -> None:
         """Attach an observer to this view only (not the physical machine).
 
-        Must run before MPI worlds or runtimes are built on the view —
-        they capture ``view.obs`` at construction time.
+        Like ``Cluster.install_observer``: the counters recorded so far
+        carry over, and it must run before MPI worlds or runtimes are
+        built on the view.
         """
-        self.obs = obs
-        self.network.obs = obs
+        obs.counters = self.obs.counters
+        self.obs = self.network.obs = obs
 
     def install_analysis(self, analysis) -> None:
         """Attach an analysis to this view only (not the physical machine)."""

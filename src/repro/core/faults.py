@@ -164,8 +164,8 @@ class _TimerWheel:
     """Interns same-instant timeout events (batched heartbeat timers).
 
     Every ring sender sleeps ``interval`` from the same instant, and
-    co-started monitors arm identical deadlines: the reference kernel
-    schedules one timer event *per process per tick*, so an n-node ring
+    co-started monitors arm identical deadlines: private timeouts
+    schedule one timer event *per process per tick*, so an n-node ring
     pays O(n) timer events every heartbeat window — the dominant event
     source in long steady-state runs.  The wheel keys timers by their
     absolute firing time and hands every waiter of one instant the
@@ -178,8 +178,7 @@ class _TimerWheel:
     co-scheduled waiters wake through one shared event rather than n
     consecutive private ones — so the wheel is not part of the
     digest-checked fast path; it is asserted by FT *result* equality
-    (wheel on vs off) instead, and can be disabled per ring with
-    ``use_wheel=False``.
+    against private timers instead (see ``tests/core/test_timerwheel.py``).
     """
 
     __slots__ = ("sim", "_slots", "created", "interned")
@@ -241,8 +240,8 @@ class HeartbeatRing:
 
     Health counters (missed windows, suspect reports, cleared
     suspicions, false positives, detections) are mirrored to the
-    cluster's :mod:`repro.obs` observer under ``hb.*`` so failover runs
-    are debuggable from a trace.
+    cluster's :mod:`repro.obs` observer under ``hb.*``, so they land in
+    the run's ``result.counters``.
     """
 
     def __init__(
@@ -255,7 +254,6 @@ class HeartbeatRing:
         heartbeat_bytes: float = 16.0,
         suspect_windows: int = 2,
         ping_timeout: float = 1.0 * MILLISECOND,
-        use_wheel: bool = True,
     ):
         if interval <= 0 or timeout <= interval:
             raise ValueError("need 0 < interval < timeout")
@@ -309,8 +307,8 @@ class HeartbeatRing:
         #: Batched timers for the periodic sender/monitor waits; pings
         #: and verdicts keep private timers (they are rare and their
         #: deadlines are almost never aligned).
-        self.wheel = _TimerWheel(self.sim) if use_wheel else None
-        self._after = self.wheel.after if use_wheel else self.sim.timeout
+        self.wheel = _TimerWheel(self.sim)
+        self._after = self.wheel.after
 
     def start(self) -> None:
         n = self.cluster.num_nodes
@@ -694,7 +692,6 @@ class FaultTolerantRuntime:
         heartbeat_interval: float = 1.0 * MILLISECOND,
         heartbeat_timeout: float = 3.5 * MILLISECOND,
         transport: TransportConfig | None = None,
-        heartbeat_wheel: bool = True,
     ):
         if cluster_spec.num_nodes < 3:
             raise ValueError(
@@ -714,7 +711,6 @@ class FaultTolerantRuntime:
         )
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_wheel = heartbeat_wheel
         #: Explicit transport override; by default the reliable transport
         #: switches on exactly when the fault plan is lossy.
         self.transport = transport
@@ -803,7 +799,6 @@ class FaultTolerantRuntime:
                 fanout=cfg.gossip_fanout,
                 piggyback=cfg.gossip_piggyback,
                 seed=cfg.gossip_seed,
-                use_wheel=self.heartbeat_wheel,
             )
         else:
             ring = HeartbeatRing(
@@ -812,7 +807,6 @@ class FaultTolerantRuntime:
                 timeout=self.heartbeat_timeout,
                 suspect_windows=cfg.heartbeat_suspect_windows,
                 ping_timeout=cfg.heartbeat_ping_timeout,
-                use_wheel=self.heartbeat_wheel,
             )
         dm = DataManager(analysis=analysis if analysis.enabled else None)
         if cfg.device_memory_bytes > 0 and cfg.eviction_policy != "none":
@@ -1059,7 +1053,7 @@ class FaultTolerantRuntime:
                 _restore_into(buffer, snap)
                 dm.commit_restore(buffer)
                 result.checkpoint_restores += 1
-                cluster.trace.count("ft.checkpoint_restores")
+                cluster.obs.count("ft.checkpoint_restores")
                 # Replays append to the log too; keep each task's first
                 # occurrence only, in original commit order.
                 seen: set[int] = set()
@@ -1094,7 +1088,7 @@ class FaultTolerantRuntime:
             attempt = 0
             while fails(dst, sim.now):
                 attempt += 1
-                cluster.trace.count("mem.fetch_retries")
+                cluster.obs.count("mem.fetch_retries")
                 if attempt > cfg.mem_fetch_retries:
                     raise DeviceMemoryError(
                         f"fetch of buffer {buffer.name} toward node "
@@ -1308,7 +1302,7 @@ class FaultTolerantRuntime:
                         return
                     buf.data = payload
                     dm.commit_move(Move(buf, node, HOST))
-                    cluster.trace.count("mem.spill_bytes", buf.nbytes)
+                    cluster.obs.count("mem.spill_bytes", buf.nbytes)
                 try:
                     dm.commit_evict(buf, node)
                 except ValueError:
@@ -1321,7 +1315,7 @@ class FaultTolerantRuntime:
                     # replica before the device entry is dropped.
                     yield from events.delete(node, buf.buffer_id,
                                              origin=home)
-                cluster.trace.count("mem.evict")
+                cluster.obs.count("mem.evict")
             finally:
                 dm.mem_release(buf, node)
 
@@ -1440,7 +1434,7 @@ class FaultTolerantRuntime:
                     d.buffer.buffer_id for d in task.deps
                     if task.dep_type_for(d.buffer).reads
                 }):
-                    cluster.trace.count(
+                    cluster.obs.count(
                         "mem.miss" if bid in needed_ids else "mem.hit"
                     )
                 for ev in evictions:
@@ -1516,7 +1510,7 @@ class FaultTolerantRuntime:
                     attempt_b = next(exec_attempt)
                     attempts[task.task_id] = attempts.get(task.task_id, 0) + 1
                     result.speculative_attempts += 1
-                    cluster.trace.count("ft.speculative_attempts")
+                    cluster.obs.count("ft.speculative_attempts")
                     backup = sim.process(
                         run_target(task, backup_node, chain, attempt_b),
                         name=f"ft-spec:{task.name}.b",
@@ -1668,7 +1662,7 @@ class FaultTolerantRuntime:
                             continue  # changed mid-flight; next round
                         checkpoints[bid] = (version, _snapshot(payload))
                     result.checkpoints_taken += 1
-                    cluster.trace.count("ft.checkpoints")
+                    cluster.obs.count("ft.checkpoints")
                     # Snapshots ride the log by reference: the stored
                     # copy is pristine (restores copy out of it), so
                     # sharing it with the replicas is safe.
@@ -1896,7 +1890,7 @@ class FaultTolerantRuntime:
                 replayed_records=len(log.records),
                 redispatched_tasks=redispatched,
             ))
-            cluster.trace.count("ft.head_failovers")
+            cluster.obs.count("ft.head_failovers")
             if pending == 0:
                 all_done.succeed()
                 return
@@ -1992,7 +1986,7 @@ class FaultTolerantRuntime:
             result.makespan = sim.now - t0
             result.detections = list(ring.detections)
             result.task_attempts = dict(attempts)
-            result.counters = dict(cluster.trace.counters)
+            result.counters = cluster.obs.snapshot()
             result.suspicions_cleared = ring.suspicions_cleared
             result.false_positive_detections = ring.false_positives
             declared = {d for d, _by, _t in ring.detections}
@@ -2014,12 +2008,10 @@ class FaultTolerantRuntime:
                     active.dropped_messages
                 )
             if cluster.obs.enabled:
-                # Fold the transport + event-system tallies into the
-                # observer so one object carries the whole run's metrics.
+                # Fold the transport tallies into the observer so one
+                # object carries the whole run's metrics.
                 for stat, value in mpi.stats.items():
                     cluster.obs.count(f"mpi.transport.{stat}", value)
-                for counter_name, value in cluster.trace.counters.items():
-                    cluster.obs.count(counter_name, value)
                 result.obs = cluster.obs
             if analysis.enabled:
                 result.analysis = analysis.finalize(

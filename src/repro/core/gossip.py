@@ -95,7 +95,6 @@ class GossipMembership:
         piggyback: int = 8,
         seed: int = 0,
         heartbeat_bytes: float = 16.0,
-        use_wheel: bool = True,
     ):
         if interval <= 0:
             raise ValueError("interval must be > 0")
@@ -157,8 +156,8 @@ class GossipMembership:
         self._conf_seen: dict[int, set[int]] = {}
         from repro.core.faults import _TimerWheel  # avoid import cycle
 
-        self.wheel = _TimerWheel(self.sim) if use_wheel else None
-        self._after = self.wheel.after if use_wheel else self.sim.timeout
+        self.wheel = _TimerWheel(self.sim)
+        self._after = self.wheel.after
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:

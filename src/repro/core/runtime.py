@@ -171,7 +171,6 @@ class OMPCRuntime:
         events = EventSystem(cluster, mpi, self.config)
         dm = DataManager(analysis=analysis if analysis.enabled else None)
         analysis.program_begin(program)
-        trace = cluster.trace
         cfg = self.config
 
         # Tiered device→host→remote store (repro.core.tiering): enabled
@@ -257,7 +256,7 @@ class OMPCRuntime:
             attempt = 0
             while fails(move.dst, sim.now):
                 attempt += 1
-                trace.count("mem.fetch_retries")
+                obs.count("mem.fetch_retries")
                 if attempt > cfg.mem_fetch_retries:
                     raise DeviceMemoryError(
                         f"fetch of buffer {move.buffer.name} "
@@ -365,12 +364,12 @@ class OMPCRuntime:
                     )
                     buf.data = payload
                     dm.commit_move(Move(buf, ev.node, HOST))
-                    trace.count("mem.spill_bytes", buf.nbytes)
+                    obs.count("mem.spill_bytes", buf.nbytes)
                 yield from events.delete(ev.node, buf.buffer_id)
                 dm.commit_evict(buf, ev.node)
                 dm.mem_release(buf, ev.node)
                 mem_wake()
-                trace.count("mem.evict")
+                obs.count("mem.evict")
             finally:
                 bucket = evicting_bufs.get(buf.buffer_id)
                 if bucket is not None:
@@ -428,7 +427,6 @@ class OMPCRuntime:
                 if enabled:
                     obs.gauge_add("head.inflight", -1)
             result.task_intervals[task.task_id] = (start, sim.now)
-            trace.record("task", task.name, start, sim.now)
             analysis.task_end(task)
             complete(task)
 
@@ -644,7 +642,7 @@ class OMPCRuntime:
                         ).reads:
                             continue
                         counted.add(bid)
-                        trace.count(
+                        obs.count(
                             "mem.miss" if bid in moved else "mem.hit"
                         )
                     yield from perform_evictions(node, evictions)
@@ -710,11 +708,9 @@ class OMPCRuntime:
 
         def main_body():
             # 1. startup: process start -> gate-thread creation (Fig. 7a).
-            span = trace.begin("runtime", "startup")
             obs_span = obs.begin("sched", "startup", 0)
             yield sim.timeout(cfg.startup_time)
             events.start()
-            trace.end(span)
             obs.end(obs_span)
             result.startup_time = cfg.startup_time
 
@@ -728,7 +724,6 @@ class OMPCRuntime:
                 obs.end(obs_span)
 
             # 3. implicit barrier: schedule the entire graph with HEFT.
-            span = trace.begin("runtime", "scheduling")
             obs_span = obs.begin("sched", "heft", 0, edges=graph.num_edges)
             sched_cost = (
                 graph.num_edges
@@ -737,7 +732,6 @@ class OMPCRuntime:
             )
             if sched_cost:
                 yield sim.timeout(sched_cost)
-            trace.end(span)
             obs.end(obs_span)
             result.scheduling_time = sched_cost + 0.0
 
@@ -750,11 +744,9 @@ class OMPCRuntime:
             yield all_done
 
             # 6. shutdown: gate-thread destruction -> process end.
-            span = trace.begin("runtime", "shutdown")
             obs_span = obs.begin("sched", "shutdown", 0)
             yield from events.shutdown()
             yield sim.timeout(cfg.shutdown_time)
-            trace.end(span)
             obs.end(obs_span)
             result.shutdown_time = cfg.shutdown_time
 
@@ -792,18 +784,16 @@ class OMPCRuntime:
 
         def finish() -> OMPCRunResult:
             result.makespan = sim.now - t0
-            result.counters = dict(trace.counters)
+            result.counters = obs.snapshot()
             result.network_bytes = cluster.network.total_bytes - net_bytes0
             result.network_messages = (
                 cluster.network.total_messages - net_msgs0
             )
             if obs.enabled:
-                # Fold the transport + event-system tallies into the
-                # observer so one object carries the whole run's metrics.
+                # Fold the transport tallies into the observer so one
+                # object carries the whole run's metrics.
                 for stat, value in mpi.stats.items():
                     obs.count(f"mpi.transport.{stat}", value)
-                for counter_name, value in trace.counters.items():
-                    obs.count(counter_name, value)
                 result.obs = obs
             if analysis.enabled:
                 result.analysis = analysis.finalize(

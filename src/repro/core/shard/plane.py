@@ -243,7 +243,6 @@ class ShardedRuntime:
         events = EventSystem(cluster, mpi, cfg)
         dm = DataManager(analysis=analysis if analysis.enabled else None)
         analysis.program_begin(program)
-        trace = cluster.trace
         graph = program.graph
 
         directory = ShardDirectory(
@@ -251,7 +250,7 @@ class ShardedRuntime:
             else cfg.shard_policy,
         )
         self.last_directory = directory
-        trace.count("shard.cross_edges", len(directory.cross_edges))
+        obs.count("shard.cross_edges", len(directory.cross_edges))
         lease_needs = directory.lease_needs()
 
         slices = self.compute_slices(cluster.num_nodes, k)
@@ -380,7 +379,7 @@ class ShardedRuntime:
                 all_done.succeed()
 
         def send_notify(shard: _Shard, producer_id: int, sc: int) -> None:
-            trace.count("shard.forwards")
+            obs.count("shard.forwards")
             shard.stats.forwards_sent += 1
             shard_comm.rank(shard.manager).isend(
                 shards[sc].manager,
@@ -389,7 +388,7 @@ class ShardedRuntime:
             )
 
         def send_lease(shard: _Shard, producer_id: int) -> None:
-            trace.count("shard.leases")
+            obs.count("shard.leases")
             shard.stats.leases_sent += 1
             sp = owner_of(producer_id)
             shard_comm.rank(shard.manager).isend(
@@ -422,7 +421,7 @@ class ShardedRuntime:
                     return
                 _kind, producer_id, _sp = msg.payload
                 if producer_id in shard.notified:
-                    trace.count("shard.dedup_hits")
+                    obs.count("shard.dedup_hits")
                     shard.stats.dedup_hits += 1
                     continue
                 shard.notified.add(producer_id)
@@ -521,7 +520,7 @@ class ShardedRuntime:
             log_append(shard, "dispatch", task=task.task_id)
             if shard.repl is not None:
                 yield from shard.repl.throttle()
-            trace.count("shard.dispatches")
+            obs.count("shard.dispatches")
             start = sim.now
             try:
                 node = schedule.node_of(task)
@@ -539,7 +538,6 @@ class ShardedRuntime:
                     obs.gauge_add("head.inflight", -1)
             result.task_intervals[task.task_id] = (start, sim.now)
             shard.stats.busy_time += sim.now - start
-            trace.record("task", task.name, start, sim.now)
             analysis.task_end(task)
             complete(task)
 
@@ -627,7 +625,7 @@ class ShardedRuntime:
         def failover(shard: _Shard, by: int):
             old = shard.manager
             shard.failing = True
-            trace.count("shard.failovers")
+            obs.count("shard.failovers")
             shard.stats.failovers += 1
             if not events.node_failed(old):
                 events.fail_node(old)  # STONITH: silence the old manager
@@ -755,7 +753,6 @@ class ShardedRuntime:
                 raise
 
         def main_body():
-            span = trace.begin("runtime", "startup")
             obs_span = obs.begin("sched", "startup", 0)
             yield sim.timeout(cfg.startup_time)
             events.start()
@@ -774,7 +771,6 @@ class ShardedRuntime:
                 start_services(shard)
             for at, node in self.inject_failures:
                 sim.process(injector(at, node), name=f"kill@{node}")
-            trace.end(span)
             obs.end(obs_span)
             result.startup_time = cfg.startup_time
             plane_up.succeed()
@@ -783,11 +779,9 @@ class ShardedRuntime:
             yield all_done
             if membership is not None:
                 membership.stop()
-            span = trace.begin("runtime", "shutdown")
             obs_span = obs.begin("sched", "shutdown", 0)
             yield from events.shutdown()
             yield sim.timeout(cfg.shutdown_time)
-            trace.end(span)
             obs.end(obs_span)
             result.shutdown_time = cfg.shutdown_time
 
@@ -800,7 +794,7 @@ class ShardedRuntime:
 
         def finish() -> ShardRunResult:
             result.makespan = sim.now - t0
-            result.counters = dict(trace.counters)
+            result.counters = obs.snapshot()
             result.network_bytes = cluster.network.total_bytes - net_bytes0
             result.network_messages = (
                 cluster.network.total_messages - net_msgs0
@@ -813,8 +807,6 @@ class ShardedRuntime:
             if obs.enabled:
                 for stat, value in mpi.stats.items():
                     obs.count(f"mpi.transport.{stat}", value)
-                for counter_name, value in trace.counters.items():
-                    obs.count(counter_name, value)
                 result.obs = obs
             if analysis.enabled:
                 result.analysis = analysis.finalize(

@@ -79,8 +79,8 @@ class JobManager:
         self.tenant_usage: dict[str, float] = {}
         #: Cluster-level telemetry: job spans, queue-depth gauge,
         #: busy-node gauge, admission counters.  Shares the cluster's
-        #: observer when one is installed so the jobs section lands in
-        #: the same utilization report; otherwise records privately.
+        #: observer when it is traced so the jobs section lands in the
+        #: same utilization report; otherwise records privately.
         self.obs = cluster.obs if cluster.obs.enabled else Observer(self.sim)
         self._ids = itertools.count()
         self._queued_spans: dict[int, object] = {}

@@ -158,8 +158,8 @@ def build_report(manager) -> JobsReport:
         if r.state in (JobState.PENDING.value, JobState.RUNNING.value)
     ]
     counters = {
-        name: counter.value
-        for name, counter in manager.obs.metrics.counters.items()
+        name: value
+        for name, value in manager.obs.counters.items()
         if name.startswith("jobs.")
     }
 

@@ -46,7 +46,6 @@ from repro.mpi.errors import MpiError
 from repro.mpi.matchtable import MatchStore
 from repro.mpi.request import Request
 from repro.sim.primitives import AnyOf
-from repro.sim.resources import Store
 from repro.util.units import MICROSECOND
 
 #: Receive-source wildcard (``MPI_ANY_SOURCE``).
@@ -117,9 +116,10 @@ class MpiWorld:
             "drops": 0, "retransmissions": 0, "acks": 0, "duplicates": 0,
         }
         self._next_comm_id = 0
-        # Matching queues are per (rank, comm); one Store per pair, lazily
-        # created, so traffic on one communicator never scans another's.
-        self._queues: dict[tuple[int, int], Store] = {}
+        # Matching queues are per (rank, comm); one MatchStore per pair,
+        # lazily created, so traffic on one communicator never scans
+        # another's.
+        self._queues: dict[tuple[int, int], MatchStore] = {}
         self.world = self.new_communicator()
 
     @property
@@ -148,17 +148,11 @@ class MpiWorld:
         self._next_comm_id += 1
         return comm
 
-    def _queue(self, rank: int, comm_id: int) -> Store:
+    def _queue(self, rank: int, comm_id: int) -> MatchStore:
         key = (rank, comm_id)
         store = self._queues.get(key)
         if store is None:
-            # The fast kernel matches through slotted (src, tag) tables;
-            # the reference kernel keeps the predicate-scan Store.  Both
-            # produce bit-identical event streams (digest-tested).
-            if self.sim._fastpath:
-                store = MatchStore(self.sim, name=f"mpi.q{rank}.c{comm_id}")
-            else:
-                store = Store(self.sim, name=f"mpi.q{rank}.c{comm_id}")
+            store = MatchStore(self.sim, name=f"mpi.q{rank}.c{comm_id}")
             self._queues[key] = store
         return store
 
@@ -380,17 +374,7 @@ class Communicator:
             raise MpiError(f"recv tag must be >= 0 or ANY_TAG, got {tag}")
 
         store = self.mpi._queue(dst, self.comm_id)
-        if type(store) is MatchStore:
-            get = store.get_match(src, tag)
-        else:
-            def match(msg: Message) -> bool:
-                if src != ANY_SOURCE and msg.src != src:
-                    return False
-                if tag != ANY_TAG and msg.tag != tag:
-                    return False
-                return True
-
-            get = store.get(match)
+        get = store.get_match(src, tag)
         request = Request(get, "recv", canceller=lambda: store.cancel(get))
         if self.mpi.analysis.enabled and not self.service:
             self.mpi.analysis.mpi.on_irecv(

@@ -1,11 +1,12 @@
-"""Slotted MPI message matching: the fast kernel's match tables.
+"""Slotted MPI message matching: every MPI queue's match tables.
 
-The reference implementation of message matching is a
-:class:`~repro.sim.resources.Store` holding every buffered message for
-one ``(rank, comm)`` pair, with each receive expressed as a predicate
-closure over ``(src, tag)``.  Matching then costs a linear scan of all
-buffered messages per receive and a getters × items fixpoint per
-delivery — fine at 4 nodes, dominant at 64.
+The reference implementation of message matching (kept test-side, in
+``tests/reference_kernel.py``) is a :class:`~repro.sim.resources.Store`
+holding every buffered message for one ``(rank, comm)`` pair, with each
+receive expressed as a predicate closure over ``(src, tag)``.
+Matching then costs a linear scan of all buffered messages per receive
+and a getters × items fixpoint per delivery — fine at 4 nodes,
+dominant at 64.
 
 :class:`MatchStore` keeps the exact same externally observable behavior
 (same events, created in the same order, firing at the same times — the

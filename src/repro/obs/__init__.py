@@ -1,21 +1,20 @@
 """repro.obs — the unified observability layer.
 
 One :class:`Observer` threads through the simulator, the MPI transport,
-the network fabric, the event system, and the OMPC runtime, collecting
-structured lifecycle spans (task / mpi / sched / data / ompc
-categories), message flow arrows, and time-series utilization metrics —
-all in simulated time at zero simulated cost.  Enable it with
-``OMPCConfig(trace=True)`` and export via
+the network fabric, the event system, and the OMPC runtime.  Its
+counters are always on; with ``OMPCConfig(trace=True)`` it also
+collects structured lifecycle spans (task / mpi / sched / data / ompc
+categories), message flow arrows, and time-series utilization gauges —
+all in simulated time at zero simulated cost.  Export traces via
 :func:`~repro.obs.exporter.to_chrome_trace` or summarize with
 :func:`~repro.obs.report.utilization_summary`; or drive everything from
 the CLI: ``python -m repro.bench trace <scenario> --out trace.json``.
 """
 
 from repro.obs.exporter import pack_lanes, to_chrome_trace, validate_chrome_trace
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.observer import (
     CATEGORIES,
-    NULL_OBSERVER,
     NullObserver,
     Observer,
     ObsSpan,
@@ -30,11 +29,9 @@ from repro.obs.report import (
 
 __all__ = [
     "CATEGORIES",
-    "Counter",
     "Gauge",
     "LinkUsage",
     "MetricsRegistry",
-    "NULL_OBSERVER",
     "NodeUsage",
     "NullObserver",
     "ObsSpan",

@@ -1,33 +1,19 @@
-"""Metrics registry: counters and piecewise-constant time-series gauges.
+"""Metrics registry: piecewise-constant time-series gauges.
 
-All values are recorded against *simulated* time.  A :class:`Gauge` is
-sampled at its change points (event-driven sampling — between samples
-the value is constant, so the step function is exact, not an
-approximation).  The registry powers the utilization report
-(:mod:`repro.obs.report`): per-link busy fractions, per-node core
-occupancy, head-node in-flight slot usage, and event-queue depths are
-all time-averages or threshold fractions of gauges collected here.
+The traced tier's metrics; counters live on the observer itself (see
+:mod:`repro.obs.observer`).  All values are recorded against
+*simulated* time.  A :class:`Gauge` is sampled at its change points
+(event-driven sampling — between samples the value is constant, so
+the step function is exact, not an approximation).  The registry
+powers the utilization report (:mod:`repro.obs.report`): per-link busy
+fractions, per-node core occupancy, head-node in-flight slot usage,
+and event-queue depths are all time-averages or threshold fractions
+of gauges collected here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-
-
-class Counter:
-    """A monotonically increasing scalar (bytes, messages, retries)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Counter {self.name}={self.value}>"
 
 
 class Gauge:
@@ -107,17 +93,10 @@ class Gauge:
 
 
 class MetricsRegistry:
-    """Name-indexed counters and gauges, created on first use."""
+    """Name-indexed gauges, created on first use."""
 
     def __init__(self):
-        self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
-
-    def counter(self, name: str) -> Counter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
 
     def gauge(self, name: str, node: int = 0) -> Gauge:
         gauge = self.gauges.get(name)

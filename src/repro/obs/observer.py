@@ -1,11 +1,20 @@
-"""The observability core: structured spans, flows, and metric hooks.
+"""The observability core: one recorder per run, in two tiers.
 
-One :class:`Observer` is threaded through every layer of a run — the
-simulator clock is read, never advanced, so instrumentation charges
-**zero simulated time**.  Components record:
+Every :class:`~repro.cluster.machine.Cluster` (and every
+:class:`~repro.cluster.partition.ClusterView`) carries exactly one
+observer, threaded through every layer of a run.  The simulator clock
+is read, never advanced, so instrumentation charges **zero simulated
+time**.  The observer records in two tiers:
 
-* **spans** — closed intervals on a ``(node, category)`` lane.  The
-  span taxonomy (see DESIGN.md):
+* **counters** — always on.  :meth:`Observer.count` adds to
+  :attr:`Observer.counters`, a plain ``dict`` of floats; a run's
+  ``result.counters`` is :meth:`Observer.snapshot`.  Hot paths may grab
+  the dict once and increment it directly.
+
+* **spans and gauges** — the traced tier, recorded only when
+  ``OMPCConfig.trace`` is on (:attr:`Observer.enabled`).  Spans are
+  closed intervals on a ``(node, category)`` lane.  The span taxonomy
+  (see DESIGN.md):
 
   ========  ======================================================
   category  what its spans cover
@@ -17,30 +26,30 @@ simulator clock is read, never advanced, so instrumentation charges
             (one span per transmission attempt under the reliable
             transport, with ``attempt``/``dropped`` args)
   ``sched``  runtime phases: ``startup``, ``task-creation``,
-            ``heft``, ``shutdown``
+            ``heft``, ``shutdown`` (the Fig. 7a breakdown)
   ``data``  data-manager traffic: per-buffer ``move`` and
             ``delete`` operations
   ``ompc``  event-system internals: per-event handler spans and
             the first-event lazy-initialization interval
   ========  ======================================================
 
-* **flows** — a send span carries ``flow_phase="s"`` and its matching
-  receive instant ``flow_phase="f"`` under one ``flow_id``; the
-  exporter turns the pair into a Perfetto arrow from sender lane to
-  receiver lane.
-
-* **metrics** — counters and time-series gauges on the attached
+  A send span carries ``flow_phase="s"`` and its matching receive
+  instant ``flow_phase="f"`` under one ``flow_id``; the exporter turns
+  the pair into a Perfetto arrow from sender lane to receiver lane.
+  Gauges are exact step functions of simulated time on the attached
   :class:`~repro.obs.metrics.MetricsRegistry`.
 
-When tracing is off (``OMPCConfig.trace`` is False, the default) the
-shared :data:`NULL_OBSERVER` is installed instead: every method is a
-no-op, so the instrumented hot paths cost a handful of dead calls and
-nothing else.
+An untraced cluster carries a :class:`NullObserver`: its counters are
+live, every span and gauge method is a no-op, so instrumented hot paths
+cost a handful of dead calls and nothing else.  A traced run installs
+a full :class:`Observer` in its place, which takes over the counters
+recorded so far.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -48,6 +57,10 @@ from repro.obs.metrics import MetricsRegistry
 
 #: The span categories the exporter and report know about, in lane order.
 CATEGORIES = ("task", "sched", "data", "mpi", "ompc", "job")
+
+#: Counter-name prefixes :meth:`Observer.snapshot` keeps out of a run's
+#: ``result.counters``.
+_UNREPORTED = ("link.", "ompc.first_event_interval")
 
 
 @dataclass(frozen=True)
@@ -86,15 +99,34 @@ class _OpenObsSpan:
 
 
 class Observer:
-    """Collects spans and metrics from one simulation run."""
+    """Collects the counters, spans and gauges of one simulation run."""
 
+    #: Whether the span/gauge tier records (the counter tier always does).
     enabled = True
 
     def __init__(self, sim):
         self.sim = sim
+        #: The always-on counter tier.
+        self.counters: defaultdict[str, float] = defaultdict(float)
         self.spans: list[ObsSpan] = []
         self.metrics = MetricsRegistry()
         self._flow_ids = itertools.count(1)
+
+    # -- counters ---------------------------------------------------------
+    def count(self, name: str, amount: float = 1.0) -> None:
+        self.counters[name] += amount
+
+    def snapshot(self) -> dict[str, float]:
+        """The counters a run reports as ``result.counters``.
+
+        Leaves out the per-link byte totals (recorded only when tracing)
+        and the first-event interval (a Fig. 7a duration, not a count),
+        so a run reports the same counters traced or not.
+        """
+        return {
+            name: value for name, value in self.counters.items()
+            if not name.startswith(_UNREPORTED)
+        }
 
     # -- spans ----------------------------------------------------------
     def span(
@@ -153,10 +185,7 @@ class Observer:
         """Allocate a fresh flow id for a send→receive arrow pair."""
         return next(self._flow_ids)
 
-    # -- metrics ----------------------------------------------------------
-    def count(self, name: str, amount: float = 1.0) -> None:
-        self.metrics.counter(name).inc(amount)
-
+    # -- gauges -----------------------------------------------------------
     def gauge_set(self, name: str, value: float, node: int = 0) -> None:
         self.metrics.gauge(name, node).set(self.sim.now, value)
 
@@ -181,48 +210,21 @@ class Observer:
         return {span.cat for span in self.spans}
 
 
-class NullObserver:
-    """The do-nothing observer installed when tracing is off.
+class NullObserver(Observer):
+    """The observer of an untraced run: counters only.
 
-    Mirrors the full :class:`Observer` surface; every method returns
-    immediately so instrumented code needs no ``if traced:`` guards on
-    simple calls (sites that would *build* expensive arguments should
-    still check :attr:`enabled`).
+    Every span and gauge method returns immediately, so instrumented
+    code needs no ``if traced:`` guards on simple calls (sites that
+    would *build* expensive arguments should still check
+    :attr:`enabled`).  Queries see no spans and no gauges.
     """
 
     enabled = False
-    __slots__ = ()
 
     def span(self, *args: Any, **kwargs: Any) -> None:
         return None
 
-    def begin(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def end(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def instant(self, *args: Any, **kwargs: Any) -> None:
-        return None
+    begin = end = instant = gauge_set = gauge_add = span
 
     def new_flow(self) -> int:
         return 0
-
-    def count(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def gauge_set(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def gauge_add(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def find(self, *args: Any, **kwargs: Any) -> Iterator[ObsSpan]:
-        return iter(())
-
-    def categories(self) -> set[str]:
-        return set()
-
-
-#: Shared no-op observer; safe to use as a default everywhere.
-NULL_OBSERVER = NullObserver()

@@ -81,8 +81,7 @@ def utilization_summary(
         gauge = registry.gauges[name]
         if name.startswith("link."):
             src_text, _, dst_text = name[len("link."):].partition("->")
-            counter = registry.counters.get(f"{name}.bytes")
-            nbytes = counter.value if counter is not None else 0.0
+            nbytes = observer.counters.get(f"{name}.bytes", 0.0)
             report.links.append(
                 LinkUsage(
                     src=int(src_text),
@@ -113,11 +112,7 @@ def utilization_summary(
             report.head_inflight_avg = gauge.time_average(0.0, span)
             report.head_inflight_max = gauge.maximum()
 
-    report.counters = {
-        name: counter.value
-        for name, counter in sorted(registry.counters.items())
-        if not name.startswith("link.")
-    }
+    report.counters = dict(sorted(observer.snapshot().items()))
     return report
 
 

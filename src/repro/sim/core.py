@@ -20,7 +20,6 @@ its inputs.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from collections.abc import Generator
 from typing import Any, Callable
@@ -36,22 +35,6 @@ _INF = float("inf")
 NORMAL = 1
 #: Priority for urgent events (processed before normal ones at equal time).
 URGENT = 0
-
-#: Default for :class:`Simulator`'s two-lane fast queue.  The fast path
-#: produces a bit-identical event stream (same ``(time, priority, seq)``
-#: processing order) — ``REPRO_SIM_FASTPATH=0`` selects the reference
-#: single-heap kernel, which the digest property tests compare against.
-_FASTPATH_DEFAULT = os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"
-
-
-def set_fastpath_default(enabled: bool) -> bool:
-    """Set the process-wide default for new simulators; returns the old
-    value.  Test helper — production code leaves the default alone."""
-    global _FASTPATH_DEFAULT
-    old = _FASTPATH_DEFAULT
-    _FASTPATH_DEFAULT = bool(enabled)
-    return old
-
 
 class Event:
     """A one-shot occurrence processes can wait on.
@@ -267,24 +250,21 @@ class Process(Event):
 class Simulator:
     """Deterministic single-threaded discrete-event simulator.
 
-    Two queue implementations share one semantic: events are processed
-    in ``(time, priority, seq)`` order.  The reference kernel keeps a
-    single binary heap.  The fast kernel (default; see
-    ``REPRO_SIM_FASTPATH``) adds a FIFO lane for events scheduled *now*
-    at NORMAL priority — the overwhelmingly common case — which are
-    appended/popped in O(1) instead of O(log n); because ``seq`` is
+    Events are processed in ``(time, priority, seq)`` order.  Besides
+    the binary heap, the queue keeps a FIFO lane for events scheduled
+    *now* at NORMAL priority — the overwhelmingly common case — which
+    are appended/popped in O(1) instead of O(log n); because ``seq`` is
     globally monotone, the lane is already sorted by ``(time, seq)`` and
-    a single tuple comparison merges it exactly against the heap.  Both
-    kernels process the bit-identical event sequence (asserted by the
-    digest property tests).
+    a single tuple comparison merges it exactly against the heap.  The
+    digest property tests assert the bit-identical event sequence of a
+    single-heap reference kernel, kept in ``tests/reference_kernel.py``.
     """
 
-    def __init__(self, fastpath: bool | None = None):
+    def __init__(self):
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         #: Fast lane: ``(time, seq, event)`` for immediate NORMAL events.
         self._fast: deque[tuple[float, int, Event]] = deque()
-        self._fastpath = _FASTPATH_DEFAULT if fastpath is None else bool(fastpath)
         self._seq = 0
         self._active_process: Process | None = None
         self._crash: BaseException | None = None
@@ -332,7 +312,7 @@ class Simulator:
         ev._value = value
         seq = self._seq
         self._seq = seq + 1
-        if delay == 0.0 and self._fastpath:
+        if delay == 0.0:
             self._fast.append((self._now, seq, ev))
         else:
             heapq.heappush(self._heap, (self._now + delay, NORMAL, seq, ev))
@@ -347,7 +327,7 @@ class Simulator:
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         seq = self._seq
         self._seq = seq + 1
-        if delay == 0.0 and priority == NORMAL and self._fastpath:
+        if delay == 0.0 and priority == NORMAL:
             self._fast.append((self._now, seq, event))
         else:
             heapq.heappush(self._heap, (self._now + delay, priority, seq, event))

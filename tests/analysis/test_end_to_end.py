@@ -56,12 +56,12 @@ class TestAcceptance:
 
     def test_obs_counters_emitted(self):
         result = run(demo_program(racy=True), analysis=True, trace=True)
-        counters = result.obs.metrics
-        assert counters.counter("analysis.findings").value == 1.0
-        assert counters.counter("analysis.findings.error").value == 1.0
-        assert counters.counter("analysis.findings.race").value == 1.0
-        assert counters.counter("analysis.race.accesses").value > 0
-        assert counters.counter("analysis.mpi.tracked_requests").value > 0
+        counters = result.obs.counters
+        assert counters["analysis.findings"] == 1.0
+        assert counters["analysis.findings.error"] == 1.0
+        assert counters["analysis.findings.race"] == 1.0
+        assert counters["analysis.race.accesses"] > 0
+        assert counters["analysis.mpi.tracked_requests"] > 0
 
 
 def shots_program(num_shots=4, cost=0.05):

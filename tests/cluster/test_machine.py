@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec
+from repro.obs import Observer, to_chrome_trace
 
 
 class TestClusterSpec:
@@ -37,7 +38,7 @@ class TestCluster:
         cluster = Cluster(ClusterSpec(num_nodes=2))
         assert cluster.nodes[0].sim is cluster.sim
         assert cluster.network.sim is cluster.sim
-        assert cluster.trace.sim is cluster.sim
+        assert cluster.obs.sim is cluster.sim
 
     def test_heterogeneous_nodes(self):
         spec = ClusterSpec(
@@ -50,64 +51,68 @@ class TestCluster:
 
 
 class TestTraceRecorder:
+    """The cluster's one recorder: its observer."""
+
+    def _traced(self):
+        cluster = Cluster(ClusterSpec(num_nodes=2))
+        cluster.install_observer(Observer(cluster.sim))
+        return cluster, cluster.obs
+
     def test_span_recording(self):
-        cluster = Cluster(ClusterSpec(num_nodes=1))
-        sim, trace = cluster.sim, cluster.trace
+        cluster, obs = self._traced()
+        sim = cluster.sim
 
         def proc():
-            open_span = trace.begin("runtime", "startup")
+            open_span = obs.begin("sched", "startup", 0)
             yield sim.timeout(2.0)
-            trace.end(open_span)
+            obs.end(open_span)
 
         sim.process(proc())
         sim.run()
-        spans = list(trace.find("runtime", "startup"))
-        assert len(spans) == 1
-        assert spans[0].duration == 2.0
-        assert trace.total_duration("runtime") == 2.0
+        (span,) = obs.find("sched", "startup")
+        assert span.duration == 2.0
 
     def test_counters(self):
         cluster = Cluster(ClusterSpec(num_nodes=1))
-        cluster.trace.count("events")
-        cluster.trace.count("events", 2)
-        assert cluster.trace.counters["events"] == 3
+        assert not cluster.obs.enabled  # counters need no tracing
+        cluster.obs.count("events")
+        cluster.obs.count("events", 2)
+        assert cluster.obs.counters["events"] == 3
+        # A traced observer installed later takes the counts over.
+        cluster.install_observer(Observer(cluster.sim))
+        cluster.obs.count("events")
+        assert cluster.obs.counters == {"events": 4}
+        assert cluster.network.obs is cluster.obs
 
     def test_invalid_span_rejected(self):
-        cluster = Cluster(ClusterSpec(num_nodes=1))
+        _cluster, obs = self._traced()
         with pytest.raises(ValueError):
-            cluster.trace.record("x", "y", start=2.0, end=1.0)
+            obs.span("x", "y", 0, start=2.0, end=1.0)
 
     def test_chrome_trace_export(self):
         import json
 
-        cluster = Cluster(ClusterSpec(num_nodes=1))
-        cluster.trace.record("runtime", "startup", 0.0, 0.012)
-        cluster.trace.record("task", "foo", 0.012, 0.062)
-        events = cluster.trace.to_chrome_trace()
-        # 2 complete events + 2 process-name metadata records.
-        assert len(events) == 4
+        _cluster, obs = self._traced()
+        obs.span("sched", "startup", 0, 0.0, 0.012)
+        obs.span("task", "foo", 1, 0.012, 0.062)
+        events = to_chrome_trace(obs)
         spans = [e for e in events if e["ph"] == "X"]
         assert {e["name"] for e in spans} == {"startup", "foo"}
         startup = next(e for e in spans if e["name"] == "startup")
         assert startup["ts"] == 0.0
         assert startup["dur"] == pytest.approx(12_000.0)
-        # Distinct components map to distinct pids.
+        # Distinct nodes map to distinct pids.
         assert len({e["pid"] for e in spans}) == 2
         json.dumps(events)  # must be serializable
 
     def test_chrome_trace_concurrent_spans_get_distinct_lanes(self):
-        # Regression: every span used to be exported with tid 0, so
-        # overlapping spans stacked on one lane in the viewer.
-        cluster = Cluster(ClusterSpec(num_nodes=1))
-        cluster.trace.record("task", "a", 0.0, 2.0)
-        cluster.trace.record("task", "b", 1.0, 3.0)
-        cluster.trace.record("task", "c", 2.5, 4.0)
-        spans = {
-            e["name"]: e for e in cluster.trace.to_chrome_trace()
-            if e["ph"] == "X"
-        }
+        _cluster, obs = self._traced()
+        obs.span("task", "a", 0, 0.0, 2.0)
+        obs.span("task", "b", 0, 1.0, 3.0)
+        obs.span("task", "c", 0, 2.5, 4.0)
+        spans = {e["name"]: e for e in to_chrome_trace(obs) if e["ph"] == "X"}
         assert spans["a"]["tid"] != spans["b"]["tid"]
         # c starts after a ends, so it reuses a freed lane.
         assert spans["c"]["tid"] == spans["a"]["tid"]
-        # All on the same process (one component).
+        # All on the same process (one node).
         assert len({e["pid"] for e in spans.values()}) == 1

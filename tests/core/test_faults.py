@@ -135,7 +135,7 @@ class TestEventSystemFailure:
 
         cluster.sim.process(main())
         cluster.sim.run()
-        assert cluster.trace.counters["ompc.node_failures"] == 1
+        assert cluster.obs.counters["ompc.node_failures"] == 1
 
     def test_head_failure_allowed(self):
         cluster, events = self.make()

@@ -220,7 +220,7 @@ class TestRuntimeIntegration:
         res = rt.run(prog)
         assert expected(outs)
         assert res.makespan > 0
-        counters = rt.last_cluster.trace.counters
+        counters = rt.last_cluster.obs.counters
         assert counters.get("mem.evict", 0) > 0
         assert counters.get("mem.hit", 0) + counters.get("mem.miss", 0) > 0
 
@@ -278,7 +278,7 @@ class TestMemoryPressureFaults:
                                   capacity_factor=0.25)
         res, outs, cluster = self._run_under_pressure(pressure, cfg)
         assert expected(outs)
-        assert cluster.trace.counters.get("mem.evict", 0) > 0
+        assert cluster.obs.counters.get("mem.evict", 0) > 0
 
     def test_fetch_failures_retry_with_backoff(self):
         cfg = OMPCConfig(device_memory_bytes=8 * 2 * KB,
@@ -288,7 +288,7 @@ class TestMemoryPressureFaults:
                                   fetch_fail_prob=0.5)
         res, outs, cluster = self._run_under_pressure(pressure, cfg)
         assert expected(outs)
-        assert cluster.trace.counters.get("mem.fetch_retries", 0) > 0
+        assert cluster.obs.counters.get("mem.fetch_retries", 0) > 0
         assert cluster.faults.fetch_failures > 0
 
     def test_exhausted_retries_raise(self):
@@ -326,7 +326,7 @@ class TestFaultTolerantTiering:
         )
         assert expected(outs)
         assert res.failures == [2]
-        assert cluster.trace.counters.get("mem.evict", 0) > 0
+        assert cluster.obs.counters.get("mem.evict", 0) > 0
 
     def test_ft_fetch_failures_retry_with_backoff(self):
         cfg = OMPCConfig(device_memory_bytes=3 * 2 * KB,
@@ -337,7 +337,7 @@ class TestFaultTolerantTiering:
         ])
         res, outs, cluster = self._ft(cfg, fault_plan=plan)
         assert expected(outs)
-        assert cluster.trace.counters.get("mem.fetch_retries", 0) > 0
+        assert cluster.obs.counters.get("mem.fetch_retries", 0) > 0
         assert cluster.faults.fetch_failures > 0
 
     def test_ft_exhausted_retries_raise(self):

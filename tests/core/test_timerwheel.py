@@ -6,11 +6,16 @@ exactly preserved; because the *event stream* legitimately changes
 (that is the optimization), equivalence is asserted at the result level
 — identical makespans, detections, and outputs with the wheel on and
 off — rather than by the event-order digests the fast-path queue uses.
+"Off" is the reference of :func:`_private_timers`: every wait gets its
+own ``sim.timeout``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
+import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.core.events import EventSystem
@@ -24,6 +29,19 @@ from repro.mpi import MpiWorld
 from repro.sim.core import Simulator
 
 from tests.core.test_faults import FAST, shots_program
+
+
+@contextmanager
+def _private_timers():
+    """Bypass the wheel: each ``after(delay)`` is a private timeout."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_TimerWheel, "after",
+                   lambda self, delay: self.sim.timeout(delay))
+        yield
+
+
+def _wheel(use_wheel: bool):
+    return nullcontext() if use_wheel else _private_timers()
 
 
 class TestTimerWheelUnit:
@@ -79,24 +97,24 @@ class TestTimerWheelUnit:
 
 class TestRingUsesWheel:
     def _ring(self, use_wheel: bool, n: int = 6):
-        cluster = Cluster(ClusterSpec(num_nodes=n))
-        mpi = MpiWorld(cluster)
-        events = EventSystem(cluster, mpi, FAST)
-        events.start()
-        ring = HeartbeatRing(cluster, mpi, events, use_wheel=use_wheel)
-        ring.start()
+        with _wheel(use_wheel):
+            cluster = Cluster(ClusterSpec(num_nodes=n))
+            mpi = MpiWorld(cluster)
+            events = EventSystem(cluster, mpi, FAST)
+            events.start()
+            ring = HeartbeatRing(cluster, mpi, events)
+            ring.start()
 
-        def stopper():
-            yield cluster.sim.timeout(0.02)
-            ring.stop()
+            def stopper():
+                yield cluster.sim.timeout(0.02)
+                ring.stop()
 
-        cluster.sim.process(stopper())
-        cluster.sim.run(until=0.05)
+            cluster.sim.process(stopper())
+            cluster.sim.run(until=0.05)
         return cluster, ring
 
     def test_steady_state_interns_most_timers(self):
         _cluster, ring = self._ring(use_wheel=True)
-        assert ring.wheel is not None
         assert ring.wheel.interned > ring.wheel.created
         assert ring.detections == []
         assert ring.false_positives == 0
@@ -104,7 +122,7 @@ class TestRingUsesWheel:
     def test_wheel_reduces_event_count_with_identical_health(self):
         with_wheel, ring_on = self._ring(use_wheel=True)
         without, ring_off = self._ring(use_wheel=False)
-        assert ring_off.wheel is None
+        assert ring_off.wheel.created == 0
         assert ring_on.detections == ring_off.detections == []
         assert ring_on.missed_windows == ring_off.missed_windows
         assert with_wheel.sim._seq < without.sim._seq
@@ -113,10 +131,9 @@ class TestRingUsesWheel:
 class TestRuntimeEquivalence:
     def _run(self, heartbeat_wheel: bool):
         prog, model, outputs = shots_program(num_shots=6, cost=0.02)
-        rt = FaultTolerantRuntime(
-            ClusterSpec(num_nodes=5), FAST, heartbeat_wheel=heartbeat_wheel
-        )
-        res = rt.run(prog, failures=[NodeFailure(time=0.01, node=1)])
+        rt = FaultTolerantRuntime(ClusterSpec(num_nodes=5), FAST)
+        with _wheel(heartbeat_wheel):
+            res = rt.run(prog, failures=[NodeFailure(time=0.01, node=1)])
         events = rt.last_cluster.sim._seq
         return res, events, model, outputs
 

@@ -2,16 +2,20 @@
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
+from repro.obs.observer import NullObserver
 
 
 class TestCounter:
+    """Counters are plain floats on the observer, always on."""
+
     def test_starts_at_zero_and_accumulates(self):
-        c = Counter("bytes")
-        assert c.value == 0.0
-        c.inc()
-        c.inc(41.0)
-        assert c.value == 42.0
+        obs = NullObserver(sim=None)
+        assert obs.counters["bytes"] == 0.0
+        obs.count("bytes")
+        obs.count("bytes", 41.0)
+        assert obs.counters["bytes"] == 42.0
+        assert type(obs.counters["bytes"]) is float
 
 
 class TestGauge:
@@ -77,7 +81,10 @@ class TestGauge:
 
 class TestMetricsRegistry:
     def test_counter_and_gauge_are_get_or_create(self):
+        obs = NullObserver(sim=None)
+        obs.count("a")
+        obs.count("a")
+        assert obs.counters == {"a": 2.0}
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("g", node=2) is reg.gauge("g")
         assert reg.gauge("g").node == 2

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import OMPCConfig, OMPCRuntime
-from repro.obs import NULL_OBSERVER, Observer
+from repro.obs import NullObserver, Observer
 from repro.omp import OmpProgram
 from repro.omp.task import depend_inout
 
@@ -52,12 +52,19 @@ class TestObserver:
         assert len(list(obs.find(name="a"))) == 2
 
     def test_null_observer_is_inert(self):
-        assert NULL_OBSERVER.enabled is False
-        assert NULL_OBSERVER.begin("task", "t", 0) is None
-        assert NULL_OBSERVER.end(None) is None
-        assert NULL_OBSERVER.new_flow() == 0
-        assert list(NULL_OBSERVER.find()) == []
-        assert NULL_OBSERVER.categories() == set()
+        obs = NullObserver(FakeSim())
+        assert obs.enabled is False
+        assert obs.begin("task", "t", 0) is None
+        assert obs.end(None) is None
+        obs.instant("task", "t", 0)
+        obs.gauge_add("g", 1.0)
+        assert obs.new_flow() == 0
+        assert list(obs.find()) == []
+        assert obs.categories() == set()
+        assert obs.metrics.gauges == {}
+        # Only the counter tier records.
+        obs.count("n", 2.0)
+        assert obs.counters == {"n": 2.0}
 
 
 def two_task_program():
@@ -82,7 +89,10 @@ class TestTracedRun:
         runtime = OMPCRuntime(ClusterSpec(num_nodes=3))
         result = runtime.run(two_task_program())
         assert result.obs is None
-        assert runtime.last_cluster.obs is NULL_OBSERVER
+        obs = runtime.last_cluster.obs
+        assert obs.enabled is False
+        assert obs.spans == [] and obs.metrics.gauges == {}
+        assert result.counters == obs.snapshot()
 
     def test_traced_run_exposes_observer_with_all_categories(self):
         _runtime, result = self.run_traced()
@@ -133,6 +143,6 @@ class TestTracedRun:
 
     def test_transport_counters_copied_into_observer(self):
         _runtime, result = self.run_traced()
-        counters = result.obs.metrics.counters
+        counters = result.obs.counters
         assert "mpi.transport.drops" in counters
         assert any(name.startswith("ompc.events.") for name in counters)

@@ -1,10 +1,10 @@
 """Fast-path kernel equivalence: bit-identical event streams.
 
 The simulator's optimized structures (the two-lane event queue and the
-slotted MPI match tables, gated by ``Simulator(fastpath=...)``) promise
-an *exactly* identical execution to the reference heap/linear-scan
-kernel — same events, processed at the same times, with the same
-priorities, in the same total order, producing the same results.
+slotted MPI match tables) promise an *exactly* identical execution to
+the reference heap/linear-scan kernel of ``tests/reference_kernel.py``
+— same events, processed at the same times, with the same priorities,
+in the same total order, producing the same results.
 
 These tests enforce that promise with an event-order digest: a SHA-256
 over every processed event's ``(time, priority, name)``, captured via
@@ -25,10 +25,11 @@ import pytest
 from repro.cluster.machine import ClusterSpec
 from repro.core.config import OMPCConfig
 from repro.core.runtime import OMPCRuntime
-from repro.sim import core as simcore
-from repro.sim.core import Simulator, set_fastpath_default
+from repro.sim.core import Simulator
 from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
 from repro.taskbench.bench import build_omp_program
+
+from tests.reference_kernel import kernel
 
 BANDWIDTH = 100e9 / 8.0
 
@@ -59,14 +60,11 @@ def _tap_all_sims(digest: "hashlib._Hash"):
 
 
 def _run_traced(scenario, fastpath: bool):
-    """Run ``scenario()`` under the given kernel; return (digest, result)."""
+    """Run ``scenario()`` on the production kernel (``fastpath``) or the
+    reference one; return (digest, result)."""
     digest = hashlib.sha256()
-    old = set_fastpath_default(fastpath)
-    try:
-        with _tap_all_sims(digest):
-            result = scenario()
-    finally:
-        set_fastpath_default(old)
+    with kernel(fastpath), _tap_all_sims(digest):
+        result = scenario()
     return digest.hexdigest(), result
 
 
@@ -133,15 +131,3 @@ def test_overload_day_bit_identical():
 
     _assert_equivalent(scenario)
 
-
-def test_fastpath_default_is_on_and_restorable():
-    # The environment default is "on" unless REPRO_SIM_FASTPATH=0; the
-    # setter returns the previous value so tests can scope overrides.
-    old = set_fastpath_default(False)
-    try:
-        assert Simulator()._fastpath is False
-        assert simcore._FASTPATH_DEFAULT is False
-    finally:
-        set_fastpath_default(old)
-    assert Simulator(fastpath=True)._fastpath is True
-    assert Simulator(fastpath=False)._fastpath is False

@@ -133,7 +133,7 @@ class TestByteConservation:
         rt = OMPCRuntime(ClusterSpec(num_nodes=3), cfg)
         prog, outs = pipeline_program()
         rt.run(prog)
-        counters = rt.last_cluster.trace.counters
+        counters = rt.last_cluster.obs.counters
         assert counters.get("mem.spill_bytes", 0) > 0, (
             "scenario no longer exercises write-behind spill"
         )

@@ -9,8 +9,9 @@ Two bit-identity promises guard the sharded plane (repro.core.shard):
   same SHA-256 over every processed ``(time, priority, name)``.
 
 * The sharded plane itself rides the optimized simulator kernel.  A
-  multi-shard run under ``fastpath=True`` must be bit-identical to the
-  same run on the reference heap/linear-scan kernel — this also pins
+  multi-shard run must be bit-identical to the same run on the
+  reference heap/linear-scan kernel of ``tests/reference_kernel.py``
+  — this also pins
   the ``MatchStore`` per-tag FIFO (ANY_SOURCE-by-tag matching), which
   the shard lease/notify traffic exercises hard.
 """

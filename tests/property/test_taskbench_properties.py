@@ -87,6 +87,14 @@ def test_built_program_edge_superset_of_pattern(pattern, width, steps):
 
 # -- mini-YAML round-trips ---------------------------------------------------
 
+def _reads_as_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 yaml_scalars = st.one_of(
     st.integers(min_value=-10**6, max_value=10**6),
     st.booleans(),
@@ -95,8 +103,9 @@ yaml_scalars = st.one_of(
         min_size=1,
         max_size=10,
     ).filter(
+        # Number-like strings (``12``, ``0E0``) rightly parse as numbers.
         lambda s: s.lower() not in ("true", "false", "yes", "no", "null")
-        and not s.isdigit()
+        and not _reads_as_number(s)
     ),
 )
 
@@ -117,6 +126,10 @@ yaml_scalars = st.one_of(
 def test_yaml_flat_mapping_roundtrip(mapping):
     text = "\n".join(f"{k}: {v}" for k, v in mapping.items())
     assert parse_yaml(text) == mapping
+
+
+def test_yaml_exponent_scalar_reads_as_float():
+    assert parse_yaml("a: 0E0") == {"a": 0.0}
 
 
 @given(

@@ -1,5 +1,8 @@
 """Kernel fast-path unit tests: two-lane queue, input guards,
-process-table compaction, and O(1) interrupt semantics."""
+process-table compaction, and O(1) interrupt semantics.
+
+Tests parametrized on ``fastpath`` run once on the production kernel
+and once on the reference kernel of ``tests/reference_kernel.py``."""
 
 from __future__ import annotations
 
@@ -14,6 +17,8 @@ from repro.sim.core import (
     SimulationError,
     Simulator,
 )
+
+from tests.reference_kernel import kernel, reference_kernel
 
 
 def _trace(sim: Simulator) -> list[tuple[float, int, str]]:
@@ -41,10 +46,11 @@ def _same_time_program(sim: Simulator) -> None:
 
 @pytest.mark.parametrize("fastpath", [True, False])
 def test_same_time_urgent_preempts_fifo(fastpath):
-    sim = Simulator(fastpath=fastpath)
-    seen = _trace(sim)
-    _same_time_program(sim)
-    sim.run()
+    with kernel(fastpath):
+        sim = Simulator()
+        seen = _trace(sim)
+        _same_time_program(sim)
+        sim.run()
     assert seen == [
         (0.0, URGENT, "u"),
         (0.0, NORMAL, "a"),
@@ -54,7 +60,7 @@ def test_same_time_urgent_preempts_fifo(fastpath):
 
 
 def test_future_event_does_not_overtake_fast_lane():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     seen = _trace(sim)
     sim.timeout(1.0).name = "later"
     sim.timeout(0.0).name = "now"
@@ -64,7 +70,7 @@ def test_future_event_does_not_overtake_fast_lane():
 
 
 def test_callback_scheduling_now_lands_at_current_time():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     seen = _trace(sim)
     later = sim.timeout(1.0)
     later.name = "later"
@@ -74,7 +80,7 @@ def test_callback_scheduling_now_lands_at_current_time():
 
 
 def test_run_until_time_leaves_future_events_queued():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     seen = _trace(sim)
     sim.timeout(0.0).name = "now"
     pending = sim.timeout(1.0)
@@ -88,7 +94,7 @@ def test_run_until_time_leaves_future_events_queued():
 
 
 def test_run_until_event_stops_at_trigger():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     done = sim.event("done")
 
     def proc():
@@ -102,9 +108,9 @@ def test_run_until_event_stops_at_trigger():
 
 
 def test_fast_and_reference_kernels_agree_on_random_schedules():
-    def exercise(fastpath: bool) -> list[tuple[float, int, str]]:
+    def exercise() -> list[tuple[float, int, str]]:
         rng = random.Random(42)
-        sim = Simulator(fastpath=fastpath)
+        sim = Simulator()
         seen = _trace(sim)
 
         def churn(depth: int):
@@ -123,7 +129,9 @@ def test_fast_and_reference_kernels_agree_on_random_schedules():
         sim.run()
         return seen
 
-    assert exercise(True) == exercise(False)
+    fast = exercise()
+    with reference_kernel():
+        assert exercise() == fast
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +141,8 @@ def test_fast_and_reference_kernels_agree_on_random_schedules():
 @pytest.mark.parametrize("fastpath", [True, False])
 @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
 def test_timeout_rejects_bad_delays(fastpath, delay):
-    sim = Simulator(fastpath=fastpath)
-    with pytest.raises(ValueError):
-        sim.timeout(delay)
+    with kernel(fastpath), pytest.raises(ValueError):
+        Simulator().timeout(delay)
 
 
 @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.5])
