@@ -15,8 +15,13 @@ Cost model
   ``target enter data``) additionally see a host-staging term: the
   transfer host → candidate-node, available from time 0.
 
-Complexity is ``O(e × p)`` (§4.4): each edge is examined once per
-candidate node during processor selection.
+The paper bounds HEFT at ``O(e × p)`` (§4.4): each edge examined once
+per candidate node.  Processor selection here costs ``O(e)`` plus one
+timeline walk per task — a node's ready time differs from the common
+"every input is remote" value only if it hosts one of the task's
+predecessors, so one pass over the predecessors prices every node —
+and ``O(p)`` more only for tasks that fall back to the full node scan
+(no affinity home, or a home outside the tie window).
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ _INF = float("inf")
 
 def shared_bytes(producer: Task, consumer: Task) -> float:
     """Bytes flowing along the dependence edge ``producer → consumer``."""
+    read_ids = {b.buffer_id for b in consumer.reads}
     produced = {b.buffer_id: b.nbytes for b in producer.writes}
-    return sum(nbytes for bid, nbytes in produced.items()
-               if any(b.buffer_id == bid for b in consumer.reads))
+    return sum(nbytes for bid, nbytes in produced.items() if bid in read_ids)
 
 
 class _SlotTimeline:
@@ -114,22 +119,12 @@ class HeftScheduler(Scheduler):
         self,
         exec_slots_per_node: int = 4,
         affinity_stickiness: float = 1.0,
-        replica_aware: bool = False,
     ):
         if exec_slots_per_node < 1:
             raise ValueError("exec_slots_per_node must be >= 1")
         if affinity_stickiness < 0:
             raise ValueError("affinity_stickiness must be >= 0")
         self.exec_slots_per_node = exec_slots_per_node
-        #: Under the tiered data plane, a read-only entered buffer that
-        #: one task already pulled to a node stays resident there as a
-        #: clean replica — a later reader scheduled on the same node
-        #: pays nothing to stage it.  With ``replica_aware`` the ready
-        #: time models that: a node already assigned a reader of a
-        #: read-only staged buffer sees that buffer's staging cost drop
-        #: to zero, so hot replicas attract their consumers.  Off by
-        #: default — it changes placement, hence event digests.
-        self.replica_aware = replica_aware
         #: How much EFT slack (in units of the task's input-communication
         #: cost) the scheduler accepts to keep a task on its affinity's
         #: home node.  EFT prices each edge in isolation, so it sees
@@ -154,47 +149,27 @@ class HeftScheduler(Scheduler):
         targets = [t for t in graph.tasks() if t.kind == TaskKind.TARGET]
         target_ids = {t.task_id for t in targets}
 
-        # -- derive compute-graph neighbor sets with edge bytes ------------
-        succ_bytes: dict[int, list[tuple[Task, float]]] = defaultdict(list)
-        pred_bytes: dict[int, list[tuple[Task, float]]] = defaultdict(list)
-        host_staging: dict[int, float] = defaultdict(float)
-        # Replica awareness needs the staged bytes *itemized* per buffer
-        # (not the aggregate): only a buffer no target ever writes stays
-        # a clean replica wherever it lands, so only those are reusable.
-        staged_items: dict[int, list[tuple[int, float]]] = defaultdict(list)
-        written_ids = (
-            {b.buffer_id for t in targets for b in t.writes}
-            if self.replica_aware else set()
-        )
-
-        def stage(task: Task, pred: Task) -> None:
-            host_staging[task.task_id] += shared_bytes(pred, task)
-            if self.replica_aware:
-                produced = {b.buffer_id: b.nbytes for b in pred.writes}
-                for b in task.reads:
-                    nbytes = produced.get(b.buffer_id)
-                    if nbytes is not None:
-                        staged_items[task.task_id].append(
-                            (b.buffer_id, nbytes)
-                        )
-
-        for task in targets:
-            for pred in graph.predecessors(task):
-                if pred.task_id in target_ids:
-                    nbytes = shared_bytes(pred, task)
-                    pred_bytes[task.task_id].append((pred, nbytes))
-                    succ_bytes[pred.task_id].append((task, nbytes))
-                elif pred.kind == TaskKind.TARGET_ENTER_DATA:
-                    # Input staged from the host at program start.
-                    stage(task, pred)
-                elif pred.kind == TaskKind.CLASSICAL:
-                    # Produced on the head node; treat like host staging.
-                    stage(task, pred)
-
-        # -- upward ranks ---------------------------------------------------
         def mean_comm(nbytes: float) -> float:
             return net.latency + nbytes / net.bandwidth
 
+        # -- derive compute-graph neighbor sets with edge costs ------------
+        # ``c(u, v)`` of every compute edge, computed once per edge.
+        succ_comm: dict[int, list[tuple[Task, float]]] = defaultdict(list)
+        pred_comm: dict[int, list[tuple[Task, float]]] = defaultdict(list)
+        host_staging: dict[int, float] = defaultdict(float)
+        for task in targets:
+            for pred in graph.predecessors(task):
+                if pred.task_id in target_ids:
+                    comm = mean_comm(shared_bytes(pred, task))
+                    pred_comm[task.task_id].append((pred, comm))
+                    succ_comm[pred.task_id].append((task, comm))
+                elif pred.kind in (TaskKind.TARGET_ENTER_DATA,
+                                   TaskKind.CLASSICAL):
+                    # Input staged from the host at program start, or
+                    # produced on the head node (treated alike).
+                    host_staging[task.task_id] += shared_bytes(pred, task)
+
+        # -- upward ranks ---------------------------------------------------
         rank_u: dict[int, float] = {}
         for task in reversed(graph.topological_order()):
             if task.task_id not in target_ids:
@@ -202,8 +177,8 @@ class HeftScheduler(Scheduler):
             w_bar = task.cost / mean_speed
             best_succ = max(
                 (
-                    mean_comm(nbytes) + rank_u[succ.task_id]
-                    for succ, nbytes in succ_bytes[task.task_id]
+                    comm + rank_u[succ.task_id]
+                    for succ, comm in succ_comm[task.task_id]
                 ),
                 default=0.0,
             )
@@ -245,80 +220,74 @@ class HeftScheduler(Scheduler):
         for i, aff in enumerate(int_affinities):
             affinity_home[aff] = workers[i * len(workers) // len(int_affinities)]
 
-        # Nodes already assigned a reader of each read-only staged
-        # buffer — i.e. nodes that will hold a clean device replica by
-        # the time a later reader could run there (replica_aware only).
-        replica_nodes: dict[int, set[int]] = defaultdict(set)
-
-        def note_replicas(task: Task, node: int) -> None:
-            if not self.replica_aware:
-                return
-            for bid, _nbytes in staged_items.get(task.task_id, ()):
-                if bid not in written_ids:
-                    replica_nodes[bid].add(node)
+        # Workers fastest first.  Every node that hosts none of a task's
+        # predecessors shares one ready time, so the first such node in
+        # this order has that class's least lower bound.
+        fastest_first = sorted(workers, key=lambda n: -speeds[n])
 
         for task in order:
             # .get() keeps the defaultdicts clean: indexing would
-            # materialize an empty entry per (task, node) probe.
+            # materialize an empty entry per probe.
             staged = host_staging.get(task.task_id, 0.0)
-            preds = pred_bytes.get(task.task_id, [])
+            preds = pred_comm.get(task.task_id, [])
+            cost = task.cost
             affinity = task.meta.get("affinity")
             home = affinity_home.get(affinity) if affinity is not None else None
+            ready0 = mean_comm(staged) if staged else 0.0
             # A task with no predecessors and no host staging moves no
             # input at all: its stickiness slack must be 0, not the
             # phantom ``mean_comm(0) == latency`` of an empty transfer.
-            input_comm = max(
-                (mean_comm(nbytes) for _p, nbytes in preds),
-                default=mean_comm(staged) if staged else 0.0,
-            )
+            input_comm = max((comm for _p, comm in preds), default=ready0)
             stick = (
                 self.affinity_stickiness * input_comm
                 if home is not None else 0.0
             )
 
+            # Ready times in one pass over the predecessors.  A node
+            # that hosts none of them sees every input arrive remotely:
+            # ``generic``, the latest ``finish + c`` (or the staging
+            # term).  A node hosting some sees those finish locally and
+            # the rest arrive remotely — the latest remote arrival from
+            # *another* node is ``first`` unless this node supplied it,
+            # then ``second`` (the latest from any other node).  Only
+            # ``max`` selects among the very floats the per-node scan
+            # would compute, so every ready time is bit-identical.
+            local: dict[int, float] = {}
+            first = second = ready0
+            first_node = None
+            for pred, comm in preds:
+                finish = planned[pred.task_id][1]
+                node = assignment[pred.task_id]
+                if finish > local.get(node, -_INF):
+                    local[node] = finish
+                arrive = finish + comm
+                if arrive > first:
+                    if node != first_node:
+                        second, first_node = first, node
+                    first = arrive
+                elif arrive > second and node != first_node:
+                    second = arrive
+            generic = first
+            ready_at = {
+                node: max(finish, second if node == first_node else first)
+                for node, finish in local.items()
+            }
+
             # EST lower bound per node: the timeline can only delay a
             # task past its ready time, so ``ready + duration`` bounds
-            # the node's EFT from below.  Scanning nodes in lower-bound
-            # order lets the selection stop as soon as no remaining node
-            # can still make the tie set — the timeline walk (the O(e*p)
-            # inner loop's expensive part) then runs for a handful of
-            # contenders instead of every node.  The surviving candidate
-            # set, and therefore the choice, is exactly that of the
-            # full scan.
-            ready0 = mean_comm(staged) if staged else 0.0
-            items = (
-                staged_items.get(task.task_id)
-                if self.replica_aware and staged else None
-            )
-
-            def staged_ready(node: int) -> float:
-                # Staging cost with this node's resident replicas free.
-                if items is None:
-                    return ready0
-                nb = sum(
-                    nbytes for bid, nbytes in items
-                    if node not in replica_nodes.get(bid, ())
-                )
-                return mean_comm(nb) if nb else 0.0
-
-            bounds: list[tuple[float, float, float, int]] = []
+            # the node's EFT from below.  Its minimum is over the
+            # predecessor hosts and the fastest other node.
             lb_min = _INF
-            home_bound: tuple[float, float, float, int] | None = None
-            for node in workers:
-                ready = staged_ready(node)
-                for pred, nbytes in preds:
-                    pred_finish = planned[pred.task_id][1]
-                    if assignment[pred.task_id] != node:
-                        pred_finish += net.latency + nbytes / net.bandwidth
-                    if pred_finish > ready:
-                        ready = pred_finish
-                duration = task.cost / speeds[node]
-                lb = ready + duration
-                bounds.append((lb, ready, duration, node))
+            for node, ready in ready_at.items():
+                lb = ready + cost / speeds[node]
                 if lb < lb_min:
                     lb_min = lb
-                if node == home:
-                    home_bound = bounds[-1]
+            for node in fastest_first:
+                if node not in ready_at:
+                    lb = generic + cost / speeds[node]
+                    if lb < lb_min:
+                        lb_min = lb
+                    break
 
             # Home fast path: ``best_eft >= lb_min`` and the tolerance
             # grows with ``best_eft``, so a home EFT inside the window
@@ -327,8 +296,9 @@ class HeftScheduler(Scheduler):
             # the rest of the scan irrelevant.  (On affinity-seeded
             # graphs this resolves almost every task with one timeline
             # walk.)
-            if home_bound is not None:
-                _lb, ready, duration, _node = home_bound
+            if home is not None:
+                ready = ready_at.get(home, generic)
+                duration = cost / speeds[home]
                 est = timelines[home].earliest_start(ready, duration)
                 home_eft = est + duration
                 if home_eft <= lb_min + lb_min * 1e-9 + 1e-15 + stick:
@@ -337,9 +307,19 @@ class HeftScheduler(Scheduler):
                     assignment[task.task_id] = home
                     planned[task.task_id] = (est, home_eft)
                     timelines[home].insert(est, home_eft)
-                    note_replicas(task, home)
                     continue
 
+            # Fallback: every node's bound, scanned in lower-bound order
+            # so the selection stops as soon as no remaining node can
+            # still make the tie set — the timeline walk then runs for a
+            # handful of contenders instead of every node.  The
+            # surviving candidate set, and therefore the choice, is
+            # exactly that of the full scan.
+            bounds: list[tuple[float, float, float, int]] = []
+            for node in workers:
+                ready = ready_at.get(node, generic)
+                duration = cost / speeds[node]
+                bounds.append((ready + duration, ready, duration, node))
             bounds.sort(key=lambda b: b[0])
 
             # Phase 1 — find the global best EFT, evaluating timelines
@@ -402,7 +382,6 @@ class HeftScheduler(Scheduler):
             assignment[task.task_id] = node
             planned[task.task_id] = (est, eft)
             timelines[node].insert(est, eft)
-            note_replicas(task, node)
 
         self.pin_special_tasks(graph, assignment)
         return Schedule(assignment, planned)
