@@ -176,6 +176,25 @@ class EventSystem:
     def node_failed(self, node_id: int) -> bool:
         return node_id in self._failed
 
+    @property
+    def failed_nodes(self) -> frozenset[int]:
+        """Every node that has crashed (or been aborted) so far."""
+        return frozenset(self._failed)
+
+    def abort(self) -> None:
+        """Tear the machinery down: fail every live node.
+
+        A run that ends in an error (or a workload manager's preemption
+        interrupt) calls this so a shared simulation is not left with
+        orphaned gate and handler processes.  Before :meth:`start`
+        there is nothing to tear down, and this is a no-op.
+        """
+        if not self._started:
+            return
+        for node_id in range(self.cluster.num_nodes):
+            if node_id not in self._failed:
+                self.fail_node(node_id)
+
     def failure_event(self, node_id: int):
         """An event that fires if/when ``node_id`` crashes.
 

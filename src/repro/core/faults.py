@@ -71,9 +71,9 @@ from repro.core.datamanager import HOST, DataManager, Move
 from repro.core.events import EventSystem
 from repro.core.faultmodel import FaultPlan
 from repro.core.headlog import HeadLog, Replicator
-from repro.core.memory import DeviceMemoryError
+from repro.core.runtime import configure_tiering, fetch_gate
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
-from repro.core.tiering import MemoryWait, make_policy
+from repro.core.tiering import MemoryWait
 from repro.mpi.comm import MpiWorld, TransportConfig
 from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
@@ -809,24 +809,10 @@ class FaultTolerantRuntime:
                 ping_timeout=cfg.heartbeat_ping_timeout,
             )
         dm = DataManager(analysis=analysis if analysis.enabled else None)
-        if cfg.device_memory_bytes > 0 and cfg.eviction_policy != "none":
-            # Tiered data plane (repro.core.tiering) under fault
-            # tolerance: same capacity mirror as the plain runtime, with
-            # MemoryPressure windows shrinking the effective budget.
-            run_faults = getattr(cluster, "faults", None)
-
-            def capacity_fn(node, base, _f=run_faults):
-                factor_of = getattr(_f, "capacity_factor", None)
-                if factor_of is None:
-                    return base
-                return base * factor_of(node, sim.now)
-
-            dm.configure_tiering(
-                {n: cfg.device_memory_bytes
-                 for n in range(1, cluster.num_nodes)},
-                make_policy(cfg.eviction_policy),
-                capacity_fn=capacity_fn,
-            )
+        # Tiered data plane (repro.core.tiering) under fault tolerance:
+        # same capacity mirror as the plain runtime, with MemoryPressure
+        # windows shrinking the effective budget.
+        configure_tiering(dm, cfg, cluster)
         tiering = dm.tiering
         analysis.program_begin(program)
         graph = program.graph
@@ -1072,31 +1058,6 @@ class FaultTolerantRuntime:
                     continue
                 return
 
-        def fetch_gate(buffer: Buffer, dst: int):
-            """Tiered only: fault-injected fetch failures with retry.
-
-            Under a MemoryPressure arm with ``fetch_fail_prob``, a
-            fetch toward ``dst`` may fail before any bytes move; retry
-            with exponential backoff up to ``mem_fetch_retries`` times,
-            then give up with a buffer-attributed error.  No fault
-            plan (or no pressure window) costs zero extra yields.
-            """
-            fails = getattr(cluster.faults, "fetch_fails", None) \
-                if cluster.faults is not None else None
-            if fails is None:
-                return
-            attempt = 0
-            while fails(dst, sim.now):
-                attempt += 1
-                cluster.obs.count("mem.fetch_retries")
-                if attempt > cfg.mem_fetch_retries:
-                    raise DeviceMemoryError(
-                        f"fetch of buffer {buffer.name} toward node "
-                        f"{dst} still failing after "
-                        f"{cfg.mem_fetch_retries} retries"
-                    )
-                yield sim.timeout(cfg.mem_fetch_backoff * 2 ** (attempt - 1))
-
         def safe_source_move(buffer: Buffer, dst: int, chain: frozenset = frozenset()):
             """Generator: materialize ``buffer`` on ``dst``.
 
@@ -1105,7 +1066,7 @@ class FaultTolerantRuntime:
             (the whole task attempt restarts elsewhere).
             """
             if tiering is not None and dst != home:
-                yield from fetch_gate(buffer, dst)
+                yield from fetch_gate(cluster, cfg, buffer, dst)
             while True:
                 yield from ensure_available(buffer, chain)
                 locations = dm.locations(buffer) - dead
@@ -1786,12 +1747,7 @@ class FaultTolerantRuntime:
                 # from the replayed directory: every replica the log
                 # still knows about is charged; replicas the log forgot
                 # are tombstones the eviction pass collects naturally.
-                dm.configure_tiering(
-                    {n: cfg.device_memory_bytes
-                     for n in range(1, cluster.num_nodes)},
-                    make_policy(cfg.eviction_policy),
-                    capacity_fn=tiering.capacity_fn,
-                )
+                configure_tiering(dm, cfg, cluster)
                 tiering = dm.tiering
                 for bid in sorted(all_buffers):
                     buf = all_buffers[bid]
@@ -1922,10 +1878,7 @@ class FaultTolerantRuntime:
                 # started — nothing to tear down there.
                 ckpt_stop = True
                 ring.stop()
-                if events._started:
-                    for node in range(cluster.num_nodes):
-                        if not events.node_failed(node):
-                            events.fail_node(node)
+                events.abort()
                 raise
 
         def main_body():
@@ -2015,7 +1968,7 @@ class FaultTolerantRuntime:
                 result.obs = cluster.obs
             if analysis.enabled:
                 result.analysis = analysis.finalize(
-                    [mpi], failed=events._failed | set(dead),
+                    [mpi], failed=events.failed_nodes | set(dead),
                     obs=cluster.obs,
                 )
             return result

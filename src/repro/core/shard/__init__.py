@@ -11,14 +11,7 @@ from repro.core.shard.directory import (
     make_partition_policy,
     stable_hash,
 )
-from repro.core.shard.messages import (
-    LEASE_TAG,
-    NOTIFY_TAG,
-    Lease,
-    Notify,
-    parse_lease,
-    parse_notify,
-)
+from repro.core.shard.messages import LEASE_TAG, NOTIFY_TAG
 from repro.core.shard.plane import (
     ShardedRuntime,
     ShardPlaneError,
@@ -29,9 +22,7 @@ __all__ = [
     "BlockPolicy",
     "ConsistentHashPolicy",
     "LEASE_TAG",
-    "Lease",
     "NOTIFY_TAG",
-    "Notify",
     "PartitionPolicy",
     "ShardDirectory",
     "ShardPlaneError",
@@ -39,7 +30,5 @@ __all__ = [
     "ShardStats",
     "ShardedRuntime",
     "make_partition_policy",
-    "parse_lease",
-    "parse_notify",
     "stable_hash",
 ]

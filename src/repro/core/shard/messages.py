@@ -14,51 +14,11 @@ membership streams), with two tags:
     consumer dedups by task id exactly like the PR 3 worker-side
     dispatch dedup, so a failover's replayed notifications are no-ops.
 
-Payloads are plain tuples (cheap to simulate); the dataclasses below
-are the typed views used for book-keeping and tests.
+Payloads are plain tuples (cheap to simulate):
+``("lease", producer_id, subscriber_shard)`` and
+``("notify", producer_id, producer_shard)``.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
 
 #: Tags on the shard-plane service communicator.
 LEASE_TAG = 1
 NOTIFY_TAG = 2
-
-
-@dataclass(frozen=True)
-class Lease:
-    """A subscription: ``subscriber_shard`` wants ``producer_id``'s
-    completion."""
-
-    producer_id: int
-    subscriber_shard: int
-
-    def wire(self) -> tuple:
-        return ("lease", self.producer_id, self.subscriber_shard)
-
-
-@dataclass(frozen=True)
-class Notify:
-    """A completion notification for ``producer_id``."""
-
-    producer_id: int
-    producer_shard: int
-
-    def wire(self) -> tuple:
-        return ("notify", self.producer_id, self.producer_shard)
-
-
-def parse_lease(payload: tuple) -> Lease:
-    kind, producer_id, subscriber_shard = payload
-    if kind != "lease":
-        raise ValueError(f"not a lease payload: {payload!r}")
-    return Lease(producer_id, subscriber_shard)
-
-
-def parse_notify(payload: tuple) -> Notify:
-    kind, producer_id, producer_shard = payload
-    if kind != "notify":
-        raise ValueError(f"not a notify payload: {payload!r}")
-    return Notify(producer_id, producer_shard)

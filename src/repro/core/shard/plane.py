@@ -33,37 +33,33 @@ knee.  :class:`ShardedRuntime` breaks the knee by partitioning control:
   not the O(N) heartbeat ring — required whenever failures are
   injected, optional otherwise.
 
-Input staging is *sharded ingest*: each manager stages its shard's
-host-resident buffers itself (``events.submit`` with the manager as
-origin), so enter-data traffic does not all funnel through node 0.
-Host-side retrieval (``exit data``) still lands on node 0, which owns
-that work by construction.
+Each task runs through the same :class:`~repro.core.runtime.HeadCore`
+frame as the single-head runtime (data plane, tiered store, broadcast
+events, spans), with the shard's manager as the origin of every event.
+Input staging is therefore *sharded ingest*: each manager stages its
+shard's host-resident buffers itself, so enter-data traffic does not
+all funnel through node 0.  Host-side retrieval (``exit data``) still
+lands on node 0, which owns that work by construction.
 
-Deliberately out of scope (validated): the tiered memory store and
-broadcast events (single-head features, see ROADMAP), and failures of
-node 0 itself — root-head failover is
-:class:`~repro.core.faults.FaultTolerantRuntime`'s job.
+Deliberately out of scope (validated): failures of node 0 itself —
+root-head failover is :class:`~repro.core.faults.FaultTolerantRuntime`'s
+job.
 """
 
 from __future__ import annotations
 
-from repro.analysis.hooks import Analysis
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
-from repro.core.datamanager import HOST, DataManager, Move
-from repro.core.events import EventSystem
 from repro.core.gossip import GossipMembership
 from repro.core.headlog import HeadLog, Replicator
+from repro.core.runtime import HeadCore
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
 from repro.core.shard.directory import PartitionPolicy, ShardDirectory
 from repro.core.shard.messages import LEASE_TAG, NOTIFY_TAG
 from repro.core.shard.report import ShardRunResult, ShardStats
-from repro.mpi.comm import MpiWorld
-from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
-from repro.omp.task import Task, TaskKind
+from repro.omp.task import Task
 from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.primitives import AllOf
 from repro.sim.resources import Resource
 
 
@@ -85,8 +81,10 @@ class _Shard:
         self.manager = manager
         self.nodes = nodes
         self.slots: Resource | None = None
-        #: Live control-frame processes (interrupted on failover).
-        self.procs: set = set()
+        #: Live control-frame processes, in spawn order (a failover
+        #: interrupts them in that order; a set would order them by
+        #: memory address).
+        self.procs: dict = {}
         #: Task ids ever handed to a control frame this epoch.
         self.issued: set[int] = set()
         #: producer task id → subscriber shard ids (never popped: kept
@@ -156,16 +154,6 @@ class ShardedRuntime:
                 f"{k} shards need >= {2 * k} nodes (one manager plus at "
                 f"least one worker each), got {cluster_spec.num_nodes}"
             )
-        if cfg.device_memory_bytes > 0 and cfg.eviction_policy != "none":
-            raise ValueError(
-                "the sharded control plane does not support the tiered "
-                "memory store yet (single-head MemoryDirector)"
-            )
-        if cfg.broadcast_events:
-            raise ValueError(
-                "the sharded control plane does not support broadcast "
-                "events yet"
-            )
         injections = tuple(
             (float(t), int(node)) for t, node in inject_failures
         )
@@ -220,29 +208,13 @@ class ShardedRuntime:
     def launch(self, program: OmpProgram, cluster=None):
         """Set up one sharded execution; returns ``(main_proc, finish)``
         with :class:`~repro.core.runtime.OMPCRuntime.launch` semantics."""
-        program.validate()
         cfg = self.config
         k = self.num_shards
-        if cluster is None:
-            cluster = Cluster(self.cluster_spec)
-        elif cluster.num_nodes != self.cluster_spec.num_nodes:
-            raise ValueError(
-                f"cluster has {cluster.num_nodes} nodes, spec expects "
-                f"{self.cluster_spec.num_nodes}"
-            )
-        self.last_cluster = cluster
-        sim = cluster.sim
-        t0 = sim.now
-        if cfg.trace and not cluster.obs.enabled:
-            cluster.install_observer(Observer(sim))
-        obs = cluster.obs
-        if cfg.analysis and not cluster.analysis.enabled:
-            cluster.install_analysis(Analysis())
-        analysis = cluster.analysis
-        mpi = MpiWorld(cluster)
-        events = EventSystem(cluster, mpi, cfg)
-        dm = DataManager(analysis=analysis if analysis.enabled else None)
-        analysis.program_begin(program)
+        core = HeadCore(self.cluster_spec, cfg, program, cluster,
+                        result_type=ShardRunResult)
+        cluster = self.last_cluster = core.cluster
+        sim, obs, events, mpi = core.sim, core.obs, core.events, core.mpi
+        result = core.result
         graph = program.graph
 
         directory = ShardDirectory(
@@ -277,20 +249,11 @@ class ShardedRuntime:
                 shard=shard.sid, manager=shard.manager,
                 nodes=shard.nodes, tasks=len(sub),
             )
-        schedule = Schedule(assignment, planned)
-
-        result = ShardRunResult(
-            makespan=0.0,
-            startup_time=0.0,
-            scheduling_time=0.0,
-            shutdown_time=0.0,
-            schedule=schedule,
-        )
+        core.set_schedule(graph, Schedule(assignment, planned))
 
         remaining = {t.task_id: graph.in_degree(t) for t in graph.tasks()}
         pending = len(remaining)
         completed: set[int] = set()
-        dm_done: set[int] = set()
         all_done = sim.event("all-tasks-done")
         plane_up = sim.event("shard-plane-up")
         shard_comm = mpi.new_communicator(service=True)
@@ -345,38 +308,58 @@ class ShardedRuntime:
         def _spawn_frame(shard: _Shard, task: Task, dedup: bool) -> None:
             def body():
                 try:
-                    yield from run_task(shard, task, dedup)
+                    # The frame holds the epoch's slot pool: a failover
+                    # replaces ``shard.slots``, and a frame interrupted
+                    # mid-task must release into the pool it acquired
+                    # from, not the fresh one.
+                    yield from core.run_task(
+                        task, shard.slots, complete, origin=shard.manager,
+                        dispatch=log_dispatch, dedup=dedup,
+                    )
                 except Interrupt:
                     return  # manager died; failover re-issues the work
                 except SimulationError as exc:
                     fail_run(exc)
                 finally:
-                    shard.procs.discard(proc)
+                    shard.procs.pop(proc, None)
 
             proc = sim.process(body(), name=f"task:{task.name}")
-            shard.procs.add(proc)
+            shard.procs[proc] = None
+
+        def log_dispatch(task: Task):
+            shard = shards[owner_of(task.task_id)]
+            log_append(shard, "dispatch", task=task.task_id)
+            if shard.repl is not None:
+                yield from shard.repl.throttle()
+            obs.count("shard.dispatches")
 
         def complete(task: Task) -> None:
             nonlocal pending
             tid = task.task_id
+            shard = shards[owner_of(tid)]
+            start, end = result.task_intervals[tid]
+            shard.stats.busy_time += end - start
             if tid in completed:
                 return
             completed.add(tid)
             pending -= 1
-            shard = shards[owner_of(tid)]
             shard.stats.dispatched += 1
             log_append(shard, "done", task=tid)
-            for succ in graph.successors(task):
-                if owner_of(succ.task_id) == shard.sid:
-                    remaining[succ.task_id] -= 1
-                    if remaining[succ.task_id] == 0:
-                        spawn_task(succ)
+            release_local(shard, task)
             subscribers = shard.subs.get(tid)
             if subscribers:
                 for sc in sorted(subscribers):
                     send_notify(shard, tid, sc)
             if pending == 0 and not all_done.triggered:
                 all_done.succeed()
+
+        def release_local(shard: _Shard, producer: Task) -> None:
+            """``producer`` completed: release the shard's own consumers."""
+            for succ in graph.successors(producer):
+                if owner_of(succ.task_id) == shard.sid:
+                    remaining[succ.task_id] -= 1
+                    if remaining[succ.task_id] == 0:
+                        spawn_task(succ)
 
         def send_notify(shard: _Shard, producer_id: int, sc: int) -> None:
             obs.count("shard.forwards")
@@ -426,12 +409,7 @@ class ShardedRuntime:
                     continue
                 shard.notified.add(producer_id)
                 log_append(shard, "notify", task=producer_id)
-                producer = graph.task(producer_id)
-                for succ in graph.successors(producer):
-                    if owner_of(succ.task_id) == shard.sid:
-                        remaining[succ.task_id] -= 1
-                        if remaining[succ.task_id] == 0:
-                            spawn_task(succ)
+                release_local(shard, graph.task(producer_id))
 
         def start_services(shard: _Shard) -> None:
             node = shard.manager
@@ -451,152 +429,12 @@ class ShardedRuntime:
             except Interrupt:
                 return
 
-        # -- buffer movement (per-manager origin) --------------------------
-        def perform_move(shard: _Shard, move: Move):
-            buf = move.buffer
-            origin = shard.manager
-            move_span = obs.begin(
-                "data", f"move:{buf.name}", 0,
-                src=move.src, dst=move.dst, nbytes=buf.nbytes,
-            ) if obs.enabled else None
-            if move.src == HOST:
-                # Sharded ingest: the manager stages its shard's
-                # host-resident inputs itself.
-                yield from events.submit(move.dst, buf.buffer_id,
-                                         buf.data, buf.nbytes,
-                                         origin=origin, label=buf.name)
-            elif move.dst == HOST:
-                payload = yield from events.retrieve(
-                    move.src, buf.buffer_id, buf.nbytes, origin=origin
-                )
-                buf.data = payload
-            elif cfg.forwarding_enabled:
-                yield from events.exchange(
-                    move.src, move.dst, buf.buffer_id, buf.nbytes,
-                    origin=origin, label=buf.name,
-                )
-            else:
-                payload = yield from events.retrieve(
-                    move.src, buf.buffer_id, buf.nbytes, origin=origin
-                )
-                yield from events.submit(move.dst, buf.buffer_id, payload,
-                                         buf.nbytes, origin=origin,
-                                         label=buf.name)
-            dm.commit_move(move)
-            if move_span is not None:
-                obs.end(move_span)
-
-        def perform_moves(shard: _Shard, moves: list[Move]):
-            if not moves:
-                return
-            if len(moves) == 1:
-                yield from perform_move(shard, moves[0])
-                return
-            procs = [
-                sim.process(perform_move(shard, m),
-                            name=f"move:{m.buffer.name}")
-                for m in moves
-            ]
-            yield AllOf(sim, procs)
-
-        def perform_deletes(shard: _Shard, stale: list):
-            for buf, holder in stale:
-                if holder != HOST:
-                    yield from events.delete(holder, buf.buffer_id,
-                                             origin=shard.manager)
-                    dm.mem_release(buf, holder)
-
-        # -- per-task execution --------------------------------------------
-        def run_task(shard: _Shard, task: Task, dedup: bool):
-            enabled = obs.enabled
-            # Capture the epoch's slot pool: a failover replaces
-            # ``shard.slots``, and a frame interrupted mid-task must
-            # release into the pool it acquired from, not the fresh one.
-            slots = shard.slots
-            yield slots.request()
-            if enabled:
-                obs.gauge_add("head.inflight", 1)
-            analysis.task_begin(task)
-            log_append(shard, "dispatch", task=task.task_id)
-            if shard.repl is not None:
-                yield from shard.repl.throttle()
-            obs.count("shard.dispatches")
-            start = sim.now
-            try:
-                node = schedule.node_of(task)
-                if task.kind == TaskKind.CLASSICAL:
-                    yield from run_classical(task)
-                elif task.kind == TaskKind.TARGET_ENTER_DATA:
-                    yield from run_enter_data(shard, task, node)
-                elif task.kind == TaskKind.TARGET_EXIT_DATA:
-                    yield from run_exit_data(shard, task)
-                else:
-                    yield from run_target(shard, task, node, dedup)
-            finally:
-                slots.release()
-                if enabled:
-                    obs.gauge_add("head.inflight", -1)
-            result.task_intervals[task.task_id] = (start, sim.now)
-            shard.stats.busy_time += sim.now - start
-            analysis.task_end(task)
-            complete(task)
-
-        def run_classical(task: Task):
-            analysis.on_host_task(task, dm)
-            head = cluster.head
-            yield head.cpu.request()
-            try:
-                if task.cost:
-                    yield sim.timeout(head.compute_time(task.cost))
-                if task.fn is not None:
-                    task.fn(*(d.buffer.data for d in task.deps))
-            finally:
-                head.cpu.release()
-
-        def run_enter_data(shard: _Shard, task: Task, node: int):
-            if node == HOST:
-                return
-            moves = []
-            for buf in task.buffers:
-                moves.extend(dm.plan_enter_data(buf, node))
-            yield from perform_moves(shard, moves)
-            for buf in task.buffers:
-                dm.commit_enter_data(buf, node)
-
-        def run_exit_data(shard: _Shard, task: Task):
-            moves = []
-            for buf in task.buffers:
-                moves.extend(dm.plan_exit_data(buf))
-            yield from perform_moves(shard, moves)
-            for buf in task.buffers:
-                removals = dm.commit_exit_data(buf)
-                yield from perform_deletes(shard, removals)
-
-        def run_target(shard: _Shard, task: Task, node: int, dedup: bool):
-            moves, allocs = dm.plan_for_task(task, node)
-            for mv in moves:
-                analysis.on_move(task, mv.buffer)
-            for buf in allocs:
-                yield from events.alloc(node, buf.buffer_id,
-                                        payload=buf.data,
-                                        origin=shard.manager,
-                                        nbytes=buf.nbytes, label=buf.name,
-                                        owner=task.name)
-                dm.commit_alloc(buf, node)
-            yield from perform_moves(shard, moves)
-            detected = yield from events.execute(
-                node, task, origin=shard.manager, dedup=dedup
-            )
-            if task.task_id not in dm_done:
-                # Guard the re-dispatch path: a manager that died after
-                # committing but before logging must not double-commit.
-                dm_done.add(task.task_id)
-                stale = dm.commit_task_done(
-                    task, node,
-                    written_ids=set(detected)
-                    if detected is not None else None,
-                )
-                yield from perform_deletes(shard, stale)
+        def start_pumps(shard: _Shard) -> None:
+            for standby in shard.repl.live_standbys():
+                shard.pumps.append(sim.process(
+                    shielded(shard.repl.pump(standby)),
+                    name=f"shard{shard.sid}-pump{standby}",
+                ))
 
         # -- membership & failover -----------------------------------------
         def on_death(dead: int, by: int) -> None:
@@ -663,11 +501,7 @@ class ShardedRuntime:
                 name=f"shard{shard.sid}-threads-e{shard.log.epoch}",
             )
             start_services(shard)
-            for standby in shard.repl.live_standbys():
-                shard.pumps.append(sim.process(
-                    shielded(shard.repl.pump(standby)),
-                    name=f"shard{shard.sid}-pump{standby}",
-                ))
+            start_pumps(shard)
             dispatched = {
                 rec.data["task"] for rec in shard.log.records
                 if rec.kind == "dispatch"
@@ -746,10 +580,7 @@ class ShardedRuntime:
             try:
                 yield from main_body()
             except BaseException:
-                if events._started:
-                    for node_id in range(cluster.num_nodes):
-                        if not events.node_failed(node_id):
-                            events.fail_node(node_id)
+                events.abort()
                 raise
 
         def main_body():
@@ -763,11 +594,7 @@ class ShardedRuntime:
             for shard in shards:
                 if shard.repl is not None:
                     shard.repl.start()
-                    for standby in shard.repl.live_standbys():
-                        shard.pumps.append(sim.process(
-                            shielded(shard.repl.pump(standby)),
-                            name=f"shard{shard.sid}-pump{standby}",
-                        ))
+                    start_pumps(shard)
                 start_services(shard)
             for at, node in self.inject_failures:
                 sim.process(injector(at, node), name=f"kill@{node}")
@@ -789,29 +616,13 @@ class ShardedRuntime:
             sim.process(manager_body(shard),
                         name=f"shard{shard.sid}-manager")
         main_proc = sim.process(main(), name="shard-main")
-        net_bytes0 = cluster.network.total_bytes
-        net_msgs0 = cluster.network.total_messages
 
         def finish() -> ShardRunResult:
-            result.makespan = sim.now - t0
-            result.counters = obs.snapshot()
-            result.network_bytes = cluster.network.total_bytes - net_bytes0
-            result.network_messages = (
-                cluster.network.total_messages - net_msgs0
-            )
             result.shard_stats = {s.sid: s.stats for s in shards}
             if membership is not None:
                 result.membership_timeline = list(membership.timeline)
                 result.detections = list(membership.detections)
                 result.gossip_rounds = membership.rounds
-            if obs.enabled:
-                for stat, value in mpi.stats.items():
-                    obs.count(f"mpi.transport.{stat}", value)
-                result.obs = obs
-            if analysis.enabled:
-                result.analysis = analysis.finalize(
-                    [mpi], failed=events._failed, obs=obs
-                )
-            return result
+            return core.finish()
 
         return main_proc, finish

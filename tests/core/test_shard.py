@@ -1,5 +1,6 @@
 """Tests for the sharded control plane (repro.core.shard)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, shard_reserved
@@ -15,9 +16,12 @@ from repro.core.shard import (
     make_partition_policy,
     stable_hash,
 )
+from repro.obs.exporter import to_chrome_trace, validate_chrome_trace
 from repro.omp.task import TaskKind
 from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
 from repro.taskbench.bench import build_omp_program
+
+from tests.core.test_broadcast_integration import BASE, one_to_many_program
 
 BANDWIDTH = 100e9 / 8.0
 
@@ -209,8 +213,32 @@ class TestShardedExecution:
         num_tasks = len(list(prog.graph.tasks()))
         assert len(res.task_intervals) == num_tasks
 
-    def test_tiering_combination_rejected(self):
+    def test_tiering_combination_runs(self):
         cfg = OMPCConfig(head_shards=2, device_memory_bytes=1e9,
                          eviction_policy="lru")
-        with pytest.raises(ValueError, match="tier"):
-            ShardedRuntime(ClusterSpec(num_nodes=16), cfg)
+        runtime = ShardedRuntime(ClusterSpec(num_nodes=16), cfg)
+        prog = stencil()
+        res = runtime.run(prog)
+        assert len(res.task_intervals) == len(list(prog.graph.tasks()))
+        assert res.counters["mem.hit"] + res.counters["mem.miss"] > 0
+
+    def test_broadcast_matches_unsharded_outputs(self):
+        prog, ref = one_to_many_program(nbytes=1000)
+        OMPCRuntime(ClusterSpec(num_nodes=8), OMPCConfig(**BASE)).run(prog)
+        prog, outs = one_to_many_program(nbytes=1000)
+        cfg = OMPCConfig(head_shards=2, broadcast_events=True, **BASE)
+        res = OMPCRuntime(ClusterSpec(num_nodes=8), cfg).run(prog)
+        assert res.counters.get("ompc.events.broadcast", 0) > 0
+        for got, want in zip(outs, ref):
+            np.testing.assert_array_equal(got, want)
+
+    def test_traced_frames_carry_task_and_data_spans(self):
+        runtime = OMPCRuntime(ClusterSpec(num_nodes=8),
+                              OMPCConfig(head_shards=2, trace=True))
+        res = runtime.run(stencil(width=8, steps=3))
+        names = {span.name for span in res.obs.spans}
+        for suffix in (":wait-slot", ":fetch", ":execute", ":commit"):
+            assert any(n.endswith(suffix) for n in names), suffix
+        for prefix in ("move:", "delete:"):
+            assert any(n.startswith(prefix) for n in names), prefix
+        assert validate_chrome_trace(to_chrome_trace(res.obs)) == []

@@ -99,14 +99,23 @@ def pipeline_program(n=8, nbytes=2 * KB):
     return prog, outs
 
 
+def _layouts(values):
+    """``values`` on one head (3 nodes), then on two shards (6 nodes):
+    ``(value, nodes, head_shards)`` params."""
+    return [pytest.param(v, 3, 1, id=str(v)) for v in values] + [
+        pytest.param(v, 6, 2, id=f"{v}-shards2") for v in values
+    ]
+
+
 class TestCapacityInvariant:
-    @pytest.mark.parametrize("frac", [1.0, 0.5, 0.25])
-    def test_physical_tables_never_exceed_capacity(self, frac):
+    @pytest.mark.parametrize("frac,nodes,shards", _layouts([1.0, 0.5, 0.25]))
+    def test_physical_tables_never_exceed_capacity(self, frac, nodes, shards):
         cap = max(2 * KB, frac * 8 * 2 * KB)
-        cfg = OMPCConfig(device_memory_bytes=cap, eviction_policy="lru")
+        cfg = OMPCConfig(device_memory_bytes=cap, eviction_policy="lru",
+                         head_shards=shards)
         instances: list[DeviceMemory] = []
         with _track_device_memories(instances):
-            rt = OMPCRuntime(ClusterSpec(num_nodes=3), cfg)
+            rt = OMPCRuntime(ClusterSpec(num_nodes=nodes), cfg)
             prog, outs = pipeline_program()
             rt.run(prog)
         assert instances, "no DeviceMemory was built"
@@ -119,8 +128,8 @@ class TestCapacityInvariant:
 
 
 class TestByteConservation:
-    @pytest.mark.parametrize("policy", ["lru", "cost"])
-    def test_spill_and_refetch_preserve_values(self, policy):
+    @pytest.mark.parametrize("policy,nodes,shards", _layouts(["lru", "cost"]))
+    def test_spill_and_refetch_preserve_values(self, policy, nodes, shards):
         # Unlimited reference.
         prog_ref, outs_ref = pipeline_program()
         OMPCRuntime(ClusterSpec(num_nodes=3), OMPCConfig()).run(prog_ref)
@@ -129,8 +138,9 @@ class TestByteConservation:
 
         # Half-capacity tiered run: dirty spills + re-fetches happen.
         cfg = OMPCConfig(device_memory_bytes=4 * 2 * KB,
-                         eviction_policy=policy, trace=True)
-        rt = OMPCRuntime(ClusterSpec(num_nodes=3), cfg)
+                         eviction_policy=policy, trace=True,
+                         head_shards=shards)
+        rt = OMPCRuntime(ClusterSpec(num_nodes=nodes), cfg)
         prog, outs = pipeline_program()
         rt.run(prog)
         counters = rt.last_cluster.obs.counters
