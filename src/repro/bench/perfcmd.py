@@ -25,8 +25,12 @@ Two JSON artifacts come out of a run:
 ``--check`` is the CI regression guard: it re-runs the quick cells and
 fails if (a) any event count or makespan drifts from the recorded
 baseline — those are deterministic, so *any* drift is a kernel
-regression — or (b) calibration-normalized events/second drops more
-than 30 % below the recorded value.
+regression — or (b) calibration-normalized *equal-work* throughput
+(the recorded event count over the fresh wall time) drops more than
+30 % below the recorded value (the recorded event count over the
+recorded wall time).  Equal work makes the guard a wall-time
+comparison: a change that deletes events does the same simulated work
+in fewer events, and must not read as slower for it.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ DEFAULT_BANDWIDTH = 100e9 / 8.0
 SCHEMA = "repro-perf/1"
 KERNEL_SCHEMA = "repro-kernel-perf/1"
 
-#: Maximum tolerated drop in calibration-normalized events/second
-#: before ``--check`` fails (0.3 == 30 %).
+#: Maximum tolerated drop in calibration-normalized equal-work
+#: events/second before ``--check`` fails (0.3 == 30 %).
 CHECK_REGRESSION = 0.3
 
 #: Pre-optimization kernel reference, measured at the commit preceding
@@ -229,14 +233,38 @@ def _print_cell(cell: dict) -> None:
           f"makespan {cell['makespan_s']:.4f} s")
 
 
+def throughput_regression(
+    old: dict, fresh: dict, calib_old: float, calib_new: float,
+    regression: float = CHECK_REGRESSION,
+) -> str | None:
+    """The throughput guard for one cell: a failure message, or None.
+
+    Both sides are priced on the recorded cell's work: recorded events
+    over the recorded wall, and recorded events over the fresh wall,
+    each divided by its host's calibration score.
+    """
+    if min(calib_old, calib_new, old["wall_s"], fresh["wall_s"]) <= 0:
+        return None
+    norm_old = old["events"] / old["wall_s"] / calib_old
+    norm_new = old["events"] / fresh["wall_s"] / calib_new
+    if norm_new >= (1.0 - regression) * norm_old:
+        return None
+    return (
+        f"{fresh['name']}: normalized equal-work throughput "
+        f"{norm_new:.1f} < {1.0 - regression:.0%} of recorded "
+        f"{norm_old:.1f} (recorded events/s per Mop/s)"
+    )
+
+
 def check_baseline(path: Path, regression: float = CHECK_REGRESSION) -> int:
     """Replay the quick cells against a recorded ``BENCH_kernel.json``.
 
     Deterministic fields (events, makespan) must match exactly;
-    calibration-normalized throughput may not regress by more than
-    ``regression``.  Each cell is timed twice and the faster rep is
-    compared — wall time is the one noisy quantity here, and a loaded
-    host inflates it one-sidedly.  Returns a process exit code.
+    calibration-normalized equal-work throughput — the recorded event
+    count over the wall time, on each side — may not regress by more
+    than ``regression``.  Each cell is timed twice and the faster rep
+    is compared — wall time is the one noisy quantity here, and a
+    loaded host inflates it one-sidedly.  Returns a process exit code.
     """
     recorded = json.loads(path.read_text())
     problems: list[str] = []
@@ -252,9 +280,8 @@ def check_baseline(path: Path, regression: float = CHECK_REGRESSION) -> int:
           f"{calib_new} Mop/s")
     reps = [_quick_cells(), _quick_cells()]
     for fresh, again in zip(*reps):
-        if again["events_per_sec"] > fresh["events_per_sec"]:
-            fresh = dict(fresh, events_per_sec=again["events_per_sec"],
-                         wall_s=again["wall_s"])
+        if again["wall_s"] < fresh["wall_s"]:
+            fresh = again
         _print_cell(fresh)
         old = by_name.get(fresh["name"])
         if old is None:
@@ -270,15 +297,10 @@ def check_baseline(path: Path, regression: float = CHECK_REGRESSION) -> int:
                 f"{fresh['name']}: makespan {fresh['makespan_s']} != "
                 f"recorded {old['makespan_s']} (simulation result changed)"
             )
-        if calib_old > 0 and calib_new > 0:
-            norm_old = old["events_per_sec"] / calib_old
-            norm_new = fresh["events_per_sec"] / calib_new
-            if norm_new < (1.0 - regression) * norm_old:
-                problems.append(
-                    f"{fresh['name']}: normalized throughput "
-                    f"{norm_new:.1f} < {1.0 - regression:.0%} of "
-                    f"recorded {norm_old:.1f} (ev/s per Mop/s)"
-                )
+        slower = throughput_regression(old, fresh, calib_old, calib_new,
+                                       regression)
+        if slower:
+            problems.append(slower)
     for p in problems:
         print(f"FAIL: {p}")
     if problems:

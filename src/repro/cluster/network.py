@@ -16,23 +16,32 @@ Model
 * Admitted flows progress under a **fluid fair-share** discipline: at
   any instant a flow's rate is ``min(B/tx_active(src), B/rx_active(dst))``
   where ``B`` is the line rate and the counts are the flows currently
-  admitted on each side.  Rates are recomputed whenever a flow starts
-  or finishes, so a NIC's aggregate never exceeds the line rate.
+  admitted on each side.  A flow's rate depends only on those two
+  counts, so when a flow starts or finishes only the flows sharing its
+  TX side or its RX side are re-rated; every other flow keeps its rate
+  and its scheduled completion.  A NIC's aggregate never exceeds the
+  line rate.
 * Propagation ``latency`` is charged after serialization without
   occupying channels.  Same-node transfers use a separate memcpy path.
 
-Transfers acquire TX before RX and never wait on TX while holding RX,
-so hold-and-wait cycles are impossible.
+A transfer is one event (:meth:`Network.start_transfer`) driven by
+callbacks — hang hold, channel grants, flow, channel release, latency —
+with no simulator process behind it.  Transfers acquire TX before RX
+and never wait on TX while holding RX, so hold-and-wait cycles are
+impossible.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.obs.observer import NullObserver
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import Resource
 from repro.util.units import Gbps, MICROSECOND
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -74,30 +83,43 @@ class Nic:
         self.spec = spec
         self.tx_channels = Resource(sim, capacity=spec.vcis, name=f"nic{node_id}.tx")
         self.rx_channels = Resource(sim, capacity=spec.vcis, name=f"nic{node_id}.rx")
-        #: Flows currently serializing in each direction.
-        self.tx_active = 0
-        self.rx_active = 0
+        #: Flows currently serializing in each direction, in start order.
+        self.tx_flows: dict[_Transfer, None] = {}
+        self.rx_flows: dict[_Transfer, None] = {}
         #: Cumulative bytes through this NIC (diagnostics / tests).
         self.bytes_sent = 0
         self.bytes_received = 0
 
 
-class _Flow:
-    """One in-progress transfer under the fluid model."""
+class _Transfer(Event):
+    """One inter-node transfer: the event its caller waits on, which
+    also carries the transfer's flow state in the fluid engine.
 
-    __slots__ = ("src", "dst", "remaining", "rate", "done", "tx_nic", "rx_nic")
+    The event succeeds once the payload has serialized and propagated.
+    """
 
-    def __init__(self, src: int, dst: int, nbytes: float, done: Event,
-                 tx_nic: Nic, rx_nic: Nic):
+    __slots__ = ("src", "dst", "nbytes", "tx_nic", "rx_nic",
+                 "remaining", "rate", "last", "gen", "order")
+
+    def __init__(self, net: "Network", src: int, dst: int, nbytes: float,
+                 name: str):
+        Event.__init__(self, net.sim, name)
+        # Byte accounting runs first, before any waiter resumes.
+        self.callbacks.append(net._account)
         self.src = src
         self.dst = dst
+        self.nbytes = nbytes
+        # Endpoint NICs, resolved once: re-rating reads their flow sets.
+        self.tx_nic = net.nics[src]
+        self.rx_nic = net.nics[dst]
+        #: Bytes left as of ``last``, the flow's last settle time.
         self.remaining = float(nbytes)
         self.rate = 0.0
-        self.done = done
-        # Endpoint NICs, resolved once: the rebalance loop reads their
-        # active counters for every flow on every epoch.
-        self.tx_nic = tx_nic
-        self.rx_nic = rx_nic
+        self.last = 0.0
+        #: Version of the flow's live completion-heap entry.
+        self.gen = 0
+        #: Start order among flows: the completion tie-break.
+        self.order = 0
 
 
 class Network:
@@ -122,9 +144,17 @@ class Network:
         self.total_bytes = 0
         #: Total number of inter-node messages.
         self.total_messages = 0
-        self._flows: dict[_Flow, None] = {}
-        self._last_update = 0.0
-        self._epoch = 0
+        #: Completion heap of ``(fire time, start order, gen, flow)``;
+        #: an entry is live while its ``gen`` is the flow's.
+        self._heap: list[tuple[float, int, int, _Transfer]] = []
+        self._started = 0
+        #: Fire time of the armed completion timer (``-inf`` while a
+        #: timer drains completions: re-arming waits for its end).
+        self._timer_at = _INF
+        #: Every scheduled, not yet fired timer by fire time.  A timer
+        #: superseded by an earlier completion is re-adopted when the
+        #: flow it was armed for is the earliest again.
+        self._timers: dict[float, Event] = {}
         #: Cached per-pair event names ("flow:s->d"); bounded by n².
         self._flow_names: dict[tuple[int, int], str] = {}
 
@@ -149,155 +179,211 @@ class Network:
     # ------------------------------------------------------------------
     # fluid flow engine
     # ------------------------------------------------------------------
-    def _advance_flows(self) -> None:
-        """Account progress of every active flow up to the present."""
-        now = self.sim.now
-        elapsed = now - self._last_update
-        if elapsed > 0:
-            for flow in self._flows:
-                left = flow.remaining - flow.rate * elapsed
-                flow.remaining = left if left > 0.0 else 0.0
-        self._last_update = now
+    def _start_flow(self, flow: _Transfer) -> None:
+        """Admit a flow whose channels are held."""
+        if flow.remaining <= 0.0:
+            self._release(flow)
+            return
+        flow.order = self._started
+        self._started += 1
+        flow.last = self.sim.now
+        tx_nic = flow.tx_nic
+        rx_nic = flow.rx_nic
+        tx_nic.tx_flows[flow] = None
+        rx_nic.rx_flows[flow] = None
+        self._rebalance(tx_nic, rx_nic)
 
-    def _rebalance(self) -> None:
-        """Recompute fair-share rates and schedule the next completion.
+    def _rebalance(self, tx_nic: Nic | None = None, rx_nic: Nic | None = None) -> None:
+        """Re-rate the flows on ``tx_nic``'s TX and ``rx_nic``'s RX side.
 
-        Rates are piecewise constant between rebalances, so only the
-        *earliest* completion in the current epoch can actually happen —
-        one authoritative timer per epoch suffices.  (The first version
-        scheduled a timer per flow per epoch; with F concurrent flows
-        that is O(F²) heap events, almost all of them stale no-ops, and
-        it dominated the fig5 profile.)  The ETA arithmetic and the
-        first-minimal tie-break below reproduce the per-flow-timer
-        behavior exactly: completions happen at bit-identical times in
-        the identical order.
+        Called without arguments (at a degradation-window edge) it
+        re-rates every flow.  A flow whose rate changed is settled at
+        its old rate up to now and gets a fresh completion-heap entry;
+        a flow whose rate did not change keeps its entry, so its
+        completion time is computed once per rate, not once per event.
         """
-        self._epoch += 1
         now = self.sim.now
-        # Fused progress accounting (one pass over the flows instead of
-        # an ``_advance_flows`` pass followed by a rate pass): a flow's
-        # new rate depends only on the NIC counters, which progress
-        # accounting never touches, so advancing and re-rating in the
-        # same iteration computes the exact same values.
-        elapsed = now - self._last_update
-        self._last_update = now
-        advance = elapsed > 0
+        if tx_nic is None:
+            sides = [nic.tx_flows for nic in self.nics]
+        else:
+            sides = (tx_nic.tx_flows, rx_nic.rx_flows)
         bw = self.spec.bandwidth
         faults = self.faults
-        next_flow: _Flow | None = None
-        next_eta = 0.0
-        next_when = 0.0
-        for flow in self._flows:
-            if advance:
-                left = flow.remaining - flow.rate * elapsed
-                flow.remaining = left if left > 0.0 else 0.0
-            tx_n = flow.tx_nic.tx_active
-            rx_n = flow.rx_nic.rx_active
-            rate = bw / tx_n if tx_n > rx_n else bw / rx_n
-            if faults is not None:
-                # Degradation windows scale a flow's share; installed
-                # fault plans schedule a rebalance at each window edge,
-                # so the piecewise-constant rate stays exact.
-                rate *= faults.bandwidth_factor(flow.src, flow.dst, now)
-            flow.rate = rate
-            eta = flow.remaining / rate if rate > 0 else 0.0
-            # Compare rounded *fire times*, not raw ETAs: the per-flow
-            # timers sat on the heap keyed by ``now + eta``, so two
-            # distinct ETAs whose sums round to the same float were a
-            # tie, resolved by insertion (= iteration) order.  Strict
-            # ``<`` on the same sum reproduces that winner exactly.
-            when = now + eta
-            if next_flow is None or when < next_when:
-                next_flow = flow
-                next_eta = eta
-                next_when = when
-        if next_flow is not None:
-            timer = self.sim.timeout(next_eta)
-            timer.add_callback(
-                lambda ev, f=next_flow, e=self._epoch: self._on_timer(f, e)
-            )
+        heap = self._heap
+        for flows in sides:
+            for flow in flows:
+                tx_n = len(flow.tx_nic.tx_flows)
+                rx_n = len(flow.rx_nic.rx_flows)
+                rate = bw / tx_n if tx_n > rx_n else bw / rx_n
+                if faults is not None:
+                    # Degradation windows scale a flow's share; installed
+                    # fault plans re-rate every flow at each window edge,
+                    # so the piecewise-constant rate stays exact.
+                    rate *= faults.bandwidth_factor(flow.src, flow.dst, now)
+                old = flow.rate
+                if rate == old:
+                    continue
+                if old:
+                    left = flow.remaining - old * (now - flow.last)
+                    flow.remaining = left if left > 0.0 else 0.0
+                flow.last = now
+                flow.rate = rate
+                flow.gen += 1
+                heapq.heappush(
+                    heap, (now + flow.remaining / rate, flow.order, flow.gen, flow)
+                )
+        self._arm()
 
-    def _on_timer(self, flow: _Flow, epoch: int) -> None:
-        # A stale timer (another rebalance happened since scheduling) is
-        # ignored; that rebalance scheduled the authoritative successor.
-        if epoch != self._epoch or flow not in self._flows:
-            return
-        self._advance_flows()
-        flow.remaining = 0.0
-        self._flows.pop(flow, None)
-        flow.tx_nic.tx_active -= 1
-        flow.rx_nic.rx_active -= 1
-        flow.done.succeed()
-        self._rebalance()
+    def _arm(self) -> None:
+        """Arm the completion timer if the earliest completion moved earlier."""
+        heap = self._heap
+        while heap and heap[0][2] != heap[0][3].gen:
+            heapq.heappop(heap)  # superseded by a later re-rate
+        if heap and heap[0][0] < self._timer_at:
+            when = heap[0][0]
+            self._timer_at = when
+            if when not in self._timers:
+                delay = when - self.sim.now
+                # The timer's value is its fire time.
+                timer = self.sim.timeout(delay if delay > 0.0 else 0.0, when)
+                timer.callbacks.append(self._on_timer)
+                self._timers[when] = timer
 
-    def _start_flow(self, src: int, dst: int, nbytes: float) -> Event:
-        name = self._flow_names.get((src, dst))
-        if name is None:
-            name = f"flow:{src}->{dst}"
-            self._flow_names[(src, dst)] = name
-        done = self.sim.event(name)
-        if nbytes <= 0:
-            done.succeed()
-            return done
-        tx_nic = self.nics[src]
-        rx_nic = self.nics[dst]
-        flow = _Flow(src, dst, nbytes, done, tx_nic, rx_nic)
-        self._flows[flow] = None
-        tx_nic.tx_active += 1
-        rx_nic.rx_active += 1
-        self._rebalance()
-        return done
+    def _on_timer(self, timer: Event) -> None:
+        target = timer.value
+        del self._timers[target]
+        if target != self._timer_at:
+            return  # superseded by an earlier completion
+        self._timer_at = -_INF
+        heap = self._heap
+        # Complete every flow due by the timer's fire time, in
+        # ``(fire time, start order)`` order — including flows that a
+        # completion here re-rates to finish at this same instant.
+        while heap:
+            when, _order, gen, flow = heap[0]
+            if gen != flow.gen:
+                heapq.heappop(heap)
+                continue
+            if when > target:
+                break
+            heapq.heappop(heap)
+            flow.remaining = 0.0
+            tx_nic = flow.tx_nic
+            rx_nic = flow.rx_nic
+            del tx_nic.tx_flows[flow]
+            del rx_nic.rx_flows[flow]
+            self._release(flow)
+            self._rebalance(tx_nic, rx_nic)
+        self._timer_at = _INF
+        self._arm()
 
     # ------------------------------------------------------------------
-    def transfer(self, src: int, dst: int, nbytes: float):
-        """Process generator performing a timed transfer.
+    # transfers
+    # ------------------------------------------------------------------
+    def start_transfer(
+        self, src: int, dst: int, nbytes: float, delay: float = 0.0
+    ) -> Event:
+        """Start a timed transfer ``delay`` seconds from now; the returned
+        event fires on arrival.
 
-        Use as ``yield from net.transfer(src, dst, nbytes)``.  Holds one
-        TX channel at the source and one RX channel at the destination
-        for the (contended) serialization time; the propagation latency
-        is charged after the channels are released.
+        Holds one TX channel at the source and one RX channel at the
+        destination for the (contended) serialization time; the
+        propagation latency is charged after the channels are released.
+        ``delay`` (a sender's software overhead) passes before the
+        transfer reaches the NIC.
         """
         self._check_node(src)
         self._check_node(dst)
-        if not 0.0 <= nbytes < float("inf"):
+        if not 0.0 <= nbytes < _INF:
             # Also rejects NaN/inf: a non-finite size would poison the
             # fluid-rate arithmetic and hang the flow engine.
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes!r}")
 
+        sim = self.sim
         if src == dst:
-            yield self.sim.timeout(
-                self.spec.local_latency + nbytes / self.spec.local_bandwidth
+            copy = self.spec.local_latency + nbytes / self.spec.local_bandwidth
+            if not delay:
+                return sim.timeout(copy)
+            done = sim.event("copy")
+            sim.timeout(delay).callbacks.append(
+                lambda _ev: done.succeed(delay=copy)
             )
-            return
+            return done
 
+        name = self._flow_names.get((src, dst))
+        if name is None:
+            name = f"flow:{src}->{dst}"
+            self._flow_names[(src, dst)] = name
+        flow = _Transfer(self, src, dst, nbytes, name)
+        if delay:
+            sim.timeout(delay).callbacks.append(lambda _ev: self._begin(flow))
+        else:
+            self._begin(flow)
+        return flow
+
+    def _begin(self, flow: _Transfer) -> None:
         if self.faults is not None:
             # A hung endpoint's NIC is silent: hold the transfer (without
             # occupying channels) until the hang window closes.  Flows
             # already serializing are not paused — the hold models
             # admission at the NIC, which keeps the fluid model simple.
-            release = self.faults.hold_until(src, dst, self.sim.now)
-            if release > self.sim.now:
-                yield self.sim.timeout(release - self.sim.now)
+            now = self.sim.now
+            release = self.faults.hold_until(flow.src, flow.dst, now)
+            if release > now:
+                self.sim.timeout(release - now).callbacks.append(
+                    lambda _ev: self._acquire_tx(flow)
+                )
+                return
+        self._acquire_tx(flow)
 
-        yield self.nics[src].tx_channels.request()
-        yield self.nics[dst].rx_channels.request()
+    def _acquire_tx(self, flow: _Transfer) -> None:
+        channels = flow.tx_nic.tx_channels
+        if channels.try_acquire():
+            self._acquire_rx(flow)
+        else:
+            channels.request().callbacks.append(
+                lambda _ev: self._acquire_rx(flow)
+            )
+
+    def _acquire_rx(self, flow: _Transfer) -> None:
+        channels = flow.rx_nic.rx_channels
+        if channels.try_acquire():
+            self._admit(flow)
+        else:
+            channels.request().callbacks.append(lambda _ev: self._admit(flow))
+
+    def _admit(self, flow: _Transfer) -> None:
         obs = self.obs
         if obs.enabled:
-            obs.gauge_add(f"link.{src}->{dst}", 1, node=src)
-        try:
-            yield self._start_flow(src, dst, nbytes)
-        finally:
-            if obs.enabled:
-                obs.gauge_add(f"link.{src}->{dst}", -1, node=src)
-                obs.count(f"link.{src}->{dst}.bytes", nbytes)
-            self.nics[dst].rx_channels.release()
-            self.nics[src].tx_channels.release()
+            obs.gauge_add(f"link.{flow.src}->{flow.dst}", 1, node=flow.src)
+        self._start_flow(flow)
+
+    def _release(self, flow: _Transfer) -> None:
+        """Serialization done: free the channels, then propagate."""
+        src = flow.src
+        dst = flow.dst
+        obs = self.obs
+        if obs.enabled:
+            obs.gauge_add(f"link.{src}->{dst}", -1, node=src)
+            obs.count(f"link.{src}->{dst}.bytes", flow.nbytes)
+        flow.rx_nic.rx_channels.release()
+        flow.tx_nic.tx_channels.release()
         latency = self.spec.latency
         if self.faults is not None:
             latency *= self.faults.latency_factor(src, dst, self.sim.now)
-        yield self.sim.timeout(latency)
+        flow.succeed(delay=latency)
 
-        self.nics[src].bytes_sent += int(nbytes)
-        self.nics[dst].bytes_received += int(nbytes)
-        self.total_bytes += int(nbytes)
+    def _account(self, flow: _Transfer) -> None:
+        nbytes = int(flow.nbytes)
+        flow.tx_nic.bytes_sent += nbytes
+        flow.rx_nic.bytes_received += nbytes
+        self.total_bytes += nbytes
         self.total_messages += 1
+
+    def transfer(self, src: int, dst: int, nbytes: float):
+        """Process generator performing a timed transfer.
+
+        Use as ``yield from net.transfer(src, dst, nbytes)``; it waits on
+        :meth:`start_transfer`'s event.
+        """
+        yield self.start_transfer(src, dst, nbytes)

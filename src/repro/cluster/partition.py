@@ -156,21 +156,30 @@ class _NetworkView:
             self._physical(src), self._physical(dst), nbytes
         )
 
-    def transfer(self, src: int, dst: int, nbytes: float):
-        """Generator: a timed transfer between two virtual nodes."""
+    def start_transfer(self, src: int, dst: int, nbytes: float,
+                       delay: float = 0.0):
+        """Start a timed transfer between two virtual nodes ``delay``
+        seconds from now; the returned event fires on arrival."""
         psrc, pdst = self._physical(src), self._physical(dst)
+        done = self._net.start_transfer(psrc, pdst, nbytes, delay)
         obs = self.obs
         if obs.enabled:
             obs.gauge_add(f"link.{src}->{dst}", 1, node=src)
-        try:
-            yield from self._net.transfer(psrc, pdst, nbytes)
-        finally:
+
+        def arrived(_ev):
             if obs.enabled:
                 obs.gauge_add(f"link.{src}->{dst}", -1, node=src)
                 obs.count(f"link.{src}->{dst}.bytes", nbytes)
-        if psrc != pdst:
-            self.total_bytes += int(nbytes)
-            self.total_messages += 1
+            if psrc != pdst:
+                self.total_bytes += int(nbytes)
+                self.total_messages += 1
+
+        done.callbacks.append(arrived)
+        return done
+
+    def transfer(self, src: int, dst: int, nbytes: float):
+        """Generator: a timed transfer between two virtual nodes."""
+        yield self.start_transfer(src, dst, nbytes)
 
 
 class ClusterView:

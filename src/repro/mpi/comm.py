@@ -10,7 +10,9 @@ plus the fabric transfer time (VCI-contended), then the message lands in
 the receiver's matching queue.  The sender never blocks on the receiver;
 this matches how MPICH handles the small-to-medium control messages the
 OMPC event system exchanges, and the bulk-data sends in our workloads
-are always pre-posted on the receive side.
+are always pre-posted on the receive side.  A fire-and-forget send runs
+no simulator process: it is a chain of event callbacks (overhead timer,
+fabric transfer, drop check, enqueue) ending in its request's event.
 
 Reliable transport
 ------------------
@@ -45,6 +47,7 @@ from repro.mpi.datatypes import Message
 from repro.mpi.errors import MpiError
 from repro.mpi.matchtable import MatchStore
 from repro.mpi.request import Request
+from repro.sim.core import Event
 from repro.sim.primitives import AnyOf
 from repro.util.units import MICROSECOND
 
@@ -102,6 +105,8 @@ class MpiWorld:
             raise ValueError("overhead must be >= 0")
         self.cluster = cluster
         self.sim = cluster.sim
+        #: Ranks in the world: one per node (a cluster never resizes).
+        self.size = cluster.num_nodes
         self.overhead = overhead
         self.transport = transport
         #: Observability sink, captured from the cluster at construction
@@ -121,10 +126,6 @@ class MpiWorld:
         # another's.
         self._queues: dict[tuple[int, int], MatchStore] = {}
         self.world = self.new_communicator()
-
-    @property
-    def size(self) -> int:
-        return self.cluster.num_nodes
 
     def new_communicator(
         self, reliable: bool | None = None, service: bool = False,
@@ -204,8 +205,9 @@ class Communicator:
         )
 
     def _check_rank(self, rank_id: int) -> None:
-        if not 0 <= rank_id < self.size:
-            raise MpiError(f"rank {rank_id} out of range [0, {self.size})")
+        size = self.mpi.size
+        if not 0 <= rank_id < size:
+            raise MpiError(f"rank {rank_id} out of range [0, {size})")
 
     # -- internals shared by Rank --------------------------------------------
     def _isend(self, src: int, dst: int, payload: Any, nbytes: float, tag: int) -> Request:
@@ -217,45 +219,17 @@ class Communicator:
         self._send_seq[src] = seq + 1
         msg = Message(self.comm_id, src, dst, tag, payload, nbytes, seq)
         if self.transport is not None and src != dst:
-            gen = self._deliver_reliable(msg)
+            event = self.mpi.sim.process(
+                self._deliver_reliable(msg), name=f"isend:{src}->{dst}:t{tag}"
+            )
         else:
-            gen = self._deliver(msg)
-        proc = self.mpi.sim.process(gen, name=f"isend:{src}->{dst}:t{tag}")
-        request = Request(proc, "send")
+            event = _Send(self, msg).start()
+        request = Request(event, "send")
         if self.mpi.analysis.enabled and not self.service:
             self.mpi.analysis.mpi.on_isend(
                 request, self.comm_id, src, dst, tag
             )
         return request
-
-    def _deliver(self, msg: Message):
-        sim = self.mpi.sim
-        obs = self.mpi.obs
-        # One ``enabled`` check instead of four no-op dispatches (and
-        # their f-string arguments) per message — this generator runs
-        # once per point-to-point send, the hottest MPI path there is.
-        enabled = obs.enabled
-        if enabled:
-            open_span = obs.begin(
-                "mpi", f"send t{msg.tag}", msg.src,
-                dst=msg.dst, nbytes=msg.nbytes, seq=msg.seq,
-            )
-        if self.mpi.overhead:
-            yield sim.timeout(self.mpi.overhead)
-        yield from self.mpi.cluster.network.transfer(msg.src, msg.dst, msg.nbytes)
-        if self.mpi._dropped(msg.src, msg.dst):
-            if enabled:
-                obs.end(open_span, dropped=True)
-            return  # lost in the fabric; fire-and-forget senders never know
-        if enabled:
-            flow = obs.new_flow()
-            obs.end(open_span, flow_id=flow, flow_phase="s")
-        yield self.mpi._queue(msg.dst, self.comm_id).put(msg)
-        if enabled:
-            obs.instant(
-                "mpi", f"recv t{msg.tag}", msg.dst,
-                flow_id=flow, flow_phase="f", src=msg.src,
-            )
 
     # -- reliable transport ---------------------------------------------------
     def _deliver_reliable(self, msg: Message):
@@ -330,7 +304,7 @@ class Communicator:
                 obs.instant("mpi", f"dup t{msg.tag}", msg.dst, src=msg.src)
         else:
             self._delivered.add(key)
-            self.mpi._queue(msg.dst, self.comm_id).put(msg)
+            self.mpi._queue(msg.dst, self.comm_id).put_nowait(msg)
             if enabled:
                 obs.instant(
                     "mpi", f"recv t{msg.tag}", msg.dst,
@@ -381,6 +355,58 @@ class Communicator:
                 request, self.comm_id, dst, src, tag
             )
         return request
+
+
+class _Send:
+    """One fire-and-forget send: overhead, fabric transfer, then — as the
+    arrival event's first waiter — drop check and enqueue.
+
+    The arrival event is the send request's event, so the send costs no
+    simulator process and no generator frame; it runs once per
+    point-to-point message, the hottest MPI path there is.
+    """
+
+    __slots__ = ("comm", "msg", "span")
+
+    def __init__(self, comm: Communicator, msg: Message):
+        mpi = comm.mpi
+        self.comm = comm
+        self.msg = msg
+        obs = mpi.obs
+        self.span = obs.begin(
+            "mpi", f"send t{msg.tag}", msg.src,
+            dst=msg.dst, nbytes=msg.nbytes, seq=msg.seq,
+        ) if obs.enabled else None
+
+    def start(self) -> Event:
+        """Start the send; returns the event that completes it."""
+        msg = self.msg
+        mpi = self.comm.mpi
+        arrival = mpi.cluster.network.start_transfer(
+            msg.src, msg.dst, msg.nbytes, mpi.overhead
+        )
+        arrival.callbacks.append(self._arrive)
+        return arrival
+
+    def _arrive(self, _ev: Event) -> None:
+        mpi = self.comm.mpi
+        msg = self.msg
+        span = self.span
+        obs = mpi.obs
+        if mpi._dropped(msg.src, msg.dst):
+            # Lost in the fabric; fire-and-forget senders never know.
+            if span is not None:
+                obs.end(span, dropped=True)
+            return
+        if span is not None:
+            flow = obs.new_flow()
+            obs.end(span, flow_id=flow, flow_phase="s")
+        mpi._queue(msg.dst, self.comm.comm_id).put_nowait(msg)
+        if span is not None:
+            obs.instant(
+                "mpi", f"recv t{msg.tag}", msg.dst,
+                flow_id=flow, flow_phase="f", src=msg.src,
+            )
 
 
 class Rank:

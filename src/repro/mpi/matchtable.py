@@ -123,6 +123,12 @@ class MatchStore(Store):
         ev = self.sim.event(self._put_name)
         ev._value = item  # inlined succeed() on a fresh event
         self.sim._schedule(ev)
+        self.put_nowait(item)
+        return ev
+
+    def put_nowait(self, item: Any) -> None:
+        """Deliver ``item`` to the earliest-posted matching receive, or
+        buffer it; no put event (the sender never waits on one)."""
         src = item.src
         tag = item.tag
         # Earliest-posted pending receive among the four pattern buckets.
@@ -158,7 +164,6 @@ class MatchStore(Store):
             fifo.append((self._arrival, (src, tag)))
             self._arrival += 1
             self._n_items += 1
-        return ev
 
     def get_match(self, src: int, tag: int) -> Event:
         """Post a receive for ``(src, tag)`` (either may be ``-1``/ANY)."""

@@ -57,6 +57,18 @@ class Resource:
             self._queue.append(ev)
         return ev
 
+    def try_acquire(self) -> bool:
+        """Take a free slot at once, with no event; False if none is free.
+
+        On False the caller queues with :meth:`request` as usual.  A free
+        slot implies an empty queue (``release`` hands a slot straight to
+        the next waiter), so this never overtakes a queued request.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release() of idle resource {self.name!r}")
@@ -134,6 +146,13 @@ class Store:
             self.sim._schedule(ev)
             self._dispatch()
         return ev
+
+    def put_nowait(self, item: Any) -> None:
+        """Deliver ``item`` without a put event (unbounded stores only)."""
+        if self.capacity is not None:
+            raise SimulationError("put_nowait() needs an unbounded store")
+        self._items.append(item)
+        self._dispatch()
 
     def get(self, filter: Callable[[Any], bool] | None = None) -> Event:
         ev = self.sim.event(self._get_name)

@@ -10,6 +10,7 @@ from repro.bench.perfcmd import (
     SCHEMA,
     check_baseline,
     main,
+    throughput_regression,
 )
 
 
@@ -50,16 +51,32 @@ def test_check_accepts_its_own_baseline(tmp_path):
 
 
 def test_check_fails_on_throughput_regression(tmp_path, capsys):
-    # Synthetic: inflate the recorded ev/s so even a fast replay looks
+    # Synthetic: shrink the recorded walls so even a fast replay looks
     # like a >30% normalized regression — exercises the guard without
     # depending on wall-clock stability.
     _jobs, kernel = _emit_quick(tmp_path)
     payload = json.loads(kernel.read_text())
     for cell in payload["cells"]:
-        cell["events_per_sec"] *= 1000.0
+        cell["wall_s"] /= 1000.0
     kernel.write_text(json.dumps(payload))
     assert check_baseline(kernel) == 1
-    assert "normalized throughput" in capsys.readouterr().out
+    assert "normalized equal-work throughput" in capsys.readouterr().out
+
+
+def test_throughput_guard_prices_equal_work():
+    # A change that deletes events and gets faster: raw events/s falls
+    # (6206 / 0.024 s = 259 k -> 4452 / 0.021 s = 212 k), but the same
+    # simulated work takes less wall time, so the guard passes.
+    old = {"name": "cell", "events": 6206, "wall_s": 0.024}
+    faster = {"name": "cell", "events": 4452, "wall_s": 0.021}
+    assert faster["events"] / faster["wall_s"] < (
+        0.85 * old["events"] / old["wall_s"])
+    assert throughput_regression(old, faster, 30.0, 30.0) is None
+    # The same work taking 1.5x the wall is a regression; a host that
+    # calibrates 1.5x slower excuses exactly that.
+    slower = dict(faster, wall_s=0.036)
+    assert "equal-work" in throughput_regression(old, slower, 30.0, 30.0)
+    assert throughput_regression(old, slower, 30.0, 20.0) is None
 
 
 def test_check_fails_on_event_count_drift(tmp_path, capsys):

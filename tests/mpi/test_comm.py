@@ -224,6 +224,97 @@ class TestNonblocking:
         assert sim.run(until=p) == [10, 20, 30]
 
 
+class TestProcessLessSend:
+    """A fire-and-forget send is a callback chain, not a sim process."""
+
+    def test_plain_isends_create_no_process(self, monkeypatch):
+        cluster = Cluster(ClusterSpec(num_nodes=3))
+        mpi = MpiWorld(cluster)  # default overhead: the timer step too
+        sim = cluster.sim
+        spawned = []
+        real = sim.process
+        monkeypatch.setattr(
+            sim, "process", lambda gen, name="": spawned.append(name)
+            or real(gen, name),
+        )
+        reqs = [mpi.world.rank(i % 3).isend((i + 1) % 3, i, nbytes=64 * i,
+                                            tag=i)
+                for i in range(12)]
+        reqs.append(mpi.world.rank(2).isend(2, "self", nbytes=8))
+        sim.run()
+        assert spawned == []
+        assert all(r.test() for r in reqs)
+        got = [mpi._queue(d, mpi.world.comm_id).items
+               for d in range(3)]
+        assert sorted(m.payload for q in got for m in q if m.payload != "self"
+                      ) == list(range(12))
+
+    def test_send_request_completes_on_arrival(self):
+        cluster, mpi = make_world(2, latency=1e-6, bandwidth=1e9)
+        sim = cluster.sim
+        req = mpi.world.rank(0).isend(1, "x", nbytes=1e6)
+        sim.run()
+        assert req.test()
+        assert sim.now == pytest.approx(1e-3 + 1e-6)
+        assert cluster.network.total_messages == 1
+        assert cluster.network.total_bytes == 1_000_000
+
+    def test_checker_flags_unwaited_send(self):
+        from repro.analysis.hooks import Analysis
+
+        cluster = Cluster(ClusterSpec(num_nodes=2))
+        analysis = Analysis()
+        cluster.install_analysis(analysis)
+        mpi = MpiWorld(cluster)
+        sim = cluster.sim
+
+        def receiver():
+            yield from mpi.world.rank(1).recv(src=0)
+
+        mpi.world.rank(0).isend(1, "leaked", nbytes=16)  # never waited
+        sim.process(receiver())
+        sim.run()
+        findings = analysis.finalize(worlds=[mpi]).findings
+        assert [f.rule for f in findings] == ["leaked-request"]
+
+    def test_traced_sends_draw_one_arrow_per_delivery(self):
+        from repro.obs import Observer, to_chrome_trace, validate_chrome_trace
+
+        cluster = Cluster(ClusterSpec(num_nodes=3))
+        obs = Observer(cluster.sim)
+        cluster.install_observer(obs)
+        mpi = MpiWorld(cluster)
+        sim = cluster.sim
+        pairs = [(0, 1), (1, 2), (2, 0), (0, 2), (1, 1)]
+        for i, (src, dst) in enumerate(pairs):
+            mpi.world.rank(src).isend(dst, i, nbytes=100.0 * i, tag=i)
+        sim.run()
+        events = to_chrome_trace(obs)
+        assert validate_chrome_trace(events) == []
+        starts = [e["id"] for e in events if e.get("ph") == "s"]
+        ends = [e["id"] for e in events if e.get("ph") == "f"]
+        assert len(starts) == len(pairs)
+        assert sorted(starts) == sorted(ends)
+
+    def test_view_counters_equal_physical_deltas(self):
+        from repro.cluster import ClusterView
+
+        cluster = Cluster(ClusterSpec(num_nodes=8))
+        net = cluster.network
+        view = ClusterView(cluster, (3, 5, 6))
+        mpi = MpiWorld(view)
+        sim = cluster.sim
+        # Traffic outside the view moves the physical counters only.
+        net.start_transfer(0, 1, 500)
+        sim.run()
+        bytes0, msgs0 = net.total_bytes, net.total_messages
+        for i, (src, dst) in enumerate([(0, 1), (1, 2), (2, 0), (0, 0)]):
+            mpi.world.rank(src).isend(dst, i, nbytes=1000 + i)
+        sim.run()
+        assert view.network.total_messages == net.total_messages - msgs0 == 3
+        assert view.network.total_bytes == net.total_bytes - bytes0 == 3003
+
+
 class TestValidation:
     def test_bad_rank(self):
         _, mpi = make_world(2)

@@ -174,6 +174,17 @@ class TestDatagramOptOut:
         assert mpi.stats["retransmissions"] == 0
         assert cluster.faults.dropped_messages == 1
 
+    def test_dropped_datagram_completes_and_enqueues_nothing(self):
+        plan = FaultPlan(losses=[LinkLoss(probability=1.0)])
+        cluster, mpi = make_world(plan=plan, transport=TransportConfig())
+        datagram = mpi.new_communicator(reliable=False)
+        req = datagram.rank(0).isend(1, "gone", nbytes=16)
+        cluster.sim.run()
+        assert req.test()  # fire-and-forget: local completion regardless
+        assert len(mpi._queue(1, datagram.comm_id)) == 0
+        assert mpi.stats["drops"] == 1
+        assert cluster.network.total_messages == 1  # the fabric carried it
+
 
 class TestRecvCancellation:
     def test_cancelled_recv_never_matches(self):

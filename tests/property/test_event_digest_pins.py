@@ -131,50 +131,50 @@ SCENARIOS = {
 #: scenario -> (sha256 of the event stream, makespan, sim._seq)
 PINS: dict[str, tuple[str, float, int]] = {
     "broadcast": (
-        "9613ecdd2f6a45c44153a53139415391e01818007b36285459b22bddc484c63f",
-        0.07051929503999999, 800),
+        "991272c0226df9ff26a26f0cb121ef7f4d957d4f56b73a2ac5642d248184370b",
+        0.07051929503999999, 404),
     "ft-head-kill": (
-        "556c0817554b6a34b187f1e404fc6b27256730ea3b5987a09fcbbdd609a1850b",
-        0.038290908480000094, 15214),
+        "d9f3f0dfb95f2904347957556cbb855be59a592d09d33631107a979d294a53ba",
+        0.038290908480000094, 9865),
     "no-forwarding": (
-        "b00cb657291ac5a679b132754b66bcb16842730e5c7dda6df16d3cbecfaf6fb5",
-        0.657009489963636, 2830),
+        "68068e550cc04c9bcada6525da767a12086a077ef74d70f623287303666e6462",
+        0.6570094899636348, 1335),
     "overload-1x": (
-        "de46255b6f85d83862dcaa1504ba38c9c104954011752619fb43d5adb9b6d731",
-        0.7364163033272895, 25373),
+        "10b3319d400e5427f2a811b97fdcea08c9198203076db1cc47ccc9dfac95ceb6",
+        0.7364163033272895, 12745),
     "page-protect": (
-        "eedaad2734678b7087d3c9f4bec1619b3ceaa61078b6f52359fab31685567452",
-        0.396249773250909, 2677),
+        "154f7a0dfb02865b798c86c1b602b88d2cf2cea2241a22cf07749e665effeaf2",
+        0.39624977325090904, 1352),
     "plain-all_to_all": (
-        "c28d44611f9daafe90cdfcfa67a03a244b71950e85d66ff9555a8b98d8f69ff6",
-        0.8713520714681041, 9320),
+        "1fe737a840f16ccf62a14cd1345a61318c1002d0e43d08687877a4371e292dc6",
+        0.8713520714681041, 4308),
     "plain-fft": (
-        "fe25b57108c846283b5f83459768e8507a0efc5ed602f7616c2aead9a47b94d9",
-        0.36422924803199985, 2867),
+        "dab64965700f486d23c889ff4a43fd18f93c906ddf72a276c4a5b884a2945b73",
+        0.36422924803199985, 1414),
     "plain-stencil_1d": (
-        "e625f6049820c3f8492a966553e7c0e43ba6da94ca178d61fd1f8c0b7cd8c94b",
-        0.3296665732509088, 2646),
+        "c8f0380899489af8f63153490537dfb3ea932313cbe57f7e1ff99cee46929639",
+        0.3296665732509088, 1320),
     "shards-2": (
-        "39650248bacf03075dc24834cb97ac727dcccb0f37838f964c9d0c90b569cbfe",
-        0.3784844204660868, 5687),
+        "cf960d13f5244259d77d05aa37f0373e9602697264f33206f5ab65b8d0c7d596",
+        0.3784844204660868, 2644),
     "shards-2-trace-analysis": (
-        "39650248bacf03075dc24834cb97ac727dcccb0f37838f964c9d0c90b569cbfe",
-        0.3784844204660868, 5687),
+        "cf960d13f5244259d77d05aa37f0373e9602697264f33206f5ab65b8d0c7d596",
+        0.3784844204660868, 2644),
     "shards-4": (
-        "18377c241dbc4bc7fd897ef6c2f99e0ee0db986ce589a005f5a5ffcc8bfabdf4",
-        0.4868702751873774, 13733),
+        "f013006f34076fbf5e7b2daa0e8c44471cadbb9d84c17dbcaa66f96e084985a3",
+        0.48687027518737735, 6329),
     "shards-4-failover": (
-        "0e929f48bbeab204b018e2a35ee48ec5504a9dc65dac1ef6db235292ac1caf9f",
-        0.4750482282762879, 178485),
+        "d11232dd6e89a0a630c0dc1d7891b0fa64a8545ce007040f6b36805f6711a6e5",
+        0.4750482282762884, 66139),
     "shards-4-gossip": (
-        "2f1b8cd03ad6a310f7e6209582f50fc97beaf32139aaceb3adedb94cd116c066",
-        0.48613855458141, 193346),
+        "0ac5607fc1c014a3246ed5b651cdd657a0bf150054ef95bf4b6742d27a6b0ce1",
+        0.48613855458140964, 72209),
     "tiered-lru-0.25": (
-        "6c8d7583db49f0e57698a43b69c02a7fc460e1f0f012eb5fb02dce64a4b5027c",
-        0.02792534752000014, 3166),
+        "3cd70a247e5c9071df92ab3d295abc8dd7a02ee309340b98d798edd4cf9fd3db",
+        0.02792534752000014, 1745),
     "trace-analysis": (
-        "e625f6049820c3f8492a966553e7c0e43ba6da94ca178d61fd1f8c0b7cd8c94b",
-        0.3296665732509088, 2646),
+        "c8f0380899489af8f63153490537dfb3ea932313cbe57f7e1ff99cee46929639",
+        0.3296665732509088, 1320),
 }
 
 

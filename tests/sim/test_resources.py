@@ -70,6 +70,17 @@ class TestResource:
         sim.run()
         assert order == [0, 1, 2]
 
+    def test_try_acquire_takes_free_slots_without_events(self, sim):
+        res = Resource(sim, capacity=2)
+        assert res.try_acquire() and res.try_acquire()
+        assert not res.try_acquire()  # full: the caller must queue
+        assert res.in_use == 2 and res.queue_length == 0
+        queued = res.request()
+        res.release()  # handed straight to the queued request
+        assert not res.try_acquire()  # so it cannot be overtaken
+        sim.run()
+        assert queued.processed and res.in_use == 2
+
     def test_release_idle_raises(self, sim):
         res = Resource(sim)
         with pytest.raises(SimulationError):
@@ -181,6 +192,17 @@ class TestStore:
         sim.process(getter())
         sim.run()
         assert log == [("put1", 0.0), ("put2", 4.0)]
+
+    def test_put_nowait_delivers_without_event(self, sim):
+        store = Store(sim)
+        getter = store.get()
+        store.put_nowait("a")
+        store.put_nowait("b")
+        sim.run()
+        assert getter.value == "a"
+        assert store.items == ("b",)
+        with pytest.raises(SimulationError):
+            Store(sim, capacity=1).put_nowait("x")
 
     def test_invalid_capacity(self, sim):
         with pytest.raises(ValueError):
