@@ -209,6 +209,8 @@ class Network:
             sides = (tx_nic.tx_flows, rx_nic.rx_flows)
         bw = self.spec.bandwidth
         faults = self.faults
+        if faults is not None and not faults.windowed:
+            faults = None  # every factor is 1.0
         heap = self._heap
         for flows in sides:
             for flow in flows:
@@ -322,13 +324,14 @@ class Network:
         return flow
 
     def _begin(self, flow: _Transfer) -> None:
-        if self.faults is not None:
+        faults = self.faults
+        if faults is not None and faults.windowed:
             # A hung endpoint's NIC is silent: hold the transfer (without
             # occupying channels) until the hang window closes.  Flows
             # already serializing are not paused — the hold models
             # admission at the NIC, which keeps the fluid model simple.
             now = self.sim.now
-            release = self.faults.hold_until(flow.src, flow.dst, now)
+            release = faults.hold_until(flow.src, flow.dst, now)
             if release > now:
                 self.sim.timeout(release - now).callbacks.append(
                     lambda _ev: self._acquire_tx(flow)
@@ -369,8 +372,9 @@ class Network:
         flow.rx_nic.rx_channels.release()
         flow.tx_nic.tx_channels.release()
         latency = self.spec.latency
-        if self.faults is not None:
-            latency *= self.faults.latency_factor(src, dst, self.sim.now)
+        faults = self.faults
+        if faults is not None and faults.windowed:
+            latency *= faults.latency_factor(src, dst, self.sim.now)
         flow.succeed(delay=latency)
 
     def _account(self, flow: _Transfer) -> None:

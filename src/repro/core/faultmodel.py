@@ -230,7 +230,13 @@ class ActiveFaults:
     def __init__(self, plan: FaultPlan, cluster):
         self.plan = plan
         self.cluster = cluster
-        self._rngs: dict[tuple[int, int], object] = {}
+        #: True if the plan has degradation windows or hangs.  Without
+        #: either, every link runs at full rate and latency and never
+        #: holds traffic, so the flow engine need not ask per flow.
+        self.windowed = bool(plan.degradations or plan.hangs)
+        #: Per directed link: its loss probability and its RNG stream
+        #: (``None`` on a lossless link, which never draws).
+        self._links: dict[tuple[int, int], tuple[float, object]] = {}
         self._fetch_rngs: dict[int, object] = {}
         #: Messages the fabric has eaten so far (diagnostics / tests).
         self.dropped_messages = 0
@@ -251,13 +257,15 @@ class ActiveFaults:
         decision sequence on a link is a pure function of the seed and
         that link's message order.
         """
-        p = self.loss_probability(src, dst)
-        if p <= 0.0:
-            return False
-        rng = self._rngs.get((src, dst))
+        link = self._links.get((src, dst))
+        if link is None:
+            p = self.loss_probability(src, dst)
+            rng = (derive_rng(self.plan.seed, "loss", f"{src}->{dst}")
+                   if p > 0.0 else None)
+            link = self._links[(src, dst)] = (p, rng)
+        p, rng = link
         if rng is None:
-            rng = derive_rng(self.plan.seed, "loss", f"{src}->{dst}")
-            self._rngs[(src, dst)] = rng
+            return False
         if rng.random() < p:
             self.dropped_messages += 1
             return True

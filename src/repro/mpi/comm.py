@@ -33,10 +33,24 @@ every consumer in this codebase tolerates (matching is tag-isolated).
 Acks model NIC-level delivery receipts: a crashed node's queue still
 acks (the origin detects death through the §3.1 failure machinery, not
 through transport timeouts).
+
+Like a fire-and-forget send, a reliable send runs no simulator process.
+A :class:`_ReliableSend` is the request's event and a callback chain:
+each attempt is a fabric transfer whose arrival runs the drop check,
+dedup and enqueue, and starts an :class:`_Ack` — itself a transfer back
+whose arrival, unless dropped, acks the send.  Each attempt's
+retransmission deadline (arrival time + ``rto``) goes on one heap per
+:class:`MpiWorld`, keyed ``(deadline, arm order)``; an acked send's
+entry is dropped lazily, and a single timer serves the earliest live
+deadline, so a send that is acked in time costs no timer event.  Due
+deadlines expire in ``(deadline, arm order)`` order, the order
+per-attempt timers would fire in.  An ack that comes back while a
+retransmission is in flight completes the send when that copy arrives.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any
@@ -48,8 +62,9 @@ from repro.mpi.errors import MpiError
 from repro.mpi.matchtable import MatchStore
 from repro.mpi.request import Request
 from repro.sim.core import Event
-from repro.sim.primitives import AnyOf
 from repro.util.units import MICROSECOND
+
+_INF = float("inf")
 
 #: Receive-source wildcard (``MPI_ANY_SOURCE``).
 ANY_SOURCE = -1
@@ -120,6 +135,17 @@ class MpiWorld:
         self.stats: dict[str, int] = {
             "drops": 0, "retransmissions": 0, "acks": 0, "duplicates": 0,
         }
+        #: Retransmit deadlines of every reliable send in the world:
+        #: ``(deadline, arm order, send)``, live while the arm order is
+        #: the send's ``armed``.  One sim timer serves the whole heap.
+        self._rto_heap: list[tuple[float, int, _ReliableSend]] = []
+        self._rto_order = 0
+        #: Fire time of the armed retransmit timer.
+        self._rto_at = _INF
+        #: Every scheduled, not yet fired retransmit timer by fire time;
+        #: a superseded timer is re-adopted when its deadline is the
+        #: earliest live one again.
+        self._rto_timers: dict[float, Event] = {}
         self._next_comm_id = 0
         # Matching queues are per (rank, comm); one MatchStore per pair,
         # lazily created, so traffic on one communicator never scans
@@ -157,6 +183,48 @@ class MpiWorld:
             self._queues[key] = store
         return store
 
+    def _arm_rto(self, send: "_ReliableSend", deadline: float) -> None:
+        """Give ``send`` a retransmit deadline on the world's heap."""
+        order = self._rto_order + 1
+        self._rto_order = order
+        send.armed = order
+        heapq.heappush(self._rto_heap, (deadline, order, send))
+        self._arm_rto_timer()
+
+    def _arm_rto_timer(self) -> None:
+        """Arm the timer if the earliest live deadline moved earlier."""
+        heap = self._rto_heap
+        while heap and heap[0][1] != heap[0][2].armed:
+            heapq.heappop(heap)  # acked since it was armed
+        if heap and heap[0][0] < self._rto_at:
+            when = heap[0][0]
+            self._rto_at = when
+            if when not in self._rto_timers:
+                # The timer's value is its fire time: the deadline.
+                timer = self.sim.timeout(when - self.sim.now, when)
+                timer.callbacks.append(self._on_rto_timer)
+                self._rto_timers[when] = timer
+
+    def _on_rto_timer(self, timer: Event) -> None:
+        target = timer.value
+        del self._rto_timers[target]
+        if target != self._rto_at:
+            return  # superseded by an earlier deadline
+        heap = self._rto_heap
+        # Expire every live deadline due by now in ``(deadline, arm
+        # order)`` order, the order per-send timers would have fired in.
+        while heap:
+            deadline, order, send = heap[0]
+            if order != send.armed:
+                heapq.heappop(heap)
+                continue
+            if deadline > target:
+                break
+            heapq.heappop(heap)
+            send.expire()
+        self._rto_at = _INF
+        self._arm_rto_timer()
+
     def _dropped(self, src: int, dst: int) -> bool:
         """Consult the installed fault plan for one drop decision."""
         faults = self.cluster.network.faults
@@ -185,8 +253,6 @@ class Communicator:
         self._send_seq: dict[int, int] = defaultdict(int)
         #: (src, seq) pairs already delivered (reliable-mode dedup).
         self._delivered: set[tuple[int, int]] = set()
-        #: Pending ack events keyed by (src, dst, seq).
-        self._ack_waiters: dict[tuple[int, int, int], Any] = {}
 
     @property
     def size(self) -> int:
@@ -219,9 +285,8 @@ class Communicator:
         self._send_seq[src] = seq + 1
         msg = Message(self.comm_id, src, dst, tag, payload, nbytes, seq)
         if self.transport is not None and src != dst:
-            event = self.mpi.sim.process(
-                self._deliver_reliable(msg), name=f"isend:{src}->{dst}:t{tag}"
-            )
+            event = _ReliableSend(self, msg)
+            event.transmit()
         else:
             event = _Send(self, msg).start()
         request = Request(event, "send")
@@ -231,70 +296,8 @@ class Communicator:
             )
         return request
 
-    # -- reliable transport ---------------------------------------------------
-    def _deliver_reliable(self, msg: Message):
-        """Generator: send with ack + exponential-backoff retransmission.
-
-        Local completion (the isend Request) means *acked*, not merely
-        serialized — the eager-protocol guarantee a lossy fabric can
-        actually keep.
-        """
-        sim = self.mpi.sim
-        obs = self.mpi.obs
-        enabled = obs.enabled
-        tc = self.transport
-        net = self.mpi.cluster.network
-        key = (msg.src, msg.dst, msg.seq)
-        ack = sim.event(f"mpi-ack:{key}")
-        self._ack_waiters[key] = ack
-        # The wait window covers the ack's own uncontended round trip.
-        rto = tc.rto + 2 * net.transfer_time(msg.dst, msg.src, tc.ack_bytes)
-        flow: int | None = None
-        accepted_once = False
-        try:
-            for attempt in range(tc.max_retries + 1):
-                if attempt:
-                    self.mpi.stats["retransmissions"] += 1
-                if enabled:
-                    open_span = obs.begin(
-                        "mpi", f"send t{msg.tag}", msg.src,
-                        dst=msg.dst, nbytes=msg.nbytes, seq=msg.seq,
-                        attempt=attempt,
-                    )
-                if self.mpi.overhead:
-                    yield sim.timeout(self.mpi.overhead)
-                yield from net.transfer(msg.src, msg.dst, msg.nbytes)
-                if not self.mpi._dropped(msg.src, msg.dst):
-                    # Only the first accepted transmission carries the
-                    # flow arrow; duplicates are suppressed downstream.
-                    fresh = not accepted_once
-                    accepted_once = True
-                    if fresh and enabled:
-                        flow = obs.new_flow()
-                    self._transport_accept(msg, flow if fresh else None)
-                    if enabled:
-                        obs.end(
-                            open_span,
-                            flow_id=flow if fresh else None,
-                            flow_phase="s" if fresh else None,
-                        )
-                elif enabled:
-                    obs.end(open_span, dropped=True)
-                if ack.triggered:
-                    return
-                yield AnyOf(sim, [ack, sim.timeout(rto)])
-                if ack.triggered:
-                    return
-                rto *= tc.backoff
-            raise MpiError(
-                f"reliable send {msg.src}->{msg.dst} seq={msg.seq} "
-                f"tag={msg.tag} unacked after {tc.max_retries} retries"
-            )
-        finally:
-            self._ack_waiters.pop(key, None)
-
     def _transport_accept(self, msg: Message, flow_id: int | None = None) -> None:
-        """Receiver-side transport: dedup, enqueue, and schedule the ack."""
+        """Receiver-side transport: suppress a duplicate or enqueue."""
         obs = self.mpi.obs
         enabled = obs.enabled
         key = (msg.src, msg.seq)
@@ -312,33 +315,6 @@ class Communicator:
                     flow_phase="f" if flow_id is not None else None,
                     src=msg.src,
                 )
-        self.mpi.sim.process(
-            self._send_ack(msg), name=f"mpi-ack:{msg.dst}->{msg.src}"
-        )
-
-    def _send_ack(self, msg: Message):
-        sim = self.mpi.sim
-        tc = self.transport
-        obs = self.mpi.obs
-        enabled = obs.enabled
-        if enabled:
-            open_span = obs.begin(
-                "mpi", f"ack t{msg.tag}", msg.dst, dst=msg.src, seq=msg.seq
-            )
-        if self.mpi.overhead:
-            yield sim.timeout(self.mpi.overhead)
-        yield from self.mpi.cluster.network.transfer(
-            msg.dst, msg.src, tc.ack_bytes
-        )
-        self.mpi.stats["acks"] += 1
-        dropped = self.mpi._dropped(msg.dst, msg.src)
-        if enabled:
-            obs.end(open_span, dropped=dropped)
-        if dropped:
-            return  # the ack itself was lost; the sender will retransmit
-        ack = self._ack_waiters.get((msg.src, msg.dst, msg.seq))
-        if ack is not None and not ack.triggered:
-            ack.succeed()
 
     def _irecv(self, dst: int, src: int, tag: int) -> Request:
         self._check_rank(dst)
@@ -407,6 +383,148 @@ class _Send:
                 "mpi", f"recv t{msg.tag}", msg.dst,
                 flow_id=flow, flow_phase="f", src=msg.src,
             )
+
+
+class _ReliableSend(Event):
+    """One reliable send: the event its request waits on, which also
+    carries the send's retransmission state.
+
+    Each attempt is a fabric transfer (overhead, then flow).  On arrival
+    the drop check runs; a copy that survives is deduplicated and
+    enqueued at the receiver, which starts an :class:`_Ack` back.  Then
+    the attempt's deadline (``now + rto``) goes on the world's
+    retransmit heap.  The first ack that is not dropped completes the
+    send; a deadline that expires first retransmits with ``rto``
+    multiplied by ``backoff``, and one past ``max_retries`` fails the
+    event with :class:`MpiError`.  No simulator process runs any of it.
+    """
+
+    __slots__ = ("comm", "msg", "rto", "attempt", "armed", "acked",
+                 "accepted", "span")
+
+    def __init__(self, comm: Communicator, msg: Message):
+        mpi = comm.mpi
+        Event.__init__(self, mpi.sim, "reliable-send")
+        self.comm = comm
+        self.msg = msg
+        tc = comm.transport
+        # The wait window covers the ack's own uncontended round trip.
+        self.rto = tc.rto + 2 * mpi.cluster.network.transfer_time(
+            msg.dst, msg.src, tc.ack_bytes
+        )
+        self.attempt = 0
+        #: Arm order of the live retransmit deadline; 0 while none is.
+        self.armed = 0
+        #: An ack came back while a retransmission was in flight: the
+        #: send completes when that copy arrives.
+        self.acked = False
+        #: Some copy got through (only the first draws a flow arrow).
+        self.accepted = False
+        self.span = None
+
+    def transmit(self) -> None:
+        """Put the current attempt on the fabric."""
+        msg = self.msg
+        mpi = self.comm.mpi
+        obs = mpi.obs
+        if obs.enabled:
+            self.span = obs.begin(
+                "mpi", f"send t{msg.tag}", msg.src,
+                dst=msg.dst, nbytes=msg.nbytes, seq=msg.seq,
+                attempt=self.attempt,
+            )
+        arrival = mpi.cluster.network.start_transfer(
+            msg.src, msg.dst, msg.nbytes, mpi.overhead
+        )
+        arrival.callbacks.append(self._arrive)
+
+    def _arrive(self, _ev: Event) -> None:
+        comm = self.comm
+        mpi = comm.mpi
+        msg = self.msg
+        span = self.span
+        obs = mpi.obs
+        if not mpi._dropped(msg.src, msg.dst):
+            flow = None
+            if not self.accepted:
+                self.accepted = True
+                if span is not None:
+                    flow = obs.new_flow()
+            comm._transport_accept(msg, flow)
+            if span is not None:
+                obs.end(span, flow_id=flow,
+                        flow_phase="s" if flow is not None else None)
+            _Ack(self)
+        elif span is not None:
+            obs.end(span, dropped=True)
+        if self.acked:
+            self.succeed()  # an earlier copy's ack beat this copy home
+        else:
+            mpi._arm_rto(self, mpi.sim.now + self.rto)
+
+    def on_ack(self) -> None:
+        """An ack got through."""
+        if self.triggered:
+            return  # already acked (a duplicate's ack), or given up
+        if self.armed:
+            self.armed = 0  # its deadline is dropped from the heap lazily
+            self.succeed()
+        else:
+            self.acked = True
+
+    def expire(self) -> None:
+        """The retransmit deadline passed without an ack."""
+        self.armed = 0
+        comm = self.comm
+        mpi = comm.mpi
+        tc = comm.transport
+        if self.attempt == tc.max_retries:
+            msg = self.msg
+            exc = MpiError(
+                f"reliable send {msg.src}->{msg.dst} seq={msg.seq} "
+                f"tag={msg.tag} unacked after {tc.max_retries} retries"
+            )
+            if not self.callbacks:
+                # Nobody waits: crash the run, as a failed process does.
+                mpi.sim._crash = exc
+            self.fail(exc)
+            return
+        self.rto *= tc.backoff
+        self.attempt += 1
+        mpi.stats["retransmissions"] += 1
+        self.transmit()
+
+
+class _Ack:
+    """The ack of one delivered copy: a fabric transfer back to the
+    sender whose arrival, unless dropped, acks the send."""
+
+    __slots__ = ("send", "span")
+
+    def __init__(self, send: _ReliableSend):
+        self.send = send
+        comm = send.comm
+        mpi = comm.mpi
+        msg = send.msg
+        obs = mpi.obs
+        self.span = obs.begin(
+            "mpi", f"ack t{msg.tag}", msg.dst, dst=msg.src, seq=msg.seq
+        ) if obs.enabled else None
+        arrival = mpi.cluster.network.start_transfer(
+            msg.dst, msg.src, comm.transport.ack_bytes, mpi.overhead
+        )
+        arrival.callbacks.append(self._arrive)
+
+    def _arrive(self, _ev: Event) -> None:
+        send = self.send
+        mpi = send.comm.mpi
+        msg = send.msg
+        mpi.stats["acks"] += 1
+        dropped = mpi._dropped(msg.dst, msg.src)
+        if self.span is not None:
+            mpi.obs.end(self.span, dropped=dropped)
+        if not dropped:
+            send.on_ack()
 
 
 class Rank:

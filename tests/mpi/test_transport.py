@@ -156,6 +156,72 @@ class TestReliableDelivery:
         assert sim.run(until=p) == "local"
 
 
+class TestReliableChain:
+    """A reliable send, its acks and its retransmit deadlines are
+    callback chains, not sim processes."""
+
+    def test_reliable_isends_create_no_process(self, monkeypatch):
+        plan = FaultPlan(seed=2, losses=[LinkLoss(probability=0.3)])
+        cluster, mpi = make_world(n=3, plan=plan, transport=TransportConfig(),
+                                  overhead=0.5e-6)
+        sim = cluster.sim
+        spawned = []
+        real = sim.process
+        monkeypatch.setattr(
+            sim, "process", lambda gen, name="": spawned.append(name)
+            or real(gen, name),
+        )
+        reqs = [mpi.world.rank(i % 3).isend((i + 1) % 3, i, nbytes=64 * i,
+                                            tag=i)
+                for i in range(12)]
+        sim.run()
+        assert spawned == []
+        assert all(r.test() for r in reqs)
+        assert mpi.stats["retransmissions"] > 0  # the loss path ran too
+        got = [m.payload for d in range(3)
+               for m in mpi._queue(d, mpi.world.comm_id).items]
+        assert sorted(got) == list(range(12))
+
+    def test_unwaited_send_past_retry_cap_crashes_the_run(self):
+        plan = FaultPlan(losses=[LinkLoss(probability=1.0)])
+        cluster, mpi = make_world(
+            plan=plan, transport=TransportConfig(max_retries=2)
+        )
+        mpi.world.rank(0).isend(1, "x", nbytes=10)  # nobody waits
+        with pytest.raises(MpiError, match="unacked after 2 retries"):
+            cluster.sim.run()
+        assert mpi.stats["retransmissions"] == 2
+
+    def test_traced_lossy_run_draws_one_arrow_per_delivery(self):
+        from repro.obs import Observer, to_chrome_trace, validate_chrome_trace
+
+        net = NetworkSpec(latency=1e-6, bandwidth=1e9)
+        cluster = Cluster(ClusterSpec(num_nodes=3, network=net))
+        obs = Observer(cluster.sim)
+        cluster.install_observer(obs)
+        FaultPlan(seed=4, losses=[LinkLoss(probability=0.4)]).install(cluster)
+        mpi = MpiWorld(cluster, transport=TransportConfig())
+        pairs = [(0, 1), (1, 2), (2, 0), (0, 2), (1, 0), (2, 1)] * 3
+        for i, (src, dst) in enumerate(pairs):
+            mpi.world.rank(src).isend(dst, i, nbytes=100.0 * i, tag=i)
+        cluster.sim.run()
+        assert mpi.stats["drops"] > 0
+        events = to_chrome_trace(obs)
+        assert validate_chrome_trace(events) == []
+        starts = [e["id"] for e in events if e.get("ph") == "s"]
+        ends = [e["id"] for e in events if e.get("ph") == "f"]
+        assert len(starts) == len(pairs)  # one per delivered message
+        assert sorted(starts) == sorted(ends)
+        sends = [e for e in events
+                 if e.get("ph") == "X" and e["name"].startswith("send t")]
+        acks = [e for e in events
+                if e.get("ph") == "X" and e["name"].startswith("ack t")]
+        assert {e["args"]["attempt"] for e in sends} >= {0, 1}
+        assert any(e["args"].get("dropped") for e in sends)
+        assert {e["args"]["dropped"] for e in acks} == {False, True}
+        assert len(acks) == mpi.stats["acks"]
+
+
 class TestDatagramOptOut:
     def test_unreliable_comm_drops_silently(self):
         plan = FaultPlan(losses=[LinkLoss(probability=1.0)])

@@ -134,8 +134,8 @@ PINS: dict[str, tuple[str, float, int]] = {
         "991272c0226df9ff26a26f0cb121ef7f4d957d4f56b73a2ac5642d248184370b",
         0.07051929503999999, 404),
     "ft-head-kill": (
-        "d9f3f0dfb95f2904347957556cbb855be59a592d09d33631107a979d294a53ba",
-        0.038290908480000094, 9865),
+        "5866f4ef86b4447f9dc1e1a893ef87756c2fce03060a17ada4d20be4c3006144",
+        0.038290908480000094, 6547),
     "no-forwarding": (
         "68068e550cc04c9bcada6525da767a12086a077ef74d70f623287303666e6462",
         0.6570094899636348, 1335),
