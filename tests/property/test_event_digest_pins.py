@@ -17,19 +17,32 @@ object identity on a path that reaches the clock.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.cluster.machine import ClusterSpec
-from repro.core import FaultPlan, FaultTolerantRuntime, LinkLoss, NodeFailure
+from repro.core import (
+    FaultPlan,
+    FaultTolerantRuntime,
+    LinkDegradation,
+    LinkLoss,
+    MemoryPressure,
+    NodeFailure,
+    NodeStall,
+)
 from repro.core.config import OMPCConfig
 from repro.core.runtime import OMPCRuntime
 from repro.core.shard import ShardedRuntime
+from repro.omp import OmpProgram
+from repro.omp.task import depend_in, depend_inout, depend_out
 from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
 from repro.taskbench.bench import build_omp_program
 
 from tests.core.test_broadcast_integration import BASE, one_to_many_program
+from tests.core.test_faults import FAST, shots_program
 from tests.obs.test_counter_tier import _stencil
 from tests.property.test_kernel_digest import _tap_all_sims
 from tests.property.test_memory_properties import KB, pipeline_program
@@ -100,6 +113,87 @@ def _ft_head_kill():
     return scenario
 
 
+def _ft(nodes: int, program, cfg: OMPCConfig, check=None, **run_kwargs):
+    """A :class:`FaultTolerantRuntime` scenario; ``check(result)`` asserts
+    the run exercised the machinery the row is there to pin."""
+    def scenario():
+        runtime = FaultTolerantRuntime(ClusterSpec(num_nodes=nodes), cfg)
+        res = runtime.run(program(), **run_kwargs)
+        if check is not None:
+            assert check(res), res
+        return res.makespan, runtime.last_cluster.sim._seq
+
+    return scenario
+
+
+def _lineage_program():
+    """A sole-copy producer whose node (node 1) dies before its consumer
+    runs: the consumer re-executes the producer."""
+    prog = OmpProgram()
+    a = prog.buffer(64, data=np.zeros(8), name="a")
+    b = prog.buffer(64, data=np.zeros(8), name="b")
+    gate = prog.buffer(8, name="gate")
+
+    def produce(x):
+        x[:] = 1.0
+
+    prog.target(fn=produce, depend=[depend_out(a)], cost=0.02,
+                name="producer")
+    prog.task(depend=[depend_out(gate)], cost=0.2, name="delay")
+    prog.target(
+        fn=lambda x, _g, y: np.copyto(y, x * 10.0),
+        depend=[depend_in(a), depend_in(gate), depend_out(b)],
+        cost=0.02, name="consumer",
+    )
+    prog.target_exit_data(a, b)
+    return prog
+
+
+def _inplace_chains():
+    """INOUT chains: only checkpoints can rebuild a lost link."""
+    prog = OmpProgram("inplace-chains")
+    bufs = []
+    for i in range(6):
+        buf = prog.buffer(256 * 8, data=np.zeros(256), name=f"chain{i}")
+        bufs.append(buf)
+        prog.target_enter_data(buf)
+        for step in range(3):
+            prog.target(
+                fn=lambda x, k=i: np.add(x, k + 1.0, out=x),
+                depend=[depend_inout(buf)],
+                cost=0.08, name=f"chain{i}.step{step}",
+            )
+    prog.target_exit_data(*bufs)
+    return prog
+
+
+def _pressure_program(n: int = 10):
+    """Staged inputs dirtied in place, then reduced: twice one device."""
+    prog = OmpProgram("pressure-demo")
+    bufs = [prog.buffer(4 * KB, data=np.zeros(64), name=f"in{i}")
+            for i in range(n)]
+    outs = [prog.buffer(4 * KB, data=np.zeros(64), name=f"out{i}")
+            for i in range(n)]
+    prog.target_enter_data(*bufs)
+    for i, b in enumerate(bufs):
+        prog.target(
+            fn=lambda x, k=i: np.add(x, k + 1.0, out=x),
+            depend=[depend_inout(b)], cost=0.002, name=f"dirty{i}",
+        )
+    for i, (b, o) in enumerate(zip(bufs, outs)):
+        prog.target(
+            fn=lambda x, y: np.copyto(y, 3.0 * x),
+            depend=[depend_in(b), depend_out(o)],
+            cost=0.002, name=f"reduce{i}",
+        )
+    prog.target_exit_data(*outs)
+    return prog
+
+
+PRESSURE = OMPCConfig(device_memory_bytes=20 * KB, eviction_policy="lru",
+                      trace=True)
+
+
 def _overload():
     from repro.bench.jobscmd import run_overload
 
@@ -125,6 +219,42 @@ SCENARIOS = {
     "shards-4-gossip": _sharded(4, 16, gossip=True),
     "shards-4-failover": _shard_failover(),
     "ft-head-kill": _ft_head_kill(),
+    "ft-clean-trace-analysis": _ft(
+        6, _stencil, OMPCConfig(trace=True, analysis=True)),
+    "ft-worker-kill-lineage": _ft(
+        4, _lineage_program, FAST,
+        check=lambda r: r.reexecuted_tasks >= 1,
+        failures=[NodeFailure(time=0.1, node=1)]),
+    "ft-checkpoint-lossy": _ft(
+        7, _inplace_chains, OMPCConfig(checkpoint_interval=0.05),
+        check=lambda r: r.checkpoint_restores >= 1,
+        failures=[NodeFailure(time=0.150, node=4)],
+        fault_plan=FaultPlan(
+            seed=17, losses=[LinkLoss(probability=0.02)],
+            degradations=[LinkDegradation(
+                start=0.0, end=1.0, latency_factor=4.0,
+                bandwidth_factor=0.5, dst=3)],
+        )),
+    "ft-speculation": _ft(
+        5, lambda: shots_program(cost=0.05)[0],
+        dataclasses.replace(FAST, straggler_factor=3.0),
+        check=lambda r: r.speculative_attempts >= 1,
+        fault_plan=FaultPlan(seed=1, stalls=[
+            NodeStall(node=1, start=0.0, end=10.0, factor=0.05)])),
+    "ft-gossip-worker-kill": _ft(
+        4, lambda: shots_program(num_shots=6, cost=0.2)[0],
+        OMPCConfig(gossip=True), check=lambda r: r.failures == [2],
+        failures=[NodeFailure(time=0.1, node=2)]),
+    "ft-pressure-crash": _ft(
+        4, _pressure_program, PRESSURE,
+        check=lambda r: r.counters["mem.spill_bytes"] > 0,
+        failures=[NodeFailure(time=0.004, node=2)]),
+    "ft-pressure-flaky": _ft(
+        4, _pressure_program,
+        dataclasses.replace(PRESSURE, mem_fetch_retries=50),
+        check=lambda r: r.counters["mem.fetch_retries"] > 0,
+        fault_plan=FaultPlan(seed=11, pressures=[MemoryPressure(
+            node=1, start=0.0, capacity_factor=0.5, fetch_fail_prob=0.5)])),
     "overload-1x": _overload(),
 }
 
@@ -133,9 +263,30 @@ PINS: dict[str, tuple[str, float, int]] = {
     "broadcast": (
         "991272c0226df9ff26a26f0cb121ef7f4d957d4f56b73a2ac5642d248184370b",
         0.07051929503999999, 404),
+    "ft-checkpoint-lossy": (
+        "029b01b5d1957ee52490bc5779dad189d0daa6490cef81baffdf92db5d9a02bc",
+        0.33095985488, 11443),
+    "ft-clean-trace-analysis": (
+        "21f96683934555d48a17938647f6be373a258f05e402b19534306321ce9b9c3e",
+        0.03074261168000016, 4226),
+    "ft-gossip-worker-kill": (
+        "b6a5e0a5136ba3602c4d72b717b5ae7df90cd66be99f95ca160920f8938997ba",
+        0.3206211824000003, 10161),
     "ft-head-kill": (
         "5866f4ef86b4447f9dc1e1a893ef87756c2fce03060a17ada4d20be4c3006144",
         0.038290908480000094, 6547),
+    "ft-pressure-crash": (
+        "3b0df0d878abb24c79049ef161938827e35f02c2b775a8aa890d26548d03372a",
+        0.03640804272000009, 2123),
+    "ft-pressure-flaky": (
+        "6492e5ff6b45929f045e7aff9f5efa1f759f1e858ae032de4255389d35a27c09",
+        0.0589625112000001, 2502),
+    "ft-speculation": (
+        "571666998b242598a539dd101558921bbbf0fdfc5b97da72a935785dec466375",
+        0.2000611785599993, 5123),
+    "ft-worker-kill-lineage": (
+        "8d0d28af7d0ec5d1585aed6abc562990ae150ac12fd0f41c01b4001d274193c3",
+        0.2400471305599994, 4320),
     "no-forwarding": (
         "68068e550cc04c9bcada6525da767a12086a077ef74d70f623287303666e6462",
         0.6570094899636348, 1335),
