@@ -64,14 +64,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.analysis.findings import AnalysisReport
-from repro.analysis.hooks import Analysis
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
 from repro.core.datamanager import HOST, DataManager, Move
 from repro.core.events import EventSystem
 from repro.core.faultmodel import FaultPlan
+from repro.core.gossip import GossipMembership
 from repro.core.headlog import HeadLog, Replicator
-from repro.core.runtime import configure_tiering, fetch_gate
+from repro.core.runtime import HeadCore, configure_tiering, fetch_gate
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
 from repro.core.tiering import MemoryWait
 from repro.mpi.comm import MpiWorld, TransportConfig
@@ -643,7 +643,12 @@ class FTRunResult:
     detections: list[tuple[int, int, float]] = field(default_factory=list)
     reexecuted_tasks: int = 0
     task_attempts: dict[int, int] = field(default_factory=dict)
+    #: task_id -> (dispatch, finish) simulated interval of its last frame
+    task_intervals: dict[int, tuple[float, float]] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
+    #: Bytes and messages moved over the fabric during the run.
+    network_bytes: float = 0.0
+    network_messages: int = 0
     #: Suspect→confirm outcomes: suspicions the head's ping cleared, and
     #: detection errors against ground truth (a false positive is an
     #: alive node declared dead; a false negative is a crashed node the
@@ -682,16 +687,21 @@ class FTRunResult:
 
 
 class FaultTolerantRuntime:
-    """OMPC with the §3.1 heartbeat/restart mechanism enabled."""
+    """OMPC with the §3.1 heartbeat/restart mechanism enabled.
+
+    Runs on the plain runtime's :class:`~repro.core.runtime.HeadCore`
+    (set-up, startup/planning/shutdown phases, head-thread task frame,
+    classical tasks, result) and adds the fault tolerance: membership,
+    head-state replication and failover, lineage and checkpoint
+    recovery, and a data plane that races every operation against the
+    death of the nodes it involves.
+    """
 
     def __init__(
         self,
         cluster_spec: ClusterSpec,
         config: OMPCConfig | None = None,
         scheduler: Scheduler | None = None,
-        heartbeat_interval: float = 1.0 * MILLISECOND,
-        heartbeat_timeout: float = 3.5 * MILLISECOND,
-        transport: TransportConfig | None = None,
     ):
         if cluster_spec.num_nodes < 3:
             raise ValueError(
@@ -706,14 +716,21 @@ class FaultTolerantRuntime:
                 "runs (head_shards > 1) go through OMPCRuntime, which "
                 "delegates to repro.core.shard.ShardedRuntime"
             )
+        if self.config.broadcast_events:
+            raise ValueError(
+                "FaultTolerantRuntime never broadcasts: its data plane "
+                "moves each buffer to each consumer on its own, so "
+                "broadcast_events=True would be ignored"
+            )
+        if not self.config.forwarding_enabled:
+            raise ValueError(
+                "FaultTolerantRuntime always exchanges buffers worker to "
+                "worker, so forwarding_enabled=False (staging through the "
+                "head) would be ignored"
+            )
         self.scheduler = scheduler or HeftScheduler(
             exec_slots_per_node=self.config.event_handlers
         )
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        #: Explicit transport override; by default the reliable transport
-        #: switches on exactly when the fault plan is lossy.
-        self.transport = transport
         self.last_cluster: Cluster | None = None
 
     # ------------------------------------------------------------------
@@ -749,72 +766,41 @@ class FaultTolerantRuntime:
         external cluster — plans install on the physical machine, which
         the partition's owner must do before carving views.
         """
-        program.validate()
         failures = tuple(failures)
         if cluster is None:
             cluster = Cluster(self.cluster_spec)
-        else:
-            if cluster.num_nodes != self.cluster_spec.num_nodes:
-                raise ValueError(
-                    f"cluster has {cluster.num_nodes} nodes, spec expects "
-                    f"{self.cluster_spec.num_nodes}"
-                )
-            if fault_plan is not None:
-                raise ValueError(
-                    "fault_plan must be installed on the physical cluster, "
-                    "not passed to a launch on a shared cluster view"
-                )
-        self.last_cluster = cluster
-        sim = cluster.sim
-        t0 = sim.now
-        if self.config.trace and not cluster.obs.enabled:
-            # Must precede MpiWorld/EventSystem construction — both
-            # capture ``cluster.obs`` when built.
-            cluster.install_observer(Observer(sim))
-        if self.config.analysis and not cluster.analysis.enabled:
-            # Likewise captured at construction time by MpiWorld and the
-            # event system.
-            cluster.install_analysis(Analysis())
-        analysis = cluster.analysis
-        active = fault_plan.install(cluster) if fault_plan is not None else None
-        transport = self.transport
-        ambient = active if active is not None else cluster.faults
-        if transport is None and ambient is not None and ambient.plan.lossy:
-            transport = TransportConfig()
-        mpi = MpiWorld(cluster, transport=transport)
-        events = EventSystem(cluster, mpi, self.config)
-        cfg = self.config
-        if cfg.gossip:
-            # SWIM-style gossip membership (repro.core.gossip): O(1)
-            # probes per node per round instead of the ring's O(N)
-            # suspect-report fan-in at the head.  Feeds the exact same
-            # suspect -> head-confirm pipeline via on_detect /
-            # on_head_detect, so failover below is unchanged.
-            from repro.core.gossip import GossipMembership
-
-            ring = GossipMembership(
-                cluster, mpi, events,
-                interval=cfg.gossip_interval,
-                ping_timeout=cfg.heartbeat_ping_timeout,
-                fanout=cfg.gossip_fanout,
-                piggyback=cfg.gossip_piggyback,
-                seed=cfg.gossip_seed,
+        elif fault_plan is not None:
+            raise ValueError(
+                "fault_plan must be installed on the physical cluster, "
+                "not passed to a launch on a shared cluster view"
             )
+        cfg = self.config
+        # The plan binds before the MPI world is built, and a lossy
+        # fabric switches the reliable transport on: loss then costs
+        # simulated time, not correctness.
+        active = fault_plan.install(cluster) if fault_plan is not None else None
+        ambient = active if active is not None else cluster.faults
+        lossy = ambient is not None and ambient.plan.lossy
+        core = HeadCore(self.cluster_spec, cfg, program, cluster,
+                        result_type=FTRunResult,
+                        transport=TransportConfig() if lossy else None)
+        cluster = self.last_cluster = core.cluster
+        sim, mpi, events = core.sim, core.mpi, core.events
+        dm, tiering, result = core.dm, core.tiering, core.result
+        # Membership follows the event system: its communicators are
+        # numbered after the event system's.  SWIM-style gossip
+        # (repro.core.gossip) probes O(1) nodes per round instead of
+        # the ring's O(N) suspect-report fan-in at the head, and feeds
+        # the same suspect -> head-confirm pipeline (on_detect /
+        # on_head_detect), so failover below is the same for both.
+        if cfg.gossip:
+            ring = GossipMembership.from_config(cluster, mpi, events, cfg)
         else:
             ring = HeartbeatRing(
                 cluster, mpi, events,
-                interval=self.heartbeat_interval,
-                timeout=self.heartbeat_timeout,
                 suspect_windows=cfg.heartbeat_suspect_windows,
                 ping_timeout=cfg.heartbeat_ping_timeout,
             )
-        dm = DataManager(analysis=analysis if analysis.enabled else None)
-        # Tiered data plane (repro.core.tiering) under fault tolerance:
-        # same capacity mirror as the plain runtime, with MemoryPressure
-        # windows shrinking the effective budget.
-        configure_tiering(dm, cfg, cluster)
-        tiering = dm.tiering
-        analysis.program_begin(program)
         graph = program.graph
 
         # -- head-state replication (head failover) ----------------------
@@ -834,8 +820,8 @@ class FaultTolerantRuntime:
             log = None
             repl = None
 
-        schedule = self.scheduler.schedule(graph, cluster)
-        result = FTRunResult(makespan=0.0, schedule=schedule)
+        core.set_schedule(graph, self.scheduler.schedule(graph, cluster))
+        schedule = core.schedule
 
         #: Every mapped buffer by id (bootstrap snapshots, log replay).
         all_buffers: dict[int, Buffer] = {}
@@ -960,14 +946,23 @@ class FaultTolerantRuntime:
                 node = survivors[task.task_id % len(survivors)]
             return node
 
+        def spawn_task(task: Task) -> None:
+            spawn(core.run_task(task, slots, complete, origin=home,
+                                body=execute_once),
+                  name=f"ft-task:{task.name}")
+
         def complete(task: Task) -> None:
             nonlocal pending
+            if task.kind.is_data_movement:
+                # ENTER/EXIT completions carry no writes, so they are
+                # logged here rather than through record_writes.
+                log_append("task_done", task_id=task.task_id, node=home)
             completed.add(task.task_id)
             pending -= 1
             for succ in graph.successors(task):
                 remaining[succ.task_id] -= 1
                 if remaining[succ.task_id] == 0:
-                    spawn(run_task(succ), name=f"ft-task:{succ.name}")
+                    spawn_task(succ)
             if pending == 0 and not all_done.triggered:
                 # (an aborting run may have failed the barrier already
                 # while sibling frames were still draining)
@@ -1130,7 +1125,10 @@ class FaultTolerantRuntime:
                         yield from repl.throttle()
                 try:
                     if task.kind == TaskKind.CLASSICAL:
-                        yield from run_classical(task, recovery)
+                        yield from core._run_classical(
+                            task, cluster.node(home)
+                        )
+                        record_writes(task, home, recovery)
                     elif task.kind == TaskKind.TARGET_ENTER_DATA:
                         yield from run_enter_data(task, node)
                     elif task.kind == TaskKind.TARGET_EXIT_DATA:
@@ -1150,28 +1148,6 @@ class FaultTolerantRuntime:
                     handle_node_death(crash.node)
                     continue  # retry on a survivor
 
-        def run_classical(task: Task, recovery: bool = False):
-            analysis.on_host_task(task, dm)
-            head = cluster.node(home)
-            req = head.cpu.request()
-            try:
-                yield req
-            except Interrupt:
-                # Teardown while queued: withdraw the request (a slot
-                # granted in the same instant is handed back) so the
-                # epoch swap cannot leak CPU capacity.
-                if not head.cpu.cancel(req):
-                    head.cpu.release()
-                raise
-            try:
-                if task.cost:
-                    yield sim.timeout(head.compute_time(task.cost))
-                if task.fn is not None:
-                    task.fn(*(d.buffer.data for d in task.deps))
-            finally:
-                head.cpu.release()
-            record_writes(task, home, recovery)
-
         def run_enter_data(task: Task, node: int):
             if node == HOST or node in dead:
                 node = home
@@ -1188,7 +1164,8 @@ class FaultTolerantRuntime:
                         bid = [buf.buffer_id]
                         dm.pin(bid)
                         try:
-                            yield from make_room(task, node, [buf], bid)
+                            yield from make_room(task, node,
+                                                 lambda: [buf], bid)
                             yield from safe_source_move(buf, node)
                             dm.commit_enter_data(buf, node)
                             log_append("enter_data",
@@ -1281,7 +1258,8 @@ class FaultTolerantRuntime:
                 dm.mem_release(buf, node)
 
         def make_room(task: Task, node: int, incoming, pinned_ids):
-            """Generator: plan + perform evictions so ``incoming`` fits.
+            """Generator: plan + perform evictions so the buffers
+            ``incoming()`` plans fit (re-planned on every retry).
 
             Backs off on :class:`MemoryWait` by *simulated time* rather
             than the plain runtime's release turnstile: each retry
@@ -1299,7 +1277,7 @@ class FaultTolerantRuntime:
                         # land (re-fetch happens on re-plan) before
                         # committing to this placement.
                         raise MemoryWait
-                    evictions = dm.plan_evictions(task, node, incoming)
+                    evictions = dm.plan_evictions(task, node, incoming())
                     break
                 except MemoryWait:
                     dm.unpin(pinned_ids)
@@ -1313,99 +1291,58 @@ class FaultTolerantRuntime:
 
         def run_target(task: Task, node: int, chain: frozenset = frozenset(),
                        attempt: int = 0):
-            if tiering is not None and node != home and tiering.manages(node):
-                yield from run_target_tiered(task, node, chain, attempt)
-                return
-            moves, allocs = dm.plan_for_task(task, node)
-            for buf in allocs:
-                yield from guarded(node, events.alloc(node, buf.buffer_id,
-                                                      payload=buf.data,
-                                                      origin=home,
-                                                      nbytes=buf.nbytes))
-                dm.commit_alloc(buf, node)
-            if node == home:
-                # Self-dispatch (the elected head doubles as a worker):
-                # the directory counts the host image as home-resident,
-                # but the node's device table only holds explicit
-                # allocations.  Materialize missing deps by reference —
-                # a host-to-own-device copy moves no bytes.
-                mem = events.memories[node]
-                for dep in task.deps:
-                    if (
-                        dm.is_resident(dep.buffer, node)
-                        and dep.buffer.buffer_id not in mem
-                    ):
-                        yield from guarded(node, events.alloc(
-                            node, dep.buffer.buffer_id,
-                            payload=dep.buffer.data, origin=home,
-                            nbytes=dep.buffer.nbytes,
-                        ))
-            for dep in task.deps:
-                if task.dep_type_for(dep.buffer).reads and not dm.is_resident(
-                    dep.buffer, node
-                ):
-                    yield from safe_source_move(dep.buffer, node, chain)
-            dedup = not chain and task.task_id in dedup_tasks
-            yield from guarded(node, events.execute(
-                node, task, origin=home, attempt=attempt,
-                dedup=dedup, fo_epoch=cur_epoch(),
-            ))
-            record_writes(task, node, recovery=bool(chain))
-            yield from purge_stale(dm.commit_task_done(task, node))
-
-        def run_target_tiered(task: Task, node: int, chain: frozenset,
-                              attempt: int):
-            """``run_target`` with device-capacity admission control.
-
-            The task's buffers are pinned for the frame's lifetime so
-            concurrent planners never evict an in-use dependency; the
-            plan/back-off loop mirrors the plain runtime's, with
-            simulated-time back-off standing in for its release
-            turnstile (see :func:`make_room`).
-            """
+            # Device-capacity admission on a tiered node: the task's
+            # buffers stay pinned for the frame's lifetime so concurrent
+            # planners never evict an in-use dependency.
+            tiered = (
+                tiering is not None and node != home
+                and tiering.manages(node)
+            )
             dep_ids = sorted({d.buffer.buffer_id for d in task.deps})
-            dm.pin(dep_ids)
+            if tiered:
+                dm.pin(dep_ids)
             try:
-                backoff = 1
-                while True:
-                    try:
-                        busy = tiering.evicting(node)
-                        if any(bid in busy for bid in dep_ids):
-                            raise MemoryWait  # let our dep's eviction land
-                        _moves, allocs = dm.plan_for_task(task, node)
+                if tiered:
+                    needed: list[Buffer] = []
+
+                    def incoming():
+                        nonlocal allocs, needed
+                        allocs = dm.plan_for_task(task, node)[1]
                         needed = [
                             d.buffer for d in task.deps
                             if task.dep_type_for(d.buffer).reads
                             and not dm.is_resident(d.buffer, node)
                         ]
-                        incoming = list(allocs) + needed
-                        evictions = dm.plan_evictions(task, node, incoming)
-                        break
-                    except MemoryWait:
-                        dm.unpin(dep_ids)
-                        try:
-                            yield sim.timeout(
-                                cfg.mem_fetch_backoff * backoff
-                            )
-                            backoff = min(backoff * 2, 64)
-                        finally:
-                            dm.pin(dep_ids)
-                needed_ids = {b.buffer_id for b in needed}
-                for bid in sorted({
-                    d.buffer.buffer_id for d in task.deps
-                    if task.dep_type_for(d.buffer).reads
-                }):
-                    cluster.obs.count(
-                        "mem.miss" if bid in needed_ids else "mem.hit"
-                    )
-                for ev in evictions:
-                    yield from perform_eviction(ev)
+                        return list(allocs) + needed
+
+                    yield from make_room(task, node, incoming, dep_ids)
+                    core.count_reads(task, {b.buffer_id for b in needed})
+                else:
+                    allocs = dm.plan_for_task(task, node)[1]
                 for buf in allocs:
                     yield from guarded(node, events.alloc(
                         node, buf.buffer_id, payload=buf.data, origin=home,
                         nbytes=buf.nbytes, label=buf.name, owner=task.name,
                     ))
                     dm.commit_alloc(buf, node)
+                if node == home:
+                    # Self-dispatch (the elected head doubles as a
+                    # worker): the directory counts the host image as
+                    # home-resident, but the node's device table only
+                    # holds explicit allocations.  Materialize missing
+                    # deps by reference — a host-to-own-device copy
+                    # moves no bytes.
+                    mem = events.memories[node]
+                    for dep in task.deps:
+                        if (
+                            dm.is_resident(dep.buffer, node)
+                            and dep.buffer.buffer_id not in mem
+                        ):
+                            yield from guarded(node, events.alloc(
+                                node, dep.buffer.buffer_id,
+                                payload=dep.buffer.data, origin=home,
+                                nbytes=dep.buffer.nbytes,
+                            ))
                 for dep in task.deps:
                     if task.dep_type_for(dep.buffer).reads and (
                         not dm.is_resident(dep.buffer, node)
@@ -1419,7 +1356,8 @@ class FaultTolerantRuntime:
                 record_writes(task, node, recovery=bool(chain))
                 yield from purge_stale(dm.commit_task_done(task, node))
             finally:
-                dm.unpin(dep_ids)
+                if tiered:
+                    dm.unpin(dep_ids)
 
         # -- straggler mitigation -----------------------------------------
         def speculatable(task: Task) -> bool:
@@ -1509,8 +1447,10 @@ class FaultTolerantRuntime:
                 raise primary.value
             return
 
-        def record_writes(task: Task, node: int,
+        def record_writes(task: Task, node: int | None,
                           recovery: bool = False) -> None:
+            """Record ``task``'s writes and log its completion on
+            ``node``; ``node=None`` replays a logged completion."""
             for buf in task.writes:
                 writer_of[buf.buffer_id] = task
                 written_buffers[buf.buffer_id] = buf
@@ -1523,7 +1463,7 @@ class FaultTolerantRuntime:
                 version = write_version.get(buf.buffer_id, 0) + 1
                 write_version[buf.buffer_id] = version
                 write_log.setdefault(buf.buffer_id, []).append((version, task))
-            if not recovery:
+            if not recovery and node is not None:
                 log_append("task_done", task_id=task.task_id, node=node)
 
         def guarded(nodes, operation):
@@ -1558,29 +1498,6 @@ class FaultTolerantRuntime:
             dm.on_node_failure(node)
             result.failures.append(node)
             log_append("node_dead", node=node)
-
-        def run_task(task: Task):
-            req = slots.request()
-            try:
-                yield req
-            except Interrupt:
-                # Teardown while queued for a head thread: withdraw the
-                # request (a slot granted in the same instant is handed
-                # back) so the epoch swap cannot leak capacity.
-                if not slots.cancel(req):
-                    slots.release()
-                raise
-            analysis.task_begin(task)
-            try:
-                yield from execute_once(task)
-            finally:
-                slots.release()
-            if task.kind.is_data_movement:
-                # ENTER/EXIT completions carry no writes, so they are
-                # logged here rather than through record_writes.
-                log_append("task_done", task_id=task.task_id, node=home)
-            analysis.task_end(task)
-            complete(task)
 
         # -- checkpointing ------------------------------------------------
         def checkpointer():
@@ -1656,34 +1573,26 @@ class FaultTolerantRuntime:
             """
             nonlocal dm, tiering
             dm2 = DataManager(analysis=dm.analysis)
-            ckpt2: dict[int, tuple[int, Any]] = {}
-            done2: set[int] = set()
+            # The replay is synchronous: the head state is rebuilt in
+            # place, nothing reads it half-done.
+            for state in (checkpoints, completed, writer_of, write_version,
+                          write_log, written_buffers, recovering):
+                state.clear()
             dispatched: dict[int, int] = {}
-            writer2: dict[int, Task] = {}
-            wver2: dict[int, int] = {}
-            wlog2: dict[int, list[tuple[int, Task]]] = {}
-            wbuf2: dict[int, Buffer] = {}
             dropped: set[int] = set()
             for rec in log.records:
                 d = rec.data
                 if rec.kind == "bootstrap":
                     for bid, snap in d["snapshots"]:
-                        ckpt2[bid] = (0, snap)
+                        checkpoints[bid] = (0, snap)
                 elif rec.kind == "dispatch":
                     dispatched[d["task_id"]] = d["node"]
                 elif rec.kind == "task_done":
                     tid = d["task_id"]
-                    done2.add(tid)
+                    completed.add(tid)
                     dispatched.pop(tid, None)
                     task = graph.task(tid)
-                    for buf in task.writes:
-                        writer2[buf.buffer_id] = task
-                        wbuf2[buf.buffer_id] = buf
-                        ver = wver2.get(buf.buffer_id, 0) + 1
-                        wver2[buf.buffer_id] = ver
-                        wlog2.setdefault(buf.buffer_id, []).append(
-                            (ver, task)
-                        )
+                    record_writes(task, None)
                     if task.kind == TaskKind.TARGET:
                         dm2.commit_task_done(task, d["node"])
                 elif rec.kind == "enter_data":
@@ -1700,7 +1609,7 @@ class FaultTolerantRuntime:
                     if n != dm2.home:
                         dm2.on_node_failure(n)
                 elif rec.kind == "checkpoint":
-                    ckpt2[d["buffer_id"]] = (d["version"], d["snap"])
+                    checkpoints[d["buffer_id"]] = (d["version"], d["snap"])
             dm2.rehome(home)  # ``home`` is already the elected winner
             for n in sorted((dead | {old_head}) - dropped):
                 if n != home:
@@ -1714,7 +1623,7 @@ class FaultTolerantRuntime:
             forced_target.clear()
             dedup_tasks.clear()
             for tid in sorted(dispatched):
-                if tid in done2:
+                if tid in completed:
                     continue
                 redispatched += 1
                 node = dispatched[tid]
@@ -1740,7 +1649,7 @@ class FaultTolerantRuntime:
                         # plus write-log replay is well-defined.
                         dm2.invalidate(dep.buffer)
             # Swap the rebuilt state in.
-            dm = dm2
+            dm = core.dm = dm2
             if tiering is not None:
                 # Re-arm the tiered store on the rebuilt directory.  The
                 # new head reconstructs a conservative residency mirror
@@ -1748,25 +1657,12 @@ class FaultTolerantRuntime:
                 # still knows about is charged; replicas the log forgot
                 # are tombstones the eviction pass collects naturally.
                 configure_tiering(dm, cfg, cluster)
-                tiering = dm.tiering
+                tiering = core.tiering = dm.tiering
                 for bid in sorted(all_buffers):
                     buf = all_buffers[bid]
                     for n in sorted(dm.locations(buf)):
                         if n != HOST and n not in dead and tiering.manages(n):
                             tiering.charge(n, buf)
-            checkpoints.clear()
-            checkpoints.update(ckpt2)
-            writer_of.clear()
-            writer_of.update(writer2)
-            write_version.clear()
-            write_version.update(wver2)
-            write_log.clear()
-            write_log.update(wlog2)
-            written_buffers.clear()
-            written_buffers.update(wbuf2)
-            completed.clear()
-            completed.update(done2)
-            recovering.clear()
             return redispatched
 
         def failover():
@@ -1852,7 +1748,7 @@ class FaultTolerantRuntime:
                 return
             for t in graph.tasks():
                 if t.task_id not in completed and remaining[t.task_id] == 0:
-                    spawn(run_task(t), name=f"ft-task:{t.name}")
+                    spawn_task(t)
 
         # -- failure plumbing ---------------------------------------------
         def on_detect(dead_node: int, by: int) -> None:
@@ -1864,27 +1760,13 @@ class FaultTolerantRuntime:
         ring.on_head_detect = on_head_death
         injector = FailureInjector(events)
 
-        def main():
+        def stop_services() -> None:
             nonlocal ckpt_stop
-            try:
-                yield from main_body()
-            except BaseException:
-                # Unrecoverable abort (or a preemption interrupt from
-                # the workload manager): tear this job's machinery down
-                # so a shared simulation (multi-tenant cluster views) is
-                # not left with orphaned heartbeat/gate processes
-                # ticking forever after the error propagates out.  An
-                # abort during startup finds the event system not yet
-                # started — nothing to tear down there.
-                ckpt_stop = True
-                ring.stop()
-                events.abort()
-                raise
+            ckpt_stop = True
+            ring.stop()
 
         def main_body():
-            nonlocal ckpt_stop
-            yield sim.timeout(cfg.startup_time)
-            events.start()
+            yield from core.boot(home)
             ring.start()
             injector.arm(failures)
             if repl is not None:
@@ -1906,40 +1788,32 @@ class FaultTolerantRuntime:
             start_epoch()
             if repl is not None:
                 yield from repl.flush()
-            creation = len(remaining) * cfg.task_creation_overhead
-            if creation:
-                yield sim.timeout(creation)
-            sched_cost = (
-                graph.num_edges
-                * max(cluster.num_nodes - 1, 1)
-                * cfg.schedule_unit_cost
+            yield from core.plan_phase(
+                len(remaining), graph.num_edges, cluster.num_nodes - 1,
+                origin=home,
             )
-            if sched_cost:
-                yield sim.timeout(sched_cost)
             if pending == 0:
                 all_done.succeed()
             else:
                 for root in graph.roots():
-                    spawn(run_task(root), name=f"ft-task:{root.name}")
+                    spawn_task(root)
             while True:
                 done = all_done
                 yield AnyOf(sim, [done, events.failure_event(home)])
                 if done.triggered:
                     break
                 yield from failover()
-            ckpt_stop = True
-            ring.stop()
-            if not events.node_failed(home):
-                yield from events.shutdown(origin=home)
-            yield sim.timeout(cfg.shutdown_time)
+            stop_services()
+            yield from core.teardown(home)
 
-        main_proc = sim.process(main(), name="ompc-ft-main")
+        main_proc = sim.process(
+            core.drive(main_body(), on_abort=stop_services),
+            name="ompc-ft-main",
+        )
 
         def finish() -> FTRunResult:
-            result.makespan = sim.now - t0
             result.detections = list(ring.detections)
             result.task_attempts = dict(attempts)
-            result.counters = cluster.obs.snapshot()
             result.suspicions_cleared = ring.suspicions_cleared
             result.false_positive_detections = ring.false_positives
             declared = {d for d, _by, _t in ring.detections}
@@ -1956,20 +1830,10 @@ class FaultTolerantRuntime:
                 result.replication_bytes = repl.stats["bytes_sent"]
                 result.log_flushes = repl.stats["flushes"]
                 result.replication = dict(repl.stats)
+            core.finish(failed=dead)
             if active is not None:
                 result.counters["faults.dropped_messages"] = (
                     active.dropped_messages
-                )
-            if cluster.obs.enabled:
-                # Fold the transport tallies into the observer so one
-                # object carries the whole run's metrics.
-                for stat, value in mpi.stats.items():
-                    cluster.obs.count(f"mpi.transport.{stat}", value)
-                result.obs = cluster.obs
-            if analysis.enabled:
-                result.analysis = analysis.finalize(
-                    [mpi], failed=events.failed_nodes | set(dead),
-                    obs=cluster.obs,
                 )
             return result
 

@@ -48,6 +48,7 @@ import itertools
 from typing import Any, Callable
 
 from repro.cluster.machine import Cluster
+from repro.core.config import OMPCConfig
 from repro.core.events import EventSystem
 from repro.mpi.comm import MpiWorld
 from repro.sim.primitives import AnyOf
@@ -158,6 +159,21 @@ class GossipMembership:
 
         self.wheel = _TimerWheel(self.sim)
         self._after = self.wheel.after
+
+    @classmethod
+    def from_config(cls, cluster: Cluster, mpi: MpiWorld,
+                    events: EventSystem,
+                    cfg: OMPCConfig) -> "GossipMembership":
+        """The membership an :class:`~repro.core.config.OMPCConfig`
+        with ``gossip=True`` asks for."""
+        return cls(
+            cluster, mpi, events,
+            interval=cfg.gossip_interval,
+            ping_timeout=cfg.heartbeat_ping_timeout,
+            fanout=cfg.gossip_fanout,
+            piggyback=cfg.gossip_piggyback,
+            seed=cfg.gossip_seed,
+        )
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:

@@ -22,10 +22,12 @@ always blocked, waiting for a target region to complete, even when it
 is marked as nowait"), which is what bends the weak-scaling curves at
 32–64 nodes.
 
-Steps 4–5 (the data plane and the per-task frame) and the run's set-up
-and teardown live in :class:`HeadCore`, which the sharded control plane
-(:mod:`repro.core.shard.plane`) drives as well; :class:`OMPCRuntime`
-keeps the single head's control loop around it.
+The run's set-up, its phases (steps 1–3 and 6), the per-task frame and
+the data plane of steps 4–5, and the result live in :class:`HeadCore`.
+Three drivers keep their own control loop around it:
+:class:`OMPCRuntime` (one head), the sharded control plane
+(:mod:`repro.core.shard.plane`) and the fault-tolerant runtime
+(:mod:`repro.core.faults`).
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ from repro.core.events import EventSystem
 from repro.core.memory import DeviceMemoryError
 from repro.core.tiering import MemoryWait, make_policy
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
-from repro.mpi.comm import MpiWorld
+from repro.mpi.comm import MpiWorld, TransportConfig
 from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
 from repro.omp.task import Task, TaskKind
+from repro.sim.errors import Interrupt
 from repro.sim.primitives import AllOf, AnyOf
 from repro.sim.resources import Resource
 
@@ -54,10 +57,10 @@ class OMPCRunResult:
     """Everything measured during one OMPC execution."""
 
     makespan: float
-    startup_time: float
-    scheduling_time: float
-    shutdown_time: float
     schedule: Schedule
+    startup_time: float = 0.0
+    scheduling_time: float = 0.0
+    shutdown_time: float = 0.0
     #: task_id -> (dispatch, finish) simulated interval
     task_intervals: dict[int, tuple[float, float]] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
@@ -138,22 +141,27 @@ def fetch_gate(cluster, cfg: OMPCConfig, buffer, dst: int):
 
 
 class HeadCore:
-    """The head's per-launch machinery, shared by both control planes.
+    """The head's per-launch machinery, shared by all three drivers.
 
     One instance serves one execution: set-up (observer and analysis
-    install, MPI world, event system, data manager, tiering), the data
-    plane (moves, deletes, evictions, broadcast), the task frame that
-    runs one task on a head-thread slot, and the run's result.
+    install, MPI world, event system, data manager, tiering), the run's
+    phases (:meth:`boot`, :meth:`plan_phase`, :meth:`teardown`), the
+    data plane (moves, deletes, evictions, broadcast), the task frame
+    that runs one task on a head-thread slot, and the run's result.
     The driver keeps the control loop around it: the plain runtime
     (:class:`OMPCRuntime`) one head with one slot pool; the sharded
     plane (:mod:`repro.core.shard.plane`) one slot pool per shard
-    manager.  Every event-system call takes the frame's ``origin``:
-    0 for the plain head, the shard's manager node for a shard.
+    manager; the fault-tolerant runtime (:mod:`repro.core.faults`) one
+    slot pool, a head that may move on failover, and its own task body
+    and data plane.  Every event-system call takes the frame's
+    ``origin``: the head's node for a single head, the shard's manager
+    node for a shard.
     """
 
     def __init__(self, cluster_spec: ClusterSpec, cfg: OMPCConfig,
                  program: OmpProgram, cluster=None,
-                 result_type: type = OMPCRunResult):
+                 result_type: type = OMPCRunResult,
+                 transport: TransportConfig | None = None):
         program.validate()
         if cluster is None:
             cluster = Cluster(cluster_spec)
@@ -177,7 +185,7 @@ class HeadCore:
             # construction, which capture ``cluster.analysis``.
             cluster.install_analysis(Analysis())
         self.analysis = analysis = cluster.analysis
-        self.mpi = MpiWorld(cluster)
+        self.mpi = MpiWorld(cluster, transport=transport)
         self.events = EventSystem(cluster, self.mpi, cfg)
         self.dm = DataManager(analysis=analysis if analysis.enabled else None)
         analysis.program_begin(program)
@@ -201,13 +209,7 @@ class HeadCore:
         self.schedule = Schedule({})
         #: Read-only enter-data buffer id -> consumer nodes (§7).
         self._broadcast_targets: dict[int, tuple[int, ...]] = {}
-        self.result = result_type(
-            makespan=0.0,
-            startup_time=0.0,
-            scheduling_time=0.0,
-            shutdown_time=0.0,
-            schedule=self.schedule,
-        )
+        self.result = result_type(makespan=0.0, schedule=self.schedule)
         self._net_bytes0 = cluster.network.total_bytes
         self._net_msgs0 = cluster.network.total_messages
 
@@ -237,8 +239,65 @@ class HeadCore:
             if len(nodes) > 1:
                 self._broadcast_targets[bid] = tuple(nodes)
 
-    def finish(self):
-        """Fill in and return the run's result (call once, at the end)."""
+    # -- the run's phases ---------------------------------------------------
+    def boot(self, origin: int = 0):
+        """Generator: startup, from process start to gate-thread creation
+        (Fig. 7a)."""
+        obs = self.obs
+        span = obs.begin("sched", "startup", origin)
+        yield self.sim.timeout(self.cfg.startup_time)
+        self.events.start()
+        obs.end(span)
+
+    def plan_phase(self, tasks: int, edges: int, workers: int,
+                   origin: int = 0):
+        """Generator: the control thread creates ``tasks`` tasks (workers
+        stay idle), then HEFT schedules ``edges`` edges over ``workers``
+        workers at the implicit barrier (cost ``O(e × p)``).  Returns the
+        scheduling time."""
+        obs, sim, cfg = self.obs, self.sim, self.cfg
+        creation = tasks * cfg.task_creation_overhead
+        if creation:
+            span = obs.begin("sched", "task-creation", origin, tasks=tasks)
+            yield sim.timeout(creation)
+            obs.end(span)
+        span = obs.begin("sched", "heft", origin, edges=edges)
+        cost = edges * max(workers, 1) * cfg.schedule_unit_cost
+        if cost:
+            yield sim.timeout(cost)
+        obs.end(span)
+        return cost + 0.0
+
+    def drive(self, body, on_abort=None):
+        """Generator: the driver's main ``body``.  On an unrecoverable
+        error (or a workload manager's preemption interrupt) stop the
+        driver's own services (``on_abort()``) and tear the event system
+        down, so a shared simulation is not left with orphaned processes
+        ticking after the error propagates out."""
+        try:
+            yield from body
+        except BaseException:
+            if on_abort is not None:
+                on_abort()
+            self.events.abort()
+            raise
+
+    def teardown(self, origin: int = 0):
+        """Generator: shutdown, from gate-thread destruction to process
+        end.  A head that died has no gates left to stop."""
+        obs = self.obs
+        span = obs.begin("sched", "shutdown", origin)
+        if not self.events.node_failed(origin):
+            yield from self.events.shutdown(origin=origin)
+        yield self.sim.timeout(self.cfg.shutdown_time)
+        obs.end(span)
+
+    def finish(self, failed=frozenset()):
+        """Fill in and return the run's result (call once, at the end).
+
+        ``failed`` adds nodes the driver declared dead to the crashed
+        ones the analysis leaves out.
+        """
         result, obs, network = self.result, self.obs, self.cluster.network
         result.makespan = self.sim.now - self.t0
         result.counters = obs.snapshot()
@@ -252,7 +311,7 @@ class HeadCore:
             result.obs = obs
         if self.analysis.enabled:
             result.analysis = self.analysis.finalize(
-                [self.mpi], failed=self.events.failed_nodes, obs=obs
+                [self.mpi], failed=self.events.failed_nodes | failed, obs=obs
             )
         return result
 
@@ -404,20 +463,32 @@ class HeadCore:
 
     # -- the task frame ----------------------------------------------------
     def run_task(self, task: Task, slots: Resource, complete,
-                 origin: int = 0, dispatch=None, dedup: bool = False):
+                 origin: int = 0, dispatch=None, dedup: bool = False,
+                 body=None):
         """Generator: run ``task`` on one head-thread slot of ``slots``.
 
         §7: one head-node OpenMP thread blocks per in-flight task.
         ``dispatch(task)``, if given, is a generator run once the slot
         is held (a shard logs the dispatch there); ``dedup`` marks a
-        re-dispatch after a failover; ``complete(task)`` runs last.
+        re-dispatch after a failover; ``body(task)`` is the generator
+        that runs the task (by default the data plane below, by task
+        kind); ``complete(task)`` runs last.  A frame interrupted while
+        queued withdraws its request, so a failover's teardown cannot
+        leak a slot.
         """
         obs, sim, analysis = self.obs, self.sim, self.analysis
         enabled = obs.enabled
         wait_span = obs.begin(
             "task", f"{task.name}:wait-slot", origin, task_id=task.task_id
         ) if enabled else None
-        yield slots.request()
+        req = slots.request()
+        try:
+            yield req
+        except Interrupt:
+            # A slot granted in the same instant is handed back.
+            if not slots.cancel(req):
+                slots.release()
+            raise
         if enabled:
             obs.end(wait_span)
             obs.gauge_add("head.inflight", 1)
@@ -426,15 +497,10 @@ class HeadCore:
             yield from dispatch(task)
         start = sim.now
         try:
-            node = self.schedule.node_of(task)
-            if task.kind == TaskKind.CLASSICAL:
-                yield from self._run_classical(task)
-            elif task.kind == TaskKind.TARGET_ENTER_DATA:
-                yield from self._run_enter_data(task, node, origin)
-            elif task.kind == TaskKind.TARGET_EXIT_DATA:
-                yield from self._run_exit_data(task, origin)
+            if body is None:
+                yield from self._run_by_kind(task, origin, dedup)
             else:
-                yield from self._run_target(task, node, origin, dedup)
+                yield from body(task)
         finally:
             slots.release()
             if enabled:
@@ -443,11 +509,28 @@ class HeadCore:
         analysis.task_end(task)
         complete(task)
 
-    def _run_classical(self, task: Task):
-        # Classical tasks run on the head node against host memory.
+    def _run_by_kind(self, task: Task, origin: int, dedup: bool):
+        node = self.schedule.node_of(task)
+        if task.kind == TaskKind.CLASSICAL:
+            yield from self._run_classical(task, self.cluster.head)
+        elif task.kind == TaskKind.TARGET_ENTER_DATA:
+            yield from self._run_enter_data(task, node, origin)
+        elif task.kind == TaskKind.TARGET_EXIT_DATA:
+            yield from self._run_exit_data(task, origin)
+        else:
+            yield from self._run_target(task, node, origin, dedup)
+
+    def _run_classical(self, task: Task, head):
+        """Generator: run a classical task on the ``head`` node's CPU
+        against host memory."""
         self.analysis.on_host_task(task, self.dm)
-        head = self.cluster.head
-        yield head.cpu.request()
+        req = head.cpu.request()
+        try:
+            yield req
+        except Interrupt:
+            if not head.cpu.cancel(req):
+                head.cpu.release()
+            raise
         try:
             if task.cost:
                 yield self.sim.timeout(head.compute_time(task.cost))
@@ -646,23 +729,25 @@ class HeadCore:
                         yield from self._await_evictions(dep_ids)
                     finally:
                         dm.pin(dep_ids)
-            # Read-through accounting: a read dependence served locally
-            # is a hit, one that needs a transfer (cold or previously
-            # evicted) is a miss.
-            moved = {m.buffer.buffer_id for m in moves}
-            counted: set[int] = set()
-            for dep in task.deps:
-                bid = dep.buffer.buffer_id
-                if bid in counted or not task.dep_type_for(dep.buffer).reads:
-                    continue
-                counted.add(bid)
-                self.obs.count("mem.miss" if bid in moved else "mem.hit")
+            self.count_reads(task, {m.buffer.buffer_id for m in moves})
             yield from self._perform_evictions(node, evictions, origin)
             yield from self._run_target_body(task, node, moves, allocs,
                                              origin, dedup)
         finally:
             dm.unpin(dep_ids)
             self._mem_wake()
+
+    def count_reads(self, task: Task, fetched) -> None:
+        """Read-through accounting: each buffer ``task`` reads is a hit
+        when served locally, a miss when in ``fetched`` (ids that need a
+        transfer: cold or previously evicted)."""
+        counted: set[int] = set()
+        for dep in task.deps:
+            bid = dep.buffer.buffer_id
+            if bid in counted or not task.dep_type_for(dep.buffer).reads:
+                continue
+            counted.add(bid)
+            self.obs.count("mem.miss" if bid in fetched else "mem.hit")
 
     def _run_target_body(self, task: Task, node: int, moves, allocs,
                          origin: int, dedup: bool):
@@ -772,7 +857,7 @@ class OMPCRuntime:
         cfg = self.config
         core = HeadCore(self.cluster_spec, cfg, program, cluster)
         cluster = self.last_cluster = core.cluster
-        sim, obs, events, result = core.sim, core.obs, core.events, core.result
+        sim, result = core.sim, core.result
         graph = program.graph
 
         remaining = {t.task_id: graph.in_degree(t) for t in graph.tasks()}
@@ -795,41 +880,15 @@ class OMPCRuntime:
                 all_done.succeed()
 
         # -- main process on the head node ------------------------------------
-        def main():
-            try:
-                yield from main_body()
-            except BaseException:
-                events.abort()
-                raise
-
         def main_body():
             # 1. startup: process start -> gate-thread creation (Fig. 7a).
-            obs_span = obs.begin("sched", "startup", 0)
-            yield sim.timeout(cfg.startup_time)
-            events.start()
-            obs.end(obs_span)
+            yield from core.boot()
             result.startup_time = cfg.startup_time
 
-            # 2. control thread creates all tasks (workers stay idle).
-            creation = len(remaining) * cfg.task_creation_overhead
-            if creation:
-                obs_span = obs.begin(
-                    "sched", "task-creation", 0, tasks=len(remaining)
-                )
-                yield sim.timeout(creation)
-                obs.end(obs_span)
-
-            # 3. implicit barrier: schedule the entire graph with HEFT.
-            obs_span = obs.begin("sched", "heft", 0, edges=graph.num_edges)
-            sched_cost = (
-                graph.num_edges
-                * max(cluster.num_nodes - 1, 1)
-                * cfg.schedule_unit_cost
+            # 2./3. create every task, then schedule the graph with HEFT.
+            result.scheduling_time = yield from core.plan_phase(
+                len(remaining), graph.num_edges, cluster.num_nodes - 1
             )
-            if sched_cost:
-                yield sim.timeout(sched_cost)
-            obs.end(obs_span)
-            result.scheduling_time = sched_cost + 0.0
 
             # 4./5. dispatch and drain the graph.
             if pending == 0:
@@ -840,14 +899,12 @@ class OMPCRuntime:
             yield all_done
 
             # 6. shutdown: gate-thread destruction -> process end.
-            obs_span = obs.begin("sched", "shutdown", 0)
-            yield from events.shutdown()
-            yield sim.timeout(cfg.shutdown_time)
-            obs.end(obs_span)
+            yield from core.teardown()
             result.shutdown_time = cfg.shutdown_time
 
-        # Scheduling happens inside main() in simulated time, but the
+        # Scheduling happens inside main_body() in simulated time, but the
         # assignment itself is computed eagerly here (it is deterministic
         # and independent of the clock).
         core.set_schedule(graph, self.scheduler.schedule(graph, cluster))
-        return sim.process(main(), name="ompc-main"), core.finish
+        return (sim.process(core.drive(main_body()), name="ompc-main"),
+                core.finish)

@@ -263,16 +263,10 @@ class ShardedRuntime:
                 name=f"shard{shard.sid}-threads",
             )
 
-        membership = None
-        if cfg.gossip:
-            membership = GossipMembership(
-                cluster, mpi, events,
-                interval=cfg.gossip_interval,
-                ping_timeout=cfg.heartbeat_ping_timeout,
-                fanout=cfg.gossip_fanout,
-                piggyback=cfg.gossip_piggyback,
-                seed=cfg.gossip_seed,
-            )
+        membership = (
+            GossipMembership.from_config(cluster, mpi, events, cfg)
+            if cfg.gossip else None
+        )
 
         if cfg.head_standbys > 0:
             for shard in shards:
@@ -554,16 +548,10 @@ class ShardedRuntime:
         def manager_body(shard: _Shard):
             yield plane_up
             own = directory.tasks_of(shard.sid)
-            creation = len(own) * cfg.task_creation_overhead
-            if creation:
-                yield sim.timeout(creation)
-            sched_cost = (
-                shard.sub_edges
-                * max(len(shard.nodes), 1)
-                * cfg.schedule_unit_cost
+            sched_cost = yield from core.plan_phase(
+                len(own), shard.sub_edges, len(shard.nodes),
+                origin=shard.manager,
             )
-            if sched_cost:
-                yield sim.timeout(sched_cost)
             result.scheduling_time = max(result.scheduling_time,
                                          sched_cost)
             if shard.log is not None:
@@ -576,17 +564,8 @@ class ShardedRuntime:
                 if remaining[task.task_id] == 0:
                     spawn_task(task)
 
-        def main():
-            try:
-                yield from main_body()
-            except BaseException:
-                events.abort()
-                raise
-
         def main_body():
-            obs_span = obs.begin("sched", "startup", 0)
-            yield sim.timeout(cfg.startup_time)
-            events.start()
+            yield from core.boot()
             if membership is not None:
                 membership.on_detect = on_death
                 membership.on_head_detect = on_death
@@ -598,7 +577,6 @@ class ShardedRuntime:
                 start_services(shard)
             for at, node in self.inject_failures:
                 sim.process(injector(at, node), name=f"kill@{node}")
-            obs.end(obs_span)
             result.startup_time = cfg.startup_time
             plane_up.succeed()
             if pending == 0 and not all_done.triggered:
@@ -606,16 +584,13 @@ class ShardedRuntime:
             yield all_done
             if membership is not None:
                 membership.stop()
-            obs_span = obs.begin("sched", "shutdown", 0)
-            yield from events.shutdown()
-            yield sim.timeout(cfg.shutdown_time)
-            obs.end(obs_span)
+            yield from core.teardown()
             result.shutdown_time = cfg.shutdown_time
 
         for shard in shards:
             sim.process(manager_body(shard),
                         name=f"shard{shard.sid}-manager")
-        main_proc = sim.process(main(), name="shard-main")
+        main_proc = sim.process(core.drive(main_body()), name="shard-main")
 
         def finish() -> ShardRunResult:
             result.shard_stats = {s.sid: s.stats for s in shards}

@@ -436,6 +436,42 @@ class TestFaultTolerantRuntime:
             ])
 
 
+class TestHeadCoreDriver:
+    """FT runs on the plain runtime's head core: its phases, task frame
+    and result, and the configs its own data plane would ignore."""
+
+    def test_traced_run_has_phase_spans_and_one_frame_per_task(self):
+        prog, _, _ = shots_program()
+        res = FaultTolerantRuntime(
+            ClusterSpec(num_nodes=5), OMPCConfig(trace=True)
+        ).run(prog, failures=[NodeFailure(time=0.03, node=1)])
+        for phase in ("startup", "task-creation", "heft", "shutdown"):
+            assert len(list(res.obs.find("sched", phase))) == 1, phase
+        waits = [s.name for s in res.obs.find("task")
+                 if s.name.endswith(":wait-slot")]
+        assert sorted(waits) == sorted(
+            f"{t.name}:wait-slot" for t in prog.graph.tasks()
+        )
+
+    def test_result_has_intervals_and_network_totals(self):
+        prog, _, _ = shots_program()
+        res = FaultTolerantRuntime(ClusterSpec(num_nodes=5), FAST).run(prog)
+        assert len(res.task_intervals) == len(list(prog.graph.tasks()))
+        assert res.network_bytes > 0
+        assert res.network_messages > 0
+        assert not hasattr(res, "scheduling_time")
+
+    def test_broadcast_events_rejected(self):
+        with pytest.raises(ValueError, match="broadcast_events"):
+            FaultTolerantRuntime(ClusterSpec(num_nodes=4),
+                                 OMPCConfig(broadcast_events=True))
+
+    def test_staging_through_head_rejected(self):
+        with pytest.raises(ValueError, match="forwarding_enabled"):
+            FaultTolerantRuntime(ClusterSpec(num_nodes=4),
+                                 OMPCConfig(forwarding_enabled=False))
+
+
 class TestHeartbeatLossHardening:
     def make_lossy_ring(self, plan, n=4, **kwargs):
         cluster = Cluster(ClusterSpec(num_nodes=n))

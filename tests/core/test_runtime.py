@@ -6,9 +6,12 @@ import pytest
 from repro.cluster import ClusterSpec, NetworkSpec, NodeSpec
 from repro.core import OMPCConfig, OMPCRuntime
 from repro.core.datamanager import HOST
+from repro.core.runtime import HeadCore
 from repro.core.scheduler import RoundRobinScheduler
 from repro.omp import OmpProgram
 from repro.omp.task import depend_in, depend_inout, depend_out
+from repro.sim.errors import Interrupt
+from repro.sim.resources import Resource
 
 FAST_CFG = OMPCConfig(
     startup_time=0.0,
@@ -192,6 +195,48 @@ class TestInFlightLimit:
         prog = self.make_wide(8)
         res = OMPCRuntime(ClusterSpec(num_nodes=9), cfg).run(prog)
         assert res.makespan == pytest.approx(1.0, rel=0.05)
+
+
+class TestHeadCoreFrame:
+    def test_interrupted_queued_frame_withdraws_its_request(self):
+        # One slot, three frames: a holds it, b and c queue behind it.
+        # b is interrupted while queued, so a's release must grant the
+        # slot to c, not to b's abandoned request.
+        prog = OmpProgram()
+        for name in ("a", "b", "c"):
+            prog.task(name=name)
+        core = HeadCore(ClusterSpec(num_nodes=3), FAST_CFG, prog)
+        sim = core.sim
+        slots = Resource(sim, capacity=1)
+        done = []
+
+        def hold(task):
+            yield sim.timeout(1.0)
+
+        def shielded(frame):
+            try:
+                yield from frame
+            except Interrupt:
+                done.append("interrupted")
+
+        a, b, c = prog.graph.tasks()
+        procs = [
+            sim.process(shielded(core.run_task(
+                t, slots, lambda t: done.append(t.name), body=hold)))
+            for t in (a, b, c)
+        ]
+
+        def interrupt_b():
+            yield sim.timeout(0.5)
+            procs[1].interrupt("teardown")
+
+        sim.process(interrupt_b())
+        sim.run()
+        assert done == ["interrupted", "a", "c"]
+        assert core.result.task_intervals == {
+            a.task_id: (0.0, 1.0), c.task_id: (1.0, 2.0),
+        }
+        assert slots.in_use == 0 and slots.queue_length == 0
 
 
 class TestClassicalTasks:
