@@ -29,11 +29,10 @@ from repro.core.faults import (
     FailureInjector,
     FaultTolerantRuntime,
     FTRunResult,
-    HeartbeatRing,
     NodeFailure,
     RecoveryError,
 )
-from repro.core.gossip import GossipMembership
+from repro.core.gossip import FailureDetector
 from repro.core.headlog import HeadLog, LogRecord, Replicator
 from repro.core.memory import DeviceMemory, DeviceMemoryError
 from repro.core.runtime import OMPCRunResult, OMPCRuntime
@@ -58,12 +57,11 @@ __all__ = [
     "DeviceMemoryError",
     "FTRunResult",
     "FailoverEvent",
+    "FailureDetector",
     "FailureInjector",
     "FaultPlan",
     "FaultTolerantRuntime",
-    "GossipMembership",
     "HeadLog",
-    "HeartbeatRing",
     "HeftScheduler",
     "LogRecord",
     "LinkDegradation",

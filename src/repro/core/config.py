@@ -37,6 +37,15 @@ class OMPCConfig:
     broadcast_events
         Enable the §7 one-to-many broadcast-event extension (ablation E).
 
+    Failure detection
+    -----------------
+    gossip / gossip_interval
+        Which configuration the one failure detector
+        (:class:`~repro.core.gossip.FailureDetector`) runs: the §3.1
+        heartbeat ring (the default), or SWIM gossip with one probe per
+        node every ``gossip_interval``.  Its windows, timeouts, fan-out
+        and seed are constants of :mod:`repro.core.gossip`.
+
     Calibrated overheads (Fig. 7a)
     -------------------------------
     startup_time
@@ -123,12 +132,6 @@ class OMPCConfig:
     #: 0 disables speculation.  Only tasks whose writes are all pure
     #: ``out`` dependences are eligible (double execution is idempotent).
     straggler_factor: float = 0.0
-    #: Consecutive missed heartbeat windows before a node is *suspected*
-    #: (not yet declared dead) — the K of the suspect→confirm protocol.
-    heartbeat_suspect_windows: int = 2
-    #: How long the head waits for a ping reply before confirming a
-    #: suspect dead.
-    heartbeat_ping_timeout: float = 1.0 * MILLISECOND
 
     # -- sharded control plane (repro.core.shard extension) -----------------
     #: Number of head shards the control plane is partitioned across.
@@ -147,20 +150,14 @@ class OMPCConfig:
     #: :class:`~repro.core.shard.ShardDirectory` also accepts a custom
     #: policy object directly.
     shard_policy: str = "hash"
-    #: SWIM-style gossip membership (repro.core.gossip) instead of the
-    #: O(N)-fan-in heartbeat ring.  Off by default (digest identity);
-    #: sharded runs with failures require it — the ring's confirm
-    #: machinery assumes a single head.
+    #: Run the failure detector (repro.core.gossip) in its SWIM gossip
+    #: configuration instead of the §3.1 heartbeat ring.  Off by
+    #: default; sharded runs with failures require it — the ring's
+    #: confirm step assumes a single head.  The detector's other
+    #: parameters are constants of repro.core.gossip.
     gossip: bool = False
     #: Gossip protocol period (one probe per node per period).
     gossip_interval: float = 1.0 * MILLISECOND
-    #: Indirect probers asked to verify an unresponsive probe target
-    #: before it is suspected (the SWIM k).
-    gossip_fanout: int = 3
-    #: Maximum membership updates piggybacked on one probe/ack.
-    gossip_piggyback: int = 8
-    #: Root seed of the per-node probe-order streams.
-    gossip_seed: int = 0
 
     # -- head failover (repro.core.headlog extension) -----------------------
     #: Standby workers replicating the head's commit log (nodes
@@ -218,20 +215,12 @@ class OMPCConfig:
             raise ValueError("checkpoint_interval must be >= 0 (0 = off)")
         if self.straggler_factor < 0:
             raise ValueError("straggler_factor must be >= 0 (0 = off)")
-        if self.heartbeat_suspect_windows < 1:
-            raise ValueError("heartbeat_suspect_windows must be >= 1")
-        if self.heartbeat_ping_timeout <= 0:
-            raise ValueError("heartbeat_ping_timeout must be > 0")
         if self.head_shards < 1:
             raise ValueError("head_shards must be >= 1")
         if self.shard_policy not in ("hash", "block"):
             raise ValueError("shard_policy must be 'hash' or 'block'")
         if self.gossip_interval <= 0:
             raise ValueError("gossip_interval must be > 0")
-        if self.gossip_fanout < 0:
-            raise ValueError("gossip_fanout must be >= 0")
-        if self.gossip_piggyback < 1:
-            raise ValueError("gossip_piggyback must be >= 1")
         if self.head_standbys < 0:
             raise ValueError("head_standbys must be >= 0 (0 = off)")
         if self.replication_max_lag < 1:

@@ -1,4 +1,4 @@
-"""Fault tolerance: heartbeat ring, failure injection, task restart.
+"""Fault tolerance: failure detection, failure injection, task restart.
 
 §3.1: "each node in OMPC (head node and worker nodes) has a heart-beat
 mechanism, connected in a ring topology, which allows nodes to monitor
@@ -8,14 +8,13 @@ and will be released in a future version."
 
 This module implements that future version on the simulated cluster:
 
-* :class:`HeartbeatRing` — every node periodically sends a heartbeat to
-  its ring successor and monitors its predecessor.  Because the fabric
-  may drop or delay messages (see :mod:`repro.core.faultmodel`), a
-  missed deadline no longer proves death: the monitor *suspects* a
-  predecessor only after ``suspect_windows`` consecutive missed
-  windows, reports the suspect to the head node, and the head confirms
-  with a direct ping before declaring the node dead.  False positives
-  (alive nodes declared dead) and cleared suspicions are counted.
+* failure detection is :class:`~repro.core.gossip.FailureDetector`:
+  the §3.1 heartbeat ring, or SWIM gossip with ``OMPCConfig.gossip``.
+  Because the fabric may drop or delay messages (see
+  :mod:`repro.core.faultmodel`), a missed beat no longer proves death:
+  a node is only *suspected*, and the head confirms with a direct ping
+  before declaring it dead.  False positives (alive nodes declared
+  dead) and cleared suspicions are counted.
 * :class:`FailureInjector` — crashes chosen worker nodes at chosen
   simulated times (kills their event machinery and wipes their device
   memory).
@@ -34,15 +33,15 @@ This module implements that future version on the simulated cluster:
 **The head node may fail too.**  With ``OMPCConfig.head_standbys > 0``
 the head streams its commit log (task completions, directory updates,
 checkpoint snapshots, dispatch intents) to standby workers through
-:mod:`repro.core.headlog`.  When the ring confirms the head dead — a
-quorum of its two ring neighbors, never a self-confirmation through
-the dead head itself — the reporter coordinates an election among the
-standbys, the most-caught-up replica wins deterministically, and the
-new head rebuilds the data-manager directory, completed-task set, and
+:mod:`repro.core.headlog`.  When the detector confirms the head dead —
+by a quorum of two nodes, never a self-confirmation through the dead
+head itself — the reporter coordinates an election among the standbys,
+the most-caught-up replica wins deterministically, and the new head
+rebuilds the data-manager directory, completed-task set, and
 checkpoint store by replaying its replica.  Unacknowledged dispatches
 are re-issued idempotently (workers dedup by task id and fence
-old-epoch zombies), the checkpointer and heartbeat ring re-root at the
-new head, and the program finishes bit-identical to a fault-free run.
+old-epoch zombies), the checkpointer and failure detector re-root at
+the new head, and the program finishes bit-identical to a fault-free run.
 A head crash with no live standby raises :class:`RecoveryError`
 instead of hanging.
 
@@ -69,29 +68,18 @@ from repro.core.config import OMPCConfig
 from repro.core.datamanager import HOST, DataManager, Move
 from repro.core.events import EventSystem
 from repro.core.faultmodel import FaultPlan
-from repro.core.gossip import GossipMembership
+from repro.core.gossip import FailureDetector
 from repro.core.headlog import HeadLog, Replicator
 from repro.core.runtime import HeadCore, configure_tiering, fetch_gate
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
 from repro.core.tiering import MemoryWait
-from repro.mpi.comm import MpiWorld, TransportConfig
+from repro.mpi.comm import TransportConfig
 from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
 from repro.omp.task import Buffer, Task, TaskKind
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.primitives import AnyOf
 from repro.sim.resources import Resource
-from repro.util.units import MILLISECOND
-
-#: Ring-communicator tags: heartbeats, suspect reports to the head.
-HB_TAG = 1
-SUSPECT_TAG = 2
-#: Ping-communicator tags: pings carry the tag their pong must use;
-#: VERIFY asks a third node to ping a suspect (head-death quorum).
-PING_TAG = 1
-VERIFY_TAG = 2
-_PONG_TAG_BASE = 16
-
 
 class RecoveryError(SimulationError):
     """A lost buffer cannot be reconstructed from surviving data."""
@@ -160,447 +148,6 @@ class FailureInjector:
             sim.process(crash(), name=f"failure@{failure.node}")
 
 
-class _TimerWheel:
-    """Interns same-instant timeout events (batched heartbeat timers).
-
-    Every ring sender sleeps ``interval`` from the same instant, and
-    co-started monitors arm identical deadlines: private timeouts
-    schedule one timer event *per process per tick*, so an n-node ring
-    pays O(n) timer events every heartbeat window — the dominant event
-    source in long steady-state runs.  The wheel keys timers by their
-    absolute firing time and hands every waiter of one instant the
-    *same* event, collapsing that to O(1) timer events per tick.
-
-    Timing is preserved exactly: ``after(d)`` fires at ``now + d``,
-    the same instant a private ``sim.timeout(d)`` would fire (the key
-    *is* the firing time, so sharing never changes when anyone wakes).
-    What changes is the event *stream* — fewer timer events, and
-    co-scheduled waiters wake through one shared event rather than n
-    consecutive private ones — so the wheel is not part of the
-    digest-checked fast path; it is asserted by FT *result* equality
-    against private timers instead (see ``tests/core/test_timerwheel.py``).
-    """
-
-    __slots__ = ("sim", "_slots", "created", "interned")
-
-    def __init__(self, sim):
-        self.sim = sim
-        #: Absolute fire time → the shared pending timer for that instant.
-        self._slots: dict[float, Any] = {}
-        #: Diagnostics: timers actually scheduled vs. waits absorbed by
-        #: an existing timer (the tests assert interning happens).
-        self.created = 0
-        self.interned = 0
-
-    def after(self, delay: float):
-        """An event firing ``delay`` seconds from now, shared with every
-        other waiter whose wait ends at the same instant."""
-        when = self.sim.now + delay
-        ev = self._slots.get(when)
-        if ev is not None and not ev._processed:
-            self.interned += 1
-            return ev
-        if len(self._slots) >= 64:
-            # Drop fired instants so the table tracks live timers only.
-            self._slots = {
-                t: e for t, e in self._slots.items() if not e._processed
-            }
-        ev = self.sim.timeout(delay)
-        self._slots[when] = ev
-        self.created += 1
-        return ev
-
-
-class HeartbeatRing:
-    """Ring-topology liveness monitoring (§3.1), loss-hardened.
-
-    Node ``i`` heartbeats to ``(i+1) % n`` every ``interval``; the
-    monitor on the successor counts consecutive ``timeout`` windows
-    without a beat.  After ``suspect_windows`` misses the monitor
-    reports the suspect to the head node, which pings the suspect
-    directly and declares it dead only if no pong arrives within
-    ``ping_timeout`` — so a node behind a lossy or degraded link is
-    cleared rather than killed.  After a detection the monitor re-wires
-    to the next living predecessor so later failures are still caught.
-
-    **Suspecting the head itself** cannot route through the head: the
-    confirm step would be a self-confirmation loop through the very
-    node under suspicion.  Instead the suspecting monitor (the head's
-    ring successor) pings the head directly and, if it stays silent,
-    asks the head's *other* live ring neighbor for a second opinion
-    (:data:`VERIFY_TAG`).  Only when both neighbors fail to reach the
-    head — a quorum of its ring neighborhood — is the head declared
-    dead, firing :attr:`on_head_detect` so the runtime can elect a
-    standby and :meth:`rebase` the ring's confirm machinery there.
-
-    Heartbeats and suspect reports travel as datagrams (the ring
-    communicator opts out of reliable transport — retransmitting a
-    heartbeat would defeat its purpose); pings use a separate
-    communicator that inherits the world's transport.
-
-    Health counters (missed windows, suspect reports, cleared
-    suspicions, false positives, detections) are mirrored to the
-    cluster's :mod:`repro.obs` observer under ``hb.*``, so they land in
-    the run's ``result.counters``.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        mpi: MpiWorld,
-        events: EventSystem,
-        interval: float = 1.0 * MILLISECOND,
-        timeout: float = 3.5 * MILLISECOND,
-        heartbeat_bytes: float = 16.0,
-        suspect_windows: int = 2,
-        ping_timeout: float = 1.0 * MILLISECOND,
-    ):
-        if interval <= 0 or timeout <= interval:
-            raise ValueError("need 0 < interval < timeout")
-        if suspect_windows < 1:
-            raise ValueError("suspect_windows must be >= 1")
-        if ping_timeout <= 0:
-            raise ValueError("ping_timeout must be > 0")
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.events = events
-        self.interval = interval
-        self.timeout = timeout
-        self.heartbeat_bytes = heartbeat_bytes
-        self.suspect_windows = suspect_windows
-        self.ping_timeout = ping_timeout
-        self.head = 0
-        self.comm = mpi.new_communicator(reliable=False, service=True)
-        self.ping_comm = mpi.new_communicator(service=True)
-        self.on_detect: Callable[[int, int], None] | None = None
-        #: Called instead of :attr:`on_detect` when the declared node is
-        #: the *current head* — the failover trigger.
-        self.on_head_detect: Callable[[int, int], None] | None = None
-        #: Observability sink for ``hb.*`` health counters.
-        self.obs = cluster.obs
-        #: (dead_node, detected_by, detection_time) records.
-        self.detections: list[tuple[int, int, float]] = []
-        #: Suspects that answered the head's ping (kept alive).
-        self.suspicions_cleared = 0
-        #: Nodes declared dead that had not actually failed.
-        self.false_positives = 0
-        #: Heartbeat windows that elapsed without a beat (raw misses,
-        #: before the suspect threshold).
-        self.missed_windows = 0
-        self._dead: set[int] = set()
-        self._confirming: set[int] = set()
-        self._pong_seq = itertools.count()
-        self._stopped = False
-        #: Ring-neighbor scan cursors.  Dead/failed nodes never come
-        #: back, so each node's live successor/predecessor only ever
-        #: advances — resuming the skip scan from the last answer makes
-        #: the per-window neighbor lookup O(1) amortized instead of
-        #: O(dead) per window.
-        self._succ_cache: dict[int, int] = {}
-        self._pred_cache: dict[int, int] = {}
-        #: Per-source suspect-report window: one wheel-interned timer
-        #: event per reporter.  While a reporter's previous report is
-        #: still inside its window the new one is suppressed, so a mass
-        #: failure costs the head one report per *source* per window
-        #: instead of an unbounded fan-in on SUSPECT_TAG.
-        self._report_gate: dict[int, object] = {}
-        #: Batched timers for the periodic sender/monitor waits; pings
-        #: and verdicts keep private timers (they are rare and their
-        #: deadlines are almost never aligned).
-        self.wheel = _TimerWheel(self.sim)
-        self._after = self.wheel.after
-
-    def start(self) -> None:
-        n = self.cluster.num_nodes
-        if n < 2:
-            return
-        for node in range(n):
-            self.sim.process(self._sender(node), name=f"hb-send{node}")
-            self.sim.process(self._monitor(node), name=f"hb-mon{node}")
-            self.sim.process(self._responder(node), name=f"hb-pong{node}")
-            self.sim.process(self._verifier(node), name=f"hb-verify{node}")
-        self.sim.process(
-            self._confirm_service(self.head), name=f"hb-confirm{self.head}"
-        )
-
-    def rebase(self, new_head: int) -> None:
-        """Re-root the confirm machinery at an elected head (failover)."""
-        self.head = new_head
-        if not self._stopped:
-            self.sim.process(
-                self._confirm_service(new_head), name=f"hb-confirm{new_head}"
-            )
-
-    def stop(self) -> None:
-        """End monitoring (called at runtime shutdown)."""
-        self._stopped = True
-
-    def _alive(self, node: int) -> bool:
-        return not self.events.node_failed(node) and node not in self._dead
-
-    def _sender(self, node: int):
-        n = self.cluster.num_nodes
-        rank = self.comm.rank(node)
-        seq = 0
-        while not self._stopped:
-            if self.events.node_failed(node):
-                return  # this node has crashed; no more beats
-            # Skip dead successors so the ring stays closed.  The scan
-            # resumes from the previous window's successor: failures are
-            # permanent, so the first live successor only moves forward
-            # and the cursor makes this O(1) amortized.
-            successor = self._succ_cache.get(node, (node + 1) % n)
-            while not self._alive(successor) and successor != node:
-                successor = (successor + 1) % n
-            self._succ_cache[node] = successor
-            if successor != node:
-                rank.isend(successor, ("hb", node, seq),
-                           self.heartbeat_bytes, tag=HB_TAG)
-            seq += 1
-            yield self._after(self.interval)
-
-    def _monitor(self, node: int):
-        rank = self.comm.rank(node)
-        watched_prev: int | None = None
-        misses = 0
-        while not self._stopped:
-            if self.events.node_failed(node):
-                return
-            watched = self._predecessor(node)
-            if watched is None:
-                return  # no other live node to monitor
-            if watched != watched_prev:
-                watched_prev = watched
-                misses = 0
-            req = rank.irecv(src=watched, tag=HB_TAG)
-            deadline = self._after(self.timeout)
-            yield AnyOf(self.sim, [req.event, deadline])
-            if self._stopped or self.events.node_failed(node):
-                # Withdraw the pending receive on the way out: a monitor
-                # that stops watching must not leave a matching slot
-                # behind to swallow a late beat.
-                req.cancel()
-                return
-            if req.test():
-                misses = 0
-                continue  # a beat arrived in time
-            # Withdraw the unmatched receive before the next window so a
-            # late beat from a slow-but-alive predecessor can never be
-            # swallowed by a request nobody is watching anymore.
-            req.cancel()
-            misses += 1
-            self.missed_windows += 1
-            self.obs.count("hb.missed_windows")
-            if misses < self.suspect_windows:
-                continue
-            misses = 0
-            if watched in self._dead or watched in self._confirming:
-                continue
-            self.obs.count("hb.suspect_reports")
-            if watched == self.head:
-                # Suspecting the head cannot route through the head:
-                # confirm locally with a neighbor quorum instead.
-                self._confirming.add(watched)
-                self.sim.process(
-                    self._confirm_head(watched, node),
-                    name=f"hb-headping{watched}",
-                )
-                continue
-            # Suspect: the fabric may merely have dropped or delayed the
-            # beats, so ask the head to confirm with a direct ping — at
-            # most one report per window from this source (the gate
-            # timer is wheel-interned, so it is usually the very same
-            # event as a monitor deadline).
-            gate = self._report_gate.get(node)
-            if gate is not None and not gate._processed:
-                self.obs.count("hb.reports_suppressed")
-                continue
-            self._report_gate[node] = self._after(self.timeout)
-            rank.isend(self.head, ("suspect", watched, node),
-                       self.heartbeat_bytes, tag=SUSPECT_TAG)
-
-    def _confirm_service(self, service_head: int):
-        """Head-side loop turning suspect reports into ping confirms.
-
-        One instance runs per head incarnation; a deposed or crashed
-        instance drains away on its next wakeup.
-        """
-        rank = self.comm.rank(service_head)
-        while not self._stopped:
-            msg = yield from rank.recv(tag=SUSPECT_TAG)
-            if self._stopped:
-                return
-            if self.head != service_head or self.events.node_failed(
-                service_head
-            ):
-                return  # deposed by a failover (or died): stand down
-            _kind, suspect, reporter = msg.payload
-            if suspect in self._dead or suspect in self._confirming:
-                continue
-            self._confirming.add(suspect)
-            self.sim.process(
-                self._confirm(suspect, reporter), name=f"hb-ping{suspect}"
-            )
-
-    def _ping(self, pinger: int, target: int):
-        """Generator: ping ``target`` from ``pinger``.
-
-        Returns True when the target stayed *silent* past
-        ``ping_timeout`` (no pong), False when it answered.
-        """
-        reply_tag = _PONG_TAG_BASE + next(self._pong_seq)
-        rank = self.ping_comm.rank(pinger)
-        pong = rank.irecv(src=target, tag=reply_tag)
-        rank.isend(target, reply_tag, self.heartbeat_bytes, tag=PING_TAG)
-        yield AnyOf(self.sim, [pong.event, self.sim.timeout(self.ping_timeout)])
-        if pong.test():
-            return False
-        pong.cancel()
-        return True
-
-    def _confirm(self, suspect: int, reporter: int):
-        """Ping ``suspect`` from the head; declare dead only on silence."""
-        silent = yield from self._ping(self.head, suspect)
-        self._confirming.discard(suspect)
-        if not silent:
-            self.suspicions_cleared += 1
-            self.obs.count("hb.suspicions_cleared")
-            return  # alive after all — the window misses were transient
-        if not self.events.node_failed(suspect):
-            self.false_positives += 1
-            self.obs.count("hb.false_positives")
-        self._declare(suspect, reporter)
-
-    def _confirm_head(self, suspect: int, reporter: int):
-        """Confirm a *head* suspicion via its ring-neighbor quorum.
-
-        The reporter (the head's ring successor, whose monitor raised
-        the suspicion) pings the head itself; if silent, it asks the
-        head's other live ring neighbor to ping too.  Both neighbors
-        silent — or the witness itself unreachable, leaving no one able
-        to prove the head alive — escalates to a declaration, which the
-        runtime turns into an election.
-        """
-        try:
-            silent = yield from self._ping(reporter, suspect)
-            if self._stopped or suspect != self.head or suspect in self._dead:
-                return
-            if not silent:
-                self.suspicions_cleared += 1
-                self.obs.count("hb.suspicions_cleared")
-                return
-            witness = self._other_neighbor(suspect, reporter)
-            if witness is not None:
-                verdict = yield from self._second_opinion(
-                    witness, suspect, reporter
-                )
-                if (
-                    self._stopped
-                    or suspect != self.head
-                    or suspect in self._dead
-                ):
-                    return
-                if verdict is False:
-                    # The witness reached the head: the reporter's link
-                    # was the problem, not the head.
-                    self.suspicions_cleared += 1
-                    self.obs.count("hb.suspicions_cleared")
-                    return
-            if not self.events.node_failed(suspect):
-                self.false_positives += 1
-                self.obs.count("hb.false_positives")
-            self._declare(suspect, reporter)
-        finally:
-            self._confirming.discard(suspect)
-
-    def _second_opinion(self, witness: int, target: int, requester: int):
-        """Generator: ask ``witness`` to ping ``target`` on our behalf.
-
-        Returns True when the witness found the target silent, False
-        when the witness reached it, and None when the witness itself
-        never answered — the caller treats None as assent, since
-        neither neighbor can then prove the head alive.
-        """
-        reply_tag = _PONG_TAG_BASE + next(self._pong_seq)
-        rank = self.ping_comm.rank(requester)
-        verdict = rank.irecv(src=witness, tag=reply_tag)
-        rank.isend(witness, ("verify", target, reply_tag),
-                   self.heartbeat_bytes, tag=VERIFY_TAG)
-        budget = 3.0 * self.ping_timeout  # witness ping + both legs' slack
-        yield AnyOf(self.sim, [verdict.event, self.sim.timeout(budget)])
-        if verdict.test():
-            return bool(verdict.event.value.payload[1])
-        verdict.cancel()
-        return None
-
-    def _verifier(self, node: int):
-        """Answer verify requests: ping the named target, report back."""
-        rank = self.ping_comm.rank(node)
-        while not self._stopped:
-            msg = yield from rank.recv(tag=VERIFY_TAG)
-            if self._stopped:
-                return
-            if self.events.node_failed(node):
-                return  # a dead node verifies nothing
-            _kind, target, reply_tag = msg.payload
-            silent = yield from self._ping(node, target)
-            if self.events.node_failed(node):
-                return
-            rank.isend(msg.src, ("verdict", silent), self.heartbeat_bytes,
-                       tag=reply_tag)
-
-    def _responder(self, node: int):
-        """Answer head pings (the liveness proof of the confirm step)."""
-        rank = self.ping_comm.rank(node)
-        while not self._stopped:
-            msg = yield from rank.recv(tag=PING_TAG)
-            if self._stopped:
-                return
-            if self.events.node_failed(node):
-                return  # a dead node answers nothing
-            rank.isend(msg.src, ("pong", node), self.heartbeat_bytes,
-                       tag=msg.payload)
-
-    def _predecessor(self, node: int) -> int | None:
-        """The nearest ring predecessor this node *believes* is alive.
-
-        Declarations are permanent, so the answer only ever moves
-        further back around the ring; the scan resumes from the cached
-        previous answer — O(1) amortized across the whole run instead
-        of O(dead) per heartbeat window.
-        """
-        n = self.cluster.num_nodes
-        pred = self._pred_cache.get(node, (node - 1) % n)
-        while pred != node:
-            if pred not in self._dead:
-                self._pred_cache[node] = pred
-                return pred
-            pred = (pred - 1) % n
-        return None
-
-    def _other_neighbor(self, around: int, excluding: int) -> int | None:
-        """The nearest live ring predecessor of ``around`` that is not
-        ``excluding`` — the second member of the head-death quorum."""
-        n = self.cluster.num_nodes
-        pred = (around - 1) % n
-        while pred != around:
-            if pred != excluding and self._alive(pred):
-                return pred
-            pred = (pred - 1) % n
-        return None
-
-    def _declare(self, dead: int, by: int) -> None:
-        if dead in self._dead:
-            return
-        self._dead.add(dead)
-        self.detections.append((dead, by, self.sim.now))
-        self.obs.count("hb.detections")
-        if dead == self.head and self.on_head_detect is not None:
-            self.on_head_detect(dead, by)
-        elif self.on_detect is not None:
-            self.on_detect(dead, by)
-
-
 @dataclass(frozen=True)
 class FailoverEvent:
     """Telemetry for one head failover (detection → election → resume)."""
@@ -617,7 +164,7 @@ class FailoverEvent:
 
     @property
     def detection_time(self) -> float:
-        """Crash (or STONITH of a falsely declared head) → ring quorum
+        """Crash (or STONITH of a falsely declared head) → quorum
         declaration."""
         return self.declared_at - self.failed_at
 
@@ -652,7 +199,7 @@ class FTRunResult:
     #: Suspect→confirm outcomes: suspicions the head's ping cleared, and
     #: detection errors against ground truth (a false positive is an
     #: alive node declared dead; a false negative is a crashed node the
-    #: ring never declared).
+    #: detector never declared).
     suspicions_cleared: int = 0
     false_positive_detections: int = 0
     false_negative_detections: int = 0
@@ -676,7 +223,7 @@ class FTRunResult:
     replication_bytes: float = 0.0
     log_flushes: int = 0
     replication: dict[str, float] = field(default_factory=dict)
-    #: Raw heartbeat windows that elapsed without a beat (ring health).
+    #: Ring windows without a beat, or gossip probes without an ack.
     missed_heartbeat_windows: int = 0
     #: The run's :class:`~repro.obs.observer.Observer` when the config
     #: enabled tracing (``OMPCConfig.trace``); ``None`` otherwise.
@@ -788,19 +335,10 @@ class FaultTolerantRuntime:
         sim, mpi, events = core.sim, core.mpi, core.events
         dm, tiering, result = core.dm, core.tiering, core.result
         # Membership follows the event system: its communicators are
-        # numbered after the event system's.  SWIM-style gossip
-        # (repro.core.gossip) probes O(1) nodes per round instead of
-        # the ring's O(N) suspect-report fan-in at the head, and feeds
-        # the same suspect -> head-confirm pipeline (on_detect /
-        # on_head_detect), so failover below is the same for both.
-        if cfg.gossip:
-            ring = GossipMembership.from_config(cluster, mpi, events, cfg)
-        else:
-            ring = HeartbeatRing(
-                cluster, mpi, events,
-                suspect_windows=cfg.heartbeat_suspect_windows,
-                ping_timeout=cfg.heartbeat_ping_timeout,
-            )
+        # numbered after the event system's.  Either configuration of
+        # the detector (ring or gossip) feeds on_detect / on_head_detect,
+        # so failover below is the same for both.
+        detector = FailureDetector.from_config(cluster, mpi, events, cfg)
         graph = program.graph
 
         # -- head-state replication (head failover) ----------------------
@@ -1693,7 +1231,7 @@ class FaultTolerantRuntime:
                                     "remains to elect a successor")
             by, declared_at = yield declared_event(old_head)
             election = yield from repl.elect(
-                by, exclude=frozenset(dead | ring._dead | {old_head})
+                by, exclude=frozenset(dead | detector.dead | {old_head})
             )
             if election is None:
                 raise RecoveryError(
@@ -1710,7 +1248,7 @@ class FaultTolerantRuntime:
             log.adopt(list(repl.replicas[winner]), log.epoch + 1)
             repl.set_head(winner, votes)
             home = winner
-            ring.rebase(winner)
+            detector.rebase(winner)
             # The successor replays its replica into fresh control
             # state; the replay is CPU work charged per record.
             replay_cost = len(log.records) * cfg.log_replay_unit_cost
@@ -1752,22 +1290,22 @@ class FaultTolerantRuntime:
 
         # -- failure plumbing ---------------------------------------------
         def on_detect(dead_node: int, by: int) -> None:
-            # The head learns through the ring; recovery state updates
+            # The head learns through the detector; recovery state updates
             # immediately (in-flight guards race the failure event).
             handle_node_death(dead_node)
 
-        ring.on_detect = on_detect
-        ring.on_head_detect = on_head_death
+        detector.on_detect = on_detect
+        detector.on_head_detect = on_head_death
         injector = FailureInjector(events)
 
         def stop_services() -> None:
             nonlocal ckpt_stop
             ckpt_stop = True
-            ring.stop()
+            detector.stop()
 
         def main_body():
             yield from core.boot(home)
-            ring.start()
+            detector.start()
             injector.arm(failures)
             if repl is not None:
                 repl.start()
@@ -1812,16 +1350,16 @@ class FaultTolerantRuntime:
         )
 
         def finish() -> FTRunResult:
-            result.detections = list(ring.detections)
+            result.detections = list(detector.detections)
             result.task_attempts = dict(attempts)
-            result.suspicions_cleared = ring.suspicions_cleared
-            result.false_positive_detections = ring.false_positives
-            declared = {d for d, _by, _t in ring.detections}
+            result.suspicions_cleared = detector.suspicions_cleared
+            result.false_positive_detections = detector.false_positives
+            declared = {d for d, _by, _t in detector.detections}
             result.false_negative_detections = len(
                 {f.node for f in injector.injected} - declared
             )
             result.transport = dict(mpi.stats)
-            result.missed_heartbeat_windows = ring.missed_windows
+            result.missed_heartbeat_windows = detector.missed_windows
             result.final_head = home
             result.head_failovers = len(failovers)
             result.failovers = list(failovers)

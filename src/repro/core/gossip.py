@@ -1,64 +1,96 @@
-"""SWIM-style gossip membership: scalable failure detection.
+"""Failure detection: one membership, two configurations.
 
-The heartbeat ring (:class:`repro.core.faults.HeartbeatRing`) funnels
-every suspect report into the head over one tag — an O(N) fan-in per
-window that the §7-style control-plane scaling work (ROADMAP item 2)
-cannot afford at 1000+ nodes.  :class:`GossipMembership` replaces the
-ring for sharded runs with the SWIM protocol (Das, Gupta, Motivala,
-DSN'02):
+§3.1 gives OMPC one liveness mechanism: "each node ... has a heart-beat
+mechanism, connected in a ring topology, which allows nodes to monitor
+their neighbors".  :class:`FailureDetector` implements it, and SWIM
+gossip (Das, Gupta, Motivala, DSN'02) as a second configuration of the
+same machinery, chosen by ``OMPCConfig.gossip``.  Both share:
 
-* every protocol period each live node *probes* one peer, chosen from a
-  seeded random permutation (round-robin over a shuffled cycle, so
-  every peer is probed within one pass and expected detection latency
-  is O(1) periods);
-* a silent target is re-checked through ``fanout`` *indirect probers*
-  before it is suspected — a lossy or congested direct link does not
-  kill a healthy node;
-* membership updates (suspicions, refutations, confirmed deaths) are
-  *piggybacked* on the probe/ack traffic already flowing, each update
-  retransmitted O(log N) times — epidemic dissemination without any
-  extra message streams;
-* a node that hears itself suspected *refutes* with a bumped
-  incarnation number, which overrides the suspicion in every view.
+* the public :attr:`~FailureDetector.dead` set — the nodes declared
+  dead, which every node's view of the group excludes;
+* one per-period tick (``interval``): the ring pushes each node's beat
+  to its live successor, gossip counts a protocol round;
+* the suspect → confirm step: a node that stops hearing a peer reports
+  it to the current :attr:`~FailureDetector.head`, which pings the
+  suspect and declares it dead only if no ack comes back within
+  :data:`PING_TIMEOUT` — so a node behind a lossy or degraded link is
+  cleared rather than killed;
+* the head quorum: a suspected *head* cannot confirm itself, so the
+  suspecting node decides with a second witness instead;
+* the declaration, which fires ``on_detect`` — or ``on_head_detect``
+  for the head, the failover trigger — and :meth:`~FailureDetector.
+  rebase` to move the confirm authority to an elected head;
+* one set of ``hb.*`` health counters (missed windows, suspect reports,
+  cleared suspicions, false positives, detections).
 
-The suspect→confirm pipeline is the ring's, verbatim: suspicions are
-reported to the current :attr:`head`, which pings the suspect directly
-and declares it dead only on silence (``suspicions_cleared`` /
-``false_positives`` account exactly like the ring's).  A suspected
-*head* is confirmed by the suspecting node plus an indirect witness —
-the ring's neighbor quorum, with gossip peers for neighbors.  Confirmed
-deaths are irrevocable: the ``dead`` state overrides any incarnation,
-so a confirmed-dead node can never be resurrected into any view.
+The two configurations differ in who watches whom:
 
-The class is interface-compatible with :class:`HeartbeatRing`
-(``start``/``stop``/``rebase``, ``on_detect``/``on_head_detect``,
-``detections``/``suspicions_cleared``/``false_positives``/
-``missed_windows``) so both runtimes swap it in behind
-``OMPCConfig.gossip`` without touching the failover machinery.  All
-traffic rides a dedicated datagram MPI service communicator (excluded
-from the MPI checker, no retransmits — a lost probe is information),
-and the periodic waits go through the shared
-:class:`~repro.core.faults._TimerWheel` so an N-node deployment costs
-O(1) timer events per period.
+* **Ring** (the default).  Each node watches its live ring predecessor
+  through pushed beats.  A watch window of :data:`RING_WINDOW` with no
+  beat is a missed window; :data:`SUSPECT_WINDOWS` in a row raise a
+  suspicion.  A suspected head is confirmed by the suspecting node's own
+  ping plus a ping from the head's other live ring neighbour.  A head
+  that leaves the same suspicion unheard for :data:`UNHEARD_REPORTS`
+  reports in a row is itself suspected, so a head that dies together
+  with its only watcher is still caught.
+* **Gossip**.  Each period a node probes one peer, taken from a seeded
+  shuffled order, with a ping/ack; a silent target is re-probed through
+  :data:`FANOUT` indirect probers before it is suspected.  Membership
+  updates ride piggybacked on that traffic, and a suspected node that
+  hears of it refutes with a higher incarnation.  A suspected head is
+  declared by the suspecting node itself: its direct and indirect
+  probes are already the quorum.  A declaration is also broadcast once,
+  so every live view converges on it within about one period.
+
+Everything runs as timer and receive callbacks: the detector spawns no
+simulator process.  Timers that end at the same instant share one event,
+so the periodic work of an N-node group costs O(1) timer events per
+period.  Beats, reports and gossip travel on a datagram service
+communicator (a lost probe is information, not something to
+retransmit); the ring's pings use a second communicator that inherits
+the world's reliable transport.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable
+from typing import Callable
 
 from repro.cluster.machine import Cluster
 from repro.core.config import OMPCConfig
 from repro.core.events import EventSystem
 from repro.mpi.comm import MpiWorld
+from repro.sim.core import Event
 from repro.sim.primitives import AnyOf
 from repro.util.rng import derive_rng
 from repro.util.units import MILLISECOND
 
-#: All gossip protocol messages (ping/pingreq/suspect/confirm) share one
-#: tag so every listener is a single O(1)-matched receive class.
-GOSSIP_TAG = 1
-#: Ack and indirect-probe replies use per-probe tags above this base.
+#: Beat / probe period of the ring (gossip takes
+#: ``OMPCConfig.gossip_interval``).
+INTERVAL = 1.0 * MILLISECOND
+#: Ring watch window: a window this long without a beat is missed.
+RING_WINDOW = 3.5 * MILLISECOND
+#: Consecutive missed windows before a ring node suspects its predecessor
+#: (the K of the suspect → confirm protocol).
+SUSPECT_WINDOWS = 2
+#: How long a pinger waits for the ack before taking silence as assent.
+PING_TIMEOUT = 1.0 * MILLISECOND
+#: Indirect probers asked to reach a silent gossip target (SWIM's k).
+FANOUT = 3
+#: Most membership updates piggybacked on one gossip message.
+PIGGYBACK = 8
+#: Root seed of the per-node gossip probe-order streams.
+SEED = 0
+#: Reports about one suspect the head may leave unheard, in a row,
+#: before the ring reporter suspects the head instead.
+UNHEARD_REPORTS = 2
+#: Wire size of every detector message.
+MESSAGE_BYTES = 16.0
+
+#: All requests (beats, reports, pings, relays, confirms) share one tag,
+#: so each node listens with one receive per communicator.
+TAG = 1
+#: Replies use a fresh tag per request above this base.
 _REPLY_TAG_BASE = 16
 
 #: Membership states in override order: ``dead`` beats everything at any
@@ -78,11 +110,12 @@ def _overrides(status: str, inc: int, old_status: str, old_inc: int) -> bool:
     return status == SUSPECT and old_status == ALIVE
 
 
-class GossipMembership:
-    """SWIM probe/indirect-probe/dissemination failure detection.
+class FailureDetector:
+    """The cluster's failure detector; see the module docstring.
 
-    Drop-in for :class:`~repro.core.faults.HeartbeatRing` behind
-    ``OMPCConfig.gossip``; see the module docstring for the protocol.
+    ``gossip=False`` is the §3.1 heartbeat ring, ``gossip=True`` SWIM
+    gossip with one probe per node every ``interval``; ``seed`` roots
+    the gossip probe orders.
     """
 
     def __init__(
@@ -90,58 +123,66 @@ class GossipMembership:
         cluster: Cluster,
         mpi: MpiWorld,
         events: EventSystem,
-        interval: float = 1.0 * MILLISECOND,
-        ping_timeout: float = 1.0 * MILLISECOND,
-        fanout: int = 3,
-        piggyback: int = 8,
-        seed: int = 0,
-        heartbeat_bytes: float = 16.0,
+        gossip: bool = False,
+        interval: float = INTERVAL,
+        seed: int = SEED,
     ):
         if interval <= 0:
             raise ValueError("interval must be > 0")
-        if ping_timeout <= 0:
-            raise ValueError("ping_timeout must be > 0")
-        if fanout < 0:
-            raise ValueError("fanout must be >= 0")
-        if piggyback < 1:
-            raise ValueError("piggyback must be >= 1")
+        if not gossip and interval >= RING_WINDOW:
+            raise ValueError("the ring interval must be shorter than its "
+                             f"{RING_WINDOW} s watch window")
         self.cluster = cluster
         self.sim = cluster.sim
         self.events = events
+        self.gossip = gossip
         self.interval = interval
-        self.ping_timeout = ping_timeout
-        self.fanout = fanout
-        self.piggyback = piggyback
         self.seed = seed
-        self.heartbeat_bytes = heartbeat_bytes
         self.head = 0
         self.comm = mpi.new_communicator(reliable=False, service=True)
-        self.obs = cluster.obs
+        self.ping_comm = (
+            self.comm if gossip else mpi.new_communicator(service=True)
+        )
+        #: ``(dead, by)`` callbacks for a declared worker and head.
         self.on_detect: Callable[[int, int], None] | None = None
         self.on_head_detect: Callable[[int, int], None] | None = None
-        #: (dead_node, detected_by, detection_time) — ring-compatible.
+        #: Observability sink for the ``hb.*`` / ``gossip.*`` counters.
+        self.obs = cluster.obs
+        #: Nodes declared dead; declarations are permanent.
+        self.dead: set[int] = set()
+        #: (dead_node, detected_by, detection_time) records.
         self.detections: list[tuple[int, int, float]] = []
+        #: Suspects that answered the confirm ping (kept alive).
         self.suspicions_cleared = 0
+        #: Nodes declared dead that had not actually failed.
         self.false_positives = 0
-        #: Probe windows that elapsed without an ack (raw misses).
+        #: Ring windows without a beat, or gossip probes without an ack.
         self.missed_windows = 0
-        #: Completed protocol periods (the ticker's count).
+        #: Completed gossip periods.
         self.rounds = 0
-        #: Membership event log: ``(time, node, event, subject)`` —
-        #: probes are not logged, state transitions are.
+        self._confirming: set[int] = set()
+        self._stopped = False
+        self._reply_seq = itertools.count()
+        #: Pending timers by fire time: same-instant timers share one.
+        self._timers: dict[float, Event] = {}
+        n = cluster.num_nodes
+        # -- ring state --------------------------------------------------
+        #: Per node ``[watched, misses, window]``; ``window`` numbers the
+        #: open watch window, so a stale window end is ignored.
+        self._watch: list[list[int] | None] = [None] * n
+        #: Reporter → (suspect, sent at, earlier unheard reports), and
+        #: suspect → when the head last heard a report about it.
+        self._reported: dict[int, tuple[int, float, int]] = {}
+        self._heard: dict[int, float] = {}
+        # -- gossip state ------------------------------------------------
+        #: Membership event log: ``(time, node, event, subject)``.
         self.timeline: list[tuple[float, int, str, int]] = []
         #: Per-death convergence: dead node → (declared_at, rounds_then,
         #: converged_at, rounds_at_convergence); the last two appear once
         #: every live view holds the death.
         self.convergence: dict[int, list[float]] = {}
-        self._dead: set[int] = set()
-        self._confirming: set[int] = set()
-        self._stopped = False
-        self._reply_seq = itertools.count()
-        n = cluster.num_nodes
-        #: Per-node membership views, deviations only: a node absent
-        #: from a view is implicitly ``(ALIVE, 0)`` — O(failures), not
-        #: O(N²), in memory.
+        #: Per-node views, deviations only: a node absent from a view is
+        #: implicitly ``(ALIVE, 0)``.
         self._views: list[dict[int, tuple[str, int]]] = [
             {} for _ in range(n)
         ]
@@ -150,65 +191,353 @@ class GossipMembership:
         #: (the SWIM O(log N) retransmission budget).
         self._queue: list[dict[int, list]] = [{} for _ in range(n)]
         self._max_sends = 3 * max(1, (n - 1).bit_length()) + 4
-        #: Own incarnation numbers (bumped on self-refutation).
         self._incarnation = [0] * n
-        #: Nodes waiting on a confirmed death: how many live views hold
-        #: it already (drives the convergence metric in O(1) per update).
+        #: Deaths awaiting convergence → live views that hold them.
         self._conf_seen: dict[int, set[int]] = {}
-        from repro.core.faults import _TimerWheel  # avoid import cycle
-
-        self.wheel = _TimerWheel(self.sim)
-        self._after = self.wheel.after
 
     @classmethod
     def from_config(cls, cluster: Cluster, mpi: MpiWorld,
                     events: EventSystem,
-                    cfg: OMPCConfig) -> "GossipMembership":
-        """The membership an :class:`~repro.core.config.OMPCConfig`
-        with ``gossip=True`` asks for."""
-        return cls(
-            cluster, mpi, events,
-            interval=cfg.gossip_interval,
-            ping_timeout=cfg.heartbeat_ping_timeout,
-            fanout=cfg.gossip_fanout,
-            piggyback=cfg.gossip_piggyback,
-            seed=cfg.gossip_seed,
-        )
+                    cfg: OMPCConfig) -> "FailureDetector":
+        """The detector an :class:`~repro.core.config.OMPCConfig` asks
+        for: gossip with ``gossip=True``, else the heartbeat ring."""
+        if cfg.gossip:
+            return cls(cluster, mpi, events, gossip=True,
+                       interval=cfg.gossip_interval)
+        return cls(cluster, mpi, events)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
+        if self.cluster.num_nodes >= 2:
+            # Begin after the caller's same-instant work, as a freshly
+            # spawned service would.
+            self.sim.timeout(0.0).callbacks.append(self._begin)
+
+    def _begin(self, _ev: Event) -> None:
         n = self.cluster.num_nodes
-        if n < 2:
+        for node in range(n):
+            self._listen(self.comm, node)
+            if self.ping_comm is not self.comm:
+                self._listen(self.ping_comm, node)
+        if self.gossip:
+            for node in range(n):
+                self._probe(node, self._probe_order(node),
+                            derive_rng(self.seed, "gossip-indirect",
+                                       str(node)))
+            self._after(self.interval, self._tick)
             return
         for node in range(n):
-            self.sim.process(self._listener(node), name=f"gsp-listen{node}")
-            self.sim.process(self._prober(node), name=f"gsp-probe{node}")
-        self.sim.process(self._ticker(), name="gsp-ticker")
+            pred = self._predecessor(node)
+            if pred is not None:
+                self._watch[node] = [pred, 0, 0]
+                self._after(RING_WINDOW, self._window_end, node, 0)
+        self._tick()
 
     def rebase(self, new_head: int) -> None:
         """Move the confirm authority to an elected head (failover)."""
         self.head = new_head
 
     def stop(self) -> None:
+        """End monitoring (called at runtime shutdown)."""
         self._stopped = True
 
-    # -- views -------------------------------------------------------------
-    def _alive(self, node: int) -> bool:
-        return not self.events.node_failed(node) and node not in self._dead
+    def _after(self, delay: float, fn: Callable, *args) -> None:
+        """Call ``fn(*args)`` ``delay`` from now.  The timer is shared
+        with every other one that ends at the same instant; the key is
+        the fire time, so sharing never moves a wake-up."""
+        when = self.sim.now + delay
+        timer = self._timers.get(when)
+        if timer is None:
+            timer = self.sim.timeout(delay, when)
+            timer.callbacks.append(self._fired)
+            self._timers[when] = timer
+        timer.callbacks.append(lambda _ev: fn(*args))
 
-    def view_of(self, node: int) -> dict[int, tuple[str, int]]:
-        """``node``'s membership deviations (absent ⇒ alive, inc 0)."""
-        return dict(self._views[node])
+    def _fired(self, timer: Event) -> None:
+        del self._timers[timer.value]
+
+    def _tick(self) -> None:
+        """The per-period tick: ring beats, or one gossip round."""
+        if self._stopped:
+            return
+        if self.gossip:
+            self.rounds += 1
+            self.obs.count("gossip.rounds")
+        else:
+            for node in range(self.cluster.num_nodes):
+                if self.events.node_failed(node):
+                    continue  # a crashed node sends no more beats
+                succ = self._nearest(node, 1, self.alive)
+                if succ is not None:
+                    self.comm.rank(node).isend(succ, ("hb", node),
+                                               MESSAGE_BYTES, tag=TAG)
+        self._after(self.interval, self._tick)
+
+    # -- membership --------------------------------------------------------
+    def alive(self, node: int) -> bool:
+        return not self.events.node_failed(node) and node not in self.dead
+
+    def live_nodes(self) -> list[int]:
+        return [n for n in range(self.cluster.num_nodes) if self.alive(n)]
 
     def dead_view(self, node: int) -> frozenset[int]:
-        """The set of peers ``node``'s view holds confirmed dead."""
+        """The set of peers ``node``'s gossip view holds dead."""
         return frozenset(
             peer for peer, (status, _inc) in self._views[node].items()
             if status == DEAD
         )
 
-    def live_nodes(self) -> list[int]:
-        return [n for n in range(self.cluster.num_nodes) if self._alive(n)]
+    # -- messaging ---------------------------------------------------------
+    def _listen(self, comm, node: int) -> None:
+        req = comm.rank(node).irecv(tag=TAG)
+        req.event.callbacks.append(
+            lambda ev: self._receive(comm, node, ev.value)
+        )
+
+    def _receive(self, comm, node: int, msg) -> None:
+        if self._stopped or self.events.node_failed(node):
+            return  # a dead node answers nothing
+        kind = msg.payload[0]
+        if kind == "hb":
+            watch = self._watch[node]
+            if watch is not None and msg.src == watch[0]:
+                watch[1] = 0
+                self._rewatch(node)
+        elif kind == "suspect":
+            _kind, suspect, updates = msg.payload
+            self._absorb(node, updates)
+            if node == self.head and suspect != node:
+                self._heard[suspect] = self.sim.now
+                self._confirm(suspect, msg.src)
+        elif kind == "confirm":
+            _kind, dead, updates = msg.payload
+            self._absorb(node, updates)
+            self._apply(node, dead, DEAD, 0)
+        else:
+            _kind, reply_tag, target, updates = msg.payload
+            self._absorb(node, updates)
+            if kind == "ping":
+                self._reply(node, msg.src, reply_tag, True)
+            else:  # "relay" (gossip) or "verify" (ring): ping for them
+                self._ping(node, target, lambda reached: self._reply(
+                    node, msg.src, reply_tag, reached, kind == "verify"))
+        if not self._stopped:
+            self._listen(comm, node)
+
+    def _reply(self, node: int, to: int, reply_tag: int, reached: bool,
+               verdict: bool = True) -> None:
+        """Answer a request.  A relayed ping's result goes back only if
+        it reached the target, unless it is a ring witness's verdict:
+        a gossip prober takes silence as assent."""
+        if (reached or verdict) and not self.events.node_failed(node):
+            self.ping_comm.rank(node).isend(
+                to, (reached, self._updates_from(node)), MESSAGE_BYTES,
+                tag=reply_tag,
+            )
+
+    def _request(self, src: int, dsts: list[int], kind: str, target: int,
+                 budget: float, then: Callable[[list], None]) -> None:
+        """Send ``kind`` about ``target`` from ``src`` to each of
+        ``dsts``; once the first reply or the budget is in, call
+        ``then`` with the replies received by then."""
+        reply_tag = _REPLY_TAG_BASE + next(self._reply_seq)
+        rank = self.ping_comm.rank(src)
+        reqs = [rank.irecv(src=dst, tag=reply_tag) for dst in dsts]
+        for dst in dsts:
+            rank.isend(dst, (kind, reply_tag, target,
+                             self._updates_from(src)),
+                       MESSAGE_BYTES, tag=TAG)
+        race = AnyOf(self.sim, [r.event for r in reqs]
+                     + [self.sim.timeout(budget)])
+
+        def settle(_ev: Event) -> None:
+            replies = []
+            for req in reqs:
+                if req.test():
+                    reply = req.event.value.payload
+                    self._absorb(src, reply[1])
+                    replies.append(reply[0])
+                else:
+                    req.cancel()
+            then(replies)
+
+        race.callbacks.append(settle)
+
+    def _ping(self, pinger: int, target: int,
+              then: Callable[[bool], None]) -> None:
+        """Ping ``target``; ``then(True)`` iff the ack came in time."""
+        self._request(pinger, [target], "ping", target, PING_TIMEOUT,
+                      lambda replies: then(bool(replies)))
+
+    # -- the ring ----------------------------------------------------------
+    def _window_end(self, node: int, window: int) -> None:
+        watch = self._watch[node]
+        if watch is None or watch[2] != window:
+            return  # a beat opened a newer window
+        if self._stopped or self.events.node_failed(node):
+            self._watch[node] = None
+            return
+        watched = watch[0]
+        watch[1] += 1
+        self.missed_windows += 1
+        self.obs.count("hb.missed_windows")
+        if watch[1] >= SUSPECT_WINDOWS:
+            watch[1] = 0
+            if watched not in self.dead and watched not in self._confirming:
+                self._suspect(node, watched)
+        self._rewatch(node)
+
+    def _rewatch(self, node: int) -> None:
+        """Open the next watch window on the live predecessor."""
+        watch = self._watch[node]
+        pred = self._predecessor(node)
+        if pred is None:
+            self._watch[node] = None  # no other live node to watch
+            return
+        if pred != watch[0]:
+            watch[0] = pred
+            watch[1] = 0
+        watch[2] += 1
+        self._after(RING_WINDOW, self._window_end, node, watch[2])
+
+    def _report(self, node: int, suspect: int) -> None:
+        """Report ``suspect`` to the head (the piggybacked gossip
+        suspicion also diffuses epidemically).  A ring reporter whose
+        last reports about ``suspect`` went unheard suspects the head
+        instead."""
+        head = self.head
+        if not self.gossip:
+            prev = self._reported.get(node)
+            unheard = 0
+            if (prev is not None and prev[0] == suspect
+                    and self._heard.get(suspect, -1.0) < prev[1]):
+                unheard = prev[2] + 1
+            if (unheard >= UNHEARD_REPORTS and head not in self.dead
+                    and head not in self._confirming):
+                del self._reported[node]
+                self._confirming.add(head)
+                self._confirm_head(head, node)
+                return
+            self._reported[node] = (suspect, self.sim.now, unheard)
+        self.comm.rank(node).isend(
+            head, ("suspect", suspect, self._updates_from(node)),
+            MESSAGE_BYTES, tag=TAG,
+        )
+
+    def _confirm_head(self, head: int, reporter: int) -> None:
+        """Confirm a head suspicion with a ring-neighbour quorum: the
+        reporter pings the head and, if it stays silent, asks the head's
+        other live neighbour to ping it too.  Both silent — or the
+        witness unreachable, leaving no one able to prove the head
+        alive — declares the head dead."""
+        def quorum(witness_replies):
+            if self._head_settled(head):
+                return
+            if witness_replies and witness_replies[0]:
+                self._cleared(head)  # the reporter's link was at fault
+            else:
+                self._convict(head, reporter)
+
+        def pinged(acked: bool) -> None:
+            if self._head_settled(head):
+                return
+            if acked:
+                self._cleared(head)
+                return
+            witness = self._nearest(
+                head, -1, lambda p: p != reporter and self.alive(p))
+            if witness is None:
+                self._convict(head, reporter)
+                return
+            # Witness ping plus both legs' slack.
+            self._request(reporter, [witness], "verify", head,
+                          3.0 * PING_TIMEOUT, quorum)
+
+        self._ping(reporter, head, pinged)
+
+    def _head_settled(self, head: int) -> bool:
+        """A head confirm in flight is void once the run stopped, a
+        failover moved the head, or the head was declared already."""
+        if self._stopped or head != self.head or head in self.dead:
+            self._confirming.discard(head)
+            return True
+        return False
+
+    def _predecessor(self, node: int) -> int | None:
+        """The nearest ring predecessor not declared dead."""
+        return self._nearest(node, -1, lambda p: p not in self.dead)
+
+    def _nearest(self, node: int, step: int,
+                 usable: Callable[[int], bool]) -> int | None:
+        """The first ``usable`` node going round the ring from ``node``
+        in ``step`` (+1: successors, -1: predecessors)."""
+        n = self.cluster.num_nodes
+        peer = (node + step) % n
+        while peer != node:
+            if usable(peer):
+                return peer
+            peer = (peer + step) % n
+        return None
+
+    # -- gossip ------------------------------------------------------------
+    def _probe_order(self, node: int):
+        """Seeded round-robin probe targets: a fresh shuffled pass over
+        all peers each cycle, per SWIM's bounded-detection rule."""
+        rng = derive_rng(self.seed, "gossip-probe", str(node))
+        peers = [p for p in range(self.cluster.num_nodes) if p != node]
+        while True:
+            for idx in list(rng.permutation(len(peers))):
+                yield peers[idx]
+
+    def _probe(self, node: int, order, helper_rng) -> None:
+        """One protocol period of ``node``: probe, then wait out the
+        rest of the period."""
+        if self._stopped or self.events.node_failed(node):
+            return
+        period_end = self.sim.now + self.interval
+        view = self._views[node]
+        target = next(
+            (t for t in itertools.islice(order, self.cluster.num_nodes)
+             if view.get(t, (ALIVE, 0))[0] != DEAD and t not in self.dead),
+            None,
+        )
+        if target is None:
+            return  # everyone else is confirmed dead
+
+        def done(acked: bool) -> None:
+            if self._stopped or self.events.node_failed(node):
+                return
+            if not acked and target not in self.dead:
+                self._suspect(node, target)
+            remainder = period_end - self.sim.now
+            if remainder > 0:
+                self._after(remainder, self._probe, node, order, helper_rng)
+            else:
+                self._probe(node, order, helper_rng)
+
+        def probed(acked: bool) -> None:
+            if self._stopped or self.events.node_failed(node):
+                return
+            if acked:
+                done(True)
+                return
+            self.missed_windows += 1
+            self.obs.count("hb.missed_windows")
+            helpers = [p for p in self.live_nodes()
+                       if p != node and p != target]
+            if not helpers:
+                done(False)
+                return
+            k = min(FANOUT, len(helpers))
+            chosen = [helpers[i] for i in helper_rng.choice(
+                len(helpers), size=k, replace=False)]
+            self.obs.count("gossip.indirect_probes", k)
+            self._request(node, chosen, "relay", target,
+                          2.0 * PING_TIMEOUT,
+                          lambda replies: done(bool(replies)))
+
+        self.obs.count("gossip.pings")
+        self._ping(node, target, probed)
 
     def _apply(self, node: int, target: int, status: str, inc: int) -> None:
         """Apply one membership update to ``node``'s view; requeue it
@@ -219,7 +548,7 @@ class GossipMembership:
             return
         view[target] = (status, inc)
         self.timeline.append((self.sim.now, node, status, target))
-        self._enqueue(node, target, status, inc)
+        self._queue[node][target] = [status, inc, 0]
         if status == DEAD:
             seen = self._conf_seen.get(target)
             if seen is not None:
@@ -231,11 +560,8 @@ class GossipMembership:
                 self._incarnation[node], inc
             ) + 1
             view[node] = (ALIVE, new_inc)
-            self._enqueue(node, node, ALIVE, new_inc)
+            self._queue[node][node] = [ALIVE, new_inc, 0]
             self.obs.count("gossip.refutes")
-
-    def _enqueue(self, node: int, target: int, status: str, inc: int) -> None:
-        self._queue[node][target] = [status, inc, 0]
 
     def _updates_from(self, node: int) -> list[tuple[int, str, int]]:
         """Up to ``piggyback`` pending updates, retiring exhausted ones."""
@@ -243,7 +569,7 @@ class GossipMembership:
         picked: list[tuple[int, str, int]] = []
         spent: list[int] = []
         for target, entry in queue.items():
-            if len(picked) >= self.piggyback:
+            if len(picked) >= PIGGYBACK:
                 break
             status, inc, sends = entry
             picked.append((target, status, inc))
@@ -257,249 +583,97 @@ class GossipMembership:
     def _absorb(self, node: int, updates) -> None:
         for target, status, inc in updates:
             self._apply(node, target, status, inc)
-            if (
-                status == SUSPECT
-                and node == self.head
-                and target != node
-            ):
-                self._head_confirm(target, node)
+            if status == SUSPECT and node == self.head and target != node:
+                self._confirm(target, node)
 
     def _check_converged(self, target: int) -> None:
         seen = self._conf_seen.get(target)
-        if seen is None:
+        if seen is None or not set(self.live_nodes()) <= seen:
             return
-        live = set(self.live_nodes())
-        if live <= seen:
-            declared_at, rounds_then = self.convergence[target][:2]
-            self.convergence[target] = [
-                declared_at, rounds_then,
-                self.sim.now, float(self.rounds),
-            ]
-            del self._conf_seen[target]
-            self.obs.count("gossip.convergence_rounds",
-                           self.rounds - rounds_then)
-            self.obs.gauge_set(
-                "gossip.convergence_ms",
-                (self.sim.now - declared_at) * 1e3,
-            )
+        declared_at, rounds_then = self.convergence[target][:2]
+        self.convergence[target] = [
+            declared_at, rounds_then, self.sim.now, float(self.rounds),
+        ]
+        del self._conf_seen[target]
+        self.obs.count("gossip.convergence_rounds", self.rounds - rounds_then)
+        self.obs.gauge_set("gossip.convergence_ms",
+                           (self.sim.now - declared_at) * 1e3)
 
-    # -- protocol processes -------------------------------------------------
-    def _ticker(self):
-        while not self._stopped:
-            yield self._after(self.interval)
-            if self._stopped:
-                return
-            self.rounds += 1
-            self.obs.count("gossip.rounds")
-
-    def _probe_order(self, node: int):
-        """Seeded round-robin probe targets: a fresh shuffled pass over
-        all peers each cycle, per SWIM's bounded-detection rule."""
-        rng = derive_rng(self.seed, "gossip-probe", str(node))
-        peers = [p for p in range(self.cluster.num_nodes) if p != node]
-        while True:
-            order = list(rng.permutation(len(peers)))
-            for idx in order:
-                yield peers[idx]
-
-    def _prober(self, node: int):
-        order = self._probe_order(node)
-        helper_rng = derive_rng(self.seed, "gossip-indirect", str(node))
-        while not self._stopped:
-            period_end = self.sim.now + self.interval
-            if self.events.node_failed(node):
-                return
-            target = next(
-                (t for t in itertools.islice(order, self.cluster.num_nodes)
-                 if self._views[node].get(t, (ALIVE, 0))[0] != DEAD
-                 and t not in self._dead),
-                None,
-            )
-            if target is None:
-                return  # everyone else is confirmed dead
-            self.obs.count("gossip.pings")
-            acked = yield from self._ping(node, target)
-            if self._stopped or self.events.node_failed(node):
-                return
-            if not acked:
-                self.missed_windows += 1
-                self.obs.count("gossip.missed_probes")
-                acked = yield from self._indirect(node, target, helper_rng)
-                if self._stopped or self.events.node_failed(node):
-                    return
-            if not acked and target not in self._dead:
-                self._raise_suspicion(node, target)
-            remainder = period_end - self.sim.now
-            if remainder > 0:
-                yield self._after(remainder)
-
-    def _raise_suspicion(self, node: int, target: int) -> None:
-        inc = self._views[node].get(target, (ALIVE, 0))[1]
-        self.obs.count("gossip.suspects")
-        self._apply(node, target, SUSPECT, inc)
+    # -- suspect → confirm → declare ---------------------------------------
+    def _suspect(self, node: int, target: int) -> None:
+        """``node`` stopped hearing ``target``."""
+        self.obs.count("hb.suspect_reports")
+        if self.gossip:
+            inc = self._views[node].get(target, (ALIVE, 0))[1]
+            self._apply(node, target, SUSPECT, inc)
         if target == self.head:
-            # Suspecting the head cannot route through the head: the
-            # direct probe and the indirect witnesses already failed —
-            # the ring's neighbor quorum, with gossip peers as
-            # neighbors — so the suspecting node escalates itself.
-            if target not in self._dead and target not in self._confirming:
-                self._confirming.add(target)
-                self.sim.process(
-                    self._confirm(target, node, direct_ping=False),
-                    name=f"gsp-headconfirm{target}",
-                )
-            return
-        # Report to the head for the suspect→confirm pipeline (the
-        # piggybacked suspicion also diffuses epidemically).
-        rank = self.comm.rank(node)
-        rank.isend(self.head, ("suspect", target, node,
-                               self._updates_from(node)),
-                   self.heartbeat_bytes, tag=GOSSIP_TAG)
+            # Suspecting the head cannot route through the head.
+            if target in self.dead or target in self._confirming:
+                return
+            self._confirming.add(target)
+            if self.gossip:
+                # The direct and indirect probes already failed: they
+                # are the quorum, so the suspecting node escalates.
+                self._convict(target, node)
+            else:
+                self._confirm_head(target, node)
+        else:
+            self._report(node, target)
 
-    def _head_confirm(self, suspect: int, reporter: int) -> None:
-        if suspect in self._dead or suspect in self._confirming:
+    def _confirm(self, suspect: int, reporter: int) -> None:
+        """Head side: ping the suspect, declare it dead only on silence."""
+        pinger = self.head
+        if (suspect in self.dead or suspect in self._confirming
+                or self.events.node_failed(pinger)):
             return
         self._confirming.add(suspect)
-        self.sim.process(
-            self._confirm(suspect, reporter), name=f"gsp-confirm{suspect}"
-        )
 
-    def _confirm(self, suspect: int, reporter: int, direct_ping: bool = True):
-        """Head-side (or head-suspicion) confirm: ping, declare on silence."""
-        try:
-            if direct_ping:
-                pinger = self.head
-                if self.events.node_failed(pinger):
-                    return
-                acked = yield from self._ping(pinger, suspect)
-                if self._stopped or suspect in self._dead:
-                    return
-                if acked:
-                    self.suspicions_cleared += 1
-                    self.obs.count("gossip.suspicions_cleared")
-                    inc = self._views[pinger].get(suspect, (ALIVE, 0))[1]
-                    self._apply(pinger, suspect, ALIVE, inc + 1)
-                    return
-            if not self.events.node_failed(suspect):
-                self.false_positives += 1
-                self.obs.count("gossip.false_positives")
-            self._declare(suspect, reporter if not direct_ping else self.head)
-        finally:
+        def pinged(acked: bool) -> None:
             self._confirming.discard(suspect)
+            if self._stopped or suspect in self.dead:
+                return
+            if not acked:
+                # The ring credits the watcher, gossip the confirmer.
+                self._convict(suspect, pinger if self.gossip else reporter)
+                return
+            self._cleared(suspect)  # the misses were transient
+            if self.gossip:
+                inc = self._views[pinger].get(suspect, (ALIVE, 0))[1]
+                self._apply(pinger, suspect, ALIVE, inc + 1)
+
+        self._ping(pinger, suspect, pinged)
+
+    def _cleared(self, suspect: int) -> None:
+        self._confirming.discard(suspect)
+        self.suspicions_cleared += 1
+        self.obs.count("hb.suspicions_cleared")
+
+    def _convict(self, suspect: int, by: int) -> None:
+        self._confirming.discard(suspect)
+        if not self.events.node_failed(suspect):
+            self.false_positives += 1
+            self.obs.count("hb.false_positives")
+        self._declare(suspect, by)
 
     def _declare(self, dead: int, by: int) -> None:
-        if dead in self._dead:
+        if dead in self.dead:
             return
-        self._dead.add(dead)
+        self.dead.add(dead)
         self.detections.append((dead, by, self.sim.now))
-        self.obs.count("gossip.confirms")
-        self.convergence[dead] = [self.sim.now, float(self.rounds)]
-        self._conf_seen[dead] = set()
-        # The confirmation is broadcast once (like the failover
-        # announcement round) and also rides the piggyback stream, so
-        # every live view converges on the death within ~one period.
-        rank = self.comm.rank(by)
-        for peer in self.live_nodes():
-            if peer != by:
-                rank.isend(peer, ("confirm", dead, by, ()),
-                           self.heartbeat_bytes, tag=GOSSIP_TAG)
-        self._apply(by, dead, DEAD, 0)
-        self._check_converged(dead)
+        self.obs.count("hb.detections")
+        if self.gossip:
+            self.convergence[dead] = [self.sim.now, float(self.rounds)]
+            self._conf_seen[dead] = set()
+            # Broadcast once (like the failover announcement round); the
+            # death also rides the piggyback stream.
+            rank = self.comm.rank(by)
+            for peer in self.live_nodes():
+                if peer != by:
+                    rank.isend(peer, ("confirm", dead, ()), MESSAGE_BYTES,
+                               tag=TAG)
+            self._apply(by, dead, DEAD, 0)
+            self._check_converged(dead)
         if dead == self.head and self.on_head_detect is not None:
             self.on_head_detect(dead, by)
         elif self.on_detect is not None:
             self.on_detect(dead, by)
-
-    def _ping(self, pinger: int, target: int):
-        """Generator: one direct probe; True iff the ack arrived in time."""
-        reply_tag = _REPLY_TAG_BASE + next(self._reply_seq)
-        rank = self.comm.rank(pinger)
-        ack = rank.irecv(src=target, tag=reply_tag)
-        rank.isend(target, ("ping", pinger, reply_tag,
-                            self._updates_from(pinger)),
-                   self.heartbeat_bytes, tag=GOSSIP_TAG)
-        yield AnyOf(self.sim, [ack.event,
-                               self.sim.timeout(self.ping_timeout)])
-        if ack.test():
-            self._absorb(pinger, ack.event.value.payload[3])
-            return True
-        ack.cancel()
-        return False
-
-    def _indirect(self, node: int, target: int, rng):
-        """Generator: ask ``fanout`` seeded peers to probe ``target``.
-
-        True iff any helper reached it.  Helpers answer only on
-        success, so a dead target leaves nothing behind to leak.
-        """
-        helpers = [
-            p for p in self.live_nodes()
-            if p != node and p != target
-        ]
-        if not helpers or self.fanout == 0:
-            return False
-        k = min(self.fanout, len(helpers))
-        chosen = [helpers[i] for i in rng.choice(len(helpers), size=k,
-                                                 replace=False)]
-        self.obs.count("gossip.indirect_probes", k)
-        reply_tag = _REPLY_TAG_BASE + next(self._reply_seq)
-        rank = self.comm.rank(node)
-        replies = [rank.irecv(src=h, tag=reply_tag) for h in chosen]
-        for helper in chosen:
-            rank.isend(helper, ("pingreq", node, target, reply_tag,
-                                self._updates_from(node)),
-                       self.heartbeat_bytes, tag=GOSSIP_TAG)
-        budget = self.sim.timeout(2.0 * self.ping_timeout)
-        yield AnyOf(self.sim, [r.event for r in replies] + [budget])
-        reached = False
-        for req in replies:
-            if req.test():
-                self._absorb(node, req.event.value.payload[3])
-                reached = True
-            else:
-                req.cancel()
-        return reached
-
-    def _helper(self, node: int, requester: int, target: int,
-                reply_tag: int):
-        """Generator: indirect probe on a requester's behalf; reply only
-        when the target answered (silence = assent to the suspicion)."""
-        acked = yield from self._ping(node, target)
-        if acked and not self.events.node_failed(node):
-            self.comm.rank(node).isend(
-                requester, ("preached", node, target,
-                            self._updates_from(node)),
-                self.heartbeat_bytes, tag=reply_tag,
-            )
-
-    def _listener(self, node: int):
-        rank = self.comm.rank(node)
-        while not self._stopped:
-            msg = yield from rank.recv(tag=GOSSIP_TAG)
-            if self._stopped:
-                return
-            if self.events.node_failed(node):
-                return  # a dead node answers nothing
-            kind = msg.payload[0]
-            if kind == "ping":
-                _kind, src, reply_tag, updates = msg.payload
-                self._absorb(node, updates)
-                rank.isend(src, ("ack", node, reply_tag,
-                                 self._updates_from(node)),
-                           self.heartbeat_bytes, tag=reply_tag)
-            elif kind == "pingreq":
-                _kind, requester, target, reply_tag, updates = msg.payload
-                self._absorb(node, updates)
-                self.sim.process(
-                    self._helper(node, requester, target, reply_tag),
-                    name=f"gsp-helper{node}",
-                )
-            elif kind == "suspect":
-                _kind, suspect, reporter, updates = msg.payload
-                self._absorb(node, updates)
-                if node == self.head and suspect != node:
-                    self._head_confirm(suspect, reporter)
-            elif kind == "confirm":
-                _kind, dead, _by, updates = msg.payload
-                self._absorb(node, updates)
-                self._apply(node, dead, DEAD, 0)

@@ -29,9 +29,9 @@ knee.  :class:`ShardedRuntime` breaks the knee by partitioning control:
   shard's slot pool and service loops restart on the winner, leases
   are re-sent for unsatisfied subscriptions (closing the lost-NOTIFY
   window) and in-flight tasks are re-dispatched with ``dedup=True``;
-* membership is :class:`~repro.core.gossip.GossipMembership` (SWIM),
-  not the O(N) heartbeat ring — required whenever failures are
-  injected, optional otherwise.
+* membership is the gossip configuration of
+  :class:`~repro.core.gossip.FailureDetector` (SWIM), not the heartbeat
+  ring — required whenever failures are injected, optional otherwise.
 
 Each task runs through the same :class:`~repro.core.runtime.HeadCore`
 frame as the single-head runtime (data plane, tiered store, broadcast
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
-from repro.core.gossip import GossipMembership
+from repro.core.gossip import FailureDetector
 from repro.core.headlog import HeadLog, Replicator
 from repro.core.runtime import HeadCore
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
@@ -264,7 +264,7 @@ class ShardedRuntime:
             )
 
         membership = (
-            GossipMembership.from_config(cluster, mpi, events, cfg)
+            FailureDetector.from_config(cluster, mpi, events, cfg)
             if cfg.gossip else None
         )
 

@@ -23,8 +23,8 @@ reference) while making both directions O(1) for the common case:
   by comparing at most four bucket heads;
 * ``cancel`` is lazy O(1): withdrawn receives are dropped from the
   pending set and swept from bucket heads on the next match attempt
-  (the heartbeat monitor cancels one receive per missed window, which
-  made the reference's O(getters) scan a hot path under fault storms).
+  (every failure-detector ping that goes unanswered cancels its
+  receive, which makes an O(getters) scan a hot path under fault storms).
 
 Equivalence argument: an unbounded Store is always at a fixpoint where
 no waiting getter matches any buffered item.  A ``put`` can therefore

@@ -19,10 +19,10 @@ from repro.core.faultmodel import (
 from repro.core.faults import (
     FailureInjector,
     FaultTolerantRuntime,
-    HeartbeatRing,
     NodeFailure,
     RecoveryError,
 )
+from repro.core.gossip import RING_WINDOW, FailureDetector
 from repro.mpi import MpiWorld
 from repro.omp import OmpProgram
 from repro.omp.task import Buffer, Task, TaskKind, depend_in, depend_inout, depend_out
@@ -191,7 +191,7 @@ class TestHeartbeatRing:
         mpi = MpiWorld(cluster)
         events = EventSystem(cluster, mpi, FAST)
         events.start()
-        ring = HeartbeatRing(cluster, mpi, events, **kwargs)
+        ring = FailureDetector(cluster, mpi, events, **kwargs)
         return cluster, events, ring
 
     def test_no_false_positives_without_failure(self):
@@ -223,7 +223,7 @@ class TestHeartbeatRing:
         assert dead == 2
         assert by == 3  # the ring successor monitors node 2
         # Detection latency is bounded by the heartbeat timeout window.
-        assert 0.02 < at < 0.02 + 3 * ring.timeout
+        assert 0.02 < at < 0.02 + 3 * RING_WINDOW
 
     def test_on_detect_callback(self):
         cluster, events, ring = self.make_ring()
@@ -246,9 +246,9 @@ class TestHeartbeatRing:
         mpi = MpiWorld(cluster)
         events = EventSystem(cluster, mpi, FAST)
         with pytest.raises(ValueError):
-            HeartbeatRing(cluster, mpi, events, interval=0.0)
+            FailureDetector(cluster, mpi, events, interval=0.0)
         with pytest.raises(ValueError):
-            HeartbeatRing(cluster, mpi, events, interval=1.0, timeout=0.5)
+            FailureDetector(cluster, mpi, events, interval=RING_WINDOW)
 
 
 def shots_program(num_shots=4, cost=0.05):
@@ -479,7 +479,7 @@ class TestHeartbeatLossHardening:
         mpi = MpiWorld(cluster)
         events = EventSystem(cluster, mpi, FAST)
         events.start()
-        ring = HeartbeatRing(cluster, mpi, events, **kwargs)
+        ring = FailureDetector(cluster, mpi, events, **kwargs)
         return cluster, mpi, events, ring
 
     def test_lost_heartbeats_cleared_by_ping_not_declared(self):
@@ -531,15 +531,6 @@ class TestHeartbeatLossHardening:
         cluster.sim.run(until=0.3)
         assert any(dead == 2 for dead, _by, _t in ring.detections)
         assert ring.false_positives == 0
-
-    def test_suspect_windows_validation(self):
-        cluster = Cluster(ClusterSpec(num_nodes=3))
-        mpi = MpiWorld(cluster)
-        events = EventSystem(cluster, mpi, FAST)
-        with pytest.raises(ValueError):
-            HeartbeatRing(cluster, mpi, events, suspect_windows=0)
-        with pytest.raises(ValueError):
-            HeartbeatRing(cluster, mpi, events, ping_timeout=0.0)
 
 
 class TestTransientFaults:

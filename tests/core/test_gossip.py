@@ -1,4 +1,5 @@
-"""Tests for SWIM gossip membership (repro.core.gossip)."""
+"""Tests for the gossip configuration of the failure detector
+(repro.core.gossip)."""
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.core.gossip import (
     ALIVE,
     DEAD,
     SUSPECT,
-    GossipMembership,
+    FailureDetector,
     _overrides,
 )
 from repro.mpi import MpiWorld
@@ -23,7 +24,8 @@ def make_membership(n=8, **kwargs):
     mpi = MpiWorld(cluster)
     events = EventSystem(cluster, mpi, FAST)
     events.start()
-    membership = GossipMembership(cluster, mpi, events, **kwargs)
+    membership = FailureDetector(cluster, mpi, events, gossip=True,
+                                 **kwargs)
     return cluster, events, membership
 
 
@@ -122,13 +124,9 @@ class TestGossipMembership:
         mpi = MpiWorld(cluster)
         events = EventSystem(cluster, mpi, FAST)
         with pytest.raises(ValueError):
-            GossipMembership(cluster, mpi, events, interval=0.0)
-        with pytest.raises(ValueError):
-            GossipMembership(cluster, mpi, events, ping_timeout=0.0)
-        with pytest.raises(ValueError):
-            GossipMembership(cluster, mpi, events, fanout=-1)
-        with pytest.raises(ValueError):
-            GossipMembership(cluster, mpi, events, piggyback=0)
+            FailureDetector(cluster, mpi, events, gossip=True, interval=0.0)
+        # Gossip has no watch window, so its period may exceed the ring's.
+        FailureDetector(cluster, mpi, events, gossip=True, interval=0.01)
 
 
 class TestFaultTolerantRuntimeWithGossip:

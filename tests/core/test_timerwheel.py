@@ -1,13 +1,13 @@
-"""Timer wheel: batched heartbeat timers with exact timing.
+"""Shared detector timers: same-instant timers are one event, exactly.
 
-The wheel interns same-instant timeouts, so an n-node heartbeat ring
-schedules O(1) timer events per tick instead of O(n).  Timing must be
-exactly preserved; because the *event stream* legitimately changes
-(that is the optimization), equivalence is asserted at the result level
-— identical makespans, detections, and outputs with the wheel on and
-off — rather than by the event-order digests the fast-path queue uses.
-"Off" is the reference of :func:`_private_timers`: every wait gets its
-own ``sim.timeout``.
+The failure detector interns its timers by fire time
+(:meth:`FailureDetector._after`), so an n-node heartbeat ring schedules
+O(1) timer events per period instead of O(n).  Timing must be exactly
+preserved; because the *event stream* legitimately changes (that is the
+optimization), equivalence is asserted at the result level — identical
+makespans, detections, and outputs with sharing on and off — rather
+than by event-stream digests.  "Off" is the reference of
+:func:`_private_timers`: every timer gets its own ``sim.timeout``.
 """
 
 from __future__ import annotations
@@ -19,24 +19,22 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.core.events import EventSystem
-from repro.core.faults import (
-    FaultTolerantRuntime,
-    HeartbeatRing,
-    NodeFailure,
-    _TimerWheel,
-)
+from repro.core.faults import FaultTolerantRuntime, NodeFailure
+from repro.core.gossip import FailureDetector
 from repro.mpi import MpiWorld
-from repro.sim.core import Simulator
 
 from tests.core.test_faults import FAST, shots_program
 
 
+def _private_after(self, delay, fn, *args):
+    self.sim.timeout(delay).callbacks.append(lambda _ev: fn(*args))
+
+
 @contextmanager
 def _private_timers():
-    """Bypass the wheel: each ``after(delay)`` is a private timeout."""
+    """Bypass sharing: each ``_after`` gets a private timeout."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_TimerWheel, "after",
-                   lambda self, delay: self.sim.timeout(delay))
+        mp.setattr(FailureDetector, "_after", _private_after)
         yield
 
 
@@ -44,55 +42,62 @@ def _wheel(use_wheel: bool):
     return nullcontext() if use_wheel else _private_timers()
 
 
+def _detector(n: int = 4) -> FailureDetector:
+    cluster = Cluster(ClusterSpec(num_nodes=n))
+    mpi = MpiWorld(cluster)
+    events = EventSystem(cluster, mpi, FAST)
+    return FailureDetector(cluster, mpi, events)
+
+
 class TestTimerWheelUnit:
     def test_same_instant_waits_share_one_event(self):
-        sim = Simulator()
-        wheel = _TimerWheel(sim)
-        a = wheel.after(0.5)
-        b = wheel.after(0.5)
-        assert a is b
-        assert wheel.created == 1
-        assert wheel.interned == 1
-        assert wheel.after(0.25) is not a  # different instant
+        det = _detector()
+        det._after(0.5, lambda: None)
+        det._after(0.5, lambda: None)
+        assert list(det._timers) == [0.5]
+        det._after(0.25, lambda: None)  # a different instant
+        assert sorted(det._timers) == [0.25, 0.5]
 
     def test_shared_timer_fires_at_the_exact_instant(self):
-        sim = Simulator()
-        wheel = _TimerWheel(sim)
+        det = _detector()
+        sim = det.sim
         woke: list[tuple[str, float]] = []
-
-        def waiter(tag: str):
-            yield wheel.after(0.125)
-            woke.append((tag, sim.now))
-
-        sim.process(waiter("a"))
-        sim.process(waiter("b"))
+        det._after(0.125, lambda: woke.append(("a", sim.now)))
+        det._after(0.125, lambda: woke.append(("b", sim.now)))
         sim.run()
-        # Bit-equal to a private sim.timeout(0.125): the slot key IS the
+        # Bit-equal to a private sim.timeout(0.125): the key IS the
         # firing time, so sharing cannot shift anyone's wake-up.
         assert woke == [("a", 0.125), ("b", 0.125)]
 
     def test_processed_slot_is_not_reused(self):
-        sim = Simulator()
-        wheel = _TimerWheel(sim)
-        first = wheel.after(0.0)
+        det = _detector()
+        sim = det.sim
+        woke: list[str] = []
+
+        def again():
+            woke.append("first")
+            # Same absolute instant, but the shared timer already fired.
+            det._after(0.0, lambda: woke.append("second"))
+
+        det._after(0.0, again)
         sim.run()
-        assert first.processed
-        again = wheel.after(0.0)  # same absolute instant, but stale
-        assert again is not first
-        assert wheel.created == 2
+        assert woke == ["first", "second"]
+        assert sim._seq == 2  # two timer events: one per firing
 
     def test_fired_slots_are_pruned(self):
-        sim = Simulator()
-        wheel = _TimerWheel(sim)
+        det = _detector()
+        ticks = []
 
-        def ticker():
-            for i in range(200):
-                yield wheel.after(0.001)
+        def tick():
+            ticks.append(det.sim.now)
+            if len(ticks) < 200:
+                det._after(0.001, tick)
 
-        sim.process(ticker())
-        sim.run()
-        # Without pruning the table would hold all 200 fired instants.
-        assert len(wheel._slots) <= 64
+        det._after(0.001, tick)
+        det.sim.run()
+        assert len(ticks) == 200
+        # A fired instant leaves the table at once.
+        assert det._timers == {}
 
 
 class TestRingUsesWheel:
@@ -102,7 +107,7 @@ class TestRingUsesWheel:
             mpi = MpiWorld(cluster)
             events = EventSystem(cluster, mpi, FAST)
             events.start()
-            ring = HeartbeatRing(cluster, mpi, events)
+            ring = FailureDetector(cluster, mpi, events)
             ring.start()
 
             def stopper():
@@ -114,15 +119,26 @@ class TestRingUsesWheel:
         return cluster, ring
 
     def test_steady_state_interns_most_timers(self):
-        _cluster, ring = self._ring(use_wheel=True)
-        assert ring.wheel.interned > ring.wheel.created
+        calls = fresh = 0
+        shared = FailureDetector._after
+
+        def counting(self, delay, fn, *args):
+            nonlocal calls, fresh
+            before = self.sim._seq
+            shared(self, delay, fn, *args)
+            calls += 1
+            fresh += self.sim._seq != before
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FailureDetector, "_after", counting)
+            _cluster, ring = self._ring(use_wheel=True)
+        assert 2 * fresh < calls
         assert ring.detections == []
         assert ring.false_positives == 0
 
     def test_wheel_reduces_event_count_with_identical_health(self):
         with_wheel, ring_on = self._ring(use_wheel=True)
         without, ring_off = self._ring(use_wheel=False)
-        assert ring_off.wheel.created == 0
         assert ring_on.detections == ring_off.detections == []
         assert ring_on.missed_windows == ring_off.missed_windows
         assert with_wheel.sim._seq < without.sim._seq
@@ -149,5 +165,5 @@ class TestRuntimeEquivalence:
         assert [node for node, _by, _t in res_on.detections] == [1]
         for out in outputs_on + outputs_off:
             np.testing.assert_allclose(out, model * 2.0)
-        # ...and the wheel genuinely batched heartbeat timers.
+        # ...and sharing genuinely batched the detector's timers.
         assert events_on < events_off

@@ -100,3 +100,25 @@ class TestFormatUtilization:
             "heartbeat health: 7 missed windows, 3 suspicions "
             "(2 cleared, 1 false positives), 1 confirmed detections"
         ) in text
+
+    def test_heartbeat_health_line_for_gossip_runs(self):
+        # Both detector configurations count under hb.*, so a gossip
+        # run reports its health on the same line as a ring run.
+        from repro.core import FaultTolerantRuntime, NodeFailure, OMPCConfig
+
+        from tests.core.test_faults import shots_program
+
+        runtime = FaultTolerantRuntime(
+            ClusterSpec(num_nodes=4), OMPCConfig(gossip=True, trace=True)
+        )
+        res = runtime.run(shots_program(num_shots=6, cost=0.2)[0],
+                          failures=[NodeFailure(time=0.1, node=2)])
+        report = utilization_summary(res.obs, runtime.last_cluster,
+                                     makespan=res.makespan)
+        text = format_utilization(report)
+        missed = res.counters["hb.missed_windows"]
+        assert missed == res.missed_heartbeat_windows > 0
+        assert (
+            f"heartbeat health: {missed:.0f} missed windows, "
+        ) in text
+        assert "1 confirmed detections" in text

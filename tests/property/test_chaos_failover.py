@@ -4,13 +4,17 @@ links on small task graphs.
 The contract under any drawn fault scenario is binary: the run either
 completes with final buffers bit-identical to a fault-free reference
 run, or it raises a clean :class:`RecoveryError` — never a hang, never
-a silently wrong answer.
+a silently wrong answer.  Every run goes through ``launch()`` under an
+in-simulation horizon, so a livelock (the failure detector ticking over
+a run that can no longer progress) fails as :class:`HorizonExceeded`
+instead of hanging the suite.
 """
 
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
@@ -31,6 +35,29 @@ FAST = OMPCConfig(
 )
 
 NODES = 5
+#: Simulated seconds a chaos run may take; the longest legitimate run
+#: (a 4-step chain with two failovers) ends well under 1 s.
+HORIZON = 5.0
+
+
+class HorizonExceeded(AssertionError):
+    """A run was still going at the horizon: a livelock, not a result."""
+
+
+def run_to_horizon(runtime, program, **run_kwargs):
+    """``runtime.run`` through ``launch()``, raising
+    :class:`HorizonExceeded` if the run outlives :data:`HORIZON`."""
+    main, finish = runtime.launch(program, **run_kwargs)
+    sim = main.sim
+    deadline = sim.now + HORIZON
+
+    def watchdog():
+        yield sim.timeout(HORIZON)
+        raise HorizonExceeded(f"run not done by simulated t={deadline:g} s")
+
+    sim.process(watchdog(), name="chaos-horizon")
+    sim.run(until=main)
+    return finish()
 
 
 def build_program(shape, num_units, cost):
@@ -89,8 +116,18 @@ scenario = st.fixed_dictionaries({
 })
 
 
+#: The head and its ring successor crash together: the head's only
+#: watcher dies with it, so only the reporter's escalation catches it.
+HEAD_AND_SUCCESSOR = {
+    "shape": "chain", "num_units": 3, "cost": 0.05,
+    "crashes": [(0, 0.08), (1, 0.08)], "standbys": 2, "loss": 0.0,
+    "plan_seed": 0, "checkpoint": False,
+}
+
+
 class TestChaosFailover:
     @given(scenario)
+    @example(HEAD_AND_SUCCESSOR)
     @settings(deadline=None, max_examples=30)
     def test_completes_identically_or_fails_cleanly(self, sc):
         cfg = dataclasses.replace(
@@ -101,7 +138,9 @@ class TestChaosFailover:
         ref_prog, ref_out = build_program(
             sc["shape"], sc["num_units"], sc["cost"]
         )
-        FaultTolerantRuntime(ClusterSpec(num_nodes=NODES), cfg).run(ref_prog)
+        run_to_horizon(
+            FaultTolerantRuntime(ClusterSpec(num_nodes=NODES), cfg), ref_prog
+        )
 
         prog, out = build_program(sc["shape"], sc["num_units"], sc["cost"])
         failures = [NodeFailure(time=t, node=n) for n, t in sc["crashes"]]
@@ -113,7 +152,8 @@ class TestChaosFailover:
             )
         rt = FaultTolerantRuntime(ClusterSpec(num_nodes=NODES), cfg)
         try:
-            res = rt.run(prog, failures=failures, fault_plan=plan)
+            res = run_to_horizon(rt, prog, failures=failures,
+                                 fault_plan=plan)
         except RecoveryError:
             return  # clean refusal is an acceptable outcome
         # Completed: every output must match the fault-free run bit for
@@ -129,3 +169,33 @@ class TestChaosFailover:
                 assert fo.resumed_at >= fo.elected_at >= fo.declared_at
         else:
             assert res.final_head == 0
+
+
+class TestHeadAndSuccessorCrash:
+    """The ring configuration must catch a head that dies together with
+    its ring successor, its only watcher."""
+
+    def _run(self, standbys: int):
+        cfg = dataclasses.replace(FAST, head_standbys=standbys)
+        prog, out = build_program("chain", 3, 0.05)
+        rt = FaultTolerantRuntime(ClusterSpec(num_nodes=NODES), cfg)
+        res = run_to_horizon(rt, prog, failures=[
+            NodeFailure(time=0.08, node=0), NodeFailure(time=0.08, node=1),
+        ])
+        return res, out
+
+    def test_fails_over_with_a_live_standby(self):
+        ref_prog, ref_out = build_program("chain", 3, 0.05)
+        run_to_horizon(FaultTolerantRuntime(
+            ClusterSpec(num_nodes=NODES),
+            dataclasses.replace(FAST, head_standbys=2)), ref_prog)
+        res, out = self._run(standbys=2)
+        assert sorted(d for d, _by, _t in res.detections) == [0, 1]
+        assert res.head_failovers == 1
+        assert res.final_head == 2
+        for a, b in zip(ref_out, out):
+            assert np.array_equal(a, b)
+
+    def test_no_live_standby_is_a_recovery_error(self):
+        with pytest.raises(RecoveryError, match="no live standby"):
+            self._run(standbys=1)

@@ -264,35 +264,35 @@ PINS: dict[str, tuple[str, float, int]] = {
         "991272c0226df9ff26a26f0cb121ef7f4d957d4f56b73a2ac5642d248184370b",
         0.07051929503999999, 404),
     "ft-checkpoint-lossy": (
-        "029b01b5d1957ee52490bc5779dad189d0daa6490cef81baffdf92db5d9a02bc",
-        0.33095985488, 11443),
+        "70d1698abaa7759b901d72c3000262f356636ac1bf08f00f9d48d5961ea4d8db",
+        0.33095985488, 9415),
     "ft-clean-trace-analysis": (
-        "21f96683934555d48a17938647f6be373a258f05e402b19534306321ce9b9c3e",
-        0.03074261168000016, 4226),
+        "e151c2b326dfc278c3fabfe384c4f558b2f0f16545cdd7c2fa2b354556f375df",
+        0.03074261168000016, 4118),
     "ft-gossip-worker-kill": (
-        "b6a5e0a5136ba3602c4d72b717b5ae7df90cd66be99f95ca160920f8938997ba",
-        0.3206211824000003, 10161),
+        "1e741573a32adf5cedd4767f3ca27cfa3d21d24b09c0af88829ee494723b13bc",
+        0.3206211824000003, 10133),
     "ft-head-kill": (
-        "5866f4ef86b4447f9dc1e1a893ef87756c2fce03060a17ada4d20be4c3006144",
-        0.038290908480000094, 6547),
+        "9ebe19cd8dbcd71ce921920407a9b90a63f26bc760e869fb73ef4af738380948",
+        0.038290908480000094, 6397),
     "ft-pressure-crash": (
-        "3b0df0d878abb24c79049ef161938827e35f02c2b775a8aa890d26548d03372a",
-        0.03640804272000009, 2123),
+        "f47f5179a9c769baa3c7a80c9c6f39c482c11ac7be65fa578bb01bcc61f11347",
+        0.03640804272000009, 2034),
     "ft-pressure-flaky": (
-        "6492e5ff6b45929f045e7aff9f5efa1f759f1e858ae032de4255389d35a27c09",
-        0.0589625112000001, 2502),
+        "18ed1836ec9a52a81b05100a2936c2b63e9382ba76d4af6c7c293a6310f6e9d9",
+        0.0589625112000001, 2318),
     "ft-speculation": (
-        "571666998b242598a539dd101558921bbbf0fdfc5b97da72a935785dec466375",
-        0.2000611785599993, 5123),
+        "cfd9f09d176c37b253a499485029144879ab9fd91e41bb2f31165d9f5dfae664",
+        0.2000611785599993, 4098),
     "ft-worker-kill-lineage": (
-        "8d0d28af7d0ec5d1585aed6abc562990ae150ac12fd0f41c01b4001d274193c3",
-        0.2400471305599994, 4320),
+        "6dc0e3e566ba019a253b750f5f1a73ca3e6ca430f737e6731c97c74fa402a382",
+        0.2400471305599994, 3472),
     "no-forwarding": (
         "68068e550cc04c9bcada6525da767a12086a077ef74d70f623287303666e6462",
         0.6570094899636348, 1335),
     "overload-1x": (
-        "10b3319d400e5427f2a811b97fdcea08c9198203076db1cc47ccc9dfac95ceb6",
-        0.7364163033272895, 12745),
+        "007a6128e6f620f56d60693ca8ee808762493314006264daa077d9c6200f2566",
+        0.7364163033272895, 12101),
     "page-protect": (
         "154f7a0dfb02865b798c86c1b602b88d2cf2cea2241a22cf07749e665effeaf2",
         0.39624977325090904, 1352),
@@ -315,11 +315,11 @@ PINS: dict[str, tuple[str, float, int]] = {
         "f013006f34076fbf5e7b2daa0e8c44471cadbb9d84c17dbcaa66f96e084985a3",
         0.48687027518737735, 6329),
     "shards-4-failover": (
-        "d11232dd6e89a0a630c0dc1d7891b0fa64a8545ce007040f6b36805f6711a6e5",
-        0.4750482282762884, 66139),
+        "652f4435af58b6017fc35fcf9b9eb133c5392a1e643154603646168f12d1a858",
+        0.4750482282762884, 66057),
     "shards-4-gossip": (
-        "0ac5607fc1c014a3246ed5b651cdd657a0bf150054ef95bf4b6742d27a6b0ce1",
-        0.48613855458140964, 72209),
+        "f6960c1e228f4a3702fae0c9a4ab5b717e40f117d61089ff9c1b3f895f0d0054",
+        0.48613855458140964, 72160),
     "tiered-lru-0.25": (
         "3cd70a247e5c9071df92ab3d295abc8dd7a02ee309340b98d798edd4cf9fd3db",
         0.02792534752000014, 1745),

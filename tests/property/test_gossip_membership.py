@@ -1,4 +1,4 @@
-"""Property tests for SWIM gossip membership convergence.
+"""Property tests for the convergence of gossip membership.
 
 Two protocol invariants, checked across seeds and failure schedules:
 
@@ -18,7 +18,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.core.events import EventSystem
-from repro.core.gossip import DEAD, GossipMembership
+from repro.core.gossip import DEAD, FailureDetector
 from repro.mpi import MpiWorld
 
 from tests.core.test_faults import FAST
@@ -39,7 +39,8 @@ def run_gossip(n, kill, seed, horizon=0.25, stop_at=0.2):
     mpi = MpiWorld(cluster)
     events = EventSystem(cluster, mpi, FAST)
     events.start()
-    membership = GossipMembership(cluster, mpi, events, seed=seed)
+    membership = FailureDetector(cluster, mpi, events, gossip=True,
+                                 seed=seed)
     membership.start()
 
     def chaos():
