@@ -459,7 +459,7 @@ class FaultTolerantRuntime:
             return ev
 
         def on_head_death(node: int, by: int) -> None:
-            """Ring verdict on the head: STONITH, then wake the failover.
+            """Detector verdict on the head: STONITH, then wake failover.
 
             A falsely declared head is killed for real before any
             successor takes over — two live heads racing the same

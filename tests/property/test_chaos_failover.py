@@ -185,16 +185,11 @@ class TestHeadAndSuccessorCrash:
         return res, out
 
     def test_fails_over_with_a_live_standby(self):
-        ref_prog, ref_out = build_program("chain", 3, 0.05)
-        run_to_horizon(FaultTolerantRuntime(
-            ClusterSpec(num_nodes=NODES),
-            dataclasses.replace(FAST, head_standbys=2)), ref_prog)
-        res, out = self._run(standbys=2)
+        res, (x,) = self._run(standbys=2)
         assert sorted(d for d, _by, _t in res.detections) == [0, 1]
         assert res.head_failovers == 1
         assert res.final_head == 2
-        for a, b in zip(ref_out, out):
-            assert np.array_equal(a, b)
+        assert np.array_equal(x, np.full(8, 3.0))  # three +1 steps
 
     def test_no_live_standby_is_a_recovery_error(self):
         with pytest.raises(RecoveryError, match="no live standby"):
