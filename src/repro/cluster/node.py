@@ -1,12 +1,11 @@
-"""Compute-node model: cores, relative speed, and memory."""
+"""Compute-node model: cores, relative speed, and accelerators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from repro.sim.core import Simulator
-from repro.sim.resources import Container, Resource
-from repro.util.units import GB
+from repro.sim.resources import Resource
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class NodeSpec:
     cores: int = 48
     threads: int = 96
     speed: float = 1.0
-    memory_bytes: float = 384 * GB
     accelerators: int = 0
     accelerator_speed: float = 200.0
     pcie_bandwidth: float = 16e9
@@ -44,8 +42,6 @@ class NodeSpec:
             raise ValueError("threads must be >= cores")
         if self.speed <= 0:
             raise ValueError("speed must be > 0")
-        if self.memory_bytes <= 0:
-            raise ValueError("memory_bytes must be > 0")
         if self.accelerators < 0:
             raise ValueError("accelerators must be >= 0")
         if self.accelerator_speed <= 0:
@@ -63,10 +59,6 @@ class Node:
         self.spec = spec
         #: Hardware execution contexts: one slot per SMT thread.
         self.cpu = Resource(sim, capacity=spec.threads, name=f"node{node_id}.cpu")
-        #: Main memory accounting (allocations charge this container).
-        self.memory = Container(
-            sim, capacity=spec.memory_bytes, init=0.0, name=f"node{node_id}.mem"
-        )
         #: Node-local accelerators (None when the node has no GPUs).
         self.gpus = (
             Resource(sim, capacity=spec.accelerators, name=f"node{node_id}.gpu")

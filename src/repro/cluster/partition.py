@@ -39,13 +39,13 @@ class PartitionError(Exception):
 class _NodeView:
     """A physical node seen under a virtual id.
 
-    Shares the physical node's resources (``cpu``, ``memory``, ``gpus``)
+    Shares the physical node's resources (``cpu``, ``gpus``)
     so occupancy is accounted on the real hardware, but reports the
     virtual ``node_id`` the job's runtime schedules against.
     """
 
     __slots__ = ("_node", "node_id", "physical_id", "sim", "spec",
-                 "cpu", "memory", "gpus")
+                 "cpu", "gpus")
 
     def __init__(self, node: Node, virtual_id: int):
         self._node = node
@@ -54,7 +54,6 @@ class _NodeView:
         self.sim = node.sim
         self.spec = node.spec
         self.cpu = node.cpu
-        self.memory = node.memory
         self.gpus = node.gpus
 
     def compute_time(self, nominal_seconds: float) -> float:

@@ -1,8 +1,9 @@
 """OMPC runtime configuration and calibrated overhead constants.
 
-Every constant that shapes performance lives here, each annotated with
-the paper observation it reproduces (Fig. 7a for the runtime-intrinsic
-overheads, §6.1/§7 for the structural parameters).
+Every value a caller varies lives here, each annotated with the paper
+observation it reproduces (Fig. 7a for the runtime-intrinsic overheads,
+§6.1/§7 for the structural parameters).  Values that shape the runtime
+but that no caller varies are constants of the module that reads them.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ class OMPCConfig:
         so this bounds concurrent offloaded tasks — the root cause of
         the paper's scalability knee at 32–64 nodes.  The evaluation
         cluster exposes 48 hardware threads per CPU; 48 is the default.
-    event_handlers
-        Event-handler threads per node (§4.2, Fig. 3).
-    num_comms
-        Size of the duplicated-communicator pool used round-robin by
-        event tag to exploit MPICH VCIs (§4.2; the paper compiles MPICH
-        for up to 64 VCIs, §6.1).
     forwarding_enabled
         When True (default, the paper's design) buffer copies move
         worker-to-worker; when False every move routes through the head
@@ -65,8 +60,14 @@ class OMPCConfig:
     schedule_unit_cost
         HEFT is O(e·p) (§4.4); total scheduling time is
         ``edges × nodes × schedule_unit_cost``.
-    notification_bytes / completion_bytes / params_bytes
-        Control-message sizes of the event protocol.
+
+    Fixed shape
+    -----------
+    Values no caller varies are module constants next to their reader:
+    the handler pool, communicator pool, page and control-message sizes
+    in :mod:`repro.core.events`; the commit-log record size, lag bound
+    and replay cost in :mod:`repro.core.headlog`; the fetch back-off in
+    :mod:`repro.core.runtime`.
     """
 
     # -- structural -------------------------------------------------------
@@ -84,8 +85,6 @@ class OMPCConfig:
     #: makespan/network counters bit-identical; off by default.
     analysis: bool = False
     head_threads: int = 48
-    event_handlers: int = 4
-    num_comms: int = 8
     forwarding_enabled: bool = True
     broadcast_events: bool = False
     #: Write-detection mechanism (§7): ``"dependencies"`` trusts the
@@ -96,7 +95,6 @@ class OMPCConfig:
     #: intercepting the first write to each page, at
     #: ``page_fault_overhead`` per touched page.
     write_detection: str = "dependencies"
-    page_size: int = 4096
     page_fault_overhead: float = 0.3e-6
     #: Per-node device-memory capacity in bytes; 0 means unlimited (the
     #: historical behavior).  With a finite capacity, mapping more
@@ -110,16 +108,13 @@ class OMPCConfig:
     #: graceful degradation: dirty sole copies spill device→host
     #: (write-behind), clean replicas are dropped, and evicted buffers
     #: are re-fetched read-through when needed again.  Requires a finite
-    #: ``device_memory_bytes``.
+    #: ``device_memory_bytes`` (rejected otherwise).
     eviction_policy: str = "none"
     #: Read-through re-fetch retry budget: how many times a failed fetch
     #: of an evicted buffer is retried (exponential backoff) before the
     #: run gives up.  Fetches only fail under fault plans with a
     #: ``MemoryPressure`` arm carrying ``fetch_fail_prob > 0``.
     mem_fetch_retries: int = 4
-    #: Base delay of the exponential backoff between fetch retries
-    #: (doubled on every attempt).
-    mem_fetch_backoff: float = 0.2 * MILLISECOND
 
     # -- transient-fault tolerance (repro.core.faultmodel extension) --------
     #: Head-side checkpoint period for written buffers; 0 disables
@@ -143,13 +138,6 @@ class OMPCConfig:
     #: shard), and cross-shard dependences resolve through
     #: lease/subscription messages between managers.
     head_shards: int = 1
-    #: Graph-partition policy of the shard directory: ``"hash"``
-    #: (consistent hashing of the task's affinity key — the default) or
-    #: ``"block"`` (contiguous blocks of affinity keys, minimizing
-    #: cross-shard edges on neighbor-structured graphs).  Pluggable: the
-    #: :class:`~repro.core.shard.ShardDirectory` also accepts a custom
-    #: policy object directly.
-    shard_policy: str = "hash"
     #: Run the failure detector (repro.core.gossip) in its SWIM gossip
     #: configuration instead of the §3.1 heartbeat ring.  Off by
     #: default; sharded runs with failures require it — the ring's
@@ -164,15 +152,6 @@ class OMPCConfig:
     #: ``1..head_standbys``, clamped to the worker count).  0 disables
     #: replication entirely (the seed behavior: a head crash is fatal).
     head_standbys: int = 0
-    #: Bounded replication lag: dispatch stalls once any live standby
-    #: falls more than this many log records behind.
-    replication_max_lag: int = 64
-    #: Wire size of one metadata log record (completions, dispatches,
-    #: directory updates); bootstrap/checkpoint records add payload bytes.
-    log_record_bytes: float = 64.0
-    #: Per-record cost for the elected head to replay its log replica
-    #: into a fresh directory/task-set during failover.
-    log_replay_unit_cost: float = 1.0 * MICROSECOND
 
     # -- calibrated overheads ------------------------------------------------
     startup_time: float = 12.0 * MILLISECOND
@@ -182,23 +161,14 @@ class OMPCConfig:
     event_handler_overhead: float = 20.0 * MICROSECOND
     task_creation_overhead: float = 2.0 * MICROSECOND
     schedule_unit_cost: float = 50.0e-9
-    notification_bytes: float = 64.0
-    completion_bytes: float = 32.0
-    params_bytes: float = 256.0
 
     def __post_init__(self) -> None:
         if self.head_threads < 1:
             raise ValueError("head_threads must be >= 1")
-        if self.event_handlers < 1:
-            raise ValueError("event_handlers must be >= 1")
-        if self.num_comms < 1:
-            raise ValueError("num_comms must be >= 1")
         if self.write_detection not in ("dependencies", "page_protect"):
             raise ValueError(
                 "write_detection must be 'dependencies' or 'page_protect'"
             )
-        if self.page_size < 1:
-            raise ValueError("page_size must be >= 1")
         if self.page_fault_overhead < 0:
             raise ValueError("page_fault_overhead must be >= 0")
         if self.device_memory_bytes < 0:
@@ -207,28 +177,26 @@ class OMPCConfig:
             raise ValueError(
                 "eviction_policy must be 'none', 'lru', or 'cost'"
             )
+        if self.eviction_policy != "none" and self.device_memory_bytes <= 0:
+            raise ValueError(
+                f"eviction_policy={self.eviction_policy!r} needs "
+                "device_memory_bytes > 0: every runtime (OMPCRuntime, "
+                "FaultTolerantRuntime, ShardedRuntime) arms the tiered "
+                "store only on a finite device, so the policy would be "
+                "ignored"
+            )
         if self.mem_fetch_retries < 0:
             raise ValueError("mem_fetch_retries must be >= 0")
-        if self.mem_fetch_backoff < 0:
-            raise ValueError("mem_fetch_backoff must be >= 0")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0 (0 = off)")
         if self.straggler_factor < 0:
             raise ValueError("straggler_factor must be >= 0 (0 = off)")
         if self.head_shards < 1:
             raise ValueError("head_shards must be >= 1")
-        if self.shard_policy not in ("hash", "block"):
-            raise ValueError("shard_policy must be 'hash' or 'block'")
         if self.gossip_interval <= 0:
             raise ValueError("gossip_interval must be > 0")
         if self.head_standbys < 0:
             raise ValueError("head_standbys must be >= 0 (0 = off)")
-        if self.replication_max_lag < 1:
-            raise ValueError("replication_max_lag must be >= 1")
-        if self.log_record_bytes < 0:
-            raise ValueError("log_record_bytes must be >= 0")
-        if self.log_replay_unit_cost < 0:
-            raise ValueError("log_replay_unit_cost must be >= 0")
         for field_name in (
             "startup_time",
             "shutdown_time",
@@ -237,9 +205,6 @@ class OMPCConfig:
             "event_handler_overhead",
             "task_creation_overhead",
             "schedule_unit_cost",
-            "notification_bytes",
-            "completion_bytes",
-            "params_bytes",
         ):
             if getattr(self, field_name) < 0:
                 raise ValueError(f"{field_name} must be >= 0")

@@ -64,6 +64,23 @@ class Notification:
     info: dict = field(default_factory=dict)
 
 
+#: Event-handler threads per node (§4.2, Fig. 3).  The default HEFT
+#: models each worker's concurrent-execution capacity with it.
+EVENT_HANDLERS = 4
+#: Size of the duplicated-communicator pool used round-robin by event
+#: tag to exploit MPICH VCIs (§4.2; the paper compiles MPICH for up to
+#: 64 VCIs, §6.1).  The pool size changes no simulated time or event
+#: count; per-NIC channel concurrency is ``NetworkSpec.vcis``.
+NUM_COMMS = 8
+#: Control-message sizes of the event protocol, in bytes: the new-event
+#: notification, the completion, and a target region's parameters.
+NOTIFICATION_BYTES = 64.0
+COMPLETION_BYTES = 32.0
+PARAMS_BYTES = 256.0
+#: Page granularity of ``write_detection="page_protect"`` (§7): every
+#: touched page of a written buffer costs one write fault.
+PAGE_SIZE = 4096
+
 #: Queue sentinel shutting down one event handler.
 _POISON = object()
 
@@ -100,7 +117,7 @@ class EventSystem:
         #: Control communicator carrying notifications only.
         self.control: Communicator = mpi.new_communicator()
         #: Data communicators, selected round-robin by event tag (VCIs).
-        self.pool = CommunicatorPool(mpi, config.num_comms)
+        self.pool = CommunicatorPool(mpi, NUM_COMMS)
         self.tags = TagAllocator()
         #: Per-node mapped-buffer tables (the "device memory").
         capacity = config.device_memory_bytes or None
@@ -147,7 +164,7 @@ class EventSystem:
                 self.sim.process(
                     self._handler(node_id, h), name=f"handler{node_id}.{h}"
                 )
-                for h in range(self.config.event_handlers)
+                for h in range(EVENT_HANDLERS)
             ]
 
     def shutdown(self, origin: int = 0):
@@ -163,7 +180,7 @@ class EventSystem:
                 continue
             note = Notification(EventType.EXIT, 0, origin)
             yield from rank.send(
-                node_id, note, self.config.notification_bytes, NOTIFY_TAG
+                node_id, note, NOTIFICATION_BYTES, NOTIFY_TAG
             )
         for node_id, gate in enumerate(self._gates):
             if node_id in self._failed:
@@ -259,7 +276,7 @@ class EventSystem:
                 msg = yield from rank.recv(tag=NOTIFY_TAG)
                 note: Notification = msg.payload
                 if note.event_type == EventType.EXIT:
-                    for _ in range(self.config.event_handlers):
+                    for _ in range(EVENT_HANDLERS):
                         yield self._queues[node_id].put(_POISON)
                     return
                 self.obs.count("ompc.notifications")
@@ -311,7 +328,6 @@ class EventSystem:
         mem = self.memories[node_id]
         comm = self.pool.select(note.tag)
         rank = comm.rank(node_id)
-        cfg = self.config
 
         if note.event_type == EventType.ALLOC:
             mem.alloc(note.info["buffer_id"], note.info.get("payload"),
@@ -319,12 +335,12 @@ class EventSystem:
                       label=note.info.get("label"),
                       owner=note.info.get("owner"))
             self._mem_gauge(node_id, mem)
-            yield from rank.send(note.origin, "done", cfg.completion_bytes, note.tag)
+            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
 
         elif note.event_type == EventType.DELETE:
             mem.delete(note.info["buffer_id"])
             self._mem_gauge(node_id, mem)
-            yield from rank.send(note.origin, "done", cfg.completion_bytes, note.tag)
+            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
 
         elif note.event_type == EventType.SUBMIT:
             msg = yield from rank.recv(src=note.origin, tag=note.tag)
@@ -334,7 +350,7 @@ class EventSystem:
                           label=note.info.get("label"))
                 self._mem_gauge(node_id, mem)
             mem.write(note.info["buffer_id"], msg.payload)
-            yield from rank.send(note.origin, "done", cfg.completion_bytes, note.tag)
+            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
 
         elif note.event_type == EventType.RETRIEVE:
             payload = mem.read(note.info["buffer_id"])
@@ -357,7 +373,7 @@ class EventSystem:
                           label=note.info.get("label"))
                 self._mem_gauge(node_id, mem)
             mem.write(note.info["buffer_id"], msg.payload)
-            yield from rank.send(note.origin, "done", cfg.completion_bytes, note.tag)
+            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
 
         elif note.event_type == EventType.BROADCAST:
             yield from self._handle_broadcast(node_id, note, mem, rank)
@@ -375,7 +391,6 @@ class EventSystem:
         ``children``.  Every non-source participant stores the payload
         and acknowledges to the origin.
         """
-        cfg = self.config
         parent = note.info["parent"]
         if parent is None:
             payload = mem.read(note.info["buffer_id"])
@@ -390,7 +405,7 @@ class EventSystem:
         for child in note.info["children"]:
             yield from rank.send(child, payload, note.info["nbytes"], note.tag)
         if parent is not None:
-            yield from rank.send(note.origin, "done", cfg.completion_bytes, note.tag)
+            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
 
     def _stretched(self, node_id: int, duration: float) -> float:
         """Wall time for ``duration`` of compute starting now on the node,
@@ -401,7 +416,6 @@ class EventSystem:
         return faults.stretched(node_id, self.sim.now, duration)
 
     def _handle_execute(self, node_id: int, note: Notification, mem, rank):
-        cfg = self.config
         # 5a in Fig. 3: fetch which function to run and its parameters
         # (a self-dispatching head embeds them in the notification).
         if "params" in note.info:
@@ -417,7 +431,7 @@ class EventSystem:
         epoch = note.info.get("fo_epoch", 0)
         if epoch < self._node_epoch[node_id]:
             self.obs.count("ompc.exec_fenced")
-            yield from rank.send(note.origin, "fenced", cfg.completion_bytes,
+            yield from rank.send(note.origin, "fenced", COMPLETION_BYTES,
                                  note.tag)
             return
         self._node_epoch[node_id] = epoch
@@ -431,7 +445,7 @@ class EventSystem:
             if tid in self._exec_done[node_id]:
                 self.obs.count("ompc.exec_dedup_hits")
                 yield from rank.send(note.origin, "done",
-                                     cfg.completion_bytes, note.tag)
+                                     COMPLETION_BYTES, note.tag)
                 return
         marker = self.sim.event(f"exec{node_id}:{tid}")
         self._exec_inflight[node_id][tid] = marker
@@ -538,14 +552,14 @@ class EventSystem:
                 if after != before[bid]:
                     written.append(bid)
                     fault_pages += max(
-                        1, int(dep.buffer.nbytes // cfg.page_size)
+                        1, int(dep.buffer.nbytes // PAGE_SIZE)
                     )
                 elif after is None and dep.type.writes:
                     # Timing-only payloads can't be fingerprinted; fall
                     # back to the declared intent for them.
                     written.append(bid)
                     fault_pages += max(
-                        1, int(dep.buffer.nbytes // cfg.page_size)
+                        1, int(dep.buffer.nbytes // PAGE_SIZE)
                     )
             if fault_pages and cfg.page_fault_overhead:
                 yield self.sim.timeout(fault_pages * cfg.page_fault_overhead)
@@ -557,7 +571,7 @@ class EventSystem:
             self.analysis.on_kernel(task, node_id, note.info.get("actx"))
         if not revoked():
             self._exec_done[node_id].add(task.task_id)
-        yield from rank.send(note.origin, completion, cfg.completion_bytes,
+        yield from rank.send(note.origin, completion, COMPLETION_BYTES,
                              note.tag)
 
     # ------------------------------------------------------------------
@@ -588,7 +602,7 @@ class EventSystem:
         tag = self.tags.allocate()
         note = Notification(event_type, tag, origin, info)
         yield from self.control.rank(origin).send(
-            dst, note, self.config.notification_bytes, NOTIFY_TAG
+            dst, note, NOTIFICATION_BYTES, NOTIFY_TAG
         )
         return tag
 
@@ -673,8 +687,8 @@ class EventSystem:
             {"buffer_id": buffer_id, "src": src, "nbytes": nbytes,
              "label": label},
         )
-        req_a = ctrl.isend(src, note_src, self.config.notification_bytes, NOTIFY_TAG)
-        req_b = ctrl.isend(dst, note_dst, self.config.notification_bytes, NOTIFY_TAG)
+        req_a = ctrl.isend(src, note_src, NOTIFICATION_BYTES, NOTIFY_TAG)
+        req_b = ctrl.isend(dst, note_dst, NOTIFICATION_BYTES, NOTIFY_TAG)
         yield from req_a.wait()
         yield from req_b.wait()
         yield from self._await_completion(origin, dst, tag)
@@ -709,7 +723,7 @@ class EventSystem:
                 },
             )
             reqs.append(
-                ctrl.isend(node_id, note, self.config.notification_bytes, NOTIFY_TAG)
+                ctrl.isend(node_id, note, NOTIFICATION_BYTES, NOTIFY_TAG)
             )
         for req in reqs:
             yield from req.wait()
@@ -760,7 +774,7 @@ class EventSystem:
                                          info)
             comm = self.pool.select(tag)
             req = comm.rank(origin).isend(dst, task,
-                                          self.config.params_bytes, tag)
+                                          PARAMS_BYTES, tag)
             msg = yield from self._await_completion(origin, dst, tag)
             yield from req.wait()
         if isinstance(msg.payload, tuple) and msg.payload[0] == "done":

@@ -69,8 +69,18 @@ from repro.core.datamanager import HOST, DataManager, Move
 from repro.core.events import EventSystem
 from repro.core.faultmodel import FaultPlan
 from repro.core.gossip import FailureDetector
-from repro.core.headlog import HeadLog, Replicator
-from repro.core.runtime import HeadCore, configure_tiering, fetch_gate
+from repro.core.headlog import (
+    LOG_RECORD_BYTES,
+    LOG_REPLAY_UNIT_COST,
+    HeadLog,
+    Replicator,
+)
+from repro.core.runtime import (
+    MEM_FETCH_BACKOFF,
+    HeadCore,
+    configure_tiering,
+    fetch_gate,
+)
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
 from repro.core.tiering import MemoryWait
 from repro.mpi.comm import TransportConfig
@@ -275,9 +285,7 @@ class FaultTolerantRuntime:
                 "worker, so forwarding_enabled=False (staging through the "
                 "head) would be ignored"
             )
-        self.scheduler = scheduler or HeftScheduler(
-            exec_slots_per_node=self.config.event_handlers
-        )
+        self.scheduler = scheduler or HeftScheduler()
         self.last_cluster: Cluster | None = None
 
     # ------------------------------------------------------------------
@@ -346,13 +354,11 @@ class FaultTolerantRuntime:
         # like any other worker while also mirroring the head's log.
         n_standbys = min(cfg.head_standbys, cluster.num_nodes - 1)
         if n_standbys > 0:
-            log = HeadLog(cfg.log_record_bytes)
+            log = HeadLog()
             repl = Replicator(
                 sim, mpi, events, log,
                 standbys=list(range(1, 1 + n_standbys)),
                 head=HOST,
-                max_lag=cfg.replication_max_lag,
-                election_bytes=cfg.log_record_bytes,
             )
         else:
             log = None
@@ -820,7 +826,7 @@ class FaultTolerantRuntime:
                 except MemoryWait:
                     dm.unpin(pinned_ids)
                     try:
-                        yield sim.timeout(cfg.mem_fetch_backoff * backoff)
+                        yield sim.timeout(MEM_FETCH_BACKOFF * backoff)
                         backoff = min(backoff * 2, 64)
                     finally:
                         dm.pin(pinned_ids)
@@ -1084,7 +1090,7 @@ class FaultTolerantRuntime:
                     # sharing it with the replicas is safe.
                     log_append(
                         "checkpoint",
-                        nbytes=cfg.log_record_bytes + buf.nbytes,
+                        nbytes=LOG_RECORD_BYTES + buf.nbytes,
                         buffer_id=bid, version=version,
                         snap=checkpoints[bid][1],
                     )
@@ -1251,7 +1257,7 @@ class FaultTolerantRuntime:
             detector.rebase(winner)
             # The successor replays its replica into fresh control
             # state; the replay is CPU work charged per record.
-            replay_cost = len(log.records) * cfg.log_replay_unit_cost
+            replay_cost = len(log.records) * LOG_REPLAY_UNIT_COST
             if replay_cost:
                 yield sim.timeout(replay_cost)
             redispatched = rebuild_from_log(old_head)
@@ -1318,7 +1324,7 @@ class FaultTolerantRuntime:
                 )
                 log_append(
                     "bootstrap",
-                    nbytes=cfg.log_record_bytes + sum(
+                    nbytes=LOG_RECORD_BYTES + sum(
                         all_buffers[bid].nbytes for bid in sorted(all_buffers)
                     ),
                     snapshots=snaps,

@@ -46,12 +46,24 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.sim.primitives import AnyOf
+from repro.util.units import MICROSECOND
 
 #: Tags on the replication communicator.
 LOG_TAG = 1
 ELECT_TAG = 2
 ANNOUNCE_TAG = 3
 _REPLY_TAG_BASE = 16
+
+#: Wire size of one metadata log record (completions, dispatches,
+#: directory updates) and of every election message; bootstrap and
+#: checkpoint records add their payload bytes to it.
+LOG_RECORD_BYTES = 64.0
+#: Bounded replication lag: dispatch stalls once any live standby falls
+#: more than this many log records behind.
+REPLICATION_MAX_LAG = 64
+#: Per-record cost for the elected head to replay its log replica into
+#: a fresh directory and task set during failover.
+LOG_REPLAY_UNIT_COST = 1.0 * MICROSECOND
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,7 @@ class LogRecord:
 class HeadLog:
     """The head-side ordered commit log."""
 
-    def __init__(self, record_bytes: float = 64.0):
+    def __init__(self, record_bytes: float = LOG_RECORD_BYTES):
         self.record_bytes = record_bytes
         self.records: list[LogRecord] = []
         #: Head incarnation stamping new records (bumped per failover).
@@ -124,8 +136,8 @@ class Replicator:
         log: HeadLog,
         standbys: list[int],
         head: int = 0,
-        max_lag: int = 64,
-        election_bytes: float = 64.0,
+        max_lag: int = REPLICATION_MAX_LAG,
+        election_bytes: float = LOG_RECORD_BYTES,
     ):
         self.sim = sim
         self.events = events

@@ -50,6 +50,7 @@ from repro.omp.task import Task, TaskKind
 from repro.sim.errors import Interrupt
 from repro.sim.primitives import AllOf, AnyOf
 from repro.sim.resources import Resource
+from repro.util.units import MILLISECOND
 
 
 @dataclass
@@ -79,14 +80,6 @@ class OMPCRunResult:
         """Startup + shutdown + scheduling — the Fig. 7a numerator."""
         return self.startup_time + self.shutdown_time + self.scheduling_time
 
-    @property
-    def overhead_fraction(self) -> float:
-        """Fraction of wall time not spent inside task execution."""
-        if self.makespan == 0:
-            return 0.0
-        busy = sum(end - start for start, end in self.task_intervals.values())
-        return max(0.0, 1.0 - min(busy, self.makespan) / self.makespan)
-
 
 def configure_tiering(dm: DataManager, cfg: OMPCConfig, cluster) -> None:
     """Arm ``dm``'s tiered device→host→remote store if ``cfg`` asks.
@@ -114,6 +107,27 @@ def configure_tiering(dm: DataManager, cfg: OMPCConfig, cluster) -> None:
     )
 
 
+#: Base delay of the exponential back-off between fetch retries, doubled
+#: on every attempt; FT's ``make_room`` backs off from the same base.
+MEM_FETCH_BACKOFF = 0.2 * MILLISECOND
+
+
+_DEFAULT_CONFIG = OMPCConfig()
+
+
+def reject_unread(cfg: OMPCConfig, runtime: str, *names: str) -> None:
+    """Raise ``ValueError`` if ``cfg`` moves any of ``names`` off its
+    default.  ``runtime`` never reads them, so the run would silently go
+    without the feature; the fault-tolerant runtime is their reader."""
+    unread = [f"{name}={getattr(cfg, name)!r}" for name in names
+              if getattr(cfg, name) != getattr(_DEFAULT_CONFIG, name)]
+    if unread:
+        raise ValueError(
+            f"{runtime} never reads {', '.join(unread)}; only "
+            "FaultTolerantRuntime does"
+        )
+
+
 def fetch_gate(cluster, cfg: OMPCConfig, buffer, dst: int):
     """Generator: fault-injected fetch failures toward ``dst``, retried.
 
@@ -137,7 +151,7 @@ def fetch_gate(cluster, cfg: OMPCConfig, buffer, dst: int):
                 f"fetch of buffer {buffer.name} toward node {dst} still "
                 f"failing after {cfg.mem_fetch_retries} retries"
             )
-        yield sim.timeout(cfg.mem_fetch_backoff * 2 ** (attempt - 1))
+        yield sim.timeout(MEM_FETCH_BACKOFF * 2 ** (attempt - 1))
 
 
 class HeadCore:
@@ -803,17 +817,26 @@ class OMPCRuntime:
                 "OMPC needs a head node plus at least one worker node"
             )
         self.cluster_spec = cluster_spec
-        self.config = config or OMPCConfig()
-        # The default HEFT models each worker's concurrent-execution
-        # capacity, which the event-handler pool bounds (§4.2).
-        self._scheduler_provided = scheduler is not None
-        self.scheduler = scheduler or HeftScheduler(
-            exec_slots_per_node=self.config.event_handlers
-        )
+        self.config = cfg = config or OMPCConfig()
+        self.scheduler = scheduler or HeftScheduler()
         #: The cluster of the most recent run (for inspection in tests).
         self.last_cluster: Cluster | None = None
         #: The sharded delegate when ``config.head_shards > 1``.
         self._sharded = None
+        if cfg.head_shards > 1:
+            # Sharded control plane (repro.core.shard): K managers, each
+            # with its own scheduler instance and head_threads pool.
+            # head_shards == 1 never reaches this import, keeping the
+            # classic single-head path — and its event stream — byte-
+            # for-byte untouched.
+            from repro.core.shard.plane import ShardedRuntime
+
+            self._sharded = ShardedRuntime(cluster_spec, cfg,
+                                           scheduler=scheduler)
+        else:
+            reject_unread(cfg, "OMPCRuntime (head_shards=1)",
+                          "checkpoint_interval", "straggler_factor",
+                          "head_standbys", "gossip")
 
     # ------------------------------------------------------------------
     def run(self, program: OmpProgram) -> OMPCRunResult:
@@ -835,22 +858,7 @@ class OMPCRuntime:
         duration, not the absolute clock), and ``finish()`` must be
         called only after the returned process has completed.
         """
-        if self.config.head_shards > 1:
-            # Sharded control plane (repro.core.shard): K managers, each
-            # with its own scheduler instance and head_threads pool.
-            # head_shards == 1 never reaches this import, keeping the
-            # classic single-head path — and its event stream — byte-
-            # for-byte untouched.
-            from repro.core.shard.plane import ShardedRuntime
-
-            if self._sharded is None:
-                self._sharded = ShardedRuntime(
-                    self.cluster_spec, self.config,
-                    scheduler=(
-                        self.scheduler if self._scheduler_provided
-                        else None
-                    ),
-                )
+        if self._sharded is not None:
             main_proc, finish = self._sharded.launch(program, cluster)
             self.last_cluster = self._sharded.last_cluster
             return main_proc, finish

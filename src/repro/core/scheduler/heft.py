@@ -31,6 +31,7 @@ from collections import defaultdict
 
 from repro.cluster.machine import Cluster
 from repro.core.datamanager import HOST
+from repro.core.events import EVENT_HANDLERS
 from repro.core.scheduler.base import Schedule, Scheduler
 from repro.omp.task import Task, TaskKind
 from repro.omp.taskgraph import TaskGraph
@@ -109,7 +110,8 @@ class HeftScheduler(Scheduler):
 
     ``exec_slots_per_node`` is the number of target regions one worker
     executes concurrently — bounded by the event-handler pool of the
-    runtime (§4.2), not by raw core count.  The scheduler must model
+    runtime (§4.2, :data:`~repro.core.events.EVENT_HANDLERS` by
+    default), not by raw core count.  The scheduler must model
     the capacity of the machine it schedules for, or it collapses
     communication-free chains (e.g. Task Bench's tree) onto one node
     whose handlers then serialize them.
@@ -117,7 +119,7 @@ class HeftScheduler(Scheduler):
 
     def __init__(
         self,
-        exec_slots_per_node: int = 4,
+        exec_slots_per_node: int = EVENT_HANDLERS,
         affinity_stickiness: float = 1.0,
     ):
         if exec_slots_per_node < 1:

@@ -4,11 +4,8 @@ See :mod:`repro.core.shard.plane` for the architecture overview.
 """
 
 from repro.core.shard.directory import (
-    BlockPolicy,
     ConsistentHashPolicy,
-    PartitionPolicy,
     ShardDirectory,
-    make_partition_policy,
     stable_hash,
 )
 from repro.core.shard.messages import LEASE_TAG, NOTIFY_TAG
@@ -19,16 +16,13 @@ from repro.core.shard.plane import (
 from repro.core.shard.report import ShardRunResult, ShardStats
 
 __all__ = [
-    "BlockPolicy",
     "ConsistentHashPolicy",
     "LEASE_TAG",
     "NOTIFY_TAG",
-    "PartitionPolicy",
     "ShardDirectory",
     "ShardPlaneError",
     "ShardRunResult",
     "ShardStats",
     "ShardedRuntime",
-    "make_partition_policy",
     "stable_hash",
 ]

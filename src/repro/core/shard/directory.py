@@ -4,18 +4,11 @@ The sharded control plane partitions the *control* of the task graph
 across K shard managers.  The :class:`ShardDirectory` is the pure
 (clock-free, deterministic) assignment underneath it: every task and
 every buffer has exactly one owning shard, computed once before the
-simulation starts, by a pluggable :class:`PartitionPolicy`.
-
-Two policies ship:
-
-* :class:`ConsistentHashPolicy` (``shard_policy="hash"``) — a classic
-  consistent-hash ring with virtual nodes, keyed on the task's affinity
-  key.  The hash is SHA-based (``repro.util.rng`` style), *not*
-  Python's randomized ``hash()``, so ownership is stable across
-  processes and seeds.
-* :class:`BlockPolicy` (``shard_policy="block"``) — contiguous blocks
-  over the sorted distinct affinity keys, the layout that minimizes
-  cross-shard edges on neighbor-structured graphs (stencils).
+simulation starts, by a :class:`ConsistentHashPolicy`: a classic
+consistent-hash ring with virtual nodes, keyed on the task's affinity
+key.  The hash is SHA-based (``repro.util.rng`` style), *not* Python's
+randomized ``hash()``, so ownership is stable across processes and
+seeds.
 
 Affinity keys come from ``task.meta["affinity"]`` (the Task Bench port
 tags every task with its grid point), falling back to the task id.
@@ -23,7 +16,7 @@ Keying on affinity — not on the task id — keeps each logical chain
 (every generation of one stencil point) on one shard, so the only
 cross-shard dependences are the graph's true neighbor edges.
 
-§4.4 adaptation rules override the policy where semantics demand it:
+§4.4 adaptation rules override the ring where semantics demand it:
 ``CLASSICAL`` and ``target exit data`` tasks run against host memory
 and belong to shard 0 (whose manager is the host node); a ``target
 enter data`` task follows its first non-data consumer, exactly like
@@ -35,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Hashable, Protocol
+from typing import Hashable
 
 from repro.omp.task import Task, TaskKind
 from repro.omp.taskgraph import TaskGraph
@@ -47,22 +40,11 @@ def stable_hash(key: Hashable, salt: str = "") -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-class PartitionPolicy(Protocol):
-    """The pluggable graph-partition hook of the shard directory."""
-
-    def prepare(self, keys: list[Hashable]) -> None:
-        """Observe the distinct affinity keys before any lookup."""
-
-    def shard_of(self, key: Hashable) -> int:
-        """The owning shard of one affinity key."""
-
-
 class ConsistentHashPolicy:
     """Consistent hashing with ``replicas`` virtual points per shard.
 
     Adding or removing one shard remaps only ~1/K of the key space —
-    the property that makes hash ownership the default for elastic
-    shard counts (ROADMAP: elastic re-sharding rides on this).
+    the property elastic re-sharding would rely on.
     """
 
     def __init__(self, num_shards: int, replicas: int = 64):
@@ -79,44 +61,10 @@ class ConsistentHashPolicy:
         self._ring = [p for p, _s in points]
         self._owner = [s for _p, s in points]
 
-    def prepare(self, keys: list[Hashable]) -> None:  # pragma: no cover
-        pass  # the ring is key-independent
-
     def shard_of(self, key: Hashable) -> int:
         h = stable_hash(key, "key")
         i = bisect_right(self._ring, h) % len(self._ring)
         return self._owner[i]
-
-
-class BlockPolicy:
-    """Contiguous blocks of sorted affinity keys, one block per shard."""
-
-    def __init__(self, num_shards: int):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.num_shards = num_shards
-        self._block: dict[Hashable, int] = {}
-
-    def prepare(self, keys: list[Hashable]) -> None:
-        ordered = sorted(keys, key=lambda k: (str(type(k)), str(k)))
-        n = len(ordered)
-        for i, key in enumerate(ordered):
-            self._block[key] = min(i * self.num_shards // max(n, 1),
-                                   self.num_shards - 1)
-
-    def shard_of(self, key: Hashable) -> int:
-        shard = self._block.get(key)
-        if shard is None:  # a key never prepared: hash it stably
-            return stable_hash(key, "blockfall") % self.num_shards
-        return shard
-
-
-def make_partition_policy(name: str, num_shards: int) -> PartitionPolicy:
-    if name == "hash":
-        return ConsistentHashPolicy(num_shards)
-    if name == "block":
-        return BlockPolicy(num_shards)
-    raise ValueError(f"unknown shard policy {name!r}")
 
 
 class ShardDirectory:
@@ -127,25 +75,12 @@ class ShardDirectory:
     the lease/notify protocol must cover) is precomputed too.
     """
 
-    def __init__(
-        self,
-        graph: TaskGraph,
-        num_shards: int,
-        policy: PartitionPolicy | str = "hash",
-    ):
+    def __init__(self, graph: TaskGraph, num_shards: int):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if isinstance(policy, str):
-            policy = make_partition_policy(policy, num_shards)
         self.graph = graph
         self.num_shards = num_shards
-        self.policy = policy
-
-        keys = sorted(
-            {self._key(t) for t in graph.tasks()},
-            key=lambda k: (str(type(k)), str(k)),
-        )
-        policy.prepare(keys)
+        self.policy = ConsistentHashPolicy(num_shards)
 
         self._task_owner: dict[int, int] = {}
         for task in graph.tasks():
@@ -189,7 +124,7 @@ class ShardDirectory:
         # Host-memory tasks belong to the host shard regardless of key.
         if task.kind in (TaskKind.CLASSICAL, TaskKind.TARGET_EXIT_DATA):
             return 0
-        return self.policy.shard_of(self._key(task)) % self.num_shards
+        return self.policy.shard_of(self._key(task))
 
     # ------------------------------------------------------------------
     def owner_of(self, task_id: int) -> int:

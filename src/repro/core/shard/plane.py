@@ -14,7 +14,7 @@ knee.  :class:`ShardedRuntime` breaks the knee by partitioning control:
   pool — against a private node set;
 * task/buffer ownership comes from the
   :class:`~repro.core.shard.directory.ShardDirectory` (consistent hash
-  of the affinity key by default, pluggable policy hook);
+  of the affinity key);
 * cross-shard dependences resolve by **lease/subscription**: at plane
   start-up each shard sends one LEASE per remote producer task it
   depends on; the owner replies with a NOTIFY when (or immediately if)
@@ -50,11 +50,12 @@ from __future__ import annotations
 
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
+from repro.core.events import NOTIFICATION_BYTES
 from repro.core.gossip import FailureDetector
-from repro.core.headlog import HeadLog, Replicator
-from repro.core.runtime import HeadCore
+from repro.core.headlog import LOG_REPLAY_UNIT_COST, HeadLog, Replicator
+from repro.core.runtime import HeadCore, reject_unread
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
-from repro.core.shard.directory import PartitionPolicy, ShardDirectory
+from repro.core.shard.directory import ShardDirectory
 from repro.core.shard.messages import LEASE_TAG, NOTIFY_TAG
 from repro.core.shard.report import ShardRunResult, ShardStats
 from repro.omp.api import OmpProgram
@@ -139,7 +140,6 @@ class ShardedRuntime:
         cluster_spec: ClusterSpec,
         config: OMPCConfig | None = None,
         scheduler: Scheduler | None = None,
-        policy: PartitionPolicy | None = None,
         inject_failures: tuple = (),
     ):
         cfg = config or OMPCConfig()
@@ -149,6 +149,8 @@ class ShardedRuntime:
                 "ShardedRuntime needs head_shards >= 2 (use OMPCRuntime "
                 "for the single-head plane)"
             )
+        reject_unread(cfg, "ShardedRuntime", "checkpoint_interval",
+                      "straggler_factor")
         if cluster_spec.num_nodes < 2 * k:
             raise ValueError(
                 f"{k} shards need >= {2 * k} nodes (one manager plus at "
@@ -184,7 +186,6 @@ class ShardedRuntime:
         self.config = cfg
         self.num_shards = k
         self.scheduler = scheduler
-        self.policy = policy
         self.inject_failures = injections
         self.last_cluster: Cluster | None = None
         self.last_directory: ShardDirectory | None = None
@@ -217,10 +218,7 @@ class ShardedRuntime:
         result = core.result
         graph = program.graph
 
-        directory = ShardDirectory(
-            graph, k, self.policy if self.policy is not None
-            else cfg.shard_policy,
-        )
+        directory = ShardDirectory(graph, k)
         self.last_directory = directory
         obs.count("shard.cross_edges", len(directory.cross_edges))
         lease_needs = directory.lease_needs()
@@ -233,7 +231,7 @@ class ShardedRuntime:
         def shard_scheduler() -> Scheduler:
             if self.scheduler is not None:
                 return self.scheduler
-            return HeftScheduler(exec_slots_per_node=cfg.event_handlers)
+            return HeftScheduler()
 
         assignment: dict[int, int] = {}
         planned: dict[int, tuple[float, float]] = {}
@@ -273,11 +271,10 @@ class ShardedRuntime:
                 standbys = list(
                     shard.nodes[:min(cfg.head_standbys, len(shard.nodes))]
                 )
-                shard.log = HeadLog(record_bytes=cfg.log_record_bytes)
+                shard.log = HeadLog()
                 shard.repl = Replicator(
                     sim, mpi, events, shard.log, standbys,
-                    head=shard.manager, max_lag=cfg.replication_max_lag,
-                    election_bytes=cfg.log_record_bytes,
+                    head=shard.manager,
                 )
 
         def fail_run(exc: Exception) -> None:
@@ -361,7 +358,7 @@ class ShardedRuntime:
             shard_comm.rank(shard.manager).isend(
                 shards[sc].manager,
                 ("notify", producer_id, shard.sid),
-                cfg.notification_bytes, tag=NOTIFY_TAG,
+                NOTIFICATION_BYTES, tag=NOTIFY_TAG,
             )
 
         def send_lease(shard: _Shard, producer_id: int) -> None:
@@ -371,7 +368,7 @@ class ShardedRuntime:
             shard_comm.rank(shard.manager).isend(
                 shards[sp].manager,
                 ("lease", producer_id, shard.sid),
-                cfg.notification_bytes, tag=LEASE_TAG,
+                NOTIFICATION_BYTES, tag=LEASE_TAG,
             )
 
         def lease_service(shard: _Shard, node: int):
@@ -487,7 +484,7 @@ class ShardedRuntime:
             shard.manager = winner
             shard.stats.manager = winner
             # Replay the adopted log into a fresh manager state.
-            replay = len(shard.log.records) * cfg.log_replay_unit_cost
+            replay = len(shard.log.records) * LOG_REPLAY_UNIT_COST
             if replay:
                 yield sim.timeout(replay)
             shard.slots = Resource(

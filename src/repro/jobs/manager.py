@@ -213,16 +213,26 @@ class JobManager:
         view = ClusterView(self.cluster, job.partition, name=job.spec.name)
         config = job.spec.config or self.default_config
         program = job.spec.program()
+        fault_tolerant = job.spec.needs_fault_tolerance
         try:
-            if job.spec.needs_fault_tolerance:
-                runtime = FaultTolerantRuntime(view.spec, config)
+            runtime = (FaultTolerantRuntime if fault_tolerant
+                       else OMPCRuntime)(view.spec, config)
+        except ValueError as exc:
+            # A config the runtime rejects fails this job alone.
+            self.obs.end(run_span, outcome="rejected")
+            self._release_partition(job, dead_virtual=())
+            self._finish_job(job, JobState.FAILED,
+                             error=f"config rejected: {exc}")
+            self._schedule()
+            return
+        try:
+            if fault_tolerant:
                 proc, finish = runtime.launch(
                     program,
                     failures=job.pending_failures,
                     cluster=view,
                 )
             else:
-                runtime = OMPCRuntime(view.spec, config)
                 proc, finish = runtime.launch(program, cluster=view)
             self._procs[job.job_id] = proc
             yield proc

@@ -16,13 +16,12 @@ ever consulted.
 from repro.sim.core import Event, Process, Simulator
 from repro.sim.errors import Interrupt, SimulationError, DeadlockError
 from repro.sim.primitives import AllOf, AnyOf, Condition, Timeout
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "DeadlockError",
     "Event",
     "Interrupt",

@@ -197,7 +197,6 @@ class Process(Event):
             if self._value is not _PENDING:  # interrupted after completion
                 return
             self._started = True
-            self.sim._active_process = self
             try:
                 if throw is not None:
                     nxt = self._gen.throw(throw)
@@ -213,8 +212,6 @@ class Process(Event):
                     self.sim._crash = exc
                 self.fail(exc)
                 return
-            finally:
-                self.sim._active_process = None
 
             if not isinstance(nxt, Event):
                 err = SimulationError(
@@ -266,7 +263,6 @@ class Simulator:
         #: Fast lane: ``(time, seq, event)`` for immediate NORMAL events.
         self._fast: deque[tuple[float, int, Event]] = deque()
         self._seq = 0
-        self._active_process: Process | None = None
         self._crash: BaseException | None = None
         self._processes: list[Process] = []
         self._compact_at = 64
@@ -278,10 +274,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        return self._active_process
 
     # -- construction helpers ----------------------------------------------
     def event(self, name: str = "") -> Event:

@@ -1,9 +1,8 @@
-"""Shared-resource primitives: counted resources, stores, containers.
+"""Shared-resource primitives: counted resources and stores.
 
 These model the contended entities of the cluster: CPU cores
-(:class:`Resource`), message/work queues (:class:`Store`), and bulk
-quantities such as memory (:class:`Container`).  All queues are FIFO,
-which keeps the simulation deterministic.
+(:class:`Resource`) and message/work queues (:class:`Store`).  All
+queues are FIFO, which keeps the simulation deterministic.
 """
 
 from __future__ import annotations
@@ -204,64 +203,3 @@ class Store:
                 self._items.append(item)
                 pev.succeed(item)
                 progressed = True
-
-
-class Container:
-    """A continuous-quantity resource (e.g. node memory in bytes)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "",
-    ):
-        if init < 0 or init > capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name or "container"
-        self._level = float(init)
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        ev = self.sim.event(f"put:{self.name}")
-        self._putters.append((ev, amount))
-        self._dispatch()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be >= 0")
-        if amount > self.capacity:
-            raise ValueError("requested more than capacity; would never succeed")
-        ev = self.sim.event(f"get:{self.name}")
-        self._getters.append((ev, amount))
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    ev.succeed(amount)
-                    progressed = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if amount <= self._level:
-                    self._getters.popleft()
-                    self._level -= amount
-                    ev.succeed(amount)
-                    progressed = True

@@ -7,17 +7,12 @@ import numpy as np
 from repro.analysis import demo_program
 from repro.analysis.findings import Severity
 from repro.cluster import ClusterSpec
-from repro.core.config import OMPCConfig
 from repro.core.faults import FaultTolerantRuntime, NodeFailure
 from repro.core.runtime import OMPCRuntime
 from repro.omp import OmpProgram
 from repro.omp.task import depend_in, depend_out
 
-FAST = OMPCConfig(
-    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-    event_origin_overhead=0.0, event_handler_overhead=0.0,
-    task_creation_overhead=0.0, schedule_unit_cost=0.0,
-)
+from tests.test_util import FAST
 
 
 def run(program, **config_overrides):

@@ -12,13 +12,8 @@ from repro.apps.awave import (
     sigsbee_like,
 )
 from repro.apps.awave.rtm import shot_positions, stack_images
-from repro.core.config import OMPCConfig
 
-FAST_OMPC = OMPCConfig(
-    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-    event_origin_overhead=0.0, event_handler_overhead=0.0,
-    task_creation_overhead=0.0, schedule_unit_cost=0.0,
-)
+from tests.test_util import FAST as FAST_OMPC
 
 
 def layered_model(nz=70, nx=90):

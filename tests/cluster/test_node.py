@@ -26,7 +26,6 @@ class TestNodeSpec:
             {"cores": 4, "threads": 2},
             {"speed": 0.0},
             {"speed": -1.0},
-            {"memory_bytes": 0},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -8,11 +8,7 @@ from repro.core import OMPCConfig, OMPCRuntime
 from repro.omp import OmpProgram
 from repro.omp.task import depend_in, depend_out
 
-BASE = dict(
-    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-    event_origin_overhead=0.0, event_handler_overhead=0.0,
-    task_creation_overhead=0.0, schedule_unit_cost=0.0,
-)
+from tests.test_util import ZERO_OVERHEADS as BASE
 
 
 def one_to_many_program(consumers=6, nbytes=64_000_000):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core.config import OMPCConfig
 from repro.core.faults import (
     FailoverEvent,
     FaultTolerantRuntime,
@@ -23,11 +22,7 @@ from repro.core.faults import (
 from repro.omp import OmpProgram
 from repro.omp.task import depend_in, depend_inout, depend_out
 
-FAST = OMPCConfig(
-    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-    event_origin_overhead=0.0, event_handler_overhead=0.0,
-    task_creation_overhead=0.0, schedule_unit_cost=0.0,
-)
+from tests.test_util import FAST
 HA = dataclasses.replace(FAST, head_standbys=2)
 
 

@@ -27,11 +27,7 @@ from repro.mpi import MpiWorld
 from repro.omp import OmpProgram
 from repro.omp.task import Buffer, Task, TaskKind, depend_in, depend_inout, depend_out
 
-FAST = OMPCConfig(
-    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-    event_origin_overhead=0.0, event_handler_overhead=0.0,
-    task_creation_overhead=0.0, schedule_unit_cost=0.0,
-)
+from tests.test_util import FAST
 
 
 def target(task_id, *deps):

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, NodeSpec
-from repro.core import OMPCConfig, OMPCRuntime
+from repro.core import OMPCRuntime
 from repro.omp import OmpProgram
 from repro.omp.task import depend_inout
 
-FAST = OMPCConfig(
-    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-    event_origin_overhead=0.0, event_handler_overhead=0.0,
-    task_creation_overhead=0.0, schedule_unit_cost=0.0,
-)
+from tests.test_util import FAST
 
 GPU_NODE = NodeSpec(accelerators=2, accelerator_speed=8.0,
                     pcie_bandwidth=16e9, pcie_latency=10e-6)

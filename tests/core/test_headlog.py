@@ -3,16 +3,11 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.core.config import OMPCConfig
 from repro.core.events import EventSystem
 from repro.core.headlog import HeadLog, LogRecord, Replicator
 from repro.mpi import MpiWorld
 
-FAST = OMPCConfig(
-    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-    event_origin_overhead=0.0, event_handler_overhead=0.0,
-    task_creation_overhead=0.0, schedule_unit_cost=0.0,
-)
+from tests.test_util import FAST
 
 
 class TestHeadLog:

@@ -13,15 +13,7 @@ from repro.omp.task import depend_in, depend_inout, depend_out
 from repro.sim.errors import Interrupt
 from repro.sim.resources import Resource
 
-FAST_CFG = OMPCConfig(
-    startup_time=0.0,
-    shutdown_time=0.0,
-    first_event_interval=0.0,
-    event_origin_overhead=0.0,
-    event_handler_overhead=0.0,
-    task_creation_overhead=0.0,
-    schedule_unit_cost=0.0,
-)
+from tests.test_util import FAST as FAST_CFG, ZERO_OVERHEADS
 
 
 def listing1_program(n=1000, cost=0.05):
@@ -92,6 +84,22 @@ class TestEndToEnd:
             OMPCRuntime(ClusterSpec(num_nodes=1))
 
 
+class TestUnreadFieldsRejected:
+    """The single head reads none of the fault-tolerance fields."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"checkpoint_interval": 0.05},
+        {"straggler_factor": 3.0},
+        {"head_standbys": 1},
+        {"gossip": True},
+    ], ids=lambda o: next(iter(o)))
+    def test_fault_tolerance_fields_rejected(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ValueError, match=name) as info:
+            OMPCRuntime(ClusterSpec(num_nodes=3), OMPCConfig(**overrides))
+        assert "FaultTolerantRuntime" in str(info.value)
+
+
 class TestDataMovement:
     def test_worker_to_worker_forwarding_bypasses_head(self):
         # foo on node 1, bar on node 2 (forced): A must flow 1 -> 2.
@@ -118,12 +126,7 @@ class TestDataMovement:
         prog.target(depend=[depend_inout(A)], cost=0.01, name="foo")
         prog.target(depend=[depend_inout(A)], cost=0.01, name="bar")
         prog.target_exit_data(A)
-        cfg = OMPCConfig(
-            startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-            event_origin_overhead=0.0, event_handler_overhead=0.0,
-            task_creation_overhead=0.0, schedule_unit_cost=0.0,
-            forwarding_enabled=False,
-        )
+        cfg = OMPCConfig(forwarding_enabled=False, **ZERO_OVERHEADS)
         rt = OMPCRuntime(
             ClusterSpec(num_nodes=3), cfg, scheduler=RoundRobinScheduler()
         )
@@ -175,23 +178,13 @@ class TestInFlightLimit:
     def test_limit_throttles_concurrency(self):
         # 8 independent tasks, 8 workers, but only 2 head threads: at
         # most 2 tasks in flight, so wall ~= 4 * cost.
-        cfg = OMPCConfig(
-            head_threads=2,
-            startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-            event_origin_overhead=0.0, event_handler_overhead=0.0,
-            task_creation_overhead=0.0, schedule_unit_cost=0.0,
-        )
+        cfg = OMPCConfig(head_threads=2, **ZERO_OVERHEADS)
         prog = self.make_wide(8)
         res = OMPCRuntime(ClusterSpec(num_nodes=9), cfg).run(prog)
         assert res.makespan == pytest.approx(4.0, rel=0.05)
 
     def test_ample_threads_full_concurrency(self):
-        cfg = OMPCConfig(
-            head_threads=64,
-            startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-            event_origin_overhead=0.0, event_handler_overhead=0.0,
-            task_creation_overhead=0.0, schedule_unit_cost=0.0,
-        )
+        cfg = OMPCConfig(head_threads=64, **ZERO_OVERHEADS)
         prog = self.make_wide(8)
         res = OMPCRuntime(ClusterSpec(num_nodes=9), cfg).run(prog)
         assert res.makespan == pytest.approx(1.0, rel=0.05)

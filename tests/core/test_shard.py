@@ -7,13 +7,11 @@ from repro.cluster import ClusterSpec, shard_reserved
 from repro.cluster.partition import PartitionError
 from repro.core import OMPCConfig, OMPCRuntime
 from repro.core.shard import (
-    BlockPolicy,
     ConsistentHashPolicy,
     ShardDirectory,
     ShardedRuntime,
     ShardPlaneError,
     ShardRunResult,
-    make_partition_policy,
     stable_hash,
 )
 from repro.obs.exporter import to_chrome_trace, validate_chrome_trace
@@ -51,29 +49,12 @@ class TestPartitionPolicies:
         assert [a.shard_of(i) for i in range(64)] == \
                [b.shard_of(i) for i in range(64)]
 
-    def test_block_policy_is_contiguous(self):
-        policy = BlockPolicy(4)
-        keys = list(range(100))
-        policy.prepare(keys)
-        # Non-decreasing over the policy's key order: contiguous blocks.
-        ordered = sorted(keys, key=lambda k: (str(type(k)), str(k)))
-        owners = [policy.shard_of(k) for k in ordered]
-        assert owners == sorted(owners)
-        assert set(owners) == {0, 1, 2, 3}
-
-    def test_make_partition_policy(self):
-        assert isinstance(make_partition_policy("hash", 2),
-                          ConsistentHashPolicy)
-        assert isinstance(make_partition_policy("block", 2), BlockPolicy)
-        with pytest.raises(ValueError):
-            make_partition_policy("nope", 2)
-
 
 class TestShardDirectory:
-    def make(self, shards=4, policy="hash"):
+    def make(self, shards=4):
         prog = stencil()
         prog.validate()
-        return prog, ShardDirectory(prog.graph, shards, policy=policy)
+        return prog, ShardDirectory(prog.graph, shards)
 
     def test_every_task_owned(self):
         prog, directory = self.make()
@@ -82,6 +63,7 @@ class TestShardDirectory:
             assert 0 <= sid < 4
         total = sum(len(directory.tasks_of(s)) for s in range(4))
         assert total == len(list(prog.graph.tasks()))
+        assert directory.stats()["tasks"] == total
 
     def test_host_work_pinned_to_shard_zero(self):
         prog, directory = self.make()
@@ -112,11 +94,6 @@ class TestShardDirectory:
             for pred, succ in sub.edges():
                 assert pred.task_id in owned
                 assert succ.task_id in owned
-
-    def test_block_policy_directory(self):
-        prog, directory = self.make(policy="block")
-        stats = directory.stats()
-        assert stats["tasks"] == len(list(prog.graph.tasks()))
 
 
 class TestShardReserved:
@@ -151,6 +128,18 @@ class TestShardedRuntimeValidation:
                 OMPCConfig(head_shards=2, gossip=True),
                 inject_failures=((0.1, 1),),
             )
+
+    @pytest.mark.parametrize("name,value", [
+        ("checkpoint_interval", 0.05),
+        ("straggler_factor", 3.0),
+    ])
+    def test_fault_tolerance_fields_rejected(self, name, value):
+        cfg = OMPCConfig(head_shards=2, **{name: value})
+        with pytest.raises(ValueError, match="ShardedRuntime never reads"):
+            ShardedRuntime(ClusterSpec(num_nodes=8), cfg)
+        # Delegation through OMPCRuntime rejects at construction too.
+        with pytest.raises(ValueError, match=name):
+            OMPCRuntime(ClusterSpec(num_nodes=8), cfg)
 
     def test_root_manager_unkillable(self):
         with pytest.raises(ValueError, match="node 0"):

@@ -352,16 +352,21 @@ class TestFaultTolerantTiering:
 
 class TestConfigValidation:
     def test_policy_names(self):
-        OMPCConfig(eviction_policy="lru")
-        OMPCConfig(eviction_policy="cost")
+        OMPCConfig(device_memory_bytes=KB, eviction_policy="lru")
+        OMPCConfig(device_memory_bytes=KB, eviction_policy="cost")
         with pytest.raises(ValueError):
-            OMPCConfig(eviction_policy="mru")
+            OMPCConfig(device_memory_bytes=KB, eviction_policy="mru")
+
+    def test_policy_needs_capacity(self):
+        # Without a finite device the tiered store never arms, so a
+        # policy would be silently ignored.
+        with pytest.raises(ValueError, match="device_memory_bytes > 0"):
+            OMPCConfig(eviction_policy="lru")
+        OMPCConfig(device_memory_bytes=KB)  # capacity alone is fine
 
     def test_retry_bounds(self):
         with pytest.raises(ValueError):
             OMPCConfig(mem_fetch_retries=-1)
-        with pytest.raises(ValueError):
-            OMPCConfig(mem_fetch_backoff=-1.0)
 
 
 class TestDeviceMemoryDiagnostics:

@@ -9,11 +9,7 @@ from repro.core.scheduler import RoundRobinScheduler
 from repro.omp import OmpProgram
 from repro.omp.task import depend_in, depend_inout, depend_out
 
-BASE = dict(
-    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-    event_origin_overhead=0.0, event_handler_overhead=0.0,
-    task_creation_overhead=0.0, schedule_unit_cost=0.0,
-)
+from tests.test_util import ZERO_OVERHEADS as BASE
 DETECT = OMPCConfig(write_detection="page_protect", **BASE)
 DECLARE = OMPCConfig(write_detection="dependencies", **BASE)
 
@@ -22,8 +18,6 @@ class TestConfigValidation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             OMPCConfig(write_detection="magic")
-        with pytest.raises(ValueError):
-            OMPCConfig(page_size=0)
         with pytest.raises(ValueError):
             OMPCConfig(page_fault_overhead=-1.0)
 

@@ -12,17 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
-from repro.core import FaultTolerantRuntime, OMPCConfig, OMPCRuntime
+from repro.core import FaultTolerantRuntime, OMPCRuntime
 from repro.core.scheduler import MinLoadScheduler, RandomScheduler, RoundRobinScheduler
 from repro.omp import OmpProgram
 from repro.omp.host import HostRuntime
 from repro.omp.task import Dep, DepType
 
-FAST = OMPCConfig(
-    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
-    event_origin_overhead=0.0, event_handler_overhead=0.0,
-    task_creation_overhead=0.0, schedule_unit_cost=0.0,
-)
+from tests.test_util import FAST
 
 clause = st.tuples(
     st.integers(min_value=0, max_value=3),

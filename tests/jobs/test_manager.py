@@ -1,9 +1,11 @@
 """Tests for the JobManager: admission, isolation, faults, telemetry."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.machine import Cluster, ClusterSpec
-from repro.core import NodeFailure
+from repro.core import NodeFailure, OMPCConfig
 from repro.jobs import JobManager, JobSpec, JobState
 from repro.jobs.workload import _taskbench_job
 from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
@@ -73,6 +75,24 @@ class TestLifecycle:
         mgr = manager(nodes=5)
         with pytest.raises(ValueError, match="only has 4"):
             mgr.submit(tb_job("huge", 6))
+
+    def test_rejected_config_fails_only_its_job(self):
+        # The plain runtime never reads checkpoint_interval; its
+        # construction error fails that job and the other tenant runs.
+        bad = dataclasses.replace(
+            tb_job("bad", 3, tenant="a"),
+            config=OMPCConfig(checkpoint_interval=0.05),
+        )
+        mgr = manager(nodes=8)
+        report = mgr.run([(0.0, bad), (0.0, tb_job("good", 3, tenant="b"))])
+        rejected, good = mgr.jobs
+        assert rejected.state is JobState.FAILED
+        assert "config rejected" in rejected.error
+        assert "checkpoint_interval" in rejected.error
+        assert "FaultTolerantRuntime" in rejected.error
+        assert good.state is JobState.COMPLETED
+        assert report.completed == 1 and report.failed == 1
+        assert mgr.pool.held_count == 0
 
     def test_rerun_accumulates(self):
         mgr = manager()

@@ -1,10 +1,9 @@
-"""Tests for Resource, Store, and Container."""
+"""Tests for Resource and Store."""
 
 import pytest
 
 from repro.sim import Resource, Simulator, Store
 from repro.sim.errors import SimulationError
-from repro.sim.resources import Container
 
 
 @pytest.fixture
@@ -221,55 +220,3 @@ class TestStore:
 
         p = sim.process(proc())
         assert sim.run(until=p) == "only"
-
-
-class TestContainer:
-    def test_get_blocks_until_level(self, sim):
-        box = Container(sim, capacity=10.0)
-
-        def getter():
-            yield box.get(5.0)
-            return sim.now
-
-        def putter():
-            yield sim.timeout(2.0)
-            yield box.put(5.0)
-
-        p = sim.process(getter())
-        sim.process(putter())
-        assert sim.run(until=p) == 2.0
-        assert box.level == 0.0
-
-    def test_put_blocks_at_capacity(self, sim):
-        box = Container(sim, capacity=10.0, init=10.0)
-        log = []
-
-        def putter():
-            yield box.put(1.0)
-            log.append(sim.now)
-
-        def getter():
-            yield sim.timeout(3.0)
-            yield box.get(2.0)
-
-        sim.process(putter())
-        sim.process(getter())
-        sim.run()
-        assert log == [3.0]
-        assert box.level == 9.0
-
-    def test_over_capacity_get_rejected(self, sim):
-        box = Container(sim, capacity=5.0)
-        with pytest.raises(ValueError):
-            box.get(6.0)
-
-    def test_negative_amounts_rejected(self, sim):
-        box = Container(sim, capacity=5.0)
-        with pytest.raises(ValueError):
-            box.put(-1.0)
-        with pytest.raises(ValueError):
-            box.get(-1.0)
-
-    def test_bad_init(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, capacity=1.0, init=2.0)

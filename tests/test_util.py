@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from repro.core.config import OMPCConfig
 from repro.sim import Simulator
 from repro.util import (
     GB,
@@ -20,6 +21,16 @@ from repro.util import (
     fmt_time,
 )
 from repro.util.logging import SimLogger
+
+#: The seven calibrated Fig. 7a timing overheads, all zero: the profile
+#: of tests that check data movement and compute, not runtime overhead.
+ZERO_OVERHEADS = dict(
+    startup_time=0.0, shutdown_time=0.0, first_event_interval=0.0,
+    event_origin_overhead=0.0, event_handler_overhead=0.0,
+    task_creation_overhead=0.0, schedule_unit_cost=0.0,
+)
+#: An :class:`OMPCConfig` with :data:`ZERO_OVERHEADS` and defaults otherwise.
+FAST = OMPCConfig(**ZERO_OVERHEADS)
 
 
 class TestUnits:
