@@ -204,6 +204,24 @@ def _overload():
     return scenario
 
 
+def _jobs_backfill():
+    """Eight Poisson jobs under the backfill policy on 17 nodes."""
+    from repro.cluster.machine import Cluster
+    from repro.jobs import JobManager, PoissonWorkload
+
+    def scenario():
+        workload = PoissonWorkload(
+            seed=7, jobs=8, mean_interarrival=0.01, large=(8, 12),
+            large_fraction=0.35, steps=(3, 6), task_seconds=(0.02, 0.08),
+        ).generate()
+        manager = JobManager(Cluster(ClusterSpec(num_nodes=17)),
+                             policy="backfill")
+        report = manager.run(workload)
+        return report.horizon, manager.sim._seq
+
+    return scenario
+
+
 SCENARIOS = {
     "plain-stencil_1d": _fig5(),
     "plain-fft": _fig5(Pattern.FFT),
@@ -256,6 +274,11 @@ SCENARIOS = {
         fault_plan=FaultPlan(seed=11, pressures=[MemoryPressure(
             node=1, start=0.0, capacity_factor=0.5, fetch_fail_prob=0.5)])),
     "overload-1x": _overload(),
+    # The four quick cells of the BENCH_kernel.json record are
+    # plain-stencil_1d, overload-1x and the two rows below; their event
+    # counts and makespans equal the recorded ones.
+    "perf-fig5-n8": _plain(8, lambda: _taskbench(16, 4), OMPCConfig()),
+    "perf-jobs-backfill": _jobs_backfill(),
 }
 
 #: scenario -> (sha256 of the event stream, makespan, sim._seq)
@@ -296,6 +319,12 @@ PINS: dict[str, tuple[str, float, int]] = {
     "page-protect": (
         "154f7a0dfb02865b798c86c1b602b88d2cf2cea2241a22cf07749e665effeaf2",
         0.39624977325090904, 1352),
+    "perf-fig5-n8": (
+        "8d4039a0b7f2be55d49c14e692249641c55e1d809ac77f740aec72097862240b",
+        0.342454686159532, 2869),
+    "perf-jobs-backfill": (
+        "0a2ac0c6e7226ea9118f666b8cc62680dc8c3fcfdc6c26166492eb32ed78ca26",
+        0.5492255911809469, 4361),
     "plain-all_to_all": (
         "1fe737a840f16ccf62a14cd1345a61318c1002d0e43d08687877a4371e292dc6",
         0.8713520714681041, 4308),
