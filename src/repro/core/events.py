@@ -487,7 +487,7 @@ class EventSystem:
             spec = node.spec
             in_bytes = sum(b.nbytes for b in task.reads)
             out_bytes = sum(b.nbytes for b in task.writes)
-            yield node.gpus.request()
+            yield from node.gpus.acquire()
             try:
                 if in_bytes or task.reads:
                     yield self.sim.timeout(
@@ -517,7 +517,7 @@ class EventSystem:
             # otherwise.
             threads = min(int(task.meta.get("omp_threads", 1)), node.spec.cores)
             duration = node.compute_time(task.cost) / max(threads, 1)
-            yield node.cpu.request()
+            yield from node.cpu.acquire()
             if obs_enabled:
                 self.obs.gauge_add(
                     f"node{node_id}.cpu_busy", threads, node=node_id

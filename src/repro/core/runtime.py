@@ -47,7 +47,6 @@ from repro.mpi.comm import MpiWorld, TransportConfig
 from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
 from repro.omp.task import Task, TaskKind
-from repro.sim.errors import Interrupt
 from repro.sim.primitives import AllOf, AnyOf
 from repro.sim.resources import Resource
 from repro.util.units import MILLISECOND
@@ -495,14 +494,7 @@ class HeadCore:
         wait_span = obs.begin(
             "task", f"{task.name}:wait-slot", origin, task_id=task.task_id
         ) if enabled else None
-        req = slots.request()
-        try:
-            yield req
-        except Interrupt:
-            # A slot granted in the same instant is handed back.
-            if not slots.cancel(req):
-                slots.release()
-            raise
+        yield from slots.acquire()
         if enabled:
             obs.end(wait_span)
             obs.gauge_add("head.inflight", 1)
@@ -538,13 +530,7 @@ class HeadCore:
         """Generator: run a classical task on the ``head`` node's CPU
         against host memory."""
         self.analysis.on_host_task(task, self.dm)
-        req = head.cpu.request()
-        try:
-            yield req
-        except Interrupt:
-            if not head.cpu.cancel(req):
-                head.cpu.release()
-            raise
+        yield from head.cpu.acquire()
         try:
             if task.cost:
                 yield self.sim.timeout(head.compute_time(task.cost))

@@ -11,7 +11,7 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.sim.core import Event, Simulator
-from repro.sim.errors import SimulationError
+from repro.sim.errors import Interrupt, SimulationError
 
 
 class Resource:
@@ -95,8 +95,20 @@ class Resource:
         return False
 
     def acquire(self):
-        """Generator helper: ``yield from res.acquire()`` inside a process."""
-        yield self.request()
+        """Generator: ``yield from res.acquire()`` waits for a slot.
+
+        Interrupt-safe: a waiter interrupted while queued withdraws its
+        request, and one granted in the same instant hands the slot
+        back, so an abandoned wait never swallows the next freed slot.
+        The interrupt is re-raised.
+        """
+        req = self.request()
+        try:
+            yield req
+        except Interrupt:
+            if not self.cancel(req):
+                self.release()
+            raise
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

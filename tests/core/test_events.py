@@ -199,6 +199,58 @@ class TestExecute:
             cluster.sim.run()
 
 
+class TestInterruptedExecute:
+    """A handler interrupted while it waits for a worker slot withdraws
+    its request, so the slot is free for the next tenant of the node."""
+
+    @staticmethod
+    def _interrupt_midway(node, device):
+        import numpy as np
+
+        from repro.cluster import NodeSpec
+        from repro.core import OMPCRuntime
+        from repro.omp import OmpProgram
+        from repro.sim.errors import Interrupt
+
+        # Three independent one-second targets on the one worker: one
+        # holds its slot and two queue behind it when the run is cut.
+        prog = OmpProgram()
+        for i in range(3):
+            buf = prog.buffer(64, data=np.zeros(8), name=f"A{i}")
+            prog.target(depend=[depend_inout(buf)], cost=1.0, device=device,
+                        name=f"k{i}")
+        runtime = OMPCRuntime(
+            ClusterSpec(num_nodes=2, node=NodeSpec(**node)), OMPCConfig()
+        )
+        main, _finish = runtime.launch(prog)
+        sim = main.sim
+
+        def preempt():
+            yield sim.timeout(0.1)
+            main.interrupt("preempted")
+
+        def watch():
+            try:
+                yield main
+            except Interrupt:
+                pass
+
+        sim.process(preempt())
+        sim.process(watch())
+        sim.run()
+        return runtime.last_cluster.node(1)
+
+    def test_gpu_slot_not_leaked(self):
+        worker = self._interrupt_midway(
+            {"accelerators": 1, "accelerator_speed": 1.0}, "gpu"
+        )
+        assert worker.gpus.in_use == 0 and worker.gpus.queue_length == 0
+
+    def test_cpu_slot_not_leaked(self):
+        worker = self._interrupt_midway({"cores": 1, "threads": 1}, "cpu")
+        assert worker.cpu.in_use == 0 and worker.cpu.queue_length == 0
+
+
 class TestBroadcast:
     def test_all_destinations_receive(self):
         cluster, events = make_system(6)
