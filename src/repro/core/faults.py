@@ -279,6 +279,13 @@ class FaultTolerantRuntime:
                 "moves each buffer to each consumer on its own, so "
                 "broadcast_events=True would be ignored"
             )
+        if self.config.write_detection == "page_protect":
+            raise ValueError(
+                "FaultTolerantRuntime commits each task's declared "
+                "writes (its lineage and replica bookkeeping follow the "
+                "dependences), so write_detection='page_protect' would "
+                "be ignored"
+            )
         if not self.config.forwarding_enabled:
             raise ValueError(
                 "FaultTolerantRuntime always exchanges buffers worker to "

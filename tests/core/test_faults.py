@@ -462,6 +462,11 @@ class TestHeadCoreDriver:
             FaultTolerantRuntime(ClusterSpec(num_nodes=4),
                                  OMPCConfig(broadcast_events=True))
 
+    def test_page_protect_rejected(self):
+        with pytest.raises(ValueError, match="page_protect"):
+            FaultTolerantRuntime(ClusterSpec(num_nodes=4),
+                                 OMPCConfig(write_detection="page_protect"))
+
     def test_staging_through_head_rejected(self):
         with pytest.raises(ValueError, match="forwarding_enabled"):
             FaultTolerantRuntime(ClusterSpec(num_nodes=4),
