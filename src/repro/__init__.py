@@ -8,10 +8,10 @@ cluster simulator:
 
 * :mod:`repro.sim` — the simulation kernel;
 * :mod:`repro.cluster` — nodes, the fair-share network, tracing;
-* :mod:`repro.mpi` — simulated MPI (matching, collectives, VCIs);
+* :mod:`repro.mpi` — simulated MPI (matching, reliable transport, VCIs);
 * :mod:`repro.omp` — the OpenMP programming model and host runtime;
-* :mod:`repro.core` — OMPC itself: device plugin, event system, data
-  manager, HEFT scheduler, runtime, fault tolerance;
+* :mod:`repro.core` — OMPC itself: event system, data manager, HEFT
+  scheduler, runtime, fault tolerance;
 * :mod:`repro.runtimes` — the comparator runtimes (MPI, StarPU-like,
   Charm++-like) of the paper's evaluation;
 * :mod:`repro.taskbench` — Task Bench, CCR sizing, METG;

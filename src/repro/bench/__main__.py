@@ -8,7 +8,6 @@ Usage::
     python -m repro.bench jobs --policy all --quick
     python -m repro.bench jobs --overload --load 1 3 10
     python -m repro.bench check <scenario>
-    python -m repro.bench perf --out BENCH_jobs.json
 
 Each YAML file describes one experiment (see
 :class:`repro.bench.config.ExperimentConfig`); the launcher runs the
@@ -82,10 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.bench.checkcmd import main as check_main
 
         return check_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.bench.perfcmd import main as perf_main
-
-        return perf_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="OMPC Bench: run Task Bench experiment grids on the "

@@ -72,16 +72,5 @@ class Node:
             raise ValueError("nominal_seconds must be >= 0")
         return nominal_seconds / self.spec.speed
 
-    def compute(self, nominal_seconds: float):
-        """Process generator: occupy one hardware thread for the duration.
-
-        Use as ``yield from node.compute(cost)`` inside a sim process.
-        """
-        yield self.cpu.request()
-        try:
-            yield self.sim.timeout(self.compute_time(nominal_seconds))
-        finally:
-            self.cpu.release()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.node_id} cores={self.spec.cores} speed={self.spec.speed}>"

@@ -59,9 +59,6 @@ class _NodeView:
     def compute_time(self, nominal_seconds: float) -> float:
         return self._node.compute_time(nominal_seconds)
 
-    def compute(self, nominal_seconds: float):
-        yield from self._node.compute(nominal_seconds)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<NodeView v{self.node_id}=phys{self.physical_id} "

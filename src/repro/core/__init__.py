@@ -1,12 +1,13 @@
-"""The OMPC runtime: device plugin, event system, data manager, scheduler.
+"""The OMPC runtime: event system, data manager, scheduler.
 
 This is the paper's primary contribution (§3–§4): an OpenMP offloading
 device that models a *cluster node*, built from
 
-* a libomptarget-style device-plugin interface (:mod:`repro.core.device`)
-  and its cluster implementation (:mod:`repro.core.plugin`),
 * an MPI-based distributed event system (:mod:`repro.core.events`) with
-  per-event tag isolation (:mod:`repro.core.tags`),
+  per-event tag isolation (:mod:`repro.core.tags`), whose origin
+  operations (``alloc``, ``delete``, ``submit``, ``retrieve``,
+  ``exchange``, ``execute``) are the libomptarget device-plugin
+  functions of §4.1 and are called directly by the runtime's head,
 * a data manager that keeps buffer copies coherent across nodes and
   forwards worker-to-worker (:mod:`repro.core.datamanager`),
 * a HEFT-based static task scheduler with the paper's adaptations

@@ -60,7 +60,7 @@ class DataManager:
     """Head-side tracking of buffer locations and transfer planning.
 
     The manager only *plans* moves; the runtime performs them through
-    the device plugin and then calls the ``commit_*`` methods.  Keeping
+    the event system and then calls the ``commit_*`` methods.  Keeping
     planning pure makes the coherency logic directly unit-testable.
     """
 

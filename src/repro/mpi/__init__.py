@@ -1,4 +1,4 @@
-"""Simulated MPI: ranks, communicators, tag matching, collectives.
+"""Simulated MPI: ranks, communicators, tag matching, communicator pools.
 
 This layer gives the OMPC runtime (and the comparator runtimes) the
 communication substrate the paper builds on: MPICH with message matching

@@ -1,4 +1,4 @@
-"""Shared utilities: unit helpers, deterministic RNG plumbing, logging."""
+"""Shared utilities: unit helpers and deterministic RNG plumbing."""
 
 from repro.util.units import (
     GB,

@@ -44,27 +44,3 @@ class TestNode:
         node = Node(sim, 0, NodeSpec())
         with pytest.raises(ValueError):
             node.compute_time(-1.0)
-
-    def test_compute_occupies_one_thread(self, sim):
-        node = Node(sim, 0, NodeSpec(cores=1, threads=2))
-        finished = []
-
-        def job(jid):
-            yield from node.compute(1.0)
-            finished.append((jid, sim.now))
-
-        for jid in range(3):
-            sim.process(job(jid))
-        sim.run()
-        # 2 hardware threads: jobs 0 and 1 finish at t=1, job 2 at t=2.
-        assert finished == [(0, 1.0), (1, 1.0), (2, 2.0)]
-
-    def test_core_released_after_compute(self, sim):
-        node = Node(sim, 0, NodeSpec(cores=1, threads=1))
-
-        def job():
-            yield from node.compute(1.0)
-
-        sim.process(job())
-        sim.run()
-        assert node.cpu.in_use == 0

@@ -1,9 +1,9 @@
-"""Tests for point-to-point messaging and matching semantics."""
+"""Tests for point-to-point messaging, matching and communicator pools."""
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NetworkSpec
-from repro.mpi import ANY_SOURCE, ANY_TAG, MpiError, MpiWorld
+from repro.mpi import ANY_SOURCE, ANY_TAG, CommunicatorPool, MpiError, MpiWorld
 from repro.mpi.request import Request
 
 
@@ -337,3 +337,25 @@ class TestValidation:
         dup = mpi.world.dup()
         assert r.on(dup).rank_id == 0
         assert r.on(dup).comm is dup
+
+
+class TestVciPool:
+    def test_round_robin_selection(self):
+        cluster = Cluster(ClusterSpec(num_nodes=2))
+        mpi = MpiWorld(cluster)
+        pool = CommunicatorPool(mpi, 4)
+        assert len(pool) == 4
+        assert pool.select(0) is pool.comms[0]
+        assert pool.select(5) is pool.comms[1]
+        assert pool.select(4) is pool.comms[0]
+        # Distinct communicator ids.
+        assert len({c.comm_id for c in pool.comms}) == 4
+
+    def test_bad_pool_size(self):
+        cluster = Cluster(ClusterSpec(num_nodes=2))
+        mpi = MpiWorld(cluster)
+        with pytest.raises(ValueError):
+            CommunicatorPool(mpi, 0)
+        pool = CommunicatorPool(mpi, 2)
+        with pytest.raises(ValueError):
+            pool.select(-1)

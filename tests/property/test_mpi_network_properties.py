@@ -1,90 +1,11 @@
 """Property-based tests for the MPI layer and the fluid network."""
 
-import operator
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, Network, NetworkSpec
 from repro.mpi import MpiWorld
-from repro.mpi.collectives import allreduce, bcast, gather, reduce, scatter
 from repro.sim import Simulator
-
-
-@given(
-    n=st.integers(min_value=1, max_value=12),
-    root=st.integers(min_value=0, max_value=11),
-    value=st.integers(),
-)
-@settings(deadline=None, max_examples=50)
-def test_bcast_delivers_everywhere(n, root, value):
-    root %= n
-    cluster = Cluster(ClusterSpec(num_nodes=n))
-    mpi = MpiWorld(cluster, overhead=0.0)
-    results = {}
-
-    def body(rid):
-        got = yield from bcast(
-            mpi.world.rank(rid), value if rid == root else None, root=root
-        )
-        results[rid] = got
-
-    for rid in range(n):
-        cluster.sim.process(body(rid))
-    cluster.sim.run(check_deadlock=True)
-    assert results == {rid: value for rid in range(n)}
-
-
-@given(
-    n=st.integers(min_value=1, max_value=10),
-    values=st.lists(st.integers(min_value=-1000, max_value=1000),
-                    min_size=10, max_size=10),
-)
-@settings(deadline=None, max_examples=50)
-def test_allreduce_sum_matches_python_sum(n, values):
-    cluster = Cluster(ClusterSpec(num_nodes=n))
-    mpi = MpiWorld(cluster, overhead=0.0)
-    contributions = values[:n]
-    results = {}
-
-    def body(rid):
-        got = yield from allreduce(
-            mpi.world.rank(rid), contributions[rid], operator.add
-        )
-        results[rid] = got
-
-    for rid in range(n):
-        cluster.sim.process(body(rid))
-    cluster.sim.run(check_deadlock=True)
-    expected = sum(contributions)
-    assert all(v == expected for v in results.values())
-
-
-@given(
-    n=st.integers(min_value=1, max_value=10),
-    root=st.integers(min_value=0, max_value=9),
-)
-@settings(deadline=None, max_examples=50)
-def test_scatter_gather_roundtrip(n, root):
-    root %= n
-    cluster = Cluster(ClusterSpec(num_nodes=n))
-    mpi = MpiWorld(cluster, overhead=0.0)
-    original = [f"item{i}" for i in range(n)]
-    gathered = {}
-
-    def body(rid):
-        rank = mpi.world.rank(rid)
-        mine = yield from scatter(
-            rank, original if rid == root else None, root=root
-        )
-        back = yield from gather(rank, mine, root=root, phase=1)
-        if rid == root:
-            gathered["result"] = back
-
-    for rid in range(n):
-        cluster.sim.process(body(rid))
-    cluster.sim.run(check_deadlock=True)
-    assert gathered["result"] == original
 
 
 @given(

@@ -1,12 +1,9 @@
-"""Tests for shared utilities: units, RNG derivation, sim logging."""
-
-import io
+"""Tests for shared utilities: units and RNG derivation."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import OMPCConfig
-from repro.sim import Simulator
 from repro.util import (
     GB,
     GIB,
@@ -20,7 +17,6 @@ from repro.util import (
     fmt_bytes,
     fmt_time,
 )
-from repro.util.logging import SimLogger
 
 #: The seven calibrated Fig. 7a timing overheads, all zero: the profile
 #: of tests that check data movement and compute, not runtime overhead.
@@ -95,31 +91,3 @@ class TestDeriveRng:
         a = derive_rng(1, "x", "y").random(3)
         b = derive_rng(1, "xy").random(3)
         assert not np.array_equal(a, b)  # key boundaries matter
-
-
-class TestSimLogger:
-    def test_disabled_by_default(self):
-        sim = Simulator()
-        stream = io.StringIO()
-        log = SimLogger(sim, "test", stream=stream)
-        log.log("hidden")
-        assert stream.getvalue() == ""
-
-    def test_enabled_prefixes_time_and_component(self):
-        sim = Simulator()
-        stream = io.StringIO()
-        log = SimLogger(sim, "dm", enabled=True, stream=stream)
-        sim.timeout(0.5)
-        sim.run()
-        log.log("moved buffer")
-        out = stream.getvalue()
-        assert "dm: moved buffer" in out
-        assert "500.0000ms" in out
-
-    def test_child_inherits_settings(self):
-        sim = Simulator()
-        stream = io.StringIO()
-        log = SimLogger(sim, "events", enabled=True, stream=stream)
-        child = log.child("gate0")
-        child.log("up")
-        assert "events.gate0: up" in stream.getvalue()
