@@ -1,12 +1,16 @@
 """Tests for the distributed event system (Fig. 3 flow)."""
 
+import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, NetworkSpec
+from repro.cluster import Cluster, ClusterSpec, NetworkSpec, NodeSpec
 from repro.core.config import OMPCConfig
 from repro.core.events import EventSystem, EventType, _binomial_tree
+from repro.core.runtime import OMPCRuntime
 from repro.mpi import MpiWorld
+from repro.omp import OmpProgram
 from repro.omp.task import Buffer, Task, TaskKind, depend_inout
+from repro.sim.errors import Interrupt
 
 
 def make_system(n=3, **cfg_kwargs):
@@ -200,18 +204,14 @@ class TestExecute:
 
 
 class TestInterruptedExecute:
-    """A handler interrupted while it waits for a worker slot withdraws
-    its request, so the slot is free for the next tenant of the node."""
-
-    @staticmethod
-    def _interrupt_midway(node, device):
-        import numpy as np
-
-        from repro.cluster import NodeSpec
-        from repro.core import OMPCRuntime
-        from repro.omp import OmpProgram
-        from repro.sim.errors import Interrupt
-
+    @pytest.mark.parametrize("node, device", [
+        (NodeSpec(accelerators=1, accelerator_speed=1.0), "gpu"),
+        (NodeSpec(cores=1, threads=1), "cpu"),
+    ], ids=["gpu", "cpu"])
+    def test_queued_slot_request_withdrawn(self, node, device):
+        """A handler interrupted while it waits for a worker slot
+        withdraws its request, so the slot is free for the next tenant
+        of the node."""
         # Three independent one-second targets on the one worker: one
         # holds its slot and two queue behind it when the run is cut.
         prog = OmpProgram()
@@ -219,9 +219,8 @@ class TestInterruptedExecute:
             buf = prog.buffer(64, data=np.zeros(8), name=f"A{i}")
             prog.target(depend=[depend_inout(buf)], cost=1.0, device=device,
                         name=f"k{i}")
-        runtime = OMPCRuntime(
-            ClusterSpec(num_nodes=2, node=NodeSpec(**node)), OMPCConfig()
-        )
+        runtime = OMPCRuntime(ClusterSpec(num_nodes=2, node=node),
+                              OMPCConfig())
         main, _finish = runtime.launch(prog)
         sim = main.sim
 
@@ -238,17 +237,9 @@ class TestInterruptedExecute:
         sim.process(preempt())
         sim.process(watch())
         sim.run()
-        return runtime.last_cluster.node(1)
-
-    def test_gpu_slot_not_leaked(self):
-        worker = self._interrupt_midway(
-            {"accelerators": 1, "accelerator_speed": 1.0}, "gpu"
-        )
-        assert worker.gpus.in_use == 0 and worker.gpus.queue_length == 0
-
-    def test_cpu_slot_not_leaked(self):
-        worker = self._interrupt_midway({"cores": 1, "threads": 1}, "cpu")
-        assert worker.cpu.in_use == 0 and worker.cpu.queue_length == 0
+        worker = runtime.last_cluster.node(1)
+        slots = worker.gpus if device == "gpu" else worker.cpu
+        assert (slots.in_use, slots.queue_length) == (0, 0)
 
 
 class TestBroadcast:

@@ -23,7 +23,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.cluster.machine import ClusterSpec
+from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core import (
     FaultPlan,
     FaultTolerantRuntime,
@@ -36,6 +36,7 @@ from repro.core import (
 from repro.core.config import OMPCConfig
 from repro.core.runtime import OMPCRuntime
 from repro.core.shard import ShardedRuntime
+from repro.jobs import JobManager, PoissonWorkload
 from repro.omp import OmpProgram
 from repro.omp.task import depend_in, depend_inout, depend_out
 from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
@@ -206,9 +207,6 @@ def _overload():
 
 def _jobs_backfill():
     """Eight Poisson jobs under the backfill policy on 17 nodes."""
-    from repro.cluster.machine import Cluster
-    from repro.jobs import JobManager, PoissonWorkload
-
     def scenario():
         workload = PoissonWorkload(
             seed=7, jobs=8, mean_interarrival=0.01, large=(8, 12),
