@@ -116,6 +116,12 @@ class DataManager:
         if self.tiering is not None:
             self.tiering.release(node, buffer.buffer_id)
 
+    def tiered(self, node: int) -> bool:
+        """True when the tiered store bounds ``node``'s device memory.
+        The home node serves the host image, which is never evicted."""
+        return (self.tiering is not None and node != self.home
+                and self.tiering.manages(node))
+
     def _is_sole_copy(self, buffer: Buffer, node: int) -> bool:
         """True when ``node`` holds the only valid copy (dirty: eviction
         must spill to the host, not drop)."""
@@ -130,7 +136,7 @@ class DataManager:
         :meth:`repro.core.tiering.MemoryDirector.plan`); charges the
         newcomers on success.  No-op (empty list) without tiering.
         """
-        if self.tiering is None or not self.tiering.manages(node):
+        if not self.tiered(node):
             return []
         self.tiering.touch(
             node, (d.buffer.buffer_id for d in task.deps)

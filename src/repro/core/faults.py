@@ -75,14 +75,8 @@ from repro.core.headlog import (
     HeadLog,
     Replicator,
 )
-from repro.core.runtime import (
-    MEM_FETCH_BACKOFF,
-    HeadCore,
-    configure_tiering,
-    fetch_gate,
-)
+from repro.core.runtime import HeadCore, configure_tiering, fetch_gate
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
-from repro.core.tiering import MemoryWait
 from repro.mpi.comm import TransportConfig
 from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
@@ -248,10 +242,13 @@ class FaultTolerantRuntime:
 
     Runs on the plain runtime's :class:`~repro.core.runtime.HeadCore`
     (set-up, startup/planning/shutdown phases, head-thread task frame,
-    classical tasks, result) and adds the fault tolerance: membership,
-    head-state replication and failover, lineage and checkpoint
-    recovery, and a data plane that races every operation against the
-    death of the nodes it involves.
+    classical tasks, memory admission and eviction, stale-copy deletes,
+    result) and adds the fault tolerance: membership, head-state
+    replication and failover, lineage and checkpoint recovery, and
+    buffer moves that race every operation against the death of the
+    nodes it involves.  The core's evictions race node death through
+    the same ``guarded``, which this runtime installs as the core's
+    guard beside the shared set of dead nodes.
     """
 
     def __init__(
@@ -384,7 +381,8 @@ class FaultTolerantRuntime:
 
         #: The node currently acting as head (rebound on failover).
         home = HOST
-        dead: set[int] = set()
+        #: Workers declared dead, shared with the core's data plane.
+        dead = core.dead
         live_workers = lambda: [  # noqa: E731 - tiny local helper
             n for n in range(1, cluster.num_nodes) if n not in dead
         ]
@@ -702,34 +700,33 @@ class FaultTolerantRuntime:
         def run_enter_data(task: Task, node: int):
             if node == HOST or node in dead:
                 node = home
-            if node != home:
-                if tiering is not None and tiering.manages(node):
-                    # One buffer at a time: a working set larger than the
-                    # device is legal for enter data — buffers entered
-                    # earlier are clean replicas (the host image
-                    # survives) the tier may drop; consumers re-fetch
-                    # them read-through.  Each buffer commits (and logs)
-                    # as soon as it lands, so a subsequent eviction
-                    # updates a directory that already knows the copy.
-                    for buf in task.buffers:
-                        bid = [buf.buffer_id]
-                        dm.pin(bid)
-                        try:
-                            yield from make_room(task, node,
-                                                 lambda: [buf], bid)
-                            yield from safe_source_move(buf, node)
-                            dm.commit_enter_data(buf, node)
-                            log_append("enter_data",
-                                       buffer_id=buf.buffer_id, node=node)
-                        finally:
-                            dm.unpin(bid)
-                    return
+            if node == home:
+                return
+            # One buffer at a time: a working set larger than the device
+            # is legal for enter data — buffers entered earlier are
+            # clean replicas (the host image survives) the tier may
+            # drop; consumers re-fetch them read-through.  Each buffer
+            # commits (and logs) as soon as it lands, so a subsequent
+            # eviction updates a directory that already knows the copy.
+            # With no tier to admit them, every buffer moves first (the
+            # moves below then find it resident), so the commits and log
+            # records land together.
+            if not dm.tiered(node):
                 for buf in task.buffers:
                     yield from safe_source_move(buf, node)
-                for buf in task.buffers:
+            for buf in task.buffers:
+                bid = [buf.buffer_id]
+                dm.pin(bid)
+                try:
+                    yield from core.make_room(task, node, lambda: [buf],
+                                              bid, home)
+                    yield from safe_source_move(buf, node)
                     dm.commit_enter_data(buf, node)
                     log_append("enter_data", buffer_id=buf.buffer_id,
                                node=node)
+                finally:
+                    dm.unpin(bid)
+                    core._mem_wake()
 
         def run_exit_data(task: Task):
             for buf in task.buffers:
@@ -763,113 +760,33 @@ class FaultTolerantRuntime:
             DELETE racing a post-failover re-materialization of the
             same buffer could destroy the only live copy.
             """
-            if repl is not None:
-                return
-            for buf, holder in stale:
-                if holder != home and holder not in dead:
-                    yield from events.delete(holder, buf.buffer_id,
-                                             origin=home)
-                    dm.mem_release(buf, holder)
-
-        # -- tiered data plane under fault tolerance ----------------------
-        def perform_eviction(ev):
-            """Generator: physically evict one buffer (spill if dirty).
-
-            A victim on a node that died since planning needs no work —
-            the crash wiped the device and ``dm.on_node_failure``
-            already dropped the tier accounting.
-            """
-            buf, node = ev.buffer, ev.node
-            try:
-                if node in dead:
-                    return
-                if ev.spill:
-                    payload = yield from events.retrieve(
-                        node, buf.buffer_id, buf.nbytes, origin=home
-                    )
-                    if node in dead or node not in dm.locations(buf):
-                        return
-                    buf.data = payload
-                    dm.commit_move(Move(buf, node, HOST))
-                    cluster.obs.count("mem.spill_bytes", buf.nbytes)
-                try:
-                    dm.commit_evict(buf, node)
-                except ValueError:
-                    return  # became the last live copy since planning
-                if node not in dead:
-                    # Unlike purge_stale's deferred deletes, an eviction
-                    # delete is safe under replication: it follows the
-                    # completed spill/directory update in the same frame,
-                    # and the bytes provably live at home or on another
-                    # replica before the device entry is dropped.
-                    yield from events.delete(node, buf.buffer_id,
-                                             origin=home)
-                cluster.obs.count("mem.evict")
-            finally:
-                dm.mem_release(buf, node)
-
-        def make_room(task: Task, node: int, incoming, pinned_ids):
-            """Generator: plan + perform evictions so the buffers
-            ``incoming()`` plans fit (re-planned on every retry).
-
-            Backs off on :class:`MemoryWait` by *simulated time* rather
-            than the plain runtime's release turnstile: each retry
-            releases this frame's pins first, so the last frame standing
-            re-plans against the true state and either proceeds or
-            raises the fatal task-attributed error.  Time-based back-off
-            cannot livelock — co-tenant kernels finish while we sleep.
-            """
-            backoff = 1
-            while True:
-                try:
-                    busy = tiering.evicting(node)
-                    if any(bid in busy for bid in pinned_ids):
-                        # One of our own buffers is mid-eviction: let it
-                        # land (re-fetch happens on re-plan) before
-                        # committing to this placement.
-                        raise MemoryWait
-                    evictions = dm.plan_evictions(task, node, incoming())
-                    break
-                except MemoryWait:
-                    dm.unpin(pinned_ids)
-                    try:
-                        yield sim.timeout(MEM_FETCH_BACKOFF * backoff)
-                        backoff = min(backoff * 2, 64)
-                    finally:
-                        dm.pin(pinned_ids)
-            for ev in evictions:
-                yield from perform_eviction(ev)
+            if repl is None:
+                yield from core._perform_deletes(stale, home)
 
         def run_target(task: Task, node: int, chain: frozenset = frozenset(),
                        attempt: int = 0):
             # Device-capacity admission on a tiered node: the task's
             # buffers stay pinned for the frame's lifetime so concurrent
             # planners never evict an in-use dependency.
-            tiered = (
-                tiering is not None and node != home
-                and tiering.manages(node)
-            )
             dep_ids = sorted({d.buffer.buffer_id for d in task.deps})
-            if tiered:
-                dm.pin(dep_ids)
+            dm.pin(dep_ids)
             try:
-                if tiered:
-                    needed: list[Buffer] = []
+                allocs: list[Buffer] = []
+                needed: list[Buffer] = []
 
-                    def incoming():
-                        nonlocal allocs, needed
-                        allocs = dm.plan_for_task(task, node)[1]
-                        needed = [
-                            d.buffer for d in task.deps
-                            if task.dep_type_for(d.buffer).reads
-                            and not dm.is_resident(d.buffer, node)
-                        ]
-                        return list(allocs) + needed
-
-                    yield from make_room(task, node, incoming, dep_ids)
-                    core.count_reads(task, {b.buffer_id for b in needed})
-                else:
+                def incoming():
+                    nonlocal allocs, needed
                     allocs = dm.plan_for_task(task, node)[1]
+                    needed = [
+                        d.buffer for d in task.deps
+                        if task.dep_type_for(d.buffer).reads
+                        and not dm.is_resident(d.buffer, node)
+                    ]
+                    return list(allocs) + needed
+
+                yield from core.make_room(task, node, incoming, dep_ids,
+                                          home)
+                core.count_reads(task, node, {b.buffer_id for b in needed})
                 for buf in allocs:
                     yield from guarded(node, events.alloc(
                         node, buf.buffer_id, payload=buf.data, origin=home,
@@ -907,8 +824,8 @@ class FaultTolerantRuntime:
                 record_writes(task, node, recovery=bool(chain))
                 yield from purge_stale(dm.commit_task_done(task, node))
             finally:
-                if tiered:
-                    dm.unpin(dep_ids)
+                dm.unpin(dep_ids)
+                core._mem_wake()
 
         # -- straggler mitigation -----------------------------------------
         def speculatable(task: Task) -> bool:
@@ -1047,6 +964,8 @@ class FaultTolerantRuntime:
                 return  # the head's own death is the failover path's job
             dead.add(node)
             dm.on_node_failure(node)
+            # Forgetting the node frees its tiered memory.
+            core._mem_wake()
             result.failures.append(node)
             log_append("node_dead", node=node)
 
@@ -1212,7 +1131,7 @@ class FaultTolerantRuntime:
                 for bid in sorted(all_buffers):
                     buf = all_buffers[bid]
                     for n in sorted(dm.locations(buf)):
-                        if n != HOST and n not in dead and tiering.manages(n):
+                        if n not in dead and dm.tiered(n):
                             tiering.charge(n, buf)
             return redispatched
 
@@ -1309,6 +1228,7 @@ class FaultTolerantRuntime:
 
         detector.on_detect = on_detect
         detector.on_head_detect = on_head_death
+        core.guard = guarded
         injector = FailureInjector(events)
 
         def stop_services() -> None:

@@ -106,8 +106,8 @@ def configure_tiering(dm: DataManager, cfg: OMPCConfig, cluster) -> None:
     )
 
 
-#: Base delay of the exponential back-off between fetch retries, doubled
-#: on every attempt; FT's ``make_room`` backs off from the same base.
+#: Base delay of the exponential back-off between :func:`fetch_gate`'s
+#: retries, doubled on every attempt.
 MEM_FETCH_BACKOFF = 0.2 * MILLISECOND
 
 
@@ -153,22 +153,29 @@ def fetch_gate(cluster, cfg: OMPCConfig, buffer, dst: int):
         yield sim.timeout(MEM_FETCH_BACKOFF * 2 ** (attempt - 1))
 
 
+def _unguarded(_nodes, operation):
+    """Generator: run ``operation``; no node of a plain run may die."""
+    return (yield from operation)
+
+
 class HeadCore:
     """The head's per-launch machinery, shared by all three drivers.
 
     One instance serves one execution: set-up (observer and analysis
     install, MPI world, event system, data manager, tiering), the run's
     phases (:meth:`boot`, :meth:`plan_phase`, :meth:`teardown`), the
-    data plane (moves, deletes, evictions, broadcast), the task frame
+    data plane (moves, deletes, broadcast, and the one memory path:
+    :meth:`make_room`'s plan, back-off and evictions), the task frame
     that runs one task on a head-thread slot, and the run's result.
     The driver keeps the control loop around it: the plain runtime
     (:class:`OMPCRuntime`) one head with one slot pool; the sharded
     plane (:mod:`repro.core.shard.plane`) one slot pool per shard
     manager; the fault-tolerant runtime (:mod:`repro.core.faults`) one
-    slot pool, a head that may move on failover, and its own task body
-    and data plane.  Every event-system call takes the frame's
-    ``origin``: the head's node for a single head, the shard's manager
-    node for a shard.
+    slot pool, a head that may move on failover, its own task body and
+    moves, and the "node may die" hook (:attr:`dead` and
+    :attr:`guard`) that the evictions and deletes honour.  Every
+    event-system call takes the frame's ``origin``: the head's node for
+    a single head, the shard's manager node for a shard.
     """
 
     def __init__(self, cluster_spec: ClusterSpec, cfg: OMPCConfig,
@@ -215,6 +222,14 @@ class HeadCore:
         #: but never-pressured run adds zero events.
         self._mem_turn = sim.event("mem-freed")
         self._mem_waiters = 0
+        #: The "node may die" hook.  ``dead`` holds the workers the
+        #: driver declared dead (the fault-tolerant runtime shares its
+        #: own set); ``guard(nodes, operation)`` runs an event-system
+        #: operation that touches ``nodes`` and may raise if one dies.
+        #: The plain and sharded runtimes lose no worker: an empty set
+        #: and a guard that just runs the operation.
+        self.dead: set[int] = set()
+        self.guard = _unguarded
         #: Tasks whose completion the data manager already committed: a
         #: shard re-dispatching a task after a manager failover must not
         #: commit it twice.
@@ -381,10 +396,11 @@ class HeadCore:
         yield AllOf(sim, procs)
 
     def _perform_deletes(self, stale: list, origin: int):
-        """Synchronously remove invalidated worker copies."""
-        obs = self.obs
+        """Synchronously remove invalidated worker copies (a dead
+        holder's copy died with it)."""
+        obs, home, dead = self.obs, self.dm.home, self.dead
         for buf, holder in stale:
-            if holder != HOST:
+            if holder != home and holder not in dead:
                 del_span = obs.begin(
                     "data", f"delete:{buf.name}", origin, holder=holder
                 ) if obs.enabled else None
@@ -428,20 +444,34 @@ class HeadCore:
             self._mem_waiters -= 1
 
     def _perform_one_eviction(self, ev, marker, origin: int):
-        buf = ev.buffer
-        dm, events, obs = self.dm, self.events, self.obs
+        buf, node = ev.buffer, ev.node
+        dm, events, obs, dead = self.dm, self.events, self.obs, self.dead
+        # Both ends are guarded: a dead victim node strands the remote
+        # half, a dead origin (a failed-over head) the reply.
+        watch = [node, origin]
         try:
+            # A victim on a node declared dead needs no work: the crash
+            # wiped the device and the directory forgot its copies.
+            if node in dead:
+                return
             if ev.spill:
                 # Write-behind: this node holds the only valid copy;
                 # persist it to the host image first.
-                buf.data = yield from events.retrieve(
-                    ev.node, buf.buffer_id, buf.nbytes, origin=origin
-                )
-                dm.commit_move(Move(buf, ev.node, HOST))
+                payload = yield from self.guard(watch, events.retrieve(
+                    node, buf.buffer_id, buf.nbytes, origin=origin
+                ))
+                if node in dead:
+                    return
+                buf.data = payload
+                dm.commit_move(Move(buf, node, dm.home))
                 obs.count("mem.spill_bytes", buf.nbytes)
-            yield from events.delete(ev.node, buf.buffer_id, origin=origin)
-            dm.commit_evict(buf, ev.node)
-            dm.mem_release(buf, ev.node)
+            yield from self.guard(watch, events.delete(
+                node, buf.buffer_id, origin=origin
+            ))
+            if node in dead:
+                return
+            dm.commit_evict(buf, node)
+            dm.mem_release(buf, node)
             self._mem_wake()
             obs.count("mem.evict")
         finally:
@@ -450,7 +480,7 @@ class HeadCore:
                 bucket.discard(marker)
                 if not bucket:
                     self._evicting_bufs.pop(buf.buffer_id, None)
-            self._evict_markers.get(ev.node, set()).discard(marker)
+            self._evict_markers.get(node, set()).discard(marker)
             if not marker.triggered:
                 marker.succeed()
 
@@ -473,6 +503,40 @@ class HeadCore:
                 name=f"evict:{ev.buffer.name}",
             ))
         yield AllOf(sim, procs)
+
+    def make_room(self, task: Task, node: int, incoming, pinned_ids,
+                  origin: int):
+        """Generator: make room on ``node`` for the buffers ``incoming()``
+        lists (re-planned on every retry), then perform the evictions.
+
+        The caller holds pins on ``pinned_ids`` and keeps them after.
+        Never plans against a pinned buffer whose eviction is mid-flight:
+        the pins are released while it lands and re-taken in the same
+        synchronous block as the plan.  Blocked by other frames' pins or
+        in-flight evictions (:class:`MemoryWait`), it backs off the same
+        way and sleeps on the release turnstile.  The back-off unpin
+        does NOT fire the turnstile: waking peers on transient unpins
+        lets two blocked frames ping-pong wakes at one instant forever.
+        Real releases (evictions landing, deletes, frame completion, a
+        declared node death) do the waking.
+        """
+        dm, evicting = self.dm, self._evicting_bufs
+        blocked = False
+        while True:
+            if blocked or any(bid in evicting for bid in pinned_ids):
+                dm.unpin(pinned_ids)
+                try:
+                    if blocked:
+                        yield from self._wait_for_room(node)
+                    yield from self._await_evictions(pinned_ids)
+                finally:
+                    dm.pin(pinned_ids)
+            try:
+                evictions = dm.plan_evictions(task, node, incoming())
+                break
+            except MemoryWait:
+                blocked = True
+        yield from self._perform_evictions(node, evictions, origin)
 
     # -- the task frame ----------------------------------------------------
     def run_task(self, task: Task, slots: Resource, complete,
@@ -545,30 +609,19 @@ class HeadCore:
         # several nodes, a single binomial broadcast event replaces the
         # later per-consumer exchanges (each of which would need head
         # orchestration).
-        dm, tiering = self.dm, self.tiering
+        dm = self.dm
         for buf in task.buffers:
             extra = self._broadcast_targets.get(buf.buffer_id, ())
             dsts = [d for d in extra if d != node and d != HOST]
             if not dsts:
                 continue
-            if tiering is not None:
-                for dst in dsts:
-                    if tiering.manages(dst):
-                        # Caller's pins stay held here (the source copy
-                        # must survive the broadcast), so this wait can
-                        # only be resolved by other frames' releases —
-                        # acceptable for the opt-in broadcast ablation.
-                        while True:
-                            try:
-                                evictions = dm.plan_evictions(
-                                    task, dst, [buf]
-                                )
-                                break
-                            except MemoryWait:
-                                yield from self._wait_for_room(dst)
-                        yield from self._perform_evictions(
-                            dst, evictions, origin
-                        )
+            for dst in dsts:
+                # Caller's pins stay held here (the source copy must
+                # survive the broadcast), so a wait can only be resolved
+                # by other frames' releases — acceptable for the opt-in
+                # broadcast ablation.
+                yield from self.make_room(task, dst, lambda: [buf], (),
+                                          origin)
             yield from self.events.broadcast(node, dsts, buf.buffer_id,
                                              buf.nbytes, origin=origin)
             for dst in dsts:
@@ -577,110 +630,87 @@ class HeadCore:
     def _run_enter_data(self, task: Task, node: int, origin: int):
         if node == HOST:
             return  # no consumer was scheduled; data stays on host
-        dm, tiering = self.dm, self.tiering
-        if tiering is not None and tiering.manages(node):
-            # Admit the buffers one at a time: an enter-data working set
-            # larger than the device is legal — buffers entered earlier
-            # become clean replicas (the host image survives) that the
-            # tier may evict to admit the rest; consumers re-fetch them
-            # read-through.  Unpressured, every per-buffer plan is
-            # synchronous and the moves are batched into one overlapped
-            # transfer — the event stream stays bit identical to the
-            # un-tiered path.
-            buf_ids = sorted({b.buffer_id for b in task.buffers})
-            yield from self._await_evictions(buf_ids)
-            dm.pin(buf_ids)
-            #: Planned-but-unperformed (buffer, moves) pairs.
-            staged: list = []
+        dm = self.dm
+        # Admit the buffers one at a time: an enter-data working set
+        # larger than the device is legal — buffers entered earlier
+        # become clean replicas (the host image survives) that the tier
+        # may evict to admit the rest; consumers re-fetch them
+        # read-through.  Unpressured (or untiered), every per-buffer
+        # plan is synchronous and the moves are batched into one
+        # overlapped transfer.
+        buf_ids = sorted({b.buffer_id for b in task.buffers})
+        yield from self._await_evictions(buf_ids)
+        dm.pin(buf_ids)
+        #: Planned-but-unperformed (buffer, moves) pairs.
+        staged: list = []
 
-            def flush():
-                # Materialize (and commit) everything planned so far.
-                # Must run before any back-off unpin: a charged-but-
-                # unmaterialized buffer picked as a victim by a
-                # concurrent planner would make the eviction retrieve
-                # bytes that do not exist yet.
-                mvs = [m for _b, ms in staged for m in ms]
-                yield from self._perform_moves(mvs, origin)
-                for b, _ms in staged:
-                    dm.commit_enter_data(b, node)
-                staged.clear()
+        def flush():
+            # Materialize (and commit) everything planned so far.  Must
+            # run before any back-off unpin: a charged-but-
+            # unmaterialized buffer picked as a victim by a concurrent
+            # planner would make the eviction retrieve bytes that do not
+            # exist yet.
+            mvs = [m for _b, ms in staged for m in ms]
+            yield from self._perform_moves(mvs, origin)
+            for b, _ms in staged:
+                dm.commit_enter_data(b, node)
+            staged.clear()
 
-            try:
-                for buf in task.buffers:
-                    while True:
-                        moves = dm.plan_enter_data(buf, node)
-                        incoming = [m.buffer for m in moves if m.dst == node]
-                        try:
-                            evictions = dm.plan_evictions(
-                                task, node, incoming
-                            )
-                            break
-                        except MemoryWait:
-                            # Back off: materialize the admitted prefix
-                            # and release our pins so room can be made.
-                            # Our own prefix pins are often the blockage
-                            # (the entered buffers are this frame's own
-                            # clean replicas), so re-plan immediately
-                            # against the unpinned state — the re-plan
-                            # is synchronous, hence atomic — and only
-                            # sleep on the turnstile when the blockage
-                            # is truly someone else's.  The back-off
-                            # unpin deliberately does NOT fire the
-                            # turnstile: waking peers on transient
-                            # unpins lets two blocked frames ping-pong
-                            # wakes at one instant forever.  Real
-                            # releases (evictions landing, deletes,
-                            # frame completion) do the waking.
-                            yield from flush()
-                            dm.unpin(buf_ids)
-                            try:
-                                moves = dm.plan_enter_data(buf, node)
-                                incoming = [
-                                    m.buffer for m in moves if m.dst == node
-                                ]
-                                try:
-                                    evictions = dm.plan_evictions(
-                                        task, node, incoming
-                                    )
-                                    break
-                                except MemoryWait:
-                                    yield from self._wait_for_room(node)
-                                    yield from self._await_evictions(
-                                        buf_ids
-                                    )
-                            finally:
-                                dm.pin(buf_ids)
-                    if evictions:
+        try:
+            for buf in task.buffers:
+                while True:
+                    moves = dm.plan_enter_data(buf, node)
+                    incoming = [m.buffer for m in moves if m.dst == node]
+                    try:
+                        evictions = dm.plan_evictions(task, node, incoming)
+                        break
+                    except MemoryWait:
+                        # Back off: materialize the admitted prefix and
+                        # release our pins so room can be made.  Our own
+                        # prefix pins are often the blockage (the
+                        # entered buffers are this frame's own clean
+                        # replicas), so re-plan immediately against the
+                        # unpinned state — the re-plan is synchronous,
+                        # hence atomic — and only sleep on the turnstile
+                        # when the blockage is truly someone else's (no
+                        # turnstile fire: see make_room).
                         yield from flush()
-                        yield from self._perform_evictions(
-                            node, evictions, origin
-                        )
-                    staged.append((buf, moves))
-                yield from flush()
-                if self.cfg.broadcast_events:
-                    yield from self._enter_broadcast(task, node, origin)
-            finally:
-                dm.unpin(buf_ids)
-                self._mem_wake()
-            return
-        moves = []
-        for buf in task.buffers:
-            moves.extend(dm.plan_enter_data(buf, node))
-        yield from self._perform_moves(moves, origin)
-        for buf in task.buffers:
-            dm.commit_enter_data(buf, node)
-        if self.cfg.broadcast_events:
-            yield from self._enter_broadcast(task, node, origin)
+                        dm.unpin(buf_ids)
+                        try:
+                            moves = dm.plan_enter_data(buf, node)
+                            incoming = [
+                                m.buffer for m in moves if m.dst == node
+                            ]
+                            try:
+                                evictions = dm.plan_evictions(
+                                    task, node, incoming
+                                )
+                                break
+                            except MemoryWait:
+                                yield from self._wait_for_room(node)
+                                yield from self._await_evictions(buf_ids)
+                        finally:
+                            dm.pin(buf_ids)
+                if evictions:
+                    yield from flush()
+                    yield from self._perform_evictions(node, evictions,
+                                                       origin)
+                staged.append((buf, moves))
+            yield from flush()
+            if self.cfg.broadcast_events:
+                yield from self._enter_broadcast(task, node, origin)
+        finally:
+            dm.unpin(buf_ids)
+            self._mem_wake()
 
     def _run_exit_data(self, task: Task, origin: int):
-        dm, tiering = self.dm, self.tiering
+        dm = self.dm
+        # Exit retrieves from each buffer's latest location: an eviction
+        # mid-flight would invalidate that source, so drain first and
+        # pin for the duration.
         buf_ids = sorted({b.buffer_id for b in task.buffers})
-        if tiering is not None:
-            # Exit retrieves from each buffer's latest location: an
-            # eviction mid-flight would invalidate that source, so drain
-            # first and pin for the duration.
-            yield from self._await_evictions(buf_ids)
-            dm.pin(buf_ids)
+        yield from self._await_evictions(buf_ids)
+        dm.pin(buf_ids)
         try:
             moves = []
             for buf in task.buffers:
@@ -690,57 +720,41 @@ class HeadCore:
                 removals = dm.commit_exit_data(buf)
                 yield from self._perform_deletes(removals, origin)
         finally:
-            if tiering is not None:
-                dm.unpin(buf_ids)
-                self._mem_wake()
+            dm.unpin(buf_ids)
+            self._mem_wake()
 
     def _run_target(self, task: Task, node: int, origin: int, dedup: bool):
-        dm, tiering = self.dm, self.tiering
-        if tiering is None or not tiering.manages(node):
-            moves, allocs = dm.plan_for_task(task, node)
-            yield from self._run_target_body(task, node, moves, allocs,
-                                             origin, dedup)
-            return
+        dm = self.dm
         dep_ids = sorted({d.buffer.buffer_id for d in task.deps})
-        # Never plan against a buffer whose eviction is mid-flight; once
-        # drained, pin the whole frame in the same synchronous block so
-        # no later planner can pick any of these buffers as a victim
-        # anywhere.
-        yield from self._await_evictions(dep_ids)
+        # Pin the whole frame, so no later planner can pick any of these
+        # buffers as a victim anywhere.
         dm.pin(dep_ids)
         try:
-            while True:
-                moves, allocs = dm.plan_for_task(task, node)
-                incoming = list(allocs) + [
-                    m.buffer for m in moves if m.dst == node
-                ]
-                try:
-                    evictions = dm.plan_evictions(task, node, incoming)
-                    break
-                except MemoryWait:
-                    # Back off: release our pins so blocked-on frames
-                    # can make room, wait for a release signal, then
-                    # re-acquire and re-plan (the dependence set may
-                    # have been evicted while unpinned).  No turnstile
-                    # fire here — see _run_enter_data's back-off comment.
-                    dm.unpin(dep_ids)
-                    try:
-                        yield from self._wait_for_room(node)
-                        yield from self._await_evictions(dep_ids)
-                    finally:
-                        dm.pin(dep_ids)
-            self.count_reads(task, {m.buffer.buffer_id for m in moves})
-            yield from self._perform_evictions(node, evictions, origin)
+            plan = None
+
+            def incoming():
+                nonlocal plan
+                plan = dm.plan_for_task(task, node)
+                moves, allocs = plan
+                return list(allocs) + [m.buffer for m in moves
+                                       if m.dst == node]
+
+            yield from self.make_room(task, node, incoming, dep_ids, origin)
+            moves, allocs = plan
+            self.count_reads(task, node, {m.buffer.buffer_id for m in moves})
             yield from self._run_target_body(task, node, moves, allocs,
                                              origin, dedup)
         finally:
             dm.unpin(dep_ids)
             self._mem_wake()
 
-    def count_reads(self, task: Task, fetched) -> None:
-        """Read-through accounting: each buffer ``task`` reads is a hit
-        when served locally, a miss when in ``fetched`` (ids that need a
-        transfer: cold or previously evicted)."""
+    def count_reads(self, task: Task, node: int, fetched) -> None:
+        """Read-through accounting on a tiered ``node``: each buffer
+        ``task`` reads is a hit when served locally, a miss when in
+        ``fetched`` (ids that need a transfer: cold or previously
+        evicted)."""
+        if not self.dm.tiered(node):
+            return
         counted: set[int] = set()
         for dep in task.deps:
             bid = dep.buffer.buffer_id

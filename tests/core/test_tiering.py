@@ -340,6 +340,36 @@ class TestFaultTolerantTiering:
         assert cluster.obs.counters.get("mem.fetch_retries", 0) > 0
         assert cluster.faults.fetch_failures > 0
 
+    def test_kill_mid_spill_ends(self):
+        """Worker 1 dies while the head spills one of its dirty victims.
+
+        The spill retrieve and the delete race the victim node's death,
+        so the ``reduce8`` frame gives up on the dead node instead of
+        waiting for a reply that never comes.  The run ends before the
+        horizon: byte-exact, or with a typed error when the lost value
+        had no other copy.
+        """
+        from repro.core.faults import (
+            FaultTolerantRuntime,
+            NodeFailure,
+            RecoveryError,
+        )
+        from tests.property.test_chaos_failover import run_to_horizon
+        from tests.property.test_event_digest_pins import _pressure_program
+
+        cfg = OMPCConfig(device_memory_bytes=20 * KB, eviction_policy="lru")
+        rt = FaultTolerantRuntime(ClusterSpec(num_nodes=5), cfg)
+        prog = _pressure_program()
+        outs = prog.tasks[-1].buffers
+        try:
+            run_to_horizon(rt, prog, failures=[
+                NodeFailure(time=10.5 * MILLISECOND, node=1)])
+        except RecoveryError as err:
+            assert "in0" in str(err)
+            return
+        for i, out in enumerate(outs):
+            assert (out.data == 3.0 * (i + 1)).all(), out.name
+
     def test_ft_exhausted_retries_raise(self):
         cfg = OMPCConfig(device_memory_bytes=3 * 2 * KB,
                          eviction_policy="lru", mem_fetch_retries=0)

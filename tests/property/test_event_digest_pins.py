@@ -297,11 +297,11 @@ PINS: dict[str, tuple[str, float, int]] = {
         "9ebe19cd8dbcd71ce921920407a9b90a63f26bc760e869fb73ef4af738380948",
         0.038290908480000094, 6397),
     "ft-pressure-crash": (
-        "f47f5179a9c769baa3c7a80c9c6f39c482c11ac7be65fa578bb01bcc61f11347",
-        0.03640804272000009, 2034),
+        "89386a177954b220f9d1d5c0bdce9f1a53bd6f9a3f39b96c12cbd379d92ab7ba",
+        0.03678089520000012, 2299),
     "ft-pressure-flaky": (
-        "18ed1836ec9a52a81b05100a2936c2b63e9382ba76d4af6c7c293a6310f6e9d9",
-        0.0589625112000001, 2318),
+        "37b722d6ae4827984a10f8e1f94f2a989926af86fa4d9b0dc9620741be7e85d5",
+        0.04782396784000012, 2411),
     "ft-speculation": (
         "cfd9f09d176c37b253a499485029144879ab9fd91e41bb2f31165d9f5dfae664",
         0.2000611785599993, 4098),
@@ -370,3 +370,24 @@ def test_event_stream_pinned(name):
 
 def test_pins_cover_every_scenario():
     assert set(PINS) == set(SCENARIOS)
+
+
+def main(argv: list[str]) -> int:
+    """Print the ``PINS`` entries of the named rows (all rows when none
+    is named), measured on the current tree and ready to paste."""
+    names = argv or sorted(SCENARIOS)
+    unknown = [n for n in names if n not in SCENARIOS]
+    if unknown:
+        print(f"unknown rows: {', '.join(unknown)}")
+        return 2
+    for name in names:
+        digest, makespan, seq = _measure(SCENARIOS[name])
+        print(f'    "{name}": (\n        "{digest}",\n'
+              f"        {makespan!r}, {seq}),")
+    return 0
+
+
+if __name__ == "__main__":
+    import sys
+
+    raise SystemExit(main(sys.argv[1:]))

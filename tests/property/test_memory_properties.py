@@ -17,6 +17,7 @@ Three invariants from the tiering design:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
 from contextlib import contextmanager
@@ -26,6 +27,7 @@ import pytest
 
 from repro.cluster.machine import ClusterSpec
 from repro.core.config import OMPCConfig
+from repro.core.faults import FaultTolerantRuntime
 from repro.core.memory import DeviceMemory
 from repro.core.runtime import OMPCRuntime
 from repro.omp.api import OmpProgram
@@ -99,23 +101,39 @@ def pipeline_program(n=8, nbytes=2 * KB):
     return prog, outs
 
 
+def _one_head(cfg):
+    return OMPCRuntime(ClusterSpec(num_nodes=3), cfg)
+
+
+def _two_shards(cfg):
+    cfg = dataclasses.replace(cfg, head_shards=2)
+    return OMPCRuntime(ClusterSpec(num_nodes=6), cfg)
+
+
+def _fault_tolerant(cfg):
+    return FaultTolerantRuntime(ClusterSpec(num_nodes=3), cfg)
+
+
 def _layouts(values):
-    """``values`` on one head (3 nodes), then on two shards (6 nodes):
-    ``(value, nodes, head_shards)`` params."""
-    return [pytest.param(v, 3, 1, id=str(v)) for v in values] + [
-        pytest.param(v, 6, 2, id=f"{v}-shards2") for v in values
+    """``values`` on one head (3 nodes), on two shards (6 nodes) and on
+    the fault-tolerant runtime (3 nodes): ``(value, runtime)`` params,
+    where ``runtime(cfg)`` builds the runtime for ``cfg``."""
+    return [
+        pytest.param(v, layout, id=f"{v}{suffix}")
+        for layout, suffix in ((_one_head, ""), (_two_shards, "-shards2"),
+                               (_fault_tolerant, "-ft"))
+        for v in values
     ]
 
 
 class TestCapacityInvariant:
-    @pytest.mark.parametrize("frac,nodes,shards", _layouts([1.0, 0.5, 0.25]))
-    def test_physical_tables_never_exceed_capacity(self, frac, nodes, shards):
+    @pytest.mark.parametrize("frac,runtime", _layouts([1.0, 0.5, 0.25]))
+    def test_physical_tables_never_exceed_capacity(self, frac, runtime):
         cap = max(2 * KB, frac * 8 * 2 * KB)
-        cfg = OMPCConfig(device_memory_bytes=cap, eviction_policy="lru",
-                         head_shards=shards)
+        cfg = OMPCConfig(device_memory_bytes=cap, eviction_policy="lru")
         instances: list[DeviceMemory] = []
         with _track_device_memories(instances):
-            rt = OMPCRuntime(ClusterSpec(num_nodes=nodes), cfg)
+            rt = runtime(cfg)
             prog, outs = pipeline_program()
             rt.run(prog)
         assert instances, "no DeviceMemory was built"
@@ -128,8 +146,8 @@ class TestCapacityInvariant:
 
 
 class TestByteConservation:
-    @pytest.mark.parametrize("policy,nodes,shards", _layouts(["lru", "cost"]))
-    def test_spill_and_refetch_preserve_values(self, policy, nodes, shards):
+    @pytest.mark.parametrize("policy,runtime", _layouts(["lru", "cost"]))
+    def test_spill_and_refetch_preserve_values(self, policy, runtime):
         # Unlimited reference.
         prog_ref, outs_ref = pipeline_program()
         OMPCRuntime(ClusterSpec(num_nodes=3), OMPCConfig()).run(prog_ref)
@@ -138,9 +156,8 @@ class TestByteConservation:
 
         # Half-capacity tiered run: dirty spills + re-fetches happen.
         cfg = OMPCConfig(device_memory_bytes=4 * 2 * KB,
-                         eviction_policy=policy, trace=True,
-                         head_shards=shards)
-        rt = OMPCRuntime(ClusterSpec(num_nodes=nodes), cfg)
+                         eviction_policy=policy, trace=True)
+        rt = runtime(cfg)
         prog, outs = pipeline_program()
         rt.run(prog)
         counters = rt.last_cluster.obs.counters
