@@ -719,7 +719,7 @@ class FaultTolerantRuntime:
                 dm.pin(bid)
                 try:
                     yield from core.make_room(task, node, lambda: [buf],
-                                              bid, home)
+                                              bid, home, None)
                     yield from safe_source_move(buf, node)
                     dm.commit_enter_data(buf, node)
                     log_append("enter_data", buffer_id=buf.buffer_id,
@@ -730,26 +730,37 @@ class FaultTolerantRuntime:
 
         def run_exit_data(task: Task):
             for buf in task.buffers:
-                while True:
-                    yield from ensure_available(buf)
-                    locations = dm.locations(buf) - dead
-                    if home in locations and dm.latest(buf) == home:
+                # As in the core's exit data, no eviction may race the
+                # retrieve or the stale-copy deletes: wait out the
+                # in-flight ones and pin the buffer until they land.
+                bid = [buf.buffer_id]
+                yield from core._await_evictions(bid)
+                dm.pin(bid)
+                try:
+                    while True:
+                        yield from ensure_available(buf)
+                        locations = dm.locations(buf) - dead
+                        if home in locations and dm.latest(buf) == home:
+                            break
+                        src = dm.latest(buf)
+                        if src in dead or src not in locations:
+                            src = min(locations)
+                        if src == home:
+                            break
+                        payload = yield from events.retrieve(
+                            src, buf.buffer_id, buf.nbytes, origin=home
+                        )
+                        if src not in dm.locations(buf) - dead:
+                            continue  # source declared dead mid-retrieve
+                        buf.data = payload
+                        dm.commit_move(Move(buf, src, home))
                         break
-                    src = dm.latest(buf)
-                    if src in dead or src not in locations:
-                        src = min(locations)
-                    if src == home:
-                        break
-                    payload = yield from events.retrieve(
-                        src, buf.buffer_id, buf.nbytes, origin=home
-                    )
-                    if src not in dm.locations(buf) - dead:
-                        continue  # source declared dead mid-retrieve
-                    buf.data = payload
-                    dm.commit_move(Move(buf, src, home))
-                    break
-                log_append("exit_data", buffer_id=buf.buffer_id, home=home)
-                yield from purge_stale(dm.commit_exit_data(buf))
+                    log_append("exit_data", buffer_id=buf.buffer_id,
+                               home=home)
+                    yield from purge_stale(dm.commit_exit_data(buf))
+                finally:
+                    dm.unpin(bid)
+                    core._mem_wake()
 
         def purge_stale(stale):
             """Generator: physically delete invalidated worker copies.
@@ -785,7 +796,7 @@ class FaultTolerantRuntime:
                     return list(allocs) + needed
 
                 yield from core.make_room(task, node, incoming, dep_ids,
-                                          home)
+                                          home, None)
                 core.count_reads(task, node, {b.buffer_id for b in needed})
                 for buf in allocs:
                     yield from guarded(node, events.alloc(

@@ -454,27 +454,35 @@ class HeadCore:
             # wiped the device and the directory forgot its copies.
             if node in dead:
                 return
-            if ev.spill:
-                # Write-behind: this node holds the only valid copy;
-                # persist it to the host image first.
+            # Write-behind: this node holds the only valid copy; persist
+            # it to the host image first.  A clean victim whose other
+            # copies were evicted or died since planning is one too.
+            if ev.spill or not dm.locations(buf) - {node}:
                 payload = yield from self.guard(watch, events.retrieve(
                     node, buf.buffer_id, buf.nbytes, origin=origin
                 ))
-                if node in dead:
+                # A copy the directory dropped meanwhile (the node died,
+                # or a failover invalidated the buffer) is not spilled.
+                if node in dead or node not in dm.locations(buf):
                     return
                 buf.data = payload
                 dm.commit_move(Move(buf, node, dm.home))
                 obs.count("mem.spill_bytes", buf.nbytes)
+            # Drop the entry before the DELETE: a concurrent eviction of
+            # another replica then sees this one gone, and a holder
+            # dying meanwhile reports the buffer lost.
+            dm.commit_evict(buf, node)
             yield from self.guard(watch, events.delete(
                 node, buf.buffer_id, origin=origin
             ))
             if node in dead:
                 return
-            dm.commit_evict(buf, node)
             dm.mem_release(buf, node)
             self._mem_wake()
             obs.count("mem.evict")
         finally:
+            # Landed, or abandoned with the copy still charged.
+            self.tiering.settle(node, buf.buffer_id)
             bucket = self._evicting_bufs.get(buf.buffer_id)
             if bucket is not None:
                 bucket.discard(marker)
@@ -505,7 +513,7 @@ class HeadCore:
         yield AllOf(sim, procs)
 
     def make_room(self, task: Task, node: int, incoming, pinned_ids,
-                  origin: int):
+                  origin: int, flush):
         """Generator: make room on ``node`` for the buffers ``incoming()``
         lists (re-planned on every retry), then perform the evictions.
 
@@ -519,23 +527,41 @@ class HeadCore:
         lets two blocked frames ping-pong wakes at one instant forever.
         Real releases (evictions landing, deletes, frame completion, a
         declared node death) do the waking.
+
+        ``flush()`` (``None`` but for an enter data admitting buffers one
+        at a time) materializes the admitted prefix before any back-off
+        unpin and before the evictions, lest a victim be charged but not
+        yet materialized.  The prefix's own pins are often the blockage,
+        so such a back-off first re-plans against the unpinned state.
         """
         dm, evicting = self.dm, self._evicting_bufs
-        blocked = False
-        while True:
+
+        def plan():
+            try:
+                return dm.plan_evictions(task, node, incoming())
+            except MemoryWait:
+                return None
+
+        evictions, blocked = None, False
+        while evictions is None:
+            if blocked and flush is not None:
+                yield from flush()
             if blocked or any(bid in evicting for bid in pinned_ids):
                 dm.unpin(pinned_ids)
                 try:
-                    if blocked:
-                        yield from self._wait_for_room(node)
-                    yield from self._await_evictions(pinned_ids)
+                    if blocked and flush is not None:
+                        evictions = plan()
+                    if evictions is None:
+                        if blocked:
+                            yield from self._wait_for_room(node)
+                        yield from self._await_evictions(pinned_ids)
                 finally:
                     dm.pin(pinned_ids)
-            try:
-                evictions = dm.plan_evictions(task, node, incoming())
-                break
-            except MemoryWait:
-                blocked = True
+            if evictions is None:
+                evictions = plan()
+            blocked = True
+        if evictions and flush is not None:
+            yield from flush()
         yield from self._perform_evictions(node, evictions, origin)
 
     # -- the task frame ----------------------------------------------------
@@ -621,7 +647,7 @@ class HeadCore:
                 # by other frames' releases — acceptable for the opt-in
                 # broadcast ablation.
                 yield from self.make_room(task, dst, lambda: [buf], (),
-                                          origin)
+                                          origin, None)
             yield from self.events.broadcast(node, dsts, buf.buffer_id,
                                              buf.nbytes, origin=origin)
             for dst in dsts:
@@ -645,11 +671,7 @@ class HeadCore:
         staged: list = []
 
         def flush():
-            # Materialize (and commit) everything planned so far.  Must
-            # run before any back-off unpin: a charged-but-
-            # unmaterialized buffer picked as a victim by a concurrent
-            # planner would make the eviction retrieve bytes that do not
-            # exist yet.
+            # Materialize (and commit) everything planned so far.
             mvs = [m for _b, ms in staged for m in ms]
             yield from self._perform_moves(mvs, origin)
             for b, _ms in staged:
@@ -658,43 +680,15 @@ class HeadCore:
 
         try:
             for buf in task.buffers:
-                while True:
+                moves = None
+
+                def incoming():
+                    nonlocal moves
                     moves = dm.plan_enter_data(buf, node)
-                    incoming = [m.buffer for m in moves if m.dst == node]
-                    try:
-                        evictions = dm.plan_evictions(task, node, incoming)
-                        break
-                    except MemoryWait:
-                        # Back off: materialize the admitted prefix and
-                        # release our pins so room can be made.  Our own
-                        # prefix pins are often the blockage (the
-                        # entered buffers are this frame's own clean
-                        # replicas), so re-plan immediately against the
-                        # unpinned state — the re-plan is synchronous,
-                        # hence atomic — and only sleep on the turnstile
-                        # when the blockage is truly someone else's (no
-                        # turnstile fire: see make_room).
-                        yield from flush()
-                        dm.unpin(buf_ids)
-                        try:
-                            moves = dm.plan_enter_data(buf, node)
-                            incoming = [
-                                m.buffer for m in moves if m.dst == node
-                            ]
-                            try:
-                                evictions = dm.plan_evictions(
-                                    task, node, incoming
-                                )
-                                break
-                            except MemoryWait:
-                                yield from self._wait_for_room(node)
-                                yield from self._await_evictions(buf_ids)
-                        finally:
-                            dm.pin(buf_ids)
-                if evictions:
-                    yield from flush()
-                    yield from self._perform_evictions(node, evictions,
-                                                       origin)
+                    return [m.buffer for m in moves if m.dst == node]
+
+                yield from self.make_room(task, node, incoming, buf_ids,
+                                          origin, flush)
                 staged.append((buf, moves))
             yield from flush()
             if self.cfg.broadcast_events:
@@ -739,7 +733,8 @@ class HeadCore:
                 return list(allocs) + [m.buffer for m in moves
                                        if m.dst == node]
 
-            yield from self.make_room(task, node, incoming, dep_ids, origin)
+            yield from self.make_room(task, node, incoming, dep_ids,
+                                      origin, None)
             moves, allocs = plan
             self.count_reads(task, node, {m.buffer.buffer_id for m in moves})
             yield from self._run_target_body(task, node, moves, allocs,

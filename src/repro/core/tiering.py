@@ -201,10 +201,6 @@ class MemoryDirector:
     def pinned(self, buffer_id: int) -> bool:
         return self._pins.get(buffer_id, 0) > 0
 
-    def evicting(self, node: int) -> set[int]:
-        """Buffer ids whose physical eviction from ``node`` is in flight."""
-        return set(self._nodes[node].evicting)
-
     # -- pinning -----------------------------------------------------------
     def pin(self, buffer_ids) -> None:
         for bid in buffer_ids:
@@ -258,6 +254,13 @@ class MemoryDirector:
             view.resident -= buf.nbytes
         view.evicting.pop(buffer_id, None)
         view.last_use.pop(buffer_id, None)
+
+    def settle(self, node: int, buffer_id: int) -> None:
+        """End an in-flight eviction, landed (already released) or
+        given up (its copy stays charged and may be a victim again)."""
+        view = self._nodes.get(node)
+        if view is not None:
+            view.evicting.pop(buffer_id, None)
 
     def forget_node(self, node: int) -> None:
         """Drop all accounting for a crashed node (its memory is gone)."""

@@ -143,11 +143,22 @@ class TestMemoryDirector:
         a = buf(2 * KB, "a")
         d.charge(1, a)
         evs = d.plan(task(), 1, [buf(2 * KB, "b")], never_sole)
-        assert len(evs) == 1
-        assert d.evicting(1) == {a.buffer_id}
+        assert [ev.buffer for ev in evs] == [a]
         # A concurrent planner must wait for the in-flight eviction.
         with pytest.raises(MemoryWait):
             d.plan(task(), 1, [buf(KB, "c")], never_sole)
+
+    def test_settled_eviction_is_a_victim_again(self):
+        # An abandoned eviction leaves its copy charged; once settled it
+        # is no longer in flight, so the next planner may pick it.
+        d = MemoryDirector({1: 4 * KB}, LRUPolicy())
+        a = buf(2 * KB, "a")
+        d.charge(1, a)
+        assert [ev.buffer for ev in d.plan(
+            task(), 1, [buf(3 * KB, "b")], never_sole)] == [a]
+        d.settle(1, a.buffer_id)
+        evs = d.plan(task(), 1, [buf(KB, "c")], never_sole)
+        assert [ev.buffer for ev in evs] == [a]
 
     def test_fatal_when_solo_working_set_cannot_fit(self):
         d = MemoryDirector({1: KB}, LRUPolicy())
@@ -207,7 +218,63 @@ def expected(outs):
                for i, o in enumerate(outs))
 
 
+def stencil_program(width=8, steps=4):
+    """A double-buffered 1-D stencil with real payloads.
+
+    Neighbouring points read each other's buffers, so clean replicas of
+    one buffer sit on several workers at once.  Returns the program,
+    the final buffers and their serially evaluated values.
+    """
+    prog = OmpProgram("stencil")
+    bufs = [[prog.buffer(4 * KB, data=np.zeros(4), name=f"p{q}g{g}")
+             for g in range(2)] for q in range(width)]
+    want = [np.zeros(4)] * width
+    for step in range(steps):
+        new = []
+        for point in range(width):
+            qs = [q for q in (point - 1, point, point + 1)
+                  if step and 0 <= q < width]
+
+            def fn(*arrays, base=step + point / 8.0):
+                *reads, out = arrays
+                np.copyto(out, sum(reads, np.full(4, base)) * 0.5)
+
+            prog.target(
+                fn,
+                depend=[depend_in(bufs[q][(step - 1) % 2]) for q in qs]
+                + [depend_out(bufs[point][step % 2])],
+                cost=MILLISECOND * (1 + 0.01 * ((7 * step + 3 * point) % 5
+                                                - 2)),
+                name=f"t{step}p{point}", affinity=point,
+            )
+            new.append(sum((want[q] for q in qs),
+                           np.full(4, step + point / 8.0)) * 0.5)
+        want = new
+    final = [bufs[q][(steps - 1) % 2] for q in range(width)]
+    prog.target_exit_data(*final)
+    return prog, final, want
+
+
 class TestRuntimeIntegration:
+    @pytest.mark.parametrize("capacity", [4, 5])
+    @pytest.mark.parametrize("ft", [False, True], ids=["plain", "ft"])
+    def test_concurrent_drops_keep_a_copy(self, ft, capacity):
+        # Planners on two workers pick the two last replicas of one
+        # clean buffer as drop victims in the same instant.  The first
+        # eviction drops its directory entry before its DELETE, so the
+        # second sees the sole copy and spills it instead.
+        from repro.core.faults import FaultTolerantRuntime
+
+        cfg = OMPCConfig(device_memory_bytes=capacity * 4 * KB,
+                         eviction_policy="lru", trace=True)
+        runtime = FaultTolerantRuntime if ft else OMPCRuntime
+        rt = runtime(ClusterSpec(num_nodes=5), cfg)
+        prog, final, want = stencil_program()
+        rt.run(prog)
+        for buf, value in zip(final, want):
+            assert (buf.data == value).all(), buf.name
+        assert rt.last_cluster.obs.counters.get("mem.evict", 0) > 0
+
     @pytest.mark.parametrize("policy", ["lru", "cost"])
     def test_oversubscribed_run_completes(self, policy):
         # Working set 16 buffers/node-group vs. 4-buffer devices: the
@@ -369,6 +436,41 @@ class TestFaultTolerantTiering:
             return
         for i, out in enumerate(outs):
             assert (out.data == 3.0 * (i + 1)).all(), out.name
+
+    @pytest.mark.parametrize("capacity_kb", [5, 6])
+    def test_exit_data_races_no_spill(self, capacity_kb):
+        """An exit data and a planner that wants its buffer as a victim.
+
+        ``w`` writes ``x`` and ``z`` on one worker; ``exit-x`` and
+        ``t2`` become ready together.  ``t2`` needs room on that worker
+        and ``x`` is its LRU victim, dirty, so a spill would race the
+        exit's retrieve of ``x``.  The exit waits out in-flight
+        evictions and pins ``x`` until its worker copy is deleted, so
+        ``t2`` waits for that delete instead of spilling a copy the
+        exit is dropping.
+        """
+        from repro.core.faults import FaultTolerantRuntime
+        from tests.property.test_chaos_failover import run_to_horizon
+
+        prog = OmpProgram("exit-race")
+        x = prog.buffer(2 * KB, data=np.zeros(4), name="x")
+        z = prog.buffer(KB, data=np.zeros(4), name="z")
+        y = prog.buffer(4 * KB, data=np.zeros(4), name="y")
+        prog.target(lambda a, b: (a.fill(1.0), b.fill(2.0)),
+                    depend=[depend_out(x), depend_out(z)],
+                    cost=MILLISECOND, name="w")
+        prog.target_exit_data(x, name="exit-x")
+        prog.target(lambda a, b: np.copyto(b, a + 5.0),
+                    depend=[depend_in(z), depend_out(y)],
+                    cost=MILLISECOND, name="t2")
+        prog.target_exit_data(y, z, name="exit-yz")
+        cfg = OMPCConfig(device_memory_bytes=capacity_kb * KB,
+                         eviction_policy="lru")
+        rt = FaultTolerantRuntime(ClusterSpec(num_nodes=3), cfg)
+        run_to_horizon(rt, prog)
+        assert (x.data == 1.0).all()
+        assert (y.data == 7.0).all()
+        assert (z.data == 2.0).all()
 
     def test_ft_exhausted_retries_raise(self):
         cfg = OMPCConfig(device_memory_bytes=3 * 2 * KB,
