@@ -153,6 +153,8 @@ class DataManager:
         surviving holder).
         """
         st = self._st(buffer)
+        if node not in st.locations:
+            return  # a copy the directory no longer counts
         st.locations.discard(node)
         if not st.locations:
             raise ValueError(

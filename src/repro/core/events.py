@@ -338,7 +338,10 @@ class EventSystem:
             yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
 
         elif note.event_type == EventType.DELETE:
-            mem.delete(note.info["buffer_id"])
+            # An eviction may delete a charged copy whose transfer never
+            # landed (its source died): deleting nothing is a no-op.
+            if note.info["buffer_id"] in mem:
+                mem.delete(note.info["buffer_id"])
             self._mem_gauge(node_id, mem)
             yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
 

@@ -65,7 +65,7 @@ from typing import Any, Callable
 from repro.analysis.findings import AnalysisReport
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
-from repro.core.datamanager import HOST, DataManager, Move
+from repro.core.datamanager import HOST, DataManager
 from repro.core.events import EventSystem
 from repro.core.faultmodel import FaultPlan
 from repro.core.gossip import FailureDetector
@@ -75,7 +75,7 @@ from repro.core.headlog import (
     HeadLog,
     Replicator,
 )
-from repro.core.runtime import HeadCore, configure_tiering, fetch_gate
+from repro.core.runtime import HeadCore, _NodeCrashed, configure_tiering
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
 from repro.mpi.comm import TransportConfig
 from repro.obs.observer import Observer
@@ -242,13 +242,16 @@ class FaultTolerantRuntime:
 
     Runs on the plain runtime's :class:`~repro.core.runtime.HeadCore`
     (set-up, startup/planning/shutdown phases, head-thread task frame,
-    classical tasks, memory admission and eviction, stale-copy deletes,
-    result) and adds the fault tolerance: membership, head-state
-    replication and failover, lineage and checkpoint recovery, and
-    buffer moves that race every operation against the death of the
-    nodes it involves.  The core's evictions race node death through
-    the same ``guarded``, which this runtime installs as the core's
-    guard beside the shared set of dead nodes.
+    and the one data plane: the enter-data, exit-data and target frames
+    with their moves, memory admission, evictions and stale-copy
+    deletes, and the result) and adds the fault tolerance: membership,
+    head-state replication and failover, lineage and checkpoint
+    recovery, and speculation.  It plugs into the core's frames only
+    what the plain runtime lacks: a recover step before each frame, its
+    commit bookkeeping, the tombstone rule under replication, the
+    EXECUTE's attempt and failover epoch, and the "node may die" hook
+    (the shared set of dead nodes, and ``HeadCore.guarded`` as the
+    guard every event-system call of the frames goes through).
     """
 
     def __init__(
@@ -272,22 +275,22 @@ class FaultTolerantRuntime:
             )
         if self.config.broadcast_events:
             raise ValueError(
-                "FaultTolerantRuntime never broadcasts: its data plane "
-                "moves each buffer to each consumer on its own, so "
-                "broadcast_events=True would be ignored"
+                "FaultTolerantRuntime never broadcasts: no guard races "
+                "a broadcast against node death, so broadcast_events=True "
+                "is rejected"
             )
         if self.config.write_detection == "page_protect":
             raise ValueError(
                 "FaultTolerantRuntime commits each task's declared "
                 "writes (its lineage and replica bookkeeping follow the "
-                "dependences), so write_detection='page_protect' would "
-                "be ignored"
+                "dependences), so write_detection='page_protect' is "
+                "rejected"
             )
         if not self.config.forwarding_enabled:
             raise ValueError(
-                "FaultTolerantRuntime always exchanges buffers worker to "
-                "worker, so forwarding_enabled=False (staging through the "
-                "head) would be ignored"
+                "FaultTolerantRuntime exchanges buffers worker to worker; "
+                "staging through the head (forwarding_enabled=False) is "
+                "rejected"
             )
         self.scheduler = scheduler or HeftScheduler()
         self.last_cluster: Cluster | None = None
@@ -423,9 +426,6 @@ class FaultTolerantRuntime:
         head_declared: dict[int, Any] = {}
         ckpt_stop = False
 
-        def cur_epoch() -> int:
-            return log.epoch if log is not None else 0
-
         def log_append(kind: str, nbytes: float | None = None,
                        **data: Any) -> None:
             if repl is None:
@@ -487,7 +487,9 @@ class FaultTolerantRuntime:
             if forced is not None and forced not in dead:
                 return forced
             node = schedule.node_of(task)
-            if node in dead and node != HOST:
+            if node == HOST:
+                return home  # data stays with the (current) head
+            if node in dead:
                 # Deterministic re-map: spread by task id over survivors.
                 survivors = live_workers()
                 if not survivors:
@@ -529,8 +531,13 @@ class FaultTolerantRuntime:
             """
             bid = buffer.buffer_id
             while True:
-                locations = dm.locations(buffer) - dead
-                if locations:
+                token = recovering.get(bid)
+                if token is not None and bid not in chain:
+                    # Someone else is recovering it: a location the
+                    # re-execution lists may not hold the value yet.
+                    yield token
+                    continue
+                if dm.locations(buffer) - dead:
                     return
                 entry = checkpoints.get(bid)
                 if bid in chain:
@@ -544,10 +551,6 @@ class FaultTolerantRuntime:
                     # the in-flight restore sequence is void, tell the
                     # owning frame to start over from the snapshot.
                     raise _RecoveryRestart(bid)
-                token = recovering.get(bid)
-                if token is not None:
-                    yield token  # someone else is already recovering it
-                    continue
                 producer = writer_of.get(bid)
                 if entry is None and producer is None:
                     raise RecoveryError(
@@ -602,54 +605,14 @@ class FaultTolerantRuntime:
                     continue
                 return
 
-        def safe_source_move(buffer: Buffer, dst: int, chain: frozenset = frozenset()):
-            """Generator: materialize ``buffer`` on ``dst``.
-
-            Retries with a fresh source if the source node crashes
-            mid-transfer; a crash of ``dst`` propagates to the caller
-            (the whole task attempt restarts elsewhere).
-            """
-            if tiering is not None and dst != home:
-                yield from fetch_gate(cluster, cfg, buffer, dst)
-            while True:
-                yield from ensure_available(buffer, chain)
-                locations = dm.locations(buffer) - dead
-                if dst in locations:
-                    return
-                src = dm.latest(buffer)
-                if src in dead or src not in locations:
-                    src = home if home in locations else min(locations)
-                if src == home:
-                    op = events.submit(dst, buffer.buffer_id, buffer.data,
-                                       buffer.nbytes, origin=home)
-                    watch = [dst]
-                else:
-                    op = events.exchange(src, dst, buffer.buffer_id,
-                                         buffer.nbytes, origin=home)
-                    watch = [src, dst]
-                try:
-                    yield from guarded(watch, op)
-                except _NodeCrashed as crash:
-                    if crash.node == home:
-                        # The head died under us: the failover path owns
-                        # recovery; park until the teardown interrupt.
-                        yield sim.event("park-for-failover")
-                        continue
-                    handle_node_death(crash.node)
-                    if crash.node == dst:
-                        raise  # the task itself must move
-                    continue  # source died: pick another source
-                if src not in dm.locations(buffer) - dead:
-                    # The source was declared dead mid-transfer (possibly
-                    # a false positive under heavy transients) and its
-                    # copy invalidated; redo the move from a live source.
-                    continue
-                dm.commit_move(Move(buffer, src, dst))
-                return
-
         # -- task execution with failure racing ---------------------------
         def execute_once(task: Task, chain: frozenset = frozenset()):
-            """Generator: run ``task`` to completion, retrying on crashes."""
+            """Generator: run ``task`` to completion through the core's
+            frames, retrying a frame a node death failed on a fresh plan.
+
+            Before each frame the buffers it reads get a live copy
+            (lineage or checkpoint recovery, carrying ``chain``).
+            """
             recovery = bool(chain)  # lineage/replay re-execution
             while True:
                 node = target_node(task)
@@ -678,14 +641,18 @@ class FaultTolerantRuntime:
                             task, cluster.node(home)
                         )
                         record_writes(task, home, recovery)
-                    elif task.kind == TaskKind.TARGET_ENTER_DATA:
-                        yield from run_enter_data(task, node)
+                        return
+                    entering = task.kind == TaskKind.TARGET_ENTER_DATA
+                    for buf in task.buffers if entering else task.reads:
+                        yield from ensure_available(buf, chain)
+                    if entering:
+                        yield from core._run_enter_data(task, node, home)
                     elif task.kind == TaskKind.TARGET_EXIT_DATA:
-                        yield from run_exit_data(task)
+                        yield from core._run_exit_data(task, home)
                     elif speculatable(task):
                         yield from run_target_speculative(task, node, chain)
                     else:
-                        yield from run_target(task, node, chain)
+                        yield from target_frame(task, node, chain)
                     return
                 except _NodeCrashed as crash:
                     if crash.node == home:
@@ -693,150 +660,7 @@ class FaultTolerantRuntime:
                         # failover path owns recovery — park until the
                         # epoch teardown interrupts us.
                         yield sim.event("park-for-failover")
-                        continue
-                    handle_node_death(crash.node)
-                    continue  # retry on a survivor
-
-        def run_enter_data(task: Task, node: int):
-            if node == HOST or node in dead:
-                node = home
-            if node == home:
-                return
-            # One buffer at a time: a working set larger than the device
-            # is legal for enter data — buffers entered earlier are
-            # clean replicas (the host image survives) the tier may
-            # drop; consumers re-fetch them read-through.  Each buffer
-            # commits (and logs) as soon as it lands, so a subsequent
-            # eviction updates a directory that already knows the copy.
-            # With no tier to admit them, every buffer moves first (the
-            # moves below then find it resident), so the commits and log
-            # records land together.
-            if not dm.tiered(node):
-                for buf in task.buffers:
-                    yield from safe_source_move(buf, node)
-            for buf in task.buffers:
-                bid = [buf.buffer_id]
-                dm.pin(bid)
-                try:
-                    yield from core.make_room(task, node, lambda: [buf],
-                                              bid, home, None)
-                    yield from safe_source_move(buf, node)
-                    dm.commit_enter_data(buf, node)
-                    log_append("enter_data", buffer_id=buf.buffer_id,
-                               node=node)
-                finally:
-                    dm.unpin(bid)
-                    core._mem_wake()
-
-        def run_exit_data(task: Task):
-            for buf in task.buffers:
-                # As in the core's exit data, no eviction may race the
-                # retrieve or the stale-copy deletes: wait out the
-                # in-flight ones and pin the buffer until they land.
-                bid = [buf.buffer_id]
-                yield from core._await_evictions(bid)
-                dm.pin(bid)
-                try:
-                    while True:
-                        yield from ensure_available(buf)
-                        locations = dm.locations(buf) - dead
-                        if home in locations and dm.latest(buf) == home:
-                            break
-                        src = dm.latest(buf)
-                        if src in dead or src not in locations:
-                            src = min(locations)
-                        if src == home:
-                            break
-                        payload = yield from events.retrieve(
-                            src, buf.buffer_id, buf.nbytes, origin=home
-                        )
-                        if src not in dm.locations(buf) - dead:
-                            continue  # source declared dead mid-retrieve
-                        buf.data = payload
-                        dm.commit_move(Move(buf, src, home))
-                        break
-                    log_append("exit_data", buffer_id=buf.buffer_id,
-                               home=home)
-                    yield from purge_stale(dm.commit_exit_data(buf))
-                finally:
-                    dm.unpin(bid)
-                    core._mem_wake()
-
-        def purge_stale(stale):
-            """Generator: physically delete invalidated worker copies.
-
-            With replication on, physical deletes are skipped entirely
-            (a tombstone model): the directory has already dropped the
-            stale copies so nothing will read them, and a deferred
-            DELETE racing a post-failover re-materialization of the
-            same buffer could destroy the only live copy.
-            """
-            if repl is None:
-                yield from core._perform_deletes(stale, home)
-
-        def run_target(task: Task, node: int, chain: frozenset = frozenset(),
-                       attempt: int = 0):
-            # Device-capacity admission on a tiered node: the task's
-            # buffers stay pinned for the frame's lifetime so concurrent
-            # planners never evict an in-use dependency.
-            dep_ids = sorted({d.buffer.buffer_id for d in task.deps})
-            dm.pin(dep_ids)
-            try:
-                allocs: list[Buffer] = []
-                needed: list[Buffer] = []
-
-                def incoming():
-                    nonlocal allocs, needed
-                    allocs = dm.plan_for_task(task, node)[1]
-                    needed = [
-                        d.buffer for d in task.deps
-                        if task.dep_type_for(d.buffer).reads
-                        and not dm.is_resident(d.buffer, node)
-                    ]
-                    return list(allocs) + needed
-
-                yield from core.make_room(task, node, incoming, dep_ids,
-                                          home, None)
-                core.count_reads(task, node, {b.buffer_id for b in needed})
-                for buf in allocs:
-                    yield from guarded(node, events.alloc(
-                        node, buf.buffer_id, payload=buf.data, origin=home,
-                        nbytes=buf.nbytes, label=buf.name, owner=task.name,
-                    ))
-                    dm.commit_alloc(buf, node)
-                if node == home:
-                    # Self-dispatch (the elected head doubles as a
-                    # worker): the directory counts the host image as
-                    # home-resident, but the node's device table only
-                    # holds explicit allocations.  Materialize missing
-                    # deps by reference — a host-to-own-device copy
-                    # moves no bytes.
-                    mem = events.memories[node]
-                    for dep in task.deps:
-                        if (
-                            dm.is_resident(dep.buffer, node)
-                            and dep.buffer.buffer_id not in mem
-                        ):
-                            yield from guarded(node, events.alloc(
-                                node, dep.buffer.buffer_id,
-                                payload=dep.buffer.data, origin=home,
-                                nbytes=dep.buffer.nbytes,
-                            ))
-                for dep in task.deps:
-                    if task.dep_type_for(dep.buffer).reads and (
-                        not dm.is_resident(dep.buffer, node)
-                    ):
-                        yield from safe_source_move(dep.buffer, node, chain)
-                dedup = not chain and task.task_id in dedup_tasks
-                yield from guarded(node, events.execute(
-                    node, task, origin=home, attempt=attempt,
-                    dedup=dedup, fo_epoch=cur_epoch(),
-                ))
-                record_writes(task, node, recovery=bool(chain))
-                yield from purge_stale(dm.commit_task_done(task, node))
-            finally:
-                dm.unpin(dep_ids)
-                core._mem_wake()
+                    handle_node_death(crash.node)  # retry on a survivor
 
         # -- straggler mitigation -----------------------------------------
         def speculatable(task: Task) -> bool:
@@ -861,6 +685,12 @@ class FaultTolerantRuntime:
                 and len(live_workers()) > 1
             )
 
+        def target_frame(task: Task, node: int, chain: frozenset,
+                         attempt: int = 0):
+            dedup = not chain and task.task_id in dedup_tasks
+            return core._run_target(task, node, home, dedup, attempt,
+                                    recovery=bool(chain))
+
         def run_target_speculative(task: Task, node: int, chain: frozenset):
             """Generator: race a backup attempt against a straggler.
 
@@ -873,7 +703,7 @@ class FaultTolerantRuntime:
             estimate = cluster.node(node).compute_time(task.cost)
             attempt_a = next(exec_attempt)
             primary = sim.process(
-                run_target(task, node, chain, attempt_a),
+                target_frame(task, node, chain, attempt_a),
                 name=f"ft-spec:{task.name}.a",
             )
             p_done = sim.event(f"settle:{task.name}.a")
@@ -890,7 +720,7 @@ class FaultTolerantRuntime:
                     result.speculative_attempts += 1
                     cluster.obs.count("ft.speculative_attempts")
                     backup = sim.process(
-                        run_target(task, backup_node, chain, attempt_b),
+                        target_frame(task, backup_node, chain, attempt_b),
                         name=f"ft-spec:{task.name}.b",
                     )
                     b_done = sim.event(f"settle:{task.name}.b")
@@ -945,31 +775,6 @@ class FaultTolerantRuntime:
             if not recovery and node is not None:
                 log_append("task_done", task_id=task.task_id, node=node)
 
-        def guarded(nodes, operation):
-            """Generator: race ``operation`` against any of ``nodes`` dying.
-
-            A crash mid-operation may strand the remote half of the
-            event (e.g. an EXCHANGE destination waiting on a dead
-            source); the origin-side process is interrupted and the
-            crash is reported to the caller for retry.
-            """
-            if isinstance(nodes, int):
-                nodes = [nodes]
-            for node in nodes:
-                if node in dead or events.node_failed(node):
-                    raise _NodeCrashed(node)
-            proc = sim.process(operation, name="ft-op")
-            races = [proc] + [events.failure_event(n) for n in nodes]
-            yield AnyOf(sim, races)
-            if proc.triggered:
-                if not proc.ok:
-                    raise proc.value
-                return proc.value
-            if proc.is_alive:
-                proc.interrupt("node failure")
-            crashed = next(n for n in nodes if events.node_failed(n))
-            raise _NodeCrashed(crashed)
-
         def handle_node_death(node: int) -> None:
             if node in dead or node == home:
                 return  # the head's own death is the failover path's job
@@ -1009,7 +814,7 @@ class FaultTolerantRuntime:
                         checkpoints[bid] = (version, _snapshot(buf.data))
                     else:
                         try:
-                            payload = yield from guarded(
+                            payload = yield from core.guard(
                                 [src],
                                 events.retrieve(src, bid, buf.nbytes,
                                                 origin=home),
@@ -1037,9 +842,9 @@ class FaultTolerantRuntime:
             """Spawn the head-side services of the current incarnation."""
             if repl is not None:
                 for s in repl.live_standbys():
-                    spawn(repl.pump(s), name=f"repl-pump{s}.e{cur_epoch()}")
+                    spawn(repl.pump(s), name=f"repl-pump{s}.e{core.fo_epoch}")
             if cfg.checkpoint_interval > 0:
-                spawn(checkpointer(), name=f"ft-checkpoint.e{cur_epoch()}")
+                spawn(checkpointer(), name=f"ft-checkpoint.e{core.fo_epoch}")
 
         def rebuild_from_log(old_head: int) -> int:
             """Replay the adopted replica into fresh head state.
@@ -1189,6 +994,7 @@ class FaultTolerantRuntime:
                 if n != old_head and not events.node_failed(n)
             ])
             log.adopt(list(repl.replicas[winner]), log.epoch + 1)
+            core.fo_epoch = log.epoch
             repl.set_head(winner, votes)
             home = winner
             detector.rebase(winner)
@@ -1239,7 +1045,20 @@ class FaultTolerantRuntime:
 
         detector.on_detect = on_detect
         detector.on_head_detect = on_head_death
-        core.guard = guarded
+        def on_commit(task: Task, node: int, buf, recovery: bool) -> None:
+            if buf is None:
+                record_writes(task, node, recovery)
+            elif task.kind == TaskKind.TARGET_ENTER_DATA:
+                log_append("enter_data", buffer_id=buf.buffer_id, node=node)
+            else:
+                log_append("exit_data", buffer_id=buf.buffer_id, home=node)
+
+        core.guard = core.guarded
+        core.on_commit = on_commit
+        # With replication on, a deferred DELETE racing a post-failover
+        # re-materialization of the same buffer could destroy the only
+        # live copy; the directory alone drops stale copies.
+        core.tombstones = repl is not None
         injector = FailureInjector(events)
 
         def stop_services() -> None:
@@ -1353,14 +1172,6 @@ def _restore_into(buffer: Any, snapshot: Any) -> None:
         np.copyto(data, fresh)
     else:
         buffer.data = fresh
-
-
-class _NodeCrashed(Exception):
-    """Internal control flow: the target node died mid-operation."""
-
-    def __init__(self, node: int):
-        super().__init__(f"node {node} crashed")
-        self.node = node
 
 
 class _RecoveryRestart(Exception):

@@ -22,12 +22,14 @@ always blocked, waiting for a target region to complete, even when it
 is marked as nowait"), which is what bends the weak-scaling curves at
 32–64 nodes.
 
-The run's set-up, its phases (steps 1–3 and 6), the per-task frame and
-the data plane of steps 4–5, and the result live in :class:`HeadCore`.
-Three drivers keep their own control loop around it:
-:class:`OMPCRuntime` (one head), the sharded control plane
+The run's set-up, its phases (steps 1–3 and 6), the per-task frame,
+the one data plane of steps 4–5 (the enter-data, exit-data and target
+frames with their moves, deletes and memory admission), and the result
+live in :class:`HeadCore`.  Three drivers keep their own control loop
+around it: :class:`OMPCRuntime` (one head), the sharded control plane
 (:mod:`repro.core.shard.plane`) and the fault-tolerant runtime
-(:mod:`repro.core.faults`).
+(:mod:`repro.core.faults`), which runs the same frames and plugs in
+recovery, commit bookkeeping and a guard against node death.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.analysis.findings import AnalysisReport
 from repro.analysis.hooks import Analysis
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
-from repro.core.datamanager import HOST, DataManager, Move
+from repro.core.datamanager import DataManager, Move
 from repro.core.events import EventSystem
 from repro.core.memory import DeviceMemoryError
 from repro.core.tiering import MemoryWait, make_policy
@@ -153,9 +155,26 @@ def fetch_gate(cluster, cfg: OMPCConfig, buffer, dst: int):
         yield sim.timeout(MEM_FETCH_BACKOFF * 2 ** (attempt - 1))
 
 
+class _NodeCrashed(Exception):
+    """Internal control flow: a node an operation touches died."""
+
+    def __init__(self, node: int):
+        super().__init__(f"node {node} crashed")
+        self.node = node
+
+
 def _unguarded(_nodes, operation):
-    """Generator: run ``operation``; no node of a plain run may die."""
-    return (yield from operation)
+    """No node of a plain run may die: ``operation`` runs as it is."""
+    return operation
+
+
+def _settled(operation):
+    """Generator: run ``operation``; return the :class:`_NodeCrashed` it
+    raises instead of raising it."""
+    try:
+        yield from operation
+    except _NodeCrashed as crash:
+        return crash
 
 
 class HeadCore:
@@ -164,18 +183,20 @@ class HeadCore:
     One instance serves one execution: set-up (observer and analysis
     install, MPI world, event system, data manager, tiering), the run's
     phases (:meth:`boot`, :meth:`plan_phase`, :meth:`teardown`), the
-    data plane (moves, deletes, broadcast, and the one memory path:
+    one data plane (the enter-data, exit-data and target frames, their
+    moves and deletes, broadcast, and the one memory path:
     :meth:`make_room`'s plan, back-off and evictions), the task frame
     that runs one task on a head-thread slot, and the run's result.
     The driver keeps the control loop around it: the plain runtime
     (:class:`OMPCRuntime`) one head with one slot pool; the sharded
     plane (:mod:`repro.core.shard.plane`) one slot pool per shard
     manager; the fault-tolerant runtime (:mod:`repro.core.faults`) one
-    slot pool, a head that may move on failover, its own task body and
-    moves, and the "node may die" hook (:attr:`dead` and
-    :attr:`guard`) that the evictions and deletes honour.  Every
-    event-system call takes the frame's ``origin``: the head's node for
-    a single head, the shard's manager node for a shard.
+    slot pool, a head that may move on failover (the frames test
+    ``dm.home``, never node 0), and the plug-ins below: the "node may
+    die" hook (:attr:`dead` and :attr:`guard`), commit bookkeeping
+    (:attr:`on_commit`), :attr:`tombstones` and :attr:`fo_epoch`.
+    Every event-system call takes the frame's ``origin``: the head's
+    node for a single head, the shard's manager node for a shard.
     """
 
     def __init__(self, cluster_spec: ClusterSpec, cfg: OMPCConfig,
@@ -224,16 +245,23 @@ class HeadCore:
         self._mem_waiters = 0
         #: The "node may die" hook.  ``dead`` holds the workers the
         #: driver declared dead (the fault-tolerant runtime shares its
-        #: own set); ``guard(nodes, operation)`` runs an event-system
-        #: operation that touches ``nodes`` and may raise if one dies.
-        #: The plain and sharded runtimes lose no worker: an empty set
-        #: and a guard that just runs the operation.
+        #: own set); ``yield from guard(nodes, operation)`` runs an
+        #: event-system operation that touches ``nodes`` and raises
+        #: :class:`_NodeCrashed` if one dies (:meth:`guarded`).  The
+        #: plain and sharded runtimes lose no worker: an empty set and a
+        #: guard that hands back the operation itself.
         self.dead: set[int] = set()
         self.guard = _unguarded
-        #: Tasks whose completion the data manager already committed: a
-        #: shard re-dispatching a task after a manager failover must not
-        #: commit it twice.
-        self._committed: set[int] = set()
+        #: No physical stale-copy DELETE: the directory drops the copy,
+        #: the bytes stay (set while head standbys replicate).
+        self.tombstones = False
+        #: The dispatching head's failover epoch, stamped on EXECUTEs.
+        self.fo_epoch = 0
+        #: Tasks whose completion the data manager already committed,
+        #: kept by the sharded plane: a shard re-dispatching a task after
+        #: a manager failover must not commit it twice.  ``None`` commits
+        #: every frame (a lineage re-execution must commit again).
+        self.committed: set[int] | None = None
         self.schedule = Schedule({})
         #: Read-only enter-data buffer id -> consumer nodes (§7).
         self._broadcast_targets: dict[int, tuple[int, ...]] = {}
@@ -344,44 +372,76 @@ class HeadCore:
         return result
 
     # -- buffer movement ---------------------------------------------------
+    def guarded(self, nodes, operation):
+        """Generator: race ``operation`` against any of ``nodes`` dying
+        (the fault-tolerant runtime's :attr:`guard`).
+
+        A crash mid-operation may strand the remote half of the event
+        (e.g. an EXCHANGE destination waiting on a dead source); the
+        origin-side process is interrupted and :class:`_NodeCrashed`
+        reports the node to the caller.
+        """
+        sim, events = self.sim, self.events
+        for node in nodes:
+            if node in self.dead or events.node_failed(node):
+                raise _NodeCrashed(node)
+        proc = sim.process(operation, name="ft-op")
+        yield AnyOf(sim, [proc] + [events.failure_event(n) for n in nodes])
+        if proc.triggered:
+            if not proc.ok:
+                raise proc.value
+            return proc.value
+        if proc.is_alive:
+            proc.interrupt("node failure")
+        raise _NodeCrashed(next(n for n in nodes if events.node_failed(n)))
+
     def _perform_move(self, move: Move, origin: int):
         buf = move.buffer
-        obs, events = self.obs, self.events
+        obs, events, dm = self.obs, self.events, self.dm
+        home = dm.home
         if self.tiering is not None:
             yield from fetch_gate(self.cluster, self.cfg, buf, move.dst)
         move_span = obs.begin(
             "data", f"move:{buf.name}", origin,
             src=move.src, dst=move.dst, nbytes=buf.nbytes,
         ) if obs.enabled else None
-        if move.src == HOST:
+        if move.src == home:
             # A shard's manager stages its own host-resident inputs
             # (sharded ingest).
-            yield from events.submit(move.dst, buf.buffer_id, buf.data,
-                                     buf.nbytes, origin=origin,
-                                     label=buf.name)
-        elif move.dst == HOST:
-            buf.data = yield from events.retrieve(
-                move.src, buf.buffer_id, buf.nbytes, origin=origin
-            )
+            op = events.submit(move.dst, buf.buffer_id, buf.data,
+                               buf.nbytes, origin=origin, label=buf.name)
+        elif move.dst == home:
+            op = events.retrieve(move.src, buf.buffer_id, buf.nbytes,
+                                 origin=origin)
         elif self.cfg.forwarding_enabled:
-            yield from events.exchange(
-                move.src, move.dst, buf.buffer_id, buf.nbytes,
-                origin=origin, label=buf.name,
-            )
+            op = events.exchange(move.src, move.dst, buf.buffer_id,
+                                 buf.nbytes, origin=origin, label=buf.name)
         else:
-            # Ablation B: stage worker-to-worker moves via the head.
-            payload = yield from events.retrieve(
-                move.src, buf.buffer_id, buf.nbytes, origin=origin
-            )
-            yield from events.submit(move.dst, buf.buffer_id, payload,
-                                     buf.nbytes, origin=origin,
-                                     label=buf.name)
-        self.dm.commit_move(move)
+            op = self._staged(move, origin)
+        payload = yield from self.guard(
+            [n for n in (move.src, move.dst) if n != home], op)
+        for node in (move.src, move.dst):
+            if node in self.dead:
+                raise _NodeCrashed(node)  # declared dead mid-move
+        if move.dst == home:
+            buf.data = payload
+        dm.commit_move(move)
         if move_span is not None:
             obs.end(move_span)
 
+    def _staged(self, move: Move, origin: int):
+        # Ablation B: stage worker-to-worker moves via the head.
+        buf, events = move.buffer, self.events
+        payload = yield from events.retrieve(
+            move.src, buf.buffer_id, buf.nbytes, origin=origin
+        )
+        yield from events.submit(move.dst, buf.buffer_id, payload,
+                                 buf.nbytes, origin=origin, label=buf.name)
+
     def _perform_moves(self, moves: list[Move], origin: int):
-        """Overlap independent buffer moves of one task."""
+        """Overlap independent buffer moves of one task.  A move whose
+        node dies fails the frame once every sibling move has settled,
+        so no transfer outlives the frame's pins."""
         if not moves:
             return
         if len(moves) == 1:
@@ -389,29 +449,37 @@ class HeadCore:
             return
         sim = self.sim
         procs = [
-            sim.process(self._perform_move(m, origin),
+            sim.process(_settled(self._perform_move(m, origin)),
                         name=f"move:{m.buffer.name}")
             for m in moves
         ]
         yield AllOf(sim, procs)
+        for proc in procs:
+            if proc.value is not None:
+                raise proc.value
 
     def _perform_deletes(self, stale: list, origin: int):
-        """Synchronously remove invalidated worker copies (a dead
-        holder's copy died with it)."""
+        """Synchronously remove invalidated worker copies.  A dead
+        holder's copy died with it, a DELETE whose holder dies is
+        dropped, and under :attr:`tombstones` none is sent."""
+        if self.tombstones:
+            return
         obs, home, dead = self.obs, self.dm.home, self.dead
         for buf, holder in stale:
-            if holder != home and holder not in dead:
-                del_span = obs.begin(
-                    "data", f"delete:{buf.name}", origin, holder=holder
-                ) if obs.enabled else None
-                yield from self.events.delete(holder, buf.buffer_id,
-                                              origin=origin)
+            if holder == home or holder in dead:
+                continue
+            del_span = obs.begin(
+                "data", f"delete:{buf.name}", origin, holder=holder
+            ) if obs.enabled else None
+            delete = self.events.delete(holder, buf.buffer_id, origin=origin)
+            crash = yield from _settled(self.guard([holder], delete))
+            if crash is None:
                 # Lazy head-side release: only after the physical
                 # DELETE landed may the bytes be re-planned.
                 self.dm.mem_release(buf, holder)
                 self._mem_wake()
-                if del_span is not None:
-                    obs.end(del_span)
+            if del_span is not None:
+                obs.end(del_span)
 
     # -- tiered-store eviction machinery -----------------------------------
     def _mem_wake(self) -> None:
@@ -456,8 +524,11 @@ class HeadCore:
                 return
             # Write-behind: this node holds the only valid copy; persist
             # it to the host image first.  A clean victim whose other
-            # copies were evicted or died since planning is one too.
-            if ev.spill or not dm.locations(buf) - {node}:
+            # copies were evicted or died since planning is one too.  A
+            # copy the directory does not list (a stale tombstone, or a
+            # fetch whose source died before it landed) is only deleted.
+            held = dm.locations(buf)
+            if node in held and (ev.spill or held == {node}):
                 payload = yield from self.guard(watch, events.retrieve(
                     node, buf.buffer_id, buf.nbytes, origin=origin
                 ))
@@ -638,7 +709,7 @@ class HeadCore:
         dm = self.dm
         for buf in task.buffers:
             extra = self._broadcast_targets.get(buf.buffer_id, ())
-            dsts = [d for d in extra if d != node and d != HOST]
+            dsts = [d for d in extra if d != node and d != dm.home]
             if not dsts:
                 continue
             for dst in dsts:
@@ -654,9 +725,9 @@ class HeadCore:
                 dm.commit_move(Move(buf, node, dst))
 
     def _run_enter_data(self, task: Task, node: int, origin: int):
-        if node == HOST:
-            return  # no consumer was scheduled; data stays on host
         dm = self.dm
+        if node == dm.home:
+            return  # no consumer was scheduled; data stays on host
         # Admit the buffers one at a time: an enter-data working set
         # larger than the device is legal — buffers entered earlier
         # become clean replicas (the host image survives) that the tier
@@ -676,6 +747,7 @@ class HeadCore:
             yield from self._perform_moves(mvs, origin)
             for b, _ms in staged:
                 dm.commit_enter_data(b, node)
+                self.on_commit(task, node, b, False)
             staged.clear()
 
         try:
@@ -712,12 +784,17 @@ class HeadCore:
             yield from self._perform_moves(moves, origin)
             for buf in task.buffers:
                 removals = dm.commit_exit_data(buf)
+                self.on_commit(task, dm.home, buf, False)
                 yield from self._perform_deletes(removals, origin)
         finally:
             dm.unpin(buf_ids)
             self._mem_wake()
 
-    def _run_target(self, task: Task, node: int, origin: int, dedup: bool):
+    def _run_target(self, task: Task, node: int, origin: int, dedup: bool,
+                    attempt: int = 0, recovery: bool = False):
+        """Generator: the target frame.  ``attempt`` identifies the
+        dispatch for speculation's revocation; ``recovery`` marks a
+        lineage re-execution (for :attr:`on_commit`)."""
         dm = self.dm
         dep_ids = sorted({d.buffer.buffer_id for d in task.deps})
         # Pin the whole frame, so no later planner can pick any of these
@@ -738,10 +815,16 @@ class HeadCore:
             moves, allocs = plan
             self.count_reads(task, node, {m.buffer.buffer_id for m in moves})
             yield from self._run_target_body(task, node, moves, allocs,
-                                             origin, dedup)
+                                             origin, dedup, attempt, recovery)
         finally:
             dm.unpin(dep_ids)
             self._mem_wake()
+
+    def on_commit(self, task: Task, node: int, buf, recovery: bool) -> None:
+        """Commit bookkeeping, called right after each directory commit
+        of a frame (a driver may replace it): ``buf`` is ``None`` for a
+        target's writes on ``node``, else one buffer entered on ``node``
+        or exited to the home ``node``.  The plain runtime keeps none."""
 
     def count_reads(self, task: Task, node: int, fetched) -> None:
         """Read-through accounting on a tiered ``node``: each buffer
@@ -759,8 +842,9 @@ class HeadCore:
             self.obs.count("mem.miss" if bid in fetched else "mem.hit")
 
     def _run_target_body(self, task: Task, node: int, moves, allocs,
-                         origin: int, dedup: bool):
-        obs, events, dm = self.obs, self.events, self.dm
+                         origin: int, dedup: bool, attempt: int = 0,
+                         recovery: bool = False):
+        obs, events, dm, guard = self.obs, self.events, self.dm, self.guard
         for mv in moves:
             # A fetch logically reads the buffer on the task's behalf.
             self.analysis.on_move(task, mv.buffer)
@@ -770,29 +854,48 @@ class HeadCore:
             target=node, moves=len(moves), allocs=len(allocs),
         ) if enabled else None
         for buf in allocs:
-            yield from events.alloc(node, buf.buffer_id, payload=buf.data,
-                                    origin=origin, nbytes=buf.nbytes,
-                                    label=buf.name, owner=task.name)
+            yield from guard([node], events.alloc(
+                node, buf.buffer_id, payload=buf.data, origin=origin,
+                nbytes=buf.nbytes, label=buf.name, owner=task.name,
+            ))
             dm.commit_alloc(buf, node)
         yield from self._perform_moves(moves, origin)
+        if node == dm.home:
+            # Self-dispatch (an elected head doubles as a worker): the
+            # directory counts the host image as home-resident, but the
+            # node's device table only holds explicit allocations.  Map
+            # the missing deps by reference: no bytes move.
+            mem = events.memories[node]
+            for dep in task.deps:
+                buf = dep.buffer
+                if dm.is_resident(buf, node) and buf.buffer_id not in mem:
+                    yield from guard([node], events.alloc(
+                        node, buf.buffer_id, payload=buf.data,
+                        origin=origin, nbytes=buf.nbytes,
+                    ))
         if enabled:
             obs.end(fetch_span)
         exec_span = obs.begin(
             "task", f"{task.name}:execute", origin, target=node
         ) if enabled else None
-        detected = yield from events.execute(node, task, origin=origin,
-                                             dedup=dedup)
+        detected = yield from guard([node], events.execute(
+            node, task, origin=origin, attempt=attempt, dedup=dedup,
+            fo_epoch=self.fo_epoch,
+        ))
         if enabled:
             obs.end(exec_span)
         commit_span = obs.begin(
             "task", f"{task.name}:commit", origin, target=node
         ) if enabled else None
-        if task.task_id not in self._committed:
-            self._committed.add(task.task_id)
+        committed = self.committed
+        if committed is None or task.task_id not in committed:
+            if committed is not None:
+                committed.add(task.task_id)
             stale = dm.commit_task_done(
                 task, node,
                 written_ids=set(detected) if detected is not None else None,
             )
+            self.on_commit(task, node, None, recovery)
             yield from self._perform_deletes(stale, origin)
         if enabled:
             obs.end(commit_span)

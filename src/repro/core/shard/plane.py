@@ -248,6 +248,7 @@ class ShardedRuntime:
                 nodes=shard.nodes, tasks=len(sub),
             )
         core.set_schedule(graph, Schedule(assignment, planned))
+        core.committed = set()
 
         remaining = {t.task_id: graph.in_degree(t) for t in graph.tasks()}
         pending = len(remaining)

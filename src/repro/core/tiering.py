@@ -32,7 +32,7 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.core.memory import DeviceMemoryError
-from repro.omp.task import Buffer, Task
+from repro.omp.task import Buffer, Task, TaskKind
 
 
 @dataclass(frozen=True)
@@ -327,12 +327,20 @@ class MemoryDirector:
                     Eviction(victim.buffer, node, spill=victim.dirty)
                 )
             if need > free:
+                # A target's own resident dependencies are its working
+                # set, not other frames' pins: no wait can free them.
+                own = {
+                    bid: view.holdings[bid]
+                    for bid in sorted({d.buffer.buffer_id for d in task.deps})
+                    if bid in view.holdings
+                } if task.kind == TaskKind.TARGET else {}
                 in_flight = sum(view.evicting.values())
                 pinned_bytes = sum(
                     b.nbytes
                     for bid, b in view.holdings.items()
                     if self.pinned(bid)
                     and bid not in seen
+                    and bid not in own
                     and bid not in view.evicting
                 )
                 # Blocked by transient state — in-flight evictions or
@@ -354,6 +362,8 @@ class MemoryDirector:
                     (b.name, b.nbytes) for b in view.holdings.values()
                 )
                 wanted = sorted((b.name, b.nbytes) for b in new)
+                wanted += sorted((b.name, b.nbytes) for b in own.values())
+                need += sum(b.nbytes for b in own.values())
                 raise DeviceMemoryError(
                     f"task {task.name} (id {task.task_id}): working set of "
                     f"{need:.0f} B ([{listed(wanted)}]) cannot fit on node "

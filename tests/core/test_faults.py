@@ -27,6 +27,7 @@ from repro.mpi import MpiWorld
 from repro.omp import OmpProgram
 from repro.omp.task import Buffer, Task, TaskKind, depend_in, depend_inout, depend_out
 
+from tests.property.test_chaos_failover import run_to_horizon
 from tests.test_util import FAST
 
 
@@ -433,8 +434,8 @@ class TestFaultTolerantRuntime:
 
 
 class TestHeadCoreDriver:
-    """FT runs on the plain runtime's head core: its phases, task frame
-    and result, and the configs its own data plane would ignore."""
+    """FT runs on the plain runtime's head core: its phases, task frame,
+    data plane and result, and the configs its guards do not cover."""
 
     def test_traced_run_has_phase_spans_and_one_frame_per_task(self):
         prog, _, _ = shots_program()
@@ -448,6 +449,47 @@ class TestHeadCoreDriver:
         assert sorted(waits) == sorted(
             f"{t.name}:wait-slot" for t in prog.graph.tasks()
         )
+
+    def test_traced_run_has_the_core_target_spans(self):
+        prog, _, _ = shots_program()
+        res = FaultTolerantRuntime(
+            ClusterSpec(num_nodes=5), OMPCConfig(trace=True)
+        ).run(prog)
+        names = {s.name for s in res.obs.find("task")}
+        for task in prog.target_tasks():
+            for phase in ("fetch", "execute", "commit"):
+                assert f"{task.name}:{phase}" in names
+
+    def test_stale_copy_delete_to_a_dying_holder_is_dropped(self):
+        """``bump``'s commit deletes the stale copies of ``x`` on nodes 1
+        and 2; node 2 dies during its DELETE.  The delete is dropped:
+        ``bump`` runs once and the outputs are exact."""
+        prog = OmpProgram("stale-delete")
+        x = prog.buffer(1024, data=np.zeros(4), name="x")
+        a = prog.buffer(1024, data=np.zeros(4), name="a")
+        prog.target_enter_data(x)
+        prog.target(lambda s, o: np.copyto(o, s + 1.0),
+                    depend=[depend_in(x), depend_out(a)], cost=1e-3,
+                    name="ra")
+        prog.target(lambda s: None, depend=[depend_in(x)], cost=1e-3,
+                    name="rb")
+        bump = prog.target(lambda s: np.add(s, 5.0, out=s),
+                           depend=[depend_inout(x)], cost=1e-3, name="bump")
+        prog.target_exit_data(x, a)
+        cfg = OMPCConfig(trace=True)
+        rt = FaultTolerantRuntime(ClusterSpec(num_nodes=4), cfg)
+        # 7 ms after startup lies inside the DELETE to node 2.
+        res = run_to_horizon(rt, prog,
+                             failures=[NodeFailure(time=7e-3, node=2)])
+        assert {t.name: res.schedule.node_of(t) for t in prog.tasks
+                if t.name in ("rb", "bump")} == {"rb": 2, "bump": 3}
+        kill = cfg.startup_time + 7e-3
+        deletes = [s for s in res.obs.find("data")
+                   if s.name == "delete:x" and s.start <= kill <= s.end]
+        assert len(deletes) == 1
+        assert res.task_attempts[bump.task_id] == 1
+        assert res.reexecuted_tasks == 0
+        assert (x.data == 5.0).all() and (a.data == 1.0).all()
 
     def test_result_has_intervals_and_network_totals(self):
         prog, _, _ = shots_program()

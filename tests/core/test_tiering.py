@@ -313,6 +313,30 @@ class TestRuntimeIntegration:
         with pytest.raises(DeviceMemoryError, match="out of device memory"):
             rt.run(prog)
 
+    @pytest.mark.parametrize("ft", [False, True], ids=["plain", "ft"])
+    def test_own_resident_reads_count_as_the_working_set(self, ft):
+        """``t2`` reads its resident ``z`` and writes a device-sized
+        ``y``: its own pin on ``z`` is the blockage, so no wait helps
+        and the run fails naming ``t2`` instead of waiting forever."""
+        from repro.core.faults import FaultTolerantRuntime
+        from tests.property.test_chaos_failover import run_to_horizon
+
+        prog = OmpProgram("own-pins")
+        x = prog.buffer(2 * KB, data=np.zeros(4), name="x")
+        z = prog.buffer(KB, data=np.zeros(4), name="z")
+        y = prog.buffer(4 * KB, data=np.zeros(4), name="y")
+        prog.target(lambda a, b: (a.fill(1.0), b.fill(2.0)),
+                    depend=[depend_out(x), depend_out(z)],
+                    cost=MILLISECOND, name="w")
+        prog.target(lambda a, b: np.copyto(b, a + 5.0),
+                    depend=[depend_in(z), depend_out(y)],
+                    cost=MILLISECOND, name="t2")
+        cfg = OMPCConfig(device_memory_bytes=4 * KB, eviction_policy="lru")
+        runtime = FaultTolerantRuntime if ft else OMPCRuntime
+        with pytest.raises(DeviceMemoryError,
+                           match=r"task t2 .*\[y:4096B, z:1024B\]"):
+            run_to_horizon(runtime(ClusterSpec(num_nodes=3), cfg), prog)
+
     def test_fatal_error_names_task_and_buffer(self):
         # A single buffer bigger than the device can never fit.
         cfg = OMPCConfig(device_memory_bytes=KB, eviction_policy="lru")
@@ -436,6 +460,91 @@ class TestFaultTolerantTiering:
             return
         for i, out in enumerate(outs):
             assert (out.data == 3.0 * (i + 1)).all(), out.name
+
+    @pytest.mark.parametrize("node,at_ms", [
+        (1, 12.5), (2, 12.5), (3, 10.5), (3, 11.5),
+    ])
+    def test_kill_ends_exact_or_typed(self, node, at_ms):
+        """Kills that left a frame waiting on a dead node's reply (an
+        exit-data retrieve or a stale-copy DELETE): the run ends
+        byte-exact, or with a :class:`RecoveryError` for a lost
+        in-place value."""
+        from repro.core.faults import (
+            FaultTolerantRuntime,
+            NodeFailure,
+            RecoveryError,
+        )
+        from tests.property.test_chaos_failover import run_to_horizon
+        from tests.property.test_event_digest_pins import _pressure_program
+
+        cfg = OMPCConfig(device_memory_bytes=20 * KB, eviction_policy="lru")
+        rt = FaultTolerantRuntime(ClusterSpec(num_nodes=5), cfg)
+        prog = _pressure_program()
+        outs = prog.tasks[-1].buffers
+        try:
+            run_to_horizon(rt, prog, failures=[
+                NodeFailure(time=at_ms * MILLISECOND, node=node)])
+        except RecoveryError:
+            return
+        for i, out in enumerate(outs):
+            assert (out.data == 3.0 * (i + 1)).all(), out.name
+
+    @pytest.mark.parametrize("node,at_ms", [(1, 1.25), (2, 4.0)])
+    def test_unlanded_fetch_is_evicted_without_a_read(self, node, at_ms):
+        """A fetch whose source dies before it lands fails its frame and
+        leaves the destination charged for bytes it never got.  When a
+        planner evicts that charge, the eviction neither spills nor
+        reads it: it only deletes (a no-op on the device)."""
+        from repro.core.faults import (
+            FaultTolerantRuntime,
+            NodeFailure,
+            RecoveryError,
+        )
+        from tests.property.test_chaos_failover import run_to_horizon
+
+        cfg = OMPCConfig(device_memory_bytes=4 * 4 * KB,
+                         eviction_policy="lru")
+        rt = FaultTolerantRuntime(ClusterSpec(num_nodes=5), cfg)
+        prog, final, want = stencil_program()
+        try:
+            run_to_horizon(rt, prog, failures=[
+                NodeFailure(time=at_ms * MILLISECOND, node=node)])
+        except RecoveryError:
+            return
+        for buf, value in zip(final, want):
+            assert (buf.data == value).all(), buf.name
+
+    def test_reader_waits_for_a_lineage_rebuild(self):
+        """Worker 1 dies while writers' outputs are lost and re-executed.
+        A reader of ``x_i`` must not trust the location the re-execution
+        lists before its kernel wrote: it waits for the rebuild, so no
+        kernel reads a buffer its node no longer holds."""
+        from repro.core.faults import FaultTolerantRuntime, NodeFailure
+        from tests.property.test_chaos_failover import run_to_horizon
+
+        prog = OmpProgram("fan-out")
+        xs = [prog.buffer(KB, data=np.zeros(4), name=f"x{i}")
+              for i in range(6)]
+        for i, x in enumerate(xs):
+            prog.target(lambda a, v=i + 1.0: a.fill(v),
+                        depend=[depend_out(x)], cost=MILLISECOND,
+                        name=f"w{i}")
+        ys = []
+        for i, x in enumerate(xs):
+            for j in range(3):
+                y = prog.buffer(KB, data=np.zeros(4), name=f"y{i}_{j}")
+                prog.target(lambda a, b, k=j + 1.0: np.copyto(b, a * k),
+                            depend=[depend_in(x), depend_out(y)],
+                            cost=MILLISECOND, name=f"r{i}_{j}")
+                ys.append((y, (i + 1.0) * (j + 1.0)))
+        prog.target_exit_data(*(y for y, _ in ys))
+        cfg = OMPCConfig(device_memory_bytes=8 * KB, eviction_policy="lru")
+        rt = FaultTolerantRuntime(ClusterSpec(num_nodes=5), cfg)
+        res = run_to_horizon(rt, prog, failures=[
+            NodeFailure(time=1.2 * MILLISECOND, node=1)])
+        assert res.reexecuted_tasks > 0
+        for y, value in ys:
+            assert (y.data == value).all(), y.name
 
     @pytest.mark.parametrize("capacity_kb", [5, 6])
     def test_exit_data_races_no_spill(self, capacity_kb):

@@ -127,18 +127,18 @@ BASE_FT = {
     "faults.dropped_messages": 14,
     "ft.head_failovers": 1.0,
     "mem.miss": 63.0,
-    "ompc.bytes_exchanged": 3997696.0,
-    "ompc.bytes_retrieved": 393216.0,
+    "ompc.bytes_exchanged": 3801088.0,
+    "ompc.bytes_retrieved": 589824.0,
     "ompc.bytes_submitted": 327680.0,
     "ompc.events.alloc": 32.0,
-    "ompc.events.exchange_dst": 61.0,
-    "ompc.events.exchange_src": 61.0,
+    "ompc.events.exchange_dst": 58.0,
+    "ompc.events.exchange_src": 58.0,
     "ompc.events.execute": 33.0,
-    "ompc.events.retrieve": 6.0,
+    "ompc.events.retrieve": 9.0,
     "ompc.events.submit": 5.0,
     "ompc.exec_dedup_hits": 1.0,
     "ompc.node_failures": 1.0,
-    "ompc.notifications": 198.0,
+    "ompc.notifications": 195.0,
 }
 ADDED_FT = {
     "hb.detections": 1.0,

@@ -92,7 +92,7 @@ SCENARIOS = {
 
 PINS = {
     "ring-worker-kill": {
-        "makespan": 0.030065229760000072,
+        "makespan": 0.030045229760000045,
         "detections": [(2, 3, 0.017004002560000002)],
         "suspicions_cleared": 0,
         "false_positives": 0,
@@ -101,7 +101,7 @@ PINS = {
         "rounds": 0,
     },
     "ring-head-kill": {
-        "makespan": 0.023062339840000064,
+        "makespan": 0.023050339840000048,
         "detections": [(0, 1, 0.023006003840000008)],
         "suspicions_cleared": 0,
         "false_positives": 0,
@@ -110,7 +110,7 @@ PINS = {
         "rounds": 0,
     },
     "ring-lossy-cleared": {
-        "makespan": 0.05405732646400015,
+        "makespan": 0.05299535334400009,
         "detections": [],
         "suspicions_cleared": 2,
         "false_positives": 0,
@@ -119,7 +119,7 @@ PINS = {
         "rounds": 0,
     },
     "ring-hung-alive": {
-        "makespan": 0.02657939616000007,
+        "makespan": 0.026559396160000043,
         "detections": [],
         "suspicions_cleared": 2,
         "false_positives": 0,
@@ -128,7 +128,7 @@ PINS = {
         "rounds": 0,
     },
     "ring-hung-false-positive": {
-        "makespan": 0.04728943200000007,
+        "makespan": 0.047269432000000035,
         "detections": [(3, 4, 0.02700400256000001)],
         "suspicions_cleared": 3,
         "false_positives": 1,
@@ -137,7 +137,7 @@ PINS = {
         "rounds": 0,
     },
     "gossip-worker-kill": {
-        "makespan": 0.030065229760000072,
+        "makespan": 0.030045229760000045,
         "detections": [(2, 0, 0.014001000800000003)],
         "suspicions_cleared": 0,
         "false_positives": 0,

@@ -285,29 +285,29 @@ PINS: dict[str, tuple[str, float, int]] = {
         "991272c0226df9ff26a26f0cb121ef7f4d957d4f56b73a2ac5642d248184370b",
         0.07051929503999999, 404),
     "ft-checkpoint-lossy": (
-        "70d1698abaa7759b901d72c3000262f356636ac1bf08f00f9d48d5961ea4d8db",
-        0.33095985488, 9415),
+        "a4b2b05888966e9d72891cdaa1bd01945f27e0d46b198d1dd6cfff2a339ae9f9",
+        0.33075534591999983, 9451),
     "ft-clean-trace-analysis": (
-        "e151c2b326dfc278c3fabfe384c4f558b2f0f16545cdd7c2fa2b354556f375df",
-        0.03074261168000016, 4118),
+        "2efd811b526aee00edd60d3892945ee4d57a0db75e768e3642721abbcb415cb8",
+        0.030161916640000105, 4467),
     "ft-gossip-worker-kill": (
-        "1e741573a32adf5cedd4767f3ca27cfa3d21d24b09c0af88829ee494723b13bc",
-        0.3206211824000003, 10133),
+        "f8ec862db33af1048646fa50cd93df63ee8f7dbe5b4dc9cba21a1c69db278c72",
+        0.3204011824000001, 10174),
     "ft-head-kill": (
-        "9ebe19cd8dbcd71ce921920407a9b90a63f26bc760e869fb73ef4af738380948",
-        0.038290908480000094, 6397),
+        "fec5afe6de54f5e42850986d7a0ee7e06583fc099af72e08aefcbb5f4c8d0810",
+        0.03783528640000007, 6317),
     "ft-pressure-crash": (
-        "89386a177954b220f9d1d5c0bdce9f1a53bd6f9a3f39b96c12cbd379d92ab7ba",
-        0.03678089520000012, 2299),
+        "e6794b89bbb00b239050bdbefc543bad3f321e95ab33f63f19a1ffc425a4b2bf",
+        0.03642886448000011, 2342),
     "ft-pressure-flaky": (
-        "37b722d6ae4827984a10f8e1f94f2a989926af86fa4d9b0dc9620741be7e85d5",
-        0.04782396784000012, 2411),
+        "53f00f8acb251440ea4e26a31d5ebabd6d9060b1f46c0eaf2a62907b525f48b4",
+        0.047115960160000095, 2463),
     "ft-speculation": (
-        "cfd9f09d176c37b253a499485029144879ab9fd91e41bb2f31165d9f5dfae664",
-        0.2000611785599993, 4098),
+        "52f03f64fb651ff531039d47bcb9ebf622a0f87fafd56f947576e6d914ed4571",
+        0.20004917855999949, 4130),
     "ft-worker-kill-lineage": (
-        "6dc0e3e566ba019a253b750f5f1a73ca3e6ca430f737e6731c97c74fa402a382",
-        0.2400471305599994, 3472),
+        "83425848ba8d2351f2acf8296b871b734bae9c8ae549ba6a1c8a14048ccaf9de",
+        0.2400431305599994, 3489),
     "no-forwarding": (
         "68068e550cc04c9bcada6525da767a12086a077ef74d70f623287303666e6462",
         0.6570094899636348, 1335),
@@ -374,7 +374,9 @@ def test_pins_cover_every_scenario():
 
 def main(argv: list[str]) -> int:
     """Print the ``PINS`` entries of the named rows (all rows when none
-    is named), measured on the current tree and ready to paste."""
+    is named), measured on the current tree and ready to paste.  A
+    comment under each entry gives the pinned makespan and event count
+    and the change, to check each re-pin's root cause against."""
     names = argv or sorted(SCENARIOS)
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
@@ -384,6 +386,13 @@ def main(argv: list[str]) -> int:
         digest, makespan, seq = _measure(SCENARIOS[name])
         print(f'    "{name}": (\n        "{digest}",\n'
               f"        {makespan!r}, {seq}),")
+        if name not in PINS:
+            continue  # a new row: nothing pinned to compare with
+        _, was_makespan, was_seq = PINS[name]
+        moved = (f"{makespan - was_makespan:+.6g} s"
+                 if makespan != was_makespan else "same")
+        print(f"    # was {was_makespan!r} s / {was_seq} events: "
+              f"makespan {moved}, {seq - was_seq:+d} events")
     return 0
 
 
