@@ -37,6 +37,7 @@ from repro.core.tags import NOTIFY_TAG, TagAllocator
 from repro.mpi.comm import Communicator, MpiWorld
 from repro.mpi.vci import CommunicatorPool
 from repro.omp.task import Task
+from repro.sim.primitives import AnyOf
 from repro.sim.resources import Store
 
 
@@ -223,6 +224,31 @@ class EventSystem:
             ev = self.sim.event(f"failure:{node_id}")
             self._failure_events[node_id] = ev
         return ev
+
+    def race_failure(self, waits: list, nodes):
+        """The race of ``waits`` against any of ``nodes`` crashing: an
+        event that fires with the first of them (check which with
+        ``triggered``/``node_failed``).
+
+        When the race fires, its callback is removed from the failure
+        events that have not, so a live node's failure event holds only
+        races still pending — also when the waiter was interrupted and
+        an operation resolves the race later.  The ``waits`` keep
+        theirs: detaching from an operation's process would leave a
+        failing process with no waiter, which crashes the run instead
+        of reporting it.
+        """
+        fails = [self.failure_event(n) for n in nodes]
+        race = AnyOf(self.sim, waits + fails)
+
+        def detach(_race) -> None:
+            on_child = race._on_child
+            for ev in fails:
+                if ev.callbacks is not None:
+                    ev.callbacks.remove(on_child)
+
+        race.callbacks.append(detach)
+        return race
 
     def cancel_execution(self, task_id: int, attempt: int) -> None:
         """Revoke a speculative EXECUTE attempt's side effects.

@@ -1100,7 +1100,7 @@ class FaultTolerantRuntime:
                     spawn_task(root)
             while True:
                 done = all_done
-                yield AnyOf(sim, [done, events.failure_event(home)])
+                yield events.race_failure([done], [home])
                 if done.triggered:
                     break
                 yield from failover()

@@ -45,7 +45,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.sim.primitives import AnyOf
 from repro.util.units import MICROSECOND
 
 #: Tags on the replication communicator.
@@ -245,9 +244,7 @@ class Replicator:
             live = self.live_standbys()
             if not live or min(self.acked[s] for s in live) >= target:
                 return
-            yield AnyOf(self.sim, [self._wait_progress()] + [
-                self.events.failure_event(s) for s in live
-            ])
+            yield self.events.race_failure([self._wait_progress()], live)
 
     def throttle(self):
         """Generator: enforce the bounded-lag contract on dispatch."""
@@ -260,9 +257,7 @@ class Replicator:
             ) <= self.max_lag:
                 return
             self.stats["throttles"] += 1
-            yield AnyOf(self.sim, [self._wait_progress()] + [
-                self.events.failure_event(s) for s in live
-            ])
+            yield self.events.race_failure([self._wait_progress()], live)
 
     # -- standby side ----------------------------------------------------
     def _receiver(self, standby: int):
@@ -341,7 +336,7 @@ class Replicator:
                 remote.append(s)
         for s in remote:
             req = rank.irecv(src=s, tag=reply_tag)
-            yield AnyOf(self.sim, [req.event, self.events.failure_event(s)])
+            yield self.events.race_failure([req.event], [s])
             if req.test():
                 node, last_epoch, count = req.event.value.payload
                 votes[node] = (last_epoch, count)

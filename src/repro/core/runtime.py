@@ -386,7 +386,7 @@ class HeadCore:
             if node in self.dead or events.node_failed(node):
                 raise _NodeCrashed(node)
         proc = sim.process(operation, name="ft-op")
-        yield AnyOf(sim, [proc] + [events.failure_event(n) for n in nodes])
+        yield events.race_failure([proc], nodes)
         if proc.triggered:
             if not proc.ok:
                 raise proc.value

@@ -2,8 +2,8 @@
 
 Matching semantics follow MPI: a receive names ``(source, tag)`` within
 one communicator; either may be a wildcard.  Matching is FIFO over the
-arrival order at the receiver, which — combined with per-(comm, src)
-sequence numbers — preserves the non-overtaking rule.
+arrival order at the receiver, which preserves the non-overtaking rule
+on a fabric that delivers every message.
 
 Protocol model: *eager*.  A send charges a per-message software overhead
 plus the fabric transfer time (VCI-contended), then the message lands in
@@ -20,11 +20,14 @@ A clean fabric delivers every message, so the default path is
 fire-and-forget.  When the cluster carries a lossy
 :class:`~repro.core.faultmodel.FaultPlan`, construct the world with a
 :class:`TransportConfig`: point-to-point sends then carry their
-per-(comm, src) sequence number end to end, the receiving NIC
+per-(comm, src, dst) sequence number end to end, the receiving NIC
 acknowledges each delivery, and the sender retransmits on an exponential
 -backoff timer until acked or a configurable retry cap is exceeded.
-Duplicates created by lost acks are suppressed at the receiver by
-``(src, seq)``; retransmissions and acks travel through the same
+Duplicates created by lost acks are suppressed at the receiver, which
+keeps per ``(src, dst)`` pair a low watermark (every seq below it was
+delivered) and the delivered seqs above it: the set holds only copies
+that overtook a retransmission, so dedup state stays bounded by the
+sends still in flight.  Retransmissions and acks travel through the same
 VCI-contended fabric as first transmissions, so loss costs simulated
 time rather than correctness.  Under loss, retransmitted messages may
 arrive after later first-try messages — the non-overtaking guarantee is
@@ -51,7 +54,6 @@ retransmission is in flight completes the send when that copy arrives.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any
 
@@ -250,9 +252,13 @@ class Communicator:
         self.comm_id = comm_id
         self.transport = transport
         self.service = service
-        self._send_seq: dict[int, int] = defaultdict(int)
-        #: (src, seq) pairs already delivered (reliable-mode dedup).
-        self._delivered: set[tuple[int, int]] = set()
+        #: Next sequence number per (src, dst).
+        self._send_seq: dict[tuple[int, int], int] = {}
+        #: Reliable-mode dedup per (src, dst): every seq below the low
+        #: watermark was delivered, and ``_ooo`` holds the delivered
+        #: seqs above it (deleted when the watermark catches up).
+        self._low: dict[tuple[int, int], int] = {}
+        self._ooo: dict[tuple[int, int], set[int]] = {}
 
     @property
     def size(self) -> int:
@@ -276,14 +282,20 @@ class Communicator:
             raise MpiError(f"rank {rank_id} out of range [0, {size})")
 
     # -- internals shared by Rank --------------------------------------------
-    def _isend(self, src: int, dst: int, payload: Any, nbytes: float, tag: int) -> Request:
+    def _message(self, src: int, dst: int, payload: Any, nbytes: float,
+                 tag: int) -> Message:
+        """Check a send and stamp its next ``(src, dst)`` sequence number."""
         self._check_rank(src)
         self._check_rank(dst)
         if tag < 0:
             raise MpiError(f"send tag must be >= 0, got {tag}")
-        seq = self._send_seq[src]
-        self._send_seq[src] = seq + 1
-        msg = Message(self.comm_id, src, dst, tag, payload, nbytes, seq)
+        pair = (src, dst)
+        seq = self._send_seq.get(pair, 0)
+        self._send_seq[pair] = seq + 1
+        return Message(self.comm_id, src, dst, tag, payload, nbytes, seq)
+
+    def _isend(self, src: int, dst: int, payload: Any, nbytes: float, tag: int) -> Request:
+        msg = self._message(src, dst, payload, nbytes, tag)
         if self.transport is not None and src != dst:
             event = _ReliableSend(self, msg)
             event.transmit()
@@ -300,13 +312,28 @@ class Communicator:
         """Receiver-side transport: suppress a duplicate or enqueue."""
         obs = self.mpi.obs
         enabled = obs.enabled
-        key = (msg.src, msg.seq)
-        if key in self._delivered:
+        pair = (msg.src, msg.dst)
+        seq = msg.seq
+        low = self._low.get(pair, 0)
+        above = self._ooo.get(pair)
+        if seq < low or (above is not None and seq in above):
             self.mpi.stats["duplicates"] += 1
             if enabled:
                 obs.instant("mpi", f"dup t{msg.tag}", msg.dst, src=msg.src)
         else:
-            self._delivered.add(key)
+            if seq > low:
+                if above is None:
+                    above = self._ooo[pair] = set()
+                above.add(seq)
+            else:
+                low += 1
+                if above is not None:
+                    while low in above:
+                        above.remove(low)
+                        low += 1
+                    if not above:
+                        del self._ooo[pair]
+                self._low[pair] = low
             self.mpi._queue(msg.dst, self.comm_id).put_nowait(msg)
             if enabled:
                 obs.instant(

@@ -23,8 +23,8 @@ class Message:
     tag: int
     payload: Any
     nbytes: float
-    #: Monotone per-(comm, src) sequence number; preserves the MPI
-    #: non-overtaking guarantee under filtered matching.
+    #: Monotone per-(comm, src, dst) sequence number: the reliable
+    #: transport's dedup key.
     seq: int = 0
 
     def __post_init__(self) -> None:

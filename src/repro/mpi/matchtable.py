@@ -21,10 +21,18 @@ reference) while making both directions O(1) for the common case:
   ``ANY_SOURCE``-by-tag, ``ANY_TAG``-by-src, and fully wild — stamped
   with a posting sequence so a delivery picks the earliest-posted match
   by comparing at most four bucket heads;
-* ``cancel`` is lazy O(1): withdrawn receives are dropped from the
-  pending set and swept from bucket heads on the next match attempt
-  (every failure-detector ping that goes unanswered cancels its
-  receive, which makes an O(getters) scan a hot path under fault storms).
+* ``cancel`` is O(1): a withdrawn receive is dropped from the pending
+  map and swept once it reaches its bucket's head (every
+  failure-detector ping that goes unanswered cancels its receive, which
+  makes an O(getters) scan a hot path under fault storms).
+
+Lifetime rule: a table entry exists only while it holds pending work.
+A slot or a pattern bucket exists only while it holds a buffered
+message or a pending receive; a tag's arrival FIFO exists only while
+that tag has a buffered message.  Each is deleted by the operation that
+drains it, so a queue's footprint follows its pending work, not its
+history — the event system draws a fresh tag per event, so per-tag
+state that outlived its event would grow with the run.
 
 Equivalence argument: an unbounded Store is always at a fixpoint where
 no waiting getter matches any buffered item.  A ``put`` can therefore
@@ -41,24 +49,29 @@ from collections import deque
 from typing import Any
 
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Store
 
 #: Wildcards (mirrors :data:`repro.mpi.comm.ANY_SOURCE` / ``ANY_TAG``
 #: without a circular import).
 _ANY = -1
 
 
-class MatchStore(Store):
-    """A Store specialized for MPI ``(src, tag)`` matching.
+class MatchStore:
+    """One ``(rank, comm)`` matching queue, keyed by MPI ``(src, tag)``.
 
-    Only the unbounded form is supported (MPI matching queues are never
-    bounded), and receives must be posted through :meth:`get_match`;
-    the generic predicate :meth:`get` is disabled so an accidental
-    fallback to linear matching cannot hide here.
+    It keeps the parts of the :class:`~repro.sim.resources.Store` API
+    that MPI matching uses — ``put``/``put_nowait``, ``cancel``,
+    ``items``, ``peek`` and ``len`` — and names its events as a Store
+    of the same name would.  Queues are unbounded, and receives must be
+    posted through :meth:`get_match`; the generic predicate :meth:`get`
+    is disabled so an accidental fallback to linear matching cannot
+    hide here.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
-        super().__init__(sim, capacity=None, name=name)
+        self.sim = sim
+        self.name = name or "store"
+        self._put_name = "put:" + self.name
+        self._get_name = "get:" + self.name
         #: Buffered messages per (src, tag), as (arrival_seq, msg).
         self._slots: dict[tuple[int, int], deque[tuple[int, Any]]] = {}
         #: Per-tag arrival FIFO of (arrival_seq, slot_key).  An
@@ -66,24 +79,24 @@ class MatchStore(Store):
         #: every live ``(src, tag)`` slot: with N sources fanning in on
         #: one tag (the event system's drain pattern) the slot scan is
         #: O(N) per receive — O(N^2) per drain.  Entries whose message
-        #: was consumed by another pattern are discarded lazily; within
-        #: one slot arrivals strictly increase, so the first live entry
-        #: is the tag's global earliest arrival — the same message the
-        #: scan would pick, keeping the digest tests bit-identical.
+        #: was consumed by another pattern are stale; every consuming
+        #: receive sweeps its tag's stale heads.  Within one slot
+        #: arrivals strictly increase, so the first live entry is the
+        #: tag's global earliest arrival — the same message the scan
+        #: would pick, keeping the digest tests bit-identical.
         self._tag_fifo: dict[int, deque[tuple[int, tuple[int, int]]]] = {}
         self._arrival = 0
-        #: Pending receives per pattern, as (post_seq, event, key).
-        self._g_exact: dict[tuple[int, int], deque[tuple[int, Event]]] = {}
-        self._g_bytag: dict[int, deque[tuple[int, Event]]] = {}
-        self._g_bysrc: dict[int, deque[tuple[int, Event]]] = {}
-        self._g_any: deque[tuple[int, Event]] = deque()
+        #: Pending receives per pattern ``(src, tag)`` — exact,
+        #: ``(ANY, tag)``, ``(src, ANY)`` or ``(ANY, ANY)`` — as
+        #: (post_seq, event).
+        self._buckets: dict[tuple[int, int], deque[tuple[int, Event]]] = {}
         self._posted = 0
-        #: Receives still pending (drives O(1) cancel; bucket entries
-        #: missing from this set were cancelled and are swept lazily).
-        self._pending: set[Event] = set()
+        #: Receives still pending, with their bucket's pattern (drives
+        #: O(1) cancel; bucket entries missing from this map were
+        #: cancelled and are swept when they reach the head).
+        self._pending: dict[Event, tuple[int, int]] = {}
         self._n_items = 0
 
-    # -- Store API kept coherent ------------------------------------------
     def __len__(self) -> int:
         return self._n_items
 
@@ -107,17 +120,33 @@ class MatchStore(Store):
         )
 
     # -- matching ----------------------------------------------------------
-    def _live_head(self, bucket: deque[tuple[int, Event]] | None):
-        """First non-cancelled entry of a bucket (sweeping stale heads)."""
-        if not bucket:
-            return None
+    def _sweep_bucket(self, key: tuple[int, int]) -> None:
+        """Drop a bucket's cancelled heads, and the bucket once it is
+        empty: every bucket left is headed by a pending receive."""
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return
         pending = self._pending
         while bucket:
-            entry = bucket[0]
-            if entry[1] in pending:
-                return entry
-            bucket.popleft()  # cancelled; swept lazily
-        return None
+            if bucket[0][1] in pending:
+                return
+            bucket.popleft()
+        del self._buckets[key]
+
+    def _sweep_fifo(self, tag: int) -> None:
+        """Drop the stale heads of ``tag``'s arrival FIFO: entries whose
+        slot is gone or whose slot head has moved past them."""
+        fifo = self._tag_fifo.get(tag)
+        if fifo is None:
+            return
+        slots = self._slots
+        while fifo:
+            arr, key = fifo[0]
+            slot = slots.get(key)
+            if slot is not None and slot[0][0] == arr:
+                return
+            fifo.popleft()
+        del self._tag_fifo[tag]
 
     def put(self, item: Any) -> Event:
         ev = self.sim.event(self._put_name)
@@ -131,39 +160,35 @@ class MatchStore(Store):
         buffer it; no put event (the sender never waits on one)."""
         src = item.src
         tag = item.tag
-        # Earliest-posted pending receive among the four pattern buckets.
-        best = self._live_head(self._g_exact.get((src, tag)))
-        best_bucket = None
-        cand = self._live_head(self._g_bytag.get(tag))
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best, best_bucket = cand, self._g_bytag[tag]
-        cand = self._live_head(self._g_bysrc.get(src))
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best, best_bucket = cand, self._g_bysrc[src]
-        cand = self._live_head(self._g_any)
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best, best_bucket = cand, self._g_any
+        # Earliest-posted pending receive among the four patterns'
+        # bucket heads (every head is pending: see _sweep_bucket).
+        buckets = self._buckets
+        best = best_key = None
+        if buckets:
+            for key in ((src, tag), (_ANY, tag), (src, _ANY), (_ANY, _ANY)):
+                bucket = buckets.get(key)
+                if bucket is not None and (
+                        best is None or bucket[0][0] < best[0]):
+                    best, best_key = bucket[0], key
         if best is not None:
-            if best_bucket is None:
-                best_bucket = self._g_exact[(src, tag)]
-            best_bucket.popleft()
+            buckets[best_key].popleft()
+            self._sweep_bucket(best_key)
             gev = best[1]
-            self._pending.discard(gev)
+            del self._pending[gev]
             gev._value = item
             self.sim._schedule(gev)
-        else:
-            slot = self._slots.get((src, tag))
-            if slot is None:
-                slot = deque()
-                self._slots[(src, tag)] = slot
-            slot.append((self._arrival, item))
-            fifo = self._tag_fifo.get(tag)
-            if fifo is None:
-                fifo = deque()
-                self._tag_fifo[tag] = fifo
-            fifo.append((self._arrival, (src, tag)))
-            self._arrival += 1
-            self._n_items += 1
+            return
+        key = (src, tag)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = deque()
+        slot.append((self._arrival, item))
+        fifo = self._tag_fifo.get(tag)
+        if fifo is None:
+            fifo = self._tag_fifo[tag] = deque()
+        fifo.append((self._arrival, key))
+        self._arrival += 1
+        self._n_items += 1
 
     def get_match(self, src: int, tag: int) -> Event:
         """Post a receive for ``(src, tag)`` (either may be ``-1``/ANY)."""
@@ -172,28 +197,14 @@ class MatchStore(Store):
         best_key: tuple[int, int] | None = None
         best_arr = -1
         if src != _ANY and tag != _ANY:
-            slot = self._slots.get((src, tag))
-            if slot:
+            if (src, tag) in self._slots:
                 best_key = (src, tag)
-                best_arr = slot[0][0]
         elif src == _ANY and tag != _ANY:
-            # ANY_SOURCE by tag: pop the per-tag arrival FIFO instead
-            # of scanning every live slot.  Entries are stale when the
-            # slot is gone or its head arrival moved past the recorded
-            # one (consumed by an exact / by-src / fully-wild receive);
-            # the first live entry is the tag's earliest arrival.
+            # ANY_SOURCE by tag: the per-tag arrival FIFO's head is the
+            # tag's earliest arrival (consuming receives sweep it).
             fifo = self._tag_fifo.get(tag)
-            while fifo:
-                arr, key = fifo[0]
-                slot = self._slots.get(key)
-                if slot is not None and slot[0][0] == arr:
-                    fifo.popleft()
-                    best_key = key
-                    best_arr = arr
-                    break
-                fifo.popleft()  # stale: message already consumed
-            if fifo is not None and not fifo:
-                del self._tag_fifo[tag]
+            if fifo:
+                best_key = fifo[0][1]
         else:
             # Wildcard: compare the heads of the matching slots.  Slots
             # are deleted when drained, so this scans live traffic
@@ -212,38 +223,24 @@ class MatchStore(Store):
             _arr, item = slot.popleft()
             if not slot:
                 del self._slots[best_key]
+            self._sweep_fifo(best_key[1])
             self._n_items -= 1
             ev._value = item  # inlined succeed()
             self.sim._schedule(ev)
             return ev
-        entry = (self._posted, ev)
+        key = (src, tag)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = deque()
+        bucket.append((self._posted, ev))
         self._posted += 1
-        self._pending.add(ev)
-        if src != _ANY and tag != _ANY:
-            bucket = self._g_exact.get((src, tag))
-            if bucket is None:
-                bucket = deque()
-                self._g_exact[(src, tag)] = bucket
-            bucket.append(entry)
-        elif src == _ANY and tag != _ANY:
-            bucket = self._g_bytag.get(tag)
-            if bucket is None:
-                bucket = deque()
-                self._g_bytag[tag] = bucket
-            bucket.append(entry)
-        elif src != _ANY:
-            bucket = self._g_bysrc.get(src)
-            if bucket is None:
-                bucket = deque()
-                self._g_bysrc[src] = bucket
-            bucket.append(entry)
-        else:
-            self._g_any.append(entry)
+        self._pending[ev] = key
         return ev
 
     def cancel(self, get_event: Event) -> bool:
-        """Withdraw a pending receive in O(1) (lazy bucket sweep)."""
-        if get_event in self._pending:
-            self._pending.discard(get_event)
-            return True
-        return False
+        """Withdraw a pending receive in O(1) amortized."""
+        key = self._pending.pop(get_event, None)
+        if key is None:
+            return False
+        self._sweep_bucket(key)  # drops it if it headed its bucket
+        return True

@@ -557,7 +557,9 @@ class TestHeartbeatLossHardening:
         cluster.sim.process(stopper())
         cluster.sim.run(until=0.2)
         store = mpi._queue(3, ring.comm.comm_id)
-        assert len(store._getters) <= 1  # only the live window's receive
+        # Only the live window's receive: one pending, one bucket entry.
+        assert len(store._pending) <= 1
+        assert sum(len(b) for b in store._buckets.values()) <= 1
 
     def test_real_failure_still_detected_under_loss(self):
         plan = FaultPlan(seed=2, losses=[LinkLoss(probability=0.2)])

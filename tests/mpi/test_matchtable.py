@@ -193,7 +193,7 @@ class TestReferenceEquivalence:
             else:
                 ops.append(("cancel", rng.randrange(8), 0))
 
-        def replay(store, post_get):
+        def replay(store, post_get, check=lambda store, cancelled: None):
             gets, cancels = [], []
             for op, a, b in ops:
                 if op == "put":
@@ -203,21 +203,48 @@ class TestReferenceEquivalence:
                 elif gets:
                     ev = gets[a % len(gets)]
                     cancels.append(store.cancel(ev))
+                check(store, sum(cancels))
             outcome = [
                 (ev.value.src, ev.value.tag) if ev.triggered else None
                 for ev in gets
             ]
             return outcome, cancels, [(m.src, m.tag) for m in store.items]
 
+        fast_store = MatchStore(Simulator())
         fast = replay(
-            MatchStore(Simulator()),
+            fast_store,
             lambda s, src, tag: s.get_match(src, tag),
+            self._check_bounded,
         )
         ref = replay(
             Store(Simulator()),
             lambda s, src, tag: s.get(_pred(src, tag)),
         )
         assert fast == ref
+        # Drained, a store keeps no table entry at all.
+        for ev in list(fast_store._pending):
+            fast_store.cancel(ev)
+        while len(fast_store):
+            fast_store.get_match(ANY_SOURCE, ANY_TAG)
+        assert fast_store._pending == {}
+        assert fast_store._buckets == {}
+        assert fast_store._slots == {}
+        assert fast_store._tag_fifo == {}
+
+    @staticmethod
+    def _check_bounded(store, cancelled):
+        """Tables hold only pending work: bucket entries are pending
+        receives plus cancelled ones not yet swept, and no bucket, slot
+        or tag FIFO is empty or headed by dead work."""
+        entries = sum(len(b) for b in store._buckets.values())
+        assert entries <= len(store._pending) + cancelled
+        assert sum(map(len, store._slots.values())) == len(store)
+        for bucket in store._buckets.values():
+            assert bucket and bucket[0][1] in store._pending
+        for fifo in store._tag_fifo.values():
+            arr, key = fifo[0]
+            assert store._slots[key][0][0] == arr
+        assert set(store._tag_fifo) == {tag for _src, tag in store._slots}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_op_sequences(self, seed):

@@ -141,6 +141,28 @@ class TestReliableDelivery:
         assert recv_p.value == ["x"]  # delivered exactly once
         assert mpi.stats["duplicates"] == 2
 
+    def test_dedup_keeps_a_watermark_and_the_seqs_above_it(self):
+        # Copies arrive out of order and twice: each is delivered once,
+        # and the set holds only seqs above the pair's low watermark.
+        cluster, mpi = make_world(n=3, transport=TransportConfig())
+        comm = mpi.world
+        sent = [comm._message(0, 1, i, 8.0, 4) for i in range(4)]
+        other = comm._message(2, 1, "x", 8.0, 4)
+        assert [m.seq for m in sent] == [0, 1, 2, 3]
+        assert other.seq == 0  # numbered per (src, dst) pair
+        for i in (2, 0, 2, 3):
+            comm._transport_accept(sent[i])
+        assert comm._low[(0, 1)] == 1
+        assert comm._ooo[(0, 1)] == {2, 3}
+        comm._transport_accept(sent[1])
+        comm._transport_accept(sent[0])
+        comm._transport_accept(other)
+        assert comm._low == {(0, 1): 4, (2, 1): 1}
+        assert comm._ooo == {}  # the watermark caught up
+        assert mpi.stats["duplicates"] == 2
+        queue = mpi._queue(1, comm.comm_id)
+        assert [m.payload for m in queue.items] == [2, 0, 3, 1, "x"]
+
     def test_self_send_never_dropped(self):
         plan = FaultPlan(losses=[LinkLoss(probability=1.0)])
         cluster, mpi = make_world(plan=plan, transport=TransportConfig())

@@ -1,0 +1,121 @@
+"""Live state is bounded by pending work, on every control plane.
+
+The event system draws a fresh MPI tag per event, so any per-tag,
+per-race or per-message table that outlives its work grows with the
+run's history.  After a run on each control plane this checks the
+three hot-path tables that used to:
+
+* every ``MatchStore`` holds no empty receive bucket, no bucket headed
+  by a cancelled receive, and no tag FIFO without a live head (a
+  buffered message of that tag);
+* no resolved node-death race is still attached to a failure event;
+* the reliable transport's dedup sets hold only out-of-order seqs,
+  above their pair's low watermark.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import pytest
+
+from repro.cluster.machine import ClusterSpec
+from repro.core import FaultPlan, FaultTolerantRuntime, LinkLoss, NodeFailure
+from repro.core.config import OMPCConfig
+from repro.core.events import EventSystem
+from repro.core.runtime import OMPCRuntime
+from repro.mpi.comm import Communicator, MpiWorld
+from repro.sim.primitives import Condition
+
+from tests.core.test_faults import shots_program
+from tests.obs.test_counter_tier import _stencil
+from tests.property.test_event_digest_pins import _taskbench
+
+
+@contextmanager
+def _capture():
+    """Record every MpiWorld, Communicator and EventSystem built inside."""
+    built: dict[type, list] = {MpiWorld: [], Communicator: [], EventSystem: []}
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, seen in built.items():
+            def init(self, *args, _orig=cls.__init__, _seen=seen, **kwargs):
+                _orig(self, *args, **kwargs)
+                _seen.append(self)
+
+            mp.setattr(cls, "__init__", init)
+        yield built
+
+
+def _assert_bounded(built) -> dict[str, int]:
+    """Assert the bounds; return what is still live, for the caller."""
+    live = {"receives": 0, "messages": 0, "races": 0, "out_of_order": 0}
+    for world in built[MpiWorld]:
+        for store in world._queues.values():
+            for key, bucket in store._buckets.items():
+                assert bucket, f"{store.name}: empty bucket {key}"
+                assert bucket[0][1] in store._pending, (
+                    f"{store.name}: bucket {key} headed by a cancelled receive")
+            for tag, fifo in store._tag_fifo.items():
+                arr, key = fifo[0]
+                slot = store._slots.get(key)
+                assert slot is not None and slot[0][0] == arr, (
+                    f"{store.name}: stale tag FIFO {tag}")
+            live["receives"] += len(store._pending)
+            live["messages"] += len(store)
+    for es in built[EventSystem]:
+        for node, ev in es._failure_events.items():
+            for cb in ev.callbacks or ():
+                race = getattr(cb, "__self__", None)
+                if isinstance(race, Condition):
+                    assert not race.triggered, (
+                        f"resolved race left on node {node}'s failure event")
+                    live["races"] += 1
+    for comm in built[Communicator]:
+        for pair, above in comm._ooo.items():
+            assert above and min(above) > comm._low.get(pair, 0), pair
+            live["out_of_order"] += len(above)
+    return live
+
+
+def test_plain_stencil_leaves_no_match_state():
+    with _capture() as built:
+        OMPCRuntime(ClusterSpec(num_nodes=16)).run(_taskbench(32, 4))
+    live = _assert_bounded(built)
+    # Every event's exchange is matched: nothing pending, nothing
+    # buffered, so every match table is empty.
+    assert live["receives"] == live["messages"] == 0
+    for world in built[MpiWorld]:
+        for store in world._queues.values():
+            assert not (store._buckets or store._slots or store._tag_fifo)
+
+
+def test_sharded_plane_leaves_no_match_state():
+    with _capture() as built:
+        OMPCRuntime(ClusterSpec(num_nodes=16),
+                    OMPCConfig(head_shards=4)).run(_taskbench(32, 3))
+    live = _assert_bounded(built)
+    assert live["messages"] == 0
+
+
+def test_ft_worker_kill_under_loss_keeps_state_bounded():
+    with _capture() as built:
+        res = FaultTolerantRuntime(ClusterSpec(num_nodes=6)).run(
+            _stencil(),
+            failures=[NodeFailure(time=0.004, node=2)],
+            fault_plan=FaultPlan(seed=5, losses=[LinkLoss(probability=0.05)]),
+        )
+    assert res.failures == [2]
+    assert sum(w.stats["duplicates"] for w in built[MpiWorld]) >= 1
+    _assert_bounded(built)
+
+
+def test_ft_head_kill_detaches_interrupted_races():
+    # Failover tears down the operations in flight at the head's death;
+    # their races resolve after their waiters are gone.
+    with _capture() as built:
+        res = FaultTolerantRuntime(
+            ClusterSpec(num_nodes=6), OMPCConfig(head_standbys=2),
+        ).run(shots_program(num_shots=8, cost=0.05)[0],
+              failures=[NodeFailure(time=0.03, node=0)])
+    assert res.failures == [0]
+    _assert_bounded(built)

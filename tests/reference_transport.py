@@ -14,8 +14,9 @@ the generator transport kept here, exactly:
 
 :func:`reference_transport` installs it with ``monkeypatch`` for the
 duration of a block.  Only the reliable path is swapped: plain sends,
-receives, matching, drop decisions and the fabric are the production
-code in both runs.
+receives, matching, drop decisions, the fabric, and the transport's
+sequence numbering and receiver dedup (``Communicator._message`` and
+``_transport_accept``) are the production code in both runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from contextlib import contextmanager
 import pytest
 
 from repro.mpi.comm import Communicator
-from repro.mpi.datatypes import Message
 from repro.mpi.errors import MpiError
 from repro.mpi.request import Request
 from repro.sim.primitives import AnyOf
@@ -43,13 +43,7 @@ def _init(self, mpi, comm_id, transport=None, service=False):
 def _isend(self, src, dst, payload, nbytes, tag):
     if self.transport is None or src == dst:
         return _production_isend(self, src, dst, payload, nbytes, tag)
-    self._check_rank(src)
-    self._check_rank(dst)
-    if tag < 0:
-        raise MpiError(f"send tag must be >= 0, got {tag}")
-    seq = self._send_seq[src]
-    self._send_seq[src] = seq + 1
-    msg = Message(self.comm_id, src, dst, tag, payload, nbytes, seq)
+    msg = self._message(src, dst, payload, nbytes, tag)
     event = self.mpi.sim.process(
         _deliver_reliable(self, msg), name=f"isend:{src}->{dst}:t{tag}"
     )
@@ -116,24 +110,10 @@ def _deliver_reliable(comm, msg):
 
 
 def _accept(comm, msg, flow_id):
-    """Receiver side: dedup, enqueue, and spawn the ack process."""
+    """Receiver side: the production dedup and enqueue, then spawn the
+    ack process."""
     mpi = comm.mpi
-    obs = mpi.obs
-    key = (msg.src, msg.seq)
-    if key in comm._delivered:
-        mpi.stats["duplicates"] += 1
-        if obs.enabled:
-            obs.instant("mpi", f"dup t{msg.tag}", msg.dst, src=msg.src)
-    else:
-        comm._delivered.add(key)
-        mpi._queue(msg.dst, comm.comm_id).put_nowait(msg)
-        if obs.enabled:
-            obs.instant(
-                "mpi", f"recv t{msg.tag}", msg.dst,
-                flow_id=flow_id,
-                flow_phase="f" if flow_id is not None else None,
-                src=msg.src,
-            )
+    comm._transport_accept(msg, flow_id)
     mpi.sim.process(_send_ack(comm, msg), name=f"mpi-ack:{msg.dst}->{msg.src}")
 
 
