@@ -321,19 +321,16 @@ class Communicator:
             if enabled:
                 obs.instant("mpi", f"dup t{msg.tag}", msg.dst, src=msg.src)
         else:
-            if seq > low:
-                if above is None:
-                    above = self._ooo[pair] = set()
-                above.add(seq)
-            else:
+            if seq == low:
                 low += 1
-                if above is not None:
-                    while low in above:
-                        above.remove(low)
-                        low += 1
-                    if not above:
-                        del self._ooo[pair]
+                while above and low in above:
+                    above.remove(low)
+                    low += 1
+                if above is not None and not above:
+                    del self._ooo[pair]
                 self._low[pair] = low
+            else:
+                self._ooo.setdefault(pair, set()).add(seq)
             self.mpi._queue(msg.dst, self.comm_id).put_nowait(msg)
             if enabled:
                 obs.instant(
