@@ -86,7 +86,6 @@ class DataManager:
         capacities: dict[int, float],
         policy,
         capacity_fn=None,
-        refetch_cost_fn=None,
     ) -> None:
         """Enable the tiered device→host→remote store.
 
@@ -95,12 +94,8 @@ class DataManager:
         """
         from repro.core.tiering import MemoryDirector
 
-        self.tiering = MemoryDirector(
-            capacities,
-            policy,
-            capacity_fn=capacity_fn,
-            refetch_cost_fn=refetch_cost_fn,
-        )
+        self.tiering = MemoryDirector(capacities, policy,
+                                      capacity_fn=capacity_fn)
 
     def pin(self, buffer_ids) -> None:
         """Protect buffers of an in-flight task frame from eviction."""

@@ -149,6 +149,11 @@ class EventSystem:
         self._exec_done: list[set[int]] = [set() for _ in range(n)]
         self._exec_inflight: list[dict[int, Any]] = [{} for _ in range(n)]
         self._node_epoch: list[int] = [0] * n
+        #: The run's failure sink: a handler hands it the
+        #: ``SimulationError`` of a worker-side event (a device memory
+        #: overflow, say), so the error fails that run only.  ``None``
+        #: lets the error abort the simulator.
+        self.on_error = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -313,7 +318,7 @@ class EventSystem:
             return  # node crashed
 
     def _handler(self, node_id: int, handler_id: int):
-        from repro.sim.errors import Interrupt
+        from repro.sim.errors import Interrupt, SimulationError
 
         queue = self._queues[node_id]
         obs = self.obs
@@ -340,6 +345,10 @@ class EventSystem:
                 counts[_EVENT_COUNT_KEY[note.event_type]] += 1
         except Interrupt:
             return  # node crashed mid-event; the origin races failure_event
+        except SimulationError as exc:
+            if self.on_error is None:
+                raise
+            self.on_error(exc)
 
     def _mem_gauge(self, node_id: int, mem: DeviceMemory) -> None:
         """Publish the node's resident-byte footprint after a table change."""

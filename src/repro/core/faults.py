@@ -60,9 +60,8 @@ import itertools
 import numpy as np
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from repro.analysis.findings import AnalysisReport
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
 from repro.core.datamanager import HOST, DataManager
@@ -75,13 +74,19 @@ from repro.core.headlog import (
     HeadLog,
     Replicator,
 )
-from repro.core.runtime import HeadCore, _NodeCrashed, configure_tiering
-from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
+from repro.core.runtime import (
+    Frontier,
+    HeadCore,
+    OMPCRunResult,
+    ProcessGroup,
+    _NodeCrashed,
+    configure_tiering,
+)
+from repro.core.scheduler import HeftScheduler, Scheduler
 from repro.mpi.comm import TransportConfig
-from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
 from repro.omp.task import Buffer, Task, TaskKind
-from repro.sim.errors import Interrupt, SimulationError
+from repro.sim.errors import SimulationError
 from repro.sim.primitives import AnyOf
 from repro.sim.resources import Resource
 
@@ -128,8 +133,7 @@ class FailureInjector:
         self.injected: list[NodeFailure] = []
         self._armed: set[int] = set()
 
-    def arm(self, failures: Sequence[NodeFailure],
-            on_fail: Callable[[int], None] | None = None) -> None:
+    def arm(self, failures: Sequence[NodeFailure]) -> None:
         sim = self.events.sim
         for failure in tuple(failures):
             if failure.node in self._armed:
@@ -146,8 +150,6 @@ class FailureInjector:
                     return  # already dead (e.g. STONITH'd deposed head)
                 self.events.fail_node(f.node)
                 self.injected.append(f)
-                if on_fail is not None:
-                    on_fail(f.node)
 
             sim.process(crash(), name=f"failure@{failure.node}")
 
@@ -185,21 +187,15 @@ class FailoverEvent:
 
 
 @dataclass
-class FTRunResult:
-    """Outcome of a fault-tolerant execution."""
+class FTRunResult(OMPCRunResult):
+    """An :class:`~repro.core.runtime.OMPCRunResult` plus the outcome of
+    the fault tolerance (``task_intervals`` keeps each task's last
+    frame)."""
 
-    makespan: float
-    schedule: Schedule
     failures: list[int] = field(default_factory=list)
     detections: list[tuple[int, int, float]] = field(default_factory=list)
     reexecuted_tasks: int = 0
     task_attempts: dict[int, int] = field(default_factory=dict)
-    #: task_id -> (dispatch, finish) simulated interval of its last frame
-    task_intervals: dict[int, tuple[float, float]] = field(default_factory=dict)
-    counters: dict[str, float] = field(default_factory=dict)
-    #: Bytes and messages moved over the fabric during the run.
-    network_bytes: float = 0.0
-    network_messages: int = 0
     #: Suspect→confirm outcomes: suspicions the head's ping cleared, and
     #: detection errors against ground truth (a false positive is an
     #: alive node declared dead; a false negative is a crashed node the
@@ -229,20 +225,14 @@ class FTRunResult:
     replication: dict[str, float] = field(default_factory=dict)
     #: Ring windows without a beat, or gossip probes without an ack.
     missed_heartbeat_windows: int = 0
-    #: The run's :class:`~repro.obs.observer.Observer` when the config
-    #: enabled tracing (``OMPCConfig.trace``); ``None`` otherwise.
-    obs: Observer | None = None
-    #: Correctness findings when the config enabled analysis
-    #: (``OMPCConfig.analysis``); ``None`` otherwise.
-    analysis: AnalysisReport | None = None
 
 
 class FaultTolerantRuntime:
     """OMPC with the §3.1 heartbeat/restart mechanism enabled.
 
     Runs on the plain runtime's :class:`~repro.core.runtime.HeadCore`
-    (set-up, startup/planning/shutdown phases, head-thread task frame,
-    and the one data plane: the enter-data, exit-data and target frames
+    (set-up, startup/planning/shutdown phases, the dependency frontier
+    and failure sink, head-thread task frame, and the one data plane: the enter-data, exit-data and target frames
     with their moves, memory admission, evictions and stale-copy
     deletes, and the result) and adds the fault tolerance: membership,
     head-state replication and failover, lineage and checkpoint
@@ -367,9 +357,10 @@ class FaultTolerantRuntime:
                 standbys=list(range(1, 1 + n_standbys)),
                 head=HOST,
             )
+            append = repl.append
         else:
-            log = None
-            repl = None
+            log = repl = None
+            append = lambda *_a, **_k: None  # noqa: E731 - no log kept
 
         core.set_schedule(graph, self.scheduler.schedule(graph, cluster))
         schedule = core.schedule
@@ -390,9 +381,6 @@ class FaultTolerantRuntime:
             n for n in range(1, cluster.num_nodes) if n not in dead
         ]
 
-        remaining = {t.task_id: graph.in_degree(t) for t in graph.tasks()}
-        pending = len(remaining)
-        all_done = sim.event("all-tasks-done")
         slots = Resource(sim, capacity=cfg.head_threads, name="head-threads")
         #: Which task last produced each buffer's current value.
         writer_of: dict[int, Task] = {}
@@ -406,9 +394,6 @@ class FaultTolerantRuntime:
         written_buffers: dict[int, Buffer] = {}
         #: Head-side snapshots: buffer id → (version, pristine copy).
         checkpoints: dict[int, tuple[int, Any]] = {}
-        #: Task ids whose completion is recorded (after a failover this
-        #: is rebuilt from the adopted replica — the authoritative view).
-        completed: set[int] = set()
         #: Post-failover re-dispatch overrides: task id → surviving
         #: original target, and the ids the workers must dedup.
         forced_target: dict[int, int] = {}
@@ -421,46 +406,10 @@ class FaultTolerantRuntime:
         #: interrupted when that head dies: their frames must unwind
         #: before the elected successor rebuilds state, so no stale
         #: completion can race the rebuilt directory.
-        epoch_procs: list[Any] = []
+        epoch = ProcessGroup(sim, core.fail)
         failovers: list[FailoverEvent] = []
         head_declared: dict[int, Any] = {}
         ckpt_stop = False
-
-        def log_append(kind: str, nbytes: float | None = None,
-                       **data: Any) -> None:
-            if repl is None:
-                return
-            log.append(kind, nbytes=nbytes, **data)
-            repl.notify()
-
-        def spawn(gen, name: str):
-            """Spawn an epoch-scoped head-side process.
-
-            The wrapper absorbs the failover-teardown Interrupt: these
-            frames have no waiter by design, and a failing process with
-            no waiter crashes the simulation.  A *simulation-level*
-            error (e.g. :class:`ClusterExhausted` when permanent
-            failures drain the last worker) is routed to ``all_done``
-            instead of being re-raised, so it propagates through the
-            main process — which tears this run's machinery down and
-            reports the failure to *this job's* caller — rather than
-            aborting the whole simulator (and every co-tenant sharing
-            it).
-            """
-            def shielded(g=gen):
-                try:
-                    yield from g
-                except Interrupt:
-                    return
-                except SimulationError as exc:
-                    done = all_done  # current epoch's barrier
-                    if not done.triggered:
-                        done.fail(exc)
-                    return
-
-            proc = sim.process(shielded(), name=name)
-            epoch_procs.append(proc)
-            return proc
 
         def declared_event(node: int):
             ev = head_declared.get(node)
@@ -498,26 +447,25 @@ class FaultTolerantRuntime:
             return node
 
         def spawn_task(task: Task) -> None:
-            spawn(core.run_task(task, slots, complete, origin=home,
-                                body=execute_once),
-                  name=f"ft-task:{task.name}")
+            epoch.spawn(core.run_task(task, slots, complete, origin=home,
+                                      body=execute_once),
+                        name=f"ft-task:{task.name}")
+
+        def dispatch_ready() -> None:
+            frontier = core.frontier
+            for task in frontier.ready():
+                spawn_task(task)
+            frontier.settle()
 
         def complete(task: Task) -> None:
-            nonlocal pending
             if task.kind.is_data_movement:
                 # ENTER/EXIT completions carry no writes, so they are
                 # logged here rather than through record_writes.
-                log_append("task_done", task_id=task.task_id, node=home)
-            completed.add(task.task_id)
-            pending -= 1
-            for succ in graph.successors(task):
-                remaining[succ.task_id] -= 1
-                if remaining[succ.task_id] == 0:
-                    spawn_task(succ)
-            if pending == 0 and not all_done.triggered:
-                # (an aborting run may have failed the barrier already
-                # while sibling frames were still draining)
-                all_done.succeed()
+                append("task_done", task_id=task.task_id, node=home)
+            frontier = core.frontier
+            frontier.done(task)
+            frontier.release(task, spawn_task)
+            frontier.settle()
 
         # -- buffer movement and recovery -------------------------------
         def ensure_available(buffer: Buffer, chain: frozenset = frozenset()):
@@ -619,7 +567,7 @@ class FaultTolerantRuntime:
                 attempts[task.task_id] = attempts.get(task.task_id, 0) + 1
                 if repl is not None and not recovery:
                     if task.kind in (TaskKind.CLASSICAL, TaskKind.TARGET):
-                        log_append(
+                        append(
                             "dispatch", task_id=task.task_id,
                             node=home if task.kind == TaskKind.CLASSICAL
                             else node,
@@ -773,7 +721,7 @@ class FaultTolerantRuntime:
                 write_version[buf.buffer_id] = version
                 write_log.setdefault(buf.buffer_id, []).append((version, task))
             if not recovery and node is not None:
-                log_append("task_done", task_id=task.task_id, node=node)
+                append("task_done", task_id=task.task_id, node=node)
 
         def handle_node_death(node: int) -> None:
             if node in dead or node == home:
@@ -783,7 +731,7 @@ class FaultTolerantRuntime:
             # Forgetting the node frees its tiered memory.
             core._mem_wake()
             result.failures.append(node)
-            log_append("node_dead", node=node)
+            append("node_dead", node=node)
 
         # -- checkpointing ------------------------------------------------
         def checkpointer():
@@ -830,7 +778,7 @@ class FaultTolerantRuntime:
                     # Snapshots ride the log by reference: the stored
                     # copy is pristine (restores copy out of it), so
                     # sharing it with the replicas is safe.
-                    log_append(
+                    append(
                         "checkpoint",
                         nbytes=LOG_RECORD_BYTES + buf.nbytes,
                         buffer_id=bid, version=version,
@@ -842,12 +790,15 @@ class FaultTolerantRuntime:
             """Spawn the head-side services of the current incarnation."""
             if repl is not None:
                 for s in repl.live_standbys():
-                    spawn(repl.pump(s), name=f"repl-pump{s}.e{core.fo_epoch}")
+                    epoch.spawn(repl.pump(s),
+                                name=f"repl-pump{s}.e{core.fo_epoch}")
             if cfg.checkpoint_interval > 0:
-                spawn(checkpointer(), name=f"ft-checkpoint.e{core.fo_epoch}")
+                epoch.spawn(checkpointer(),
+                            name=f"ft-checkpoint.e{core.fo_epoch}")
 
         def rebuild_from_log(old_head: int) -> int:
-            """Replay the adopted replica into fresh head state.
+            """Replay the adopted replica into fresh head state and a
+            fresh frontier (the replayed completed set is authoritative).
 
             Only *logged* transitions are replayed — completions, data
             enter/exit, node deaths, checkpoints — which yields a
@@ -861,9 +812,10 @@ class FaultTolerantRuntime:
             dm2 = DataManager(analysis=dm.analysis)
             # The replay is synchronous: the head state is rebuilt in
             # place, nothing reads it half-done.
-            for state in (checkpoints, completed, writer_of, write_version,
+            for state in (checkpoints, writer_of, write_version,
                           write_log, written_buffers, recovering):
                 state.clear()
+            completed: set[int] = set()
             dispatched: dict[int, int] = {}
             dropped: set[int] = set()
             for rec in log.records:
@@ -900,7 +852,7 @@ class FaultTolerantRuntime:
             for n in sorted((dead | {old_head}) - dropped):
                 if n != home:
                     dm2.on_node_failure(n)
-                    log_append("node_dead", node=n)
+                    append("node_dead", node=n)
             # In-doubt dispatches: a dispatch record with no matching
             # completion.  Completed-but-unreplicated work re-runs; the
             # worker-side dedup (task id) and epoch fencing keep that
@@ -949,19 +901,17 @@ class FaultTolerantRuntime:
                     for n in sorted(dm.locations(buf)):
                         if n not in dead and dm.tiered(n):
                             tiering.charge(n, buf)
+            core.frontier = Frontier(sim, graph, completed)
             return redispatched
 
         def failover():
             """Generator: elect, adopt, rebuild, resume (one head death)."""
-            nonlocal home, pending, all_done
+            nonlocal home
             old_head = home
             failed_at = sim.now
             # Tear down the dead head's epoch first: every head-side
             # frame unwinds before the successor rebuilds state.
-            for proc in epoch_procs:
-                if proc.is_alive:
-                    proc.interrupt("head failover")
-            epoch_procs.clear()
+            epoch.end("head failover")
             if repl is None:
                 raise RecoveryError(
                     "head node failed with no standbys configured "
@@ -978,50 +928,29 @@ class FaultTolerantRuntime:
                 raise RecoveryError("head node failed and no live node "
                                     "remains to elect a successor")
             by, declared_at = yield declared_event(old_head)
-            election = yield from repl.elect(
+            taken = yield from repl.take_over(
                 by, exclude=frozenset(dead | detector.dead | {old_head})
             )
-            if election is None:
+            if taken is None:
                 raise RecoveryError(
                     "head node failed and no live standby replica "
                     "survives to take over (raise "
                     "OMPCConfig.head_standbys)"
                 )
-            winner, votes = election
-            elected_at = sim.now
-            yield from repl.announce(by, winner, [
-                n for n in range(cluster.num_nodes)
-                if n != old_head and not events.node_failed(n)
-            ])
-            log.adopt(list(repl.replicas[winner]), log.epoch + 1)
+            home, elected_at = taken
             core.fo_epoch = log.epoch
-            repl.set_head(winner, votes)
-            home = winner
-            detector.rebase(winner)
+            detector.rebase(home)
             # The successor replays its replica into fresh control
             # state; the replay is CPU work charged per record.
             replay_cost = len(log.records) * LOG_REPLAY_UNIT_COST
             if replay_cost:
                 yield sim.timeout(replay_cost)
             redispatched = rebuild_from_log(old_head)
-            # Rebuild the dependency frontier from the replicated
-            # completed set and relaunch whatever is runnable.
-            remaining.clear()
-            pending = 0
-            for t in graph.tasks():
-                if t.task_id in completed:
-                    continue
-                remaining[t.task_id] = sum(
-                    1 for p in graph.predecessors(t)
-                    if p.task_id not in completed
-                )
-                pending += 1
-            all_done = sim.event("all-tasks-done")
             start_epoch()
             failovers.append(FailoverEvent(
                 epoch=log.epoch,
                 old_head=old_head,
-                new_head=winner,
+                new_head=home,
                 failed_at=failed_at,
                 declared_at=declared_at,
                 elected_at=elected_at,
@@ -1030,12 +959,8 @@ class FaultTolerantRuntime:
                 redispatched_tasks=redispatched,
             ))
             cluster.obs.count("ft.head_failovers")
-            if pending == 0:
-                all_done.succeed()
-                return
-            for t in graph.tasks():
-                if t.task_id not in completed and remaining[t.task_id] == 0:
-                    spawn_task(t)
+            # Relaunch whatever the rebuilt frontier finds runnable.
+            dispatch_ready()
 
         # -- failure plumbing ---------------------------------------------
         def on_detect(dead_node: int, by: int) -> None:
@@ -1049,9 +974,9 @@ class FaultTolerantRuntime:
             if buf is None:
                 record_writes(task, node, recovery)
             elif task.kind == TaskKind.TARGET_ENTER_DATA:
-                log_append("enter_data", buffer_id=buf.buffer_id, node=node)
+                append("enter_data", buffer_id=buf.buffer_id, node=node)
             else:
-                log_append("exit_data", buffer_id=buf.buffer_id, home=node)
+                append("exit_data", buffer_id=buf.buffer_id, home=node)
 
         core.guard = core.guarded
         core.on_commit = on_commit
@@ -1079,7 +1004,7 @@ class FaultTolerantRuntime:
                     (bid, _snapshot(all_buffers[bid].data))
                     for bid in sorted(all_buffers)
                 )
-                log_append(
+                append(
                     "bootstrap",
                     nbytes=LOG_RECORD_BYTES + sum(
                         all_buffers[bid].nbytes for bid in sorted(all_buffers)
@@ -1090,16 +1015,12 @@ class FaultTolerantRuntime:
             if repl is not None:
                 yield from repl.flush()
             yield from core.plan_phase(
-                len(remaining), graph.num_edges, cluster.num_nodes - 1,
-                origin=home,
+                core.frontier.pending, graph.num_edges,
+                cluster.num_nodes - 1, origin=home,
             )
-            if pending == 0:
-                all_done.succeed()
-            else:
-                for root in graph.roots():
-                    spawn_task(root)
+            dispatch_ready()
             while True:
-                done = all_done
+                done = core.frontier.all_done
                 yield events.race_failure([done], [home])
                 if done.triggered:
                     break

@@ -14,19 +14,23 @@ or more *standby* workers over the (reliable) MPI transport:
   failover the elected standby *adopts* its own replica as the new
   authoritative log (the old head's unreplicated suffix is lost by
   definition) and bumps the epoch.
-* :class:`Replicator` — the replication machinery: a per-standby pump
-  process on the head streams records in order (one in flight per
-  standby; send completion acknowledges delivery), receivers on each
-  standby append to their replica with Raft-style conflict handling
-  (same ``(index, epoch)`` → duplicate, same index but different epoch
-  → truncate the stale tail), and an election protocol picks the
-  most-caught-up standby by ``(last epoch, replica length, lowest id)``.
+* :class:`Replicator` — the replication machinery: the head appends
+  through it (:meth:`Replicator.append`), a per-standby pump process on
+  the head streams records in order (one in flight per standby; send
+  completion acknowledges delivery), receivers on each standby append
+  to their replica with Raft-style conflict handling (same
+  ``(index, epoch)`` → duplicate, same index but different epoch →
+  truncate the stale tail), and the takeover
+  (:meth:`Replicator.take_over`) elects the most-caught-up standby by
+  ``(last epoch, replica length, lowest id)``, announces it and adopts
+  its replica.
 
 Consistency contract used by the runtime:
 
 * **Asynchronous by default, bounded lag** — appends return
   immediately; :meth:`Replicator.throttle` blocks the dispatch path
-  once any live standby falls more than ``max_lag`` records behind.
+  once any live standby falls more than :data:`REPLICATION_MAX_LAG`
+  records behind.
 * **Synchronous fences for non-idempotent work** —
   :meth:`Replicator.flush` blocks until every live standby has
   acknowledged the log as of the call; the runtime fences the
@@ -135,15 +139,11 @@ class Replicator:
         log: HeadLog,
         standbys: list[int],
         head: int = 0,
-        max_lag: int = REPLICATION_MAX_LAG,
-        election_bytes: float = LOG_RECORD_BYTES,
     ):
         self.sim = sim
         self.events = events
         self.log = log
         self.head = head
-        self.max_lag = max_lag
-        self.election_bytes = election_bytes
         # Service traffic: replication streams and election rounds hold
         # fire-and-forget sends and long-lived receives by design — the
         # MPI checker must not audit them.
@@ -184,8 +184,10 @@ class Replicator:
         ]
 
     # -- head side -------------------------------------------------------
-    def notify(self) -> None:
-        """Wake pumps after an append (called by the runtime's logger)."""
+    def append(self, kind: str, nbytes: float | None = None,
+               **data: Any) -> None:
+        """Append a record to the head's log and wake the pumps."""
+        self.log.append(kind, nbytes=nbytes, **data)
         if self._more is not None and not self._more.triggered:
             self._more.succeed()
 
@@ -254,7 +256,7 @@ class Replicator:
                 return
             if len(self.log.records) - min(
                 self.acked[s] for s in live
-            ) <= self.max_lag:
+            ) <= REPLICATION_MAX_LAG:
                 return
             self.stats["throttles"] += 1
             yield self.events.race_failure([self._wait_progress()], live)
@@ -300,7 +302,7 @@ class Replicator:
             last_epoch = replica[-1].epoch if replica else -1
             rank.isend(
                 msg.src, (standby, last_epoch, len(replica)),
-                self.election_bytes, tag=reply_tag,
+                LOG_RECORD_BYTES, tag=reply_tag,
             )
 
     # -- election --------------------------------------------------------
@@ -331,7 +333,7 @@ class Replicator:
                     replica[-1].epoch if replica else -1, len(replica)
                 )
             else:
-                rank.isend(s, ("state?", reply_tag), self.election_bytes,
+                rank.isend(s, ("state?", reply_tag), LOG_RECORD_BYTES,
                            tag=ELECT_TAG)
                 remote.append(s)
         for s in remote:
@@ -358,12 +360,34 @@ class Replicator:
         """
         rank = self.comm.rank(coordinator)
         reqs = [
-            rank.isend(n, ("new-head", new_head), self.election_bytes,
+            rank.isend(n, ("new-head", new_head), LOG_RECORD_BYTES,
                        tag=ANNOUNCE_TAG)
             for n in live_nodes if n != coordinator
         ]
         for req in reqs:
             yield from req.wait()
+
+    def take_over(self, coordinator: int, exclude: frozenset = frozenset()):
+        """Generator: the standby takeover after the head's death.
+
+        ``coordinator`` elects a successor among the standbys not in
+        ``exclude``, announces it to every live node, the head log
+        adopts the winner's replica under a new epoch, and replication
+        re-roots at the winner.  Returns ``(winner, elected_at)``, or
+        ``None`` when no standby is left to elect.
+        """
+        election = yield from self.elect(coordinator, exclude)
+        if election is None:
+            return None
+        winner, votes = election
+        elected_at = self.sim.now
+        yield from self.announce(coordinator, winner, [
+            n for n in range(self.events.cluster.num_nodes)
+            if not self.events.node_failed(n)
+        ])
+        self.log.adopt(self.replicas[winner], self.log.epoch + 1)
+        self.set_head(winner, votes)
+        return winner, elected_at
 
     def set_head(self, new_head: int, votes: dict[int, tuple[int, int]]) -> None:
         """Re-root replication at the elected head.

@@ -22,14 +22,17 @@ always blocked, waiting for a target region to complete, even when it
 is marked as nowait"), which is what bends the weak-scaling curves at
 32–64 nodes.
 
-The run's set-up, its phases (steps 1–3 and 6), the per-task frame,
-the one data plane of steps 4–5 (the enter-data, exit-data and target
-frames with their moves, deletes and memory admission), and the result
-live in :class:`HeadCore`.  Three drivers keep their own control loop
-around it: :class:`OMPCRuntime` (one head), the sharded control plane
-(:mod:`repro.core.shard.plane`) and the fault-tolerant runtime
-(:mod:`repro.core.faults`), which runs the same frames and plugs in
-recovery, commit bookkeeping and a guard against node death.
+The head's control loop is written once, here.  :class:`HeadCore`
+holds the run's set-up, its phases (steps 1–3 and 6), the per-task
+frame, the one data plane of steps 4–5 (the enter-data, exit-data and
+target frames with their moves, deletes and memory admission), the
+dependency :class:`Frontier` of steps 4–5, the one failure sink
+(:meth:`HeadCore.fail`) and the result.  Head-side processes that no
+one waits on run in a :class:`ProcessGroup`.  Three drivers keep only
+their policy around it: :class:`OMPCRuntime` (one head), the sharded
+control plane (:mod:`repro.core.shard.plane`: shard ownership and
+leases) and the fault-tolerant runtime (:mod:`repro.core.faults`:
+recovery, speculation and log replay, plugged into the same frames).
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.mpi.comm import MpiWorld, TransportConfig
 from repro.obs.observer import Observer
 from repro.omp.api import OmpProgram
 from repro.omp.task import Task, TaskKind
+from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.primitives import AllOf, AnyOf
 from repro.sim.resources import Resource
 from repro.util.units import MILLISECOND
@@ -177,26 +181,124 @@ def _settled(operation):
         return crash
 
 
+class Frontier:
+    """The dependency frontier of one task graph (§4.4, steps 4–5).
+
+    ``remaining`` counts, per unfinished task, the producers it still
+    waits on; ``completed`` holds the finished task ids, ``pending``
+    how many tasks are left, and ``all_done`` is the barrier the
+    driver's main process waits on.  ``completed`` seeds a frontier
+    with tasks already done: the fault-tolerant runtime builds a fresh
+    one from the replayed log after a head failover.
+    """
+
+    def __init__(self, sim, graph, completed=()):
+        self.graph = graph
+        self.completed = done = set(completed)
+        self.remaining = {
+            t.task_id: sum(1 for p in graph.predecessors(t)
+                           if p.task_id not in done)
+            for t in graph.tasks() if t.task_id not in done
+        }
+        self.pending = len(self.remaining)
+        self.all_done = sim.event("all-tasks-done")
+
+    def ready(self) -> list[Task]:
+        """The unfinished tasks with no unfinished producer, in program
+        order."""
+        remaining, done = self.remaining, self.completed
+        return [t for t in self.graph.tasks()
+                if remaining.get(t.task_id) == 0 and t.task_id not in done]
+
+    def done(self, task: Task) -> bool:
+        """Record ``task`` as completed; ``False`` if it already was."""
+        if task.task_id in self.completed:
+            return False
+        self.completed.add(task.task_id)
+        self.pending -= 1
+        return True
+
+    def release(self, producer: Task, spawn, local=None) -> None:
+        """Count the completed ``producer`` off its successors (only
+        those ``local(successor)`` accepts, when given) and ``spawn``
+        each one left with no unfinished producer."""
+        remaining = self.remaining
+        for succ in self.graph.successors(producer):
+            if local is None or local(succ):
+                remaining[succ.task_id] -= 1
+                if remaining[succ.task_id] == 0:
+                    spawn(succ)
+
+    def settle(self) -> None:
+        """Fire ``all_done`` once no task is pending (a run that failed
+        its barrier already keeps the failure)."""
+        if self.pending == 0 and not self.all_done.triggered:
+            self.all_done.succeed()
+
+
+class ProcessGroup:
+    """Head-side processes no one waits on, ended together.
+
+    A member absorbs the teardown :class:`Interrupt` (a failing process
+    with no waiter would crash the simulation) and hands a
+    :class:`SimulationError` to ``fail``, the run's failure sink, so
+    the error fails this run only, not a simulator shared with other
+    tenants.  A member is forgotten once it ends: the group holds only
+    live processes.
+    """
+
+    def __init__(self, sim, fail):
+        self.sim = sim
+        self.fail = fail
+        #: Live members in spawn order (:meth:`end` interrupts them in
+        #: that order; a set would order them by memory address).
+        self.members: dict = {}
+
+    def spawn(self, gen, name: str) -> None:
+        def member():
+            try:
+                yield from gen
+            except Interrupt:
+                return
+            except SimulationError as exc:
+                self.fail(exc)
+            finally:
+                self.members.pop(proc, None)
+
+        proc = self.sim.process(member(), name=name)
+        self.members[proc] = None
+
+    def end(self, cause=None) -> None:
+        """Interrupt every live member, in spawn order."""
+        members, self.members = self.members, {}
+        for proc in members:
+            if proc.is_alive:
+                proc.interrupt(cause)
+
+
 class HeadCore:
     """The head's per-launch machinery, shared by all three drivers.
 
     One instance serves one execution: set-up (observer and analysis
     install, MPI world, event system, data manager, tiering), the run's
-    phases (:meth:`boot`, :meth:`plan_phase`, :meth:`teardown`), the
-    one data plane (the enter-data, exit-data and target frames, their
-    moves and deletes, broadcast, and the one memory path:
-    :meth:`make_room`'s plan, back-off and evictions), the task frame
-    that runs one task on a head-thread slot, and the run's result.
-    The driver keeps the control loop around it: the plain runtime
+    phases (:meth:`boot`, :meth:`plan_phase`, :meth:`teardown`, which
+    also record their times in the result), the dependency
+    :attr:`frontier` and its barrier, the one failure sink
+    (:meth:`fail`), the one data plane (the enter-data, exit-data and
+    target frames, their moves and deletes, broadcast, and the one
+    memory path: :meth:`make_room`'s plan, back-off and evictions), the
+    task frame that runs one task on a head-thread slot, and the run's
+    result.  The driver keeps its policy around it: the plain runtime
     (:class:`OMPCRuntime`) one head with one slot pool; the sharded
     plane (:mod:`repro.core.shard.plane`) one slot pool per shard
-    manager; the fault-tolerant runtime (:mod:`repro.core.faults`) one
-    slot pool, a head that may move on failover (the frames test
-    ``dm.home``, never node 0), and the plug-ins below: the "node may
-    die" hook (:attr:`dead` and :attr:`guard`), commit bookkeeping
-    (:attr:`on_commit`), :attr:`tombstones` and :attr:`fo_epoch`.
-    Every event-system call takes the frame's ``origin``: the head's
-    node for a single head, the shard's manager node for a shard.
+    manager, ownership and leases; the fault-tolerant runtime
+    (:mod:`repro.core.faults`) one slot pool, a head that may move on
+    failover (the frames test ``dm.home``, never node 0), recovery and
+    the plug-ins below: the "node may die" hook (:attr:`dead` and
+    :attr:`guard`), commit bookkeeping (:attr:`on_commit`),
+    :attr:`tombstones` and :attr:`fo_epoch`.  Every event-system call
+    takes the frame's ``origin``: the head's node for a single head,
+    the shard's manager node for a shard.
     """
 
     def __init__(self, cluster_spec: ClusterSpec, cfg: OMPCConfig,
@@ -228,6 +330,8 @@ class HeadCore:
         self.analysis = analysis = cluster.analysis
         self.mpi = MpiWorld(cluster, transport=transport)
         self.events = EventSystem(cluster, self.mpi, cfg)
+        self.events.on_error = self.fail
+        self.frontier = Frontier(sim, program.graph)
         self.dm = DataManager(analysis=analysis if analysis.enabled else None)
         analysis.program_begin(program)
         configure_tiering(self.dm, cfg, cluster)
@@ -304,13 +408,14 @@ class HeadCore:
         yield self.sim.timeout(self.cfg.startup_time)
         self.events.start()
         obs.end(span)
+        self.result.startup_time = self.cfg.startup_time
 
     def plan_phase(self, tasks: int, edges: int, workers: int,
                    origin: int = 0):
         """Generator: the control thread creates ``tasks`` tasks (workers
         stay idle), then HEFT schedules ``edges`` edges over ``workers``
-        workers at the implicit barrier (cost ``O(e × p)``).  Returns the
-        scheduling time."""
+        workers at the implicit barrier (cost ``O(e × p)``).  The result's
+        scheduling time is the longest such phase (one per shard)."""
         obs, sim, cfg = self.obs, self.sim, self.cfg
         creation = tasks * cfg.task_creation_overhead
         if creation:
@@ -322,7 +427,8 @@ class HeadCore:
         if cost:
             yield sim.timeout(cost)
         obs.end(span)
-        return cost + 0.0
+        result = self.result
+        result.scheduling_time = max(result.scheduling_time, cost + 0.0)
 
     def drive(self, body, on_abort=None):
         """Generator: the driver's main ``body``.  On an unrecoverable
@@ -347,6 +453,17 @@ class HeadCore:
             yield from self.events.shutdown(origin=origin)
         yield self.sim.timeout(self.cfg.shutdown_time)
         obs.end(span)
+        self.result.shutdown_time = self.cfg.shutdown_time
+
+    def fail(self, exc: BaseException) -> None:
+        """The run's one failure sink: fail the frontier's barrier, which
+        the driver's main process waits on, so ``exc`` ends this run
+        (torn down by :meth:`drive`) and no other run sharing the
+        simulator.  Every :class:`ProcessGroup` of the run and the event
+        system's handlers (``EventSystem.on_error``) report here."""
+        done = self.frontier.all_done
+        if not done.triggered:
+            done.fail(exc)
 
     def finish(self, failed=frozenset()):
         """Fill in and return the run's result (call once, at the end).
@@ -960,53 +1077,38 @@ class OMPCRuntime:
             main_proc, finish = self._sharded.launch(program, cluster)
             self.last_cluster = self._sharded.last_cluster
             return main_proc, finish
-        cfg = self.config
-        core = HeadCore(self.cluster_spec, cfg, program, cluster)
+        core = HeadCore(self.cluster_spec, self.config, program, cluster)
         cluster = self.last_cluster = core.cluster
-        sim, result = core.sim, core.result
+        sim, frontier = core.sim, core.frontier
         graph = program.graph
-
-        remaining = {t.task_id: graph.in_degree(t) for t in graph.tasks()}
-        pending = len(remaining)
-        all_done = sim.event("all-tasks-done")
-        slots = Resource(sim, capacity=cfg.head_threads, name="head-threads")
+        slots = Resource(sim, capacity=self.config.head_threads,
+                         name="head-threads")
+        frames = ProcessGroup(sim, core.fail)
 
         def spawn(task: Task) -> None:
-            sim.process(core.run_task(task, slots, complete),
-                        name=f"task:{task.name}")
+            frames.spawn(core.run_task(task, slots, complete),
+                         name=f"task:{task.name}")
 
         def complete(task: Task) -> None:
-            nonlocal pending
-            pending -= 1
-            for succ in graph.successors(task):
-                remaining[succ.task_id] -= 1
-                if remaining[succ.task_id] == 0:
-                    spawn(succ)
-            if pending == 0:
-                all_done.succeed()
+            frontier.done(task)
+            frontier.release(task, spawn)
+            frontier.settle()
 
         # -- main process on the head node ------------------------------------
         def main_body():
             # 1. startup: process start -> gate-thread creation (Fig. 7a).
             yield from core.boot()
-            result.startup_time = cfg.startup_time
-
             # 2./3. create every task, then schedule the graph with HEFT.
-            result.scheduling_time = yield from core.plan_phase(
-                len(remaining), graph.num_edges, cluster.num_nodes - 1
+            yield from core.plan_phase(
+                frontier.pending, graph.num_edges, cluster.num_nodes - 1
             )
-
             # 4./5. dispatch and drain the graph.
-            if pending == 0:
-                all_done.succeed()
-            else:
-                for root in graph.roots():
-                    spawn(root)
-            yield all_done
-
+            for root in frontier.ready():
+                spawn(root)
+            frontier.settle()
+            yield frontier.all_done
             # 6. shutdown: gate-thread destruction -> process end.
             yield from core.teardown()
-            result.shutdown_time = cfg.shutdown_time
 
         # Scheduling happens inside main_body() in simulated time, but the
         # assignment itself is computed eagerly here (it is deterministic

@@ -25,10 +25,15 @@ knee.  :class:`ShardedRuntime` breaks the knee by partitioning control:
   completions, and processed notifications append to a per-shard
   commit log replicated to ``head_standbys`` standbys drawn from the
   shard's worker slice.  On a gossip-confirmed manager death the
-  standard election/adopt/replay sequence promotes a standby, the
-  shard's slot pool and service loops restart on the winner, leases
-  are re-sent for unsatisfied subscriptions (closing the lost-NOTIFY
-  window) and in-flight tasks are re-dispatched with ``dedup=True``;
+  shard's frames, then its pumps, are ended (each a
+  :class:`~repro.core.runtime.ProcessGroup`),
+  :meth:`~repro.core.headlog.Replicator.take_over` promotes a standby,
+  the log replay is charged, the shard's slot pool and service loops
+  restart on the winner, leases are re-sent for unsatisfied
+  subscriptions (closing the lost-NOTIFY window) and the shard's ready
+  tasks in the shared :class:`~repro.core.runtime.Frontier` are
+  re-dispatched, with ``dedup=True`` for those its log shows
+  dispatched;
 * membership is the gossip configuration of
   :class:`~repro.core.gossip.FailureDetector` (SWIM), not the heartbeat
   ring — required whenever failures are injected, optional otherwise.
@@ -53,14 +58,14 @@ from repro.core.config import OMPCConfig
 from repro.core.events import NOTIFICATION_BYTES
 from repro.core.gossip import FailureDetector
 from repro.core.headlog import LOG_REPLAY_UNIT_COST, HeadLog, Replicator
-from repro.core.runtime import HeadCore, reject_unread
+from repro.core.runtime import HeadCore, ProcessGroup, reject_unread
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
 from repro.core.shard.directory import ShardDirectory
 from repro.core.shard.messages import LEASE_TAG, NOTIFY_TAG
 from repro.core.shard.report import ShardRunResult, ShardStats
 from repro.omp.api import OmpProgram
 from repro.omp.task import Task
-from repro.sim.errors import Interrupt, SimulationError
+from repro.sim.errors import SimulationError
 from repro.sim.resources import Resource
 
 
@@ -72,20 +77,21 @@ class _Shard:
     """Mutable runtime state of one shard manager."""
 
     __slots__ = (
-        "sid", "manager", "nodes", "slots", "procs", "issued",
-        "subs", "notified", "log", "repl", "pumps", "failing",
+        "sid", "manager", "nodes", "slots", "frames", "issued",
+        "subs", "notified", "repl", "pumps", "failing",
         "stats", "sub_edges",
     )
 
-    def __init__(self, sid: int, manager: int, nodes: tuple[int, ...]):
+    def __init__(self, sid: int, manager: int, nodes: tuple[int, ...],
+                 core: HeadCore):
         self.sid = sid
         self.manager = manager
         self.nodes = nodes
         self.slots: Resource | None = None
-        #: Live control-frame processes, in spawn order (a failover
-        #: interrupts them in that order; a set would order them by
-        #: memory address).
-        self.procs: dict = {}
+        #: The manager's control frames and its replication pumps; a
+        #: failover ends the frames first, then the pumps.
+        self.frames = ProcessGroup(core.sim, core.fail)
+        self.pumps = ProcessGroup(core.sim, core.fail)
         #: Task ids ever handed to a control frame this epoch.
         self.issued: set[int] = set()
         #: producer task id → subscriber shard ids (never popped: kept
@@ -93,9 +99,7 @@ class _Shard:
         self.subs: dict[int, set[int]] = {}
         #: Remote producer ids whose NOTIFY this shard has processed.
         self.notified: set[int] = set()
-        self.log: HeadLog | None = None
         self.repl: Replicator | None = None
-        self.pumps: list = []
         self.failing = False
         self.stats: ShardStats | None = None
         self.sub_edges = 0
@@ -224,7 +228,7 @@ class ShardedRuntime:
         lease_needs = directory.lease_needs()
 
         slices = self.compute_slices(cluster.num_nodes, k)
-        shards = [_Shard(s, s, slices[s]) for s in range(k)]
+        shards = [_Shard(s, s, slices[s], core) for s in range(k)]
         owner_of = directory.owner_of
 
         # -- per-shard scheduling (own scheduler instance each) -----------
@@ -250,10 +254,7 @@ class ShardedRuntime:
         core.set_schedule(graph, Schedule(assignment, planned))
         core.committed = set()
 
-        remaining = {t.task_id: graph.in_degree(t) for t in graph.tasks()}
-        pending = len(remaining)
-        completed: set[int] = set()
-        all_done = sim.event("all-tasks-done")
+        frontier = core.frontier
         plane_up = sim.event("shard-plane-up")
         shard_comm = mpi.new_communicator(service=True)
         for shard in shards:
@@ -272,86 +273,53 @@ class ShardedRuntime:
                 standbys = list(
                     shard.nodes[:min(cfg.head_standbys, len(shard.nodes))]
                 )
-                shard.log = HeadLog()
-                shard.repl = Replicator(
-                    sim, mpi, events, shard.log, standbys,
-                    head=shard.manager,
-                )
-
-        def fail_run(exc: Exception) -> None:
-            if not all_done.triggered:
-                all_done.fail(exc)
-
-        def log_append(shard: _Shard, kind: str, **data) -> None:
-            if shard.log is not None:
-                shard.log.append(kind, **data)
-                shard.repl.notify()
+                shard.repl = Replicator(sim, mpi, events, HeadLog(),
+                                        standbys, head=shard.manager)
 
         # -- dependence resolution ----------------------------------------
-        def spawn_task(task: Task) -> None:
+        def spawn_task(task: Task, dedup: bool = False) -> None:
             shard = shards[owner_of(task.task_id)]
             if shard.failing or task.task_id in shard.issued:
                 # Mid-failover (the restart rescan picks it up) or
                 # already in flight this epoch.
                 return
             shard.issued.add(task.task_id)
-            _spawn_frame(shard, task, dedup=False)
-
-        def _spawn_frame(shard: _Shard, task: Task, dedup: bool) -> None:
-            def body():
-                try:
-                    # The frame holds the epoch's slot pool: a failover
-                    # replaces ``shard.slots``, and a frame interrupted
-                    # mid-task must release into the pool it acquired
-                    # from, not the fresh one.
-                    yield from core.run_task(
-                        task, shard.slots, complete, origin=shard.manager,
-                        dispatch=log_dispatch, dedup=dedup,
-                    )
-                except Interrupt:
-                    return  # manager died; failover re-issues the work
-                except SimulationError as exc:
-                    fail_run(exc)
-                finally:
-                    shard.procs.pop(proc, None)
-
-            proc = sim.process(body(), name=f"task:{task.name}")
-            shard.procs[proc] = None
+            # The frame holds the epoch's slot pool: a failover replaces
+            # ``shard.slots``, and a frame interrupted mid-task must
+            # release into the pool it acquired from, not the fresh one.
+            shard.frames.spawn(core.run_task(
+                task, shard.slots, complete, origin=shard.manager,
+                dispatch=log_dispatch, dedup=dedup,
+            ), name=f"task:{task.name}")
 
         def log_dispatch(task: Task):
             shard = shards[owner_of(task.task_id)]
-            log_append(shard, "dispatch", task=task.task_id)
             if shard.repl is not None:
+                shard.repl.append("dispatch", task=task.task_id)
                 yield from shard.repl.throttle()
             obs.count("shard.dispatches")
 
         def complete(task: Task) -> None:
-            nonlocal pending
             tid = task.task_id
             shard = shards[owner_of(tid)]
             start, end = result.task_intervals[tid]
             shard.stats.busy_time += end - start
-            if tid in completed:
+            if not frontier.done(task):
                 return
-            completed.add(tid)
-            pending -= 1
             shard.stats.dispatched += 1
-            log_append(shard, "done", task=tid)
+            if shard.repl is not None:
+                shard.repl.append("done", task=tid)
             release_local(shard, task)
             subscribers = shard.subs.get(tid)
             if subscribers:
                 for sc in sorted(subscribers):
                     send_notify(shard, tid, sc)
-            if pending == 0 and not all_done.triggered:
-                all_done.succeed()
+            frontier.settle()
 
         def release_local(shard: _Shard, producer: Task) -> None:
             """``producer`` completed: release the shard's own consumers."""
-            for succ in graph.successors(producer):
-                if owner_of(succ.task_id) == shard.sid:
-                    remaining[succ.task_id] -= 1
-                    if remaining[succ.task_id] == 0:
-                        spawn_task(succ)
+            frontier.release(producer, spawn_task,
+                             local=lambda t: owner_of(t.task_id) == shard.sid)
 
         def send_notify(shard: _Shard, producer_id: int, sc: int) -> None:
             obs.count("shard.forwards")
@@ -382,7 +350,7 @@ class ShardedRuntime:
                     return
                 _kind, producer_id, sc = msg.payload
                 shard.subs.setdefault(producer_id, set()).add(sc)
-                if producer_id in completed:
+                if producer_id in frontier.completed:
                     # The race-free no-barrier path: the producer beat
                     # the lease; answer immediately.
                     send_notify(shard, producer_id, sc)
@@ -400,7 +368,8 @@ class ShardedRuntime:
                     shard.stats.dedup_hits += 1
                     continue
                 shard.notified.add(producer_id)
-                log_append(shard, "notify", task=producer_id)
+                if shard.repl is not None:
+                    shard.repl.append("notify", task=producer_id)
                 release_local(shard, graph.task(producer_id))
 
         def start_services(shard: _Shard) -> None:
@@ -410,23 +379,10 @@ class ShardedRuntime:
             sim.process(notify_service(shard, node),
                         name=f"shard{shard.sid}-notify@{node}")
 
-        def shielded(gen):
-            """Absorb the failover-teardown Interrupt.
-
-            Replication pumps have no waiter by design, and a failing
-            process with no waiter crashes the whole simulation.
-            """
-            try:
-                yield from gen
-            except Interrupt:
-                return
-
         def start_pumps(shard: _Shard) -> None:
             for standby in shard.repl.live_standbys():
-                shard.pumps.append(sim.process(
-                    shielded(shard.repl.pump(standby)),
-                    name=f"shard{shard.sid}-pump{standby}",
-                ))
+                shard.pumps.spawn(shard.repl.pump(standby),
+                                  name=f"shard{shard.sid}-pump{standby}")
 
         # -- membership & failover -----------------------------------------
         def on_death(dead: int, by: int) -> None:
@@ -438,13 +394,13 @@ class ShardedRuntime:
             if target is None:
                 # A compute node died: the sharded plane has no worker
                 # recovery (that is FaultTolerantRuntime's machinery).
-                fail_run(ShardPlaneError(
+                core.fail(ShardPlaneError(
                     f"worker node {dead} died under the sharded plane; "
                     f"worker fault tolerance needs FaultTolerantRuntime"
                 ))
                 return
             if target.repl is None:
-                fail_run(ShardPlaneError(
+                core.fail(ShardPlaneError(
                     f"shard {target.sid} manager (node {dead}) died "
                     f"with no standbys (head_standbys=0)"
                 ))
@@ -459,43 +415,29 @@ class ShardedRuntime:
             shard.stats.failovers += 1
             if not events.node_failed(old):
                 events.fail_node(old)  # STONITH: silence the old manager
-            for proc in list(shard.procs):
-                if proc.is_alive:
-                    proc.interrupt()
-            shard.procs.clear()
-            for pump in shard.pumps:
-                if pump.is_alive:
-                    pump.interrupt()
-            shard.pumps = []
-            outcome = yield from shard.repl.elect(
+            shard.frames.end()
+            shard.pumps.end()
+            taken = yield from shard.repl.take_over(
                 by, exclude=frozenset({old})
             )
-            if outcome is None:
-                fail_run(ShardPlaneError(
+            if taken is None:
+                core.fail(ShardPlaneError(
                     f"shard {shard.sid}: no live standby left to elect"
                 ))
                 return
-            winner, votes = outcome
-            live = [n for n in range(cluster.num_nodes)
-                    if not events.node_failed(n)]
-            yield from shard.repl.announce(by, winner, live)
-            shard.log.adopt(shard.repl.replicas[winner],
-                            shard.log.epoch + 1)
-            shard.repl.set_head(winner, votes)
-            shard.manager = winner
-            shard.stats.manager = winner
+            shard.manager = shard.stats.manager = taken[0]
             # Replay the adopted log into a fresh manager state.
-            replay = len(shard.log.records) * LOG_REPLAY_UNIT_COST
+            replay = len(shard.repl.log.records) * LOG_REPLAY_UNIT_COST
             if replay:
                 yield sim.timeout(replay)
             shard.slots = Resource(
                 sim, capacity=cfg.head_threads,
-                name=f"shard{shard.sid}-threads-e{shard.log.epoch}",
+                name=f"shard{shard.sid}-threads-e{shard.repl.log.epoch}",
             )
             start_services(shard)
             start_pumps(shard)
             dispatched = {
-                rec.data["task"] for rec in shard.log.records
+                rec.data["task"] for rec in shard.repl.log.records
                 if rec.kind == "dispatch"
             }
             # Re-send leases whose NOTIFY may have died with the old
@@ -521,21 +463,15 @@ class ShardedRuntime:
             # Re-notify subscribers of already-completed local producers
             # (a NOTIFY in flight when the manager died is lost).
             for producer_id, subscribers in sorted(shard.subs.items()):
-                if producer_id in completed:
+                if producer_id in frontier.completed:
                     for sc in sorted(subscribers):
                         send_notify(shard, producer_id, sc)
             # Re-issue the epoch's work: everything ready and not done.
-            shard.issued = {
-                tid for tid in shard.issued if tid in completed
-            }
+            shard.issued &= frontier.completed
             shard.failing = False
-            for task in directory.tasks_of(shard.sid):
-                tid = task.task_id
-                if (tid in completed or tid in shard.issued
-                        or remaining[tid] != 0):
-                    continue
-                shard.issued.add(tid)
-                _spawn_frame(shard, task, dedup=tid in dispatched)
+            for task in frontier.ready():
+                if owner_of(task.task_id) == shard.sid:
+                    spawn_task(task, dedup=task.task_id in dispatched)
 
         def injector(at: float, node: int):
             yield sim.timeout(at)
@@ -546,20 +482,17 @@ class ShardedRuntime:
         def manager_body(shard: _Shard):
             yield plane_up
             own = directory.tasks_of(shard.sid)
-            sched_cost = yield from core.plan_phase(
+            yield from core.plan_phase(
                 len(own), shard.sub_edges, len(shard.nodes),
                 origin=shard.manager,
             )
-            result.scheduling_time = max(result.scheduling_time,
-                                         sched_cost)
-            if shard.log is not None:
-                log_append(shard, "bootstrap",
-                           tasks=len(own), sid=shard.sid)
+            if shard.repl is not None:
+                shard.repl.append("bootstrap", tasks=len(own), sid=shard.sid)
                 yield from shard.repl.flush()
             for producer_id in sorted(lease_needs[shard.sid]):
                 send_lease(shard, producer_id)
-            for task in own:
-                if remaining[task.task_id] == 0:
+            for task in frontier.ready():
+                if owner_of(task.task_id) == shard.sid:
                     spawn_task(task)
 
         def main_body():
@@ -575,15 +508,12 @@ class ShardedRuntime:
                 start_services(shard)
             for at, node in self.inject_failures:
                 sim.process(injector(at, node), name=f"kill@{node}")
-            result.startup_time = cfg.startup_time
             plane_up.succeed()
-            if pending == 0 and not all_done.triggered:
-                all_done.succeed()
-            yield all_done
+            frontier.settle()
+            yield frontier.all_done
             if membership is not None:
                 membership.stop()
             yield from core.teardown()
-            result.shutdown_time = cfg.shutdown_time
 
         for shard in shards:
             sim.process(manager_body(shard),

@@ -60,8 +60,6 @@ class Victim:
     last_use: int
     #: True when this node holds the only valid copy (eviction spills).
     dirty: bool
-    #: Estimated price of re-fetching the buffer if it is needed again.
-    refetch_cost: float
 
 
 class MemoryWait(Exception):
@@ -95,9 +93,9 @@ class CostAwarePolicy(EvictionPolicy):
     """Evict the cheapest buffer to bring back first.
 
     The price of evicting a buffer is what it costs to need it again:
-    the re-fetch transfer, plus — for dirty copies — the write-behind
-    spill that must happen first.  Clean, small replicas go before
-    large dirty results; ties fall back to LRU order.
+    the re-fetch transfer of its bytes, plus — for dirty copies — the
+    write-behind spill that must happen first.  Clean, small replicas
+    go before large dirty results; ties fall back to LRU order.
     """
 
     name = "cost"
@@ -109,7 +107,7 @@ class CostAwarePolicy(EvictionPolicy):
 
     def order(self, candidates: list[Victim]) -> list[Victim]:
         def price(v: Victim) -> float:
-            return v.refetch_cost * (self.dirty_penalty if v.dirty else 1.0)
+            return v.nbytes * (self.dirty_penalty if v.dirty else 1.0)
 
         return sorted(
             candidates,
@@ -159,7 +157,6 @@ class MemoryDirector:
         capacities: dict[int, float],
         policy: EvictionPolicy,
         capacity_fn=None,
-        refetch_cost_fn=None,
     ):
         for node, cap in capacities.items():
             if cap <= 0:
@@ -169,9 +166,6 @@ class MemoryDirector:
         #: Optional ``fn(node) -> bytes`` for time-varying capacity
         #: (the MemoryPressure fault arm shrinks it mid-run).
         self.capacity_fn = capacity_fn
-        #: Optional ``fn(buffer) -> cost`` pricing a future re-fetch for
-        #: the cost-aware policy; defaults to the buffer size.
-        self.refetch_cost_fn = refetch_cost_fn
         self._nodes: dict[int, _NodeMem] = {
             node: _NodeMem() for node in capacities
         }
@@ -308,11 +302,6 @@ class MemoryDirector:
                     nbytes=buf.nbytes,
                     last_use=view.last_use.get(bid, 0),
                     dirty=sole_copy_fn(buf, node),
-                    refetch_cost=(
-                        self.refetch_cost_fn(buf)
-                        if self.refetch_cost_fn is not None
-                        else buf.nbytes
-                    ),
                 )
                 for bid, buf in view.holdings.items()
                 if bid not in view.evicting

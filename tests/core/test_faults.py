@@ -493,11 +493,19 @@ class TestHeadCoreDriver:
 
     def test_result_has_intervals_and_network_totals(self):
         prog, _, _ = shots_program()
-        res = FaultTolerantRuntime(ClusterSpec(num_nodes=5), FAST).run(prog)
+        # FAST with the three phase costs put back.
+        cfg = dataclasses.replace(FAST, startup_time=1e-3,
+                                  shutdown_time=2e-3, schedule_unit_cost=1e-6)
+        res = FaultTolerantRuntime(ClusterSpec(num_nodes=5), cfg).run(prog)
         assert len(res.task_intervals) == len(list(prog.graph.tasks()))
         assert res.network_bytes > 0
         assert res.network_messages > 0
-        assert not hasattr(res, "scheduling_time")
+        assert res.startup_time == cfg.startup_time
+        assert res.shutdown_time == cfg.shutdown_time
+        assert res.scheduling_time == (
+            prog.graph.num_edges * 4 * cfg.schedule_unit_cost)
+        assert res.constant_overhead == (
+            res.startup_time + res.shutdown_time + res.scheduling_time)
 
     def test_broadcast_events_rejected(self):
         with pytest.raises(ValueError, match="broadcast_events"):

@@ -94,8 +94,7 @@ class TestReplication:
     def test_replicas_become_full_prefix_copies(self):
         cluster, _, log, repl = make()
         for i in range(6):
-            log.append("dispatch", task_id=i, node=1 + i % 2)
-        repl.notify()
+            repl.append("dispatch", task_id=i, node=1 + i % 2)
         self.run_flush(cluster, repl, log)
         for s in (1, 2):
             assert [r.index for r in repl.replicas[s]] == list(range(6))
@@ -107,14 +106,13 @@ class TestReplication:
     def test_flush_ignores_dead_standby(self):
         cluster, events, log, repl = make()
         for i in range(3):
-            log.append("dispatch", task_id=i)
+            repl.append("dispatch", task_id=i)
 
         def main():
             events.fail_node(2)
             yield from repl.flush()
 
         cluster.sim.process(repl.pump(1), name="pump1")
-        repl.notify()
         p = cluster.sim.process(main())
         cluster.sim.run(until=p)
         assert repl.acked[1] == 3

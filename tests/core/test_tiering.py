@@ -59,17 +59,16 @@ class TestPolicies:
     def test_lru_orders_by_last_use(self):
         a, b = buf(KB, "a"), buf(KB, "b")
         victims = [
-            Victim(b, KB, last_use=9, dirty=False, refetch_cost=KB),
-            Victim(a, KB, last_use=1, dirty=False, refetch_cost=KB),
+            Victim(b, KB, last_use=9, dirty=False),
+            Victim(a, KB, last_use=1, dirty=False),
         ]
         ordered = LRUPolicy().order(victims)
         assert [v.buffer.name for v in ordered] == ["a", "b"]
 
     def test_cost_aware_prefers_clean_small(self):
-        small_clean = Victim(buf(KB, "sc"), KB, last_use=9,
-                             dirty=False, refetch_cost=KB)
+        small_clean = Victim(buf(KB, "sc"), KB, last_use=9, dirty=False)
         large_dirty = Victim(buf(4 * KB, "ld"), 4 * KB, last_use=1,
-                             dirty=True, refetch_cost=4 * KB)
+                             dirty=True)
         ordered = CostAwarePolicy().order([large_dirty, small_clean])
         assert ordered[0].buffer.name == "sc"
 

@@ -6,10 +6,14 @@ import pytest
 
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core import NodeFailure, OMPCConfig
+from repro.core.memory import DeviceMemoryError
+from repro.core.runtime import OMPCRuntime
 from repro.jobs import JobManager, JobSpec, JobState
 from repro.jobs.workload import _taskbench_job
 from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
 from repro.taskbench.bench import build_omp_program
+
+from tests.obs.test_counter_tier import _stencil
 
 
 def tb_job(name, nodes, tenant="t", task_seconds=0.01, steps=2, **kw):
@@ -93,6 +97,26 @@ class TestLifecycle:
         assert good.state is JobState.COMPLETED
         assert report.completed == 1 and report.failed == 1
         assert mgr.pool.held_count == 0
+
+    def test_a_failing_tenant_fails_alone(self):
+        # "bad" overflows a worker's device memory: the worker-side
+        # DeviceMemoryError fails that job only, not the simulator.
+        def bad_program():
+            return _stencil(4, 2)
+
+        bad = JobSpec("bad", bad_program, nodes=3,
+                      config=OMPCConfig(device_memory_bytes=100 * 1024))
+        mgr = manager(nodes=8)
+        mgr.run([(0.0, bad), (0.0, tb_job("good", 3))])
+        failed, good = mgr.jobs
+        assert failed.state is JobState.FAILED
+        assert "p3g0" in failed.error
+        assert good.state is JobState.COMPLETED
+        assert mgr.pool.held_count == 0
+        # Run on its own, the same program still raises.
+        with pytest.raises(DeviceMemoryError, match="p3g0"):
+            OMPCRuntime(ClusterSpec(num_nodes=3), bad.config).run(
+                bad_program())
 
     def test_rerun_accumulates(self):
         mgr = manager()

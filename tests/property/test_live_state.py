@@ -10,7 +10,8 @@ three hot-path tables that used to:
   buffered message of that tag);
 * no resolved node-death race is still attached to a failure event;
 * the reliable transport's dedup sets hold only out-of-order seqs,
-  above their pair's low watermark.
+  above their pair's low watermark;
+* every head-side process group holds only live processes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.cluster.machine import ClusterSpec
 from repro.core import FaultPlan, FaultTolerantRuntime, LinkLoss, NodeFailure
 from repro.core.config import OMPCConfig
 from repro.core.events import EventSystem
-from repro.core.runtime import OMPCRuntime
+from repro.core.runtime import OMPCRuntime, ProcessGroup
 from repro.mpi.comm import Communicator, MpiWorld
 from repro.sim.primitives import Condition
 
@@ -34,8 +35,10 @@ from tests.property.test_event_digest_pins import _taskbench
 
 @contextmanager
 def _capture():
-    """Record every MpiWorld, Communicator and EventSystem built inside."""
-    built: dict[type, list] = {MpiWorld: [], Communicator: [], EventSystem: []}
+    """Record every MpiWorld, Communicator, EventSystem and ProcessGroup
+    built inside."""
+    built: dict[type, list] = {MpiWorld: [], Communicator: [], EventSystem: [],
+                               ProcessGroup: []}
     with pytest.MonkeyPatch.context() as mp:
         for cls, seen in built.items():
             def init(self, *args, _orig=cls.__init__, _seen=seen, **kwargs):
@@ -74,7 +77,15 @@ def _assert_bounded(built) -> dict[str, int]:
         for pair, above in comm._ooo.items():
             assert above and min(above) > comm._low.get(pair, 0), pair
             live["out_of_order"] += len(above)
+    for group in built[ProcessGroup]:
+        for proc in group.members:
+            assert proc.is_alive, f"finished {proc.name} left in its group"
     return live
+
+
+def _group_members(built) -> list[str]:
+    return sorted(proc.name for group in built[ProcessGroup]
+                  for proc in group.members)
 
 
 def test_plain_stencil_leaves_no_match_state():
@@ -84,6 +95,7 @@ def test_plain_stencil_leaves_no_match_state():
     # Every event's exchange is matched: nothing pending, nothing
     # buffered, so every match table is empty.
     assert live["receives"] == live["messages"] == 0
+    assert _group_members(built) == []
     for world in built[MpiWorld]:
         for store in world._queues.values():
             assert not (store._buckets or store._slots or store._tag_fifo)
@@ -95,6 +107,32 @@ def test_sharded_plane_leaves_no_match_state():
                     OMPCConfig(head_shards=4)).run(_taskbench(32, 3))
     live = _assert_bounded(built)
     assert live["messages"] == 0
+    assert _group_members(built) == []
+
+
+def test_replicated_shards_keep_only_their_pumps():
+    with _capture() as built:
+        OMPCRuntime(ClusterSpec(num_nodes=16),
+                    OMPCConfig(head_shards=4, head_standbys=1)).run(
+                        _taskbench(32, 3))
+    _assert_bounded(built)
+    assert _group_members(built) == [
+        f"shard{sid}-pump{4 + 3 * sid}" for sid in range(4)]
+
+
+def test_ft_epoch_keeps_only_its_services():
+    # The epoch's finished ft-task frames leave its group; only its pump
+    # (which waits for records) and checkpointer may still run.
+    with _capture() as built:
+        res = FaultTolerantRuntime(
+            ClusterSpec(num_nodes=6),
+            OMPCConfig(head_standbys=1, checkpoint_interval=0.002),
+        ).run(_stencil())
+    assert res.checkpoints_taken > 0
+    _assert_bounded(built)
+    members = _group_members(built)
+    assert "repl-pump1.e0" in members
+    assert set(members) <= {"ft-checkpoint.e0", "repl-pump1.e0"}
 
 
 def test_ft_worker_kill_under_loss_keeps_state_bounded():
