@@ -11,24 +11,30 @@ This module implements that future version on the simulated cluster:
 * failure detection is :class:`~repro.core.gossip.FailureDetector`:
   the §3.1 heartbeat ring, or SWIM gossip with ``OMPCConfig.gossip``.
   Because the fabric may drop or delay messages (see
-  :mod:`repro.core.faultmodel`), a missed beat no longer proves death:
-  a node is only *suspected*, and the head confirms with a direct ping
-  before declaring it dead.  False positives (alive nodes declared
-  dead) and cleared suspicions are counted.
-* :class:`FailureInjector` — crashes chosen worker nodes at chosen
-  simulated times (kills their event machinery and wipes their device
-  memory).
-* :class:`FaultTolerantRuntime` — an OMPC runtime whose dispatch
-  survives worker failures: in-flight tasks on a dead node are
-  re-dispatched to survivors, and buffers whose only copy died are
-  recovered by lineage — re-executing their recorded producer task
-  (transitively) — or, when periodic checkpointing is enabled
-  (``OMPCConfig.checkpoint_interval``), from head-side snapshots, which
-  also rescues in-place/INOUT producers that checkpoint-free lineage
-  cannot rebuild.  Straggler mitigation
-  (``OMPCConfig.straggler_factor``) speculatively re-dispatches a
-  too-slow target task to a second node and keeps whichever attempt
-  finishes first.  An unrecoverable loss raises :class:`RecoveryError`.
+  :mod:`repro.core.faultmodel`), a missed beat only makes a node
+  *suspected*; the head confirms with a direct ping before declaring it
+  dead.  False positives and cleared suspicions are counted.
+* :class:`FailureInjector` crashes chosen nodes at chosen simulated
+  times (kills their event machinery and wipes their device memory).
+* :class:`FaultTolerantRuntime` runs every task through the plain
+  runtime's frames (:class:`~repro.core.runtime.HeadCore`);
+  :meth:`~FaultTolerantRuntime.launch` wires an :class:`FTHead` (the
+  acting head, its log, and the recover step that re-dispatches a dead
+  node's in-flight tasks to survivors) to four plug-ins on the core's
+  hooks, each testable without a cluster:
+
+  - :class:`Lineage` (``on_commit``) rebuilds a buffer whose only copy
+    died by re-executing its producer, or from a checkpoint plus a
+    replay of the newer writes, which also rescues in-place (INOUT)
+    producers;
+  - :class:`Checkpointer` snapshots written buffers head-side
+    (``OMPCConfig.checkpoint_interval``);
+  - :class:`LogReplay` is head failover (below);
+  - :class:`Speculation` (``OMPCConfig.straggler_factor``) wraps the
+    target frame: a too-slow task gets a second attempt elsewhere, and
+    the first to finish wins.
+
+  An unrecoverable loss raises :class:`RecoveryError`.
 
 **The head node may fail too.**  With ``OMPCConfig.head_standbys > 0``
 the head streams its commit log (task completions, directory updates,
@@ -36,14 +42,13 @@ checkpoint snapshots, dispatch intents) to standby workers through
 :mod:`repro.core.headlog`.  When the detector confirms the head dead —
 by a quorum of two nodes, never a self-confirmation through the dead
 head itself — the reporter coordinates an election among the standbys,
-the most-caught-up replica wins deterministically, and the new head
-rebuilds the data-manager directory, completed-task set, and
-checkpoint store by replaying its replica.  Unacknowledged dispatches
-are re-issued idempotently (workers dedup by task id and fence
-old-epoch zombies), the checkpointer and failure detector re-root at
-the new head, and the program finishes bit-identical to a fault-free run.
-A head crash with no live standby raises :class:`RecoveryError`
-instead of hanging.
+the most-caught-up replica wins deterministically, and
+:meth:`LogReplay.rebuild` replays it into a fresh directory, frontier
+and :class:`Lineage`.  Unacknowledged dispatches are re-issued
+idempotently (workers dedup by task id and fence old-epoch zombies),
+the checkpointer and failure detector re-root at the new head, and the
+program finishes bit-identical to a fault-free run.  A head crash with
+no live standby raises :class:`RecoveryError` instead of hanging.
 
 Transient faults (message loss, degraded links, stalls, hangs) are
 injected by passing a :class:`~repro.core.faultmodel.FaultPlan` to
@@ -68,12 +73,7 @@ from repro.core.datamanager import HOST, DataManager
 from repro.core.events import EventSystem
 from repro.core.faultmodel import FaultPlan
 from repro.core.gossip import FailureDetector
-from repro.core.headlog import (
-    LOG_RECORD_BYTES,
-    LOG_REPLAY_UNIT_COST,
-    HeadLog,
-    Replicator,
-)
+from repro.core.headlog import LOG_RECORD_BYTES, HeadLog, Replicator
 from repro.core.runtime import (
     Frontier,
     HeadCore,
@@ -231,17 +231,10 @@ class FaultTolerantRuntime:
     """OMPC with the §3.1 heartbeat/restart mechanism enabled.
 
     Runs on the plain runtime's :class:`~repro.core.runtime.HeadCore`
-    (set-up, startup/planning/shutdown phases, the dependency frontier
-    and failure sink, head-thread task frame, and the one data plane: the enter-data, exit-data and target frames
-    with their moves, memory admission, evictions and stale-copy
-    deletes, and the result) and adds the fault tolerance: membership,
+    (set-up, phases, frontier, failure sink, task frame, the one data
+    plane and the result) and plugs in the fault tolerance: membership,
     head-state replication and failover, lineage and checkpoint
-    recovery, and speculation.  It plugs into the core's frames only
-    what the plain runtime lacks: a recover step before each frame, its
-    commit bookkeeping, the tombstone rule under replication, the
-    EXECUTE's attempt and failover epoch, and the "node may die" hook
-    (the shared set of dead nodes, and ``HeadCore.guarded`` as the
-    guard every event-system call of the frames goes through).
+    recovery, and speculation (see the module docstring).
     """
 
     def __init__(
@@ -306,16 +299,12 @@ class FaultTolerantRuntime:
         fault_plan: FaultPlan | None = None,
         cluster=None,
     ):
-        """Set up one execution and return ``(main_process, finish)``.
-
-        Mirrors :meth:`OMPCRuntime.launch`: with ``cluster=None`` a
-        private machine is built and the caller drives the clock via
-        ``run``; with an externally-owned cluster (in practice a
-        :class:`~repro.cluster.partition.ClusterView`) the execution
-        joins an already-ticking simulation.  Failure times stay
-        relative to runtime startup either way (the injector arms after
-        startup completes).  A ``fault_plan`` cannot be combined with an
-        external cluster — plans install on the physical machine, which
+        """Set up one execution and return ``(main_process, finish)``,
+        as :meth:`OMPCRuntime.launch` does (an external ``cluster``, in
+        practice a :class:`~repro.cluster.partition.ClusterView`, joins
+        an already-ticking simulation).  Failure times are relative to
+        runtime startup.  A ``fault_plan`` cannot be combined with an
+        external cluster: plans install on the physical machine, which
         the partition's owner must do before carving views.
         """
         failures = tuple(failures)
@@ -337,649 +326,27 @@ class FaultTolerantRuntime:
                         result_type=FTRunResult,
                         transport=TransportConfig() if lossy else None)
         cluster = self.last_cluster = core.cluster
-        sim, mpi, events = core.sim, core.mpi, core.events
-        dm, tiering, result = core.dm, core.tiering, core.result
-        # Membership follows the event system: its communicators are
-        # numbered after the event system's.  Either configuration of
-        # the detector (ring or gossip) feeds on_detect / on_head_detect,
-        # so failover below is the same for both.
+        sim, mpi, events, result = core.sim, core.mpi, core.events, core.result
+        # Membership's communicators are numbered after the event
+        # system's; ring or gossip, it feeds the same two callbacks.
         detector = FailureDetector.from_config(cluster, mpi, events, cfg)
         graph = program.graph
-
-        # -- head-state replication (head failover) ----------------------
-        # Standbys are the lowest-id workers; they keep executing tasks
-        # like any other worker while also mirroring the head's log.
+        # Head-state replication: standbys are the lowest-id workers;
+        # they keep executing tasks like any other worker while also
+        # mirroring the head's log.
         n_standbys = min(cfg.head_standbys, cluster.num_nodes - 1)
-        if n_standbys > 0:
-            log = HeadLog()
-            repl = Replicator(
-                sim, mpi, events, log,
-                standbys=list(range(1, 1 + n_standbys)),
-                head=HOST,
-            )
-            append = repl.append
-        else:
-            log = repl = None
-            append = lambda *_a, **_k: None  # noqa: E731 - no log kept
-
+        repl = Replicator(
+            sim, mpi, events, HeadLog(),
+            standbys=list(range(1, 1 + n_standbys)), head=HOST,
+        ) if n_standbys > 0 else None
         core.set_schedule(graph, self.scheduler.schedule(graph, cluster))
-        schedule = core.schedule
+        head = FTHead(core, graph, repl, detector)
 
-        #: Every mapped buffer by id (bootstrap snapshots, log replay).
-        all_buffers: dict[int, Buffer] = {}
-        for t in graph.tasks():
-            for d in t.deps:
-                all_buffers.setdefault(d.buffer.buffer_id, d.buffer)
-            for b in t.buffers:
-                all_buffers.setdefault(b.buffer_id, b)
-
-        #: The node currently acting as head (rebound on failover).
-        home = HOST
-        #: Workers declared dead, shared with the core's data plane.
-        dead = core.dead
-        live_workers = lambda: [  # noqa: E731 - tiny local helper
-            n for n in range(1, cluster.num_nodes) if n not in dead
-        ]
-
-        slots = Resource(sim, capacity=cfg.head_threads, name="head-threads")
-        #: Which task last produced each buffer's current value.
-        writer_of: dict[int, Task] = {}
-        #: Monotone write counter per buffer (checkpoint freshness).
-        write_version: dict[int, int] = {}
-        #: Full write history per buffer: (version, task) in commit
-        #: order — checkpoint recovery replays every write newer than
-        #: the snapshot, not just the last one.
-        write_log: dict[int, list[tuple[int, Task]]] = {}
-        #: Written buffers by id (the checkpointer's worklist).
-        written_buffers: dict[int, Buffer] = {}
-        #: Head-side snapshots: buffer id → (version, pristine copy).
-        checkpoints: dict[int, tuple[int, Any]] = {}
-        #: Post-failover re-dispatch overrides: task id → surviving
-        #: original target, and the ids the workers must dedup.
-        forced_target: dict[int, int] = {}
-        dedup_tasks: set[int] = set()
-        attempts: dict[int, int] = {}
-        exec_attempt = itertools.count(1)
-        # Serialize recoveries of the same buffer.
-        recovering: dict[int, object] = {}
-        #: Head-side processes of the current head incarnation.  All are
-        #: interrupted when that head dies: their frames must unwind
-        #: before the elected successor rebuilds state, so no stale
-        #: completion can race the rebuilt directory.
-        epoch = ProcessGroup(sim, core.fail)
-        failovers: list[FailoverEvent] = []
-        head_declared: dict[int, Any] = {}
-        ckpt_stop = False
-
-        def declared_event(node: int):
-            ev = head_declared.get(node)
-            if ev is None:
-                ev = sim.event(f"head-declared:{node}")
-                head_declared[node] = ev
-            return ev
-
-        def on_head_death(node: int, by: int) -> None:
-            """Detector verdict on the head: STONITH, then wake failover.
-
-            A falsely declared head is killed for real before any
-            successor takes over — two live heads racing the same
-            workers would be worse than one wrongly lost node.
-            """
-            if not events.node_failed(node):
-                events.fail_node(node)
-            ev = declared_event(node)
-            if not ev.triggered:
-                ev.succeed((by, sim.now))
-
-        def target_node(task: Task) -> int:
-            forced = forced_target.get(task.task_id)
-            if forced is not None and forced not in dead:
-                return forced
-            node = schedule.node_of(task)
-            if node == HOST:
-                return home  # data stays with the (current) head
-            if node in dead:
-                # Deterministic re-map: spread by task id over survivors.
-                survivors = live_workers()
-                if not survivors:
-                    raise ClusterExhausted("all worker nodes have failed")
-                node = survivors[task.task_id % len(survivors)]
-            return node
-
-        def spawn_task(task: Task) -> None:
-            epoch.spawn(core.run_task(task, slots, complete, origin=home,
-                                      body=execute_once),
-                        name=f"ft-task:{task.name}")
-
-        def dispatch_ready() -> None:
-            frontier = core.frontier
-            for task in frontier.ready():
-                spawn_task(task)
-            frontier.settle()
-
-        def complete(task: Task) -> None:
-            if task.kind.is_data_movement:
-                # ENTER/EXIT completions carry no writes, so they are
-                # logged here rather than through record_writes.
-                append("task_done", task_id=task.task_id, node=home)
-            frontier = core.frontier
-            frontier.done(task)
-            frontier.release(task, spawn_task)
-            frontier.settle()
-
-        # -- buffer movement and recovery -------------------------------
-        def ensure_available(buffer: Buffer, chain: frozenset = frozenset()):
-            """Generator: guarantee a live copy of ``buffer`` exists.
-
-            ``chain`` carries the buffer ids already being recovered on
-            this call stack: needing one of them again means the lost
-            value can only be rebuilt from itself (an in-place/INOUT
-            producer), which is unrecoverable *without checkpoints* —
-            with checkpointing on, the snapshot breaks the cycle.
-            """
-            bid = buffer.buffer_id
-            while True:
-                token = recovering.get(bid)
-                if token is not None and bid not in chain:
-                    # Someone else is recovering it: a location the
-                    # re-execution lists may not hold the value yet.
-                    yield token
-                    continue
-                if dm.locations(buffer) - dead:
-                    return
-                entry = checkpoints.get(bid)
-                if bid in chain:
-                    if entry is None:
-                        raise RecoveryError(
-                            f"buffer {buffer.name} can only be rebuilt "
-                            "from its own lost value (in-place producer); "
-                            "checkpoint-free lineage recovery cannot help"
-                        )
-                    # A recursive loss mid-replay of this very buffer:
-                    # the in-flight restore sequence is void, tell the
-                    # owning frame to start over from the snapshot.
-                    raise _RecoveryRestart(bid)
-                producer = writer_of.get(bid)
-                if entry is None and producer is None:
-                    raise RecoveryError(
-                        f"buffer {buffer.name} lost with no recorded "
-                        "producer; its initial value existed only on the "
-                        "failed node"
-                    )
-                done = sim.event(f"recover:{buffer.name}")
-                recovering[bid] = done
-                try:
-                    if entry is not None:
-                        yield from restore_and_replay(buffer, chain)
-                    else:
-                        yield from execute_once(producer, chain | {bid})
-                        result.reexecuted_tasks += 1
-                finally:
-                    del recovering[bid]
-                    done.succeed()
-
-        def restore_and_replay(buffer: Buffer, chain: frozenset):
-            """Generator: rebuild ``buffer`` from its newest checkpoint.
-
-            Restores the snapshot to the head, then replays — in commit
-            order — every write newer than the snapshot, so multi-step
-            in-place chains come back complete, not just their last
-            link.  If a replayed copy is lost again mid-sequence the
-            whole sequence restarts from a fresh restore (partial
-            replays would otherwise double-apply in-place writes).
-            """
-            bid = buffer.buffer_id
-            while True:
-                version, snap = checkpoints[bid]
-                _restore_into(buffer, snap)
-                dm.commit_restore(buffer)
-                result.checkpoint_restores += 1
-                cluster.obs.count("ft.checkpoint_restores")
-                # Replays append to the log too; keep each task's first
-                # occurrence only, in original commit order.
-                seen: set[int] = set()
-                pending = []
-                for ver, task in write_log.get(bid, []):
-                    if ver > version and task.task_id not in seen:
-                        seen.add(task.task_id)
-                        pending.append(task)
-                try:
-                    for task in pending:
-                        yield from execute_once(task, chain | {bid})
-                        result.reexecuted_tasks += 1
-                except _RecoveryRestart as restart:
-                    if restart.buffer_id != bid:
-                        raise
-                    continue
-                return
-
-        # -- task execution with failure racing ---------------------------
-        def execute_once(task: Task, chain: frozenset = frozenset()):
-            """Generator: run ``task`` to completion through the core's
-            frames, retrying a frame a node death failed on a fresh plan.
-
-            Before each frame the buffers it reads get a live copy
-            (lineage or checkpoint recovery, carrying ``chain``).
-            """
-            recovery = bool(chain)  # lineage/replay re-execution
-            while True:
-                node = target_node(task)
-                attempts[task.task_id] = attempts.get(task.task_id, 0) + 1
-                if repl is not None and not recovery:
-                    if task.kind in (TaskKind.CLASSICAL, TaskKind.TARGET):
-                        append(
-                            "dispatch", task_id=task.task_id,
-                            node=home if task.kind == TaskKind.CLASSICAL
-                            else node,
-                        )
-                        if any(
-                            d.type.writes and d.type.reads for d in task.deps
-                        ):
-                            # INOUT fence: an ambiguous in-place mutation
-                            # must be *detectable* from every replica
-                            # before it can happen.
-                            yield from repl.flush()
-                        else:
-                            yield from repl.throttle()
-                    else:
-                        yield from repl.throttle()
-                try:
-                    if task.kind == TaskKind.CLASSICAL:
-                        yield from core._run_classical(
-                            task, cluster.node(home)
-                        )
-                        record_writes(task, home, recovery)
-                        return
-                    entering = task.kind == TaskKind.TARGET_ENTER_DATA
-                    for buf in task.buffers if entering else task.reads:
-                        yield from ensure_available(buf, chain)
-                    if entering:
-                        yield from core._run_enter_data(task, node, home)
-                    elif task.kind == TaskKind.TARGET_EXIT_DATA:
-                        yield from core._run_exit_data(task, home)
-                    elif speculatable(task):
-                        yield from run_target_speculative(task, node, chain)
-                    else:
-                        yield from target_frame(task, node, chain)
-                    return
-                except _NodeCrashed as crash:
-                    if crash.node == home:
-                        # The head itself died under this frame; the
-                        # failover path owns recovery — park until the
-                        # epoch teardown interrupts us.
-                        yield sim.event("park-for-failover")
-                    handle_node_death(crash.node)  # retry on a survivor
-
-        # -- straggler mitigation -----------------------------------------
-        def speculatable(task: Task) -> bool:
-            """Target tasks eligible for speculative re-dispatch.
-
-            Only pure-``out`` writers qualify: a losing attempt's kernel
-            launch is revoked, but one that already ran merely rewrote
-            outputs it fully overwrites — the same idempotence contract
-            lineage recovery relies on.  INOUT writers are excluded.
-            """
-            return (
-                cfg.straggler_factor > 0
-                # Speculation doubles a task's transient footprint (both
-                # attempts stage full working sets); under a bounded
-                # device budget the duplicate attempt could itself force
-                # the eviction storm it is trying to outrun, so tiered
-                # runs fall back to plain (admission-controlled) dispatch.
-                and tiering is None
-                and task.kind == TaskKind.TARGET
-                and task.cost > 0
-                and all(not (d.type.writes and d.type.reads) for d in task.deps)
-                and len(live_workers()) > 1
-            )
-
-        def target_frame(task: Task, node: int, chain: frozenset,
-                         attempt: int = 0):
-            dedup = not chain and task.task_id in dedup_tasks
-            return core._run_target(task, node, home, dedup, attempt,
-                                    recovery=bool(chain))
-
-        def run_target_speculative(task: Task, node: int, chain: frozenset):
-            """Generator: race a backup attempt against a straggler.
-
-            The primary attempt gets ``straggler_factor`` times its cost
-            estimate; past that, a second attempt starts on another live
-            worker and whichever finishes first wins.  The loser's
-            kernel launch is revoked through the event system so a
-            late-finishing attempt cannot clobber downstream writes.
-            """
-            estimate = cluster.node(node).compute_time(task.cost)
-            attempt_a = next(exec_attempt)
-            primary = sim.process(
-                target_frame(task, node, chain, attempt_a),
-                name=f"ft-spec:{task.name}.a",
-            )
-            p_done = sim.event(f"settle:{task.name}.a")
-            primary.add_callback(lambda _ev: p_done.succeed())
-            yield AnyOf(sim, [
-                p_done, sim.timeout(cfg.straggler_factor * estimate)
-            ])
-            if not primary.triggered:
-                spare = [n for n in live_workers() if n != node]
-                if spare:
-                    backup_node = spare[task.task_id % len(spare)]
-                    attempt_b = next(exec_attempt)
-                    attempts[task.task_id] = attempts.get(task.task_id, 0) + 1
-                    result.speculative_attempts += 1
-                    cluster.obs.count("ft.speculative_attempts")
-                    backup = sim.process(
-                        target_frame(task, backup_node, chain, attempt_b),
-                        name=f"ft-spec:{task.name}.b",
-                    )
-                    b_done = sim.event(f"settle:{task.name}.b")
-                    backup.add_callback(lambda _ev: b_done.succeed())
-                    yield AnyOf(sim, [p_done, b_done])
-                    first, first_att, second, second_att, second_done = (
-                        (primary, attempt_a, backup, attempt_b, b_done)
-                        if primary.triggered
-                        else (backup, attempt_b, primary, attempt_a, p_done)
-                    )
-                    if first.ok:
-                        if first is backup:
-                            result.speculation_wins += 1
-                        events.cancel_execution(task.task_id, second_att)
-                        if second.is_alive:
-                            second.interrupt("lost speculation race")
-                        return
-                    # The first finisher crashed; absorb its node's death
-                    # and let the surviving attempt decide the task.
-                    if not isinstance(first.value, _NodeCrashed):
-                        raise first.value
-                    handle_node_death(first.value.node)
-                    if not second.triggered:
-                        yield second_done
-                    if second.ok:
-                        if second is backup:
-                            result.speculation_wins += 1
-                        return
-                    raise second.value  # both attempts crashed: retry
-            if not primary.triggered:
-                yield p_done  # no spare worker: just wait the straggler out
-            if not primary.ok:
-                raise primary.value
-            return
-
-        def record_writes(task: Task, node: int | None,
-                          recovery: bool = False) -> None:
-            """Record ``task``'s writes and log its completion on
-            ``node``; ``node=None`` replays a logged completion."""
-            for buf in task.writes:
-                writer_of[buf.buffer_id] = task
-                written_buffers[buf.buffer_id] = buf
-                if recovery:
-                    # Replays re-derive an already-recorded write: the
-                    # version counter must stay aligned with what a
-                    # standby reconstructs from the log, or checkpoint
-                    # freshness comparisons diverge after a failover.
-                    continue
-                version = write_version.get(buf.buffer_id, 0) + 1
-                write_version[buf.buffer_id] = version
-                write_log.setdefault(buf.buffer_id, []).append((version, task))
-            if not recovery and node is not None:
-                append("task_done", task_id=task.task_id, node=node)
-
-        def handle_node_death(node: int) -> None:
-            if node in dead or node == home:
-                return  # the head's own death is the failover path's job
-            dead.add(node)
-            dm.on_node_failure(node)
-            # Forgetting the node frees its tiered memory.
-            core._mem_wake()
-            result.failures.append(node)
-            append("node_dead", node=node)
-
-        # -- checkpointing ------------------------------------------------
-        def checkpointer():
-            """Generator: periodically snapshot written buffers head-side.
-
-            Every snapshot is retrieved through the event system, so
-            checkpoint traffic is charged like any other data movement.
-            Only buffers whose newest write postdates their last
-            snapshot are refreshed.
-            """
-            while not ckpt_stop:
-                yield sim.timeout(cfg.checkpoint_interval)
-                if ckpt_stop:
-                    return
-                for bid in sorted(written_buffers):
-                    buf = written_buffers[bid]
-                    version = write_version.get(bid, 0)
-                    entry = checkpoints.get(bid)
-                    if entry is not None and entry[0] >= version:
-                        continue  # snapshot already current
-                    locations = dm.locations(buf) - dead
-                    if not locations:
-                        continue  # already lost; recovery owns it now
-                    src = dm.latest(buf)
-                    if src in dead or src not in locations:
-                        src = home if home in locations else min(locations)
-                    if src == home:
-                        checkpoints[bid] = (version, _snapshot(buf.data))
-                    else:
-                        try:
-                            payload = yield from core.guard(
-                                [src],
-                                events.retrieve(src, bid, buf.nbytes,
-                                                origin=home),
-                            )
-                        except _NodeCrashed as crash:
-                            handle_node_death(crash.node)
-                            continue
-                        if write_version.get(bid, 0) != version:
-                            continue  # changed mid-flight; next round
-                        checkpoints[bid] = (version, _snapshot(payload))
-                    result.checkpoints_taken += 1
-                    cluster.obs.count("ft.checkpoints")
-                    # Snapshots ride the log by reference: the stored
-                    # copy is pristine (restores copy out of it), so
-                    # sharing it with the replicas is safe.
-                    append(
-                        "checkpoint",
-                        nbytes=LOG_RECORD_BYTES + buf.nbytes,
-                        buffer_id=bid, version=version,
-                        snap=checkpoints[bid][1],
-                    )
-
-        # -- head failover ------------------------------------------------
-        def start_epoch() -> None:
-            """Spawn the head-side services of the current incarnation."""
-            if repl is not None:
-                for s in repl.live_standbys():
-                    epoch.spawn(repl.pump(s),
-                                name=f"repl-pump{s}.e{core.fo_epoch}")
-            if cfg.checkpoint_interval > 0:
-                epoch.spawn(checkpointer(),
-                            name=f"ft-checkpoint.e{core.fo_epoch}")
-
-        def rebuild_from_log(old_head: int) -> int:
-            """Replay the adopted replica into fresh head state and a
-            fresh frontier (the replayed completed set is authoritative).
-
-            Only *logged* transitions are replayed — completions, data
-            enter/exit, node deaths, checkpoints — which yields a
-            conservative directory: every logged write pinned its buffer
-            to the writing node, so dropping knowledge of intermediate
-            moves can only forget extra replicas, never invent one.
-
-            Returns the number of in-doubt dispatches re-issued.
-            """
-            nonlocal dm, tiering
-            dm2 = DataManager(analysis=dm.analysis)
-            # The replay is synchronous: the head state is rebuilt in
-            # place, nothing reads it half-done.
-            for state in (checkpoints, writer_of, write_version,
-                          write_log, written_buffers, recovering):
-                state.clear()
-            completed: set[int] = set()
-            dispatched: dict[int, int] = {}
-            dropped: set[int] = set()
-            for rec in log.records:
-                d = rec.data
-                if rec.kind == "bootstrap":
-                    for bid, snap in d["snapshots"]:
-                        checkpoints[bid] = (0, snap)
-                elif rec.kind == "dispatch":
-                    dispatched[d["task_id"]] = d["node"]
-                elif rec.kind == "task_done":
-                    tid = d["task_id"]
-                    completed.add(tid)
-                    dispatched.pop(tid, None)
-                    task = graph.task(tid)
-                    record_writes(task, None)
-                    if task.kind == TaskKind.TARGET:
-                        dm2.commit_task_done(task, d["node"])
-                elif rec.kind == "enter_data":
-                    dm2.commit_enter_data(
-                        all_buffers[d["buffer_id"]], d["node"]
-                    )
-                elif rec.kind == "exit_data":
-                    # Apply with the home that was current when logged.
-                    dm2.rehome(d["home"])
-                    dm2.commit_exit_data(all_buffers[d["buffer_id"]])
-                elif rec.kind == "node_dead":
-                    n = d["node"]
-                    dropped.add(n)
-                    if n != dm2.home:
-                        dm2.on_node_failure(n)
-                elif rec.kind == "checkpoint":
-                    checkpoints[d["buffer_id"]] = (d["version"], d["snap"])
-            dm2.rehome(home)  # ``home`` is already the elected winner
-            for n in sorted((dead | {old_head}) - dropped):
-                if n != home:
-                    dm2.on_node_failure(n)
-                    append("node_dead", node=n)
-            # In-doubt dispatches: a dispatch record with no matching
-            # completion.  Completed-but-unreplicated work re-runs; the
-            # worker-side dedup (task id) and epoch fencing keep that
-            # idempotent when the original target survives.
-            redispatched = 0
-            forced_target.clear()
-            dedup_tasks.clear()
-            for tid in sorted(dispatched):
-                if tid in completed:
-                    continue
-                redispatched += 1
-                node = dispatched[tid]
-                task = graph.task(tid)
-                alive = (
-                    node != old_head
-                    and node not in dead
-                    and not events.node_failed(node)
-                )
-                if alive:
-                    forced_target[tid] = node
-                    dedup_tasks.add(tid)
-                    continue
-                if node != old_head and not events.node_failed(node):
-                    # In-doubt target (declared dead but physically still
-                    # running): fence it for real so no zombie in-place
-                    # mutation can land after the restore below.
-                    events.fail_node(node)
-                for dep in task.deps:
-                    if dep.type.writes and dep.type.reads:
-                        # The lost dispatch may or may not have applied
-                        # its in-place mutation; only a snapshot restore
-                        # plus write-log replay is well-defined.
-                        dm2.invalidate(dep.buffer)
-            # Swap the rebuilt state in.
-            dm = core.dm = dm2
-            if tiering is not None:
-                # Re-arm the tiered store on the rebuilt directory.  The
-                # new head reconstructs a conservative residency mirror
-                # from the replayed directory: every replica the log
-                # still knows about is charged; replicas the log forgot
-                # are tombstones the eviction pass collects naturally.
-                configure_tiering(dm, cfg, cluster)
-                tiering = core.tiering = dm.tiering
-                for bid in sorted(all_buffers):
-                    buf = all_buffers[bid]
-                    for n in sorted(dm.locations(buf)):
-                        if n not in dead and dm.tiered(n):
-                            tiering.charge(n, buf)
-            core.frontier = Frontier(sim, graph, completed)
-            return redispatched
-
-        def failover():
-            """Generator: elect, adopt, rebuild, resume (one head death)."""
-            nonlocal home
-            old_head = home
-            failed_at = sim.now
-            # Tear down the dead head's epoch first: every head-side
-            # frame unwinds before the successor rebuilds state.
-            epoch.end("head failover")
-            if repl is None:
-                raise RecoveryError(
-                    "head node failed with no standbys configured "
-                    "(OMPCConfig.head_standbys = 0); head state is "
-                    "unrecoverable"
-                )
-            if old_head not in dead:
-                dead.add(old_head)
-                result.failures.append(old_head)
-            if not any(
-                n != old_head and not events.node_failed(n)
-                for n in range(cluster.num_nodes)
-            ):
-                raise RecoveryError("head node failed and no live node "
-                                    "remains to elect a successor")
-            by, declared_at = yield declared_event(old_head)
-            taken = yield from repl.take_over(
-                by, exclude=frozenset(dead | detector.dead | {old_head})
-            )
-            if taken is None:
-                raise RecoveryError(
-                    "head node failed and no live standby replica "
-                    "survives to take over (raise "
-                    "OMPCConfig.head_standbys)"
-                )
-            home, elected_at = taken
-            core.fo_epoch = log.epoch
-            detector.rebase(home)
-            # The successor replays its replica into fresh control
-            # state; the replay is CPU work charged per record.
-            replay_cost = len(log.records) * LOG_REPLAY_UNIT_COST
-            if replay_cost:
-                yield sim.timeout(replay_cost)
-            redispatched = rebuild_from_log(old_head)
-            start_epoch()
-            failovers.append(FailoverEvent(
-                epoch=log.epoch,
-                old_head=old_head,
-                new_head=home,
-                failed_at=failed_at,
-                declared_at=declared_at,
-                elected_at=elected_at,
-                resumed_at=sim.now,
-                replayed_records=len(log.records),
-                redispatched_tasks=redispatched,
-            ))
-            cluster.obs.count("ft.head_failovers")
-            # Relaunch whatever the rebuilt frontier finds runnable.
-            dispatch_ready()
-
-        # -- failure plumbing ---------------------------------------------
-        def on_detect(dead_node: int, by: int) -> None:
-            # The head learns through the detector; recovery state updates
-            # immediately (in-flight guards race the failure event).
-            handle_node_death(dead_node)
-
-        detector.on_detect = on_detect
-        detector.on_head_detect = on_head_death
-        def on_commit(task: Task, node: int, buf, recovery: bool) -> None:
-            if buf is None:
-                record_writes(task, node, recovery)
-            elif task.kind == TaskKind.TARGET_ENTER_DATA:
-                append("enter_data", buffer_id=buf.buffer_id, node=node)
-            else:
-                append("exit_data", buffer_id=buf.buffer_id, home=node)
-
+        detector.on_detect = head.handle_node_death
+        detector.on_head_detect = head.replay.on_head_death
         core.guard = core.guarded
-        core.on_commit = on_commit
+        core.on_commit = head.on_commit
+        core.run_target = head.speculation.run_target
         # With replication on, a deferred DELETE racing a post-failover
         # re-materialization of the same buffer could destroy the only
         # live copy; the directory alone drops stale copies.
@@ -987,46 +354,32 @@ class FaultTolerantRuntime:
         injector = FailureInjector(events)
 
         def stop_services() -> None:
-            nonlocal ckpt_stop
-            ckpt_stop = True
+            head.checkpointer.stopped = True
             detector.stop()
 
         def main_body():
-            yield from core.boot(home)
+            yield from core.boot(head.home)
             detector.start()
             injector.arm(failures)
             if repl is not None:
                 repl.start()
-                # Bootstrap fence: every buffer's pristine initial value
-                # reaches every standby before any task may run, so even
-                # a first-write INOUT loss is restorable after failover.
-                snaps = tuple(
-                    (bid, _snapshot(all_buffers[bid].data))
-                    for bid in sorted(all_buffers)
-                )
-                append(
-                    "bootstrap",
-                    nbytes=LOG_RECORD_BYTES + sum(
-                        all_buffers[bid].nbytes for bid in sorted(all_buffers)
-                    ),
-                    snapshots=snaps,
-                )
-            start_epoch()
+                head.replay.bootstrap()
+            head.start_epoch()
             if repl is not None:
                 yield from repl.flush()
             yield from core.plan_phase(
                 core.frontier.pending, graph.num_edges,
-                cluster.num_nodes - 1, origin=home,
+                cluster.num_nodes - 1, origin=head.home,
             )
-            dispatch_ready()
+            head.dispatch_ready()
             while True:
                 done = core.frontier.all_done
-                yield events.race_failure([done], [home])
+                yield events.race_failure([done], [head.home])
                 if done.triggered:
                     break
-                yield from failover()
+                yield from head.replay.failover()
             stop_services()
-            yield from core.teardown(home)
+            yield from core.teardown(head.home)
 
         main_proc = sim.process(
             core.drive(main_body(), on_abort=stop_services),
@@ -1035,7 +388,7 @@ class FaultTolerantRuntime:
 
         def finish() -> FTRunResult:
             result.detections = list(detector.detections)
-            result.task_attempts = dict(attempts)
+            result.task_attempts = dict(head.speculation.attempts)
             result.suspicions_cleared = detector.suspicions_cleared
             result.false_positive_detections = detector.false_positives
             declared = {d for d, _by, _t in detector.detections}
@@ -1044,15 +397,14 @@ class FaultTolerantRuntime:
             )
             result.transport = dict(mpi.stats)
             result.missed_heartbeat_windows = detector.missed_windows
-            result.final_head = home
-            result.head_failovers = len(failovers)
-            result.failovers = list(failovers)
+            result.final_head = head.home
+            result.head_failovers = len(result.failovers)
             if repl is not None:
-                result.log_records_appended = log.appended
+                result.log_records_appended = repl.log.appended
                 result.replication_bytes = repl.stats["bytes_sent"]
                 result.log_flushes = repl.stats["flushes"]
                 result.replication = dict(repl.stats)
-            core.finish(failed=dead)
+            core.finish(failed=core.dead)
             if active is not None:
                 result.counters["faults.dropped_messages"] = (
                     active.dropped_messages
@@ -1062,11 +414,640 @@ class FaultTolerantRuntime:
         return main_proc, finish
 
 
+class FTHead:
+    """One launch's fault-tolerant head, shared by the plug-ins: the
+    :class:`~repro.core.runtime.HeadCore` (plug-ins read the live
+    ``core.dm``, which a failover replaces), the node acting as head
+    (``home``), the log (``repl``, ``append``), every mapped buffer by
+    id, and the recover step :meth:`execute` each task frame runs."""
+
+    def __init__(self, core: HeadCore, graph, repl: Replicator | None,
+                 detector: FailureDetector | None):
+        self.core = core
+        self.graph = graph
+        self.home = HOST
+        self.repl = repl
+        self.append = (repl.append if repl is not None
+                       else lambda *_a, **_k: None)
+        self.slots = Resource(core.sim, capacity=core.cfg.head_threads,
+                              name="head-threads")
+        #: Head-side processes of the current head incarnation, all
+        #: interrupted when it dies: its frames unwind before the
+        #: successor rebuilds state, so no stale completion races it.
+        self.epoch = ProcessGroup(core.sim, core.fail)
+        self.buffers: dict[int, Buffer] = {
+            b.buffer_id: b for t in graph.tasks() for b in t.touched
+        }
+        self.lineage = Lineage(self)
+        self.checkpointer = Checkpointer(self)
+        self.replay = LogReplay(self, detector)
+        self.speculation = Speculation(self)
+
+    def live_workers(self) -> list[int]:
+        return [n for n in range(1, self.core.cluster.num_nodes)
+                if n not in self.core.dead]
+
+    def target_node(self, task: Task) -> int:
+        dead = self.core.dead
+        forced = self.replay.forced_target.get(task.task_id)
+        if forced is not None and forced not in dead:
+            return forced
+        node = self.core.schedule.node_of(task)
+        if node == HOST:
+            return self.home  # data stays with the (current) head
+        if node in dead:
+            # Deterministic re-map: spread by task id over survivors.
+            survivors = self.live_workers()
+            if not survivors:
+                raise ClusterExhausted("all worker nodes have failed")
+            node = survivors[task.task_id % len(survivors)]
+        return node
+
+    def handle_node_death(self, node: int, _by: int | None = None) -> None:
+        """A worker is declared dead (the detector's ``on_detect``):
+        recovery state updates at once, and in-flight guards race the
+        failure event."""
+        core = self.core
+        if node in core.dead or node == self.home:
+            return  # the head's own death is the failover path's job
+        core.dead.add(node)
+        core.dm.on_node_failure(node)
+        # Forgetting the node frees its tiered memory.
+        core._mem_wake()
+        core.result.failures.append(node)
+        self.append("node_dead", node=node)
+
+    def on_commit(self, task: Task, node: int, buf, recovery: bool) -> None:
+        if buf is None:
+            self.lineage.record_writes(task, node, recovery)
+        elif task.kind == TaskKind.TARGET_ENTER_DATA:
+            self.append("enter_data", buffer_id=buf.buffer_id, node=node)
+        else:
+            self.append("exit_data", buffer_id=buf.buffer_id, home=node)
+
+    # -- dispatch ---------------------------------------------------------
+    def spawn(self, task: Task) -> None:
+        self.epoch.spawn(
+            self.core.run_task(task, self.slots, self.complete,
+                               origin=self.home, body=self.execute),
+            name=f"ft-task:{task.name}",
+        )
+
+    def complete(self, task: Task) -> None:
+        if task.kind.is_data_movement:
+            # ENTER/EXIT completions carry no writes, so they are
+            # logged here rather than through record_writes.
+            self.append("task_done", task_id=task.task_id, node=self.home)
+        frontier = self.core.frontier
+        frontier.done(task)
+        frontier.release(task, self.spawn)
+        frontier.settle()
+
+    def dispatch_ready(self) -> None:
+        frontier = self.core.frontier
+        for task in frontier.ready():
+            self.spawn(task)
+        frontier.settle()
+
+    def start_epoch(self) -> None:
+        """Spawn the head-side services of the current incarnation."""
+        fo_epoch = self.core.fo_epoch
+        if self.repl is not None:
+            for s in self.repl.live_standbys():
+                self.epoch.spawn(self.repl.pump(s),
+                                 name=f"repl-pump{s}.e{fo_epoch}")
+        if self.core.cfg.checkpoint_interval > 0:
+            self.epoch.spawn(self.checkpointer.run(),
+                             name=f"ft-checkpoint.e{fo_epoch}")
+
+    def execute(self, task: Task, chain: frozenset = frozenset()):
+        """Generator: run ``task`` to completion through the core's
+        frames, retrying a frame a node death failed on a fresh plan.
+
+        Before each frame the buffers it reads get a live copy
+        (lineage or checkpoint recovery, carrying ``chain``; a
+        non-empty ``chain`` marks a lineage re-execution).
+        """
+        core = self.core
+        recovery = bool(chain)
+        attempts = self.speculation.attempts
+        while True:
+            node = self.target_node(task)
+            attempts[task.task_id] = attempts.get(task.task_id, 0) + 1
+            if self.repl is not None and not recovery:
+                yield from self._log_dispatch(task, node)
+            try:
+                if task.kind != TaskKind.CLASSICAL:
+                    entering = task.kind == TaskKind.TARGET_ENTER_DATA
+                    for buf in task.buffers if entering else task.reads:
+                        yield from self.lineage.ensure_available(buf, chain)
+                dedup = (not recovery
+                         and task.task_id in self.replay.forced_target)
+                yield from core._run_by_kind(task, self.home, dedup, node,
+                                             recovery)
+                return
+            except _NodeCrashed as crash:
+                if crash.node == self.home:
+                    # The head itself died under this frame; the
+                    # failover path owns recovery — park until the
+                    # epoch teardown interrupts us.
+                    yield core.sim.event("park-for-failover")
+                self.handle_node_death(crash.node)  # retry on a survivor
+
+    def _log_dispatch(self, task: Task, node: int):
+        fence = False
+        if task.kind in (TaskKind.CLASSICAL, TaskKind.TARGET):
+            self.append(
+                "dispatch", task_id=task.task_id,
+                node=self.home if task.kind == TaskKind.CLASSICAL else node,
+            )
+            # INOUT fence: an ambiguous in-place mutation must be
+            # *detectable* from every replica before it can happen.
+            fence = any(d.type.writes and d.type.reads for d in task.deps)
+        yield from self.repl.flush() if fence else self.repl.throttle()
+
+
+# -- the recovery plug-ins ------------------------------------------------
+class Lineage:
+    """Lineage and checkpoint recovery of lost buffers.
+
+    State: ``writer_of`` (the task that produced each buffer's current
+    value), ``write_version`` (a per-buffer write counter: checkpoint
+    freshness), ``write_log`` (``(version, task)`` in commit order),
+    ``written_buffers`` (the checkpointer's worklist), ``checkpoints``
+    (buffer id → ``(version, pristine snapshot)``) and ``recovering``
+    (one recovery per buffer at a time).  A failover replaces the whole
+    object (:meth:`LogReplay.rebuild`).
+    """
+
+    def __init__(self, head: FTHead):
+        self.head = head
+        self.writer_of: dict[int, Task] = {}
+        self.write_version: dict[int, int] = {}
+        self.write_log: dict[int, list[tuple[int, Task]]] = {}
+        self.written_buffers: dict[int, Buffer] = {}
+        self.checkpoints: dict[int, tuple[int, Any]] = {}
+        self.recovering: dict[int, object] = {}
+
+    def record_writes(self, task: Task, node: int | None,
+                      recovery: bool = False) -> None:
+        """Record ``task``'s writes and log its completion on
+        ``node``; ``node=None`` replays a logged completion."""
+        for buf in task.writes:
+            self.writer_of[buf.buffer_id] = task
+            self.written_buffers[buf.buffer_id] = buf
+            if recovery:
+                # Replays re-derive an already-recorded write: the
+                # version counter must stay aligned with what a
+                # standby reconstructs from the log, or checkpoint
+                # freshness comparisons diverge after a failover.
+                continue
+            version = self.write_version.get(buf.buffer_id, 0) + 1
+            self.write_version[buf.buffer_id] = version
+            self.write_log.setdefault(buf.buffer_id, []).append((version, task))
+        if not recovery and node is not None:
+            self.head.append("task_done", task_id=task.task_id, node=node)
+
+    def ensure_available(self, buffer: Buffer, chain: frozenset = frozenset()):
+        """Generator: guarantee a live copy of ``buffer`` exists.
+
+        ``chain`` carries the buffer ids already being recovered on
+        this call stack: needing one of them again means the lost
+        value can only be rebuilt from itself (an in-place/INOUT
+        producer), which is unrecoverable *without checkpoints* —
+        with checkpointing on, the snapshot breaks the cycle.
+        """
+        core = self.head.core
+        bid = buffer.buffer_id
+        while True:
+            token = self.recovering.get(bid)
+            if token is not None and bid not in chain:
+                # Someone else is recovering it: a location the
+                # re-execution lists may not hold the value yet.
+                yield token
+                continue
+            if core.dm.locations(buffer) - core.dead:
+                return
+            entry = self.checkpoints.get(bid)
+            if bid in chain:
+                if entry is None:
+                    raise RecoveryError(
+                        f"buffer {buffer.name} can only be rebuilt "
+                        "from its own lost value (in-place producer); "
+                        "checkpoint-free lineage recovery cannot help"
+                    )
+                # A recursive loss mid-replay of this very buffer:
+                # the in-flight restore sequence is void, tell the
+                # owning frame to start over from the snapshot.
+                raise _RecoveryRestart(bid)
+            producer = self.writer_of.get(bid)
+            if entry is None and producer is None:
+                raise RecoveryError(
+                    f"buffer {buffer.name} lost with no recorded "
+                    "producer; its initial value existed only on the "
+                    "failed node"
+                )
+            done = core.sim.event(f"recover:{buffer.name}")
+            self.recovering[bid] = done
+            try:
+                if entry is not None:
+                    yield from self.restore_and_replay(buffer, chain)
+                else:
+                    yield from self.head.execute(producer, chain | {bid})
+                    core.result.reexecuted_tasks += 1
+            finally:
+                del self.recovering[bid]
+                done.succeed()
+
+    def restore_and_replay(self, buffer: Buffer, chain: frozenset):
+        """Generator: rebuild ``buffer`` from its newest checkpoint.
+
+        Restores the snapshot to the head, then replays — in commit
+        order — every write newer than the snapshot, so multi-step
+        in-place chains come back complete, not just their last
+        link.  If a replayed copy is lost again mid-sequence the
+        whole sequence restarts from a fresh restore (partial
+        replays would otherwise double-apply in-place writes).
+        """
+        core = self.head.core
+        bid = buffer.buffer_id
+        while True:
+            version, snap = self.checkpoints[bid]
+            _restore_into(buffer, snap)
+            core.dm.commit_restore(buffer)
+            core.result.checkpoint_restores += 1
+            core.obs.count("ft.checkpoint_restores")
+            # Replays append to the log too; keep each task's first
+            # occurrence only, in original commit order.
+            pending: dict[int, Task] = {}
+            for ver, task in self.write_log.get(bid, []):
+                if ver > version:
+                    pending.setdefault(task.task_id, task)
+            try:
+                for task in pending.values():
+                    yield from self.head.execute(task, chain | {bid})
+                    core.result.reexecuted_tasks += 1
+            except _RecoveryRestart as restart:
+                if restart.buffer_id != bid:
+                    raise
+                continue
+            return
+
+
+class Checkpointer:
+    """Periodic head-side snapshots (``OMPCConfig.checkpoint_interval``).
+
+    Each snapshot is retrieved through the event system, so checkpoint
+    traffic is charged like any other data movement.  Only buffers
+    written since their last snapshot are refreshed; one written again
+    during its retrieve waits for the next round.  Each head epoch runs
+    one :meth:`run` loop against the current :class:`Lineage`.
+    """
+
+    def __init__(self, head: FTHead):
+        self.head = head
+        self.stopped = False
+
+    def run(self):
+        """Generator: snapshot the written buffers every interval."""
+        head = self.head
+        core = head.core
+        while not self.stopped:
+            yield core.sim.timeout(core.cfg.checkpoint_interval)
+            if self.stopped:
+                return
+            lineage, home = head.lineage, head.home
+            for bid in sorted(lineage.written_buffers):
+                buf = lineage.written_buffers[bid]
+                version = lineage.write_version.get(bid, 0)
+                entry = lineage.checkpoints.get(bid)
+                if entry is not None and entry[0] >= version:
+                    continue  # snapshot already current
+                locations = core.dm.locations(buf) - core.dead
+                if not locations:
+                    continue  # already lost; recovery owns it now
+                src = core.dm.latest(buf)
+                if src in core.dead or src not in locations:
+                    src = home if home in locations else min(locations)
+                payload = buf.data
+                if src != home:
+                    try:
+                        payload = yield from core.guard([src], (
+                            core.events.retrieve(src, bid, buf.nbytes,
+                                                 origin=home)))
+                    except _NodeCrashed as crash:
+                        head.handle_node_death(crash.node)
+                        continue
+                    if lineage.write_version.get(bid, 0) != version:
+                        continue  # changed mid-flight; next round
+                lineage.checkpoints[bid] = (version, _snapshot(payload))
+                core.result.checkpoints_taken += 1
+                core.obs.count("ft.checkpoints")
+                # Snapshots ride the log by reference: the stored copy
+                # is pristine (restores copy out of it), so sharing it
+                # with the replicas is safe.
+                head.append(
+                    "checkpoint", nbytes=LOG_RECORD_BYTES + buf.nbytes,
+                    buffer_id=bid, version=version,
+                    snap=lineage.checkpoints[bid][1],
+                )
+
+
+class LogReplay:
+    """Head failover: elect a standby, replay its log, resume.
+
+    The log starts with every buffer's initial value (:meth:`bootstrap`).
+    On a confirmed head death (:meth:`on_head_death`) :meth:`failover`
+    ends the dead head's epoch, elects a standby and installs the state
+    :meth:`rebuild` replays from its replica, including
+    ``forced_target``: in-doubt tasks go back to their surviving target
+    with ``dedup=True``, so it answers work it already ran from its
+    completion table.
+    """
+
+    def __init__(self, head: FTHead, detector: FailureDetector | None):
+        self.head = head
+        self.detector = detector
+        self.forced_target: dict[int, int] = {}
+        self._declared: dict[int, Any] = {}
+
+    def _declared_event(self, node: int):
+        if node not in self._declared:
+            self._declared[node] = self.head.core.sim.event(
+                f"head-declared:{node}")
+        return self._declared[node]
+
+    def on_head_death(self, node: int, by: int) -> None:
+        """Detector verdict on the head (``on_head_detect``): STONITH,
+        then wake failover.  A falsely declared head is killed for real
+        before any successor takes over — two live heads racing the same
+        workers would be worse than one wrongly lost node."""
+        core = self.head.core
+        core.events.fail_node(node)
+        ev = self._declared_event(node)
+        if not ev.triggered:
+            ev.succeed((by, core.sim.now))
+
+    def bootstrap(self) -> None:
+        """Log every buffer's pristine initial value, so even a
+        first-write INOUT loss is restorable after failover (the caller
+        flushes it to every standby before any task may run)."""
+        buffers = self.head.buffers
+        ids = sorted(buffers)
+        self.head.append(
+            "bootstrap",
+            nbytes=LOG_RECORD_BYTES + sum(buffers[b].nbytes for b in ids),
+            snapshots=tuple((b, _snapshot(buffers[b].data)) for b in ids),
+        )
+
+    def rebuild(self, old_head: int):
+        """Replay the log into fresh head state for the elected
+        ``head.home``: ``(dm, frontier, lineage, forced_target,
+        redispatched)``, where ``forced_target`` maps in-doubt tasks (a
+        dispatch with no completion) to their surviving target and
+        ``redispatched`` counts the in-doubt tasks.
+
+        Only *logged* transitions are replayed — completions, data
+        enter/exit, node deaths, checkpoints — which yields a
+        conservative directory: every logged write pinned its buffer
+        to the writing node, so dropping knowledge of intermediate
+        moves can only forget extra replicas, never invent one.
+        Writes are replayed for classical and target completions only,
+        as the live head records them, so replayed versions equal the
+        live ones.
+        """
+        head = self.head
+        core, graph, home = head.core, head.graph, head.home
+        dead, events = core.dead, core.events
+        dm = DataManager(analysis=core.dm.analysis)
+        lineage = Lineage(head)
+        completed: set[int] = set()
+        dispatched: dict[int, int] = {}
+        dropped: set[int] = set()
+        for rec in head.repl.log.records:
+            d = rec.data
+            if rec.kind == "bootstrap":
+                for bid, snap in d["snapshots"]:
+                    lineage.checkpoints[bid] = (0, snap)
+            elif rec.kind == "dispatch":
+                dispatched[d["task_id"]] = d["node"]
+            elif rec.kind == "task_done":
+                tid = d["task_id"]
+                completed.add(tid)
+                dispatched.pop(tid, None)
+                task = graph.task(tid)
+                if not task.kind.is_data_movement:
+                    lineage.record_writes(task, None)
+                if task.kind == TaskKind.TARGET:
+                    dm.commit_task_done(task, d["node"])
+            elif rec.kind == "enter_data":
+                dm.commit_enter_data(head.buffers[d["buffer_id"]], d["node"])
+            elif rec.kind == "exit_data":
+                # Apply with the home that was current when logged.
+                dm.rehome(d["home"])
+                dm.commit_exit_data(head.buffers[d["buffer_id"]])
+            elif rec.kind == "node_dead":
+                dropped.add(d["node"])
+                if d["node"] != dm.home:
+                    dm.on_node_failure(d["node"])
+            elif rec.kind == "checkpoint":
+                lineage.checkpoints[d["buffer_id"]] = (d["version"], d["snap"])
+        dm.rehome(home)
+        for n in sorted((dead | {old_head}) - dropped):
+            if n != home:
+                dm.on_node_failure(n)
+                head.append("node_dead", node=n)
+        # Completed-but-unreplicated work re-runs; the worker-side dedup
+        # and epoch fencing keep that idempotent on a surviving target.
+        in_doubt = sorted(set(dispatched) - completed)
+        forced_target: dict[int, int] = {}
+        for tid in in_doubt:
+            node = dispatched[tid]
+            if node != old_head:
+                if node not in dead and not events.node_failed(node):
+                    forced_target[tid] = node
+                    continue
+                # In-doubt target (declared dead but physically still
+                # running): fence it for real so no zombie in-place
+                # mutation can land after the restore below.
+                events.fail_node(node)
+            for dep in graph.task(tid).deps:
+                if dep.type.writes and dep.type.reads:
+                    # The lost dispatch may or may not have applied its
+                    # in-place mutation; only a snapshot restore plus
+                    # write-log replay is well-defined.
+                    dm.invalidate(dep.buffer)
+        if core.dm.tiering is not None:
+            # Re-arm the tiered store: every replica the log knows about
+            # is charged; the ones it forgot are tombstones the eviction
+            # pass collects.
+            configure_tiering(dm, core.cfg, core.cluster)
+            for bid in sorted(head.buffers):
+                buf = head.buffers[bid]
+                for n in sorted(dm.locations(buf)):
+                    if n not in dead and dm.tiered(n):
+                        dm.tiering.charge(n, buf)
+        return (dm, Frontier(core.sim, graph, completed), lineage,
+                forced_target, len(in_doubt))
+
+    def failover(self):
+        """Generator: elect, adopt, rebuild, resume (one head death)."""
+        head = self.head
+        core, repl = head.core, head.repl
+        sim, events, dead = core.sim, core.events, core.dead
+        old_head = head.home
+        failed_at = sim.now
+        # Tear down the dead head's epoch first: every head-side
+        # frame unwinds before the successor rebuilds state.
+        head.epoch.end("head failover")
+        if repl is None:
+            raise RecoveryError(
+                "head node failed with no standbys configured "
+                "(OMPCConfig.head_standbys = 0); head state is "
+                "unrecoverable"
+            )
+        if old_head not in dead:
+            dead.add(old_head)
+            core.result.failures.append(old_head)
+        if not any(
+            n != old_head and not events.node_failed(n)
+            for n in range(core.cluster.num_nodes)
+        ):
+            raise RecoveryError("head node failed and no live node "
+                                "remains to elect a successor")
+        by, declared_at = yield self._declared_event(old_head)
+        taken = yield from repl.take_over(
+            by, exclude=frozenset(dead | self.detector.dead | {old_head})
+        )
+        if taken is None:
+            raise RecoveryError(
+                "head node failed and no live standby replica "
+                "survives to take over (raise "
+                "OMPCConfig.head_standbys)"
+            )
+        head.home, elected_at = taken
+        core.fo_epoch = repl.log.epoch
+        self.detector.rebase(head.home)
+        yield from repl.replay()
+        (core.dm, core.frontier, head.lineage, self.forced_target,
+         redispatched) = self.rebuild(old_head)
+        head.start_epoch()
+        core.result.failovers.append(FailoverEvent(
+            epoch=repl.log.epoch, old_head=old_head, new_head=head.home,
+            failed_at=failed_at, declared_at=declared_at,
+            elected_at=elected_at, resumed_at=sim.now,
+            replayed_records=len(repl.log.records),
+            redispatched_tasks=redispatched,
+        ))
+        core.obs.count("ft.head_failovers")
+        # Relaunch whatever the rebuilt frontier finds runnable.
+        head.dispatch_ready()
+
+
+class Speculation:
+    """Straggler mitigation (``OMPCConfig.straggler_factor``), installed
+    as the core's target frame (``HeadCore.run_target``).  ``attempts``
+    counts frame attempts per task id (``FTRunResult.task_attempts``).
+    """
+
+    def __init__(self, head: FTHead):
+        self.head = head
+        self.attempts: dict[int, int] = {}
+        #: Ids of speculative attempts (the loser's EXECUTE is revoked).
+        self._exec_attempt = itertools.count(1)
+
+    def speculatable(self, task: Task) -> bool:
+        """Target tasks eligible for speculative re-dispatch.
+
+        Only pure-``out`` writers qualify: a losing attempt's kernel
+        launch is revoked, but one that already ran merely rewrote
+        outputs it fully overwrites — the same idempotence contract
+        lineage recovery relies on.  INOUT writers are excluded.
+        """
+        core = self.head.core
+        return (
+            core.cfg.straggler_factor > 0
+            # Speculation doubles a task's transient footprint (both
+            # attempts stage full working sets); under a bounded
+            # device budget the duplicate attempt could itself force
+            # the eviction storm it is trying to outrun, so tiered
+            # runs fall back to plain (admission-controlled) dispatch.
+            and core.dm.tiering is None
+            and task.kind == TaskKind.TARGET
+            and task.cost > 0
+            and all(not (d.type.writes and d.type.reads) for d in task.deps)
+            and len(self.head.live_workers()) > 1
+        )
+
+    def run_target(self, task: Task, node: int, origin: int, dedup: bool,
+                   attempt: int = 0, recovery: bool = False):
+        """Generator: the core's target frame.  A speculatable task's
+        primary attempt gets ``straggler_factor`` times its cost
+        estimate; past that a backup starts on another live worker, the
+        first to finish wins, and the loser's kernel launch is revoked
+        so a late finish cannot clobber downstream writes."""
+        core = self.head.core
+        if not self.speculatable(task):
+            yield from core._run_target(task, node, origin, dedup, attempt,
+                                        recovery)
+            return
+        sim = core.sim
+
+        def attempt_on(n: int, label: str):
+            att = next(self._exec_attempt)
+            proc = sim.process(
+                core._run_target(task, n, origin, dedup, att, recovery),
+                name=f"ft-spec:{task.name}.{label}",
+            )
+            settled = sim.event(f"settle:{task.name}.{label}")
+            proc.add_callback(lambda _ev: settled.succeed())
+            return proc, att, settled
+
+        estimate = core.cluster.node(node).compute_time(task.cost)
+        primary, attempt_a, p_done = attempt_on(node, "a")
+        yield AnyOf(sim, [
+            p_done, sim.timeout(core.cfg.straggler_factor * estimate)
+        ])
+        spare = [n for n in self.head.live_workers() if n != node]
+        if primary.triggered or not spare:
+            if not primary.triggered:
+                yield p_done  # no spare worker: wait the straggler out
+            if not primary.ok:
+                raise primary.value
+            return
+        self.attempts[task.task_id] = self.attempts.get(task.task_id, 0) + 1
+        core.result.speculative_attempts += 1
+        core.obs.count("ft.speculative_attempts")
+        backup, attempt_b, b_done = attempt_on(
+            spare[task.task_id % len(spare)], "b")
+        yield AnyOf(sim, [p_done, b_done])
+        first, second, second_att, second_done = (
+            (primary, backup, attempt_b, b_done) if primary.triggered
+            else (backup, primary, attempt_a, p_done)
+        )
+        if first.ok:
+            core.events.cancel_execution(task.task_id, second_att)
+            if second.is_alive:
+                second.interrupt("lost speculation race")
+        else:
+            # The first finisher crashed; absorb its node's death and
+            # let the surviving attempt decide the task.
+            if not isinstance(first.value, _NodeCrashed):
+                raise first.value
+            self.head.handle_node_death(first.value.node)
+            if not second.triggered:
+                yield second_done
+            if not second.ok:
+                raise second.value  # both attempts crashed: retry
+            first = second
+        if first is backup:
+            core.result.speculation_wins += 1
+
+
 def _snapshot(payload: Any) -> Any:
     """A pristine copy of a device payload for checkpoint storage."""
     if payload is None:
         return None
-
     if isinstance(payload, np.ndarray):
         return payload.copy()
     return _copy.deepcopy(payload)

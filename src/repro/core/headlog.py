@@ -389,6 +389,13 @@ class Replicator:
         self.set_head(winner, votes)
         return winner, elected_at
 
+    def replay(self):
+        """Generator: the elected head replays its adopted replica into
+        fresh control state, CPU work charged per record."""
+        cost = len(self.log.records) * LOG_REPLAY_UNIT_COST
+        if cost:
+            yield self.sim.timeout(cost)
+
     def set_head(self, new_head: int, votes: dict[int, tuple[int, int]]) -> None:
         """Re-root replication at the elected head.
 

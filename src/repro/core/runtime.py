@@ -295,8 +295,9 @@ class HeadCore:
     (:mod:`repro.core.faults`) one slot pool, a head that may move on
     failover (the frames test ``dm.home``, never node 0), recovery and
     the plug-ins below: the "node may die" hook (:attr:`dead` and
-    :attr:`guard`), commit bookkeeping (:attr:`on_commit`),
-    :attr:`tombstones` and :attr:`fo_epoch`.  Every event-system call
+    :attr:`guard`), commit bookkeeping (:attr:`on_commit`), the target
+    frame (:attr:`run_target`), :attr:`tombstones` and
+    :attr:`fo_epoch`.  Every event-system call
     takes the frame's ``origin``: the head's node for a single head,
     the shard's manager node for a shard.
     """
@@ -335,7 +336,6 @@ class HeadCore:
         self.dm = DataManager(analysis=analysis if analysis.enabled else None)
         analysis.program_begin(program)
         configure_tiering(self.dm, cfg, cluster)
-        self.tiering = self.dm.tiering
         #: In-flight eviction markers, by buffer id (planners must not
         #: read a buffer whose spill/drop is mid-flight) and by node
         #: (MemoryWait waits for the node's in-flight evictions).
@@ -356,6 +356,8 @@ class HeadCore:
         #: guard that hands back the operation itself.
         self.dead: set[int] = set()
         self.guard = _unguarded
+        #: The target frame, :meth:`_run_target` unless a runtime wraps it.
+        self.run_target = self._run_target
         #: No physical stale-copy DELETE: the directory drops the copy,
         #: the bytes stay (set while head standbys replicate).
         self.tombstones = False
@@ -516,7 +518,7 @@ class HeadCore:
         buf = move.buffer
         obs, events, dm = self.obs, self.events, self.dm
         home = dm.home
-        if self.tiering is not None:
+        if dm.tiering is not None:
             yield from fetch_gate(self.cluster, self.cfg, buf, move.dst)
         move_span = obs.begin(
             "data", f"move:{buf.name}", origin,
@@ -670,7 +672,7 @@ class HeadCore:
             obs.count("mem.evict")
         finally:
             # Landed, or abandoned with the copy still charged.
-            self.tiering.settle(node, buf.buffer_id)
+            self.dm.tiering.settle(node, buf.buffer_id)
             bucket = self._evicting_bufs.get(buf.buffer_id)
             if bucket is not None:
                 bucket.discard(marker)
@@ -793,20 +795,27 @@ class HeadCore:
         analysis.task_end(task)
         complete(task)
 
-    def _run_by_kind(self, task: Task, origin: int, dedup: bool):
-        node = self.schedule.node_of(task)
+    def _run_by_kind(self, task: Task, origin: int, dedup: bool,
+                     node: int | None = None, recovery: bool = False):
+        """Generator: the frame of ``task``'s kind on ``node`` (default:
+        its scheduled node); ``recovery`` marks a lineage re-execution."""
+        if node is None:
+            node = self.schedule.node_of(task)
         if task.kind == TaskKind.CLASSICAL:
-            yield from self._run_classical(task, self.cluster.head)
+            yield from self._run_classical(task, recovery)
         elif task.kind == TaskKind.TARGET_ENTER_DATA:
             yield from self._run_enter_data(task, node, origin)
         elif task.kind == TaskKind.TARGET_EXIT_DATA:
             yield from self._run_exit_data(task, origin)
         else:
-            yield from self._run_target(task, node, origin, dedup)
+            yield from self.run_target(task, node, origin, dedup,
+                                       recovery=recovery)
 
-    def _run_classical(self, task: Task, head):
-        """Generator: run a classical task on the ``head`` node's CPU
-        against host memory."""
+    def _run_classical(self, task: Task, recovery: bool = False):
+        """Generator: run a classical task on the home node's CPU
+        against host memory, then commit its writes there."""
+        home = self.dm.home
+        head = self.cluster.node(home)
         self.analysis.on_host_task(task, self.dm)
         yield from head.cpu.acquire()
         try:
@@ -816,6 +825,7 @@ class HeadCore:
                 task.fn(*(d.buffer.data for d in task.deps))
         finally:
             head.cpu.release()
+        self.on_commit(task, home, None, recovery)
 
     def _enter_broadcast(self, task: Task, node: int, origin: int):
         # §7 extension: one-to-many proactive distribution.  When the
@@ -940,8 +950,8 @@ class HeadCore:
     def on_commit(self, task: Task, node: int, buf, recovery: bool) -> None:
         """Commit bookkeeping, called right after each directory commit
         of a frame (a driver may replace it): ``buf`` is ``None`` for a
-        target's writes on ``node``, else one buffer entered on ``node``
-        or exited to the home ``node``.  The plain runtime keeps none."""
+        task's writes on ``node``, else one buffer entered on ``node`` or
+        exited to the home ``node``.  The plain runtime keeps none."""
 
     def count_reads(self, task: Task, node: int, fetched) -> None:
         """Read-through accounting on a tiered ``node``: each buffer

@@ -57,7 +57,7 @@ from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
 from repro.core.events import NOTIFICATION_BYTES
 from repro.core.gossip import FailureDetector
-from repro.core.headlog import LOG_REPLAY_UNIT_COST, HeadLog, Replicator
+from repro.core.headlog import HeadLog, Replicator
 from repro.core.runtime import HeadCore, ProcessGroup, reject_unread
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
 from repro.core.shard.directory import ShardDirectory
@@ -413,8 +413,7 @@ class ShardedRuntime:
             shard.failing = True
             obs.count("shard.failovers")
             shard.stats.failovers += 1
-            if not events.node_failed(old):
-                events.fail_node(old)  # STONITH: silence the old manager
+            events.fail_node(old)  # STONITH: silence the old manager
             shard.frames.end()
             shard.pumps.end()
             taken = yield from shard.repl.take_over(
@@ -427,9 +426,7 @@ class ShardedRuntime:
                 return
             shard.manager = shard.stats.manager = taken[0]
             # Replay the adopted log into a fresh manager state.
-            replay = len(shard.repl.log.records) * LOG_REPLAY_UNIT_COST
-            if replay:
-                yield sim.timeout(replay)
+            yield from shard.repl.replay()
             shard.slots = Resource(
                 sim, capacity=cfg.head_threads,
                 name=f"shard{shard.sid}-threads-e{shard.repl.log.epoch}",
@@ -475,8 +472,7 @@ class ShardedRuntime:
 
         def injector(at: float, node: int):
             yield sim.timeout(at)
-            if not events.node_failed(node):
-                events.fail_node(node)
+            events.fail_node(node)
 
         # -- manager and main processes ------------------------------------
         def manager_body(shard: _Shard):

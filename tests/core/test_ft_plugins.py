@@ -1,0 +1,243 @@
+"""Unit tests of the fault-tolerant runtime's recovery plug-ins.
+
+Each test drives :class:`~repro.core.faults.FTHead` and one plug-in
+(:class:`~repro.core.faults.Lineage`, :class:`~repro.core.faults.Checkpointer`,
+:class:`~repro.core.faults.LogReplay`, :class:`~repro.core.faults.Speculation`)
+against a bare simulator, a synthetic :class:`~repro.core.headlog.HeadLog`,
+a bare :class:`~repro.core.datamanager.DataManager` and fake frames: no
+cluster, MPI world or event system is built.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.core.config import OMPCConfig
+from repro.core.datamanager import DataManager
+from repro.core.faults import FTHead, FTRunResult, RecoveryError
+from repro.core.headlog import HeadLog
+from repro.core.scheduler import Schedule
+from repro.obs.observer import NullObserver
+from repro.sim import Interrupt, Simulator
+
+from tests.core.test_failover import chain_program, shots_program
+
+NODES = 4
+
+
+class FakeEvents:
+    """The event-system calls the plug-ins make, without the machinery."""
+
+    def __init__(self):
+        self.failed: set[int] = set()
+        self.cancelled: list[tuple[int, int]] = []
+
+    def node_failed(self, node):
+        return node in self.failed
+
+    def fail_node(self, node):
+        self.failed.add(node)
+
+    def cancel_execution(self, task_id, attempt):
+        self.cancelled.append((task_id, attempt))
+
+
+def make_head(program, log=None, **cfg):
+    """An :class:`FTHead` over a fake core: every task scheduled on
+    node 1, ``NODES`` nodes, each computing at speed 1.  A ``log``
+    stands in for the replicated head log."""
+    sim = Simulator()
+    graph = program.graph
+    core = SimpleNamespace(
+        sim=sim, cfg=OMPCConfig(**cfg), dm=DataManager(), dead=set(),
+        events=FakeEvents(), obs=NullObserver(sim), fo_epoch=0,
+        result=FTRunResult(makespan=0.0, schedule=Schedule({})),
+        schedule=Schedule({t.task_id: 1 for t in graph.tasks()}),
+        cluster=SimpleNamespace(
+            num_nodes=NODES,
+            node=lambda n: SimpleNamespace(compute_time=lambda cost: cost),
+        ),
+        guard=lambda nodes, operation: operation,
+        fail=lambda exc: None,
+        _mem_wake=lambda: None,
+    )
+    repl = None
+    if log is not None:
+        repl = SimpleNamespace(log=log, append=log.append,
+                               flush=lambda: iter(()),
+                               throttle=lambda: iter(()))
+    head = FTHead(core, graph, repl, detector=None)
+    core.run_target = head.speculation.run_target
+    return head
+
+
+def fake_frames(head, calls):
+    """Install a fake ``HeadCore._run_by_kind``: it records its
+    arguments, applies the task to the host buffers and commits its
+    writes on the target node."""
+    core = head.core
+
+    def run_by_kind(task, origin, dedup, node, recovery):
+        calls.append((task.name, origin, dedup, node, recovery))
+        if task.fn is not None:
+            task.fn(*(d.buffer.data for d in task.deps))
+        core.dm.commit_task_done(task, node)
+        head.on_commit(task, node, None, recovery)
+        yield from ()
+
+    core._run_by_kind = run_by_kind
+
+
+def task_named(program, name):
+    return next(t for t in program.graph.tasks() if t.name == name)
+
+
+class TestLogReplay:
+    def test_replayed_versions_equal_the_live_ones(self):
+        prog, _x = chain_program(steps=2)
+        log = HeadLog()
+        head = make_head(prog, log=log)
+        # The live head's log: data-movement completions are logged by
+        # FTHead.complete, target writes through on_commit.
+        for task in prog.graph.tasks():
+            if task.kind.is_data_movement:
+                head.append("task_done", task_id=task.task_id, node=0)
+            else:
+                head.on_commit(task, 1, None, False)
+        live = head.lineage
+        head.home = 2
+        _dm, frontier, replayed, forced, redispatched = head.replay.rebuild(0)
+        assert replayed.write_version == live.write_version
+        x_id = task_named(prog, "step0").deps[0].buffer.buffer_id
+        assert replayed.write_version == {x_id: 2}
+        assert {
+            bid: [(v, t.task_id) for v, t in hist]
+            for bid, hist in replayed.write_log.items()
+        } == {
+            bid: [(v, t.task_id) for v, t in hist]
+            for bid, hist in live.write_log.items()
+        }
+        assert replayed.writer_of == live.writer_of
+        assert frontier.pending == 0
+        assert (forced, redispatched) == ({}, 0)
+
+    @pytest.mark.parametrize("target_dead", [True, False])
+    def test_in_doubt_inout_dispatch(self, target_dead):
+        prog, x = chain_program(steps=1)
+        enter, step0 = task_named(prog, "enter_data0"), task_named(prog, "step0")
+        buf = step0.deps[0].buffer
+        log = HeadLog()
+        log.append("bootstrap", snapshots=((buf.buffer_id, x.copy()),))
+        log.append("enter_data", buffer_id=buf.buffer_id, node=1)
+        log.append("enter_data", buffer_id=buf.buffer_id, node=3)
+        log.append("task_done", task_id=enter.task_id, node=0)
+        log.append("dispatch", task_id=step0.task_id, node=1)
+        head = make_head(prog, log=log)
+        core = head.core
+        if target_dead:
+            core.dead.add(1)
+        head.home = 2
+        dm, _frontier, lineage, forced, redispatched = head.replay.rebuild(0)
+        assert redispatched == 1
+        assert lineage.checkpoints[buf.buffer_id][0] == 0
+        if target_dead:
+            # The dispatch may or may not have applied x += 1: every
+            # copy is void, and the zombie target is fenced.
+            assert dm.locations(buf) == set()
+            assert forced == {}
+            assert core.events.node_failed(1)
+            return
+        assert dm.locations(buf) == {1, 3}
+        assert forced == {step0.task_id: 1}
+        assert not core.events.node_failed(1)
+        # The re-issue goes back to node 1 and carries dedup=True.
+        core.dm, head.replay.forced_target = dm, forced
+        calls = []
+        fake_frames(head, calls)
+        core.sim.process(head.execute(step0))
+        core.sim.run()
+        assert calls == [("step0", 2, True, 1, False)]
+
+
+class TestLineage:
+    def test_in_place_self_dependence_without_checkpoint_is_named(self):
+        prog, _x = chain_program(steps=1)
+        head = make_head(prog)
+        core = head.core
+        step0 = task_named(prog, "step0")
+        buf = step0.deps[0].buffer
+        core.dm.commit_enter_data(buf, 1)
+        core.dm.commit_task_done(step0, 1)
+        head.lineage.record_writes(step0, 1)
+        core.dead.add(1)
+        core.dm.on_node_failure(1)  # x's only copy died after step0
+        core._run_by_kind = None  # recovery must fail before any frame
+        with pytest.raises(RecoveryError, match="buffer x can only be rebuilt"):
+            next(head.lineage.ensure_available(buf))
+
+
+class TestCheckpointer:
+    def test_skips_a_buffer_written_during_its_retrieve(self):
+        prog, _model, _outputs = shots_program(num_shots=1)
+        log = HeadLog()
+        head = make_head(prog, log=log, checkpoint_interval=0.01)
+        core, lineage = head.core, head.lineage
+        shot = task_named(prog, "shot0")
+        out = shot.writes[0]
+        core.dm.commit_task_done(shot, 1)  # out lives on node 1 only
+        lineage.record_writes(shot, 1)
+        retrieves = []
+
+        def retrieve(src, bid, nbytes, origin):
+            retrieves.append((core.sim.now, src, bid))
+            yield core.sim.timeout(0.001)
+            if len(retrieves) == 1:
+                # A second commit lands while the first retrieve is in
+                # flight: the bytes fetched are already stale.
+                lineage.record_writes(shot, 1)
+            return np.full(16, 7.0)
+
+        core.events.retrieve = retrieve
+        core.sim.process(head.checkpointer.run())
+        core.sim.run(until=0.015)
+        assert retrieves == [(0.01, 1, out.buffer_id)]
+        assert out.buffer_id not in lineage.checkpoints
+        assert core.result.checkpoints_taken == 0
+        core.sim.run(until=0.025)
+        version, snap = lineage.checkpoints[out.buffer_id]
+        assert version == 2 and np.array_equal(snap, np.full(16, 7.0))
+        assert core.result.checkpoints_taken == 1
+        assert [r.kind for r in log.records].count("checkpoint") == 1
+        head.checkpointer.stopped = True
+
+
+class TestSpeculation:
+    def test_backup_wins_when_the_primary_stalls(self):
+        prog, _model, _outputs = shots_program(num_shots=1, cost=1.0)
+        head = make_head(prog, straggler_factor=2.0)
+        core = head.core
+        shot = task_named(prog, "shot0")
+        ended = {}
+
+        def target_frame(task, node, origin, dedup, attempt, recovery):
+            try:
+                yield core.sim.timeout(100.0 if node == 1 else task.cost)
+                ended[attempt] = ("done", node, core.sim.now)
+            except Interrupt:
+                ended[attempt] = ("revoked", node, core.sim.now)
+
+        core._run_target = target_frame
+        assert head.speculation.speculatable(shot)
+        proc = core.sim.process(head.speculation.run_target(shot, 1, 0, False))
+        core.sim.run(until=proc)
+        assert core.sim.now == pytest.approx(3.0)  # 2 x estimate + backup
+        core.sim.run(until=10.0)
+        backup_node = ended[2][1]
+        assert ended == {2: ("done", backup_node, pytest.approx(3.0)),
+                         1: ("revoked", 1, pytest.approx(3.0))}
+        assert backup_node in (2, 3)
+        assert core.events.cancelled == [(shot.task_id, 1)]
+        assert core.result.speculative_attempts == 1
+        assert core.result.speculation_wins == 1
+        assert head.speculation.attempts == {shot.task_id: 1}

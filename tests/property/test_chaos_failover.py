@@ -120,9 +120,29 @@ HEAD_AND_SUCCESSOR = {
 }
 
 
+#: ``--hypothesis-seed=5``'s draw.  The rebuilt head used to replay
+#: every logged completion as a write, enter-data included, so a
+#: checkpoint logged at version 1 ("after step0") read as "after
+#: enter_data0" and the restore replayed step0 again: x = 3, not 2.
+SEED5_DOUBLE_APPLY = {
+    "shape": "chain", "num_units": 2, "cost": 0.03,
+    "crashes": [(0, 0.05), (1, 0.05)], "standbys": 2, "loss": 0.0,
+    "plan_seed": 0, "checkpoint": True,
+}
+
+#: ``--hypothesis-seed=19``'s draw (see
+#: :meth:`TestSeededRegressions.test_seed19_in_doubt_step_on_a_live_node`).
+SEED19_STALE_DEDUP = {
+    "shape": "chain", "num_units": 2, "cost": 0.05,
+    "crashes": [(0, 0.08), (1, 0.03)], "standbys": 2, "loss": 0.0,
+    "plan_seed": 0, "checkpoint": False,
+}
+
+
 class TestChaosFailover:
     @given(scenario)
     @example(HEAD_AND_SUCCESSOR)
+    @example(SEED5_DOUBLE_APPLY)
     @settings(deadline=None, max_examples=30)
     def test_completes_identically_or_fails_cleanly(self, sc):
         cfg = dataclasses.replace(
@@ -164,6 +184,41 @@ class TestChaosFailover:
                 assert fo.resumed_at >= fo.elected_at >= fo.declared_at
         else:
             assert res.final_head == 0
+
+
+class TestSeededRegressions:
+    """Chaos draws replayed deterministically, outside hypothesis."""
+
+    def _run(self, sc):
+        cfg = dataclasses.replace(
+            FAST,
+            head_standbys=sc["standbys"],
+            checkpoint_interval=0.02 if sc["checkpoint"] else 0.0,
+        )
+        prog, (x,) = build_program(sc["shape"], sc["num_units"], sc["cost"])
+        rt = FaultTolerantRuntime(ClusterSpec(num_nodes=NODES), cfg)
+        res = run_to_horizon(rt, prog, failures=[
+            NodeFailure(time=t, node=n) for n, t in sc["crashes"]
+        ])
+        return res, x
+
+    def test_seed5_replayed_inout_step_applies_once(self):
+        res, x = self._run(SEED5_DOUBLE_APPLY)
+        assert res.head_failovers == 1 and res.checkpoint_restores >= 1
+        assert np.array_equal(x, np.full(8, 2.0))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a stale copy on a live node answers a dedup'd re-issue; the "
+        "fix needs versioned lineage"))
+    def test_seed19_in_doubt_step_on_a_live_node(self):
+        """Worker 1 dies at 0.03 s and the head at 0.08 s, while step0
+        is in doubt on live node 3.  The rebuilt directory drops node
+        3's copy, so ``x`` is restored from the bootstrap snapshot and
+        moved onto node 3.  The re-issue carries ``dedup=True``, so node
+        3 answers from its completion table and never re-runs step0:
+        x = 1 where the fault-free run gives 2."""
+        _res, x = self._run(SEED19_STALE_DEDUP)
+        assert np.array_equal(x, np.full(8, 2.0))
 
 
 class TestHeadAndSuccessorCrash:
