@@ -33,8 +33,6 @@ the derived dependence graph.  Rules:
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.analysis.findings import Finding, Severity
 from repro.omp.task import DepType, Task, TaskKind
 
@@ -123,11 +121,14 @@ def lint_program(program) -> list[Finding]:
         if t.kind in (TaskKind.TARGET_EXIT_DATA, TaskKind.CLASSICAL)
     ]
     if sinks:
-        g = program.graph.nx_graph()
-        observable: set[int] = set()
-        for sink in sinks:
-            observable.add(sink.task_id)
-            observable.update(nx.ancestors(g, sink.task_id))
+        # One multi-source walk up the predecessors of every sink.
+        preds = program.graph._pred
+        observable = {sink.task_id for sink in sinks}
+        stack = list(observable)
+        while stack:
+            found = preds[stack.pop()].keys() - observable
+            observable |= found
+            stack.extend(found)
         for task in tasks:
             if task.task_id not in observable:
                 findings.append(Finding(

@@ -196,9 +196,8 @@ class Frontier:
         self.graph = graph
         self.completed = done = set(completed)
         self.remaining = {
-            t.task_id: sum(1 for p in graph.predecessors(t)
-                           if p.task_id not in done)
-            for t in graph.tasks() if t.task_id not in done
+            tid: len(preds.keys() - done)
+            for tid, preds in graph._pred.items() if tid not in done
         }
         self.pending = len(self.remaining)
         self.all_done = sim.event("all-tasks-done")
@@ -223,7 +222,7 @@ class Frontier:
         those ``local(successor)`` accepts, when given) and ``spawn``
         each one left with no unfinished producer."""
         remaining = self.remaining
-        for succ in self.graph.successors(producer):
+        for succ in self.graph._succ[producer.task_id].values():
             if local is None or local(succ):
                 remaining[succ.task_id] -= 1
                 if remaining[succ.task_id] == 0:

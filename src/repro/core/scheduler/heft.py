@@ -160,7 +160,7 @@ class HeftScheduler(Scheduler):
         pred_comm: dict[int, list[tuple[Task, float]]] = defaultdict(list)
         host_staging: dict[int, float] = defaultdict(float)
         for task in targets:
-            for pred in graph.predecessors(task):
+            for pred in graph._pred[task.task_id].values():
                 if pred.task_id in target_ids:
                     comm = mean_comm(shared_bytes(pred, task))
                     pred_comm[task.task_id].append((pred, comm))

@@ -91,7 +91,7 @@ class ShardDirectory:
             if task.kind != TaskKind.TARGET_ENTER_DATA:
                 continue
             owner = 0
-            for succ in graph.successors(task):
+            for succ in graph._succ[task.task_id].values():
                 if not succ.kind.is_data_movement:
                     owner = self._task_owner[succ.task_id]
                     break

@@ -52,7 +52,10 @@ class OmpProgram:
         return buf
 
     # -- task creation ----------------------------------------------------
-    def _add(self, task: Task) -> Task:
+    def _add(self, kind: TaskKind, deps: Iterable[Dep], **fields: Any) -> Task:
+        """Create the next task in program order and derive its edges."""
+        task = Task(task_id=next(self._task_ids), kind=kind,
+                    deps=tuple(deps), **fields)
         self.graph.add_task(task)
         for pred, succ in self._analyzer.edges_for(task):
             self.graph.add_edge(pred, succ)
@@ -75,18 +78,8 @@ class OmpProgram:
         the region's *actual* footprint when it differs from ``depend``
         (feeds the race detector; scheduling still follows ``depend``).
         """
-        return self._add(
-            Task(
-                task_id=next(self._task_ids),
-                kind=TaskKind.TARGET,
-                deps=tuple(depend),
-                cost=cost,
-                fn=fn,
-                name=name,
-                accesses=tuple(accesses),
-                meta=dict(meta),
-            )
-        )
+        return self._add(TaskKind.TARGET, depend, cost=cost, fn=fn,
+                         name=name, accesses=tuple(accesses), meta=meta)
 
     def task(
         self,
@@ -102,18 +95,8 @@ class OmpProgram:
         Under OMPC these are unconditionally scheduled on the head node
         (§4.4), preserving OpenMP semantics.
         """
-        return self._add(
-            Task(
-                task_id=next(self._task_ids),
-                kind=TaskKind.CLASSICAL,
-                deps=tuple(depend),
-                cost=cost,
-                fn=fn,
-                name=name,
-                accesses=tuple(accesses),
-                meta=dict(meta),
-            )
-        )
+        return self._add(TaskKind.CLASSICAL, depend, cost=cost, fn=fn,
+                         name=name, accesses=tuple(accesses), meta=meta)
 
     def target_enter_data(self, *buffers: Buffer, name: str = "") -> Task:
         """``target enter data map(to: ...) nowait depend(out: ...)``.
@@ -124,16 +107,9 @@ class OmpProgram:
         """
         if not buffers:
             raise ValueError("enter data requires at least one buffer")
-        deps = tuple(depend_out(b) for b in buffers)
-        return self._add(
-            Task(
-                task_id=next(self._task_ids),
-                kind=TaskKind.TARGET_ENTER_DATA,
-                deps=deps,
-                buffers=tuple(buffers),
-                name=name,
-            )
-        )
+        return self._add(TaskKind.TARGET_ENTER_DATA,
+                         (depend_out(b) for b in buffers),
+                         buffers=buffers, name=name)
 
     def target_exit_data(self, *buffers: Buffer, name: str = "") -> Task:
         """``target exit data map(from/release: ...) nowait depend(in|out)``.
@@ -143,16 +119,9 @@ class OmpProgram:
         """
         if not buffers:
             raise ValueError("exit data requires at least one buffer")
-        deps = tuple(Dep(b, DepType.INOUT) for b in buffers)
-        return self._add(
-            Task(
-                task_id=next(self._task_ids),
-                kind=TaskKind.TARGET_EXIT_DATA,
-                deps=deps,
-                buffers=tuple(buffers),
-                name=name,
-            )
-        )
+        return self._add(TaskKind.TARGET_EXIT_DATA,
+                         (Dep(b, DepType.INOUT) for b in buffers),
+                         buffers=buffers, name=name)
 
     # -- inspection ----------------------------------------------------------
     @property

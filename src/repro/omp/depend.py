@@ -15,62 +15,39 @@ paper represents ``target data nowait`` clauses as graph nodes (§4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.omp.task import Buffer, Task
 
 
-@dataclass
-class _BufferHistory:
-    """Per-buffer tracking of the last writer and subsequent readers."""
-
-    last_writer: Task | None = None
-    readers_since_write: list[Task] = field(default_factory=list)
-
-
 class DependenceAnalyzer:
-    """Incrementally derives edges as tasks arrive in program order."""
+    """Incrementally derives edges as tasks arrive in program order, from
+    two dicts by buffer id: the last writer, and the readers since."""
 
     def __init__(self):
-        self._history: dict[int, _BufferHistory] = {}
-
-    def _hist(self, buffer: Buffer) -> _BufferHistory:
-        return self._history.setdefault(buffer.buffer_id, _BufferHistory())
+        self._writer: dict[int, Task] = {}
+        self._readers: dict[int, list[Task]] = {}
 
     def edges_for(self, task: Task) -> list[tuple[Task, Task]]:
-        """Edges required before ``task`` may run; updates the history.
-
-        Returns ``(predecessor, task)`` pairs, deduplicated, in a
-        deterministic order.
-        """
+        """Edges required before ``task`` may run, as deduplicated
+        ``(predecessor, task)`` pairs by predecessor id; updates history."""
+        writer, readers = self._writer, self._readers
         preds: dict[int, Task] = {}
+        # One pass, updating the history as it goes: a later item of
+        # this task's clause can only add ``task`` itself on top of what
+        # the history before the task yields, and that is dropped below.
         for dep in task.deps:
-            hist = self._hist(dep.buffer)
-            if dep.type.reads and hist.last_writer is not None:
-                preds.setdefault(hist.last_writer.task_id, hist.last_writer)
+            bid = dep.buffer.buffer_id
+            last = writer.get(bid)
+            if last is not None:
+                preds[last.task_id] = last
             if dep.type.writes:
-                if hist.last_writer is not None:
-                    preds.setdefault(hist.last_writer.task_id, hist.last_writer)
-                for reader in hist.readers_since_write:
-                    preds.setdefault(reader.task_id, reader)
-
-        # Second pass: update history after all conflicts are collected,
-        # so a task with both in and out on the same buffer doesn't see
-        # itself as a predecessor.
-        for dep in task.deps:
-            hist = self._hist(dep.buffer)
-            if dep.type.writes:
-                hist.last_writer = task
-                hist.readers_since_write = []
-            elif dep.type.reads:
-                hist.readers_since_write.append(task)
-
+                for reader in readers.pop(bid, ()):
+                    preds[reader.task_id] = reader
+                writer[bid] = task
+            else:
+                readers.setdefault(bid, []).append(task)
         preds.pop(task.task_id, None)
-        return [
-            (pred, task) for _tid, pred in sorted(preds.items())
-        ]
+        return [(preds[tid], task) for tid in sorted(preds)]
 
     def last_writer(self, buffer: Buffer) -> Task | None:
         """The most recent task writing ``buffer`` (or None)."""
-        hist = self._history.get(buffer.buffer_id)
-        return hist.last_writer if hist else None
+        return self._writer.get(buffer.buffer_id)

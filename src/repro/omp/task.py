@@ -16,19 +16,17 @@ from typing import Any, Callable
 
 
 class DepType(enum.Enum):
-    """Direction of a ``depend`` clause item."""
+    """Direction of a ``depend`` clause item; ``reads`` and ``writes``
+    are plain member attributes."""
 
-    IN = "in"
-    OUT = "out"
-    INOUT = "inout"
+    IN = "in", True, False
+    OUT = "out", False, True
+    INOUT = "inout", True, True
 
-    @property
-    def reads(self) -> bool:
-        return self in (DepType.IN, DepType.INOUT)
-
-    @property
-    def writes(self) -> bool:
-        return self in (DepType.OUT, DepType.INOUT)
+    def __new__(cls, value: str, reads: bool, writes: bool):
+        member = object.__new__(cls)
+        member._value_, member.reads, member.writes = value, reads, writes
+        return member
 
 
 class TaskKind(enum.Enum):

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator
-
-import networkx as nx
 
 from repro.omp.task import Task
 
@@ -12,28 +11,34 @@ from repro.omp.task import Task
 class TaskGraph:
     """A DAG of :class:`Task` nodes with dependence edges.
 
-    Thin, typed wrapper over :class:`networkx.DiGraph`; nodes are task
-    ids (so the graph hashes cheaply) with the Task attached as a node
-    attribute.
+    ``_succ`` and ``_pred`` map each task id to an insertion-ordered
+    dict ``{neighbour id: neighbour Task}``; a repeated edge is ignored.
+    :class:`~repro.omp.api.OmpProgram` adds tasks and edges in program
+    order, where insertion order is task-id order, so the schedulers
+    and runtimes iterate the adjacency directly.
     """
 
     def __init__(self):
-        self._g = nx.DiGraph()
         self._tasks: dict[int, Task] = {}
+        self._succ: dict[int, dict[int, Task]] = {}
+        self._pred: dict[int, dict[int, Task]] = {}
 
     # -- construction ----------------------------------------------------
     def add_task(self, task: Task) -> None:
         if task.task_id in self._tasks:
             raise ValueError(f"duplicate task id {task.task_id}")
         self._tasks[task.task_id] = task
-        self._g.add_node(task.task_id)
+        self._succ[task.task_id] = {}
+        self._pred[task.task_id] = {}
 
     def add_edge(self, pred: Task, succ: Task) -> None:
-        if pred.task_id not in self._tasks or succ.task_id not in self._tasks:
+        u, v = pred.task_id, succ.task_id
+        if u not in self._tasks or v not in self._tasks:
             raise ValueError("both endpoints must be added before the edge")
-        if pred.task_id == succ.task_id:
+        if u == v:
             raise ValueError("self-dependence is not allowed")
-        self._g.add_edge(pred.task_id, succ.task_id)
+        self._succ[u][v] = self._tasks[v]
+        self._pred[v][u] = self._tasks[u]
 
     # -- inspection ----------------------------------------------------------
     def __len__(self) -> int:
@@ -44,7 +49,7 @@ class TaskGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._g.number_of_edges()
+        return sum(map(len, self._succ.values()))
 
     def task(self, task_id: int) -> Task:
         return self._tasks[task_id]
@@ -54,45 +59,74 @@ class TaskGraph:
         return iter(self._tasks.values())
 
     def predecessors(self, task: Task) -> list[Task]:
-        return [self._tasks[t] for t in sorted(self._g.predecessors(task.task_id))]
+        preds = self._pred[task.task_id]
+        return [preds[t] for t in sorted(preds)]
 
     def successors(self, task: Task) -> list[Task]:
-        return [self._tasks[t] for t in sorted(self._g.successors(task.task_id))]
+        succs = self._succ[task.task_id]
+        return [succs[t] for t in sorted(succs)]
 
     def in_degree(self, task: Task) -> int:
-        return self._g.in_degree(task.task_id)
+        return len(self._pred[task.task_id])
 
     def roots(self) -> list[Task]:
-        return [t for t in self.tasks() if self.in_degree(t) == 0]
+        return [t for tid, t in self._tasks.items() if not self._pred[tid]]
 
     def validate(self) -> None:
-        """Raise if the graph has a cycle (dependences must form a DAG)."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            cycle = nx.find_cycle(self._g)
-            raise ValueError(f"task graph has a cycle: {cycle}")
+        """Raise if the graph has a cycle (dependences must form a DAG),
+        naming the tasks on one cycle: ``a → b → a``."""
+        self.topological_order()
 
     def topological_order(self) -> list[Task]:
-        """Deterministic topological order (ties broken by task id)."""
-        order = nx.lexicographical_topological_sort(self._g)
-        return [self._tasks[tid] for tid in order]
+        """Deterministic topological order (ties broken by task id):
+        Kahn's algorithm with a min-heap.  Raises on a cycle."""
+        indegree = {tid: len(p) for tid, p in self._pred.items()}
+        heap = [tid for tid, d in indegree.items() if d == 0]
+        heapq.heapify(heap)
+        order = []
+        while heap:
+            tid = heapq.heappop(heap)
+            order.append(self._tasks[tid])
+            for s in self._succ[tid]:
+                indegree[s] -= 1
+                if indegree[s] == 0:
+                    heapq.heappush(heap, s)
+        if len(order) == len(self._tasks):
+            return order
+        # Every task left unordered has an unordered predecessor, so
+        # walking those backwards from any of them closes a cycle.
+        tid = min(t for t, d in indegree.items() if d)
+        path: dict[int, int] = {}
+        while tid not in path:
+            path[tid] = len(path)
+            tid = min(p for p in self._pred[tid] if indegree[p])
+        cycle = [*list(path)[path[tid]:], tid][::-1]
+        names = " → ".join(self._tasks[t].name for t in cycle)
+        raise ValueError(f"task graph has a cycle: {names}")
 
     def critical_path_cost(self) -> float:
         """Length of the longest compute-cost path (zero-cost comms)."""
         best: dict[int, float] = {}
         for task in self.topological_order():
-            incoming = [
-                best[p.task_id] for p in self.predecessors(task)
-            ] or [0.0]
-            best[task.task_id] = max(incoming) + task.cost
+            best[task.task_id] = max(
+                (best[p] for p in self._pred[task.task_id]), default=0.0
+            ) + task.cost
         return max(best.values()) if best else 0.0
 
     def total_cost(self) -> float:
         return sum(t.cost for t in self.tasks())
 
     def edges(self) -> Iterable[tuple[Task, Task]]:
-        for u, v in self._g.edges():
-            yield self._tasks[u], self._tasks[v]
+        """Edges by producer in insertion order, then by consumer in
+        edge-insertion order (networkx's ``DiGraph.edges()`` order)."""
+        for u, succs in self._succ.items():
+            pred = self._tasks[u]
+            for succ in succs.values():
+                yield pred, succ
 
-    def nx_graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (read-only by convention)."""
-        return self._g
+    def nx_graph(self):
+        """A :class:`networkx.DiGraph` copy of the graph, built on
+        demand, for analysis and tests."""
+        import networkx as nx
+
+        return nx.DiGraph({u: list(s) for u, s in self._succ.items()})

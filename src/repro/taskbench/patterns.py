@@ -62,10 +62,16 @@ def dependencies(
     pattern: Pattern, width: int, step: int, point: int
 ) -> tuple[int, ...]:
     """Points at ``step - 1`` that ``(step, point)`` depends on (sorted)."""
-    _validate(pattern, width, step, point)
-    if step == 0:
-        return ()
-    if pattern == Pattern.TRIVIAL:
+    if not 0 <= point < width:
+        _validate(pattern, width, step, point)
+    return _dependencies_table(pattern, width, step)[point]
+
+
+def _direct_dependencies(
+    pattern: Pattern, width: int, step: int, point: int
+) -> tuple[int, ...]:
+    """:func:`dependencies`, enumerated without validation or cache."""
+    if step == 0 or pattern == Pattern.TRIVIAL:
         return ()
     if pattern == Pattern.NO_COMM:
         return (point,)
@@ -98,11 +104,22 @@ def dependencies(
 
 
 @lru_cache(maxsize=4096)
+def _dependencies_table(pattern: Pattern, width: int, step: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`dependencies` of every point of one timestep."""
+    _validate(pattern, width, step, 0)
+    return tuple(
+        _direct_dependencies(pattern, width, step, point)
+        for point in range(width)
+    )
+
+
+@lru_cache(maxsize=4096)
 def _dependents_table(pattern: Pattern, width: int, step: int) -> tuple[tuple[int, ...], ...]:
     """Inverse mapping for one timestep: consumers at ``step + 1``."""
     table: list[list[int]] = [[] for _ in range(width)]
-    for consumer in range(width):
-        for producer in dependencies(pattern, width, step + 1, consumer):
+    for consumer, producers in enumerate(
+            _dependencies_table(pattern, width, step + 1)):
+        for producer in producers:
             table[producer].append(consumer)
     return tuple(tuple(row) for row in table)
 
@@ -120,8 +137,8 @@ def average_in_degree(pattern: Pattern, width: int, steps: int) -> float:
     if steps < 2:
         return 0.0
     total = sum(
-        len(dependencies(pattern, width, step, point))
+        len(row)
         for step in range(1, steps)
-        for point in range(width)
+        for row in _dependencies_table(pattern, width, step)
     )
     return total / (width * (steps - 1))

@@ -91,6 +91,45 @@ class TestReachability:
                     if f.rule == "unreachable-task"]
         assert [f.tasks for f in findings] == [("orphaned",)]
 
+    def test_many_exit_data_sinks(self):
+        # A 64-wide stencil retrieves one buffer after every step and,
+        # at the end, the outputs of the points not divisible by three:
+        # 48 exit-data sinks over one graph.  The last step's tasks on
+        # the other points reach no sink; the ancestors of each sink,
+        # computed one sink at a time, say which.
+        import networkx as nx
+
+        width, steps = 64, 6
+        prog = OmpProgram(name="retrieving")
+        bufs = [[prog.buffer(8, name=f"p{q}g{g}") for g in range(2)]
+                for q in range(width)]
+        for step in range(steps):
+            for point in range(width):
+                deps = [depend_in(bufs[q][(step - 1) % 2])
+                        for q in (point - 1, point, point + 1)
+                        if step and 0 <= q < width]
+                prog.target(depend=[*deps, depend_out(bufs[point][step % 2])],
+                            cost=1e-3, name=f"t{step}p{point}")
+            prog.target_exit_data(bufs[step % width][step % 2],
+                                  name=f"early{step}")
+        for point in range(width):
+            if point % 3:
+                prog.target_exit_data(bufs[point][(steps - 1) % 2],
+                                      name=f"exit{point}")
+        sinks = [t for t in prog.graph.tasks()
+                 if t.kind == TaskKind.TARGET_EXIT_DATA]
+        assert len(sinks) == 48
+        g = prog.graph.nx_graph()
+        observable = set()
+        for sink in sinks:
+            observable |= nx.ancestors(g, sink.task_id) | {sink.task_id}
+        expected = [(t.name,) for t in prog.graph.tasks()
+                    if t.task_id not in observable]
+        findings = [f.tasks for f in lint_program(prog)
+                    if f.rule == "unreachable-task"]
+        assert findings == expected
+        assert 0 < len(expected) < width
+
     def test_sinkless_program_skips_rule(self):
         # Pure timing benchmarks (Task Bench) have no exit data and no
         # classical tasks; nothing is "observable", so nothing warns.

@@ -46,6 +46,8 @@ class TestTaskGraph:
             g.add_task(t)
         g.add_edge(a, b)
         g.add_edge(a, c)
+        g.add_edge(a, b)  # a repeated edge is ignored
+        assert g.num_edges == 2
         assert g.successors(a) == [b, c]
         assert g.predecessors(b) == [a]
         assert g.roots() == [a]
@@ -58,8 +60,18 @@ class TestTaskGraph:
         g.add_task(b)
         g.add_edge(a, b)
         g.add_edge(b, a)
-        with pytest.raises(ValueError, match="cycle"):
+        with pytest.raises(ValueError,
+                           match="cycle: target0 → target1 → target0$"):
             g.validate()
+        # Only the tasks on the cycle are named, not those feeding it.
+        c, d = mk(2), mk(3)
+        g.add_task(c)
+        g.add_task(d)
+        g.add_edge(c, a)
+        g.add_edge(a, d)
+        with pytest.raises(ValueError,
+                           match="cycle: target0 → target1 → target0$"):
+            g.topological_order()
 
     def test_topological_order_is_deterministic(self):
         g = TaskGraph()
