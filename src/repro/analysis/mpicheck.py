@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.analysis.findings import Finding, Severity
 
 #: Mirrors :data:`repro.mpi.comm.ANY_SOURCE` (importing it would cycle).
@@ -186,7 +184,10 @@ class MpiChecker:
             ))
 
         # Wait-for graph over blocked waits: rank → the rank it needs a
-        # message from.  A cycle means nobody can ever progress.
+        # message from.  A cycle means nobody can ever progress.  networkx
+        # is imported here so that importing repro never loads it.
+        import networkx as nx
+
         wait_for = nx.DiGraph()
         for rec in blocked:
             if rec.peer != _ANY_SOURCE:

@@ -29,7 +29,9 @@ class Resource:
         self.name = name or "resource"
         self._req_name = "request:" + self.name
         self._in_use = 0
-        self._queue: deque[Event] = deque()
+        # Most resources are never contended: the queue is allocated at
+        # the first request that must wait.
+        self._queue: deque[Event] | tuple[()] = ()
 
     @property
     def in_use(self) -> int:
@@ -53,6 +55,8 @@ class Resource:
             ev._value = self
             self.sim._schedule(ev)
         else:
+            if type(self._queue) is tuple:
+                self._queue = deque()
             self._queue.append(ev)
         return ev
 
@@ -137,7 +141,8 @@ class Store:
         self._get_name = "get:" + self.name
         self._items: deque[Any] = deque()
         self._getters: deque[tuple[Event, Callable[[Any], bool] | None]] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
+        # Allocated at the first put that blocks, as Resource._queue is.
+        self._putters: deque[tuple[Event, Any]] | tuple[()] = ()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -150,6 +155,8 @@ class Store:
     def put(self, item: Any) -> Event:
         ev = self.sim.event(self._put_name)
         if self.capacity is not None and len(self._items) >= self.capacity:
+            if type(self._putters) is tuple:
+                self._putters = deque()
             self._putters.append((ev, item))
         else:
             self._items.append(item)

@@ -1,0 +1,117 @@
+"""Wait queues allocated on first wait, and the per-node footprint.
+
+``Resource`` and bounded ``Store`` allocate their wait queues only when
+a request or put first has to wait, so an uncontended run never pays
+for them.  These tests hold the FIFO contract across that first
+allocation and bound the resident bytes a simulated node costs.
+"""
+
+import tracemalloc
+
+import pytest
+
+from repro.cluster import Cluster, ClusterSpec
+from repro.core import OMPCConfig
+from repro.core.events import EventSystem
+from repro.mpi import MpiWorld
+from repro.sim import Resource, Simulator, Store
+
+#: tracemalloc bytes per node of a cluster with a started event system,
+#: measured on Python 3.11.  Eager wait queues cost about 3 kB more.
+MEASURED_BYTES_PER_NODE = 8_183
+#: 30 % headroom, since CI runs Python 3.10–3.12.
+BUDGET_BYTES_PER_NODE = 1.3 * MEASURED_BYTES_PER_NODE
+
+
+@pytest.fixture
+def sim():
+    return Simulator()
+
+
+class TestResourceQueue:
+    def test_queue_length_is_zero_before_the_first_wait(self, sim):
+        res = Resource(sim, capacity=1)
+        assert res.queue_length == 0
+        res.request()
+        assert res.queue_length == 0
+        res.request()
+        assert res.queue_length == 1
+
+    def test_cancel_on_a_never_contended_resource_is_false(self, sim):
+        res = Resource(sim, capacity=1)
+        assert res.cancel(sim.event()) is False
+        granted = res.request()
+        assert res.cancel(granted) is False
+        assert res.in_use == 1
+
+    def test_fifo_across_first_contention_drain_and_recontention(self, sim):
+        res = Resource(sim, capacity=2)
+        order, probes = [], []
+
+        def user(uid, start):
+            yield sim.timeout(start)
+            yield res.request()
+            order.append((uid, sim.now))
+            yield sim.timeout(1.0)
+            res.release()
+
+        def probe(at):
+            yield sim.timeout(at)
+            probes.append((at, res.queue_length))
+
+        # Uncontended grants, then two contended bursts with a drain
+        # between them.
+        for uid, start in [("a", 0.0), ("b", 2.0)]:
+            sim.process(user(uid, start))
+        for uid in "cdefg":
+            sim.process(user(uid, 5.0))
+        for uid in "hijk":
+            sim.process(user(uid, 20.0))
+        for at in (1.5, 5.5, 6.5, 10.0, 20.5):
+            sim.process(probe(at))
+        sim.run()
+        assert order == [
+            ("a", 0.0), ("b", 2.0),
+            ("c", 5.0), ("d", 5.0), ("e", 6.0), ("f", 6.0), ("g", 7.0),
+            ("h", 20.0), ("i", 20.0), ("j", 21.0), ("k", 21.0),
+        ]
+        assert probes == [(1.5, 0), (5.5, 3), (6.5, 1), (10.0, 0),
+                          (20.5, 2)]
+        assert res.in_use == 0
+
+
+class TestStorePutters:
+    def test_bounded_store_admits_blocked_putters_in_fifo_order(self, sim):
+        store = Store(sim, capacity=2)
+        accepted, got = [], []
+
+        def putter(item):
+            yield store.put(item)
+            accepted.append((item, sim.now))
+
+        def getter():
+            for _ in range(6):
+                yield sim.timeout(1.0)
+                got.append((yield store.get()))
+
+        for item in "abcdef":
+            sim.process(putter(item))
+        sim.process(getter())
+        sim.run()
+        assert got == list("abcdef")
+        assert accepted == [("a", 0.0), ("b", 0.0), ("c", 1.0),
+                            ("d", 2.0), ("e", 3.0), ("f", 4.0)]
+        assert len(store) == 0
+
+
+def test_per_node_footprint_stays_within_budget():
+    nodes = 256
+    tracemalloc.start()
+    try:
+        cluster = Cluster(ClusterSpec(num_nodes=nodes))
+        events = EventSystem(cluster, MpiWorld(cluster), OMPCConfig())
+        events.start()
+        used, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert used / nodes < BUDGET_BYTES_PER_NODE, used / nodes
