@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.awave.models import VelocityModel
-from repro.apps.awave.solver import AcousticSolver2D, ricker_wavelet
+from repro.apps.awave.solver import AcousticSolver2D, ricker_wavelet, stable_dt
 
 #: Simulated seconds per (grid cell x timestep x propagation pass) on
 #: one core; three passes per shot.  Calibrated so a production-size
@@ -70,9 +70,7 @@ def migrate_shot(
     acquisition-plus-processing workflow.
     """
     receivers = np.arange(2, true_model.nx - 2, config.receiver_spacing)
-    dt = min(
-        AcousticSolver2D(true_model).dt, AcousticSolver2D(migration_model).dt
-    )
+    dt = min(stable_dt(true_model), stable_dt(migration_model))
     wavelet = ricker_wavelet(config.f0, dt, config.nt)
 
     # 1. Synthesize observed data in the true model.
@@ -96,8 +94,9 @@ def migrate_shot(
         record, snapshot_every=config.snapshot_every
     )
     image = np.zeros_like(true_model.vp)
+    product = np.empty(image.shape)
     for s, r in zip(src_snaps, rcv_snaps):
-        image += s * r
+        image += np.multiply(s, r, out=product)
     return image
 
 

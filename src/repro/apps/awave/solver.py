@@ -6,8 +6,13 @@ Solves the constant-density acoustic wave equation
 
 with a 2nd-order time / 4th-order space explicit scheme on a regular
 grid, plus a sponge absorbing layer on the sides and bottom (free
-surface on top).  Fully vectorized NumPy — the hot loop is three array
-expressions per timestep.
+surface on top).  On raveled C-contiguous fields a z neighbour is a
+shift of ±nx or ±2nx and an x neighbour one of ±1 or ±2, so each stencil
+term is one contiguous 1-D ufunc into buffers made once per propagation.
+x shifts wrap across row ends: the edge columns are saved before the x
+pass and put back after it.  Exact-order rule: each element sees the
+IEEE operations spelled out in ``_laplacian`` and ``_step``, in that
+grouping, so fields are byte-identical to the plain 2-D expressions.
 """
 
 from __future__ import annotations
@@ -41,6 +46,37 @@ def stable_dt(model: VelocityModel) -> float:
     return CFL_FACTOR * model.dx / model.vmax
 
 
+def _inside(what: str, iz: int, ix, shape: tuple[int, int]) -> None:
+    ix = np.asarray(ix)
+    if not 0 <= iz < shape[0] or np.any((ix < 0) | (ix >= shape[1])):
+        raise ValueError(f"{what} position outside the grid")
+
+
+def _second(out, p, lo, hi, s):
+    """``out = (p[k-s] - 2·p[k]) + p[k+s]`` for flat ``k`` in [lo, hi)."""
+    np.subtract(p[lo - s:hi - s], np.multiply(p[lo:hi], 2.0, out=out), out=out)
+    out += p[lo + s:hi + s]
+    return out
+
+
+def _fourth(out, p, lo, hi, s, c0, c1, t):
+    """``out = (c0·p + c1·(p[k-s] + p[k+s])) + C2·(p[k-2s] + p[k+2s])``."""
+    np.multiply(p[lo:hi], c0, out=out)
+    t = np.add(p[lo - s:hi - s], p[lo + s:hi + s], out=t[lo:hi])
+    out += np.multiply(t, c1, out=t)
+    np.add(p[lo - 2 * s:hi - 2 * s], p[lo + 2 * s:hi + 2 * s], out=t)
+    out += np.multiply(t, _C2, out=t)
+    return out
+
+
+class _Workspace:
+    """One propagation's buffers: two raveled fields, lap and scratch."""
+
+    def __init__(self, nz: int, nx: int):
+        self.prev, self.curr, self.lap, self.t, self.u = np.zeros((5, nz * nx))
+        self.edges = np.empty((nz, 4))
+
+
 @dataclass
 class ShotRecord:
     """Receiver data of one shot: (nt, n_receivers) pressure samples."""
@@ -65,6 +101,9 @@ class AcousticSolver2D:
             )
         if sponge_cells < 0:
             raise ValueError("sponge_cells must be >= 0")
+        if sponge_cells > min(model.vp.shape):
+            raise ValueError(f"sponge_cells={sponge_cells} is wider than "
+                             f"the {model.nz} x {model.nx} grid")
         self._v2dt2 = (model.vp * self.dt) ** 2 / model.dx**2
         self._taper = self._build_taper(sponge_cells, sponge_strength)
 
@@ -80,29 +119,47 @@ class AcousticSolver2D:
         taper[nz - cells:, :] *= ramp[::-1][:, None]
         return taper
 
-    def _laplacian(self, p: np.ndarray) -> np.ndarray:
-        """2-D Laplacian: 4th-order interior, 2nd-order beside edges.
+    def _laplacian(self, p: np.ndarray, ws: _Workspace) -> None:
+        """2-D Laplacian of the raveled ``p`` into ``ws.lap``, in this order.
 
-        The outermost ring stays zero (Dirichlet p = 0), which models a
-        pressure-free surface at the top; the sponge taper absorbs the
-        other sides.  Grid spacing is folded into ``_v2dt2``.
+        z term: ``_second`` on rows 1 and nz-2, ``_fourth`` (C0, C1) on
+        rows 2..nz-3, zero on rows 0 and nz-1 (Dirichlet p = 0 models the
+        pressure-free surface; the sponge absorbs the other sides).  Then
+        columns 1..nx-2 add ``_second`` along x, and columns 2..nx-3 add
+        ``_fourth`` (C0 + 2, C1 - 1).  Spacing is folded into ``_v2dt2``.
         """
-        lap = np.zeros_like(p)
-        # z-direction: 2nd-order one cell in, 4th-order further inside.
-        lap[1:-1, :] = p[:-2, :] - 2.0 * p[1:-1, :] + p[2:, :]
-        lap[2:-2, :] = (
-            _C0 * p[2:-2, :]
-            + _C1 * (p[1:-3, :] + p[3:-1, :])
-            + _C2 * (p[:-4, :] + p[4:, :])
-        )
-        # x-direction, accumulated on top of the z terms.
-        lap[:, 1:-1] += p[:, :-2] - 2.0 * p[:, 1:-1] + p[:, 2:]
-        lap[:, 2:-2] += (
-            (_C0 + 2.0) * p[:, 2:-2]
-            + (_C1 - 1.0) * (p[:, 1:-3] + p[:, 3:-1])
-            + _C2 * (p[:, :-4] + p[:, 4:])
-        )
-        return lap
+        nz, nx = self.model.vp.shape
+        n, lap, t = p.size, ws.lap, ws.t
+        lap[:nx] = lap[n - nx:] = 0.0
+        if nz >= 5:
+            _fourth(lap[2 * nx:n - 2 * nx], p, 2 * nx, n - 2 * nx, nx, _C0, _C1, t)
+        for row in sorted({1, nz - 2}) if nz >= 3 else ():
+            _second(lap[row * nx:(row + 1) * nx], p, row * nx, (row + 1) * nx, nx)
+        if nx < 3:
+            return
+        cols = lap.reshape(nz, nx)
+        ws.edges[:, :2] = cols[:, ::nx - 1]  # columns 0 and nx-1
+        lap[1:n - 1] += _second(t[1:n - 1], p, 1, n - 1, 1)
+        if nx >= 5:
+            ws.edges[:, 2:] = cols[:, 1:nx - 1:nx - 3]  # 1 and nx-2
+            lap[2:n - 2] += _fourth(ws.u[2:n - 2], p, 2, n - 2, 1,
+                                    _C0 + 2.0, _C1 - 1.0, t)
+            cols[:, 1:nx - 1:nx - 3] = ws.edges[:, 2:]
+        cols[:, ::nx - 1] = ws.edges[:, :2]
+
+    def _step(self, ws: _Workspace, iz, ix, amount) -> np.ndarray:
+        """Overwrite ``prev`` with ``(2·curr - prev) + v2dt2·lap``, ``amount``
+        added at (iz, ix), times the taper; swap; return the new field 2-D."""
+        shape = self.model.vp.shape
+        self._laplacian(ws.curr, ws)
+        ws.lap *= self._v2dt2.ravel()
+        nxt = np.subtract(np.multiply(ws.curr, 2.0, out=ws.t), ws.prev,
+                          out=ws.prev)
+        nxt += ws.lap
+        nxt.reshape(shape)[iz, ix] += amount
+        nxt *= self._taper.ravel()
+        ws.prev, ws.curr = ws.curr, nxt
+        return nxt.reshape(shape)
 
     def propagate(
         self,
@@ -118,21 +175,15 @@ class AcousticSolver2D:
         Returns the shot record (if receivers given) and the list of
         snapshots (every ``snapshot_every`` steps, if nonzero).
         """
-        nz, nx = self.model.vp.shape
-        if not (0 <= source_iz < nz and 0 <= source_ix < nx):
-            raise ValueError("source position outside the grid")
-        prev = np.zeros((nz, nx))
-        curr = np.zeros((nz, nx))
-        snapshots: list[np.ndarray] = []
+        _inside("source", source_iz, source_ix, self.model.vp.shape)
         record = None
         if receiver_ix is not None:
+            _inside("receiver", receiver_iz, receiver_ix, self.model.vp.shape)
             record = np.zeros((len(wavelet), len(receiver_ix)))
-
+        ws, dt2 = _Workspace(*self.model.vp.shape), self.dt**2
+        snapshots: list[np.ndarray] = []
         for it, amp in enumerate(wavelet):
-            nxt = 2.0 * curr - prev + self._v2dt2 * self._laplacian(curr)
-            nxt[source_iz, source_ix] += amp * self.dt**2
-            nxt *= self._taper
-            prev, curr = curr, nxt
+            curr = self._step(ws, source_iz, source_ix, amp * dt2)
             if record is not None:
                 record[it] = curr[receiver_iz, receiver_ix]
             if snapshot_every and (it + 1) % snapshot_every == 0:
@@ -157,16 +208,16 @@ class AcousticSolver2D:
         returned in *forward* time order so they align with forward
         snapshots for the imaging condition.
         """
-        nz, nx = self.model.vp.shape
-        nt = record.data.shape[0]
-        prev = np.zeros((nz, nx))
-        curr = np.zeros((nz, nx))
+        _inside("receiver", receiver_iz, record.receiver_ix, self.model.vp.shape)
+        if record.dt != self.dt:
+            raise ValueError(f"record dt={record.dt!r} is not the solver's "
+                             f"dt={self.dt!r}")
+        ws, dt2 = _Workspace(*self.model.vp.shape), self.dt**2
         snapshots: list[np.ndarray] = []
-        for it in range(nt - 1, -1, -1):
-            nxt = 2.0 * curr - prev + self._v2dt2 * self._laplacian(curr)
-            nxt[receiver_iz, record.receiver_ix] += record.data[it] * self.dt**2
-            nxt *= self._taper
-            prev, curr = curr, nxt
+        for it in range(record.data.shape[0] - 1, -1, -1):
+            curr = self._step(
+                ws, receiver_iz, record.receiver_ix, record.data[it] * dt2
+            )
             # Same stride/phase as the forward pass so snapshot i of both
             # passes refers to the same physical time.
             if snapshot_every and (it + 1) % snapshot_every == 0:

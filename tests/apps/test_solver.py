@@ -1,10 +1,13 @@
 """Tests for the acoustic FD solver: stability, physics sanity."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.apps.awave import AcousticSolver2D, VelocityModel, ricker_wavelet
-from repro.apps.awave.solver import stable_dt
+from repro.apps.awave.solver import ShotRecord, stable_dt
 
 
 def homogeneous(v=2000.0, nz=60, nx=60, dx=10.0):
@@ -99,6 +102,34 @@ class TestPhysics:
         with pytest.raises(ValueError):
             solver.propagate(500, 0, np.zeros(10))
 
+    def test_negative_receiver_index_rejected(self):
+        solver = AcousticSolver2D(homogeneous())
+        with pytest.raises(ValueError, match="receiver"):
+            solver.propagate(5, 5, np.zeros(10), receiver_ix=[-1, 5])
+
+    def test_receiver_index_past_the_grid_rejected(self):
+        solver = AcousticSolver2D(homogeneous(nx=60))
+        with pytest.raises(ValueError, match="receiver"):
+            solver.propagate(5, 5, np.zeros(10), receiver_ix=[5, 60])
+
+    def test_receiver_depth_validated(self):
+        solver = AcousticSolver2D(homogeneous(nz=60))
+        with pytest.raises(ValueError, match="receiver"):
+            solver.propagate(5, 5, np.zeros(10), receiver_ix=[5],
+                             receiver_iz=60)
+
+
+class TestSpongeFit:
+    def test_sponge_wider_than_the_grid_is_named(self):
+        with pytest.raises(ValueError, match=r"sponge_cells=20 .* 10 x 60"):
+            AcousticSolver2D(homogeneous(nz=10, nx=60))
+        with pytest.raises(ValueError, match=r"sponge_cells=21 .* 60 x 20"):
+            AcousticSolver2D(homogeneous(nz=60, nx=20), sponge_cells=21)
+
+    def test_sponge_as_wide_as_the_grid_still_builds(self):
+        solver = AcousticSolver2D(homogeneous(nz=20, nx=20), sponge_cells=20)
+        assert solver._taper.shape == (20, 20)
+
 
 class TestAdjoint:
     def test_snapshots_align_with_forward(self):
@@ -113,3 +144,42 @@ class TestAdjoint:
         bwd = solver.propagate_adjoint(record, snapshot_every=every)
         assert len(fwd) == len(bwd) == nt // every
         assert all(b.shape == (50, 50) for b in bwd)
+
+    def test_receiver_positions_validated(self):
+        solver = AcousticSolver2D(homogeneous(nz=50, nx=50))
+        record = ShotRecord(np.zeros((10, 2)), np.array([5, 50]), solver.dt)
+        with pytest.raises(ValueError, match="receiver"):
+            solver.propagate_adjoint(record)
+        record = ShotRecord(np.zeros((10, 1)), np.array([5]), solver.dt)
+        with pytest.raises(ValueError, match="receiver"):
+            solver.propagate_adjoint(record, receiver_iz=-1)
+
+    def test_record_with_another_dt_rejected(self):
+        solver = AcousticSolver2D(homogeneous(nz=50, nx=50))
+        record = ShotRecord(np.zeros((10, 1)), np.array([5]), solver.dt / 2)
+        with pytest.raises(ValueError, match="dt"):
+            solver.propagate_adjoint(record)
+
+
+class TestSharedSolver:
+    def test_threads_sharing_a_solver_get_the_serial_fields(self):
+        # Buffers live per call, so interleaved propagations on one
+        # solver (more threads than cores, fast switching) must not mix.
+        solver = AcousticSolver2D(homogeneous(nz=40, nx=40))
+        w = ricker_wavelet(20.0, solver.dt, 150)
+        sources = [(5, 10), (20, 30), (10, 20), (30, 5)] * 2
+
+        def fields(src):
+            return [s.tobytes()
+                    for s in solver.propagate(*src, w, snapshot_every=15)[1]]
+
+        serial = [fields(src) for src in sources]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fields, src) for src in sources]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
