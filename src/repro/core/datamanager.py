@@ -4,7 +4,8 @@ Lives at the agnostic layer and keeps one coherent view of where every
 mapped buffer resides across the cluster.  Location ``HOST`` (node 0)
 is the head node; workers are nodes 1..N.  After a head failover the
 directory is *rehomed* at the elected standby (:meth:`DataManager.rehome`)
-and the host image follows it.
+and the host image follows it.  The fault-tolerant runtime also keeps
+each buffer's write lineage here (:meth:`DataManager.record_writes`).
 
 Coherency rules (verbatim from the paper):
 
@@ -23,6 +24,7 @@ Coherency rules (verbatim from the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.omp.task import Buffer, Task
 
@@ -56,6 +58,24 @@ class _BufferState:
     latest: int = HOST
 
 
+@dataclass
+class WriteRecord:
+    """One buffer's write lineage (fault tolerance): ``writer`` made the
+    current value (a lineage re-execution included), ``history`` the
+    producer of each logged version in commit order (the version is its
+    length), ``checkpoint`` the newest ``(version, snapshot)`` and
+    ``recovering`` the event of an in-flight recovery."""
+
+    writer: Task | None = None
+    history: list[Task] = field(default_factory=list)
+    checkpoint: tuple[int, Any] | None = None
+    recovering: Any = None
+
+    @property
+    def version(self) -> int:
+        return len(self.history)
+
+
 class DataManager:
     """Head-side tracking of buffer locations and transfer planning.
 
@@ -79,6 +99,9 @@ class DataManager:
         #: :meth:`configure_tiering` by runtimes with
         #: ``eviction_policy != "none"``.
         self.tiering = None
+        #: Write records by buffer id, apart from ``_state``: recording
+        #: a write must never seed a location at the current home.
+        self._writes: dict[int, WriteRecord] = {}
 
     # -- tiered store (repro.core.tiering) ---------------------------------
     def configure_tiering(
@@ -174,6 +197,26 @@ class DataManager:
             )
             self._state[buffer.buffer_id] = st
         return st
+
+    # -- write lineage ------------------------------------------------------
+    def writes(self, buffer_id: int) -> WriteRecord:
+        """The write record of a buffer (empty until first used)."""
+        return self._writes.setdefault(buffer_id, WriteRecord())
+
+    def written(self) -> list[int]:
+        """Ids of the buffers with a recorded writer, in order."""
+        return sorted(b for b, r in self._writes.items() if r.writer)
+
+    def record_writes(self, task: Task, recovery: bool = False) -> None:
+        """Record ``task`` as the writer of what it writes.  A lineage
+        re-execution (``recovery``) re-derives a logged version: it sets
+        the writer but adds no version, so versions stay equal to those
+        a standby replays from the log (checkpoint freshness)."""
+        for buf in task.writes:
+            rec = self.writes(buf.buffer_id)
+            rec.writer = task
+            if not recovery:
+                rec.history.append(task)
 
     # -- queries -----------------------------------------------------------
     def locations(self, buffer: Buffer) -> set[int]:

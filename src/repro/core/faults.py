@@ -20,13 +20,14 @@ This module implements that future version on the simulated cluster:
   runtime's frames (:class:`~repro.core.runtime.HeadCore`);
   :meth:`~FaultTolerantRuntime.launch` wires an :class:`FTHead` (the
   acting head, its log, and the recover step that re-dispatches a dead
-  node's in-flight tasks to survivors) to four plug-ins on the core's
-  hooks, each testable without a cluster:
+  node's in-flight tasks to survivors) to plug-ins on the core's hooks,
+  each testable without a cluster:
 
-  - :class:`Lineage` (``on_commit``) rebuilds a buffer whose only copy
-    died by re-executing its producer, or from a checkpoint plus a
-    replay of the newer writes, which also rescues in-place (INOUT)
-    producers;
+  - lineage recovery (:meth:`FTHead.ensure_available`) rebuilds a
+    buffer whose only copy died by re-executing its producer, or from a
+    checkpoint plus a replay of the newer writes, which also rescues
+    in-place (INOUT) producers.  It reads the directory's write record
+    of the buffer (:class:`~repro.core.datamanager.WriteRecord`);
   - :class:`Checkpointer` snapshots written buffers head-side
     (``OMPCConfig.checkpoint_interval``);
   - :class:`LogReplay` is head failover (below);
@@ -43,8 +44,8 @@ checkpoint snapshots, dispatch intents) to standby workers through
 by a quorum of two nodes, never a self-confirmation through the dead
 head itself — the reporter coordinates an election among the standbys,
 the most-caught-up replica wins deterministically, and
-:meth:`LogReplay.rebuild` replays it into a fresh directory, frontier
-and :class:`Lineage`.  Unacknowledged dispatches are re-issued
+:meth:`LogReplay.rebuild` replays it into a fresh directory (locations
+and write records) and frontier.  Unacknowledged dispatches are re-issued
 idempotently (workers dedup by task id and fence old-epoch zombies),
 the checkpointer and failure detector re-root at the new head, and the
 program finishes bit-identical to a fault-free run.  A head crash with
@@ -135,7 +136,11 @@ class FailureInjector:
 
     def arm(self, failures: Sequence[NodeFailure]) -> None:
         sim = self.events.sim
+        nodes = self.events.cluster.num_nodes
         for failure in tuple(failures):
+            if failure.node >= nodes:
+                raise ValueError(f"node {failure.node} is outside the "
+                                 f"cluster of {nodes} nodes")
             if failure.node in self._armed:
                 raise ValueError(
                     f"node {failure.node} already has an armed failure; "
@@ -438,7 +443,6 @@ class FTHead:
         self.buffers: dict[int, Buffer] = {
             b.buffer_id: b for t in graph.tasks() for b in t.touched
         }
-        self.lineage = Lineage(self)
         self.checkpointer = Checkpointer(self)
         self.replay = LogReplay(self, detector)
         self.speculation = Speculation(self)
@@ -479,7 +483,9 @@ class FTHead:
 
     def on_commit(self, task: Task, node: int, buf, recovery: bool) -> None:
         if buf is None:
-            self.lineage.record_writes(task, node, recovery)
+            self.core.dm.record_writes(task, recovery)
+            if not recovery:
+                self.append("task_done", task_id=task.task_id, node=node)
         elif task.kind == TaskKind.TARGET_ENTER_DATA:
             self.append("enter_data", buffer_id=buf.buffer_id, node=node)
         else:
@@ -540,7 +546,7 @@ class FTHead:
                 if task.kind != TaskKind.CLASSICAL:
                     entering = task.kind == TaskKind.TARGET_ENTER_DATA
                     for buf in task.buffers if entering else task.reads:
-                        yield from self.lineage.ensure_available(buf, chain)
+                        yield from self.ensure_available(buf, chain)
                 dedup = (not recovery
                          and task.task_id in self.replay.forced_target)
                 yield from core._run_by_kind(task, self.home, dedup, node,
@@ -566,50 +572,9 @@ class FTHead:
             fence = any(d.type.writes and d.type.reads for d in task.deps)
         yield from self.repl.flush() if fence else self.repl.throttle()
 
-
-# -- the recovery plug-ins ------------------------------------------------
-class Lineage:
-    """Lineage and checkpoint recovery of lost buffers.
-
-    State: ``writer_of`` (the task that produced each buffer's current
-    value), ``write_version`` (a per-buffer write counter: checkpoint
-    freshness), ``write_log`` (``(version, task)`` in commit order),
-    ``written_buffers`` (the checkpointer's worklist), ``checkpoints``
-    (buffer id → ``(version, pristine snapshot)``) and ``recovering``
-    (one recovery per buffer at a time).  A failover replaces the whole
-    object (:meth:`LogReplay.rebuild`).
-    """
-
-    def __init__(self, head: FTHead):
-        self.head = head
-        self.writer_of: dict[int, Task] = {}
-        self.write_version: dict[int, int] = {}
-        self.write_log: dict[int, list[tuple[int, Task]]] = {}
-        self.written_buffers: dict[int, Buffer] = {}
-        self.checkpoints: dict[int, tuple[int, Any]] = {}
-        self.recovering: dict[int, object] = {}
-
-    def record_writes(self, task: Task, node: int | None,
-                      recovery: bool = False) -> None:
-        """Record ``task``'s writes and log its completion on
-        ``node``; ``node=None`` replays a logged completion."""
-        for buf in task.writes:
-            self.writer_of[buf.buffer_id] = task
-            self.written_buffers[buf.buffer_id] = buf
-            if recovery:
-                # Replays re-derive an already-recorded write: the
-                # version counter must stay aligned with what a
-                # standby reconstructs from the log, or checkpoint
-                # freshness comparisons diverge after a failover.
-                continue
-            version = self.write_version.get(buf.buffer_id, 0) + 1
-            self.write_version[buf.buffer_id] = version
-            self.write_log.setdefault(buf.buffer_id, []).append((version, task))
-        if not recovery and node is not None:
-            self.head.append("task_done", task_id=task.task_id, node=node)
-
     def ensure_available(self, buffer: Buffer, chain: frozenset = frozenset()):
-        """Generator: guarantee a live copy of ``buffer`` exists.
+        """Generator: guarantee a live copy of ``buffer`` exists, read
+        off its write record in the directory.
 
         ``chain`` carries the buffer ids already being recovered on
         this call stack: needing one of them again means the lost
@@ -617,20 +582,19 @@ class Lineage:
         producer), which is unrecoverable *without checkpoints* —
         with checkpointing on, the snapshot breaks the cycle.
         """
-        core = self.head.core
+        core = self.core
         bid = buffer.buffer_id
         while True:
-            token = self.recovering.get(bid)
-            if token is not None and bid not in chain:
+            rec = core.dm.writes(bid)
+            if rec.recovering is not None and bid not in chain:
                 # Someone else is recovering it: a location the
                 # re-execution lists may not hold the value yet.
-                yield token
+                yield rec.recovering
                 continue
             if core.dm.locations(buffer) - core.dead:
                 return
-            entry = self.checkpoints.get(bid)
             if bid in chain:
-                if entry is None:
+                if rec.checkpoint is None:
                     raise RecoveryError(
                         f"buffer {buffer.name} can only be rebuilt "
                         "from its own lost value (in-place producer); "
@@ -640,52 +604,46 @@ class Lineage:
                 # the in-flight restore sequence is void, tell the
                 # owning frame to start over from the snapshot.
                 raise _RecoveryRestart(bid)
-            producer = self.writer_of.get(bid)
-            if entry is None and producer is None:
+            if rec.checkpoint is None and rec.writer is None:
                 raise RecoveryError(
                     f"buffer {buffer.name} lost with no recorded "
                     "producer; its initial value existed only on the "
                     "failed node"
                 )
-            done = core.sim.event(f"recover:{buffer.name}")
-            self.recovering[bid] = done
+            done = rec.recovering = core.sim.event(f"recover:{buffer.name}")
             try:
-                if entry is not None:
+                if rec.checkpoint is not None:
                     yield from self.restore_and_replay(buffer, chain)
                 else:
-                    yield from self.head.execute(producer, chain | {bid})
+                    yield from self.execute(rec.writer, chain | {bid})
                     core.result.reexecuted_tasks += 1
             finally:
-                del self.recovering[bid]
+                rec.recovering = None
                 done.succeed()
 
     def restore_and_replay(self, buffer: Buffer, chain: frozenset):
         """Generator: rebuild ``buffer`` from its newest checkpoint.
 
         Restores the snapshot to the head, then replays — in commit
-        order — every write newer than the snapshot, so multi-step
-        in-place chains come back complete, not just their last
-        link.  If a replayed copy is lost again mid-sequence the
-        whole sequence restarts from a fresh restore (partial
-        replays would otherwise double-apply in-place writes).
+        order, each task once — every write newer than the snapshot, so
+        multi-step in-place chains come back complete, not just their
+        last link.  If a replayed copy is lost again mid-sequence the
+        whole sequence restarts from a fresh restore (partial replays
+        would otherwise double-apply in-place writes).
         """
-        core = self.head.core
+        core = self.core
         bid = buffer.buffer_id
         while True:
-            version, snap = self.checkpoints[bid]
+            rec = core.dm.writes(bid)
+            version, snap = rec.checkpoint
             _restore_into(buffer, snap)
             core.dm.commit_restore(buffer)
             core.result.checkpoint_restores += 1
             core.obs.count("ft.checkpoint_restores")
-            # Replays append to the log too; keep each task's first
-            # occurrence only, in original commit order.
-            pending: dict[int, Task] = {}
-            for ver, task in self.write_log.get(bid, []):
-                if ver > version:
-                    pending.setdefault(task.task_id, task)
+            pending = {t.task_id: t for t in rec.history[version:]}
             try:
                 for task in pending.values():
-                    yield from self.head.execute(task, chain | {bid})
+                    yield from self.execute(task, chain | {bid})
                     core.result.reexecuted_tasks += 1
             except _RecoveryRestart as restart:
                 if restart.buffer_id != bid:
@@ -694,6 +652,7 @@ class Lineage:
             return
 
 
+# -- the recovery plug-ins ------------------------------------------------
 class Checkpointer:
     """Periodic head-side snapshots (``OMPCConfig.checkpoint_interval``).
 
@@ -701,7 +660,7 @@ class Checkpointer:
     traffic is charged like any other data movement.  Only buffers
     written since their last snapshot are refreshed; one written again
     during its retrieve waits for the next round.  Each head epoch runs
-    one :meth:`run` loop against the current :class:`Lineage`.
+    one :meth:`run` loop against the current directory's write records.
     """
 
     def __init__(self, head: FTHead):
@@ -716,17 +675,16 @@ class Checkpointer:
             yield core.sim.timeout(core.cfg.checkpoint_interval)
             if self.stopped:
                 return
-            lineage, home = head.lineage, head.home
-            for bid in sorted(lineage.written_buffers):
-                buf = lineage.written_buffers[bid]
-                version = lineage.write_version.get(bid, 0)
-                entry = lineage.checkpoints.get(bid)
-                if entry is not None and entry[0] >= version:
+            dm, home = core.dm, head.home
+            for bid in dm.written():
+                buf, rec = head.buffers[bid], dm.writes(bid)
+                version = rec.version
+                if rec.checkpoint and rec.checkpoint[0] >= version:
                     continue  # snapshot already current
-                locations = core.dm.locations(buf) - core.dead
+                locations = dm.locations(buf) - core.dead
                 if not locations:
                     continue  # already lost; recovery owns it now
-                src = core.dm.latest(buf)
+                src = dm.latest(buf)
                 if src in core.dead or src not in locations:
                     src = home if home in locations else min(locations)
                 payload = buf.data
@@ -738,9 +696,9 @@ class Checkpointer:
                     except _NodeCrashed as crash:
                         head.handle_node_death(crash.node)
                         continue
-                    if lineage.write_version.get(bid, 0) != version:
+                    if rec.version != version:
                         continue  # changed mid-flight; next round
-                lineage.checkpoints[bid] = (version, _snapshot(payload))
+                rec.checkpoint = (version, _snapshot(payload))
                 core.result.checkpoints_taken += 1
                 core.obs.count("ft.checkpoints")
                 # Snapshots ride the log by reference: the stored copy
@@ -748,8 +706,7 @@ class Checkpointer:
                 # with the replicas is safe.
                 head.append(
                     "checkpoint", nbytes=LOG_RECORD_BYTES + buf.nbytes,
-                    buffer_id=bid, version=version,
-                    snap=lineage.checkpoints[bid][1],
+                    buffer_id=bid, version=version, snap=rec.checkpoint[1],
                 )
 
 
@@ -801,17 +758,18 @@ class LogReplay:
         )
 
     def rebuild(self, old_head: int):
-        """Replay the log into fresh head state for the elected
-        ``head.home``: ``(dm, frontier, lineage, forced_target,
-        redispatched)``, where ``forced_target`` maps in-doubt tasks (a
-        dispatch with no completion) to their surviving target and
-        ``redispatched`` counts the in-doubt tasks.
+        """Replay the log into one fresh directory (locations and write
+        records) for the elected ``head.home``: ``(dm, frontier,
+        forced_target, in_doubt)``, where ``forced_target`` maps in-doubt
+        tasks (a dispatch with no completion) to their surviving target
+        and ``in_doubt`` counts them.
 
         Only *logged* transitions are replayed — completions, data
-        enter/exit, node deaths, checkpoints — which yields a
-        conservative directory: every logged write pinned its buffer
-        to the writing node, so dropping knowledge of intermediate
-        moves can only forget extra replicas, never invent one.
+        enter/exit, node deaths, checkpoints (bootstrap: version 0) —
+        which yields a conservative directory: every logged write
+        pinned its buffer to the writing node, so dropping knowledge of
+        intermediate moves can only forget extra replicas, never invent
+        one.
         Writes are replayed for classical and target completions only,
         as the live head records them, so replayed versions equal the
         live ones.
@@ -820,7 +778,6 @@ class LogReplay:
         core, graph, home = head.core, head.graph, head.home
         dead, events = core.dead, core.events
         dm = DataManager(analysis=core.dm.analysis)
-        lineage = Lineage(head)
         completed: set[int] = set()
         dispatched: dict[int, int] = {}
         dropped: set[int] = set()
@@ -828,7 +785,7 @@ class LogReplay:
             d = rec.data
             if rec.kind == "bootstrap":
                 for bid, snap in d["snapshots"]:
-                    lineage.checkpoints[bid] = (0, snap)
+                    dm.writes(bid).checkpoint = (0, snap)
             elif rec.kind == "dispatch":
                 dispatched[d["task_id"]] = d["node"]
             elif rec.kind == "task_done":
@@ -837,7 +794,7 @@ class LogReplay:
                 dispatched.pop(tid, None)
                 task = graph.task(tid)
                 if not task.kind.is_data_movement:
-                    lineage.record_writes(task, None)
+                    dm.record_writes(task)
                 if task.kind == TaskKind.TARGET:
                     dm.commit_task_done(task, d["node"])
             elif rec.kind == "enter_data":
@@ -851,7 +808,7 @@ class LogReplay:
                 if d["node"] != dm.home:
                     dm.on_node_failure(d["node"])
             elif rec.kind == "checkpoint":
-                lineage.checkpoints[d["buffer_id"]] = (d["version"], d["snap"])
+                dm.writes(d["buffer_id"]).checkpoint = (d["version"], d["snap"])
         dm.rehome(home)
         for n in sorted((dead | {old_head}) - dropped):
             if n != home:
@@ -887,8 +844,8 @@ class LogReplay:
                 for n in sorted(dm.locations(buf)):
                     if n not in dead and dm.tiered(n):
                         dm.tiering.charge(n, buf)
-        return (dm, Frontier(core.sim, graph, completed), lineage,
-                forced_target, len(in_doubt))
+        return (dm, Frontier(core.sim, graph, completed), forced_target,
+                len(in_doubt))
 
     def failover(self):
         """Generator: elect, adopt, rebuild, resume (one head death)."""
@@ -929,7 +886,7 @@ class LogReplay:
         core.fo_epoch = repl.log.epoch
         self.detector.rebase(head.home)
         yield from repl.replay()
-        (core.dm, core.frontier, head.lineage, self.forced_target,
+        (core.dm, core.frontier, self.forced_target,
          redispatched) = self.rebuild(old_head)
         head.start_epoch()
         core.result.failovers.append(FailoverEvent(

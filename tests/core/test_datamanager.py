@@ -145,6 +145,21 @@ class TestExitData:
         assert removals == [(a, 1), (a, 2)]
 
 
+class TestWriteRecords:
+    def test_recording_a_write_seeds_no_location(self):
+        """A write of a never-mapped buffer (a classical writer, or a
+        log replay before its final rehome) leaves placement alone: the
+        buffer is seeded at the home current when it is first placed."""
+        dm = DataManager()
+        a = Buffer(10)
+        writer = Task(task_id=0, kind=TaskKind.CLASSICAL,
+                      deps=(depend_out(a),))
+        dm.record_writes(writer)
+        dm.rehome(2)
+        assert dm.locations(a) == {2}
+        assert dm.writes(a.buffer_id).writer is writer
+
+
 class TestMoveProperties:
     def test_from_to_host_flags(self):
         buf = Buffer(1)

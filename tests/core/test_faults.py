@@ -172,6 +172,16 @@ class TestFailureInjector:
                 NodeFailure(time=0.2, node=2),
             ])
 
+    def test_node_outside_the_cluster_rejected(self):
+        cluster, injector = self.make(n=5)
+        with pytest.raises(ValueError, match="node 99 is outside the "
+                           "cluster of 5 nodes"):
+            injector.arm([NodeFailure(time=0.01, node=99)])
+        with pytest.raises(ValueError, match="node 5 is outside"):
+            injector.arm([NodeFailure(time=0.01, node=5)])
+        cluster.sim.run()
+        assert injector.injected == []
+
     def test_distinct_nodes_accepted(self):
         cluster, injector = self.make()
         injector.arm([

@@ -1,7 +1,7 @@
 """Unit tests of the fault-tolerant runtime's recovery plug-ins.
 
-Each test drives :class:`~repro.core.faults.FTHead` and one plug-in
-(:class:`~repro.core.faults.Lineage`, :class:`~repro.core.faults.Checkpointer`,
+Each test drives :class:`~repro.core.faults.FTHead` (its lineage
+recovery) or one plug-in (:class:`~repro.core.faults.Checkpointer`,
 :class:`~repro.core.faults.LogReplay`, :class:`~repro.core.faults.Speculation`)
 against a bare simulator, a synthetic :class:`~repro.core.headlog.HeadLog`,
 a bare :class:`~repro.core.datamanager.DataManager` and fake frames: no
@@ -93,6 +93,15 @@ def task_named(program, name):
     return next(t for t in program.graph.tasks() if t.name == name)
 
 
+def lineage(dm):
+    """Every written buffer's ``(version, history ids, writer id)``."""
+    return {
+        bid: (rec.version, [t.task_id for t in rec.history],
+              rec.writer.task_id)
+        for bid in dm.written() for rec in [dm.writes(bid)]
+    }
+
+
 class TestLogReplay:
     def test_replayed_versions_equal_the_live_ones(self):
         prog, _x = chain_program(steps=2)
@@ -105,20 +114,15 @@ class TestLogReplay:
                 head.append("task_done", task_id=task.task_id, node=0)
             else:
                 head.on_commit(task, 1, None, False)
-        live = head.lineage
+        live = head.core.dm
         head.home = 2
-        _dm, frontier, replayed, forced, redispatched = head.replay.rebuild(0)
-        assert replayed.write_version == live.write_version
-        x_id = task_named(prog, "step0").deps[0].buffer.buffer_id
-        assert replayed.write_version == {x_id: 2}
-        assert {
-            bid: [(v, t.task_id) for v, t in hist]
-            for bid, hist in replayed.write_log.items()
-        } == {
-            bid: [(v, t.task_id) for v, t in hist]
-            for bid, hist in live.write_log.items()
-        }
-        assert replayed.writer_of == live.writer_of
+        replayed, frontier, forced, redispatched = head.replay.rebuild(0)
+        assert replayed is not live
+        assert lineage(replayed) == lineage(live)
+        step0, step1 = task_named(prog, "step0"), task_named(prog, "step1")
+        x_id = step0.deps[0].buffer.buffer_id
+        assert lineage(replayed) == {
+            x_id: (2, [step0.task_id, step1.task_id], step1.task_id)}
         assert frontier.pending == 0
         assert (forced, redispatched) == ({}, 0)
 
@@ -138,9 +142,9 @@ class TestLogReplay:
         if target_dead:
             core.dead.add(1)
         head.home = 2
-        dm, _frontier, lineage, forced, redispatched = head.replay.rebuild(0)
+        dm, _frontier, forced, redispatched = head.replay.rebuild(0)
         assert redispatched == 1
-        assert lineage.checkpoints[buf.buffer_id][0] == 0
+        assert dm.writes(buf.buffer_id).checkpoint[0] == 0
         if target_dead:
             # The dispatch may or may not have applied x += 1: every
             # copy is void, and the zombie target is fenced.
@@ -169,12 +173,12 @@ class TestLineage:
         buf = step0.deps[0].buffer
         core.dm.commit_enter_data(buf, 1)
         core.dm.commit_task_done(step0, 1)
-        head.lineage.record_writes(step0, 1)
+        core.dm.record_writes(step0)
         core.dead.add(1)
         core.dm.on_node_failure(1)  # x's only copy died after step0
         core._run_by_kind = None  # recovery must fail before any frame
         with pytest.raises(RecoveryError, match="buffer x can only be rebuilt"):
-            next(head.lineage.ensure_available(buf))
+            next(head.ensure_available(buf))
 
 
 class TestCheckpointer:
@@ -182,11 +186,11 @@ class TestCheckpointer:
         prog, _model, _outputs = shots_program(num_shots=1)
         log = HeadLog()
         head = make_head(prog, log=log, checkpoint_interval=0.01)
-        core, lineage = head.core, head.lineage
+        core, dm = head.core, head.core.dm
         shot = task_named(prog, "shot0")
         out = shot.writes[0]
-        core.dm.commit_task_done(shot, 1)  # out lives on node 1 only
-        lineage.record_writes(shot, 1)
+        dm.commit_task_done(shot, 1)  # out lives on node 1 only
+        dm.record_writes(shot)
         retrieves = []
 
         def retrieve(src, bid, nbytes, origin):
@@ -195,17 +199,17 @@ class TestCheckpointer:
             if len(retrieves) == 1:
                 # A second commit lands while the first retrieve is in
                 # flight: the bytes fetched are already stale.
-                lineage.record_writes(shot, 1)
+                dm.record_writes(shot)
             return np.full(16, 7.0)
 
         core.events.retrieve = retrieve
         core.sim.process(head.checkpointer.run())
         core.sim.run(until=0.015)
         assert retrieves == [(0.01, 1, out.buffer_id)]
-        assert out.buffer_id not in lineage.checkpoints
+        assert dm.writes(out.buffer_id).checkpoint is None
         assert core.result.checkpoints_taken == 0
         core.sim.run(until=0.025)
-        version, snap = lineage.checkpoints[out.buffer_id]
+        version, snap = dm.writes(out.buffer_id).checkpoint
         assert version == 2 and np.array_equal(snap, np.full(16, 7.0))
         assert core.result.checkpoints_taken == 1
         assert [r.kind for r in log.records].count("checkpoint") == 1
