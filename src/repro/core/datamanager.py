@@ -5,7 +5,8 @@ mapped buffer resides across the cluster.  Location ``HOST`` (node 0)
 is the head node; workers are nodes 1..N.  After a head failover the
 directory is *rehomed* at the elected standby (:meth:`DataManager.rehome`)
 and the host image follows it.  The fault-tolerant runtime also keeps
-each buffer's write lineage here (:meth:`DataManager.record_writes`).
+each buffer's versions here (:meth:`DataManager.record_writes`), the
+input of its recovery planner (:func:`repro.core.faults.plan_recovery`).
 
 Coherency rules (verbatim from the paper):
 
@@ -24,7 +25,7 @@ Coherency rules (verbatim from the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.omp.task import Buffer, Task
 
@@ -58,18 +59,23 @@ class _BufferState:
     latest: int = HOST
 
 
+class Write(NamedTuple):
+    """One committed version: the task that wrote it, and the
+    ``(buffer, version)`` pairs that task read."""
+
+    task: Task
+    reads: tuple[tuple[Buffer, int], ...]
+
+
 @dataclass
 class WriteRecord:
-    """One buffer's write lineage (fault tolerance): ``writer`` made the
-    current value (a lineage re-execution included), ``history`` the
-    producer of each logged version in commit order (the version is its
-    length), ``checkpoint`` the newest ``(version, snapshot)`` and
-    ``recovering`` the event of an in-flight recovery."""
+    """One buffer's versions (fault tolerance): a :class:`Write` per
+    committed version in ``history`` (version ``k`` is ``history[k-1]``;
+    the current one, which the directory's holders hold, is its length)
+    and the newest ``checkpoint`` as ``(version, snapshot)``."""
 
-    writer: Task | None = None
-    history: list[Task] = field(default_factory=list)
+    history: list[Write] = field(default_factory=list)
     checkpoint: tuple[int, Any] | None = None
-    recovering: Any = None
 
     @property
     def version(self) -> int:
@@ -102,6 +108,8 @@ class DataManager:
         #: Write records by buffer id, apart from ``_state``: recording
         #: a write must never seed a location at the current home.
         self._writes: dict[int, WriteRecord] = {}
+        #: ``task id -> ((buffer id, version), ...)`` it committed.
+        self._produced: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # -- tiered store (repro.core.tiering) ---------------------------------
     def configure_tiering(
@@ -198,25 +206,35 @@ class DataManager:
             self._state[buffer.buffer_id] = st
         return st
 
-    # -- write lineage ------------------------------------------------------
+    # -- versions -------------------------------------------------------------
     def writes(self, buffer_id: int) -> WriteRecord:
         """The write record of a buffer (empty until first used)."""
         return self._writes.setdefault(buffer_id, WriteRecord())
 
     def written(self) -> list[int]:
-        """Ids of the buffers with a recorded writer, in order."""
-        return sorted(b for b, r in self._writes.items() if r.writer)
+        """Ids of the buffers with a committed version, in order."""
+        return sorted(b for b, r in self._writes.items() if r.history)
 
-    def record_writes(self, task: Task, recovery: bool = False) -> None:
-        """Record ``task`` as the writer of what it writes.  A lineage
-        re-execution (``recovery``) re-derives a logged version: it sets
-        the writer but adds no version, so versions stay equal to those
-        a standby replays from the log (checkpoint freshness)."""
-        for buf in task.writes:
-            rec = self.writes(buf.buffer_id)
-            rec.writer = task
-            if not recovery:
-                rec.history.append(task)
+    def version(self, buffer_id: int) -> int:
+        """The current version of a buffer (0: its initial value)."""
+        rec = self._writes.get(buffer_id)
+        return rec.version if rec is not None else 0
+
+    def record_writes(self, task: Task) -> None:
+        """Commit ``task``'s writes: each buffer it writes gets a new
+        version, recorded with the versions ``task`` read."""
+        reads = tuple((b, self.version(b.buffer_id)) for b in task.reads)
+        self._produced.pop(task.task_id, None)
+        self._produced[task.task_id] = self.outputs(task)
+        for bid in dict.fromkeys(b.buffer_id for b in task.writes):
+            self.writes(bid).history.append(Write(task, reads))
+
+    def outputs(self, task: Task) -> tuple[tuple[int, int], ...]:
+        """The ``(buffer id, version)`` pairs ``task`` writes: those it
+        committed (a replay re-derives them), else the next versions."""
+        return self._produced.get(task.task_id) or tuple(
+            (bid, self.version(bid) + 1)
+            for bid in dict.fromkeys(b.buffer_id for b in task.writes))
 
     # -- queries -----------------------------------------------------------
     def locations(self, buffer: Buffer) -> set[int]:
@@ -345,38 +363,26 @@ class DataManager:
                 st.locations.add(node)
         return stale
 
-    def commit_restore(self, buffer: Buffer, node: int | None = None) -> None:
-        """Re-materialize a buffer on ``node`` after total copy loss.
-
-        Used by checkpoint recovery: every previous location is gone
-        (the failed nodes were already dropped by
-        :meth:`on_node_failure`), and the restored bytes become the sole
-        authoritative copy.  ``node`` defaults to the current home.
-        """
-        if node is None:
-            node = self.home
+    def commit_restore(self, buffer: Buffer) -> None:
+        """A checkpoint restore re-materialized a lost buffer at the home:
+        the sole authoritative copy."""
         st = self._st(buffer)
-        st.locations = {node}
-        st.latest = node
+        st.locations = {self.home}
+        st.latest = self.home
 
     def invalidate(self, buffer: Buffer) -> None:
-        """Drop *every* copy of ``buffer`` from the directory.
-
-        Head failover uses this for buffers with an ambiguous in-place
-        (INOUT) dispatch in the adopted log — the value may or may not
-        carry the mutation, so only a checkpoint restore plus write-log
-        replay can reproduce a well-defined state.
-        """
+        """Drop *every* copy of ``buffer``: its value is undefined (an
+        in-doubt in-place write, or a rebuild cut short), so recovery
+        must plan it from a checkpoint."""
         self._st(buffer).locations.clear()
 
     # -- failures -----------------------------------------------------------
     def on_node_failure(self, node: int) -> list[Buffer]:
         """Drop every copy held by a failed node (§3.1 fault tolerance).
 
-        Returns the buffers whose *only* valid copy was lost — their
-        producing tasks must be re-executed (lineage recovery).  For
-        buffers with surviving replicas, ``latest`` is redirected to a
-        deterministic survivor.
+        Returns the buffers whose *only* valid copy was lost (recovery
+        replans them); a survivor's ``latest`` is redirected
+        deterministically.
         """
         if node == self.home:
             raise ValueError(

@@ -140,11 +140,11 @@ class EventSystem:
         #: (straggler speculation: the other attempt already won).
         self._cancelled_execs: set[tuple[int, int]] = set()
         #: Per-node idempotence state for head failover: task ids this
-        #: node already executed (dedup table), EXECUTEs currently
-        #: running (so a re-issued dispatch serializes behind the
-        #: original instead of double-applying an in-place kernel), and
-        #: the newest head epoch seen (fences zombie dispatches from a
-        #: deposed head).
+        #: node executed and no log committed yet (dedup table), EXECUTEs
+        #: currently running (so a re-issued dispatch serializes behind
+        #: the original instead of double-applying an in-place kernel),
+        #: and the newest head epoch seen (fences zombie dispatches from
+        #: a deposed head).
         n = cluster.num_nodes
         self._exec_done: list[set[int]] = [set() for _ in range(n)]
         self._exec_inflight: list[dict[int, Any]] = [{} for _ in range(n)]
@@ -265,6 +265,10 @@ class EventSystem:
         successors) produced.
         """
         self._cancelled_execs.add((task_id, attempt))
+
+    def forget_execution(self, node_id: int, task_id: int) -> None:
+        """A log committed ``task_id``'s completion: no head re-issues it."""
+        self._exec_done[node_id].discard(task_id)
 
     def fail_node(self, node_id: int) -> None:
         """Crash a node: kill its event machinery, lose its memory.
@@ -476,11 +480,14 @@ class EventSystem:
         if note.info.get("dedup"):
             # Idempotent re-issue after failover: if the original
             # dispatch is still running here, wait it out, then answer
-            # from the dedup table instead of running the task twice.
+            # from the dedup table while this node still holds the
+            # versions it wrote, instead of running the task twice.
             prior = self._exec_inflight[node_id].get(tid)
             if prior is not None and not prior.triggered:
                 yield prior
-            if tid in self._exec_done[node_id]:
+            if tid in self._exec_done[node_id] and all(
+                    mem.versions.get(bid) == version
+                    for bid, version in note.info["outputs"]):
                 self.obs.count("ompc.exec_dedup_hits")
                 yield from rank.send(note.origin, "done",
                                      COMPLETION_BYTES, note.tag)
@@ -609,6 +616,7 @@ class EventSystem:
             self.analysis.on_kernel(task, node_id, note.info.get("actx"))
         if not revoked():
             self._exec_done[node_id].add(task.task_id)
+            mem.versions.update(note.info["outputs"])
         yield from rank.send(note.origin, completion, COMPLETION_BYTES,
                              note.tag)
 
@@ -772,7 +780,7 @@ class EventSystem:
         self.obs.count("ompc.bytes_broadcast", nbytes * len(dsts))
 
     def execute(self, dst: int, task: Task, origin: int = 0, attempt: int = 0,
-                dedup: bool = False, fo_epoch: int = 0):
+                dedup: bool = False, fo_epoch: int = 0, outputs=()):
         """Generator: run a target region on ``dst`` (the EXECUTE event).
 
         Returns the tuple of buffer ids the device *detected* as written
@@ -783,9 +791,12 @@ class EventSystem:
         ``dedup`` marks a post-failover re-issue the worker may answer
         from its completion table; ``fo_epoch`` stamps the dispatch with
         the issuing head's epoch so workers can fence zombie dispatches
-        from a deposed head.
+        from a deposed head.  ``outputs`` are the ``(buffer id,
+        version)`` pairs the task writes: the worker stamps its copies,
+        and answers a dedup'd re-issue only while it holds them.
         """
-        info: dict[str, Any] = {"task_id": task.task_id, "attempt": attempt}
+        info: dict[str, Any] = {"task_id": task.task_id, "attempt": attempt,
+                                "outputs": outputs}
         if self.analysis.enabled:
             # The happens-before context token rides the notification:
             # the worker-side kernel recording joins the declared task

@@ -6,67 +6,55 @@ their neighbors.  Thus, if a node fails, the system detects and
 restarts the failed tasks.  Fault tolerance work on OMPC is underway
 and will be released in a future version."
 
-This module implements that future version on the simulated cluster:
+This module implements that future version on the simulated cluster.
+:class:`~repro.core.gossip.FailureDetector` (the §3.1 ring, or SWIM
+gossip with ``OMPCConfig.gossip``) suspects a node that misses beats
+and declares it dead once a direct ping fails; :class:`FailureInjector`
+crashes chosen nodes at chosen times.  :class:`FaultTolerantRuntime`
+runs every task through the plain runtime's frames
+(:class:`~repro.core.runtime.HeadCore`) and wires an :class:`FTHead` to
+plug-ins on the core's hooks, each testable without a cluster:
 
-* failure detection is :class:`~repro.core.gossip.FailureDetector`:
-  the §3.1 heartbeat ring, or SWIM gossip with ``OMPCConfig.gossip``.
-  Because the fabric may drop or delay messages (see
-  :mod:`repro.core.faultmodel`), a missed beat only makes a node
-  *suspected*; the head confirms with a direct ping before declaring it
-  dead.  False positives and cleared suspicions are counted.
-* :class:`FailureInjector` crashes chosen nodes at chosen simulated
-  times (kills their event machinery and wipes their device memory).
-* :class:`FaultTolerantRuntime` runs every task through the plain
-  runtime's frames (:class:`~repro.core.runtime.HeadCore`);
-  :meth:`~FaultTolerantRuntime.launch` wires an :class:`FTHead` (the
-  acting head, its log, and the recover step that re-dispatches a dead
-  node's in-flight tasks to survivors) to plug-ins on the core's hooks,
-  each testable without a cluster:
+- recovery has one planner, :func:`plan_recovery`, a pure function of
+  the directory (its holders and its per-buffer
+  :class:`~repro.core.datamanager.WriteRecord` versions).  Before each
+  frame, :meth:`FTHead.recover` plans the versions the task reads that
+  no live node holds: checkpoint restores, then replays of their
+  producers bound to the versions those read.  A worker death and a
+  head failover's in-doubt tasks go through it alike;
+- :class:`Checkpointer` snapshots written buffers head-side
+  (``OMPCConfig.checkpoint_interval``);
+- :class:`LogReplay` is head failover (below);
+- :class:`Speculation` (``OMPCConfig.straggler_factor``) gives a
+  too-slow task a second attempt elsewhere; the first to finish wins.
 
-  - lineage recovery (:meth:`FTHead.ensure_available`) rebuilds a
-    buffer whose only copy died by re-executing its producer, or from a
-    checkpoint plus a replay of the newer writes, which also rescues
-    in-place (INOUT) producers.  It reads the directory's write record
-    of the buffer (:class:`~repro.core.datamanager.WriteRecord`);
-  - :class:`Checkpointer` snapshots written buffers head-side
-    (``OMPCConfig.checkpoint_interval``);
-  - :class:`LogReplay` is head failover (below);
-  - :class:`Speculation` (``OMPCConfig.straggler_factor``) wraps the
-    target frame: a too-slow task gets a second attempt elsewhere, and
-    the first to finish wins.
-
-  An unrecoverable loss raises :class:`RecoveryError`.
+An unrecoverable loss raises :class:`RecoveryError`, naming the task,
+buffer and version.
 
 **The head node may fail too.**  With ``OMPCConfig.head_standbys > 0``
-the head streams its commit log (task completions, directory updates,
-checkpoint snapshots, dispatch intents) to standby workers through
-:mod:`repro.core.headlog`.  When the detector confirms the head dead —
-by a quorum of two nodes, never a self-confirmation through the dead
-head itself — the reporter coordinates an election among the standbys,
-the most-caught-up replica wins deterministically, and
-:meth:`LogReplay.rebuild` replays it into a fresh directory (locations
-and write records) and frontier.  Unacknowledged dispatches are re-issued
-idempotently (workers dedup by task id and fence old-epoch zombies),
-the checkpointer and failure detector re-root at the new head, and the
-program finishes bit-identical to a fault-free run.  A head crash with
-no live standby raises :class:`RecoveryError` instead of hanging.
-
-Transient faults (message loss, degraded links, stalls, hangs) are
-injected by passing a :class:`~repro.core.faultmodel.FaultPlan` to
-:meth:`FaultTolerantRuntime.run`; a lossy plan automatically enables the
-reliable MPI transport (:class:`~repro.mpi.comm.TransportConfig`) so
-loss costs simulated time rather than correctness.
+the head streams its commit log (completions, data enter and exit,
+checkpoints, dispatch intents) to standby workers
+(:mod:`repro.core.headlog`).  When a quorum of two nodes confirms the
+head dead, the most-caught-up standby is elected and
+:meth:`LogReplay.rebuild` replays its log into a fresh directory and
+frontier.  Unacknowledged dispatches are re-issued; a worker answers a
+re-issue from its completion table only while it still holds the
+versions that task wrote, and fences old-epoch zombies.  A head crash
+with no live standby raises :class:`RecoveryError`.  A lossy
+:class:`~repro.core.faultmodel.FaultPlan` switches the reliable MPI
+transport on, so loss costs simulated time, not correctness.
 """
 
 from __future__ import annotations
 
 import copy as _copy
 import itertools
+from collections import Counter
 
 import numpy as np
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
@@ -96,14 +84,9 @@ class RecoveryError(SimulationError):
 
 
 class ClusterExhausted(RecoveryError):
-    """Permanent failures left no workers to run on.
-
-    Raised instead of a generic :class:`RecoveryError` when execution
-    itself is impossible — every worker of the (sub)cluster has been
-    declared dead — so a workload manager can distinguish "this
-    partition is gone" (fail/requeue the one job, keep serving other
-    tenants) from "this buffer is unrecoverable".
-    """
+    """Every worker of the (sub)cluster was declared dead, so a workload
+    manager can tell "this partition is gone" (requeue the one job) from
+    "this buffer is unrecoverable"."""
 
 
 @dataclass(frozen=True)
@@ -121,13 +104,9 @@ class NodeFailure:
 
 
 class FailureInjector:
-    """Schedules crashes against a running event system.
-
-    Any node may be crashed, including the head (node 0) — recovering
-    from that requires standbys (``OMPCConfig.head_standbys``).  A node
-    can only be crashed once: arming a second failure for the same node
-    is rejected (fail-stop nodes do not die twice).
-    """
+    """Schedules crashes against a running event system, on every
+    control plane.  Any node may be crashed, the head (node 0) included,
+    but only once: fail-stop nodes do not die twice."""
 
     def __init__(self, events: EventSystem):
         self.events = events
@@ -142,11 +121,8 @@ class FailureInjector:
                 raise ValueError(f"node {failure.node} is outside the "
                                  f"cluster of {nodes} nodes")
             if failure.node in self._armed:
-                raise ValueError(
-                    f"node {failure.node} already has an armed failure; "
-                    "duplicate/overlapping injections would crash a "
-                    "fail-stop node twice"
-                )
+                raise ValueError(f"node {failure.node} already has an "
+                                 "armed failure; it cannot crash twice")
             self._armed.add(failure.node)
 
             def crash(f=failure):
@@ -156,7 +132,7 @@ class FailureInjector:
                 self.events.fail_node(f.node)
                 self.injected.append(f)
 
-            sim.process(crash(), name=f"failure@{failure.node}")
+            sim.process(crash(), name=f"kill@{failure.node}")
 
 
 @dataclass(frozen=True)
@@ -175,8 +151,7 @@ class FailoverEvent:
 
     @property
     def detection_time(self) -> float:
-        """Crash (or STONITH of a falsely declared head) → quorum
-        declaration."""
+        """Crash (or STONITH of a falsely declared head) → declaration."""
         return self.declared_at - self.failed_at
 
     @property
@@ -186,25 +161,21 @@ class FailoverEvent:
 
     @property
     def recovery_time(self) -> float:
-        """Declaration → new head resumed dispatching (includes the
-        announcement round and the log-replay rebuild)."""
+        """Declaration → new head resumed (announcement and rebuild)."""
         return self.resumed_at - self.declared_at
 
 
 @dataclass
 class FTRunResult(OMPCRunResult):
-    """An :class:`~repro.core.runtime.OMPCRunResult` plus the outcome of
-    the fault tolerance (``task_intervals`` keeps each task's last
-    frame)."""
+    """An :class:`~repro.core.runtime.OMPCRunResult` plus the fault
+    tolerance's outcome (``task_intervals`` keeps each last frame)."""
 
     failures: list[int] = field(default_factory=list)
     detections: list[tuple[int, int, float]] = field(default_factory=list)
     reexecuted_tasks: int = 0
     task_attempts: dict[int, int] = field(default_factory=dict)
-    #: Suspect→confirm outcomes: suspicions the head's ping cleared, and
-    #: detection errors against ground truth (a false positive is an
-    #: alive node declared dead; a false negative is a crashed node the
-    #: detector never declared).
+    #: Suspicions the head's ping cleared; alive nodes declared dead and
+    #: crashed nodes never declared.
     suspicions_cleared: int = 0
     false_positive_detections: int = 0
     false_negative_detections: int = 0
@@ -214,11 +185,9 @@ class FTRunResult(OMPCRunResult):
     #: Straggler mitigation: backup dispatches issued / races they won.
     speculative_attempts: int = 0
     speculation_wins: int = 0
-    #: Reliable-transport counters (drops, retransmissions, acks,
-    #: duplicates) — empty dict when the fabric is clean.
+    #: Reliable-transport counters (empty when the fabric is clean).
     transport: dict[str, int] = field(default_factory=dict)
-    #: Head-failover telemetry (zero/empty when the head survived or
-    #: replication was off).
+    #: Head-failover telemetry (empty when the head survived).
     head_failovers: int = 0
     failovers: list[FailoverEvent] = field(default_factory=list)
     #: The node serving as head when the run finished (0 = no failover).
@@ -233,14 +202,9 @@ class FTRunResult(OMPCRunResult):
 
 
 class FaultTolerantRuntime:
-    """OMPC with the §3.1 heartbeat/restart mechanism enabled.
-
-    Runs on the plain runtime's :class:`~repro.core.runtime.HeadCore`
-    (set-up, phases, frontier, failure sink, task frame, the one data
-    plane and the result) and plugs in the fault tolerance: membership,
-    head-state replication and failover, lineage and checkpoint
-    recovery, and speculation (see the module docstring).
-    """
+    """OMPC with the §3.1 heartbeat/restart mechanism enabled: the
+    plain runtime's :class:`~repro.core.runtime.HeadCore` plus the fault
+    tolerance plug-ins of the module docstring."""
 
     def __init__(
         self,
@@ -305,12 +269,9 @@ class FaultTolerantRuntime:
         cluster=None,
     ):
         """Set up one execution and return ``(main_process, finish)``,
-        as :meth:`OMPCRuntime.launch` does (an external ``cluster``, in
-        practice a :class:`~repro.cluster.partition.ClusterView`, joins
-        an already-ticking simulation).  Failure times are relative to
-        runtime startup.  A ``fault_plan`` cannot be combined with an
-        external cluster: plans install on the physical machine, which
-        the partition's owner must do before carving views.
+        as :meth:`OMPCRuntime.launch` does.  Failure times are relative
+        to runtime startup.  A ``fault_plan`` installs on the physical
+        machine, so it cannot come with an external ``cluster`` view.
         """
         failures = tuple(failures)
         if cluster is None:
@@ -381,6 +342,9 @@ class FaultTolerantRuntime:
                 done = core.frontier.all_done
                 yield events.race_failure([done], [head.home])
                 if done.triggered:
+                    if not done.ok:
+                        # The run failed in the instant the head died.
+                        raise done.value
                     break
                 yield from head.replay.failover()
             stop_services()
@@ -421,10 +385,9 @@ class FaultTolerantRuntime:
 
 class FTHead:
     """One launch's fault-tolerant head, shared by the plug-ins: the
-    :class:`~repro.core.runtime.HeadCore` (plug-ins read the live
-    ``core.dm``, which a failover replaces), the node acting as head
-    (``home``), the log (``repl``, ``append``), every mapped buffer by
-    id, and the recover step :meth:`execute` each task frame runs."""
+    :class:`~repro.core.runtime.HeadCore` (whose ``dm`` a failover
+    replaces), the acting head ``home``, the log, every mapped buffer by
+    id, and the task body :meth:`execute` with its :meth:`recover`."""
 
     def __init__(self, core: HeadCore, graph, repl: Replicator | None,
                  detector: FailureDetector | None):
@@ -443,6 +406,11 @@ class FTHead:
         self.buffers: dict[int, Buffer] = {
             b.buffer_id: b for t in graph.tasks() for b in t.touched
         }
+        #: :meth:`recover`'s holds per buffer id (plans and writer frames),
+        #: the tasks being replayed, and the event a freed hold fires.
+        self.held: Counter[int] = Counter()
+        self.replaying: set[int] = set()
+        self._turn = None
         self.checkpointer = Checkpointer(self)
         self.replay = LogReplay(self, detector)
         self.speculation = Speculation(self)
@@ -481,11 +449,12 @@ class FTHead:
         core.result.failures.append(node)
         self.append("node_dead", node=node)
 
-    def on_commit(self, task: Task, node: int, buf, recovery: bool) -> None:
+    def on_commit(self, task: Task, node: int, buf) -> None:
         if buf is None:
-            self.core.dm.record_writes(task, recovery)
-            if not recovery:
-                self.append("task_done", task_id=task.task_id, node=node)
+            if task.task_id in self.replaying:
+                return  # a replay re-derives versions already committed
+            self.core.dm.record_writes(task)
+            self.append("task_done", task_id=task.task_id, node=node)
         elif task.kind == TaskKind.TARGET_ENTER_DATA:
             self.append("enter_data", buffer_id=buf.buffer_id, node=node)
         else:
@@ -526,37 +495,29 @@ class FTHead:
             self.epoch.spawn(self.checkpointer.run(),
                              name=f"ft-checkpoint.e{fo_epoch}")
 
-    def execute(self, task: Task, chain: frozenset = frozenset()):
-        """Generator: run ``task`` to completion through the core's
-        frames, retrying a frame a node death failed on a fresh plan.
-
-        Before each frame the buffers it reads get a live copy
-        (lineage or checkpoint recovery, carrying ``chain``; a
-        non-empty ``chain`` marks a lineage re-execution).
-        """
+    def execute(self, task: Task):
+        """Generator: run ``task`` through the core's frames after
+        :meth:`recover`, retrying an attempt a node death failed."""
         core = self.core
-        recovery = bool(chain)
         attempts = self.speculation.attempts
         while True:
             node = self.target_node(task)
             attempts[task.task_id] = attempts.get(task.task_id, 0) + 1
-            if self.repl is not None and not recovery:
+            if self.repl is not None:
                 yield from self._log_dispatch(task, node)
             try:
-                if task.kind != TaskKind.CLASSICAL:
-                    entering = task.kind == TaskKind.TARGET_ENTER_DATA
-                    for buf in task.buffers if entering else task.reads:
-                        yield from self.ensure_available(buf, chain)
-                dedup = (not recovery
-                         and task.task_id in self.replay.forced_target)
-                yield from core._run_by_kind(task, self.home, dedup, node,
-                                             recovery)
+                yield from self.recover(task)
+                try:
+                    yield from core._run_by_kind(
+                        task, self.home,
+                        task.task_id in self.replay.forced_target, node)
+                finally:
+                    self._hold({b.buffer_id for b in task.writes}, False)
                 return
             except _NodeCrashed as crash:
                 if crash.node == self.home:
-                    # The head itself died under this frame; the
-                    # failover path owns recovery — park until the
-                    # epoch teardown interrupts us.
+                    # The head died under this frame: park until the
+                    # failover's epoch teardown interrupts us.
                     yield core.sim.event("park-for-failover")
                 self.handle_node_death(crash.node)  # retry on a survivor
 
@@ -572,96 +533,175 @@ class FTHead:
             fence = any(d.type.writes and d.type.reads for d in task.deps)
         yield from self.repl.flush() if fence else self.repl.throttle()
 
-    def ensure_available(self, buffer: Buffer, chain: frozenset = frozenset()):
-        """Generator: guarantee a live copy of ``buffer`` exists, read
-        off its write record in the directory.
-
-        ``chain`` carries the buffer ids already being recovered on
-        this call stack: needing one of them again means the lost
-        value can only be rebuilt from itself (an in-place/INOUT
-        producer), which is unrecoverable *without checkpoints* —
-        with checkpointing on, the snapshot breaks the cycle.
-        """
+    def recover(self, task: Task):
+        """Generator: give each version ``task`` reads a live copy (the
+        steps of :func:`plan_recovery`, run through the core's frames),
+        then hold what ``task`` writes until its frame ends.  A frame or
+        plan waits while another holds a buffer it touches, then plans
+        again, so frames share a plan and no writer overwrites a version
+        a step reads; a step whose node dies voids its plan's rebuilds."""
         core = self.core
-        bid = buffer.buffer_id
+        reads = (() if task.kind == TaskKind.CLASSICAL else task.buffers
+                 if task.kind == TaskKind.TARGET_ENTER_DATA else task.reads)
+        mine = {b.buffer_id for b in task.touched}
         while True:
-            rec = core.dm.writes(bid)
-            if rec.recovering is not None and bid not in chain:
-                # Someone else is recovering it: a location the
-                # re-execution lists may not hold the value yet.
-                yield rec.recovering
-                continue
-            if core.dm.locations(buffer) - core.dead:
-                return
-            if bid in chain:
-                if rec.checkpoint is None:
-                    raise RecoveryError(
-                        f"buffer {buffer.name} can only be rebuilt "
-                        "from its own lost value (in-place producer); "
-                        "checkpoint-free lineage recovery cannot help"
-                    )
-                # A recursive loss mid-replay of this very buffer:
-                # the in-flight restore sequence is void, tell the
-                # owning frame to start over from the snapshot.
-                raise _RecoveryRestart(bid)
-            if rec.checkpoint is None and rec.writer is None:
-                raise RecoveryError(
-                    f"buffer {buffer.name} lost with no recorded "
-                    "producer; its initial value existed only on the "
-                    "failed node"
-                )
-            done = rec.recovering = core.sim.event(f"recover:{buffer.name}")
+            dm = core.dm
             try:
-                if rec.checkpoint is not None:
-                    yield from self.restore_and_replay(buffer, chain)
-                else:
-                    yield from self.execute(rec.writer, chain | {bid})
-                    core.result.reexecuted_tasks += 1
+                steps = plan_recovery(dm, [(task, b, dm.version(b.buffer_id))
+                                           for b in reads], core.dead)
+            except RecoveryError:
+                if not self.held:
+                    raise
+                steps = None  # plan again once the held buffers free
+            planned = {b.buffer_id for s in steps or ()
+                       for b, _v in s.reads + s.outputs}
+            if steps is None or not self.held.keys().isdisjoint(mine | planned):
+                if self._turn is None:
+                    self._turn = core.sim.event("recovery-turn")
+                yield self._turn
+                continue
+            if not steps:
+                return self._hold({b.buffer_id for b in task.writes}, True)
+            rebuilt = [b for s in steps for b, _v in s.outputs
+                       if not dm.locations(b) - core.dead]
+            self._hold(planned, True)
+            try:
+                for step in steps:
+                    yield from self._run_step(step)
+            except _NodeCrashed as crash:
+                if crash.node == self.home:
+                    raise
+                self.handle_node_death(crash.node)
+                for buf in rebuilt:
+                    core.dm.invalidate(buf)
             finally:
-                rec.recovering = None
-                done.succeed()
+                self._hold(planned, False)
 
-    def restore_and_replay(self, buffer: Buffer, chain: frozenset):
-        """Generator: rebuild ``buffer`` from its newest checkpoint.
-
-        Restores the snapshot to the head, then replays — in commit
-        order, each task once — every write newer than the snapshot, so
-        multi-step in-place chains come back complete, not just their
-        last link.  If a replayed copy is lost again mid-sequence the
-        whole sequence restarts from a fresh restore (partial replays
-        would otherwise double-apply in-place writes).
-        """
+    def _run_step(self, step):
+        """Generator: one recovery step, through the core's frames."""
         core = self.core
-        bid = buffer.buffer_id
-        while True:
-            rec = core.dm.writes(bid)
-            version, snap = rec.checkpoint
-            _restore_into(buffer, snap)
-            core.dm.commit_restore(buffer)
+        if isinstance(step, Restore):
+            ((buf, _version),) = step.outputs
+            _restore_into(buf, step.snapshot)
+            core.dm.commit_restore(buf)
             core.result.checkpoint_restores += 1
             core.obs.count("ft.checkpoint_restores")
-            pending = {t.task_id: t for t in rec.history[version:]}
-            try:
-                for task in pending.values():
-                    yield from self.execute(task, chain | {bid})
-                    core.result.reexecuted_tasks += 1
-            except _RecoveryRestart as restart:
-                if restart.buffer_id != bid:
-                    raise
-                continue
             return
+        self.replaying.add(step.task.task_id)
+        try:
+            yield from core._run_by_kind(step.task, self.home, False,
+                                         self.target_node(step.task))
+        finally:
+            self.replaying.discard(step.task.task_id)
+        core.result.reexecuted_tasks += 1
+
+    def _hold(self, bids, take: bool) -> None:
+        """Take or free a hold on buffer ids; a free wakes the frames
+        :meth:`recover` keeps waiting."""
+        if take:
+            self.held += Counter(bids)
+            return
+        self.held -= Counter(bids)
+        turn, self._turn = self._turn, None
+        if turn is not None:
+            turn.succeed()
+
+
+class Replay(NamedTuple):
+    """A recovery step: re-run ``task`` on the versions it ``reads``."""
+
+    task: Task
+    reads: tuple
+    outputs: tuple
+
+
+class Restore(NamedTuple):
+    """A recovery step: copy back the checkpointed one of ``outputs``."""
+
+    snapshot: Any
+    outputs: tuple
+    reads: tuple = ()
+
+
+def plan_recovery(dm: DataManager, needed, dead=frozenset()) -> list:
+    """The ordered steps that give every needed version a live copy.
+
+    ``needed`` holds ``(task, buffer, version)``: a pending ``task``
+    reads that version.  A lost one (no holder outside ``dead``) is
+    rebuilt from a checkpoint (:class:`Restore`) or a whole-buffer
+    producer, then a :class:`Replay` of each later producer bound to the
+    versions it read, planned first; it ends at its holders' version.
+    One with no live copy, checkpoint or producer, or overwritten by a
+    newer one (a buffer's copies share one payload), raises
+    :class:`RecoveryError` naming task, buffer and version up front."""
+    steps: list = []
+    made: dict[int, int] = {}  # buffer id -> the version the plan leaves
+    bufs: dict[int, Buffer] = {}
+
+    def fail(task, buf, version, why):
+        raise RecoveryError(f"task {task.name} needs buffer {buf.name} at "
+                            f"version {version}, which {why}")
+
+    def need(task, buf, version):
+        bid, rec = buf.buffer_id, dm.writes(buf.buffer_id)
+        bufs[bid] = buf
+        if bid not in made:
+            if dm.locations(buf) - dead:
+                if version != rec.version:
+                    fail(task, buf, version, "a newer version overwrote")
+                return
+            start = version  # the newest producer reading no old value
+            while start and any(b is buf for b, _v in
+                                rec.history[start - 1].reads):
+                start -= 1
+            ckpt = rec.checkpoint
+            if ckpt is not None and start <= ckpt[0] <= version:
+                steps.append(Restore(ckpt[1], ((buf, ckpt[0]),)))
+                made[bid] = ckpt[0]
+            elif start:
+                replay(rec.history[start - 1])
+            else:
+                fail(task, buf, version, "has no live copy, no checkpoint "
+                     "and " + ("only an in-place producer" if rec.history
+                               else "no producer"))
+        if made[bid] > version:
+            fail(task, buf, version, "its rebuild has already passed")
+        while made[bid] < version:
+            replay(rec.history[made[bid]])
+
+    def replay(write):
+        task, outputs = write.task, []
+        for buf, version in write.reads:
+            need(task, buf, version)
+        for bid, version in dm.outputs(task):
+            buf = bufs[bid] = next(b for b in task.writes
+                                   if b.buffer_id == bid)
+            at = made.get(bid)
+            if at is None and dm.locations(buf) - dead and (
+                    version != dm.version(bid)):
+                fail(task, buf, version, "a newer live version would lose")
+            if at is not None and at >= version:
+                fail(task, buf, version, "its rebuild has already passed")
+            made[bid] = version
+            outputs.append((buf, version))
+        steps.append(Replay(task, write.reads, tuple(outputs)))
+
+    for task, buf, version in needed:
+        need(task, buf, version)
+    while True:  # bring every rebuilt buffer to its current version
+        behind = [bufs[b] for b, at in made.items() if at < dm.version(b)]
+        if not behind:
+            return steps
+        for buf in behind:
+            need(needed[0][0], buf, dm.version(buf.buffer_id))
 
 
 # -- the recovery plug-ins ------------------------------------------------
 class Checkpointer:
-    """Periodic head-side snapshots (``OMPCConfig.checkpoint_interval``).
-
-    Each snapshot is retrieved through the event system, so checkpoint
-    traffic is charged like any other data movement.  Only buffers
-    written since their last snapshot are refreshed; one written again
-    during its retrieve waits for the next round.  Each head epoch runs
-    one :meth:`run` loop against the current directory's write records.
-    """
+    """Periodic head-side snapshots (``OMPCConfig.checkpoint_interval``),
+    retrieved through the event system like any data movement.  Only
+    buffers written since their last snapshot are refreshed; one written
+    again during its retrieve waits for the next round."""
 
     def __init__(self, head: FTHead):
         self.head = head
@@ -711,16 +751,10 @@ class Checkpointer:
 
 
 class LogReplay:
-    """Head failover: elect a standby, replay its log, resume.
-
-    The log starts with every buffer's initial value (:meth:`bootstrap`).
-    On a confirmed head death (:meth:`on_head_death`) :meth:`failover`
-    ends the dead head's epoch, elects a standby and installs the state
-    :meth:`rebuild` replays from its replica, including
-    ``forced_target``: in-doubt tasks go back to their surviving target
-    with ``dedup=True``, so it answers work it already ran from its
-    completion table.
-    """
+    """Head failover: on a confirmed head death :meth:`failover` ends
+    the dead head's epoch, elects a standby and installs what
+    :meth:`rebuild` replays from its log, which starts with every
+    buffer's initial value (:meth:`bootstrap`)."""
 
     def __init__(self, head: FTHead, detector: FailureDetector | None):
         self.head = head
@@ -735,10 +769,9 @@ class LogReplay:
         return self._declared[node]
 
     def on_head_death(self, node: int, by: int) -> None:
-        """Detector verdict on the head (``on_head_detect``): STONITH,
-        then wake failover.  A falsely declared head is killed for real
-        before any successor takes over — two live heads racing the same
-        workers would be worse than one wrongly lost node."""
+        """Detector verdict on the head: STONITH, then wake failover (a
+        falsely declared head is killed for real: two live heads racing
+        the same workers would be worse than one wrongly lost node)."""
         core = self.head.core
         core.events.fail_node(node)
         ev = self._declared_event(node)
@@ -746,9 +779,8 @@ class LogReplay:
             ev.succeed((by, core.sim.now))
 
     def bootstrap(self) -> None:
-        """Log every buffer's pristine initial value, so even a
-        first-write INOUT loss is restorable after failover (the caller
-        flushes it to every standby before any task may run)."""
+        """Log every buffer's initial value (version 0), flushed to every
+        standby before any task runs."""
         buffers = self.head.buffers
         ids = sorted(buffers)
         self.head.append(
@@ -758,21 +790,14 @@ class LogReplay:
         )
 
     def rebuild(self, old_head: int):
-        """Replay the log into one fresh directory (locations and write
-        records) for the elected ``head.home``: ``(dm, frontier,
-        forced_target, in_doubt)``, where ``forced_target`` maps in-doubt
-        tasks (a dispatch with no completion) to their surviving target
-        and ``in_doubt`` counts them.
-
-        Only *logged* transitions are replayed — completions, data
-        enter/exit, node deaths, checkpoints (bootstrap: version 0) —
-        which yields a conservative directory: every logged write
-        pinned its buffer to the writing node, so dropping knowledge of
-        intermediate moves can only forget extra replicas, never invent
-        one.
-        Writes are replayed for classical and target completions only,
-        as the live head records them, so replayed versions equal the
-        live ones.
+        """Replay the log into one fresh directory (locations and
+        versions) for the elected ``head.home``: ``(dm, frontier,
+        forced_target, in_doubt)``.  ``forced_target`` maps each in-doubt
+        task (a dispatch with no completion) to its live target, and
+        ``in_doubt`` counts them; their frames plan what they read like
+        any other.  Only logged transitions replay (bootstrap snapshots
+        are version-0 checkpoints), which can forget replicas but never
+        invent one, and versions equal the live head's.
         """
         head = self.head
         core, graph, home = head.core, head.graph, head.home
@@ -902,10 +927,8 @@ class LogReplay:
 
 
 class Speculation:
-    """Straggler mitigation (``OMPCConfig.straggler_factor``), installed
-    as the core's target frame (``HeadCore.run_target``).  ``attempts``
-    counts frame attempts per task id (``FTRunResult.task_attempts``).
-    """
+    """Straggler mitigation (``OMPCConfig.straggler_factor``) as the
+    core's target frame; ``attempts`` counts frame attempts per task."""
 
     def __init__(self, head: FTHead):
         self.head = head
@@ -914,13 +937,9 @@ class Speculation:
         self._exec_attempt = itertools.count(1)
 
     def speculatable(self, task: Task) -> bool:
-        """Target tasks eligible for speculative re-dispatch.
-
-        Only pure-``out`` writers qualify: a losing attempt's kernel
-        launch is revoked, but one that already ran merely rewrote
-        outputs it fully overwrites — the same idempotence contract
-        lineage recovery relies on.  INOUT writers are excluded.
-        """
+        """Target tasks eligible for speculative re-dispatch: pure-``out``
+        writers only, since a losing attempt that already ran merely
+        rewrote outputs it fully overwrites (INOUT writers are out)."""
         core = self.head.core
         return (
             core.cfg.straggler_factor > 0
@@ -937,7 +956,7 @@ class Speculation:
         )
 
     def run_target(self, task: Task, node: int, origin: int, dedup: bool,
-                   attempt: int = 0, recovery: bool = False):
+                   attempt: int = 0):
         """Generator: the core's target frame.  A speculatable task's
         primary attempt gets ``straggler_factor`` times its cost
         estimate; past that a backup starts on another live worker, the
@@ -945,15 +964,14 @@ class Speculation:
         so a late finish cannot clobber downstream writes."""
         core = self.head.core
         if not self.speculatable(task):
-            yield from core._run_target(task, node, origin, dedup, attempt,
-                                        recovery)
+            yield from core._run_target(task, node, origin, dedup, attempt)
             return
         sim = core.sim
 
         def attempt_on(n: int, label: str):
             att = next(self._exec_attempt)
             proc = sim.process(
-                core._run_target(task, n, origin, dedup, att, recovery),
+                core._run_target(task, n, origin, dedup, att),
                 name=f"ft-spec:{task.name}.{label}",
             )
             settled = sim.event(f"settle:{task.name}.{label}")
@@ -1011,32 +1029,15 @@ def _snapshot(payload: Any) -> Any:
 
 
 def _restore_into(buffer: Any, snapshot: Any) -> None:
-    """Restore a snapshot into a buffer, preserving payload identity.
-
-    Payloads travel by reference in the simulation, so host code may
-    hold the very array object ``buffer.data`` points at.  Copying the
-    snapshot *into* that array (rather than rebinding ``buffer.data`` to
-    a fresh one) keeps those aliases live across a recovery — matching
-    OpenMP mapped-buffer semantics, where the original host storage is
-    what gets refilled.
-    """
+    """Restore a snapshot into a buffer, preserving payload identity:
+    host code may hold the very array ``buffer.data`` points at, and
+    OpenMP refills the original host storage, so the snapshot is copied
+    *into* that array rather than rebinding ``buffer.data``."""
     fresh = _snapshot(snapshot)  # the stored copy stays pristine
     data = buffer.data
-    if (
-        isinstance(data, np.ndarray)
-        and isinstance(fresh, np.ndarray)
-        and data.shape == fresh.shape
-        and data.dtype == fresh.dtype
-    ):
+    if (isinstance(data, np.ndarray) and isinstance(fresh, np.ndarray)
+            and data.shape == fresh.shape and data.dtype == fresh.dtype):
         np.copyto(data, fresh)
     else:
         buffer.data = fresh
 
-
-class _RecoveryRestart(Exception):
-    """Internal control flow: a checkpoint restore sequence was itself
-    hit by a failure and must start over from the snapshot."""
-
-    def __init__(self, buffer_id: int):
-        super().__init__(f"recovery of buffer {buffer_id} must restart")
-        self.buffer_id = buffer_id

@@ -1,46 +1,38 @@
 """Replicated head-state commit log (head-node failover).
 
-The head node is OMPC's single point of control: it owns the scheduler,
-the data-manager directory, the checkpoint store, and the in-flight
-task set.  To make it expendable, the head streams an ordered **commit
-log** of every externally visible state transition — task dispatches
-and completions, data-directory updates, checkpoint snapshots — to one
-or more *standby* workers over the (reliable) MPI transport:
+The head node owns the scheduler, the directory, the checkpoint store
+and the in-flight task set.  To make it expendable, it streams an
+ordered **commit log** of every externally visible transition (task
+dispatches and completions, directory updates, checkpoints) to standby
+workers over the reliable MPI transport:
 
-* :class:`LogRecord` — one immutable entry, identified by
-  ``(index, epoch)`` exactly like a Raft entry: ``index`` is the
-  position in the log, ``epoch`` the head incarnation that wrote it.
-* :class:`HeadLog` — the head-side append-only record list.  On
-  failover the elected standby *adopts* its own replica as the new
-  authoritative log (the old head's unreplicated suffix is lost by
-  definition) and bumps the epoch.
-* :class:`Replicator` — the replication machinery: the head appends
-  through it (:meth:`Replicator.append`), a per-standby pump process on
-  the head streams records in order (one in flight per standby; send
-  completion acknowledges delivery), receivers on each standby append
-  to their replica with Raft-style conflict handling (same
-  ``(index, epoch)`` → duplicate, same index but different epoch →
-  truncate the stale tail), and the takeover
-  (:meth:`Replicator.take_over`) elects the most-caught-up standby by
-  ``(last epoch, replica length, lowest id)``, announces it and adopts
-  its replica.
+* :class:`LogRecord`: one immutable entry, identified like a Raft entry
+  by ``(index, epoch)``, its log position and the head incarnation that
+  wrote it.
+* :class:`HeadLog`: the head's append-only record list.  On failover
+  the elected standby *adopts* its replica as the new log (the old
+  head's unreplicated suffix is lost) under a bumped epoch.
+* :class:`Replicator`: the head appends through it; a pump per standby
+  streams records in order, one in flight (send completion is the
+  acknowledgement); each standby's receiver appends to its replica
+  (same ``(index, epoch)``: a duplicate; same index, new epoch: the
+  stale tail is truncated); and :meth:`Replicator.take_over` elects the
+  most caught-up standby by ``(last epoch, length, lowest id)``.
 
 Consistency contract used by the runtime:
 
-* **Asynchronous by default, bounded lag** — appends return
-  immediately; :meth:`Replicator.throttle` blocks the dispatch path
-  once any live standby falls more than :data:`REPLICATION_MAX_LAG`
-  records behind.
-* **Synchronous fences for non-idempotent work** —
-  :meth:`Replicator.flush` blocks until every live standby has
-  acknowledged the log as of the call; the runtime fences the
-  bootstrap snapshot and every INOUT dispatch record this way, so an
-  ambiguous in-place mutation can always be *detected* from a replica
-  (a dispatch record with no matching completion) even when its
-  outcome was lost.
-* **Prefix property** — pumps send strictly in order, so every replica
-  is a prefix of the head's log; a completion record can never survive
-  a crash that its causally earlier records did not.
+* **Bounded lag**: appends return at once; :meth:`Replicator.throttle`
+  blocks dispatch while a live standby is more than
+  :data:`REPLICATION_MAX_LAG` records behind.
+* **Fences for non-idempotent work**: :meth:`Replicator.flush` blocks
+  until every live standby acknowledged the log so far.  The bootstrap
+  snapshot and every INOUT dispatch are fenced, so an in-place mutation
+  whose outcome was lost is still *detectable* (a dispatch with no
+  completion).
+* **Prefix property**: every replica is a prefix of the head's log.
+* **Committed completions are final**: once every live standby holds a
+  ``task_done``, no successor re-issues that task, so the workers drop
+  it from their dedup tables.
 """
 
 from __future__ import annotations
@@ -163,6 +155,8 @@ class Replicator:
         }
         self._more = None
         self._prog = None
+        #: Records below this index left the workers' dedup tables.
+        self._forgotten = 0
         self._reply_seq = itertools.count()
 
     # -- lifecycle -------------------------------------------------------
@@ -221,6 +215,7 @@ class Replicator:
                 self.stats["records_sent"] += 1
                 self.stats["bytes_sent"] += rec.nbytes
                 self._notify_progress()
+                self._forget_committed()
 
     def committed(self) -> int:
         """Records acknowledged by *every* live standby.
@@ -233,6 +228,16 @@ class Replicator:
             return len(self.log.records)
         return min(self.acked[s] for s in live)
 
+    def _forget_committed(self) -> None:
+        """Drop each committed ``task_done`` from its node's dedup table,
+        which so holds only completions still in doubt."""
+        upto = self.committed()
+        for rec in self.log.records[self._forgotten:upto]:
+            if rec.kind == "task_done":
+                self.events.forget_execution(rec.data["node"],
+                                             rec.data["task_id"])
+        self._forgotten = max(self._forgotten, upto)
+
     def flush(self):
         """Generator: block until the log as of now is fully replicated.
 
@@ -242,24 +247,16 @@ class Replicator:
         """
         self.stats["flushes"] += 1
         target = len(self.log.records)
-        while True:
-            live = self.live_standbys()
-            if not live or min(self.acked[s] for s in live) >= target:
-                return
-            yield self.events.race_failure([self._wait_progress()], live)
+        while self.committed() < target:
+            yield self.events.race_failure([self._wait_progress()],
+                                           self.live_standbys())
 
     def throttle(self):
         """Generator: enforce the bounded-lag contract on dispatch."""
-        while True:
-            live = self.live_standbys()
-            if not live:
-                return
-            if len(self.log.records) - min(
-                self.acked[s] for s in live
-            ) <= REPLICATION_MAX_LAG:
-                return
+        while len(self.log.records) - self.committed() > REPLICATION_MAX_LAG:
             self.stats["throttles"] += 1
-            yield self.events.race_failure([self._wait_progress()], live)
+            yield self.events.race_failure([self._wait_progress()],
+                                           self.live_standbys())
 
     # -- standby side ----------------------------------------------------
     def _receiver(self, standby: int):

@@ -41,6 +41,9 @@ class DeviceMemory:
         self._table: dict[int, Any] = {}
         self._sizes: dict[int, float] = {}
         self._labels: dict[int, str] = {}
+        #: ``buffer id -> version`` its own kernels wrote (none if since
+        #: overwritten by delivered bytes).
+        self.versions: dict[int, int] = {}
         #: Logical bytes currently mapped on this node.
         self.resident_bytes = 0.0
         #: High-water mark of :attr:`resident_bytes` over the run.
@@ -110,6 +113,7 @@ class DeviceMemory:
                 f"node {self.node_id}: write to unallocated buffer {buffer_id}"
             )
         self._table[buffer_id] = payload
+        self.versions.pop(buffer_id, None)
 
     def read(self, buffer_id: int) -> Any:
         """The resident payload; raises if the buffer is not here."""
@@ -126,6 +130,7 @@ class DeviceMemory:
                 f"node {self.node_id}: delete of non-resident buffer {buffer_id}"
             )
         del self._table[buffer_id]
+        self.versions.pop(buffer_id, None)
         self.resident_bytes -= self._sizes.pop(buffer_id, 0.0)
         self._labels.pop(buffer_id, None)
         self.deletions += 1
@@ -144,6 +149,7 @@ class DeviceMemory:
     def wipe(self) -> None:
         """Drop every entry (node crash: its memory contents are gone)."""
         self._table.clear()
+        self.versions.clear()
         self._sizes.clear()
         self._labels.clear()
         self.resident_bytes = 0.0

@@ -278,27 +278,19 @@ class ProcessGroup:
 class HeadCore:
     """The head's per-launch machinery, shared by all three drivers.
 
-    One instance serves one execution: set-up (observer and analysis
-    install, MPI world, event system, data manager, tiering), the run's
-    phases (:meth:`boot`, :meth:`plan_phase`, :meth:`teardown`, which
-    also record their times in the result), the dependency
-    :attr:`frontier` and its barrier, the one failure sink
-    (:meth:`fail`), the one data plane (the enter-data, exit-data and
-    target frames, their moves and deletes, broadcast, and the one
-    memory path: :meth:`make_room`'s plan, back-off and evictions), the
-    task frame that runs one task on a head-thread slot, and the run's
-    result.  The driver keeps its policy around it: the plain runtime
-    (:class:`OMPCRuntime`) one head with one slot pool; the sharded
-    plane (:mod:`repro.core.shard.plane`) one slot pool per shard
-    manager, ownership and leases; the fault-tolerant runtime
-    (:mod:`repro.core.faults`) one slot pool, a head that may move on
-    failover (the frames test ``dm.home``, never node 0), recovery and
-    the plug-ins below: the "node may die" hook (:attr:`dead` and
-    :attr:`guard`), commit bookkeeping (:attr:`on_commit`), the target
-    frame (:attr:`run_target`), :attr:`tombstones` and
-    :attr:`fo_epoch`.  Every event-system call
-    takes the frame's ``origin``: the head's node for a single head,
-    the shard's manager node for a shard.
+    One instance serves one execution: set-up, the run's phases
+    (:meth:`boot`, :meth:`plan_phase`, :meth:`teardown`), the
+    :attr:`frontier`, the one failure sink (:meth:`fail`), the one data
+    plane (enter-data, exit-data and target frames, moves, deletes,
+    broadcast, and :meth:`make_room`'s memory path), the task frame on a
+    head-thread slot, and the result.  Drivers keep their policy around
+    it: :class:`OMPCRuntime` one slot pool; the sharded plane one per
+    shard manager, plus ownership and leases; the fault-tolerant runtime
+    a head that may move (frames test ``dm.home``, never node 0) and its
+    plug-ins: :attr:`dead` and :attr:`guard`, :attr:`on_commit`,
+    :attr:`run_target`, :attr:`tombstones` and :attr:`fo_epoch`.  Every
+    event-system call takes the frame's ``origin``: the head's node, or
+    the shard's manager node.
     """
 
     def __init__(self, cluster_spec: ClusterSpec, cfg: OMPCConfig,
@@ -365,7 +357,7 @@ class HeadCore:
         #: Tasks whose completion the data manager already committed,
         #: kept by the sharded plane: a shard re-dispatching a task after
         #: a manager failover must not commit it twice.  ``None`` commits
-        #: every frame (a lineage re-execution must commit again).
+        #: every frame (a recovery replay must commit again).
         self.committed: set[int] | None = None
         self.schedule = Schedule({})
         #: Read-only enter-data buffer id -> consumer nodes (§7).
@@ -795,22 +787,21 @@ class HeadCore:
         complete(task)
 
     def _run_by_kind(self, task: Task, origin: int, dedup: bool,
-                     node: int | None = None, recovery: bool = False):
+                     node: int | None = None):
         """Generator: the frame of ``task``'s kind on ``node`` (default:
-        its scheduled node); ``recovery`` marks a lineage re-execution."""
+        its scheduled node)."""
         if node is None:
             node = self.schedule.node_of(task)
         if task.kind == TaskKind.CLASSICAL:
-            yield from self._run_classical(task, recovery)
+            yield from self._run_classical(task)
         elif task.kind == TaskKind.TARGET_ENTER_DATA:
             yield from self._run_enter_data(task, node, origin)
         elif task.kind == TaskKind.TARGET_EXIT_DATA:
             yield from self._run_exit_data(task, origin)
         else:
-            yield from self.run_target(task, node, origin, dedup,
-                                       recovery=recovery)
+            yield from self.run_target(task, node, origin, dedup)
 
-    def _run_classical(self, task: Task, recovery: bool = False):
+    def _run_classical(self, task: Task):
         """Generator: run a classical task on the home node's CPU
         against host memory, then commit its writes there."""
         home = self.dm.home
@@ -824,7 +815,7 @@ class HeadCore:
                 task.fn(*(d.buffer.data for d in task.deps))
         finally:
             head.cpu.release()
-        self.on_commit(task, home, None, recovery)
+        self.on_commit(task, home, None)
 
     def _enter_broadcast(self, task: Task, node: int, origin: int):
         # §7 extension: one-to-many proactive distribution.  When the
@@ -873,7 +864,7 @@ class HeadCore:
             yield from self._perform_moves(mvs, origin)
             for b, _ms in staged:
                 dm.commit_enter_data(b, node)
-                self.on_commit(task, node, b, False)
+                self.on_commit(task, node, b)
             staged.clear()
 
         try:
@@ -910,17 +901,16 @@ class HeadCore:
             yield from self._perform_moves(moves, origin)
             for buf in task.buffers:
                 removals = dm.commit_exit_data(buf)
-                self.on_commit(task, dm.home, buf, False)
+                self.on_commit(task, dm.home, buf)
                 yield from self._perform_deletes(removals, origin)
         finally:
             dm.unpin(buf_ids)
             self._mem_wake()
 
     def _run_target(self, task: Task, node: int, origin: int, dedup: bool,
-                    attempt: int = 0, recovery: bool = False):
+                    attempt: int = 0):
         """Generator: the target frame.  ``attempt`` identifies the
-        dispatch for speculation's revocation; ``recovery`` marks a
-        lineage re-execution (for :attr:`on_commit`)."""
+        dispatch for speculation's revocation."""
         dm = self.dm
         dep_ids = sorted({d.buffer.buffer_id for d in task.deps})
         # Pin the whole frame, so no later planner can pick any of these
@@ -941,12 +931,12 @@ class HeadCore:
             moves, allocs = plan
             self.count_reads(task, node, {m.buffer.buffer_id for m in moves})
             yield from self._run_target_body(task, node, moves, allocs,
-                                             origin, dedup, attempt, recovery)
+                                             origin, dedup, attempt)
         finally:
             dm.unpin(dep_ids)
             self._mem_wake()
 
-    def on_commit(self, task: Task, node: int, buf, recovery: bool) -> None:
+    def on_commit(self, task: Task, node: int, buf) -> None:
         """Commit bookkeeping, called right after each directory commit
         of a frame (a driver may replace it): ``buf`` is ``None`` for a
         task's writes on ``node``, else one buffer entered on ``node`` or
@@ -968,8 +958,7 @@ class HeadCore:
             self.obs.count("mem.miss" if bid in fetched else "mem.hit")
 
     def _run_target_body(self, task: Task, node: int, moves, allocs,
-                         origin: int, dedup: bool, attempt: int = 0,
-                         recovery: bool = False):
+                         origin: int, dedup: bool, attempt: int = 0):
         obs, events, dm, guard = self.obs, self.events, self.dm, self.guard
         for mv in moves:
             # A fetch logically reads the buffer on the task's behalf.
@@ -1006,7 +995,7 @@ class HeadCore:
         ) if enabled else None
         detected = yield from guard([node], events.execute(
             node, task, origin=origin, attempt=attempt, dedup=dedup,
-            fo_epoch=self.fo_epoch,
+            fo_epoch=self.fo_epoch, outputs=dm.outputs(task),
         ))
         if enabled:
             obs.end(exec_span)
@@ -1021,7 +1010,7 @@ class HeadCore:
                 task, node,
                 written_ids=set(detected) if detected is not None else None,
             )
-            self.on_commit(task, node, None, recovery)
+            self.on_commit(task, node, None)
             yield from self._perform_deletes(stale, origin)
         if enabled:
             obs.end(commit_span)

@@ -15,28 +15,22 @@ knee.  :class:`ShardedRuntime` breaks the knee by partitioning control:
 * task/buffer ownership comes from the
   :class:`~repro.core.shard.directory.ShardDirectory` (consistent hash
   of the affinity key);
-* cross-shard dependences resolve by **lease/subscription**: at plane
-  start-up each shard sends one LEASE per remote producer task it
-  depends on; the owner replies with a NOTIFY when (or immediately if)
-  the producer completed.  No polling, and consumers dedup
-  notifications by task id exactly like the PR 3 worker-side dispatch
-  dedup — a failover's replayed messages are no-ops;
-* each shard reuses :mod:`repro.core.headlog` for failover: dispatches,
-  completions, and processed notifications append to a per-shard
-  commit log replicated to ``head_standbys`` standbys drawn from the
-  shard's worker slice.  On a gossip-confirmed manager death the
-  shard's frames, then its pumps, are ended (each a
-  :class:`~repro.core.runtime.ProcessGroup`),
-  :meth:`~repro.core.headlog.Replicator.take_over` promotes a standby,
-  the log replay is charged, the shard's slot pool and service loops
-  restart on the winner, leases are re-sent for unsatisfied
-  subscriptions (closing the lost-NOTIFY window) and the shard's ready
-  tasks in the shared :class:`~repro.core.runtime.Frontier` are
-  re-dispatched, with ``dedup=True`` for those its log shows
-  dispatched;
-* membership is the gossip configuration of
-  :class:`~repro.core.gossip.FailureDetector` (SWIM), not the heartbeat
-  ring — required whenever failures are injected, optional otherwise.
+* cross-shard dependences resolve by **lease/subscription**: at start-up
+  each shard sends one LEASE per remote producer it depends on; the
+  owner replies with a NOTIFY when (or at once if) the producer
+  completed.  No polling, and consumers dedup notifications by task id,
+  so a failover's replayed messages are no-ops;
+* each shard logs dispatches, completions and processed notifications
+  to its own :mod:`repro.core.headlog`, replicated to ``head_standbys``
+  standbys of its worker slice.  On a gossip-confirmed manager death its frames
+  and pumps end, :meth:`~repro.core.headlog.Replicator.take_over`
+  promotes a standby, the slot pool and services restart there, leases
+  are re-sent for unsatisfied subscriptions (closing the lost-NOTIFY
+  window) and the shard's ready tasks are re-dispatched, with
+  ``dedup=True`` for those its log shows dispatched;
+* membership is the gossip :class:`~repro.core.gossip.FailureDetector`
+  (SWIM), required whenever failures are injected (through
+  :class:`~repro.core.faults.FailureInjector`).
 
 Each task runs through the same :class:`~repro.core.runtime.HeadCore`
 frame as the single-head runtime (data plane, tiered store, broadcast
@@ -56,6 +50,7 @@ from __future__ import annotations
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
 from repro.core.events import NOTIFICATION_BYTES
+from repro.core.faults import FailureInjector, NodeFailure
 from repro.core.gossip import FailureDetector
 from repro.core.headlog import HeadLog, Replicator
 from repro.core.runtime import HeadCore, ProcessGroup, reject_unread
@@ -161,7 +156,8 @@ class ShardedRuntime:
                 f"least one worker each), got {cluster_spec.num_nodes}"
             )
         injections = tuple(
-            (float(t), int(node)) for t, node in inject_failures
+            NodeFailure(time=float(t), node=int(node))
+            for t, node in inject_failures
         )
         if injections:
             if not cfg.gossip:
@@ -174,18 +170,15 @@ class ShardedRuntime:
                     "failure injection requires head_standbys >= 1 for "
                     "the per-shard replication log"
                 )
-            for _t, node in injections:
+            for node in (f.node for f in injections):
                 if node == 0:
                     raise ValueError(
-                        "node 0 (the host shard manager) cannot be "
-                        "killed here; root-head failover is "
-                        "FaultTolerantRuntime's job"
-                    )
-                if not 1 <= node < k:
+                        "node 0 (the host shard manager) cannot be killed "
+                        "here; root-head failover is FaultTolerantRuntime's")
+                if k <= node < cluster_spec.num_nodes:
                     raise ValueError(
                         f"only shard-manager nodes (1..{k - 1}) may be "
-                        f"killed in the sharded plane, got {node}"
-                    )
+                        f"killed in the sharded plane, got {node}")
         self.cluster_spec = cluster_spec
         self.config = cfg
         self.num_shards = k
@@ -308,7 +301,8 @@ class ShardedRuntime:
                 return
             shard.stats.dispatched += 1
             if shard.repl is not None:
-                shard.repl.append("done", task=tid)
+                shard.repl.append("task_done", task_id=tid,
+                                  node=core.schedule.node_of(task))
             release_local(shard, task)
             subscribers = shard.subs.get(tid)
             if subscribers:
@@ -470,10 +464,6 @@ class ShardedRuntime:
                 if owner_of(task.task_id) == shard.sid:
                     spawn_task(task, dedup=task.task_id in dispatched)
 
-        def injector(at: float, node: int):
-            yield sim.timeout(at)
-            events.fail_node(node)
-
         # -- manager and main processes ------------------------------------
         def manager_body(shard: _Shard):
             yield plane_up
@@ -502,8 +492,7 @@ class ShardedRuntime:
                     shard.repl.start()
                     start_pumps(shard)
                 start_services(shard)
-            for at, node in self.inject_failures:
-                sim.process(injector(at, node), name=f"kill@{node}")
+            FailureInjector(events).arm(self.inject_failures)
             plane_up.succeed()
             frontier.settle()
             yield frontier.all_done

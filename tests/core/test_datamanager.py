@@ -157,7 +157,7 @@ class TestWriteRecords:
         dm.record_writes(writer)
         dm.rehome(2)
         assert dm.locations(a) == {2}
-        assert dm.writes(a.buffer_id).writer is writer
+        assert dm.writes(a.buffer_id).history[-1].task is writer
 
 
 class TestMoveProperties:

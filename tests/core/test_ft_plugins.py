@@ -1,7 +1,7 @@
 """Unit tests of the fault-tolerant runtime's recovery plug-ins.
 
-Each test drives :class:`~repro.core.faults.FTHead` (its lineage
-recovery) or one plug-in (:class:`~repro.core.faults.Checkpointer`,
+Each test drives :class:`~repro.core.faults.FTHead` (its recovery
+planner, :func:`~repro.core.faults.plan_recovery`) or one plug-in (:class:`~repro.core.faults.Checkpointer`,
 :class:`~repro.core.faults.LogReplay`, :class:`~repro.core.faults.Speculation`)
 against a bare simulator, a synthetic :class:`~repro.core.headlog.HeadLog`,
 a bare :class:`~repro.core.datamanager.DataManager` and fake frames: no
@@ -15,10 +15,12 @@ import pytest
 
 from repro.core.config import OMPCConfig
 from repro.core.datamanager import DataManager
-from repro.core.faults import FTHead, FTRunResult, RecoveryError
+from repro.core.faults import FTHead, FTRunResult, RecoveryError, plan_recovery
 from repro.core.headlog import HeadLog
 from repro.core.scheduler import Schedule
 from repro.obs.observer import NullObserver
+from repro.omp import OmpProgram
+from repro.omp.task import depend_in, depend_out
 from repro.sim import Interrupt, Simulator
 
 from tests.core.test_failover import chain_program, shots_program
@@ -78,12 +80,12 @@ def fake_frames(head, calls):
     writes on the target node."""
     core = head.core
 
-    def run_by_kind(task, origin, dedup, node, recovery):
-        calls.append((task.name, origin, dedup, node, recovery))
+    def run_by_kind(task, origin, dedup, node):
+        calls.append((task.name, origin, dedup, node))
         if task.fn is not None:
             task.fn(*(d.buffer.data for d in task.deps))
         core.dm.commit_task_done(task, node)
-        head.on_commit(task, node, None, recovery)
+        head.on_commit(task, node, None)
         yield from ()
 
     core._run_by_kind = run_by_kind
@@ -96,8 +98,8 @@ def task_named(program, name):
 def lineage(dm):
     """Every written buffer's ``(version, history ids, writer id)``."""
     return {
-        bid: (rec.version, [t.task_id for t in rec.history],
-              rec.writer.task_id)
+        bid: (rec.version, [w.task.task_id for w in rec.history],
+              rec.history[-1].task.task_id)
         for bid in dm.written() for rec in [dm.writes(bid)]
     }
 
@@ -113,7 +115,7 @@ class TestLogReplay:
             if task.kind.is_data_movement:
                 head.append("task_done", task_id=task.task_id, node=0)
             else:
-                head.on_commit(task, 1, None, False)
+                head.on_commit(task, 1, None)
         live = head.core.dm
         head.home = 2
         replayed, frontier, forced, redispatched = head.replay.rebuild(0)
@@ -161,7 +163,7 @@ class TestLogReplay:
         fake_frames(head, calls)
         core.sim.process(head.execute(step0))
         core.sim.run()
-        assert calls == [("step0", 2, True, 1, False)]
+        assert calls == [("step0", 2, True, 1)]
 
 
 class TestLineage:
@@ -170,6 +172,7 @@ class TestLineage:
         head = make_head(prog)
         core = head.core
         step0 = task_named(prog, "step0")
+        exit_ = task_named(prog, "exit_data2")
         buf = step0.deps[0].buffer
         core.dm.commit_enter_data(buf, 1)
         core.dm.commit_task_done(step0, 1)
@@ -177,8 +180,83 @@ class TestLineage:
         core.dead.add(1)
         core.dm.on_node_failure(1)  # x's only copy died after step0
         core._run_by_kind = None  # recovery must fail before any frame
-        with pytest.raises(RecoveryError, match="buffer x can only be rebuilt"):
-            next(head.ensure_available(buf))
+        with pytest.raises(RecoveryError, match=(
+                "task exit_data2 needs buffer x at version 1, which has "
+                "no live copy, no checkpoint and only an in-place producer")):
+            plan_recovery(core.dm, [(exit_, buf, 1)], core.dead)
+        with pytest.raises(RecoveryError, match="buffer x at version 1"):
+            next(head.recover(exit_))
+
+
+def war_program():
+    """``P`` reads ``w`` and writes ``a``; ``W`` then overwrites ``w``,
+    and ``R1``/``R2`` read ``a``."""
+    prog = OmpProgram("war")
+    w = prog.buffer(16, data=np.zeros(2), name="w")
+    a = prog.buffer(16, data=np.zeros(2), name="a")
+    prog.target(fn=lambda x, y: np.copyto(y, x + 1.0),
+                depend=[depend_in(w), depend_out(a)], name="P")
+    prog.target(depend=[depend_out(w)], name="W")
+    prog.target(depend=[depend_in(a)], name="R1")
+    prog.target(depend=[depend_in(a)], name="R2")
+    return prog, w, a
+
+
+class TestRecover:
+    def lose_a(self, prog):
+        """``P`` committed on node 1, which then dies."""
+        head = make_head(prog)
+        core = head.core
+        producer = task_named(prog, "P")
+        core.dm.commit_task_done(producer, 1)
+        core.dm.record_writes(producer)
+        core.dead.add(1)
+        core.dm.on_node_failure(1)
+        calls = []
+        fake_frames(head, calls)
+        run_by_kind = core._run_by_kind
+
+        def timed(task, origin, dedup, node):
+            yield core.sim.timeout(1.0)
+            yield from run_by_kind(task, origin, dedup, node)
+
+        core._run_by_kind = timed
+        return head, calls
+
+    def test_frames_needing_one_version_share_one_replay(self):
+        prog, _w, a = war_program()
+        head, calls = self.lose_a(prog)
+        core = head.core
+        for name in ("R1", "R2"):
+            core.sim.process(head.recover(task_named(prog, name)))
+        core.sim.run()
+        assert [c[0] for c in calls] == ["P"]
+        assert core.result.reexecuted_tasks == 1
+        assert core.dm.locations(a) and core.dm.version(a.buffer_id) == 1
+        # Each reader now holds nothing it writes; the plan's holds are
+        # gone.
+        assert not head.held
+
+    def test_a_plan_waits_out_a_writer_then_names_the_overwrite(self):
+        prog, w, _a = war_program()
+        head, calls = self.lose_a(prog)
+        core = head.core
+        writer = task_named(prog, "W")
+        head._hold({w.buffer_id}, True)  # W's frame is in flight
+
+        def finish_writer():
+            yield core.sim.timeout(5.0)
+            core.dm.commit_task_done(writer, 2)
+            core.dm.record_writes(writer)
+            head._hold({w.buffer_id}, False)
+
+        core.sim.process(finish_writer())
+        reader = core.sim.process(head.recover(task_named(prog, "R1")))
+        with pytest.raises(RecoveryError, match=(
+                "task P needs buffer w at version 0, which a newer "
+                "version overwrote")):
+            core.sim.run(until=reader)
+        assert core.sim.now == 5.0 and calls == []
 
 
 class TestCheckpointer:
@@ -224,7 +302,7 @@ class TestSpeculation:
         shot = task_named(prog, "shot0")
         ended = {}
 
-        def target_frame(task, node, origin, dedup, attempt, recovery):
+        def target_frame(task, node, origin, dedup, attempt):
             try:
                 yield core.sim.timeout(100.0 if node == 1 else task.cost)
                 ended[attempt] = ("done", node, core.sim.now)

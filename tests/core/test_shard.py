@@ -141,6 +141,26 @@ class TestShardedRuntimeValidation:
         with pytest.raises(ValueError, match=name):
             OMPCRuntime(ClusterSpec(num_nodes=8), cfg)
 
+    @pytest.mark.parametrize("kills, message", [
+        (((0.1, 99),), "node 99 is outside the cluster of 16 nodes"),
+        (((0.1, 1), (0.2, 1)), "node 1 already has an armed failure"),
+    ])
+    def test_bad_kills_rejected_as_on_the_fault_tolerant_plane(
+            self, kills, message):
+        # Both planes arm kills through one FailureInjector.
+        from repro.core.faults import FaultTolerantRuntime, NodeFailure
+
+        cfg = OMPCConfig(head_shards=2, gossip=True, head_standbys=1)
+        runtime = ShardedRuntime(ClusterSpec(num_nodes=16), cfg,
+                                 inject_failures=kills)
+        with pytest.raises(ValueError, match=message):
+            runtime.run(stencil())
+        ft = FaultTolerantRuntime(ClusterSpec(num_nodes=16),
+                                  OMPCConfig(head_standbys=1))
+        with pytest.raises(ValueError, match=message):
+            ft.run(stencil(), failures=[NodeFailure(time=t, node=n)
+                                        for t, n in kills])
+
     def test_root_manager_unkillable(self):
         with pytest.raises(ValueError, match="node 0"):
             ShardedRuntime(

@@ -223,16 +223,14 @@ class TestSeededRegressions:
         assert res.head_failovers == 1
         assert np.array_equal(x, np.full(8, 2.0))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a stale copy on a live node answers a dedup'd re-issue; the "
-        "fix needs versioned lineage"))
     def test_seed19_in_doubt_step_on_a_live_node(self):
         """Worker 1 dies at 0.03 s and the head at 0.08 s, while step0
         is in doubt on live node 3.  The rebuilt directory drops node
         3's copy, so ``x`` is restored from the bootstrap snapshot and
-        moved onto node 3.  The re-issue carries ``dedup=True``, so node
-        3 answers from its completion table and never re-runs step0:
-        x = 1 where the fault-free run gives 2."""
+        moved onto node 3.  The re-issue carries ``dedup=True``, but the
+        move voided the version node 3's run of step0 wrote, so node 3
+        re-runs step0 instead of answering from its completion table
+        (which left x = 1 where the fault-free run gives 2)."""
         _res, x = self._run(SEED19_STALE_DEDUP)
         assert np.array_equal(x, np.full(8, 2.0))
 

@@ -285,19 +285,19 @@ PINS: dict[str, tuple[str, float, int]] = {
         "991272c0226df9ff26a26f0cb121ef7f4d957d4f56b73a2ac5642d248184370b",
         0.07051929503999999, 404),
     "ft-checkpoint-lossy": (
-        "a4b2b05888966e9d72891cdaa1bd01945f27e0d46b198d1dd6cfff2a339ae9f9",
-        0.33075534591999983, 9451),
+        "7c9d3055857a8034cc625c264a3242402b7b37dd7ddd60e43ed4aa7842cb6e2c",
+        0.33075534591999983, 9450),
     "ft-clean-trace-analysis": (
         "2efd811b526aee00edd60d3892945ee4d57a0db75e768e3642721abbcb415cb8",
         0.030161916640000105, 4467),
     "ft-gossip-worker-kill": (
-        "f8ec862db33af1048646fa50cd93df63ee8f7dbe5b4dc9cba21a1c69db278c72",
+        "aa24bec51fef80faff56dfb1bc8bc245372d1d4a9448012679608ad9242e1f54",
         0.3204011824000001, 10174),
     "ft-head-kill": (
-        "fec5afe6de54f5e42850986d7a0ee7e06583fc099af72e08aefcbb5f4c8d0810",
+        "80aee5fd931e55eae9618a36dd6e732dc20334cdf59080353c8548910e2fad9f",
         0.03783528640000007, 6317),
     "ft-pressure-crash": (
-        "e6794b89bbb00b239050bdbefc543bad3f321e95ab33f63f19a1ffc425a4b2bf",
+        "77e6a693b1c2a6d3d26a0acd4fb8bde5757bfe71d49aadc59161b6c707025cac",
         0.03642886448000011, 2342),
     "ft-pressure-flaky": (
         "53f00f8acb251440ea4e26a31d5ebabd6d9060b1f46c0eaf2a62907b525f48b4",
@@ -306,13 +306,13 @@ PINS: dict[str, tuple[str, float, int]] = {
         "52f03f64fb651ff531039d47bcb9ebf622a0f87fafd56f947576e6d914ed4571",
         0.20004917855999949, 4130),
     "ft-worker-kill-lineage": (
-        "83425848ba8d2351f2acf8296b871b734bae9c8ae549ba6a1c8a14048ccaf9de",
-        0.2400431305599994, 3489),
+        "c81cd33d2f8166f5b0bcc62dc3479221964c9d0f3b7ab3e03e81d48c8c900e40",
+        0.2400431305599994, 3488),
     "no-forwarding": (
         "68068e550cc04c9bcada6525da767a12086a077ef74d70f623287303666e6462",
         0.6570094899636348, 1335),
     "overload-1x": (
-        "007a6128e6f620f56d60693ca8ee808762493314006264daa077d9c6200f2566",
+        "5ef707318155251eee2b82fa49acb994a93d8948cd4869d19f72cdcb92dc89c8",
         0.7364163033272895, 12101),
     "page-protect": (
         "154f7a0dfb02865b798c86c1b602b88d2cf2cea2241a22cf07749e665effeaf2",

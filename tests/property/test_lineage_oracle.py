@@ -1,7 +1,7 @@
 """The directory's write records against the reference lineage dicts.
 
-Fault tolerance keeps each buffer's writer, the producer of each logged
-version and its newest checkpoint in one
+Fault tolerance keeps each buffer's versions (the producer of each and
+the versions that producer read) and its newest checkpoint in one
 :class:`~repro.core.datamanager.WriteRecord` inside the directory.  The
 promise is the state of the separate dicts in
 ``tests/reference_lineage.py``, buffer by buffer.
@@ -9,12 +9,13 @@ promise is the state of the separate dicts in
 Each generated case builds a small program (target, classical, enter-
 and exit-data tasks over up to four buffers, duplicate clauses
 allowed) and drives one sequence into both: live commits through
-:meth:`FTHead.on_commit` with and without ``recovery``, and checkpoint
+:meth:`FTHead.on_commit`, some of them recovery replays, and checkpoint
 rounds of the real :class:`~repro.core.faults.Checkpointer`.  The head
 log it leaves is then replayed by :meth:`LogReplay.rebuild` into a fresh
 directory and by the reference into fresh dicts.  After every step, and
 after the replay, every buffer must have the same writer, version,
-history, written flag and checkpoint.  The replay must also never seed
+history (producers and the versions they read), written flag and
+checkpoint.  The replay must also never seed
 a location from a write: a buffer no logged target task touched sits
 at the new head only.
 """
@@ -46,7 +47,7 @@ op = st.one_of(
               st.integers(0, MAX_BUFFERS - 1)),
 )
 step = st.one_of(
-    # (task index, node, recovery): a completed frame commits its writes.
+    # (task index, node, replay): a completed frame commits its writes.
     st.tuples(st.just("commit"), st.integers(0, 63), st.integers(1, 3),
               st.booleans()),
     st.tuples(st.just("checkpoint")),
@@ -75,10 +76,13 @@ def assert_same(dm, ref, bufs):
     for buf in bufs:
         bid = buf.buffer_id
         rec = dm.writes(bid)
-        assert rec.writer is ref.writer_of.get(bid)
+        assert (rec.history[-1].task if rec.history else None) \
+            is ref.writer_of.get(bid)
         assert rec.version == ref.write_version.get(bid, 0)
-        assert [(v, t.task_id) for v, t in enumerate(rec.history, 1)] == [
-            (v, t.task_id) for v, t in ref.write_log.get(bid, [])]
+        assert [(v, w.task.task_id,
+                 tuple((b.buffer_id, rv) for b, rv in w.reads))
+                for v, w in enumerate(rec.history, 1)] == [
+            (v, t.task_id, reads) for v, t, reads in ref.write_log.get(bid, [])]
         assert (bid in dm.written()) == (bid in ref.written_buffers)
         ours, theirs = rec.checkpoint, ref.checkpoints.get(bid)
         assert (ours is None) == (theirs is None)
@@ -114,7 +118,10 @@ def test_write_records_match_the_reference_dicts(num_buffers, ops, steps):
             else:
                 if task.kind == TaskKind.CLASSICAL:
                     node = head.home
-                head.on_commit(task, node, None, recovery)
+                if recovery:
+                    head.replaying.add(task.task_id)
+                head.on_commit(task, node, None)
+                head.replaying.discard(task.task_id)
                 live.record_writes(task, recovery)
         else:
             # A new value per round, so each snapshot is told apart.

@@ -11,11 +11,14 @@ three hot-path tables that used to:
 * no resolved node-death race is still attached to a failure event;
 * the reliable transport's dedup sets hold only out-of-order seqs,
   above their pair's low watermark;
-* every head-side process group holds only live processes.
+* every head-side process group holds only live processes;
+* a worker's completion (dedup) table holds only the tasks whose
+  completion the head's log has not committed yet.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 
 import pytest
@@ -28,7 +31,8 @@ from repro.core.runtime import OMPCRuntime, ProcessGroup
 from repro.mpi.comm import Communicator, MpiWorld
 from repro.sim.primitives import Condition
 
-from tests.core.test_faults import shots_program
+from tests.core.test_failover import chain_program
+from tests.core.test_faults import FAST, shots_program
 from tests.obs.test_counter_tier import _stencil
 from tests.property.test_event_digest_pins import _taskbench
 
@@ -157,3 +161,34 @@ def test_ft_head_kill_detaches_interrupted_races():
               failures=[NodeFailure(time=0.03, node=0)])
     assert res.failures == [0]
     _assert_bounded(built)
+
+
+class _PeakSet(set):
+    """A set that remembers its largest size."""
+
+    peak = 0
+
+    def add(self, item) -> None:
+        super().add(item)
+        self.peak = max(self.peak, len(self))
+
+
+def _largest_completion_table(steps: int) -> int:
+    prog, x = chain_program(steps=steps, cost=0.001)
+    runtime = FaultTolerantRuntime(
+        ClusterSpec(num_nodes=5), dataclasses.replace(FAST, head_standbys=2))
+    with _capture() as built:
+        main, finish = runtime.launch(prog)
+    [events] = built[EventSystem]
+    events._exec_done = [_PeakSet() for _ in events._exec_done]
+    main.sim.run(until=main)
+    finish()
+    assert (x == steps).all()
+    return max(table.peak for table in events._exec_done)
+
+
+def test_completion_tables_do_not_grow_with_program_length():
+    # Each table entry lives until the log commits the task's
+    # completion, so a 10x longer chain keeps the same largest table.
+    short, long = _largest_completion_table(50), _largest_completion_table(500)
+    assert 1 <= long <= short <= 2

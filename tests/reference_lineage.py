@@ -5,9 +5,10 @@
 producer of each logged version, and its newest checkpoint.  It promises
 exactly the state of the separate dicts kept here, which the
 fault-tolerant runtime's lineage used to hold beside the directory:
-``writer_of``, ``write_version``, ``write_log`` (``(version, task)`` in
-commit order), ``written_buffers`` and ``checkpoints``, plus the log
-replay of ``bootstrap``, ``task_done`` and ``checkpoint`` records.
+``writer_of``, ``write_version``, ``write_log`` (``(version, task,
+reads)`` in commit order, ``reads`` being the ``(buffer id, version)``
+pairs the task read), ``written_buffers`` and ``checkpoints``, plus the
+log replay of ``bootstrap``, ``task_done`` and ``checkpoint`` records.
 """
 
 from __future__ import annotations
@@ -23,21 +24,25 @@ class ReferenceLineage:
     def __init__(self):
         self.writer_of: dict[int, Task] = {}
         self.write_version: dict[int, int] = {}
-        self.write_log: dict[int, list[tuple[int, Task]]] = {}
+        self.write_log: dict[int, list[tuple[int, Task, tuple]]] = {}
         self.written_buffers: dict[int, Buffer] = {}
         self.checkpoints: dict[int, tuple[int, Any]] = {}
 
     def record_writes(self, task: Task, recovery: bool = False) -> None:
-        """Record ``task``'s writes; a lineage re-execution
-        (``recovery``) sets the writer but bumps no version."""
-        for buf in task.writes:
+        """Record ``task``'s writes with the versions it read (before
+        its own writes); a recovery replay (``recovery``) re-derives
+        versions already recorded and records nothing."""
+        if recovery:
+            return
+        reads = tuple((b.buffer_id, self.write_version.get(b.buffer_id, 0))
+                      for b in task.reads)
+        for buf in {b.buffer_id: b for b in task.writes}.values():
             self.writer_of[buf.buffer_id] = task
             self.written_buffers[buf.buffer_id] = buf
-            if recovery:
-                continue
             version = self.write_version.get(buf.buffer_id, 0) + 1
             self.write_version[buf.buffer_id] = version
-            self.write_log.setdefault(buf.buffer_id, []).append((version, task))
+            self.write_log.setdefault(buf.buffer_id, []).append(
+                (version, task, reads))
 
     def store_checkpoint(self, buffer_id: int, snap: Any) -> int:
         """Snapshot a buffer at its current version; return the version."""
