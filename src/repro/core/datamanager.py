@@ -24,6 +24,7 @@ Coherency rules (verbatim from the paper):
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -107,7 +108,7 @@ class DataManager:
         self.tiering = None
         #: Write records by buffer id, apart from ``_state``: recording
         #: a write must never seed a location at the current home.
-        self._writes: dict[int, WriteRecord] = {}
+        self._writes: defaultdict[int, WriteRecord] = defaultdict(WriteRecord)
         #: ``task id -> ((buffer id, version), ...)`` it committed.
         self._produced: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -209,7 +210,7 @@ class DataManager:
     # -- versions -------------------------------------------------------------
     def writes(self, buffer_id: int) -> WriteRecord:
         """The write record of a buffer (empty until first used)."""
-        return self._writes.setdefault(buffer_id, WriteRecord())
+        return self._writes[buffer_id]
 
     def written(self) -> list[int]:
         """Ids of the buffers with a committed version, in order."""
@@ -224,10 +225,11 @@ class DataManager:
         """Commit ``task``'s writes: each buffer it writes gets a new
         version, recorded with the versions ``task`` read."""
         reads = tuple((b, self.version(b.buffer_id)) for b in task.reads)
-        self._produced.pop(task.task_id, None)
-        self._produced[task.task_id] = self.outputs(task)
+        out = []
         for bid in dict.fromkeys(b.buffer_id for b in task.writes):
-            self.writes(bid).history.append(Write(task, reads))
+            self._writes[bid].history.append(Write(task, reads))
+            out.append((bid, len(self._writes[bid].history)))
+        self._produced[task.task_id] = tuple(out)
 
     def outputs(self, task: Task) -> tuple[tuple[int, int], ...]:
         """The ``(buffer id, version)`` pairs ``task`` writes: those it

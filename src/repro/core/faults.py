@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import copy as _copy
 import itertools
-from collections import Counter
 
 import numpy as np
 from collections.abc import Sequence
@@ -406,9 +405,8 @@ class FTHead:
         self.buffers: dict[int, Buffer] = {
             b.buffer_id: b for t in graph.tasks() for b in t.touched
         }
-        #: :meth:`recover`'s holds per buffer id (plans and writer frames),
-        #: the tasks being replayed, and the event a freed hold fires.
-        self.held: Counter[int] = Counter()
+        #: :meth:`recover`'s holds by buffer id, replays, and wake event.
+        self.held: dict[int, int] = {}
         self.replaying: set[int] = set()
         self._turn = None
         self.checkpointer = Checkpointer(self)
@@ -550,9 +548,9 @@ class FTHead:
                 steps = plan_recovery(dm, [(task, b, dm.version(b.buffer_id))
                                            for b in reads], core.dead)
             except RecoveryError:
-                if not self.held:
+                if not self.replaying:
                     raise
-                steps = None  # plan again once the held buffers free
+                steps = None  # plan again once the plan in flight ends
             planned = {b.buffer_id for s in steps or ()
                        for b, _v in s.reads + s.outputs}
             if steps is None or not self.held.keys().isdisjoint(mine | planned):
@@ -598,12 +596,13 @@ class FTHead:
     def _hold(self, bids, take: bool) -> None:
         """Take or free a hold on buffer ids; a free wakes the frames
         :meth:`recover` keeps waiting."""
-        if take:
-            self.held += Counter(bids)
-            return
-        self.held -= Counter(bids)
-        turn, self._turn = self._turn, None
-        if turn is not None:
+        held = self.held
+        for bid in bids:
+            held[bid] = held.get(bid, 0) + (1 if take else -1)
+            if not held[bid]:
+                del held[bid]
+        if not take and self._turn is not None:
+            self._turn, turn = None, self._turn
             turn.succeed()
 
 
