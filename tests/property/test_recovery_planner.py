@@ -25,7 +25,7 @@ import re
 import sys
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
@@ -189,7 +189,16 @@ def check_plan(sc, must_plan=False):
         assert final[bid].tobytes() == clean[bid].tobytes()
 
 
+#: ``t2`` rebuilds ``b0`` from ``b1`` at version 1, the version ``t1``
+#: read, but ``t3`` has since written ``b1`` again: the plan must bring
+#: ``b1`` on to version 2, the one its directory holders hold.
+CHAIN_BEHIND = {"tasks": [{1: "out"}, {1: "in", 0: "out"},
+                          {2: "in", 1: "out"}, {0: "in"}],
+                "cut": 0, "nodes": [1] * 10, "dead": {1}, "checkpoints": []}
+
+
 @given(state)
+@example(CHAIN_BEHIND)
 @settings(deadline=None, max_examples=300)
 def test_plans_replay_to_the_fault_free_bytes(sc):
     check_plan(sc)
