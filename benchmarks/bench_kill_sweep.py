@@ -9,18 +9,24 @@ Two sweeps rebuild their programs from the ones the tests define:
 * ``chaos``: every draw of ``tests/property/test_chaos_failover.py``
   under ``--hypothesis-seed`` 0-20 (its explicit examples first, then
   30 generated scenarios: random crash schedules, head included, and
-  lossy links).
+  lossy links);
+* ``shard``: the same stencil on the sharded control plane, 16 nodes,
+  ``head_shards=4, gossip=True, head_standbys=1``, one of shard managers
+  1-3 killed at each of 20 instants spread over the fault-free makespan
+  (60 runs).
 
 Every run ends in one bucket: ``byte_exact`` (outputs equal the
 fault-free run), ``recovery_error``, ``device_memory_error``,
 ``other_error`` (any other exception), ``wrong_output`` or ``horizon``
-(still going after 5 simulated seconds).  Each wrong-output or horizon
+(still going after 5 simulated seconds); a ``ShardPlaneError`` is
+``other_error``.  Each wrong-output or horizon
 run is listed with its kill times and nodes.  A chaos seed passes when
 each of its draws ends byte-exact or with a ``RecoveryError``.
 
 ``main`` writes ``BENCH_kills.json`` (schema ``repro-kill-sweep/1``).
 ``--quick`` runs a fixed slice (4 KiB x 4 devices, kills every 1 ms;
-chaos seeds 0-2) whose histograms CI asserts exactly.
+chaos seeds 0-2; manager 2 at every fourth instant) whose histograms CI
+asserts exactly.
 
 Usage::
 
@@ -50,6 +56,7 @@ from repro.core.faults import (  # noqa: E402
     RecoveryError,
 )
 from repro.core.memory import DeviceMemoryError  # noqa: E402
+from repro.core.shard import ShardedRuntime  # noqa: E402
 from tests.core.test_tiering import KB, stencil_program  # noqa: E402
 from tests.property import test_chaos_failover as chaos  # noqa: E402
 from tests.test_util import FAST  # noqa: E402
@@ -64,9 +71,16 @@ STENCIL_WORKERS = (1, 2, 3, 4)
 STENCIL_TIMES_MS = tuple(0.25 * i for i in range(40))
 CHAOS_SEEDS = tuple(range(21))
 
+SHARD_NODES = 16
+SHARD_CONFIG = OMPCConfig(head_shards=4, gossip=True, head_standbys=1)
+SHARD_MANAGERS = (1, 2, 3)
+SHARD_INSTANTS = tuple(range(20))
+
 QUICK_DEVICES = (4,)
 QUICK_TIMES_MS = tuple(float(i) for i in range(10))
 QUICK_SEEDS = (0, 1, 2)
+QUICK_MANAGERS = (2,)
+QUICK_INSTANTS = (0, 4, 8, 12, 16)
 
 
 def outcome(run, check) -> str:
@@ -171,6 +185,31 @@ def chaos_sweep(seeds) -> dict:
     return out
 
 
+def shard_sweep(managers, instants) -> dict:
+    """Kill one shard manager at ``instants`` twentieths of the
+    fault-free makespan."""
+    spec = ClusterSpec(num_nodes=SHARD_NODES)
+    makespan = ShardedRuntime(spec, SHARD_CONFIG).run(
+        stencil_program()[0]).makespan
+    runs = []
+    for manager in managers:
+        for i in instants:
+            at = makespan * i / len(SHARD_INSTANTS)
+            prog, final, want = stencil_program()
+            rt = ShardedRuntime(spec, SHARD_CONFIG,
+                                inject_failures=((at, manager),))
+            bucket = outcome(
+                lambda: chaos.run_to_horizon(rt, prog),
+                lambda: all(np.array_equal(b.data, w)
+                            for b, w in zip(final, want)))
+            runs.append((bucket, [{"node": manager, "time_s": at}]))
+    out = record(runs)
+    out["grid"] = {"nodes": SHARD_NODES, "head_shards": SHARD_CONFIG.head_shards,
+                   "managers": list(managers), "makespan_s": makespan,
+                   "instants": list(instants)}
+    return out
+
+
 def sweep(quick: bool = False) -> dict:
     return {
         "schema": SCHEMA,
@@ -180,6 +219,9 @@ def sweep(quick: bool = False) -> dict:
                 QUICK_DEVICES if quick else STENCIL_DEVICES,
                 QUICK_TIMES_MS if quick else STENCIL_TIMES_MS),
             "chaos": chaos_sweep(QUICK_SEEDS if quick else CHAOS_SEEDS),
+            "shard": shard_sweep(
+                QUICK_MANAGERS if quick else SHARD_MANAGERS,
+                QUICK_INSTANTS if quick else SHARD_INSTANTS),
         },
     }
 
