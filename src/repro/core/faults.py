@@ -11,9 +11,9 @@ This module implements that future version on the simulated cluster.
 gossip with ``OMPCConfig.gossip``) suspects a node that misses beats
 and declares it dead once a direct ping fails; :class:`FailureInjector`
 crashes chosen nodes at chosen times.  :class:`FaultTolerantRuntime`
-runs every task through the plain runtime's frames
-(:class:`~repro.core.runtime.HeadCore`) and wires an :class:`FTHead` to
-plug-ins on the core's hooks, each testable without a cluster:
+drives every plane's :class:`~repro.core.runtime.Head` and frames as an
+:class:`FTHead`, wired to plug-ins on the core's hooks, each testable
+without a cluster:
 
 - recovery has one planner, :func:`plan_recovery`, a pure function of
   the directory (its holders and its per-buffer
@@ -35,9 +35,10 @@ buffer and version.
 the head streams its commit log (completions, data enter and exit,
 checkpoints, dispatch intents) to standby workers
 (:mod:`repro.core.headlog`).  When a quorum of two nodes confirms the
-head dead, the most-caught-up standby is elected and
-:meth:`LogReplay.rebuild` replays its log into a fresh directory and
-frontier.  Unacknowledged dispatches are re-issued; a worker answers a
+head dead, the most-caught-up standby takes over as every head does
+(:meth:`~repro.core.runtime.Head.take_over`) and :meth:`LogReplay.rebuild`
+replays its log into a fresh directory and frontier.  The dispatches it
+leaves in doubt are re-issued; a worker answers a
 re-issue from its completion table only while it still holds the
 versions that task wrote, and fences old-epoch zombies.  A head crash
 with no live standby raises :class:`RecoveryError`.  A lossy
@@ -64,9 +65,9 @@ from repro.core.gossip import FailureDetector
 from repro.core.headlog import LOG_RECORD_BYTES, HeadLog, Replicator
 from repro.core.runtime import (
     Frontier,
+    Head,
     HeadCore,
     OMPCRunResult,
-    ProcessGroup,
     _NodeCrashed,
     configure_tiering,
 )
@@ -76,7 +77,6 @@ from repro.omp.api import OmpProgram
 from repro.omp.task import Buffer, Task, TaskKind
 from repro.sim.errors import SimulationError
 from repro.sim.primitives import AnyOf
-from repro.sim.resources import Resource
 
 class RecoveryError(SimulationError):
     """A lost buffer cannot be reconstructed from surviving data."""
@@ -382,26 +382,18 @@ class FaultTolerantRuntime:
         return main_proc, finish
 
 
-class FTHead:
-    """One launch's fault-tolerant head, shared by the plug-ins: the
-    :class:`~repro.core.runtime.HeadCore` (whose ``dm`` a failover
-    replaces), the acting head ``home``, the log, every mapped buffer by
-    id, and the task body :meth:`execute` with its :meth:`recover`."""
+class FTHead(Head):
+    """One launch's fault-tolerant :class:`~repro.core.runtime.Head`,
+    shared by the plug-ins: the core (whose ``dm`` a failover replaces),
+    every mapped buffer by id, and the task body :meth:`execute` with
+    its :meth:`recover`.  Its log rebuilds the directory."""
+
+    logs_commits = True
 
     def __init__(self, core: HeadCore, graph, repl: Replicator | None,
                  detector: FailureDetector | None):
-        self.core = core
+        super().__init__(core, HOST, repl, frame="ft-task:")
         self.graph = graph
-        self.home = HOST
-        self.repl = repl
-        self.append = (repl.append if repl is not None
-                       else lambda *_a, **_k: None)
-        self.slots = Resource(core.sim, capacity=core.cfg.head_threads,
-                              name="head-threads")
-        #: Head-side processes of the current head incarnation, all
-        #: interrupted when it dies: its frames unwind before the
-        #: successor rebuilds state, so no stale completion races it.
-        self.epoch = ProcessGroup(core.sim, core.fail)
         self.buffers: dict[int, Buffer] = {
             b.buffer_id: b for t in graph.tasks() for b in t.touched
         }
@@ -419,7 +411,7 @@ class FTHead:
 
     def target_node(self, task: Task) -> int:
         dead = self.core.dead
-        forced = self.replay.forced_target.get(task.task_id)
+        forced = self.in_doubt.get(task.task_id)
         if forced is not None and forced not in dead:
             return forced
         node = self.core.schedule.node_of(task)
@@ -458,40 +450,15 @@ class FTHead:
         else:
             self.append("exit_data", buffer_id=buf.buffer_id, home=node)
 
-    # -- dispatch ---------------------------------------------------------
-    def spawn(self, task: Task) -> None:
-        self.epoch.spawn(
-            self.core.run_task(task, self.slots, self.complete,
-                               origin=self.home, body=self.execute),
-            name=f"ft-task:{task.name}",
-        )
-
-    def complete(self, task: Task) -> None:
-        if task.kind.is_data_movement:
-            # ENTER/EXIT completions carry no writes, so they are
-            # logged here rather than through record_writes.
-            self.append("task_done", task_id=task.task_id, node=self.home)
-        frontier = self.core.frontier
-        frontier.done(task)
-        frontier.release(task, self.spawn)
-        frontier.settle()
-
-    def dispatch_ready(self) -> None:
-        frontier = self.core.frontier
-        for task in frontier.ready():
-            self.spawn(task)
-        frontier.settle()
+    def pump_name(self, standby: int) -> str:
+        return f"repl-pump{standby}.e{self.core.fo_epoch}"
 
     def start_epoch(self) -> None:
         """Spawn the head-side services of the current incarnation."""
-        fo_epoch = self.core.fo_epoch
-        if self.repl is not None:
-            for s in self.repl.live_standbys():
-                self.epoch.spawn(self.repl.pump(s),
-                                 name=f"repl-pump{s}.e{fo_epoch}")
+        super().start_epoch()
         if self.core.cfg.checkpoint_interval > 0:
             self.epoch.spawn(self.checkpointer.run(),
-                             name=f"ft-checkpoint.e{fo_epoch}")
+                             name=f"ft-checkpoint.e{self.core.fo_epoch}")
 
     def execute(self, task: Task):
         """Generator: run ``task`` through the core's frames after
@@ -501,14 +468,12 @@ class FTHead:
         while True:
             node = self.target_node(task)
             attempts[task.task_id] = attempts.get(task.task_id, 0) + 1
-            if self.repl is not None:
-                yield from self._log_dispatch(task, node)
+            yield from self.log_dispatch(task, node)
             try:
                 yield from self.recover(task)
                 try:
                     yield from core._run_by_kind(
-                        task, self.home,
-                        task.task_id in self.replay.forced_target, node)
+                        task, self.home, task.task_id in self.in_doubt, node)
                 finally:
                     self._hold({b.buffer_id for b in task.writes}, False)
                 return
@@ -518,18 +483,6 @@ class FTHead:
                     # failover's epoch teardown interrupts us.
                     yield core.sim.event("park-for-failover")
                 self.handle_node_death(crash.node)  # retry on a survivor
-
-    def _log_dispatch(self, task: Task, node: int):
-        fence = False
-        if task.kind in (TaskKind.CLASSICAL, TaskKind.TARGET):
-            self.append(
-                "dispatch", task_id=task.task_id,
-                node=self.home if task.kind == TaskKind.CLASSICAL else node,
-            )
-            # INOUT fence: an ambiguous in-place mutation must be
-            # *detectable* from every replica before it can happen.
-            fence = any(d.type.writes and d.type.reads for d in task.deps)
-        yield from self.repl.flush() if fence else self.repl.throttle()
 
     def recover(self, task: Task):
         """Generator: give each version ``task`` reads a live copy (the
@@ -750,15 +703,15 @@ class Checkpointer:
 
 
 class LogReplay:
-    """Head failover: on a confirmed head death :meth:`failover` ends
-    the dead head's epoch, elects a standby and installs what
+    """Head failover: on a confirmed head death :meth:`failover` has a
+    standby take the head over (:meth:`Head.take_over
+    <repro.core.runtime.Head.take_over>`) and installs what
     :meth:`rebuild` replays from its log, which starts with every
     buffer's initial value (:meth:`bootstrap`)."""
 
     def __init__(self, head: FTHead, detector: FailureDetector | None):
         self.head = head
         self.detector = detector
-        self.forced_target: dict[int, int] = {}
         self._declared: dict[int, Any] = {}
 
     def _declared_event(self, node: int):
@@ -791,31 +744,27 @@ class LogReplay:
     def rebuild(self, old_head: int):
         """Replay the log into one fresh directory (locations and
         versions) for the elected ``head.home``: ``(dm, frontier,
-        forced_target, in_doubt)``.  ``forced_target`` maps each in-doubt
-        task (a dispatch with no completion) to its live target, and
-        ``in_doubt`` counts them; their frames plan what they read like
-        any other.  Only logged transitions replay (bootstrap snapshots
-        are version-0 checkpoints), which can forget replicas but never
-        invent one, and versions equal the live head's.
+        in_doubt)``, ``in_doubt`` counting the head's in-doubt tasks (a
+        dispatch with no completion).  Those whose target lives stay in
+        ``head.in_doubt`` and go back there; their frames plan what they
+        read like any other.  Only logged transitions replay (bootstrap
+        snapshots are version-0 checkpoints), which can forget replicas
+        but never invent one, and versions equal the live head's.
         """
         head = self.head
         core, graph, home = head.core, head.graph, head.home
         dead, events = core.dead, core.events
         dm = DataManager(analysis=core.dm.analysis)
         completed: set[int] = set()
-        dispatched: dict[int, int] = {}
         dropped: set[int] = set()
         for rec in head.repl.log.records:
             d = rec.data
             if rec.kind == "bootstrap":
                 for bid, snap in d["snapshots"]:
                     dm.writes(bid).checkpoint = (0, snap)
-            elif rec.kind == "dispatch":
-                dispatched[d["task_id"]] = d["node"]
             elif rec.kind == "task_done":
                 tid = d["task_id"]
                 completed.add(tid)
-                dispatched.pop(tid, None)
                 task = graph.task(tid)
                 if not task.kind.is_data_movement:
                     dm.record_writes(task)
@@ -840,18 +789,18 @@ class LogReplay:
                 head.append("node_dead", node=n)
         # Completed-but-unreplicated work re-runs; the worker-side dedup
         # and epoch fencing keep that idempotent on a surviving target.
-        in_doubt = sorted(set(dispatched) - completed)
-        forced_target: dict[int, int] = {}
-        for tid in in_doubt:
-            node = dispatched[tid]
+        doubt = head.in_doubt
+        redispatched = len(doubt)
+        for tid in sorted(doubt):
+            node = doubt[tid]
             if node != old_head:
                 if node not in dead and not events.node_failed(node):
-                    forced_target[tid] = node
                     continue
                 # In-doubt target (declared dead but physically still
                 # running): fence it for real so no zombie in-place
                 # mutation can land after the restore below.
                 events.fail_node(node)
+            del doubt[tid]
             for dep in graph.task(tid).deps:
                 if dep.type.writes and dep.type.reads:
                     # The lost dispatch may or may not have applied its
@@ -868,8 +817,7 @@ class LogReplay:
                 for n in sorted(dm.locations(buf)):
                     if n not in dead and dm.tiered(n):
                         dm.tiering.charge(n, buf)
-        return (dm, Frontier(core.sim, graph, completed), forced_target,
-                len(in_doubt))
+        return dm, Frontier(core.sim, graph, completed), redispatched
 
     def failover(self):
         """Generator: elect, adopt, rebuild, resume (one head death)."""
@@ -897,21 +845,18 @@ class LogReplay:
             raise RecoveryError("head node failed and no live node "
                                 "remains to elect a successor")
         by, declared_at = yield self._declared_event(old_head)
-        taken = yield from repl.take_over(
-            by, exclude=frozenset(dead | self.detector.dead | {old_head})
-        )
+        taken = yield from head.take_over(
+            by, frozenset(dead | self.detector.dead | {old_head}))
         if taken is None:
             raise RecoveryError(
                 "head node failed and no live standby replica "
                 "survives to take over (raise "
                 "OMPCConfig.head_standbys)"
             )
-        head.home, elected_at = taken
+        elected_at = taken[1]
         core.fo_epoch = repl.log.epoch
         self.detector.rebase(head.home)
-        yield from repl.replay()
-        (core.dm, core.frontier, self.forced_target,
-         redispatched) = self.rebuild(old_head)
+        core.dm, core.frontier, redispatched = self.rebuild(old_head)
         head.start_epoch()
         core.result.failovers.append(FailoverEvent(
             epoch=repl.log.epoch, old_head=old_head, new_head=head.home,

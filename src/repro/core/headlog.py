@@ -114,6 +114,20 @@ class HeadLog:
         self.epoch = epoch
 
 
+def in_doubt(records) -> dict[int, int]:
+    """Task id -> node of each dispatch in ``records`` with no later
+    ``task_done``: work a successor head cannot tell finished.  A task
+    dispatched again (after a takeover) keeps its latest node; a
+    ``task_done`` with no dispatch (data movement) is no doubt."""
+    doubt: dict[int, int] = {}
+    for rec in records:
+        if rec.kind == "dispatch":
+            doubt[rec.data["task_id"]] = rec.data["node"]
+        elif rec.kind == "task_done":
+            doubt.pop(rec.data["task_id"], None)
+    return doubt
+
+
 class Replicator:
     """Streams the head log to standbys; runs elections over replicas.
 

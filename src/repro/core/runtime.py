@@ -27,12 +27,14 @@ holds the run's set-up, its phases (steps 1–3 and 6), the per-task
 frame, the one data plane of steps 4–5 (the enter-data, exit-data and
 target frames with their moves, deletes and memory admission), the
 dependency :class:`Frontier` of steps 4–5, the one failure sink
-(:meth:`HeadCore.fail`) and the result.  Head-side processes that no
-one waits on run in a :class:`ProcessGroup`.  Three drivers keep only
-their policy around it: :class:`OMPCRuntime` (one head), the sharded
-control plane (:mod:`repro.core.shard.plane`: shard ownership and
-leases) and the fault-tolerant runtime (:mod:`repro.core.faults`:
-recovery, speculation and log replay, plugged into the same frames).
+(:meth:`HeadCore.fail`) and the result.  A :class:`Head` drives it:
+a slot pool, an epoch's :class:`ProcessGroup`, dispatch, completion,
+an optional replicated log and the one standby takeover.
+:class:`OMPCRuntime` runs one head with no log; the sharded plane
+(:mod:`repro.core.shard.plane`) one per shard manager, adding
+ownership, leases and notifies; the fault-tolerant runtime
+(:mod:`repro.core.faults`) an ``FTHead`` adding recovery, speculation
+and log replay, plugged into the same frames.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core.config import OMPCConfig
 from repro.core.datamanager import DataManager, Move
 from repro.core.events import EventSystem
+from repro.core.headlog import in_doubt
 from repro.core.memory import DeviceMemoryError
 from repro.core.tiering import MemoryWait, make_policy
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
@@ -120,17 +123,24 @@ MEM_FETCH_BACKOFF = 0.2 * MILLISECOND
 _DEFAULT_CONFIG = OMPCConfig()
 
 
+#: The runtimes that read each field a runtime may leave unread.
+_READERS = {
+    "checkpoint_interval": "FaultTolerantRuntime",
+    "straggler_factor": "FaultTolerantRuntime",
+    "head_standbys": "FaultTolerantRuntime and ShardedRuntime",
+    "gossip": "FaultTolerantRuntime and ShardedRuntime",
+}
+
+
 def reject_unread(cfg: OMPCConfig, runtime: str, *names: str) -> None:
     """Raise ``ValueError`` if ``cfg`` moves any of ``names`` off its
     default.  ``runtime`` never reads them, so the run would silently go
-    without the feature; the fault-tolerant runtime is their reader."""
-    unread = [f"{name}={getattr(cfg, name)!r}" for name in names
+    without the feature; the message names the runtimes that do."""
+    unread = [f"{name}={getattr(cfg, name)!r} (read by {_READERS[name]})"
+              for name in names
               if getattr(cfg, name) != getattr(_DEFAULT_CONFIG, name)]
     if unread:
-        raise ValueError(
-            f"{runtime} never reads {', '.join(unread)}; only "
-            "FaultTolerantRuntime does"
-        )
+        raise ValueError(f"{runtime} never reads {', '.join(unread)}")
 
 
 def fetch_gate(cluster, cfg: OMPCConfig, buffer, dst: int):
@@ -283,11 +293,10 @@ class HeadCore:
     :attr:`frontier`, the one failure sink (:meth:`fail`), the one data
     plane (enter-data, exit-data and target frames, moves, deletes,
     broadcast, and :meth:`make_room`'s memory path), the task frame on a
-    head-thread slot, and the result.  Drivers keep their policy around
-    it: :class:`OMPCRuntime` one slot pool; the sharded plane one per
-    shard manager, plus ownership and leases; the fault-tolerant runtime
-    a head that may move (frames test ``dm.home``, never node 0) and its
-    plug-ins: :attr:`dead` and :attr:`guard`, :attr:`on_commit`,
+    head-thread slot, and the result.  Each :class:`Head` of a plane
+    runs its frames here; the fault-tolerant runtime's may move (frames
+    test ``dm.home``, never node 0) and plugs in
+    :attr:`dead` and :attr:`guard`, :attr:`on_commit`,
     :attr:`run_target`, :attr:`tombstones` and :attr:`fo_epoch`.  Every
     event-system call takes the frame's ``origin``: the head's node, or
     the shard's manager node.
@@ -747,18 +756,15 @@ class HeadCore:
 
     # -- the task frame ----------------------------------------------------
     def run_task(self, task: Task, slots: Resource, complete,
-                 origin: int = 0, dispatch=None, dedup: bool = False,
-                 body=None):
+                 origin: int = 0, *, body):
         """Generator: run ``task`` on one head-thread slot of ``slots``.
 
         §7: one head-node OpenMP thread blocks per in-flight task.
-        ``dispatch(task)``, if given, is a generator run once the slot
-        is held (a shard logs the dispatch there); ``dedup`` marks a
-        re-dispatch after a failover; ``body(task)`` is the generator
-        that runs the task (by default the data plane below, by task
-        kind); ``complete(task)`` runs last.  A frame interrupted while
-        queued withdraws its request, so a failover's teardown cannot
-        leak a slot.
+        ``body(task)`` is the generator that runs the task (a
+        :class:`Head`'s :meth:`~Head.execute`); ``complete(task)`` runs
+        last.  A frame interrupted while queued withdraws its request,
+        and one interrupted in its body releases its slot, so a
+        failover's teardown cannot leak a slot.
         """
         obs, sim, analysis = self.obs, self.sim, self.analysis
         enabled = obs.enabled
@@ -770,14 +776,9 @@ class HeadCore:
             obs.end(wait_span)
             obs.gauge_add("head.inflight", 1)
         analysis.task_begin(task)
-        if dispatch is not None:
-            yield from dispatch(task)
         start = sim.now
         try:
-            if body is None:
-                yield from self._run_by_kind(task, origin, dedup)
-            else:
-                yield from body(task)
+            yield from body(task)
         finally:
             slots.release()
             if enabled:
@@ -1016,6 +1017,139 @@ class HeadCore:
             obs.end(commit_span)
 
 
+def _unlogged(*_args, **_kwargs) -> None:
+    """A head with no log appends nothing."""
+
+
+class Head:
+    """The head node's control loop (§3.1): it dispatches each ready
+    task into a :class:`HeadCore` frame on one of its ``head_threads``
+    slots, and releases the successors of each completed one.
+
+    Every plane drives this one class: :class:`OMPCRuntime` one head
+    with no log, the sharded plane one head per shard manager, the
+    fault-tolerant runtime one :class:`~repro.core.faults.FTHead`.  A
+    head acts from node :attr:`home`; its frames and services run in
+    :attr:`epoch`, ended together when that node dies.  With a
+    :class:`~repro.core.headlog.Replicator` it logs each dispatch and
+    completion, and on its node's death :meth:`take_over` moves it to
+    the elected standby, which re-dispatches the work its log leaves
+    :attr:`in_doubt`.  Process and resource names derive from ``name``
+    and ``frame``.
+    """
+
+    #: Whether :meth:`~repro.core.faults.FTHead.on_commit` logs each
+    #: directory commit (a log a successor rebuilds the directory from:
+    #: data movement is logged there, a target's completion with its
+    #: writes).  Otherwise the log holds each dispatch and completion.
+    logs_commits = False
+
+    def __init__(self, core: HeadCore, home: int = 0, repl=None,
+                 name: str = "head", frame: str = "task:"):
+        self.core = core
+        self.home = home
+        self.repl = repl
+        self.append = repl.append if repl is not None else _unlogged
+        self.name = name
+        self.frame = frame
+        self.slots = Resource(core.sim, capacity=core.cfg.head_threads,
+                              name=f"{name}-threads")
+        #: Head-side processes of the current incarnation, all
+        #: interrupted when it dies: its frames unwind before the
+        #: successor takes over, so no stale completion races it.
+        self.epoch = ProcessGroup(core.sim, core.fail)
+        #: The tasks this head dispatches (``None``: every task).
+        self.local = None
+        #: Task id -> node of each dispatch the adopted log leaves
+        #: without a completion; re-issued with ``dedup``.
+        self.in_doubt: dict[int, int] = {}
+
+    def spawn(self, task: Task) -> None:
+        self.epoch.spawn(
+            self.core.run_task(task, self.slots, self.complete, self.home,
+                               body=self.execute),
+            name=f"{self.frame}{task.name}",
+        )
+
+    def complete(self, task: Task) -> None:
+        frontier = self.core.frontier
+        if not frontier.done(task):
+            return
+        if task.kind.is_data_movement:
+            self.append("task_done", task_id=task.task_id, node=self.home)
+        elif not self.logs_commits:
+            self.append("task_done", task_id=task.task_id,
+                        node=self.core.schedule.node_of(task))
+        self.release(task)
+        frontier.settle()
+
+    def release(self, task: Task) -> None:
+        """Count the completed ``task`` off this head's successors and
+        dispatch each one it readied."""
+        self.core.frontier.release(task, self.spawn, self.local)
+
+    def dispatch_ready(self) -> None:
+        frontier, local = self.core.frontier, self.local
+        for task in frontier.ready():
+            if local is None or local(task):
+                self.spawn(task)
+        frontier.settle()
+
+    def start_epoch(self) -> None:
+        """Spawn the current incarnation's services: one replication
+        pump per live standby."""
+        if self.repl is not None:
+            for s in self.repl.live_standbys():
+                self.epoch.spawn(self.repl.pump(s), name=self.pump_name(s))
+
+    def pump_name(self, standby: int) -> str:
+        return f"{self.name}-pump{standby}"
+
+    def execute(self, task: Task):
+        """Generator: the frame's body: log the dispatch, then run the
+        frame of ``task``'s kind on its scheduled node."""
+        node = self.core.schedule.node_of(task)
+        yield from self.log_dispatch(task, node)
+        yield from self.core._run_by_kind(
+            task, self.home, task.task_id in self.in_doubt, node)
+
+    def log_dispatch(self, task: Task, node: int):
+        """Generator: log ``task``'s dispatch to ``node`` (a classical
+        task runs at home), then wait out the log's replication bound."""
+        repl = self.repl
+        if repl is None:
+            return
+        kind = task.kind
+        if not (kind.is_data_movement and self.logs_commits):
+            self.append(
+                "dispatch", task_id=task.task_id,
+                node=self.home if kind == TaskKind.CLASSICAL else node,
+            )
+        # INOUT fence: an ambiguous in-place mutation must be
+        # *detectable* from every replica before it can happen.
+        fence = not kind.is_data_movement and any(
+            d.type.writes and d.type.reads for d in task.deps)
+        yield from repl.flush() if fence else repl.throttle()
+
+    def take_over(self, by: int, exclude: frozenset):
+        """Generator: this head's node died.  End its epoch (again, if
+        its driver already did), let ``by`` elect and announce a standby
+        not in ``exclude`` (:meth:`Replicator.take_over
+        <repro.core.headlog.Replicator.take_over>`), move :attr:`home`
+        there, replay the adopted log and read what it leaves
+        :attr:`in_doubt`.  Returns ``(winner, elected_at)``, or ``None``
+        with no standby left."""
+        self.epoch.end("head failover")
+        repl = self.repl
+        taken = yield from repl.take_over(by, exclude=exclude)
+        if taken is None:
+            return None
+        self.home = taken[0]
+        yield from repl.replay()
+        self.in_doubt = in_doubt(repl.log.records)
+        return taken
+
+
 class OMPCRuntime:
     """Run OmpPrograms on a simulated cluster through the full OMPC stack."""
 
@@ -1077,20 +1211,8 @@ class OMPCRuntime:
             return main_proc, finish
         core = HeadCore(self.cluster_spec, self.config, program, cluster)
         cluster = self.last_cluster = core.cluster
-        sim, frontier = core.sim, core.frontier
-        graph = program.graph
-        slots = Resource(sim, capacity=self.config.head_threads,
-                         name="head-threads")
-        frames = ProcessGroup(sim, core.fail)
-
-        def spawn(task: Task) -> None:
-            frames.spawn(core.run_task(task, slots, complete),
-                         name=f"task:{task.name}")
-
-        def complete(task: Task) -> None:
-            frontier.done(task)
-            frontier.release(task, spawn)
-            frontier.settle()
+        frontier, graph = core.frontier, program.graph
+        head = Head(core)
 
         # -- main process on the head node ------------------------------------
         def main_body():
@@ -1101,9 +1223,7 @@ class OMPCRuntime:
                 frontier.pending, graph.num_edges, cluster.num_nodes - 1
             )
             # 4./5. dispatch and drain the graph.
-            for root in frontier.ready():
-                spawn(root)
-            frontier.settle()
+            head.dispatch_ready()
             yield frontier.all_done
             # 6. shutdown: gate-thread destruction -> process end.
             yield from core.teardown()
@@ -1112,5 +1232,5 @@ class OMPCRuntime:
         # assignment itself is computed eagerly here (it is deterministic
         # and independent of the clock).
         core.set_schedule(graph, self.scheduler.schedule(graph, cluster))
-        return (sim.process(core.drive(main_body()), name="ompc-main"),
+        return (core.sim.process(core.drive(main_body()), name="ompc-main"),
                 core.finish)

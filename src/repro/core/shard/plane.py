@@ -20,14 +20,15 @@ knee.  :class:`ShardedRuntime` breaks the knee by partitioning control:
   owner replies with a NOTIFY when (or at once if) the producer
   completed.  No polling, and consumers dedup notifications by task id,
   so a failover's replayed messages are no-ops;
-* each shard logs dispatches, completions and processed notifications
-  to its own :mod:`repro.core.headlog`, replicated to ``head_standbys``
-  standbys of its worker slice.  On a gossip-confirmed manager death its frames
-  and pumps end, :meth:`~repro.core.headlog.Replicator.take_over`
-  promotes a standby, the slot pool and services restart there, leases
-  are re-sent for unsatisfied subscriptions (closing the lost-NOTIFY
-  window) and the shard's ready tasks are re-dispatched, with
-  ``dedup=True`` for those its log shows dispatched;
+* each shard manager is a :class:`~repro.core.runtime.Head`, logging
+  dispatches, completions and processed notifications to its own
+  :mod:`repro.core.headlog`, replicated to ``head_standbys`` standbys of
+  its worker slice.  On a gossip-confirmed manager death,
+  :meth:`Head.take_over <repro.core.runtime.Head.take_over>` (FT's head
+  failover's too) ends its epoch, promotes a standby and replays the
+  log; services restart there, leases are re-sent for unsatisfied
+  subscriptions (closing the lost-NOTIFY window) and the shard's ready
+  tasks are re-dispatched, ``dedup=True`` for those left in doubt;
 * membership is the gossip :class:`~repro.core.gossip.FailureDetector`
   (SWIM), required whenever failures are injected (through
   :class:`~repro.core.faults.FailureInjector`).
@@ -40,9 +41,9 @@ shard's host-resident buffers itself, so enter-data traffic does not
 all funnel through node 0.  Host-side retrieval (``exit data``) still
 lands on node 0, which owns that work by construction.
 
-Deliberately out of scope (validated): failures of node 0 itself —
+Deliberately out of scope: failures of node 0 itself (validated) —
 root-head failover is :class:`~repro.core.faults.FaultTolerantRuntime`'s
-job.
+job — and of workers, which fail the run with :class:`ShardPlaneError`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.core.events import NOTIFICATION_BYTES
 from repro.core.faults import FailureInjector, NodeFailure
 from repro.core.gossip import FailureDetector
 from repro.core.headlog import HeadLog, Replicator
-from repro.core.runtime import HeadCore, ProcessGroup, reject_unread
+from repro.core.runtime import Head, HeadCore, reject_unread
 from repro.core.scheduler import HeftScheduler, Schedule, Scheduler
 from repro.core.shard.directory import ShardDirectory
 from repro.core.shard.messages import LEASE_TAG, NOTIFY_TAG
@@ -61,43 +62,150 @@ from repro.core.shard.report import ShardRunResult, ShardStats
 from repro.omp.api import OmpProgram
 from repro.omp.task import Task
 from repro.sim.errors import SimulationError
-from repro.sim.resources import Resource
 
 
 class ShardPlaneError(SimulationError):
     """Unrecoverable sharded-control-plane failure."""
 
 
-class _Shard:
-    """Mutable runtime state of one shard manager."""
+class _ShardHead(Head):
+    """One shard manager: a :class:`~repro.core.runtime.Head` over the
+    tasks the directory gives shard ``sid``, dispatched onto its worker
+    slice ``nodes``, plus the shard's leases and notifies to its
+    ``peers`` over ``comm``."""
 
-    __slots__ = (
-        "sid", "manager", "nodes", "slots", "frames", "issued",
-        "subs", "notified", "repl", "pumps", "failing",
-        "stats", "sub_edges",
-    )
-
-    def __init__(self, sid: int, manager: int, nodes: tuple[int, ...],
-                 core: HeadCore):
+    def __init__(self, core: HeadCore, sid: int, nodes: tuple[int, ...],
+                 repl: Replicator | None, directory: ShardDirectory,
+                 comm, peers: list):
+        super().__init__(core, sid, repl, name=f"shard{sid}")
         self.sid = sid
-        self.manager = manager
         self.nodes = nodes
-        self.slots: Resource | None = None
-        #: The manager's control frames and its replication pumps; a
-        #: failover ends the frames first, then the pumps.
-        self.frames = ProcessGroup(core.sim, core.fail)
-        self.pumps = ProcessGroup(core.sim, core.fail)
-        #: Task ids ever handed to a control frame this epoch.
-        self.issued: set[int] = set()
+        self.comm = comm
+        self.peers = peers
+        owner_of = self.owner_of = directory.owner_of
+        self.local = lambda task: owner_of(task.task_id) == sid
         #: producer task id → subscriber shard ids (never popped: kept
         #: for failover re-notification).
         self.subs: dict[int, set[int]] = {}
         #: Remote producer ids whose NOTIFY this shard has processed.
         self.notified: set[int] = set()
-        self.repl: Replicator | None = None
-        self.failing = False
         self.stats: ShardStats | None = None
         self.sub_edges = 0
+        self.needs: set[int] = set()
+
+    def execute(self, task: Task):
+        self.core.obs.count("shard.dispatches")
+        yield from super().execute(task)
+
+    def release(self, task: Task) -> None:
+        """Release the shard's own consumers of ``task``; NOTIFY its
+        subscribers."""
+        tid, stats = task.task_id, self.stats
+        start, end = self.core.result.task_intervals[tid]
+        stats.busy_time += end - start
+        stats.dispatched += 1
+        super().release(task)
+        for sc in sorted(self.subs.get(tid, ())):
+            self.send_notify(tid, sc)
+
+    def send_notify(self, producer_id: int, sc: int) -> None:
+        self.core.obs.count("shard.forwards")
+        self.stats.forwards_sent += 1
+        self.comm.rank(self.home).isend(
+            self.peers[sc].home, ("notify", producer_id, self.sid),
+            NOTIFICATION_BYTES, tag=NOTIFY_TAG,
+        )
+
+    def send_lease(self, producer_id: int) -> None:
+        self.core.obs.count("shard.leases")
+        self.stats.leases_sent += 1
+        self.comm.rank(self.home).isend(
+            self.peers[self.owner_of(producer_id)].home,
+            ("lease", producer_id, self.sid),
+            NOTIFICATION_BYTES, tag=LEASE_TAG,
+        )
+
+    def start_services(self) -> None:
+        """Spawn the lease and notify services on the current manager."""
+        node, sim = self.home, self.core.sim
+        sim.process(self._lease_service(node),
+                    name=f"shard{self.sid}-lease@{node}")
+        sim.process(self._notify_service(node),
+                    name=f"shard{self.sid}-notify@{node}")
+
+    def _lease_service(self, node: int):
+        """Producer-side subscriptions, running on ``node`` while it is
+        this shard's manager."""
+        rank, events = self.comm.rank(node), self.core.events
+        while True:
+            msg = yield from rank.recv(tag=LEASE_TAG)
+            if events.node_failed(node) or self.home != node:
+                return
+            _kind, producer_id, sc = msg.payload
+            self.subs.setdefault(producer_id, set()).add(sc)
+            if producer_id in self.core.frontier.completed:
+                # The race-free no-barrier path: the producer beat the
+                # lease; answer immediately.
+                self.send_notify(producer_id, sc)
+
+    def _notify_service(self, node: int):
+        """Consumer-side completion notifications."""
+        rank, events = self.comm.rank(node), self.core.events
+        while True:
+            msg = yield from rank.recv(tag=NOTIFY_TAG)
+            if events.node_failed(node) or self.home != node:
+                return
+            _kind, producer_id, _sp = msg.payload
+            if producer_id in self.notified:
+                self.core.obs.count("shard.dedup_hits")
+                self.stats.dedup_hits += 1
+                continue
+            self.notified.add(producer_id)
+            self.append("notify", task=producer_id)
+            super().release(self.core.frontier.graph.task(producer_id))
+
+    def fail_over(self, by: int):
+        """Generator: a standby takes this shard over after its manager
+        died, re-subscribes what a lost LEASE or NOTIFY may have left
+        waiting, and re-dispatches the shard's ready tasks."""
+        core = self.core
+        old = self.home
+        core.obs.count("shard.failovers")
+        self.stats.failovers += 1
+        core.events.fail_node(old)  # STONITH: silence the old manager
+        taken = yield from self.take_over(by, frozenset({old}))
+        if taken is None:
+            core.fail(ShardPlaneError(
+                f"shard {self.sid}: no live standby left to elect"))
+            return
+        self.stats.manager = self.home
+        self.start_services()
+        self.start_epoch()
+        # Re-send leases whose NOTIFY may have died with the old manager
+        # (idempotent: the consumer-side dedup and the producer-side
+        # subscription set both absorb replays).  Completed producers
+        # are NOT excluded: a producer that finished before the crash is
+        # exactly the one whose NOTIFY may have been in flight to the
+        # dying manager, and the lease service answers those at once.
+        for producer_id in sorted(self.needs - self.notified):
+            self.send_lease(producer_id)
+        # The symmetric loss: a LEASE in flight *to* the old manager
+        # died with it, so consumers of this shard's producers
+        # re-subscribe against the new manager.
+        for other in self.peers:
+            if other is self or core.events.node_failed(other.home):
+                continue
+            for producer_id in sorted(other.needs - other.notified):
+                if self.owner_of(producer_id) == self.sid:
+                    other.send_lease(producer_id)
+        # Re-notify subscribers of already-completed local producers (a
+        # NOTIFY in flight when the manager died is lost).
+        completed = core.frontier.completed
+        for producer_id, subscribers in sorted(self.subs.items()):
+            if producer_id in completed:
+                for sc in sorted(subscribers):
+                    self.send_notify(producer_id, sc)
+        self.dispatch_ready()
 
 
 class _ShardClusterFacade:
@@ -211,275 +319,79 @@ class ShardedRuntime:
         core = HeadCore(self.cluster_spec, cfg, program, cluster,
                         result_type=ShardRunResult)
         cluster = self.last_cluster = core.cluster
-        sim, obs, events, mpi = core.sim, core.obs, core.events, core.mpi
-        result = core.result
-        graph = program.graph
-
-        directory = ShardDirectory(graph, k)
-        self.last_directory = directory
-        obs.count("shard.cross_edges", len(directory.cross_edges))
-        lease_needs = directory.lease_needs()
-
-        slices = self.compute_slices(cluster.num_nodes, k)
-        shards = [_Shard(s, s, slices[s], core) for s in range(k)]
-        owner_of = directory.owner_of
-
-        # -- per-shard scheduling (own scheduler instance each) -----------
-        def shard_scheduler() -> Scheduler:
-            if self.scheduler is not None:
-                return self.scheduler
-            return HeftScheduler()
-
-        assignment: dict[int, int] = {}
-        planned: dict[int, tuple[float, float]] = {}
-        for shard in shards:
-            sub = directory.subgraph(shard.sid)
-            shard.sub_edges = sub.num_edges
-            facade = _ShardClusterFacade(cluster, shard.nodes,
-                                         shard.manager)
-            sched = shard_scheduler().schedule(sub, facade)
-            assignment.update(sched.assignment)
-            planned.update(sched.planned)
-            shard.stats = ShardStats(
-                shard=shard.sid, manager=shard.manager,
-                nodes=shard.nodes, tasks=len(sub),
-            )
-        core.set_schedule(graph, Schedule(assignment, planned))
-        core.committed = set()
-
+        sim, events, mpi = core.sim, core.events, core.mpi
         frontier = core.frontier
-        plane_up = sim.event("shard-plane-up")
-        shard_comm = mpi.new_communicator(service=True)
-        for shard in shards:
-            shard.slots = Resource(
-                sim, capacity=cfg.head_threads,
-                name=f"shard{shard.sid}-threads",
-            )
 
+        directory = ShardDirectory(program.graph, k)
+        self.last_directory = directory
+        core.obs.count("shard.cross_edges", len(directory.cross_edges))
+        lease_needs = directory.lease_needs()
+        slices = self.compute_slices(cluster.num_nodes, k)
+        # Communicators are numbered in creation order: the shards',
+        # membership's, then each shard log's.
+        shard_comm = mpi.new_communicator(service=True)
         membership = (
             FailureDetector.from_config(cluster, mpi, events, cfg)
             if cfg.gossip else None
         )
+        heads: list[_ShardHead] = []
+        for sid, nodes in enumerate(slices):
+            # Each shard logs to standbys of its own worker slice.
+            repl = Replicator(
+                sim, mpi, events, HeadLog(),
+                list(nodes[:min(cfg.head_standbys, len(nodes))]), head=sid,
+            ) if cfg.head_standbys > 0 else None
+            heads.append(_ShardHead(core, sid, nodes, repl, directory,
+                                    shard_comm, heads))
 
-        if cfg.head_standbys > 0:
-            for shard in shards:
-                standbys = list(
-                    shard.nodes[:min(cfg.head_standbys, len(shard.nodes))]
-                )
-                shard.repl = Replicator(sim, mpi, events, HeadLog(),
-                                        standbys, head=shard.manager)
+        # -- per-shard scheduling (own scheduler instance each) -----------
+        assignment: dict[int, int] = {}
+        planned: dict[int, tuple[float, float]] = {}
+        for head in heads:
+            sub = directory.subgraph(head.sid)
+            head.sub_edges = sub.num_edges
+            head.needs = lease_needs[head.sid]
+            facade = _ShardClusterFacade(cluster, head.nodes, head.home)
+            sched = (self.scheduler or HeftScheduler()).schedule(sub, facade)
+            assignment.update(sched.assignment)
+            planned.update(sched.planned)
+            head.stats = ShardStats(shard=head.sid, manager=head.home,
+                                    nodes=head.nodes, tasks=len(sub))
+        core.set_schedule(program.graph, Schedule(assignment, planned))
+        core.committed = set()
 
-        # -- dependence resolution ----------------------------------------
-        def spawn_task(task: Task, dedup: bool = False) -> None:
-            shard = shards[owner_of(task.task_id)]
-            if shard.failing or task.task_id in shard.issued:
-                # Mid-failover (the restart rescan picks it up) or
-                # already in flight this epoch.
-                return
-            shard.issued.add(task.task_id)
-            # The frame holds the epoch's slot pool: a failover replaces
-            # ``shard.slots``, and a frame interrupted mid-task must
-            # release into the pool it acquired from, not the fresh one.
-            shard.frames.spawn(core.run_task(
-                task, shard.slots, complete, origin=shard.manager,
-                dispatch=log_dispatch, dedup=dedup,
-            ), name=f"task:{task.name}")
+        plane_up = sim.event("shard-plane-up")
 
-        def log_dispatch(task: Task):
-            shard = shards[owner_of(task.task_id)]
-            if shard.repl is not None:
-                shard.repl.append("dispatch", task=task.task_id)
-                yield from shard.repl.throttle()
-            obs.count("shard.dispatches")
-
-        def complete(task: Task) -> None:
-            tid = task.task_id
-            shard = shards[owner_of(tid)]
-            start, end = result.task_intervals[tid]
-            shard.stats.busy_time += end - start
-            if not frontier.done(task):
-                return
-            shard.stats.dispatched += 1
-            if shard.repl is not None:
-                shard.repl.append("task_done", task_id=tid,
-                                  node=core.schedule.node_of(task))
-            release_local(shard, task)
-            subscribers = shard.subs.get(tid)
-            if subscribers:
-                for sc in sorted(subscribers):
-                    send_notify(shard, tid, sc)
-            frontier.settle()
-
-        def release_local(shard: _Shard, producer: Task) -> None:
-            """``producer`` completed: release the shard's own consumers."""
-            frontier.release(producer, spawn_task,
-                             local=lambda t: owner_of(t.task_id) == shard.sid)
-
-        def send_notify(shard: _Shard, producer_id: int, sc: int) -> None:
-            obs.count("shard.forwards")
-            shard.stats.forwards_sent += 1
-            shard_comm.rank(shard.manager).isend(
-                shards[sc].manager,
-                ("notify", producer_id, shard.sid),
-                NOTIFICATION_BYTES, tag=NOTIFY_TAG,
-            )
-
-        def send_lease(shard: _Shard, producer_id: int) -> None:
-            obs.count("shard.leases")
-            shard.stats.leases_sent += 1
-            sp = owner_of(producer_id)
-            shard_comm.rank(shard.manager).isend(
-                shards[sp].manager,
-                ("lease", producer_id, shard.sid),
-                NOTIFICATION_BYTES, tag=LEASE_TAG,
-            )
-
-        def lease_service(shard: _Shard, node: int):
-            """Producer-side subscriptions, running on ``node`` while it
-            is this shard's manager."""
-            rank = shard_comm.rank(node)
-            while True:
-                msg = yield from rank.recv(tag=LEASE_TAG)
-                if events.node_failed(node) or shard.manager != node:
-                    return
-                _kind, producer_id, sc = msg.payload
-                shard.subs.setdefault(producer_id, set()).add(sc)
-                if producer_id in frontier.completed:
-                    # The race-free no-barrier path: the producer beat
-                    # the lease; answer immediately.
-                    send_notify(shard, producer_id, sc)
-
-        def notify_service(shard: _Shard, node: int):
-            """Consumer-side completion notifications."""
-            rank = shard_comm.rank(node)
-            while True:
-                msg = yield from rank.recv(tag=NOTIFY_TAG)
-                if events.node_failed(node) or shard.manager != node:
-                    return
-                _kind, producer_id, _sp = msg.payload
-                if producer_id in shard.notified:
-                    obs.count("shard.dedup_hits")
-                    shard.stats.dedup_hits += 1
-                    continue
-                shard.notified.add(producer_id)
-                if shard.repl is not None:
-                    shard.repl.append("notify", task=producer_id)
-                release_local(shard, graph.task(producer_id))
-
-        def start_services(shard: _Shard) -> None:
-            node = shard.manager
-            sim.process(lease_service(shard, node),
-                        name=f"shard{shard.sid}-lease@{node}")
-            sim.process(notify_service(shard, node),
-                        name=f"shard{shard.sid}-notify@{node}")
-
-        def start_pumps(shard: _Shard) -> None:
-            for standby in shard.repl.live_standbys():
-                shard.pumps.spawn(shard.repl.pump(standby),
-                                  name=f"shard{shard.sid}-pump{standby}")
-
-        # -- membership & failover -----------------------------------------
         def on_death(dead: int, by: int) -> None:
-            target = None
-            for shard in shards:
-                if shard.manager == dead:
-                    target = shard
-                    break
-            if target is None:
+            head = next((h for h in heads if h.home == dead), None)
+            if head is None:
                 # A compute node died: the sharded plane has no worker
                 # recovery (that is FaultTolerantRuntime's machinery).
                 core.fail(ShardPlaneError(
                     f"worker node {dead} died under the sharded plane; "
                     f"worker fault tolerance needs FaultTolerantRuntime"
                 ))
-                return
-            if target.repl is None:
+            elif head.repl is None:
                 core.fail(ShardPlaneError(
-                    f"shard {target.sid} manager (node {dead}) died "
+                    f"shard {head.sid} manager (node {dead}) died "
                     f"with no standbys (head_standbys=0)"
                 ))
-                return
-            sim.process(failover(target, by),
-                        name=f"shard{target.sid}-failover")
-
-        def failover(shard: _Shard, by: int):
-            old = shard.manager
-            shard.failing = True
-            obs.count("shard.failovers")
-            shard.stats.failovers += 1
-            events.fail_node(old)  # STONITH: silence the old manager
-            shard.frames.end()
-            shard.pumps.end()
-            taken = yield from shard.repl.take_over(
-                by, exclude=frozenset({old})
-            )
-            if taken is None:
-                core.fail(ShardPlaneError(
-                    f"shard {shard.sid}: no live standby left to elect"
-                ))
-                return
-            shard.manager = shard.stats.manager = taken[0]
-            # Replay the adopted log into a fresh manager state.
-            yield from shard.repl.replay()
-            shard.slots = Resource(
-                sim, capacity=cfg.head_threads,
-                name=f"shard{shard.sid}-threads-e{shard.repl.log.epoch}",
-            )
-            start_services(shard)
-            start_pumps(shard)
-            dispatched = {
-                rec.data["task"] for rec in shard.repl.log.records
-                if rec.kind == "dispatch"
-            }
-            # Re-send leases whose NOTIFY may have died with the old
-            # manager (idempotent: the consumer-side dedup and the
-            # producer-side subscription set both absorb replays).
-            # Completed producers are NOT excluded: a producer that
-            # finished before the crash is exactly the one whose NOTIFY
-            # may have been in flight to the dying manager, and the
-            # producer-side lease service answers those immediately.
-            for producer_id in sorted(lease_needs[shard.sid]):
-                if producer_id not in shard.notified:
-                    send_lease(shard, producer_id)
-            # The symmetric loss: a LEASE in flight *to* the old
-            # manager died with it, so consumers of this shard's
-            # producers re-subscribe against the new manager.
-            for other in shards:
-                if other.sid == shard.sid or other.failing:
-                    continue
-                for producer_id in sorted(lease_needs[other.sid]):
-                    if owner_of(producer_id) == shard.sid \
-                            and producer_id not in other.notified:
-                        send_lease(other, producer_id)
-            # Re-notify subscribers of already-completed local producers
-            # (a NOTIFY in flight when the manager died is lost).
-            for producer_id, subscribers in sorted(shard.subs.items()):
-                if producer_id in frontier.completed:
-                    for sc in sorted(subscribers):
-                        send_notify(shard, producer_id, sc)
-            # Re-issue the epoch's work: everything ready and not done.
-            shard.issued &= frontier.completed
-            shard.failing = False
-            for task in frontier.ready():
-                if owner_of(task.task_id) == shard.sid:
-                    spawn_task(task, dedup=task.task_id in dispatched)
+            else:
+                sim.process(head.fail_over(by),
+                            name=f"shard{head.sid}-failover")
 
         # -- manager and main processes ------------------------------------
-        def manager_body(shard: _Shard):
+        def manager_body(head: _ShardHead):
             yield plane_up
-            own = directory.tasks_of(shard.sid)
-            yield from core.plan_phase(
-                len(own), shard.sub_edges, len(shard.nodes),
-                origin=shard.manager,
-            )
-            if shard.repl is not None:
-                shard.repl.append("bootstrap", tasks=len(own), sid=shard.sid)
-                yield from shard.repl.flush()
-            for producer_id in sorted(lease_needs[shard.sid]):
-                send_lease(shard, producer_id)
-            for task in frontier.ready():
-                if owner_of(task.task_id) == shard.sid:
-                    spawn_task(task)
+            own = directory.tasks_of(head.sid)
+            yield from core.plan_phase(len(own), head.sub_edges,
+                                       len(head.nodes), origin=head.home)
+            if head.repl is not None:
+                head.append("bootstrap", tasks=len(own), sid=head.sid)
+                yield from head.repl.flush()
+            for producer_id in sorted(head.needs):
+                head.send_lease(producer_id)
+            head.dispatch_ready()
 
         def main_body():
             yield from core.boot()
@@ -487,11 +399,11 @@ class ShardedRuntime:
                 membership.on_detect = on_death
                 membership.on_head_detect = on_death
                 membership.start()
-            for shard in shards:
-                if shard.repl is not None:
-                    shard.repl.start()
-                    start_pumps(shard)
-                start_services(shard)
+            for head in heads:
+                if head.repl is not None:
+                    head.repl.start()
+                    head.start_epoch()
+                head.start_services()
             FailureInjector(events).arm(self.inject_failures)
             plane_up.succeed()
             frontier.settle()
@@ -500,13 +412,13 @@ class ShardedRuntime:
                 membership.stop()
             yield from core.teardown()
 
-        for shard in shards:
-            sim.process(manager_body(shard),
-                        name=f"shard{shard.sid}-manager")
+        for head in heads:
+            sim.process(manager_body(head), name=f"shard{head.sid}-manager")
         main_proc = sim.process(core.drive(main_body()), name="shard-main")
 
         def finish() -> ShardRunResult:
-            result.shard_stats = {s.sid: s.stats for s in shards}
+            result = core.result
+            result.shard_stats = {h.sid: h.stats for h in heads}
             if membership is not None:
                 result.membership_timeline = list(membership.timeline)
                 result.detections = list(membership.detections)

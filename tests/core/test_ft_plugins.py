@@ -16,7 +16,7 @@ import pytest
 from repro.core.config import OMPCConfig
 from repro.core.datamanager import DataManager
 from repro.core.faults import FTHead, FTRunResult, RecoveryError, plan_recovery
-from repro.core.headlog import HeadLog
+from repro.core.headlog import HeadLog, in_doubt
 from repro.core.scheduler import Schedule
 from repro.obs.observer import NullObserver
 from repro.omp import OmpProgram
@@ -118,7 +118,8 @@ class TestLogReplay:
                 head.on_commit(task, 1, None)
         live = head.core.dm
         head.home = 2
-        replayed, frontier, forced, redispatched = head.replay.rebuild(0)
+        head.in_doubt = in_doubt(log.records)  # as Head.take_over reads it
+        replayed, frontier, redispatched = head.replay.rebuild(0)
         assert replayed is not live
         assert lineage(replayed) == lineage(live)
         step0, step1 = task_named(prog, "step0"), task_named(prog, "step1")
@@ -126,7 +127,7 @@ class TestLogReplay:
         assert lineage(replayed) == {
             x_id: (2, [step0.task_id, step1.task_id], step1.task_id)}
         assert frontier.pending == 0
-        assert (forced, redispatched) == ({}, 0)
+        assert (head.in_doubt, redispatched) == ({}, 0)
 
     @pytest.mark.parametrize("target_dead", [True, False])
     def test_in_doubt_inout_dispatch(self, target_dead):
@@ -144,21 +145,22 @@ class TestLogReplay:
         if target_dead:
             core.dead.add(1)
         head.home = 2
-        dm, _frontier, forced, redispatched = head.replay.rebuild(0)
+        head.in_doubt = in_doubt(log.records)
+        dm, _frontier, redispatched = head.replay.rebuild(0)
         assert redispatched == 1
         assert dm.writes(buf.buffer_id).checkpoint[0] == 0
         if target_dead:
             # The dispatch may or may not have applied x += 1: every
             # copy is void, and the zombie target is fenced.
             assert dm.locations(buf) == set()
-            assert forced == {}
+            assert head.in_doubt == {}
             assert core.events.node_failed(1)
             return
         assert dm.locations(buf) == {1, 3}
-        assert forced == {step0.task_id: 1}
+        assert head.in_doubt == {step0.task_id: 1}
         assert not core.events.node_failed(1)
         # The re-issue goes back to node 1 and carries dedup=True.
-        core.dm, head.replay.forced_target = dm, forced
+        core.dm = dm
         calls = []
         fake_frames(head, calls)
         core.sim.process(head.execute(step0))

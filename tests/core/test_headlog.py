@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.core.events import EventSystem
-from repro.core.headlog import HeadLog, LogRecord, Replicator
+from repro.core.headlog import HeadLog, LogRecord, Replicator, in_doubt
 from repro.mpi import MpiWorld
 
 from tests.test_util import FAST
@@ -49,6 +49,52 @@ def make(n=4, standbys=(1, 2), **kw):
     )
     repl.start()
     return cluster, events, log, repl
+
+
+class TestInDoubt:
+    """The one in-doubt derivation every head reads after a takeover."""
+
+    def test_fault_tolerant_log(self):
+        # The FT head logs data movement by its commits, so the enter
+        # data task's completion has no dispatch.
+        log = HeadLog()
+        log.append("bootstrap", snapshots=())
+        log.append("enter_data", buffer_id=0, node=1)
+        log.append("task_done", task_id=0, node=0)
+        log.append("dispatch", task_id=1, node=1)
+        log.append("task_done", task_id=1, node=1)
+        log.append("dispatch", task_id=2, node=2)
+        log.append("dispatch", task_id=3, node=1)
+        log.append("node_dead", node=1)
+        # A takeover adopts the replica; the successor re-issues task 3
+        # on node 3, and the log dies again before it completes.
+        log.adopt(log.records, epoch=1)
+        log.append("dispatch", task_id=3, node=3)
+        log.append("checkpoint", buffer_id=0, version=1, snap=None)
+        assert in_doubt(log.records) == {2: 2, 3: 3}
+
+    def test_sharded_log(self):
+        # A shard logs every dispatch, data movement included, and the
+        # notifications it processed.
+        log = HeadLog()
+        log.append("bootstrap", tasks=4, sid=1)
+        log.append("dispatch", task_id=10, node=5)
+        log.append("task_done", task_id=10, node=1)
+        log.append("notify", task=4)
+        log.append("dispatch", task_id=11, node=6)
+        log.append("dispatch", task_id=12, node=5)
+        log.append("task_done", task_id=12, node=5)
+        log.append("task_done", task_id=13, node=1)
+        assert in_doubt(log.records) == {11: 6}
+
+    def test_redispatch_after_takeover_stays_one_doubt(self):
+        log = HeadLog()
+        log.append("dispatch", task_id=7, node=4)
+        log.adopt(log.records, epoch=1)
+        log.append("dispatch", task_id=7, node=4)
+        assert in_doubt(log.records) == {7: 4}
+        log.append("task_done", task_id=7, node=4)
+        assert in_doubt(log.records) == {}
 
 
 class TestConflictHandling:

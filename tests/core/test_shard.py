@@ -20,6 +20,7 @@ from repro.taskbench import KernelSpec, Pattern, TaskBenchSpec
 from repro.taskbench.bench import build_omp_program
 
 from tests.core.test_broadcast_integration import BASE, one_to_many_program
+from tests.core.test_tiering import stencil_program
 
 BANDWIDTH = 100e9 / 8.0
 
@@ -129,17 +130,27 @@ class TestShardedRuntimeValidation:
                 inject_failures=((0.1, 1),),
             )
 
-    @pytest.mark.parametrize("name,value", [
-        ("checkpoint_interval", 0.05),
-        ("straggler_factor", 3.0),
+    @pytest.mark.parametrize("name,value,readers", [
+        ("checkpoint_interval", 0.05, "FaultTolerantRuntime"),
+        ("straggler_factor", 3.0, "FaultTolerantRuntime"),
+        ("head_standbys", 1, "FaultTolerantRuntime and ShardedRuntime"),
+        ("gossip", True, "FaultTolerantRuntime and ShardedRuntime"),
     ])
-    def test_fault_tolerance_fields_rejected(self, name, value):
-        cfg = OMPCConfig(head_shards=2, **{name: value})
-        with pytest.raises(ValueError, match="ShardedRuntime never reads"):
-            ShardedRuntime(ClusterSpec(num_nodes=8), cfg)
-        # Delegation through OMPCRuntime rejects at construction too.
-        with pytest.raises(ValueError, match=name):
-            OMPCRuntime(ClusterSpec(num_nodes=8), cfg)
+    def test_fault_tolerance_fields_rejected(self, name, value, readers):
+        said = rf"{name}={value!r} \(read by {readers}\)"
+        if "Sharded" not in readers:
+            cfg = OMPCConfig(head_shards=2, **{name: value})
+            with pytest.raises(ValueError,
+                               match="ShardedRuntime never reads " + said):
+                ShardedRuntime(ClusterSpec(num_nodes=8), cfg)
+            # Delegation through OMPCRuntime rejects at construction too.
+            with pytest.raises(ValueError, match=said):
+                OMPCRuntime(ClusterSpec(num_nodes=8), cfg)
+        # The single head reads none of them.
+        with pytest.raises(ValueError, match=(
+                r"OMPCRuntime \(head_shards=1\) never reads " + said)):
+            OMPCRuntime(ClusterSpec(num_nodes=8),
+                        OMPCConfig(**{name: value}))
 
     @pytest.mark.parametrize("kills, message", [
         (((0.1, 99),), "node 99 is outside the cluster of 16 nodes"),
@@ -205,22 +216,29 @@ class TestShardedExecution:
         assert res.detections == []
 
     def test_manager_failover_recovers_and_dedups(self):
-        prog = stencil(width=32, steps=6)
+        # Manager 1 dies 2 ms in.  When gossip confirms it, its log
+        # shows t1p3 dispatched to node 7 with no completion: the
+        # standby re-issues it with dedup, node 7 answers from its
+        # completion table, and the outputs equal an unsharded run's.
+        ref, ref_final, _want = stencil_program()
+        OMPCRuntime(ClusterSpec(num_nodes=16)).run(ref)
+        prog, final, _want = stencil_program()
         cfg = OMPCConfig(head_shards=4, gossip=True, head_standbys=1)
-        runtime = ShardedRuntime(ClusterSpec(num_nodes=32), cfg,
-                                 inject_failures=((0.08, 2),))
+        runtime = ShardedRuntime(ClusterSpec(num_nodes=16), cfg,
+                                 inject_failures=((0.002, 1),))
         main, finish = runtime.launch(prog)
         main.sim.run(until=main)
         res = finish()
-        assert res.makespan > 0
-        assert [d for d, _by, _t in res.detections] == [2]
+        assert [d for d, _by, _t in res.detections] == [1]
         assert res.counters["shard.failovers"] == 1
         failed_over = [s for s in res.shard_stats.values()
                        if s.failovers == 1]
         assert len(failed_over) == 1
-        assert failed_over[0].manager != 2  # a standby took over
-        num_tasks = len(list(prog.graph.tasks()))
-        assert len(res.task_intervals) == num_tasks
+        assert failed_over[0].manager != 1  # a standby took over
+        assert res.counters["ompc.exec_dedup_hits"] >= 1
+        assert len(res.task_intervals) == len(list(prog.graph.tasks()))
+        for got, want in zip(final, ref_final):
+            assert got.data.tobytes() == want.data.tobytes()
 
     def test_tiering_combination_runs(self):
         cfg = OMPCConfig(head_shards=2, device_memory_bytes=1e9,

@@ -342,7 +342,7 @@ PINS: dict[str, tuple[str, float, int]] = {
         "f013006f34076fbf5e7b2daa0e8c44471cadbb9d84c17dbcaa66f96e084985a3",
         0.48687027518737735, 6329),
     "shards-4-failover": (
-        "652f4435af58b6017fc35fcf9b9eb133c5392a1e643154603646168f12d1a858",
+        "22de2379efdf92d9f7fd31f0c85181118058dfd98a934f46f3845b6bd7454343",
         0.4750482282762884, 66057),
     "shards-4-gossip": (
         "f6960c1e228f4a3702fae0c9a4ab5b717e40f117d61089ff9c1b3f895f0d0054",

@@ -139,7 +139,7 @@ def test_write_records_match_the_reference_dicts(num_buffers, ops, steps):
 
     replayed = replay(log.records, prog.graph)
     head.home = 2
-    rebuilt, _frontier, _forced, _in_doubt = head.replay.rebuild(0)
+    rebuilt, _frontier, _in_doubt = head.replay.rebuild(0)
     assert rebuilt is not dm
     assert_same(rebuilt, replayed, bufs)
     placed = {
