@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from figutil import RUNTIME_ORDER, fig5_spec, run_cell
 from repro.bench.report import format_series
+from repro.cluster.machine import ClusterSpec
+from repro.core import OMPCConfig
+from repro.runtimes import OmpcRuntimeAdapter
 from repro.taskbench import Pattern
 
 FULL_NODES = (2, 4, 8, 16, 32, 64)
@@ -51,6 +54,28 @@ class TestFig5:
         assert t16 < t2 * 3.0
         # ...but breaks at 64 (width 128 > 48 head threads).
         assert t64 > t16 * 1.4
+
+    def test_bench_knee_mechanism(self, benchmark):
+        """§7: the knee at 64 nodes is the head's ``head_threads`` slot
+        pool.  Four shard managers, each with its own pool, run the
+        stencil faster than one head, and doubling the pool to 96
+        threads (width 128) closes most of the gap to 16 nodes."""
+
+        def ompc(n, **cfg):
+            return OmpcRuntimeAdapter(OMPCConfig(**cfg)).run(
+                fig5_spec(Pattern.STENCIL_1D, n), ClusterSpec(num_nodes=n)
+            ).makespan
+
+        def sweep():
+            return (ompc(16), ompc(64), ompc(64, head_shards=4),
+                    ompc(64, head_threads=96))
+
+        t16, t64, sharded, wide = benchmark.pedantic(sweep, rounds=1,
+                                                     iterations=1)
+        # Measured 0.77x of one head.
+        assert sharded < t64 * 0.9
+        # Measured: 96 threads leave 20 % of the 16-to-64-node gap.
+        assert wide - t16 < (t64 - t16) * 0.5
 
     def test_bench_trivial_scales(self, benchmark):
         """The trivial pattern 'somehow preserves' scalability to 32 nodes."""
