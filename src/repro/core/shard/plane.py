@@ -70,16 +70,19 @@ class ShardPlaneError(SimulationError):
 
 class _ShardHead(Head):
     """One shard manager: a :class:`~repro.core.runtime.Head` over the
-    tasks the directory gives shard ``sid``, dispatched onto its worker
-    slice ``nodes``, plus the shard's leases and notifies to its
-    ``peers`` over ``comm``."""
+    tasks of shard ``sid`` (its subgraph ``sub``), dispatched onto its
+    worker slice ``nodes``, plus the shard's leases for the remote
+    producers it ``needs`` and its notifies, to its ``peers`` over
+    ``comm``."""
 
     def __init__(self, core: HeadCore, sid: int, nodes: tuple[int, ...],
-                 repl: Replicator | None, directory: ShardDirectory,
-                 comm, peers: list):
+                 repl: Replicator | None, directory: ShardDirectory, sub,
+                 needs: set[int], comm, peers: list):
         super().__init__(core, sid, repl, name=f"shard{sid}")
         self.sid = sid
         self.nodes = nodes
+        self.sub_edges = sub.num_edges
+        self.needs = needs
         self.comm = comm
         self.peers = peers
         owner_of = self.owner_of = directory.owner_of
@@ -89,9 +92,8 @@ class _ShardHead(Head):
         self.subs: dict[int, set[int]] = {}
         #: Remote producer ids whose NOTIFY this shard has processed.
         self.notified: set[int] = set()
-        self.stats: ShardStats | None = None
-        self.sub_edges = 0
-        self.needs: set[int] = set()
+        self.stats = ShardStats(shard=sid, manager=sid, nodes=nodes,
+                                tasks=len(sub))
 
     def execute(self, task: Task):
         self.core.obs.count("shard.dispatches")
@@ -326,7 +328,6 @@ class ShardedRuntime:
         self.last_directory = directory
         core.obs.count("shard.cross_edges", len(directory.cross_edges))
         lease_needs = directory.lease_needs()
-        slices = self.compute_slices(cluster.num_nodes, k)
         # Communicators are numbered in creation order: the shards',
         # membership's, then each shard log's.
         shard_comm = mpi.new_communicator(service=True)
@@ -335,28 +336,23 @@ class ShardedRuntime:
             if cfg.gossip else None
         )
         heads: list[_ShardHead] = []
-        for sid, nodes in enumerate(slices):
-            # Each shard logs to standbys of its own worker slice.
+        assignment: dict[int, int] = {}
+        planned: dict[int, tuple[float, float]] = {}
+        for sid, nodes in enumerate(
+                self.compute_slices(cluster.num_nodes, k)):
+            # Each shard logs to standbys of its own worker slice, and
+            # schedules its subgraph with its own scheduler instance.
             repl = Replicator(
                 sim, mpi, events, HeadLog(),
                 list(nodes[:min(cfg.head_standbys, len(nodes))]), head=sid,
             ) if cfg.head_standbys > 0 else None
-            heads.append(_ShardHead(core, sid, nodes, repl, directory,
-                                    shard_comm, heads))
-
-        # -- per-shard scheduling (own scheduler instance each) -----------
-        assignment: dict[int, int] = {}
-        planned: dict[int, tuple[float, float]] = {}
-        for head in heads:
-            sub = directory.subgraph(head.sid)
-            head.sub_edges = sub.num_edges
-            head.needs = lease_needs[head.sid]
-            facade = _ShardClusterFacade(cluster, head.nodes, head.home)
-            sched = (self.scheduler or HeftScheduler()).schedule(sub, facade)
+            sub = directory.subgraph(sid)
+            heads.append(_ShardHead(core, sid, nodes, repl, directory, sub,
+                                    lease_needs[sid], shard_comm, heads))
+            sched = (self.scheduler or HeftScheduler()).schedule(
+                sub, _ShardClusterFacade(cluster, nodes, sid))
             assignment.update(sched.assignment)
             planned.update(sched.planned)
-            head.stats = ShardStats(shard=head.sid, manager=head.home,
-                                    nodes=head.nodes, tasks=len(sub))
         core.set_schedule(program.graph, Schedule(assignment, planned))
         core.committed = set()
 
