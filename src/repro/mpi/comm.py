@@ -150,8 +150,10 @@ class MpiWorld:
         self._rto_timers: dict[float, Event] = {}
         self._next_comm_id = 0
         # Matching queues are per (rank, comm); one MatchStore per pair,
-        # lazily created, so traffic on one communicator never scans
-        # another's.
+        # so traffic on one communicator never scans another's.  A store
+        # exists only while it holds a buffered message or a pending
+        # receive: it is created by the first operation on its pair and
+        # dropped by the one that drains it (see :meth:`_drop_drained`).
         self._queues: dict[tuple[int, int], MatchStore] = {}
         self.world = self.new_communicator()
 
@@ -184,6 +186,23 @@ class MpiWorld:
             store = MatchStore(self.sim, name=f"mpi.q{rank}.c{comm_id}")
             self._queues[key] = store
         return store
+
+    def _deliver(self, msg: Message) -> None:
+        """Enqueue ``msg`` at its receiver."""
+        store = self._queue(msg.dst, msg.comm_id)
+        store.put_nowait(msg)
+        self._drop_drained(msg.dst, msg.comm_id, store)
+
+    def _drop_drained(self, rank: int, comm_id: int,
+                      store: MatchStore) -> None:
+        """Forget ``store`` once it holds no message and no receive.
+
+        A later operation on the pair builds a fresh store of the same
+        name, so event names do not change; the store's arrival and
+        posting counters only order entries it holds.
+        """
+        if store.drained and self._queues.get((rank, comm_id)) is store:
+            del self._queues[(rank, comm_id)]
 
     def _arm_rto(self, send: "_ReliableSend", deadline: float) -> None:
         """Give ``send`` a retransmit deadline on the world's heap."""
@@ -331,7 +350,7 @@ class Communicator:
                 self._low[pair] = low
             else:
                 self._ooo.setdefault(pair, set()).add(seq)
-            self.mpi._queue(msg.dst, self.comm_id).put_nowait(msg)
+            self.mpi._deliver(msg)
             if enabled:
                 obs.instant(
                     "mpi", f"recv t{msg.tag}", msg.dst,
@@ -347,13 +366,20 @@ class Communicator:
         if tag < 0 and tag != ANY_TAG:
             raise MpiError(f"recv tag must be >= 0 or ANY_TAG, got {tag}")
 
-        store = self.mpi._queue(dst, self.comm_id)
+        mpi = self.mpi
+        comm_id = self.comm_id
+        store = mpi._queue(dst, comm_id)
         get = store.get_match(src, tag)
-        request = Request(get, "recv", canceller=lambda: store.cancel(get))
-        if self.mpi.analysis.enabled and not self.service:
-            self.mpi.analysis.mpi.on_irecv(
-                request, self.comm_id, dst, src, tag
-            )
+        mpi._drop_drained(dst, comm_id, store)
+
+        def cancel() -> bool:
+            withdrawn = store.cancel(get)
+            mpi._drop_drained(dst, comm_id, store)
+            return withdrawn
+
+        request = Request(get, "recv", canceller=cancel)
+        if mpi.analysis.enabled and not self.service:
+            mpi.analysis.mpi.on_irecv(request, comm_id, dst, src, tag)
         return request
 
 
@@ -401,7 +427,7 @@ class _Send:
         if span is not None:
             flow = obs.new_flow()
             obs.end(span, flow_id=flow, flow_phase="s")
-        mpi._queue(msg.dst, self.comm.comm_id).put_nowait(msg)
+        mpi._deliver(msg)
         if span is not None:
             obs.instant(
                 "mpi", f"recv t{msg.tag}", msg.dst,

@@ -101,6 +101,11 @@ class MatchStore:
         return self._n_items
 
     @property
+    def drained(self) -> bool:
+        """True while the store holds no message and no pending receive."""
+        return not self._n_items and not self._pending
+
+    @property
     def items(self) -> tuple:
         """Buffered messages in arrival order (inspection only)."""
         entries = [e for slot in self._slots.values() for e in slot]

@@ -160,7 +160,7 @@ class TestReliableDelivery:
         assert comm._low == {(0, 1): 4, (2, 1): 1}
         assert comm._ooo == {}  # the watermark caught up
         assert mpi.stats["duplicates"] == 2
-        queue = mpi._queue(1, comm.comm_id)
+        queue = mpi._queues.get((1, comm.comm_id))
         assert [m.payload for m in queue.items] == [2, 0, 3, 1, "x"]
 
     def test_self_send_never_dropped(self):
@@ -269,7 +269,8 @@ class TestDatagramOptOut:
         req = datagram.rank(0).isend(1, "gone", nbytes=16)
         cluster.sim.run()
         assert req.test()  # fire-and-forget: local completion regardless
-        assert len(mpi._queue(1, datagram.comm_id)) == 0
+        # No message was enqueued, so no match queue exists.
+        assert mpi._queues.get((1, datagram.comm_id)) is None
         assert mpi.stats["drops"] == 1
         assert cluster.network.total_messages == 1  # the fabric carried it
 

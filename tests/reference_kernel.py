@@ -56,6 +56,11 @@ class ScanStore(Store):
 
         return self.get(match)
 
+    @property
+    def drained(self):
+        """True while no message is buffered and no receive pending."""
+        return not self._items and not self._getters
+
 
 @contextmanager
 def reference_kernel():
