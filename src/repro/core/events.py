@@ -9,12 +9,24 @@ event has an *origin* half (usually on the head node) and a
    communicator from the round-robin pool by tag;
 2. a small *new-event notification* goes to the destination process on
    the control communicator;
-3. the destination's **gate thread** receives the notification and
-   enqueues the destination half into the local event queue;
-4. one of the **event handlers** dequeues it and executes it,
-   exchanging payload messages with the origin on ``(comm, tag)`` —
-   the tag plus the rank pair form an exclusive channel;
+3. the destination's **gate** receives the notification and hands the
+   destination half to a free **event handler**, or queues it for one;
+4. the handler executes it, exchanging payload messages with the origin
+   on ``(comm, tag)`` — the tag plus the rank pair form an exclusive
+   channel;
 5. a completion notification unblocks the origin.
+
+Fig. 3's gate thread and handler threads run no simulator process here.
+A node's gate is one standing receive for ``NOTIFY_TAG`` on the control
+communicator, whose callback re-posts it and dispatches the
+notification.  Its handler pool is a slot pool, a
+:class:`~repro.sim.resources.Resource` of ``EVENT_HANDLERS`` slots that
+exists while the node has events pending.  A notification takes a free
+slot or queues for one in arrival order, pays
+``event_handler_overhead``, and runs its type's body as a callback chain
+(:class:`_Chain`) that ends in the completion send and frees the slot.
+An idle node thus holds nothing of the event system but its posted
+receive.
 
 Event types map one-to-one to the functions a libomptarget device
 plugin must implement (§4.2): memory allocation and removal, data
@@ -37,8 +49,10 @@ from repro.core.tags import NOTIFY_TAG, TagAllocator
 from repro.mpi.comm import Communicator, MpiWorld
 from repro.mpi.vci import CommunicatorPool
 from repro.omp.task import Task
+from repro.sim.core import Event, Simulator
+from repro.sim.errors import SimulationError
 from repro.sim.primitives import AnyOf
-from repro.sim.resources import Store
+from repro.sim.resources import Resource
 
 
 class EventType(enum.Enum):
@@ -82,10 +96,7 @@ PARAMS_BYTES = 256.0
 #: touched page of a written buffer costs one write fault.
 PAGE_SIZE = 4096
 
-#: Queue sentinel shutting down one event handler.
-_POISON = object()
-
-#: Interned per-type counter keys for the handler hot loop.
+#: Interned per-type counter keys for the handler hot path.
 _EVENT_COUNT_KEY = {t: f"ompc.events.{t.value}" for t in EventType}
 
 
@@ -94,8 +105,9 @@ class EventSystem:
 
     The head node (rank ``origin``, default 0) drives workers through
     the origin-side generator methods (:meth:`alloc`, :meth:`submit`,
-    :meth:`retrieve`, :meth:`exchange`, :meth:`execute`, ...).  Gate
-    threads and handler pools run on every node.
+    :meth:`retrieve`, :meth:`exchange`, :meth:`execute`, ...).  Every
+    node's gate (a standing receive) and handler pool (a slot pool)
+    serve the destination halves as callback chains.
     """
 
     def __init__(
@@ -127,11 +139,12 @@ class EventSystem:
             for i in range(cluster.num_nodes)
         ]
 
-        self._queues = [
-            Store(self.sim, name=f"evq{i}") for i in range(cluster.num_nodes)
-        ]
-        self._gates: list = []
-        self._handlers: dict[int, list] = {}
+        #: Handler pools of the nodes with events pending, dropped when
+        #: their node goes idle.
+        self._pools: dict[int, _HandlerPool] = {}
+        #: Per-node events that fire on receipt of EXIT (armed by
+        #: :meth:`shutdown`) or on the node's failure.
+        self._exits: dict[int, Event] = {}
         self._started = False
         self._first_event_done = False
         self._failed: set[int] = set()
@@ -159,39 +172,37 @@ class EventSystem:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn gate threads and handler pools on every node."""
+        """Open every node's gate: post its standing notification receive."""
         if self._started:
             raise RuntimeError("event system already started")
         self._started = True
         for node_id in range(self.cluster.num_nodes):
-            gate = self.sim.process(self._gate(node_id), name=f"gate{node_id}")
-            self._gates.append(gate)
-            self._handlers[node_id] = [
-                self.sim.process(
-                    self._handler(node_id, h), name=f"handler{node_id}.{h}"
-                )
-                for h in range(EVENT_HANDLERS)
-            ]
+            self._post_gate(node_id)
 
     def shutdown(self, origin: int = 0):
-        """Generator: stop all gate threads and handlers.
+        """Generator: send every live node EXIT and wait until each has
+        received it, which closes its gate.
 
         All in-flight events must already be complete (the runtime waits
         for the task graph before shutting down).  Failed nodes are
-        skipped — their machinery is already dead.
+        skipped — their machinery is already dead — and a node that
+        fails meanwhile counts as stopped.
         """
         rank = self.control.rank(origin)
+        exits = self._exits
         for node_id in range(self.cluster.num_nodes):
             if node_id in self._failed:
                 continue
+            exits[node_id] = self.sim.event(f"exit{node_id}")
             note = Notification(EventType.EXIT, 0, origin)
             yield from rank.send(
                 node_id, note, NOTIFICATION_BYTES, NOTIFY_TAG
             )
-        for node_id, gate in enumerate(self._gates):
-            if node_id in self._failed:
-                continue
-            yield gate  # gates forward poison to handlers and finish
+        for node_id in range(self.cluster.num_nodes):
+            exit_ev = exits.get(node_id)
+            if exit_ev is not None and node_id not in self._failed:
+                yield exit_ev
+        exits.clear()
 
     # ------------------------------------------------------------------
     # failures (§3.1 fault tolerance)
@@ -209,8 +220,9 @@ class EventSystem:
 
         A run that ends in an error (or a workload manager's preemption
         interrupt) calls this so a shared simulation is not left with
-        orphaned gate and handler processes.  Before :meth:`start`
-        there is nothing to tear down, and this is a no-op.
+        event chains still running, or device slots still held, on its
+        nodes.  Before :meth:`start` there is nothing to tear down, and
+        this is a no-op.
         """
         if not self._started:
             return
@@ -271,7 +283,11 @@ class EventSystem:
         self._exec_done[node_id].discard(task_id)
 
     def fail_node(self, node_id: int) -> None:
-        """Crash a node: kill its event machinery, lose its memory.
+        """Crash a node: stop its event chains, lose its memory.
+
+        A stopped chain sends no completion, writes nothing into the
+        wiped memory and holds no slot; the node's gate ignores any
+        later notification.
 
         Any node may fail, including the head (node 0): the
         fault-tolerant runtime replicates head state to standbys and
@@ -288,71 +304,66 @@ class EventSystem:
         # co-located job's utilization report never shows ghost bytes
         # from a tenant that was aborted or preempted mid-run.
         self._mem_gauge(node_id, self.memories[node_id])
-        gate = self._gates[node_id]
-        if gate.is_alive:
-            gate.interrupt("node failure")
-        for handler in self._handlers[node_id]:
-            if handler.is_alive:
-                handler.interrupt("node failure")
+        pool = self._pools.pop(node_id, None)
+        if pool is not None:
+            for chain in list(pool.chains):
+                chain.stop(pool)
+        exit_ev = self._exits.get(node_id)
+        if exit_ev is not None and not exit_ev.triggered:
+            exit_ev.succeed()
         self.obs.count("ompc.node_failures")
         ev = self.failure_event(node_id)
         if not ev.triggered:
             ev.succeed(node_id)
 
     # ------------------------------------------------------------------
-    # destination side: gate thread and event handlers
+    # destination side: the gate and the handler pool
     # ------------------------------------------------------------------
-    def _gate(self, node_id: int):
-        from repro.sim.errors import Interrupt
+    def _post_gate(self, node_id: int) -> None:
+        """Post ``node_id``'s standing receive for its next notification."""
+        self.control.rank(node_id).irecv(tag=NOTIFY_TAG).then(self._notified)
 
-        rank = self.control.rank(node_id)
-        try:
-            while True:
-                msg = yield from rank.recv(tag=NOTIFY_TAG)
-                note: Notification = msg.payload
-                if note.event_type == EventType.EXIT:
-                    for _ in range(EVENT_HANDLERS):
-                        yield self._queues[node_id].put(_POISON)
-                    return
-                self.obs.count("ompc.notifications")
-                yield self._queues[node_id].put(note)
-                if self.obs.enabled:
-                    self.obs.gauge_add(f"node{node_id}.evq", 1, node=node_id)
-        except Interrupt:
-            return  # node crashed
+    def _notified(self, ev: Event) -> None:
+        """The gate: a notification matched a node's standing receive.
 
-    def _handler(self, node_id: int, handler_id: int):
-        from repro.sim.errors import Interrupt, SimulationError
-
-        queue = self._queues[node_id]
+        Re-post the receive, then hand the event to a free handler slot,
+        or queue it for one.  EXIT closes the gate instead.
+        """
+        msg = ev._value
+        node_id = msg.dst
+        if node_id in self._failed:
+            return  # a dead node's gate stays closed
+        note: Notification = msg.payload
+        if note.event_type is EventType.EXIT:
+            exit_ev = self._exits.get(node_id)
+            if exit_ev is not None and not exit_ev.triggered:
+                exit_ev.succeed()
+            return
+        self._post_gate(node_id)
         obs = self.obs
-        counts = obs.counters
-        try:
-            while True:
-                note = yield queue.get()
-                if note is _POISON:
-                    return
-                enabled = obs.enabled
-                if enabled:
-                    obs.gauge_add(f"node{node_id}.evq", -1, node=node_id)
-                    open_span = obs.begin(
-                        "ompc", f"evt:{note.event_type.value}", node_id,
-                        tag=note.tag, origin=note.origin,
-                    )
-                if self.config.event_handler_overhead:
-                    yield self.sim.timeout(self.config.event_handler_overhead)
-                yield from self._handle(node_id, note)
-                if enabled:
-                    obs.end(open_span)
-                # Interned counter keys: one dict lookup instead of an
-                # f-string build per handled event.
-                counts[_EVENT_COUNT_KEY[note.event_type]] += 1
-        except Interrupt:
-            return  # node crashed mid-event; the origin races failure_event
-        except SimulationError as exc:
-            if self.on_error is None:
-                raise
-            self.on_error(exc)
+        obs.count("ompc.notifications")
+        if obs.enabled:
+            obs.gauge_add(f"node{node_id}.evq", 1, node=node_id)
+        pool = self._pools.get(node_id)
+        if pool is None:
+            pool = self._pools[node_id] = _HandlerPool(self.sim, node_id)
+        chain = _Chain(self, node_id, note)
+        pool.chains[chain] = None
+        if pool.try_acquire():
+            chain.run(chain.begin)
+        else:
+            chain.slot_req = pool.request()
+            chain.wait(chain.slot_req, chain.begin)
+
+    def _release_slot(self, chain: "_Chain") -> None:
+        """``chain`` has ended: free its handler slot, and drop the pool
+        once its node has no event left."""
+        node_id = chain.node_id
+        pool = self._pools[node_id]
+        del pool.chains[chain]
+        pool.release()
+        if not pool.chains:
+            del self._pools[node_id]
 
     def _mem_gauge(self, node_id: int, mem: DeviceMemory) -> None:
         """Publish the node's resident-byte footprint after a table change."""
@@ -363,92 +374,6 @@ class EventSystem:
                 node=node_id,
             )
 
-    def _handle(self, node_id: int, note: Notification):
-        mem = self.memories[node_id]
-        comm = self.pool.select(note.tag)
-        rank = comm.rank(node_id)
-
-        if note.event_type == EventType.ALLOC:
-            mem.alloc(note.info["buffer_id"], note.info.get("payload"),
-                      nbytes=note.info.get("nbytes", 0.0),
-                      label=note.info.get("label"),
-                      owner=note.info.get("owner"))
-            self._mem_gauge(node_id, mem)
-            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
-
-        elif note.event_type == EventType.DELETE:
-            # An eviction may delete a charged copy whose transfer never
-            # landed (its source died): deleting nothing is a no-op.
-            if note.info["buffer_id"] in mem:
-                mem.delete(note.info["buffer_id"])
-            self._mem_gauge(node_id, mem)
-            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
-
-        elif note.event_type == EventType.SUBMIT:
-            msg = yield from rank.recv(src=note.origin, tag=note.tag)
-            if note.info["buffer_id"] not in mem:
-                mem.alloc(note.info["buffer_id"],
-                          nbytes=note.info.get("nbytes", 0.0),
-                          label=note.info.get("label"))
-                self._mem_gauge(node_id, mem)
-            mem.write(note.info["buffer_id"], msg.payload)
-            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
-
-        elif note.event_type == EventType.RETRIEVE:
-            payload = mem.read(note.info["buffer_id"])
-            # The data message itself completes the event at the origin.
-            yield from rank.send(
-                note.origin, payload, note.info["nbytes"], note.tag
-            )
-
-        elif note.event_type == EventType.EXCHANGE_SRC:
-            payload = mem.read(note.info["buffer_id"])
-            yield from rank.send(
-                note.info["dst"], payload, note.info["nbytes"], note.tag
-            )
-
-        elif note.event_type == EventType.EXCHANGE_DST:
-            msg = yield from rank.recv(src=note.info["src"], tag=note.tag)
-            if note.info["buffer_id"] not in mem:
-                mem.alloc(note.info["buffer_id"],
-                          nbytes=note.info.get("nbytes", 0.0),
-                          label=note.info.get("label"))
-                self._mem_gauge(node_id, mem)
-            mem.write(note.info["buffer_id"], msg.payload)
-            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
-
-        elif note.event_type == EventType.BROADCAST:
-            yield from self._handle_broadcast(node_id, note, mem, rank)
-
-        elif note.event_type == EventType.EXECUTE:
-            yield from self._handle_execute(node_id, note, mem, rank)
-
-        else:  # pragma: no cover - enum is exhaustive
-            raise AssertionError(f"unhandled event type {note.event_type}")
-
-    def _handle_broadcast(self, node_id: int, note: Notification, mem, rank):
-        """One participant of a binomial-tree broadcast (§7 extension).
-
-        ``info`` carries ``parent`` (None for the data source) and
-        ``children``.  Every non-source participant stores the payload
-        and acknowledges to the origin.
-        """
-        parent = note.info["parent"]
-        if parent is None:
-            payload = mem.read(note.info["buffer_id"])
-        else:
-            msg = yield from rank.recv(src=parent, tag=note.tag)
-            payload = msg.payload
-            if note.info["buffer_id"] not in mem:
-                mem.alloc(note.info["buffer_id"],
-                          nbytes=note.info.get("nbytes", 0.0))
-                self._mem_gauge(node_id, mem)
-            mem.write(note.info["buffer_id"], payload)
-        for child in note.info["children"]:
-            yield from rank.send(child, payload, note.info["nbytes"], note.tag)
-        if parent is not None:
-            yield from rank.send(note.origin, "done", COMPLETION_BYTES, note.tag)
-
     def _stretched(self, node_id: int, duration: float) -> float:
         """Wall time for ``duration`` of compute starting now on the node,
         stretched through any installed stall/hang windows (stragglers)."""
@@ -456,169 +381,6 @@ class EventSystem:
         if faults is None or duration <= 0:
             return duration
         return faults.stretched(node_id, self.sim.now, duration)
-
-    def _handle_execute(self, node_id: int, note: Notification, mem, rank):
-        # 5a in Fig. 3: fetch which function to run and its parameters
-        # (a self-dispatching head embeds them in the notification).
-        if "params" in note.info:
-            task: Task = note.info["params"]
-        else:
-            params = yield from rank.recv(src=note.origin, tag=note.tag)
-            task = params.payload
-        tid = task.task_id
-        # Head-failover fencing: a dispatch stamped with an older head
-        # epoch comes from a deposed (possibly zombie) head whose
-        # messages were still in flight — discard it so it can never
-        # double-apply work the elected head already re-issued.
-        epoch = note.info.get("fo_epoch", 0)
-        if epoch < self._node_epoch[node_id]:
-            self.obs.count("ompc.exec_fenced")
-            yield from rank.send(note.origin, "fenced", COMPLETION_BYTES,
-                                 note.tag)
-            return
-        self._node_epoch[node_id] = epoch
-        if note.info.get("dedup"):
-            # Idempotent re-issue after failover: if the original
-            # dispatch is still running here, wait it out, then answer
-            # from the dedup table while this node still holds the
-            # versions it wrote, instead of running the task twice.
-            prior = self._exec_inflight[node_id].get(tid)
-            if prior is not None and not prior.triggered:
-                yield prior
-            if tid in self._exec_done[node_id] and all(
-                    mem.versions.get(bid) == version
-                    for bid, version in note.info["outputs"]):
-                self.obs.count("ompc.exec_dedup_hits")
-                yield from rank.send(note.origin, "done",
-                                     COMPLETION_BYTES, note.tag)
-                return
-        marker = self.sim.event(f"exec{node_id}:{tid}")
-        self._exec_inflight[node_id][tid] = marker
-        try:
-            yield from self._run_execute(node_id, note, mem, rank, task)
-        finally:
-            if self._exec_inflight[node_id].get(tid) is marker:
-                del self._exec_inflight[node_id][tid]
-            if not marker.triggered:
-                marker.succeed()
-
-    def _run_execute(self, node_id: int, note: Notification, mem, rank,
-                     task: Task):
-        cfg = self.config
-        node = self.cluster.node(node_id)
-        attempt = note.info.get("attempt", 0)
-        obs_enabled = self.obs.enabled
-        kernel_span = self.obs.begin(
-            "task", f"{task.name}:kernel", node_id,
-            task_id=task.task_id, attempt=attempt,
-        ) if obs_enabled else None
-
-        def revoked() -> bool:
-            return (task.task_id, attempt) in self._cancelled_execs
-
-        page_protect = cfg.write_detection == "page_protect"
-        if page_protect:
-            before = {
-                d.buffer.buffer_id: _fingerprint(mem.read(d.buffer.buffer_id))
-                for d in task.deps
-                if d.buffer.buffer_id in mem
-            }
-
-        if task.meta.get("device") == "gpu" and node.gpus is not None:
-            # §7 second-level offloading: a nested target region inside
-            # the cluster-level target.  The buffers stage over PCIe,
-            # the kernel runs at the accelerator's rate, and written
-            # buffers stage back.
-            spec = node.spec
-            in_bytes = sum(b.nbytes for b in task.reads)
-            out_bytes = sum(b.nbytes for b in task.writes)
-            yield from node.gpus.acquire()
-            try:
-                if in_bytes or task.reads:
-                    yield self.sim.timeout(
-                        spec.pcie_latency + in_bytes / spec.pcie_bandwidth
-                    )
-                duration = self._stretched(
-                    node_id, task.cost / (spec.speed * spec.accelerator_speed)
-                )
-                if duration > 0:
-                    yield self.sim.timeout(duration)
-                if task.fn is not None and not revoked():
-                    args = [mem.read(d.buffer.buffer_id) for d in task.deps]
-                    task.fn(*args)
-                if out_bytes or task.writes:
-                    yield self.sim.timeout(
-                        spec.pcie_latency + out_bytes / spec.pcie_bandwidth
-                    )
-            finally:
-                node.gpus.release()
-            self.obs.count("ompc.gpu_executions")
-        else:
-            # Second-level parallelism: a task may use several cores
-            # inside the node (parallel-for inside the target region,
-            # §3.1).  The model charges cost / (threads × speed) while
-            # occupying one hardware context, which is exact when a node
-            # runs one task at a time (our workloads) and conservative
-            # otherwise.
-            threads = min(int(task.meta.get("omp_threads", 1)), node.spec.cores)
-            duration = node.compute_time(task.cost) / max(threads, 1)
-            yield from node.cpu.acquire()
-            if obs_enabled:
-                self.obs.gauge_add(
-                    f"node{node_id}.cpu_busy", threads, node=node_id
-                )
-            try:
-                duration = self._stretched(node_id, duration)
-                if duration > 0:
-                    yield self.sim.timeout(duration)
-                if task.fn is not None and not revoked():
-                    args = [mem.read(d.buffer.buffer_id) for d in task.deps]
-                    task.fn(*args)
-            finally:
-                if obs_enabled:
-                    self.obs.gauge_add(
-                        f"node{node_id}.cpu_busy", -threads, node=node_id
-                    )
-                node.cpu.release()
-
-        completion: Any = "done"
-        if page_protect:
-            # §7's alternative write detection: allocations are write-
-            # protected; the first store to each page faults into the
-            # runtime, which marks the region dirty.  We observe which
-            # payloads actually changed and charge one fault per page.
-            written: list[int] = []
-            fault_pages = 0
-            for dep in task.deps:
-                bid = dep.buffer.buffer_id
-                if bid not in before:
-                    continue
-                after = _fingerprint(mem.read(bid))
-                if after != before[bid]:
-                    written.append(bid)
-                    fault_pages += max(
-                        1, int(dep.buffer.nbytes // PAGE_SIZE)
-                    )
-                elif after is None and dep.type.writes:
-                    # Timing-only payloads can't be fingerprinted; fall
-                    # back to the declared intent for them.
-                    written.append(bid)
-                    fault_pages += max(
-                        1, int(dep.buffer.nbytes // PAGE_SIZE)
-                    )
-            if fault_pages and cfg.page_fault_overhead:
-                yield self.sim.timeout(fault_pages * cfg.page_fault_overhead)
-            self.obs.count("ompc.page_faults", fault_pages)
-            completion = ("done", tuple(written))
-        if obs_enabled:
-            self.obs.end(kernel_span)
-        if self.analysis.enabled and not revoked():
-            self.analysis.on_kernel(task, node_id, note.info.get("actx"))
-        if not revoked():
-            self._exec_done[node_id].add(task.task_id)
-            mem.versions.update(note.info["outputs"])
-        yield from rank.send(note.origin, completion, COMPLETION_BYTES,
-                             note.tag)
 
     # ------------------------------------------------------------------
     # origin side (generator API, normally driven from the head node)
@@ -829,6 +591,467 @@ class EventSystem:
         if isinstance(msg.payload, tuple) and msg.payload[0] == "done":
             return msg.payload[1]
         return None
+
+
+class _HandlerPool(Resource):
+    """A node's event handlers (Fig. 3): ``EVENT_HANDLERS`` slots, and
+    the chains holding or queued for one, in arrival order."""
+
+    def __init__(self, sim: Simulator, node_id: int):
+        super().__init__(sim, EVENT_HANDLERS, name=f"handlers{node_id}")
+        self.chains: dict[_Chain, None] = {}
+
+
+class _Chain:
+    """One notification's destination half, run as a callback chain.
+
+    The chain waits on one event at a time — its handler slot, the
+    handler overhead, an MPI receive or send, a device slot or timer —
+    and that event's callback runs the next step, the idiom of the MPI
+    layer's ``_Send``.  The event type's body ends in the completion
+    send, whose arrival ends the chain and frees its handler slot.  A
+    step that raises :class:`~repro.sim.errors.SimulationError` ends the
+    chain too, and hands the error to ``EventSystem.on_error``.
+
+    :meth:`stop` (the node crashed) makes every later step a no-op: the
+    chain sends no completion and writes nothing into the wiped memory.
+    It withdraws a slot request still queued and frees a CPU or GPU slot
+    at once, so the node's next tenant finds them free.
+    """
+
+    __slots__ = ("es", "node_id", "note", "rank", "step", "stopped",
+                 "slot_req", "span", "task", "device", "device_req", "busy",
+                 "marker", "kernel_span", "before", "faults", "payload",
+                 "children")
+
+    def __init__(self, es: EventSystem, node_id: int, note: Notification):
+        self.es = es
+        self.node_id = node_id
+        self.note = note
+        self.rank = es.pool.select(note.tag).rank(node_id)
+        self.step = None
+        self.stopped = False
+        #: The queued handler-slot request, until it is granted.
+        self.slot_req = None
+        self.span = None
+        #: The CPU or GPU slot pool this chain holds or queues for (its
+        #: queued request is ``device_req``, ``None`` once granted).
+        self.device = None
+        self.marker = None
+
+    # -- driving -------------------------------------------------------------
+    def run(self, step, value=None) -> None:
+        """Run ``step(value)``; a simulation error ends the chain."""
+        try:
+            step(value)
+        except SimulationError as exc:
+            self._fail(exc)
+
+    def wait(self, event: Event, step) -> None:
+        """Run ``step(value)`` once ``event`` fires."""
+        self.step = step
+        event.add_callback(self._resume)
+
+    def after(self, delay: float | None, step) -> None:
+        """Run ``step`` after a ``delay`` timer, or at once if ``None``."""
+        if delay is None:
+            step()
+        else:
+            self.wait(self.es.sim.timeout(delay), step)
+
+    def _resume(self, ev: Event) -> None:
+        if self.stopped:
+            return
+        if not ev._ok:
+            self._fail(ev._value)
+            return
+        self.run(self.step, ev._value)
+
+    def send(self, dst: int, payload: Any, nbytes: float, step) -> None:
+        """Send on the event's channel; ``step`` runs on arrival."""
+        self.step = step
+        self.rank.isend(dst, payload, nbytes, self.note.tag).then(
+            self._resume)
+
+    def recv(self, src: int, step) -> None:
+        """Receive on the event's channel; ``step`` gets the message."""
+        self.step = step
+        self.rank.irecv(src, self.note.tag).then(self._resume)
+
+    def complete(self, completion: Any) -> None:
+        """The completion send, which ends the chain on arrival."""
+        self.send(self.note.origin, completion, COMPLETION_BYTES, self.finish)
+
+    def begin(self, _value=None) -> None:
+        """A handler slot is held: pay the overhead, then run the body."""
+        self.slot_req = None
+        es = self.es
+        obs = es.obs
+        if obs.enabled:
+            note = self.note
+            obs.gauge_add(f"node{self.node_id}.evq", -1, node=self.node_id)
+            self.span = obs.begin(
+                "ompc", f"evt:{note.event_type.value}", self.node_id,
+                tag=note.tag, origin=note.origin,
+            )
+        self.after(es.config.event_handler_overhead or None, self.body)
+
+    def body(self, _value=None) -> None:
+        _BODIES[self.note.event_type](self)
+
+    def finish(self, _value=None) -> None:
+        """The body is done: close the event and free the slot."""
+        es = self.es
+        self._end_execute()
+        if self.span is not None:
+            es.obs.end(self.span)
+        es.obs.counters[_EVENT_COUNT_KEY[self.note.event_type]] += 1
+        es._release_slot(self)
+
+    def _fail(self, exc: BaseException) -> None:
+        self.stopped = True
+        self._drop_device()
+        self._end_execute()
+        es = self.es
+        es._release_slot(self)
+        if es.on_error is None:
+            raise exc
+        es.on_error(exc)
+
+    def stop(self, pool: _HandlerPool) -> None:
+        """The node crashed: end the chain where it stands."""
+        self.stopped = True
+        if self.slot_req is not None:
+            pool.cancel(self.slot_req)
+        self._drop_device()
+        self._end_execute()
+
+    # -- the bodies ----------------------------------------------------------
+    @property
+    def mem(self) -> DeviceMemory:
+        return self.es.memories[self.node_id]
+
+    def _alloc(self) -> None:
+        info = self.note.info
+        mem = self.mem
+        mem.alloc(info["buffer_id"], info.get("payload"),
+                  nbytes=info.get("nbytes", 0.0),
+                  label=info.get("label"),
+                  owner=info.get("owner"))
+        self.es._mem_gauge(self.node_id, mem)
+        self.complete("done")
+
+    def _delete(self) -> None:
+        # An eviction may delete a charged copy whose transfer never
+        # landed (its source died): deleting nothing is a no-op.
+        bid = self.note.info["buffer_id"]
+        mem = self.mem
+        if bid in mem:
+            mem.delete(bid)
+        self.es._mem_gauge(self.node_id, mem)
+        self.complete("done")
+
+    def _submit(self) -> None:
+        self.recv(self.note.origin, self._store)
+
+    def _exchange_dst(self) -> None:
+        self.recv(self.note.info["src"], self._store)
+
+    def _store(self, msg) -> None:
+        """The data of a SUBMIT or EXCHANGE_DST landed: write it."""
+        info = self.note.info
+        mem = self.mem
+        if info["buffer_id"] not in mem:
+            mem.alloc(info["buffer_id"], nbytes=info.get("nbytes", 0.0),
+                      label=info.get("label"))
+            self.es._mem_gauge(self.node_id, mem)
+        mem.write(info["buffer_id"], msg.payload)
+        self.complete("done")
+
+    def _retrieve(self) -> None:
+        # The data message itself completes the event at the origin.
+        info = self.note.info
+        self.send(self.note.origin, self.mem.read(info["buffer_id"]),
+                  info["nbytes"], self.finish)
+
+    def _exchange_src(self) -> None:
+        info = self.note.info
+        self.send(info["dst"], self.mem.read(info["buffer_id"]),
+                  info["nbytes"], self.finish)
+
+    def _broadcast(self) -> None:
+        """One participant of a binomial-tree broadcast (§7 extension).
+
+        ``info`` carries ``parent`` (None for the data source) and
+        ``children``.  Every non-source participant stores the payload,
+        forwards it to its children one after another, and acknowledges
+        to the origin.
+        """
+        info = self.note.info
+        self.children = iter(info["children"])
+        if info["parent"] is None:
+            self.payload = self.mem.read(info["buffer_id"])
+            self._forward()
+        else:
+            self.recv(info["parent"], self._broadcast_landed)
+
+    def _broadcast_landed(self, msg) -> None:
+        info = self.note.info
+        mem = self.mem
+        self.payload = msg.payload
+        if info["buffer_id"] not in mem:
+            mem.alloc(info["buffer_id"], nbytes=info.get("nbytes", 0.0))
+            self.es._mem_gauge(self.node_id, mem)
+        mem.write(info["buffer_id"], self.payload)
+        self._forward()
+
+    def _forward(self, _value=None) -> None:
+        child = next(self.children, None)
+        if child is not None:
+            self.send(child, self.payload, self.note.info["nbytes"],
+                      self._forward)
+        elif self.note.info["parent"] is not None:
+            self.complete("done")
+        else:
+            self.finish()
+
+    def _execute(self) -> None:
+        # 5a in Fig. 3: fetch which function to run and its parameters
+        # (a self-dispatching head embeds them in the notification).
+        info = self.note.info
+        if "params" in info:
+            self._dispatch(None)
+        else:
+            self.recv(self.note.origin, self._dispatch)
+
+    def _dispatch(self, params) -> None:
+        es = self.es
+        node_id = self.node_id
+        info = self.note.info
+        task = self.task = info["params"] if params is None else params.payload
+        # Head-failover fencing: a dispatch stamped with an older head
+        # epoch comes from a deposed (possibly zombie) head whose
+        # messages were still in flight — discard it so it can never
+        # double-apply work the elected head already re-issued.
+        epoch = info.get("fo_epoch", 0)
+        if epoch < es._node_epoch[node_id]:
+            es.obs.count("ompc.exec_fenced")
+            self.complete("fenced")
+            return
+        es._node_epoch[node_id] = epoch
+        if not info.get("dedup"):
+            self._launch()
+            return
+        # Idempotent re-issue after failover: if the original dispatch
+        # is still running here, wait it out, then answer from the
+        # dedup table while this node still holds the versions it
+        # wrote, instead of running the task twice.
+        prior = es._exec_inflight[node_id].get(task.task_id)
+        if prior is not None and not prior.triggered:
+            self.wait(prior, self._dedup)
+        else:
+            self._dedup()
+
+    def _dedup(self, _value=None) -> None:
+        es = self.es
+        versions = self.mem.versions
+        if self.task.task_id in es._exec_done[self.node_id] and all(
+                versions.get(bid) == version
+                for bid, version in self.note.info["outputs"]):
+            es.obs.count("ompc.exec_dedup_hits")
+            self.complete("done")
+        else:
+            self._launch()
+
+    def _launch(self) -> None:
+        es = self.es
+        node_id = self.node_id
+        task = self.task
+        marker = self.marker = es.sim.event(f"exec{node_id}:{task.task_id}")
+        es._exec_inflight[node_id][task.task_id] = marker
+        obs = es.obs
+        self.kernel_span = obs.begin(
+            "task", f"{task.name}:kernel", node_id,
+            task_id=task.task_id, attempt=self.note.info.get("attempt", 0),
+        ) if obs.enabled else None
+        self.before = None
+        if es.config.write_detection == "page_protect":
+            mem = self.mem
+            self.before = {
+                d.buffer.buffer_id: _fingerprint(mem.read(d.buffer.buffer_id))
+                for d in task.deps
+                if d.buffer.buffer_id in mem
+            }
+        node = es.cluster.node(node_id)
+        if task.meta.get("device") == "gpu" and node.gpus is not None:
+            # §7 second-level offloading: a nested target region inside
+            # the cluster-level target.  The buffers stage over PCIe,
+            # the kernel runs at the accelerator's rate, and written
+            # buffers stage back.
+            self._acquire(node.gpus, self._stage_in)
+        else:
+            self._acquire(node.cpu, self._compute)
+
+    def _acquire(self, device: Resource, step) -> None:
+        self.device = device
+        self.busy = 0
+        if device.try_acquire():
+            self.device_req = None
+            step()
+        else:
+            self.device_req = device.request()
+            self.wait(self.device_req, step)
+
+    def _drop_device(self) -> None:
+        """Free the CPU or GPU slot held, or withdraw the queued request."""
+        device = self.device
+        if device is None:
+            return
+        self.device = None
+        if self.device_req is not None and device.cancel(self.device_req):
+            return
+        if self.busy:
+            self.es.obs.gauge_add(f"node{self.node_id}.cpu_busy", -self.busy,
+                                  node=self.node_id)
+        device.release()
+
+    def _compute(self, _value=None) -> None:
+        # Second-level parallelism: a task may use several cores inside
+        # the node (parallel-for inside the target region, §3.1).  The
+        # model charges cost / (threads × speed) while occupying one
+        # hardware context, which is exact when a node runs one task at
+        # a time (our workloads) and conservative otherwise.
+        self.device_req = None
+        es = self.es
+        node = es.cluster.node(self.node_id)
+        threads = min(int(self.task.meta.get("omp_threads", 1)),
+                      node.spec.cores)
+        if es.obs.enabled:
+            es.obs.gauge_add(f"node{self.node_id}.cpu_busy", threads,
+                             node=self.node_id)
+            self.busy = threads
+        duration = es._stretched(
+            self.node_id, node.compute_time(self.task.cost) / max(threads, 1)
+        )
+        self.after(duration if duration > 0 else None, self._computed)
+
+    def _computed(self, _value=None) -> None:
+        self._apply()
+        self._drop_device()
+        self._kernel_done()
+
+    def _stage_in(self, _value=None) -> None:
+        self.device_req = None
+        task = self.task
+        spec = self.es.cluster.node(self.node_id).spec
+        in_bytes = sum(b.nbytes for b in task.reads)
+        self.after(spec.pcie_latency + in_bytes / spec.pcie_bandwidth
+                   if in_bytes or task.reads else None, self._gpu_kernel)
+
+    def _gpu_kernel(self, _value=None) -> None:
+        es = self.es
+        spec = es.cluster.node(self.node_id).spec
+        duration = es._stretched(
+            self.node_id,
+            self.task.cost / (spec.speed * spec.accelerator_speed),
+        )
+        self.after(duration if duration > 0 else None, self._stage_out)
+
+    def _stage_out(self, _value=None) -> None:
+        self._apply()
+        task = self.task
+        spec = self.es.cluster.node(self.node_id).spec
+        out_bytes = sum(b.nbytes for b in task.writes)
+        self.after(spec.pcie_latency + out_bytes / spec.pcie_bandwidth
+                   if out_bytes or task.writes else None, self._staged_out)
+
+    def _staged_out(self, _value=None) -> None:
+        self._drop_device()
+        self.es.obs.count("ompc.gpu_executions")
+        self._kernel_done()
+
+    def _revoked(self) -> bool:
+        """Straggler speculation revoked this attempt's side effects."""
+        return ((self.task.task_id, self.note.info.get("attempt", 0))
+                in self.es._cancelled_execs)
+
+    def _apply(self) -> None:
+        """Run the task function against the device copies."""
+        task = self.task
+        if task.fn is not None and not self._revoked():
+            mem = self.mem
+            task.fn(*[mem.read(d.buffer.buffer_id) for d in task.deps])
+
+    def _kernel_done(self) -> None:
+        before = self.before
+        if before is None:
+            self._report("done")
+            return
+        # §7's alternative write detection: allocations are write-
+        # protected; the first store to each page faults into the
+        # runtime, which marks the region dirty.  We observe which
+        # payloads actually changed and charge one fault per page.
+        mem = self.mem
+        written: list[int] = []
+        fault_pages = 0
+        for dep in self.task.deps:
+            bid = dep.buffer.buffer_id
+            if bid not in before:
+                continue
+            after = _fingerprint(mem.read(bid))
+            if after != before[bid] or (after is None and dep.type.writes):
+                # Timing-only payloads can't be fingerprinted; they fall
+                # back to the declared intent.
+                written.append(bid)
+                fault_pages += max(1, int(dep.buffer.nbytes // PAGE_SIZE))
+        self.payload = ("done", tuple(written))
+        self.faults = fault_pages
+        overhead = self.es.config.page_fault_overhead
+        self.after(fault_pages * overhead if fault_pages and overhead
+                   else None, self._faulted)
+
+    def _faulted(self, _value=None) -> None:
+        self.es.obs.count("ompc.page_faults", self.faults)
+        self._report(self.payload)
+
+    def _report(self, completion: Any) -> None:
+        es = self.es
+        task = self.task
+        info = self.note.info
+        if self.kernel_span is not None:
+            es.obs.end(self.kernel_span)
+        if es.analysis.enabled and not self._revoked():
+            es.analysis.on_kernel(task, self.node_id, info.get("actx"))
+        if not self._revoked():
+            es._exec_done[self.node_id].add(task.task_id)
+            self.mem.versions.update(info["outputs"])
+        self.complete(completion)
+
+    def _end_execute(self) -> None:
+        """Retire this EXECUTE from the node's in-flight table (a dedup
+        re-issue waiting on it resumes)."""
+        marker = self.marker
+        if marker is None:
+            return
+        self.marker = None
+        inflight = self.es._exec_inflight[self.node_id]
+        if inflight.get(self.task.task_id) is marker:
+            del inflight[self.task.task_id]
+        if not marker.triggered:
+            marker.succeed()
+
+
+#: Each event type's body (EXIT never reaches a handler).
+_BODIES = {
+    EventType.ALLOC: _Chain._alloc,
+    EventType.DELETE: _Chain._delete,
+    EventType.SUBMIT: _Chain._submit,
+    EventType.RETRIEVE: _Chain._retrieve,
+    EventType.EXCHANGE_SRC: _Chain._exchange_src,
+    EventType.EXCHANGE_DST: _Chain._exchange_dst,
+    EventType.BROADCAST: _Chain._broadcast,
+    EventType.EXECUTE: _Chain._execute,
+}
 
 
 def _fingerprint(payload: Any):

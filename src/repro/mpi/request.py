@@ -12,7 +12,8 @@ class Request:
 
     ``yield from req.wait()`` blocks the calling process until the
     operation completes and returns its value (the received message's
-    payload for receives, ``None`` for sends).  ``test()`` polls without
+    payload for receives, ``None`` for sends); ``then(callback)`` is the
+    same wait for a callback chain.  ``test()`` polls without
     blocking.  ``cancel()`` withdraws a not-yet-matched receive (like
     ``MPI_Cancel``): the matching slot is released so a late message
     cannot be consumed by a request nobody is watching anymore.
@@ -68,6 +69,18 @@ class Request:
         if self.observer is not None:
             self.observer.on_complete(self)
         return value
+
+    def then(self, callback: Callable[[Event], None]) -> None:
+        """Callback form of :meth:`wait`: ``callback(event)`` runs when
+        the operation completes (the event holds the received message,
+        or a failed send's exception).  The MPI checker counts it as a
+        wait, as it does a process's.
+        """
+        observer = self.observer
+        if observer is not None:
+            observer.on_wait(self)
+            self._event.add_callback(lambda _ev: observer.on_complete(self))
+        self._event.add_callback(callback)
 
     @staticmethod
     def wait_all(requests: list["Request"]):

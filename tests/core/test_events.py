@@ -5,7 +5,12 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NetworkSpec, NodeSpec
 from repro.core.config import OMPCConfig
-from repro.core.events import EventSystem, EventType, _binomial_tree
+from repro.core.events import (
+    EVENT_HANDLERS,
+    EventSystem,
+    EventType,
+    _binomial_tree,
+)
 from repro.core.runtime import OMPCRuntime
 from repro.mpi import MpiWorld
 from repro.omp import OmpProgram
@@ -201,6 +206,88 @@ class TestExecute:
         cluster.sim.process(main())
         with pytest.raises(DeviceMemoryError):
             cluster.sim.run()
+
+
+class TestHandlerPool:
+    def test_queued_events_start_when_slots_free(self):
+        # Two EXECUTEs more than the node has handler slots, all issued
+        # at once: the fifth waits for the first completion, then runs,
+        # and the sixth follows it.
+        cluster, events = make_system(2)
+        sim = cluster.sim
+        ran, done = {}, {}
+
+        def execute(i):
+            task = Task(task_id=i, kind=TaskKind.TARGET, cost=1.0,
+                        fn=lambda: ran.setdefault(i, sim.now))
+            yield from events.execute(1, task)
+            done[i] = sim.now
+
+        def probe():
+            yield sim.timeout(0.5)
+            pool = events._pools[1]
+            return pool.in_use, pool.queue_length
+
+        for i in range(EVENT_HANDLERS + 2):
+            sim.process(execute(i))
+        slots = sim.process(probe())
+        sim.run()
+        assert slots.value == (EVENT_HANDLERS, 2)
+        # Kernels ran in arrival order (``ran`` keeps call order among
+        # equal times); the fifth started when the first slot freed
+        # (its completion landed at the origin).
+        assert sorted(ran, key=ran.get) == list(range(EVENT_HANDLERS + 2))
+        first_free = min(done[i] for i in range(EVENT_HANDLERS))
+        assert ran[EVENT_HANDLERS] == pytest.approx(first_free + 1.0,
+                                                    rel=1e-12)
+        assert events._pools == {}  # an idle node keeps no pool
+
+    def test_handler_overhead_charged_once_per_event(self):
+        # Each of these events waits for nothing but its handler, so the
+        # overhead adds to the makespan once per event.
+        def makespan(overhead):
+            cluster, events = make_system(2, event_handler_overhead=overhead)
+
+            def main():
+                yield from events.alloc(1, 0, payload="x")
+                yield from events.retrieve(1, 0, nbytes=100)
+                yield from events.delete(1, 0)
+
+            drive(cluster, main())
+            return cluster.sim.now
+
+        assert makespan(1e-3) - makespan(0.0) == pytest.approx(3e-3)
+
+    def test_kill_mid_submit_sends_and_writes_nothing(self):
+        # 1 MB at 1 MB/s: the data lands a second after the notification.
+        cluster = Cluster(ClusterSpec(
+            num_nodes=2, network=NetworkSpec(latency=0.0, bandwidth=1e6)))
+        mpi = MpiWorld(cluster, overhead=0.0)
+        events = EventSystem(cluster, mpi, OMPCConfig(
+            first_event_interval=0.0, event_origin_overhead=0.0,
+            event_handler_overhead=0.0))
+        events.start()
+        sim = cluster.sim
+        submit = sim.process(events.submit(1, 7, "payload", nbytes=1e6))
+        race = events.race_failure([submit], [1])
+        noticed = []
+        race.callbacks.append(lambda _ev: noticed.append(sim.now))
+
+        def kill():
+            yield sim.timeout(0.5)
+            # Notified and waiting for its data: the chain is live.
+            assert list(events._pools[1].chains)
+            events.fail_node(1)
+
+        sim.process(kill())
+        sim.run()
+        assert noticed == [0.5]
+        assert not submit.triggered  # no completion ever came back
+        assert cluster.network.nics[1].bytes_sent == 0
+        # The data landed after the wipe and was not written.
+        assert cluster.network.nics[1].bytes_received > 1e6
+        assert len(events.memories[1]) == 0
+        assert cluster.obs.counters.get("ompc.events.submit", 0) == 0
 
 
 class TestInterruptedExecute:

@@ -282,77 +282,77 @@ SCENARIOS = {
 #: scenario -> (sha256 of the event stream, makespan, sim._seq)
 PINS: dict[str, tuple[str, float, int]] = {
     "broadcast": (
-        "991272c0226df9ff26a26f0cb121ef7f4d957d4f56b73a2ac5642d248184370b",
-        0.07051929503999999, 404),
+        "72a42fada91b03b3eedad38bb5450fed168ff543e117b0a7e0827d9f9cd8f02f",
+        0.07051929503999999, 241),
     "ft-checkpoint-lossy": (
-        "7c9d3055857a8034cc625c264a3242402b7b37dd7ddd60e43ed4aa7842cb6e2c",
-        0.33075534591999983, 9450),
+        "1f5d0b62d7531d742bc4e594781420fd792d19508712bc0a5edae2c02de003d7",
+        0.33075534591999983, 9198),
     "ft-clean-trace-analysis": (
-        "2efd811b526aee00edd60d3892945ee4d57a0db75e768e3642721abbcb415cb8",
-        0.030161916640000105, 4467),
+        "6ce01cf9852784113cf4d6220992191d15045164e4b1f76d8c6903802f95511b",
+        0.030161916640000105, 3819),
     "ft-gossip-worker-kill": (
-        "aa24bec51fef80faff56dfb1bc8bc245372d1d4a9448012679608ad9242e1f54",
-        0.3204011824000001, 10174),
+        "7c0b63882c15a81372031b32ec78a3de73b1ad850748febc5038701447cc5ca0",
+        0.3204011824000001, 10028),
     "ft-head-kill": (
-        "80aee5fd931e55eae9618a36dd6e732dc20334cdf59080353c8548910e2fad9f",
-        0.03783528640000007, 6317),
+        "0b808bbf4563a957f801807fa4f8c1337b89b186eb890ad00e7001c66051ea9e",
+        0.03783528640000007, 5801),
     "ft-pressure-crash": (
-        "77e6a693b1c2a6d3d26a0acd4fb8bde5757bfe71d49aadc59161b6c707025cac",
-        0.03642886448000011, 2342),
+        "7e79f56cf13d90688d078b4f15552b41210cbafceb51696126c5cbfe5b284c0d",
+        0.03642886448000011, 2047),
     "ft-pressure-flaky": (
-        "53f00f8acb251440ea4e26a31d5ebabd6d9060b1f46c0eaf2a62907b525f48b4",
-        0.047115960160000095, 2463),
+        "c310eea5cebad173f314c0e020178478d46206beadd410129ec165be73cf2e93",
+        0.047115960160000095, 2177),
     "ft-speculation": (
-        "52f03f64fb651ff531039d47bcb9ebf622a0f87fafd56f947576e6d914ed4571",
-        0.20004917855999949, 4130),
+        "5727780ff5602f4f43c2d4711bdcf024ad3328ec9e65d548a4323a1b6e9f622f",
+        0.20004917855999949, 3990),
     "ft-worker-kill-lineage": (
-        "c81cd33d2f8166f5b0bcc62dc3479221964c9d0f3b7ab3e03e81d48c8c900e40",
-        0.2400431305599994, 3488),
+        "ddcb2e51fc951b8dd3eaa58405430df459d3db4a007fd65fd15296d2929130fb",
+        0.2400431305599994, 3397),
     "no-forwarding": (
-        "68068e550cc04c9bcada6525da767a12086a077ef74d70f623287303666e6462",
-        0.6570094899636348, 1335),
+        "d63e14d56b35819c9a193e28977e73c8d79e9f8c61d1b691f6c8b9aea72d71ba",
+        0.6570094899636348, 1075),
     "overload-1x": (
-        "5ef707318155251eee2b82fa49acb994a93d8948cd4869d19f72cdcb92dc89c8",
-        0.7364163033272895, 12101),
+        "6353bcb587954a81c4880c8aef24e5a82f262c4be12374dc39eb7230fa194737",
+        0.7364163033272895, 9450),
     "page-protect": (
-        "154f7a0dfb02865b798c86c1b602b88d2cf2cea2241a22cf07749e665effeaf2",
-        0.39624977325090904, 1352),
+        "2aefaebb4e2d628e073fccc20bb83b2962ef53651c64b8c00d39aac614703639",
+        0.39624977325090904, 1095),
     "perf-fig5-n8": (
-        "8d4039a0b7f2be55d49c14e692249641c55e1d809ac77f740aec72097862240b",
-        0.342454686159532, 2869),
+        "45592e48a1f2e334d80dcfafce90b2448ce1b2247b5df7b4bc021980d99947b0",
+        0.342454686159532, 2288),
     "perf-jobs-backfill": (
-        "0a2ac0c6e7226ea9118f666b8cc62680dc8c3fcfdc6c26166492eb32ed78ca26",
-        0.5492255911809469, 4361),
+        "8386512393ab3ce3b68f01ac252d3777b7f6d89960a62e4835ff6a79c1ed09aa",
+        0.5492255911809469, 3303),
     "plain-all_to_all": (
-        "1fe737a840f16ccf62a14cd1345a61318c1002d0e43d08687877a4371e292dc6",
-        0.8713520714681041, 4308),
+        "aa17c8a7e400c61996f0c34a9df3118ab2ffba925c12e5a9aaa572b6044aa8ec",
+        0.8713520714681041, 3781),
     "plain-fft": (
-        "dab64965700f486d23c889ff4a43fd18f93c906ddf72a276c4a5b884a2945b73",
-        0.36422924803199985, 1414),
+        "e38d919d878fd4fc3e5fe95e57da0ecf1cf8c6497acc39cba8ab53a098a606d9",
+        0.36422924803199985, 1148),
     "plain-stencil_1d": (
-        "c8f0380899489af8f63153490537dfb3ea932313cbe57f7e1ff99cee46929639",
-        0.3296665732509088, 1320),
+        "0e36b6ad89d8c2b1299474a1205aacde3083edfdc00319854213832ea94aa62f",
+        0.3296665732509088, 1063),
     "shards-2": (
-        "cf960d13f5244259d77d05aa37f0373e9602697264f33206f5ab65b8d0c7d596",
-        0.3784844204660868, 2644),
+        "39a3c6e2ed6d0190351be0091b5b1e3783c16598f1998368a81d82ffa61704c8",
+        0.3784844204660868, 2168),
     "shards-2-trace-analysis": (
-        "cf960d13f5244259d77d05aa37f0373e9602697264f33206f5ab65b8d0c7d596",
-        0.3784844204660868, 2644),
+        "39a3c6e2ed6d0190351be0091b5b1e3783c16598f1998368a81d82ffa61704c8",
+        0.3784844204660868, 2168),
     "shards-4": (
-        "f013006f34076fbf5e7b2daa0e8c44471cadbb9d84c17dbcaa66f96e084985a3",
-        0.48687027518737735, 6329),
+        "0c42a8907d950778fc1e9e7261e959e80039ed94d2d9ba7e9d780bf51ffa7c3c",
+        0.48687027518737735, 5329),
     "shards-4-failover": (
-        "22de2379efdf92d9f7fd31f0c85181118058dfd98a934f46f3845b6bd7454343",
-        0.4750482282762884, 66057),
+        "c9cee7abaf5efc35e7a49639298c593311504820304c96cd100461993052d0c6",
+        0.4750482282762884, 65202),
     "shards-4-gossip": (
-        "f6960c1e228f4a3702fae0c9a4ab5b717e40f117d61089ff9c1b3f895f0d0054",
-        0.48613855458140964, 72160),
+        "42c99aa47b7b7f3f9d9a9b10b54644bfaadcce343cd8aa1fc3c61998cc1d0cf9",
+        0.48613855458140964, 71160),
     "tiered-lru-0.25": (
-        "3cd70a247e5c9071df92ab3d295abc8dd7a02ee309340b98d798edd4cf9fd3db",
-        0.02792534752000014, 1745),
+        "c23be78dcf3da35b3ddf152724ebea7b1a2f3796eb672cfdacf447f89afd8e69",
+        0.02792534752000014, 1490),
     "trace-analysis": (
-        "c8f0380899489af8f63153490537dfb3ea932313cbe57f7e1ff99cee46929639",
-        0.3296665732509088, 1320),
+        "0e36b6ad89d8c2b1299474a1205aacde3083edfdc00319854213832ea94aa62f",
+        0.3296665732509088, 1063),
 }
 
 

@@ -7,7 +7,8 @@ three hot-path tables that used to:
 
 * every ``MatchStore`` holds no empty receive bucket, no bucket headed
   by a cancelled receive, and no tag FIFO without a live head (a
-  buffered message of that tag);
+  buffered message of that tag), and a store holding neither a message
+  nor a receive is gone;
 * no resolved node-death race is still attached to a failure event;
 * the reliable transport's dedup sets hold only out-of-order seqs,
   above their pair's low watermark;
@@ -29,6 +30,7 @@ from repro.core.config import OMPCConfig
 from repro.core.events import EventSystem
 from repro.core.runtime import OMPCRuntime, ProcessGroup
 from repro.mpi.comm import Communicator, MpiWorld
+from repro.sim.core import Process
 from repro.sim.primitives import Condition
 
 from tests.core.test_failover import chain_program
@@ -39,10 +41,10 @@ from tests.property.test_event_digest_pins import _taskbench
 
 @contextmanager
 def _capture():
-    """Record every MpiWorld, Communicator, EventSystem and ProcessGroup
-    built inside."""
+    """Record every MpiWorld, Communicator, EventSystem, ProcessGroup and
+    Process built inside."""
     built: dict[type, list] = {MpiWorld: [], Communicator: [], EventSystem: [],
-                               ProcessGroup: []}
+                               ProcessGroup: [], Process: []}
     with pytest.MonkeyPatch.context() as mp:
         for cls, seen in built.items():
             def init(self, *args, _orig=cls.__init__, _seen=seen, **kwargs):
@@ -58,6 +60,7 @@ def _assert_bounded(built) -> dict[str, int]:
     live = {"receives": 0, "messages": 0, "races": 0, "out_of_order": 0}
     for world in built[MpiWorld]:
         for store in world._queues.values():
+            assert not store.drained, f"{store.name}: drained store kept"
             for key, bucket in store._buckets.items():
                 assert bucket, f"{store.name}: empty bucket {key}"
                 assert bucket[0][1] in store._pending, (
@@ -100,9 +103,12 @@ def test_plain_stencil_leaves_no_match_state():
     # buffered, so every match table is empty.
     assert live["receives"] == live["messages"] == 0
     assert _group_members(built) == []
+    # ... so no match queue is left at all, and the event system ran
+    # with no gate or handler process.
     for world in built[MpiWorld]:
-        for store in world._queues.values():
-            assert not (store._buckets or store._slots or store._tag_fifo)
+        assert world._queues == {}
+    assert not [proc.name for proc in built[Process]
+                if proc.name.startswith(("gate", "handler"))]
 
 
 def test_sharded_plane_leaves_no_match_state():
@@ -112,6 +118,10 @@ def test_sharded_plane_leaves_no_match_state():
     live = _assert_bounded(built)
     assert live["messages"] == 0
     assert _group_members(built) == []
+    # The only queues left hold a service loop's pending receive.
+    for world in built[MpiWorld]:
+        for store in world._queues.values():
+            assert store._pending, store.name
 
 
 def test_replicated_shards_keep_only_their_pumps():

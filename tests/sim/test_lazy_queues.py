@@ -18,9 +18,14 @@ from repro.sim import Resource, Simulator, Store
 
 #: tracemalloc bytes per node of a cluster with a started event system,
 #: measured on Python 3.11.  Eager wait queues cost about 3 kB more.
-MEASURED_BYTES_PER_NODE = 8_183
+MEASURED_BYTES_PER_NODE = 3_941
+#: The same once the first instant has run: an idle node holds its
+#: device-memory table, its slot pools and its gate's posted receive,
+#: and nothing the start of the simulation allocates.
+MEASURED_IDLE_BYTES_PER_NODE = 3_941
 #: 30 % headroom, since CI runs Python 3.10–3.12.
 BUDGET_BYTES_PER_NODE = 1.3 * MEASURED_BYTES_PER_NODE
+IDLE_BUDGET_BYTES_PER_NODE = 1.3 * MEASURED_IDLE_BYTES_PER_NODE
 
 
 @pytest.fixture
@@ -112,6 +117,9 @@ def test_per_node_footprint_stays_within_budget():
         events = EventSystem(cluster, MpiWorld(cluster), OMPCConfig())
         events.start()
         used, _ = tracemalloc.get_traced_memory()
+        cluster.sim.run(until=0.0)
+        idle, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert used / nodes < BUDGET_BYTES_PER_NODE, used / nodes
+    assert idle / nodes < IDLE_BUDGET_BYTES_PER_NODE, idle / nodes
