@@ -5,12 +5,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NetworkSpec, NodeSpec
 from repro.core.config import OMPCConfig
-from repro.core.events import (
-    EVENT_HANDLERS,
-    EventSystem,
-    EventType,
-    _binomial_tree,
-)
+from repro.core.events import EVENT_HANDLERS, EventSystem, _binomial_tree
 from repro.core.runtime import OMPCRuntime
 from repro.mpi import MpiWorld
 from repro.omp import OmpProgram
