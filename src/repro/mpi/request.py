@@ -62,10 +62,15 @@ class Request:
         return self.cancelled
 
     def wait(self):
-        """Generator: wait for completion and return the result."""
+        """Generator: wait for completion and return the result.  A
+        process closed while it waits withdraws a pending receive."""
         if self.observer is not None:
             self.observer.on_wait(self)
-        value = yield self._event
+        try:
+            value = yield self._event
+        except GeneratorExit:
+            self.cancel()
+            raise
         if self.observer is not None:
             self.observer.on_complete(self)
         return value

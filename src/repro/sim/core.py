@@ -28,6 +28,8 @@ from repro.sim.errors import DeadlockError, Interrupt, SimulationError
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
+#: The value of a process ended by :meth:`Process.close`.
+_CLOSED = object()
 
 _INF = float("inf")
 
@@ -131,7 +133,8 @@ class Process(Event):
     is processed.  When the generator returns, the process event
     succeeds with the generator's return value; if the generator raises,
     the process fails with that exception (which propagates to waiters
-    or, if nobody waits, aborts the simulation).
+    or, if nobody waits, aborts the simulation).  A process whose run is
+    over is closed instead (:meth:`close`): it ends with no event.
     """
 
     __slots__ = ("_gen", "_waiting_on", "_started")
@@ -158,11 +161,13 @@ class Process(Event):
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        Interrupting a finished process is an error; interrupting a
-        process that is waiting on an event detaches it from that event
-        (the event may still fire later — its value is then dropped for
-        this waiter).
+        Interrupting a finished process is an error, and a closed one
+        is left as it is; interrupting a process that is waiting on an
+        event detaches it from that event (the event may still fire
+        later — its value is then dropped for this waiter).
         """
+        if self._value is _CLOSED:
+            return
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self!r}")
         # O(1) detach: instead of scanning the target's callback list,
@@ -178,6 +183,25 @@ class Process(Event):
         kick = Event(self.sim, f"interrupt:{self.name}")
         kick.add_callback(lambda ev: self._advance(throw=Interrupt(cause)))
         kick.succeed()
+
+    def close(self) -> None:
+        """End the process now, without an event: its run is over.
+
+        The generator is closed, so its ``finally`` blocks run.  The
+        process counts as ended (``is_alive`` is False) but is never
+        triggered: nothing is scheduled, no waiter resumes, and a later
+        :meth:`interrupt` does nothing.  It detaches from the event it
+        waits on, whose firing is then ignored.  Closing a finished or
+        closed process is a no-op.
+        """
+        if self._value is not _PENDING:
+            return
+        self._value = _CLOSED
+        waiting, self._waiting_on = self._waiting_on, None
+        if waiting is not None and waiting.callbacks:
+            waiting.callbacks.remove(self._resume)
+        self.callbacks = []
+        self._gen.close()
 
     # -- generator driving -------------------------------------------------
     def _resume(self, ev: Event) -> None:

@@ -101,15 +101,15 @@ class Resource:
     def acquire(self):
         """Generator: ``yield from res.acquire()`` waits for a slot.
 
-        Interrupt-safe: a waiter interrupted while queued withdraws its
-        request, and one granted in the same instant hands the slot
-        back, so an abandoned wait never swallows the next freed slot.
-        The interrupt is re-raised.
+        Interrupt-safe: a waiter interrupted (or closed) while queued
+        withdraws its request, and one granted in the same instant hands
+        the slot back, so an abandoned wait never swallows the next
+        freed slot.  The interrupt is re-raised.
         """
         req = self.request()
         try:
             yield req
-        except Interrupt:
+        except (Interrupt, GeneratorExit):
             if not self.cancel(req):
                 self.release()
             raise

@@ -263,6 +263,110 @@ class TestInterrupt:
         assert p.triggered and not p.ok
 
 
+def iter_forever(sim):
+    """A process that waits on an event nothing triggers."""
+    yield sim.event("never")
+
+
+class TestClose:
+    """``Process.close`` ends a process with no event."""
+
+    def test_close_runs_finally_and_schedules_nothing(self, sim):
+        ev, log = sim.event(), []
+
+        def waiter():
+            try:
+                yield ev
+                log.append("resumed")
+            finally:
+                log.append("finally")
+
+        p = sim.process(waiter())
+        sim.run()
+        seq = sim._seq
+        p.close()
+        assert log == ["finally"]
+        assert sim._seq == seq
+        assert not p.is_alive
+        assert ev.callbacks == []  # detached from the awaited event
+        ev.succeed("late")
+        sim.run()
+        assert log == ["finally"]
+        assert not p.processed
+
+    def test_close_before_the_first_resume(self, sim):
+        started = []
+
+        def body():
+            started.append(True)
+            yield sim.timeout(1.0)
+
+        p = sim.process(body())
+        p.close()
+        assert sim.run() == 0.0
+        assert started == [] and not p.is_alive
+
+    def test_close_twice_or_after_finish_is_a_no_op(self, sim):
+        def quick():
+            yield sim.timeout(0.5)
+            return "done"
+
+        done = sim.process(quick())
+        stuck = sim.process(iter_forever(sim))
+        sim.run(until=done)
+        done.close()
+        assert done.ok and done.value == "done"
+        stuck.close()
+        seq = sim._seq
+        stuck.close()
+        assert sim._seq == seq and not stuck.is_alive
+
+    def test_interrupting_a_closed_process_does_nothing(self, sim):
+        p = sim.process(iter_forever(sim))
+        sim.run()
+        p.close()
+        seq = sim._seq
+        p.interrupt("too late")
+        assert sim._seq == seq
+        sim.run()
+
+    def test_a_waiter_on_a_closed_process_never_resumes(self, sim):
+        target = sim.process(iter_forever(sim))
+        resumed = []
+
+        def waiter():
+            yield target
+            resumed.append(True)
+
+        w = sim.process(waiter())
+        sim.run()
+        target.close()
+        sim.run()
+        assert resumed == [] and w.is_alive
+
+    def test_close_inside_recv_withdraws_the_receive(self, sim):
+        from repro.cluster import Cluster, ClusterSpec
+        from repro.mpi import MpiWorld
+
+        cluster = Cluster(ClusterSpec(num_nodes=2), sim=sim)
+        world = MpiWorld(cluster)
+
+        def receiver():
+            yield from world.world.rank(1).recv(tag=7)
+
+        p = sim.process(receiver())
+        sim.run()
+        assert world._queues
+        p.close()
+        assert world._queues == {}
+        # A late message is buffered for a future receive, not consumed
+        # by the closed one.
+        world.world.rank(0).isend(1, "late", 8.0, tag=7)
+        sim.run()
+        [store] = world._queues.values()
+        assert len(store) == 1
+
+
 class TestDeadlockDetection:
     def test_waiting_on_never_triggered_event_deadlocks(self, sim):
         ev = sim.event()
