@@ -327,7 +327,7 @@ class FaultTolerantRuntime:
             detector.start()
             injector.arm(failures)
             if repl is not None:
-                repl.start()
+                repl.start(core.services.spawn)
                 head.replay.bootstrap()
             head.start_epoch()
             if repl is not None:
@@ -914,9 +914,9 @@ class Speculation:
 
         def attempt_on(n: int, label: str):
             att = next(self._exec_attempt)
-            proc = sim.process(
+            proc = core.services.adopt(
                 core._run_target(task, n, origin, dedup, att),
-                name=f"ft-spec:{task.name}.{label}",
+                f"ft-spec:{task.name}.{label}",
             )
             settled = sim.event(f"settle:{task.name}.{label}")
             proc.add_callback(lambda _ev: settled.succeed())

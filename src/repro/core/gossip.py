@@ -238,8 +238,11 @@ class FailureDetector:
         self.head = new_head
 
     def stop(self) -> None:
-        """End monitoring (called at runtime shutdown)."""
+        """End monitoring (called at runtime shutdown).  A stopped
+        detector declares no one, so it drops its callbacks, and a
+        standing receive still posted holds nothing of the run's head."""
         self._stopped = True
+        self.on_detect = self.on_head_detect = None
 
     def _after(self, delay: float, fn: Callable, *args) -> None:
         """Call ``fn(*args)`` ``delay`` from now.  The timer is shared

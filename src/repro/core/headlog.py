@@ -174,16 +174,19 @@ class Replicator:
         self._reply_seq = itertools.count()
 
     # -- lifecycle -------------------------------------------------------
-    def start(self) -> None:
+    def start(self, spawn) -> None:
         """Spawn the standby-side receiver and election responder loops.
 
-        These are cluster-lifetime processes (they belong to the
-        standbys, not to any head epoch); the head-side pumps are
-        epoch-scoped and spawned by the runtime via :meth:`pump`.
+        They belong to the standbys, not to any head epoch, so they
+        outlive every failover, but not the run: ``spawn(gen, name)``
+        starts each one in the run's services
+        (:attr:`HeadCore.services <repro.core.runtime.HeadCore.services>`),
+        closed when the run ends.  The head-side pumps are epoch-scoped
+        and spawned by the runtime via :meth:`pump`.
         """
         for s in self.standbys:
-            self.sim.process(self._receiver(s), name=f"repl-recv{s}")
-            self.sim.process(self._responder(s), name=f"repl-elect{s}")
+            spawn(self._receiver(s), f"repl-recv{s}")
+            spawn(self._responder(s), f"repl-elect{s}")
 
     def live_standbys(self) -> list[int]:
         return [

@@ -177,6 +177,11 @@ class _NodeCrashed(Exception):
         self.node = node
 
 
+def _ended(_exc) -> None:
+    """An ended run's failure sink: its barrier has already fired, so
+    a late error fails nothing."""
+
+
 def _unguarded(_nodes, operation):
     """No node of a plain run may die: ``operation`` runs as it is."""
     return operation
@@ -246,22 +251,26 @@ class Frontier:
 
 
 class ProcessGroup:
-    """Head-side processes no one waits on, ended together.
+    """Head-side processes of one run, ended together.
 
-    A member absorbs the teardown :class:`Interrupt` (a failing process
-    with no waiter would crash the simulation) and hands a
-    :class:`SimulationError` to ``fail``, the run's failure sink, so
-    the error fails this run only, not a simulator shared with other
-    tenants.  A member is forgotten once it ends: the group holds only
-    live processes.
+    A spawned member is one no one waits on.  It absorbs the teardown
+    :class:`Interrupt` (a failing process with no waiter would crash the
+    simulation) and hands a :class:`SimulationError` to ``fail``, the
+    run's failure sink, so the error fails this run only, not a
+    simulator shared with other tenants; it is forgotten once it ends.
+    An adopted member is one its spawner waits on, so its outcome stays
+    the waiter's; an ended one is forgotten by a later adoption.  When
+    the run ends, :meth:`close` ends every member still alive, with no
+    event: the group pins nothing of the run after it.
     """
 
     def __init__(self, sim, fail):
         self.sim = sim
         self.fail = fail
-        #: Live members in spawn order (:meth:`end` interrupts them in
-        #: that order; a set would order them by memory address).
+        #: Members in spawn order (:meth:`end` interrupts them in that
+        #: order; a set would order them by memory address).
         self.members: dict = {}
+        self._prune_at = 64
 
     def spawn(self, gen, name: str) -> None:
         def member():
@@ -277,12 +286,32 @@ class ProcessGroup:
         proc = self.sim.process(member(), name=name)
         self.members[proc] = None
 
+    def adopt(self, gen, name: str):
+        """Start ``gen`` as a member its caller waits on; return the
+        process.  Ended adopted members are pruned once they outnumber
+        the live ones."""
+        members = self.members
+        if len(members) >= self._prune_at:
+            self.members = members = {p: None for p in members if p.is_alive}
+            self._prune_at = max(64, 2 * len(members))
+        proc = self.sim.process(gen, name=name)
+        members[proc] = None
+        return proc
+
     def end(self, cause=None) -> None:
         """Interrupt every live member, in spawn order."""
         members, self.members = self.members, {}
         for proc in members:
             if proc.is_alive:
                 proc.interrupt(cause)
+
+    def close(self) -> None:
+        """Close every live member (:meth:`Process.close
+        <repro.sim.core.Process.close>`), latest first, so a queued
+        waiter withdraws before the holder it waits on lets go."""
+        members, self.members = self.members, {}
+        for proc in reversed(members):
+            proc.close()
 
 
 class HeadCore:
@@ -374,6 +403,30 @@ class HeadCore:
         self.result = result_type(makespan=0.0, schedule=self.schedule)
         self._net_bytes0 = cluster.network.total_bytes
         self._net_msgs0 = cluster.network.total_messages
+        #: Every process group of the run (:meth:`group`), ended by
+        #: :meth:`close` when the run ends.
+        self.groups: list[ProcessGroup] = []
+        #: The run's processes outside any head's epoch: the log's
+        #: standby loops, a shard's manager, failover, lease and notify
+        #: processes, and the operations frames wait on.
+        self.services = self.group()
+
+    def group(self) -> ProcessGroup:
+        """A new process group of this run, closed with it."""
+        group = ProcessGroup(self.sim, self.fail)
+        self.groups.append(group)
+        return group
+
+    def close(self) -> None:
+        """End every process of the run still alive, with no event
+        (Fig. 7a: process end), so nothing the simulator still holds
+        pins the run's state.  Runs at the end of :meth:`finish` and on
+        :meth:`drive`'s abort path.  The event system then reports to
+        no sink: an armed kill that fires later still fails its node,
+        but holds nothing of the head through it."""
+        for group in self.groups:
+            group.close()
+        self.events.on_error = _ended
 
     def set_schedule(self, graph, schedule: Schedule) -> None:
         """Install the task→node assignment the frames dispatch by.
@@ -435,15 +488,17 @@ class HeadCore:
     def drive(self, body, on_abort=None):
         """Generator: the driver's main ``body``.  On an unrecoverable
         error (or a workload manager's preemption interrupt) stop the
-        driver's own services (``on_abort()``) and tear the event system
-        down, so a shared simulation is not left with orphaned processes
-        ticking after the error propagates out."""
+        driver's own services (``on_abort()``), tear the event system
+        down and :meth:`close` every process of the run, so a shared
+        simulation is left with no process of it after the error
+        propagates out."""
         try:
             yield from body
         except BaseException:
             if on_abort is not None:
                 on_abort()
             self.events.abort()
+            self.close()
             raise
 
     def teardown(self, origin: int = 0):
@@ -488,6 +543,7 @@ class HeadCore:
             result.analysis = self.analysis.finalize(
                 [self.mpi], failed=self.events.failed_nodes | failed, obs=obs
             )
+        self.close()
         return result
 
     # -- buffer movement ---------------------------------------------------
@@ -500,11 +556,11 @@ class HeadCore:
         origin-side process is interrupted and :class:`_NodeCrashed`
         reports the node to the caller.
         """
-        sim, events = self.sim, self.events
+        events = self.events
         for node in nodes:
             if node in self.dead or events.node_failed(node):
                 raise _NodeCrashed(node)
-        proc = sim.process(operation, name="ft-op")
+        proc = self.services.adopt(operation, "ft-op")
         yield events.race_failure([proc], nodes)
         if proc.triggered:
             if not proc.ok:
@@ -567,9 +623,10 @@ class HeadCore:
             yield from self._perform_move(moves[0], origin)
             return
         sim = self.sim
+        adopt = self.services.adopt
         procs = [
-            sim.process(_settled(self._perform_move(m, origin)),
-                        name=f"move:{m.buffer.name}")
+            adopt(_settled(self._perform_move(m, origin)),
+                  f"move:{m.buffer.name}")
             for m in moves
         ]
         yield AllOf(sim, procs)
@@ -696,9 +753,9 @@ class HeadCore:
                 ev.buffer.buffer_id, set()
             ).add(marker)
             self._evict_markers.setdefault(node, set()).add(marker)
-            procs.append(sim.process(
+            procs.append(self.services.adopt(
                 self._perform_one_eviction(ev, marker, origin),
-                name=f"evict:{ev.buffer.name}",
+                f"evict:{ev.buffer.name}",
             ))
         yield AllOf(sim, procs)
 
@@ -1057,7 +1114,7 @@ class Head:
         #: Head-side processes of the current incarnation, all
         #: interrupted when it dies: its frames unwind before the
         #: successor takes over, so no stale completion races it.
-        self.epoch = ProcessGroup(core.sim, core.fail)
+        self.epoch = core.group()
         #: The tasks this head dispatches (``None``: every task).
         self.local = None
         #: Task id -> node of each dispatch the adopted log leaves

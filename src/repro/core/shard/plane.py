@@ -128,12 +128,11 @@ class _ShardHead(Head):
         )
 
     def start_services(self) -> None:
-        """Spawn the lease and notify services on the current manager."""
-        node, sim = self.home, self.core.sim
-        sim.process(self._lease_service(node),
-                    name=f"shard{self.sid}-lease@{node}")
-        sim.process(self._notify_service(node),
-                    name=f"shard{self.sid}-notify@{node}")
+        """Spawn the lease and notify services on the current manager,
+        in the run's services (closed when the run ends)."""
+        node, spawn = self.home, self.core.services.spawn
+        spawn(self._lease_service(node), f"shard{self.sid}-lease@{node}")
+        spawn(self._notify_service(node), f"shard{self.sid}-notify@{node}")
 
     def _lease_service(self, node: int):
         """Producer-side subscriptions, running on ``node`` while it is
@@ -373,8 +372,8 @@ class ShardedRuntime:
                     f"with no standbys (head_standbys=0)"
                 ))
             else:
-                sim.process(head.fail_over(by),
-                            name=f"shard{head.sid}-failover")
+                core.services.spawn(head.fail_over(by),
+                                    f"shard{head.sid}-failover")
 
         # -- manager and main processes ------------------------------------
         def manager_body(head: _ShardHead):
@@ -397,7 +396,7 @@ class ShardedRuntime:
                 membership.start()
             for head in heads:
                 if head.repl is not None:
-                    head.repl.start()
+                    head.repl.start(core.services.spawn)
                     head.start_epoch()
                 head.start_services()
             FailureInjector(events).arm(self.inject_failures)
@@ -409,8 +408,11 @@ class ShardedRuntime:
             yield from core.teardown()
 
         for head in heads:
-            sim.process(manager_body(head), name=f"shard{head.sid}-manager")
-        main_proc = sim.process(core.drive(main_body()), name="shard-main")
+            core.services.spawn(manager_body(head), f"shard{head.sid}-manager")
+        main_proc = sim.process(
+            core.drive(main_body(), on_abort=(
+                membership.stop if membership is not None else None)),
+            name="shard-main")
 
         def finish() -> ShardRunResult:
             result = core.result

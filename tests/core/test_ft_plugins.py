@@ -17,6 +17,7 @@ from repro.core.config import OMPCConfig
 from repro.core.datamanager import DataManager
 from repro.core.faults import FTHead, FTRunResult, RecoveryError, plan_recovery
 from repro.core.headlog import HeadLog, in_doubt
+from repro.core.runtime import ProcessGroup
 from repro.core.scheduler import Schedule
 from repro.obs.observer import NullObserver
 from repro.omp import OmpProgram
@@ -63,6 +64,8 @@ def make_head(program, log=None, **cfg):
         guard=lambda nodes, operation: operation,
         fail=lambda exc: None,
         _mem_wake=lambda: None,
+        services=ProcessGroup(sim, lambda exc: None),
+        group=lambda: ProcessGroup(sim, lambda exc: None),
     )
     repl = None
     if log is not None:

@@ -47,7 +47,7 @@ def make(n=4, standbys=(1, 2), **kw):
     repl = Replicator(
         cluster.sim, mpi, events, log, list(standbys), head=0, **kw
     )
-    repl.start()
+    repl.start(lambda gen, name: cluster.sim.process(gen, name=name))
     return cluster, events, log, repl
 
 

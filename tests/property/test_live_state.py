@@ -15,11 +15,17 @@ three hot-path tables that used to:
 * every head-side process group holds only live processes;
 * a worker's completion (dedup) table holds only the tasks whose
   completion the head's log has not committed yet.
+
+A run's processes end with it: after ``finish()`` no process the run
+started is alive, no group keeps a member, no match queue is left, and
+the run's head state is collectable while its cluster is still held.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -28,7 +34,10 @@ from repro.cluster.machine import ClusterSpec
 from repro.core import FaultPlan, FaultTolerantRuntime, LinkLoss, NodeFailure
 from repro.core.config import OMPCConfig
 from repro.core.events import EventSystem
+from repro.core.faults import FTHead
+from repro.core.headlog import HeadLog, Replicator
 from repro.core.runtime import OMPCRuntime, ProcessGroup
+from repro.core.shard.plane import _ShardHead
 from repro.mpi.comm import Communicator, MpiWorld
 from repro.sim.core import Process
 from repro.sim.primitives import Condition
@@ -95,6 +104,12 @@ def _group_members(built) -> list[str]:
                   for proc in group.members)
 
 
+def _assert_run_ended(built) -> None:
+    """No group keeps a member and no process of the run is alive."""
+    assert _group_members(built) == []
+    assert not [proc.name for proc in built[Process] if proc.is_alive]
+
+
 def test_plain_stencil_leaves_no_match_state():
     with _capture() as built:
         OMPCRuntime(ClusterSpec(num_nodes=16)).run(_taskbench(32, 4))
@@ -117,26 +132,27 @@ def test_sharded_plane_leaves_no_match_state():
                     OMPCConfig(head_shards=4)).run(_taskbench(32, 3))
     live = _assert_bounded(built)
     assert live["messages"] == 0
-    assert _group_members(built) == []
-    # The only queues left hold a service loop's pending receive.
+    _assert_run_ended(built)
+    # The lease and notify services closed with the run, withdrawing
+    # their posted receives, so no match queue is left.
     for world in built[MpiWorld]:
-        for store in world._queues.values():
-            assert store._pending, store.name
+        assert world._queues == {}
 
 
-def test_replicated_shards_keep_only_their_pumps():
+def test_replicated_shards_end_with_the_run():
     with _capture() as built:
         OMPCRuntime(ClusterSpec(num_nodes=16),
                     OMPCConfig(head_shards=4, head_standbys=1)).run(
                         _taskbench(32, 3))
     _assert_bounded(built)
-    assert _group_members(built) == [
-        f"shard{sid}-pump{4 + 3 * sid}" for sid in range(4)]
+    # Each shard's pump, the log's standby loops and the lease and
+    # notify services closed with the run.
+    _assert_run_ended(built)
 
 
-def test_ft_epoch_keeps_only_its_services():
-    # The epoch's finished ft-task frames leave its group; only its pump
-    # (which waits for records) and checkpointer may still run.
+def test_ft_epoch_ends_with_the_run():
+    # The epoch's pump (which waits for records) and checkpointer close
+    # with the run, as do the log's receiver and election responder.
     with _capture() as built:
         res = FaultTolerantRuntime(
             ClusterSpec(num_nodes=6),
@@ -144,9 +160,71 @@ def test_ft_epoch_keeps_only_its_services():
         ).run(_stencil())
     assert res.checkpoints_taken > 0
     _assert_bounded(built)
-    members = _group_members(built)
-    assert "repl-pump1.e0" in members
-    assert set(members) <= {"ft-checkpoint.e0", "repl-pump1.e0"}
+    _assert_run_ended(built)
+
+
+@pytest.mark.parametrize("plane", ["plain", "sharded", "ft"])
+def test_finish_schedules_no_event(plane):
+    # Closing the run's processes at the end schedules nothing.
+    if plane == "ft":
+        main, finish = FaultTolerantRuntime(
+            ClusterSpec(num_nodes=6),
+            OMPCConfig(head_standbys=1, checkpoint_interval=0.002),
+        ).launch(_stencil())
+    else:
+        cfg = (OMPCConfig(head_shards=4, head_standbys=1)
+               if plane == "sharded" else OMPCConfig())
+        main, finish = OMPCRuntime(ClusterSpec(num_nodes=16), cfg).launch(
+            _taskbench(32, 3))
+    main.sim.run(until=main)
+    seq = main.sim._seq
+    finish()
+    assert main.sim._seq == seq
+    assert not [proc.name for proc in main.sim._processes if proc.is_alive]
+
+
+@contextmanager
+def _weak_heads():
+    """Weak references to every head, head log and replicator built
+    inside."""
+    refs: list = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (FTHead, _ShardHead, HeadLog, Replicator):
+            def init(self, *args, _orig=cls.__init__, **kwargs):
+                _orig(self, *args, **kwargs)
+                refs.append(weakref.ref(self))
+
+            mp.setattr(cls, "__init__", init)
+        yield refs
+
+
+def _collected(refs) -> list[str]:
+    gc.collect()
+    return [type(obj).__name__ for obj in (ref() for ref in refs)
+            if obj is not None]
+
+
+def test_ft_head_state_is_collected_while_the_cluster_is_held():
+    runtime = FaultTolerantRuntime(
+        ClusterSpec(num_nodes=6),
+        OMPCConfig(head_standbys=2, checkpoint_interval=0.002))
+    with _weak_heads() as refs:
+        res = runtime.run(_stencil(),
+                          failures=[NodeFailure(time=0.004, node=0)])
+    assert res.head_failovers == 1
+    assert len(refs) == 3
+    assert runtime.last_cluster is not None
+    assert _collected(refs) == []
+
+
+def test_shard_heads_are_collected_while_the_cluster_is_held():
+    runtime = OMPCRuntime(ClusterSpec(num_nodes=16),
+                          OMPCConfig(head_shards=4, head_standbys=1))
+    with _weak_heads() as refs:
+        runtime.run(_taskbench(32, 3))
+    assert len(refs) == 12  # four shard heads, logs and replicators
+    assert runtime.last_cluster is not None
+    assert _collected(refs) == []
 
 
 def test_ft_worker_kill_under_loss_keeps_state_bounded():

@@ -1,20 +1,25 @@
-"""Wait queues allocated on first wait, and the per-node footprint.
+"""Wait queues allocated on first wait, and the resident footprint.
 
 ``Resource`` and bounded ``Store`` allocate their wait queues only when
 a request or put first has to wait, so an uncontended run never pays
 for them.  These tests hold the FIFO contract across that first
-allocation and bound the resident bytes a simulated node costs.
+allocation, bound the resident bytes a simulated node costs, and bound
+what a finished run still holds through its runtime.
 """
 
+import gc
 import tracemalloc
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.core import OMPCConfig
+from repro.core import (FaultPlan, FaultTolerantRuntime, LinkLoss,
+                        NodeFailure, OMPCConfig)
 from repro.core.events import EventSystem
 from repro.mpi import MpiWorld
 from repro.sim import Resource, Simulator, Store
+
+from tests.obs.test_counter_tier import KB, _stencil
 
 #: tracemalloc bytes per node of a cluster with a started event system,
 #: measured on Python 3.11.  Eager wait queues cost about 3 kB more.
@@ -26,6 +31,12 @@ MEASURED_IDLE_BYTES_PER_NODE = 3_941
 #: 30 % headroom, since CI runs Python 3.10–3.12.
 BUDGET_BYTES_PER_NODE = 1.3 * MEASURED_BYTES_PER_NODE
 IDLE_BUDGET_BYTES_PER_NODE = 1.3 * MEASURED_IDLE_BYTES_PER_NODE
+#: tracemalloc bytes a finished head-kill run (the quick ``resilient``
+#: shape) still holds through its runtime, measured on Python 3.11:
+#: the cluster, its network and fault plan, no process and no head
+#: state.  Leaving the run's services suspended held 755 kB.
+MEASURED_FINISHED_RUN_BYTES = 90_196
+FINISHED_RUN_BUDGET_BYTES = 1.3 * MEASURED_FINISHED_RUN_BYTES
 
 
 @pytest.fixture
@@ -123,3 +134,30 @@ def test_per_node_footprint_stays_within_budget():
         tracemalloc.stop()
     assert used / nodes < BUDGET_BYTES_PER_NODE, used / nodes
     assert idle / nodes < IDLE_BUDGET_BYTES_PER_NODE, idle / nodes
+
+
+def _resilient_run():
+    """A 16x8 stencil on 9 nodes with two head standbys, checkpoints,
+    a tiered device store, 1 % link loss and a head kill mid-run."""
+    runtime = FaultTolerantRuntime(ClusterSpec(num_nodes=9), OMPCConfig(
+        head_standbys=2, checkpoint_interval=0.004,
+        device_memory_bytes=12 * 64 * KB, eviction_policy="lru"))
+    res = runtime.run(
+        _stencil(16, 8), failures=[NodeFailure(time=0.01, node=0)],
+        fault_plan=FaultPlan(seed=1, losses=[LinkLoss(probability=0.01)]))
+    assert res.head_failovers == 1 and res.checkpoints_taken > 0
+    return runtime
+
+
+def test_finished_run_holds_within_budget():
+    _resilient_run()  # first use of lazily imported modules
+    gc.collect()
+    tracemalloc.start()
+    try:
+        runtime = _resilient_run()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert runtime.last_cluster is not None
+    assert held < FINISHED_RUN_BUDGET_BYTES, held
