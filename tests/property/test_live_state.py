@@ -17,8 +17,9 @@ three hot-path tables that used to:
   completion the head's log has not committed yet.
 
 A run's processes end with it: after ``finish()`` no process the run
-started is alive, no group keeps a member, no match queue is left, and
-the run's head state is collectable while its cluster is still held.
+started is alive and no group keeps a member, a run with no failure
+detector leaves no match queue, and the run's head state is
+collectable while its cluster is still held.
 """
 
 from __future__ import annotations
