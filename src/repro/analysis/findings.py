@@ -57,9 +57,6 @@ class AnalysisReport:
     program: str = ""
     findings: list[Finding] = field(default_factory=list)
 
-    def add(self, finding: Finding) -> None:
-        self.findings.append(finding)
-
     def extend(self, findings) -> None:
         self.findings.extend(findings)
 

@@ -33,11 +33,11 @@ impossible.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from repro.obs.observer import NullObserver
 from repro.sim.core import Event, Simulator
+from repro.sim.primitives import DeadlineQueue
 from repro.sim.resources import Resource
 from repro.util.units import Gbps, MICROSECOND
 
@@ -99,7 +99,7 @@ class _Transfer(Event):
     """
 
     __slots__ = ("src", "dst", "nbytes", "tx_nic", "rx_nic",
-                 "remaining", "rate", "last", "gen", "order")
+                 "remaining", "rate", "last", "order", "due")
 
     def __init__(self, net: "Network", src: int, dst: int, nbytes: float,
                  name: str):
@@ -116,10 +116,10 @@ class _Transfer(Event):
         self.remaining = float(nbytes)
         self.rate = 0.0
         self.last = 0.0
-        #: Version of the flow's live completion-heap entry.
-        self.gen = 0
         #: Start order among flows: the completion tie-break.
         self.order = 0
+        #: Stamp of the flow's live completion deadline (``Network._due``).
+        self.due = 0
 
 
 class Network:
@@ -144,17 +144,9 @@ class Network:
         self.total_bytes = 0
         #: Total number of inter-node messages.
         self.total_messages = 0
-        #: Completion heap of ``(fire time, start order, gen, flow)``;
-        #: an entry is live while its ``gen`` is the flow's.
-        self._heap: list[tuple[float, int, int, _Transfer]] = []
+        #: Flow completions, due in ``(fire time, start order)`` order.
+        self._due = DeadlineQueue(sim, self._complete)
         self._started = 0
-        #: Fire time of the armed completion timer (``-inf`` while a
-        #: timer drains completions: re-arming waits for its end).
-        self._timer_at = _INF
-        #: Every scheduled, not yet fired timer by fire time.  A timer
-        #: superseded by an earlier completion is re-adopted when the
-        #: flow it was armed for is the earliest again.
-        self._timers: dict[float, Event] = {}
         #: Cached per-pair event names ("flow:s->d"); bounded by n².
         self._flow_names: dict[tuple[int, int], str] = {}
 
@@ -198,8 +190,8 @@ class Network:
 
         Called without arguments (at a degradation-window edge) it
         re-rates every flow.  A flow whose rate changed is settled at
-        its old rate up to now and gets a fresh completion-heap entry;
-        a flow whose rate did not change keeps its entry, so its
+        its old rate up to now and gets a fresh completion deadline;
+        a flow whose rate did not change keeps its deadline, so its
         completion time is computed once per rate, not once per event.
         """
         now = self.sim.now
@@ -211,7 +203,7 @@ class Network:
         faults = self.faults
         if faults is not None and not faults.windowed:
             faults = None  # every factor is 1.0
-        heap = self._heap
+        push = self._due.push
         for flows in sides:
             for flow in flows:
                 tx_n = len(flow.tx_nic.tx_flows)
@@ -230,54 +222,18 @@ class Network:
                     flow.remaining = left if left > 0.0 else 0.0
                 flow.last = now
                 flow.rate = rate
-                flow.gen += 1
-                heapq.heappush(
-                    heap, (now + flow.remaining / rate, flow.order, flow.gen, flow)
-                )
-        self._arm()
+                push(now + flow.remaining / rate, flow.order, flow)
+        self._due.arm()
 
-    def _arm(self) -> None:
-        """Arm the completion timer if the earliest completion moved earlier."""
-        heap = self._heap
-        while heap and heap[0][2] != heap[0][3].gen:
-            heapq.heappop(heap)  # superseded by a later re-rate
-        if heap and heap[0][0] < self._timer_at:
-            when = heap[0][0]
-            self._timer_at = when
-            if when not in self._timers:
-                delay = when - self.sim.now
-                # The timer's value is its fire time.
-                timer = self.sim.timeout(delay if delay > 0.0 else 0.0, when)
-                timer.callbacks.append(self._on_timer)
-                self._timers[when] = timer
-
-    def _on_timer(self, timer: Event) -> None:
-        target = timer.value
-        del self._timers[target]
-        if target != self._timer_at:
-            return  # superseded by an earlier completion
-        self._timer_at = -_INF
-        heap = self._heap
-        # Complete every flow due by the timer's fire time, in
-        # ``(fire time, start order)`` order — including flows that a
-        # completion here re-rates to finish at this same instant.
-        while heap:
-            when, _order, gen, flow = heap[0]
-            if gen != flow.gen:
-                heapq.heappop(heap)
-                continue
-            if when > target:
-                break
-            heapq.heappop(heap)
-            flow.remaining = 0.0
-            tx_nic = flow.tx_nic
-            rx_nic = flow.rx_nic
-            del tx_nic.tx_flows[flow]
-            del rx_nic.rx_flows[flow]
-            self._release(flow)
-            self._rebalance(tx_nic, rx_nic)
-        self._timer_at = _INF
-        self._arm()
+    def _complete(self, flow: _Transfer) -> None:
+        """A flow's completion is due: it has serialized."""
+        flow.remaining = 0.0
+        tx_nic = flow.tx_nic
+        rx_nic = flow.rx_nic
+        del tx_nic.tx_flows[flow]
+        del rx_nic.rx_flows[flow]
+        self._release(flow)
+        self._rebalance(tx_nic, rx_nic)
 
     # ------------------------------------------------------------------
     # transfers

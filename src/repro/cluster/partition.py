@@ -130,10 +130,6 @@ class _NetworkView:
         self.total_messages = 0
 
     @property
-    def num_nodes(self) -> int:
-        return len(self._map)
-
-    @property
     def faults(self):
         faults = self._net.faults
         if faults is None:
@@ -172,10 +168,6 @@ class _NetworkView:
 
         done.callbacks.append(arrived)
         return done
-
-    def transfer(self, src: int, dst: int, nbytes: float):
-        """Generator: a timed transfer between two virtual nodes."""
-        yield self.start_transfer(src, dst, nbytes)
 
 
 class ClusterView:
@@ -370,14 +362,6 @@ class NodePool:
         if node_id in self._free:
             self._free.remove(node_id)
         # A held node is dropped from the pool when its job releases it.
-
-    @property
-    def retired(self) -> frozenset[int]:
-        return frozenset(self._retired)
-
-    def view(self, node_ids, name: str = "") -> ClusterView:
-        """Build the :class:`ClusterView` for an allocated partition."""
-        return ClusterView(self.cluster, node_ids, name=name)
 
 
 class ElasticNodePool(NodePool):

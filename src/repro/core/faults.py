@@ -72,7 +72,6 @@ from repro.core.runtime import (
     configure_tiering,
 )
 from repro.core.scheduler import HeftScheduler, Scheduler
-from repro.mpi.comm import TransportConfig
 from repro.omp.api import OmpProgram
 from repro.omp.task import Buffer, Task, TaskKind
 from repro.sim.errors import SimulationError
@@ -281,15 +280,11 @@ class FaultTolerantRuntime:
                 "not passed to a launch on a shared cluster view"
             )
         cfg = self.config
-        # The plan binds before the MPI world is built, and a lossy
-        # fabric switches the reliable transport on: loss then costs
-        # simulated time, not correctness.
+        # The plan binds before the MPI world is built (a lossy fabric
+        # switches the reliable transport on).
         active = fault_plan.install(cluster) if fault_plan is not None else None
-        ambient = active if active is not None else cluster.faults
-        lossy = ambient is not None and ambient.plan.lossy
         core = HeadCore(self.cluster_spec, cfg, program, cluster,
-                        result_type=FTRunResult,
-                        transport=TransportConfig() if lossy else None)
+                        result_type=FTRunResult)
         cluster = self.last_cluster = core.cluster
         sim, mpi, events, result = core.sim, core.mpi, core.events, core.result
         # Membership's communicators are numbered after the event

@@ -333,8 +333,7 @@ class HeadCore:
 
     def __init__(self, cluster_spec: ClusterSpec, cfg: OMPCConfig,
                  program: OmpProgram, cluster=None,
-                 result_type: type = OMPCRunResult,
-                 transport: TransportConfig | None = None):
+                 result_type: type = OMPCRunResult):
         program.validate()
         if cluster is None:
             cluster = Cluster(cluster_spec)
@@ -358,7 +357,11 @@ class HeadCore:
             # construction, which capture ``cluster.analysis``.
             cluster.install_analysis(Analysis())
         self.analysis = analysis = cluster.analysis
-        self.mpi = MpiWorld(cluster, transport=transport)
+        # A lossy fabric switches the reliable transport on, on every
+        # plane: loss then costs simulated time, not correctness.
+        lossy = cluster.faults is not None and cluster.faults.plan.lossy
+        self.mpi = MpiWorld(cluster,
+                            transport=TransportConfig() if lossy else None)
         self.events = EventSystem(cluster, self.mpi, cfg)
         self.events.on_error = self.fail
         self.frontier = Frontier(sim, program.graph)

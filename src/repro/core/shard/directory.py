@@ -68,11 +68,11 @@ class ConsistentHashPolicy:
 
 
 class ShardDirectory:
-    """Task + buffer ownership across K shards, computed eagerly.
+    """Task ownership across K shards, computed eagerly.
 
-    ``owner_of(task_id)`` / ``buffer_owner(buffer_id)`` are O(1) dict
-    lookups during the run; the cross-shard edge set (the dependences
-    the lease/notify protocol must cover) is precomputed too.
+    ``owner_of(task_id)`` is an O(1) dict lookup during the run; the
+    cross-shard edge set (the dependences the lease/notify protocol
+    must cover) is precomputed too.
     """
 
     def __init__(self, graph: TaskGraph, num_shards: int):
@@ -96,13 +96,6 @@ class ShardDirectory:
                     owner = self._task_owner[succ.task_id]
                     break
             self._task_owner[task.task_id] = owner
-
-        #: A buffer belongs to the shard of the first task touching it.
-        self._buffer_owner: dict[int, int] = {}
-        for task in graph.tasks():
-            owner = self._task_owner[task.task_id]
-            for buf in task.touched:
-                self._buffer_owner.setdefault(buf.buffer_id, owner)
 
         #: Dependence edges whose endpoints live on different shards:
         #: ``(producer_id, consumer_id, producer_shard, consumer_shard)``.
@@ -129,9 +122,6 @@ class ShardDirectory:
     # ------------------------------------------------------------------
     def owner_of(self, task_id: int) -> int:
         return self._task_owner[task_id]
-
-    def buffer_owner(self, buffer_id: int) -> int:
-        return self._buffer_owner[buffer_id]
 
     def tasks_of(self, shard: int) -> list[Task]:
         """The shard's tasks, in program order."""

@@ -213,19 +213,10 @@ class _ShardClusterFacade:
     """What a shard's private scheduler sees: the full fabric and node
     table, but only the shard's compute slice as ``workers``."""
 
-    def __init__(self, cluster, nodes: tuple[int, ...], manager: int):
+    def __init__(self, cluster, nodes: tuple[int, ...]):
         self._cluster = cluster
         self._nodes = nodes
-        self._manager = manager
         self.network = cluster.network
-
-    @property
-    def num_nodes(self) -> int:
-        return self._cluster.num_nodes
-
-    @property
-    def head(self):
-        return self._cluster.node(self._manager)
 
     @property
     def workers(self):
@@ -349,7 +340,7 @@ class ShardedRuntime:
             heads.append(_ShardHead(core, sid, nodes, repl, directory, sub,
                                     lease_needs[sid], shard_comm, heads))
             sched = (self.scheduler or HeftScheduler()).schedule(
-                sub, _ShardClusterFacade(cluster, nodes, sid))
+                sub, _ShardClusterFacade(cluster, nodes))
             assignment.update(sched.assignment)
             planned.update(sched.planned)
         core.set_schedule(program.graph, Schedule(assignment, planned))

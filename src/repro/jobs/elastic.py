@@ -358,18 +358,6 @@ class ElasticJobManager(JobManager):
         self.obs.count(f"jobs.dead_letter.{kind}")
         self._finish_job(job, JobState.DEAD_LETTERED, error=reason)
 
-    def _preemption_thrash(self, job: Job) -> bool:
-        if job.preemptions <= self.elastic.max_preemptions:
-            return False
-        self._quarantine_or_fail(
-            job,
-            f"preempted {job.preemptions} times without finishing "
-            f"(> {self.elastic.max_preemptions}): thrashing",
-            kind="preemption",
-        )
-        self._schedule()
-        return True
-
     # -- preemption --------------------------------------------------------
     def _schedule(self) -> None:
         super()._schedule()
@@ -379,6 +367,16 @@ class ElasticJobManager(JobManager):
     def _on_preempted(self, job: Job, partial, cause: str) -> None:
         self._preempting.discard(job.job_id)
         super()._on_preempted(job, partial, cause)
+        if job.preemptions <= self.elastic.max_preemptions:
+            self._requeue(job, preempted=True)
+            return
+        self._quarantine_or_fail(
+            job,
+            f"preempted {job.preemptions} times without finishing "
+            f"(> {self.elastic.max_preemptions}): thrashing",
+            kind="preemption",
+        )
+        self._schedule()
 
     def _release_partition(self, job, dead_virtual) -> None:
         self._preempting.discard(job.job_id)

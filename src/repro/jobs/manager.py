@@ -300,8 +300,9 @@ class JobManager:
 
     def _on_preempted(self, job: Job, partial, cause: str) -> None:
         """The manager evicted this running job for a higher-priority
-        one: release its partition and requeue it (no attempt charged —
-        the eviction is the cluster's fault, not the job's)."""
+        one: release its partition (no attempt charged — the eviction
+        is the cluster's fault, not the job's).  The elastic manager,
+        the only one that preempts, then requeues or quarantines it."""
         # Injected failures that fired before the eviction really did
         # kill physical nodes; retire them like any crash would.
         started = self.sim.now if job.start_time is None else job.start_time
@@ -317,14 +318,6 @@ class JobManager:
             f for f in job.pending_failures if f.time > elapsed
         )
         self.obs.count("jobs.preempted")
-        if self._preemption_thrash(job):
-            return
-        self._requeue(job, preempted=True)
-
-    def _preemption_thrash(self, job: Job) -> bool:
-        """Hook: True if the job was quarantined for preemption thrash
-        (the elastic manager overrides; the base never thrashes)."""
-        return False
 
     def _requeue(self, job: Job, preempted: bool = False) -> None:
         job.state = JobState.PENDING

@@ -42,10 +42,11 @@ A :class:`_ReliableSend` is the request's event and a callback chain:
 each attempt is a fabric transfer whose arrival runs the drop check,
 dedup and enqueue, and starts an :class:`_Ack` — itself a transfer back
 whose arrival, unless dropped, acks the send.  Each attempt's
-retransmission deadline (arrival time + ``rto``) goes on one heap per
-:class:`MpiWorld`, keyed ``(deadline, arm order)``; an acked send's
-entry is dropped lazily, and a single timer serves the earliest live
-deadline, so a send that is acked in time costs no timer event.  Due
+retransmission deadline (arrival time + ``rto``) goes on one
+:class:`~repro.sim.primitives.DeadlineQueue` per :class:`MpiWorld`; an
+acked send's entry is dropped lazily, and a single timer serves the
+earliest live deadline, so a send that is acked in time costs no timer
+event.  Due
 deadlines expire in ``(deadline, arm order)`` order, the order
 per-attempt timers would fire in.  An ack that comes back while a
 retransmission is in flight completes the send when that copy arrives.
@@ -53,7 +54,6 @@ retransmission is in flight completes the send when that copy arrives.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any
 
@@ -64,9 +64,9 @@ from repro.mpi.errors import MpiError
 from repro.mpi.matchtable import MatchStore
 from repro.mpi.request import Request
 from repro.sim.core import Event
+from repro.sim.primitives import DeadlineQueue
 from repro.util.units import MICROSECOND
 
-_INF = float("inf")
 
 #: Receive-source wildcard (``MPI_ANY_SOURCE``).
 ANY_SOURCE = -1
@@ -137,17 +137,10 @@ class MpiWorld:
         self.stats: dict[str, int] = {
             "drops": 0, "retransmissions": 0, "acks": 0, "duplicates": 0,
         }
-        #: Retransmit deadlines of every reliable send in the world:
-        #: ``(deadline, arm order, send)``, live while the arm order is
-        #: the send's ``armed``.  One sim timer serves the whole heap.
-        self._rto_heap: list[tuple[float, int, _ReliableSend]] = []
-        self._rto_order = 0
-        #: Fire time of the armed retransmit timer.
-        self._rto_at = _INF
-        #: Every scheduled, not yet fired retransmit timer by fire time;
-        #: a superseded timer is re-adopted when its deadline is the
-        #: earliest live one again.
-        self._rto_timers: dict[float, Event] = {}
+        #: Retransmit deadlines of every reliable send in the world,
+        #: expired in ``(deadline, arm order)`` order, the order
+        #: per-send timers would have fired in.
+        self._rto = DeadlineQueue(self.sim, _ReliableSend.expire)
         self._next_comm_id = 0
         # Matching queues are per (rank, comm); one MatchStore per pair,
         # so traffic on one communicator never scans another's.  A store
@@ -204,48 +197,6 @@ class MpiWorld:
         if store.drained and self._queues.get((rank, comm_id)) is store:
             del self._queues[(rank, comm_id)]
 
-    def _arm_rto(self, send: "_ReliableSend", deadline: float) -> None:
-        """Give ``send`` a retransmit deadline on the world's heap."""
-        order = self._rto_order + 1
-        self._rto_order = order
-        send.armed = order
-        heapq.heappush(self._rto_heap, (deadline, order, send))
-        self._arm_rto_timer()
-
-    def _arm_rto_timer(self) -> None:
-        """Arm the timer if the earliest live deadline moved earlier."""
-        heap = self._rto_heap
-        while heap and heap[0][1] != heap[0][2].armed:
-            heapq.heappop(heap)  # acked since it was armed
-        if heap and heap[0][0] < self._rto_at:
-            when = heap[0][0]
-            self._rto_at = when
-            if when not in self._rto_timers:
-                # The timer's value is its fire time: the deadline.
-                timer = self.sim.timeout(when - self.sim.now, when)
-                timer.callbacks.append(self._on_rto_timer)
-                self._rto_timers[when] = timer
-
-    def _on_rto_timer(self, timer: Event) -> None:
-        target = timer.value
-        del self._rto_timers[target]
-        if target != self._rto_at:
-            return  # superseded by an earlier deadline
-        heap = self._rto_heap
-        # Expire every live deadline due by now in ``(deadline, arm
-        # order)`` order, the order per-send timers would have fired in.
-        while heap:
-            deadline, order, send = heap[0]
-            if order != send.armed:
-                heapq.heappop(heap)
-                continue
-            if deadline > target:
-                break
-            heapq.heappop(heap)
-            send.expire()
-        self._rto_at = _INF
-        self._arm_rto_timer()
-
     def _dropped(self, src: int, dst: int) -> bool:
         """Consult the installed fault plan for one drop decision."""
         faults = self.cluster.network.faults
@@ -278,10 +229,6 @@ class Communicator:
         #: seqs above it (deleted when the watermark catches up).
         self._low: dict[tuple[int, int], int] = {}
         self._ooo: dict[tuple[int, int], set[int]] = {}
-
-    @property
-    def size(self) -> int:
-        return self.mpi.size
 
     def rank(self, rank_id: int) -> "Rank":
         """Bind a rank identity for issuing operations."""
@@ -443,14 +390,14 @@ class _ReliableSend(Event):
     the drop check runs; a copy that survives is deduplicated and
     enqueued at the receiver, which starts an :class:`_Ack` back.  Then
     the attempt's deadline (``now + rto``) goes on the world's
-    retransmit heap.  The first ack that is not dropped completes the
+    retransmit queue.  The first ack that is not dropped completes the
     send; a deadline that expires first retransmits with ``rto``
     multiplied by ``backoff``, and one past ``max_retries`` fails the
     event with :class:`MpiError`.  No simulator process runs any of it.
     """
 
-    __slots__ = ("comm", "msg", "rto", "attempt", "armed", "acked",
-                 "accepted", "span")
+    __slots__ = ("comm", "msg", "rto", "attempt", "acked", "accepted",
+                 "span", "due")
 
     def __init__(self, comm: Communicator, msg: Message):
         mpi = comm.mpi
@@ -463,8 +410,8 @@ class _ReliableSend(Event):
             msg.dst, msg.src, tc.ack_bytes
         )
         self.attempt = 0
-        #: Arm order of the live retransmit deadline; 0 while none is.
-        self.armed = 0
+        #: Stamp of the live retransmit deadline (``MpiWorld._rto``).
+        self.due = 0
         #: An ack came back while a retransmission was in flight: the
         #: send completes when that copy arrives.
         self.acked = False
@@ -510,21 +457,20 @@ class _ReliableSend(Event):
         if self.acked:
             self.succeed()  # an earlier copy's ack beat this copy home
         else:
-            mpi._arm_rto(self, mpi.sim.now + self.rto)
+            mpi._rto.push(mpi.sim.now + self.rto, 0, self)
+            mpi._rto.arm()
 
     def on_ack(self) -> None:
         """An ack got through."""
         if self.triggered:
             return  # already acked (a duplicate's ack), or given up
-        if self.armed:
-            self.armed = 0  # its deadline is dropped from the heap lazily
+        if self.comm.mpi._rto.cancel(self):
             self.succeed()
         else:
             self.acked = True
 
     def expire(self) -> None:
         """The retransmit deadline passed without an ack."""
-        self.armed = 0
         comm = self.comm
         mpi = comm.mpi
         tc = comm.transport
@@ -588,10 +534,6 @@ class Rank:
     def __init__(self, comm: Communicator, rank_id: int):
         self.comm = comm
         self.rank_id = rank_id
-
-    @property
-    def size(self) -> int:
-        return self.comm.size
 
     def on(self, comm: Communicator) -> "Rank":
         """This same rank identity on a different communicator."""

@@ -15,7 +15,7 @@ ever consulted.
 
 from repro.sim.core import Event, Process, Simulator
 from repro.sim.errors import Interrupt, SimulationError, DeadlockError
-from repro.sim.primitives import AllOf, AnyOf, Condition, Timeout
+from repro.sim.primitives import AllOf, AnyOf, Condition
 from repro.sim.resources import Resource, Store
 
 __all__ = [
@@ -30,5 +30,4 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Store",
-    "Timeout",
 ]

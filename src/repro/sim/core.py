@@ -101,14 +101,7 @@ class Event:
         self.sim._schedule(self, delay)
         return self
 
-    # -- kernel hooks ------------------------------------------------------
-    def _process(self) -> None:
-        """Run callbacks; called exactly once by the event loop."""
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, None
-        for cb in callbacks:  # type: ignore[union-attr]
-            cb(self)
-
+    # -- callbacks ---------------------------------------------------------
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Attach ``cb``; runs immediately if the event was processed."""
         if self.callbacks is None:
@@ -349,28 +342,6 @@ class Simulator:
             heapq.heappush(self._heap, (self._now + delay, priority, seq, event))
 
     # -- main loop -------------------------------------------------------------
-    def _pop_next(self) -> tuple[float, int, Event]:
-        """Remove and return the next ``(time, priority, event)``."""
-        fast = self._fast
-        if fast:
-            when, seq, event = fast[0]
-            if self._heap and self._heap[0] < (when, NORMAL, seq):
-                when, prio, _seq, event = heapq.heappop(self._heap)
-                return when, prio, event
-            fast.popleft()
-            return when, NORMAL, event
-        when, prio, _seq, event = heapq.heappop(self._heap)
-        return when, prio, event
-
-    def step(self) -> None:
-        """Process the single next event."""
-        when, _prio, event = self._pop_next()
-        self._now = when
-        event._process()
-        if self._crash is not None:
-            crash, self._crash = self._crash, None
-            raise crash
-
     def run(
         self,
         until: "float | Event | None" = None,
@@ -420,7 +391,7 @@ class Simulator:
             self._now = when
             if self._event_tap is not None:
                 self._event_tap(when, prio, event)
-            # Inlined Event._process() — one call frame per event saved.
+            # Process the event: its callbacks run exactly once.
             event._processed = True
             callbacks = event.callbacks
             event.callbacks = None

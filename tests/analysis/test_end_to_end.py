@@ -10,7 +10,7 @@ from repro.cluster import ClusterSpec
 from repro.core.faults import FaultTolerantRuntime, NodeFailure
 from repro.core.runtime import OMPCRuntime
 from repro.omp import OmpProgram
-from repro.omp.task import depend_in, depend_out
+from repro.omp.task import depend_in, depend_inout, depend_out
 
 from tests.test_util import FAST
 
@@ -57,6 +57,33 @@ class TestAcceptance:
         assert counters["analysis.findings.race"] == 1.0
         assert counters["analysis.race.accesses"] > 0
         assert counters["analysis.mpi.tracked_requests"] > 0
+
+    def test_host_read_of_a_device_write_is_stale(self):
+        result = run(host_read_program(exit_first=False), analysis=True)
+        report = result.analysis
+        assert len(report) == 1
+        (stale,) = report.by_rule("stale-host-read")
+        assert stale.tasks == ("reader",)
+        assert stale.buffer == "B"
+
+    def test_host_read_after_exit_data_is_clean(self):
+        result = run(host_read_program(exit_first=True), analysis=True)
+        assert len(result.analysis) == 0
+
+
+def host_read_program(exit_first):
+    # A target writes B on a worker, then the classical ``reader`` reads
+    # B on the host: stale unless ``target exit data`` retrieves B first.
+    prog = OmpProgram("host-read")
+    b = prog.buffer(nbytes=1 << 20, name="B")
+    prog.target_enter_data(b)
+    prog.target(depend=[depend_inout(b)], cost=1e-3, name="writer")
+    if exit_first:
+        prog.target_exit_data(b)
+    prog.task(depend=[depend_in(b)], cost=1e-3, name="reader")
+    if not exit_first:
+        prog.target_exit_data(b)
+    return prog
 
 
 def shots_program(num_shots=4, cost=0.05):

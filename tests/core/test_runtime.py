@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec, NetworkSpec, NodeSpec
-from repro.core import OMPCConfig, OMPCRuntime
+from repro.cluster import Cluster, ClusterSpec, NetworkSpec, NodeSpec
+from repro.core import FaultPlan, LinkLoss, OMPCConfig, OMPCRuntime
 from repro.core.datamanager import HOST
 from repro.core.runtime import HeadCore
 from repro.core.scheduler import RoundRobinScheduler
@@ -13,6 +13,7 @@ from repro.omp.task import depend_in, depend_inout, depend_out
 from repro.sim.errors import Interrupt
 from repro.sim.resources import Resource
 
+from tests.obs.test_counter_tier import _stencil
 from tests.test_util import FAST as FAST_CFG, ZERO_OVERHEADS
 
 
@@ -257,3 +258,28 @@ class TestDeterminism:
             res = OMPCRuntime(ClusterSpec(num_nodes=4)).run(prog)
             results.append(res.makespan)
         assert results[0] == results[1]
+
+
+class TestLossyFabric:
+    """A lossy fabric switches the reliable transport on, on every plane."""
+
+    @staticmethod
+    def outputs(cfg, loss):
+        spec = ClusterSpec(num_nodes=4)
+        cluster = Cluster(spec)
+        if loss:
+            FaultPlan(seed=3, losses=(LinkLoss(probability=loss),)).install(
+                cluster)
+        prog = _stencil(width=3, steps=3)
+        proc, finish = OMPCRuntime(spec, cfg).launch(prog, cluster)
+        cluster.sim.run(until=proc)
+        finish()
+        return [buf.data.tobytes() for buf in prog.buffers], cluster.faults
+
+    @pytest.mark.parametrize("cfg", [OMPCConfig(), OMPCConfig(head_shards=2)],
+                             ids=["one-head", "two-shards"])
+    def test_run_under_loss_is_byte_exact(self, cfg):
+        clean, _ = self.outputs(cfg, loss=0.0)
+        lossy, faults = self.outputs(cfg, loss=0.05)
+        assert faults.dropped_messages > 0
+        assert lossy == clean

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.cluster.machine import Cluster, ClusterSpec
-from repro.core import NodeFailure, OMPCConfig
+from repro.core import FaultPlan, LinkLoss, NodeFailure, OMPCConfig
 from repro.core.memory import DeviceMemoryError
 from repro.core.runtime import OMPCRuntime
 from repro.jobs import JobManager, JobSpec, JobState
@@ -127,6 +127,14 @@ class TestLifecycle:
 
 
 class TestTelemetry:
+    def test_analysis_runs_on_the_job_view_only(self):
+        cluster = Cluster(ClusterSpec(num_nodes=5))
+        mgr = JobManager(cluster, default_config=OMPCConfig(analysis=True))
+        report = mgr.run([(0.0, tb_job("checked", 4))])
+        assert report.completed == 1
+        assert len(mgr.jobs[0].result.analysis) == 0
+        assert not cluster.analysis.enabled
+
     def test_report_metrics(self):
         mgr = manager(nodes=6)
         report = mgr.run([
@@ -205,6 +213,21 @@ class TestFaults:
         assert job.state is JobState.FAILED
         assert job.attempts == 1
         assert "gave up after 1 attempts" in job.error
+
+    def test_lossy_fabric_finishes_ft_and_plain_jobs(self):
+        # Jobs see the machine's fault plan through their view: a lossy
+        # fabric turns on the reliable transport for both runtimes.
+        cluster = Cluster(ClusterSpec(num_nodes=9))
+        FaultPlan(seed=3, losses=(LinkLoss(probability=0.05),)).install(
+            cluster)
+        mgr = JobManager(cluster)
+        report = mgr.run([
+            (0.0, ft_job("ft", 4, failures=())),
+            (0.0, tb_job("plain", 4)),
+        ])
+        assert report.completed == 2
+        assert [job.state for job in mgr.jobs] == [JobState.COMPLETED] * 2
+        assert cluster.faults.dropped_messages > 0
 
     def test_shrunken_pool_fails_unsatisfiable_jobs(self):
         # 5-node pool, 5-node job: the head-crash retires one node, so

@@ -6,6 +6,14 @@ import pytest
 from repro.cluster import ClusterView, NodePool, PartitionError
 from repro.cluster.machine import Cluster, ClusterSpec
 from repro.core import OMPCConfig, OMPCRuntime
+from repro.core.faultmodel import (
+    FaultPlan,
+    LinkDegradation,
+    LinkLoss,
+    MemoryPressure,
+    NodeHang,
+    NodeStall,
+)
 from repro.omp import OmpProgram
 from repro.omp.task import depend_in, depend_out
 
@@ -90,6 +98,37 @@ class TestClusterView:
         assert va.network.total_bytes > 0
         # The physical fabric carried both.
         assert cluster.network.total_bytes >= 2 * va.network.total_bytes
+
+    def test_faults_view_addresses_physical_nodes(self):
+        # Every fault query on a view names virtual nodes and answers
+        # for the physical ones behind them.
+        cluster = Cluster(ClusterSpec(num_nodes=8))
+        plan = FaultPlan(
+            seed=1,
+            losses=(LinkLoss(probability=1.0, src=5),),
+            degradations=(LinkDegradation(start=0.0, end=1.0,
+                                          latency_factor=3.0,
+                                          bandwidth_factor=0.5, dst=6),),
+            stalls=(NodeStall(node=5, start=0.0, end=1.0, factor=0.5),),
+            hangs=(NodeHang(node=6, start=0.0, duration=0.5),),
+            pressures=(MemoryPressure(node=5, start=0.0,
+                                      capacity_factor=0.25,
+                                      fetch_fail_prob=1.0),),
+        )
+        physical = plan.install(cluster)
+        faults = ClusterView(cluster, (4, 5, 6)).faults
+        assert faults.plan is plan
+        assert faults.drops(1, 0) and not faults.drops(0, 1)
+        assert faults.dropped_messages == physical.dropped_messages == 1
+        assert faults.latency_factor(0, 2, 0.1) == 3.0
+        assert faults.bandwidth_factor(0, 2, 0.1) == 0.5
+        assert faults.bandwidth_factor(2, 0, 0.1) == 1.0
+        assert faults.hold_until(0, 2, 0.1) == 0.5
+        assert faults.compute_rate(1, 0.1) == 0.5
+        assert faults.compute_rate(2, 0.1) == 0.0
+        assert faults.stretched(1, 0.0, 0.1) == physical.stretched(5, 0.0, 0.1)
+        assert faults.capacity_factor(1, 0.1) == 0.25
+        assert faults.fetch_fails(1, 0.1) and not faults.fetch_fails(0, 0.1)
 
 
 class TestNodePool:

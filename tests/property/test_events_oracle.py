@@ -219,3 +219,40 @@ def test_kill_mid_event_matches_reference():
     outcomes, _kernels, tables = new[:3]
     assert 0 not in outcomes and 1 in outcomes
     assert tables[1][0] == {}
+
+
+def _same_instant_case(allocs):
+    # ``allocs`` allocs of buffer 0 on node 1, then a zero-cost CPU
+    # execute that reads buffer 0 and a submit that overwrites it, all
+    # at tick 0 with 20 µs handler overhead.
+    alloc = dict(kind="alloc", tick=0, buf=0, nbytes=0.0, dst=1,
+                 blank=False)
+    ops = [dict(alloc) for _ in range(allocs)]
+    ops.append(dict(kind="execute", tick=0, buf=0, nbytes=0.0, dst=1,
+                    reads=[], cost=0.0, gpu=False, threads=1, epoch=0,
+                    dedup=False, tid=0))
+    ops.append(dict(kind="submit", tick=0, buf=0, nbytes=0.0, dst=1,
+                    blank=False))
+    return dict(nodes=2, handler_overhead=20e-6, origin_overhead=0.0,
+                page_protect=False, kill=None, ops=ops)
+
+
+def test_free_cpu_slot_is_taken_in_the_same_step():
+    # Hypothesis seed 17's shrunk draw.  The execute's handler finds a
+    # free CPU slot and runs its zero-cost kernel in the same step, so
+    # the kernel reads the alloc's payload, not the submit's that a
+    # later handler writes at the same instant.
+    case = _same_instant_case(allocs=1)
+    new = _run(case, reference=False)
+    assert new == _run(case, reference=True)
+    assert new[1] == [(new[1][0][0], 1, (("alloc", 0),))]
+
+
+def test_free_cpu_slot_is_taken_after_queued_handlers():
+    # Hypothesis seed 27's shrunk draw: six allocs fill node 1's handler
+    # slots, so the execute queues for one; once it runs, it still takes
+    # the free CPU slot in the same step.
+    case = _same_instant_case(allocs=6)
+    new = _run(case, reference=False)
+    assert new == _run(case, reference=True)
+    assert new[1] == [(new[1][0][0], 6, (("alloc", 5),))]

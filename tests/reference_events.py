@@ -301,7 +301,8 @@ def _run_execute(es, node_id: int, note: Notification, mem: DeviceMemory,
         spec = node.spec
         in_bytes = sum(b.nbytes for b in task.reads)
         out_bytes = sum(b.nbytes for b in task.writes)
-        yield from node.gpus.acquire()
+        if not node.gpus.try_acquire():
+            yield from node.gpus.acquire()
         try:
             if in_bytes or task.reads:
                 yield es.sim.timeout(
@@ -325,7 +326,8 @@ def _run_execute(es, node_id: int, note: Notification, mem: DeviceMemory,
     else:
         threads = min(int(task.meta.get("omp_threads", 1)), node.spec.cores)
         duration = node.compute_time(task.cost) / max(threads, 1)
-        yield from node.cpu.acquire()
+        if not node.cpu.try_acquire():
+            yield from node.cpu.acquire()
         if obs_enabled:
             es.obs.gauge_add(f"node{node_id}.cpu_busy", threads, node=node_id)
         try:

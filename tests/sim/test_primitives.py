@@ -1,8 +1,10 @@
-"""Tests for composite waiting primitives (AllOf/AnyOf/Condition)."""
+"""Tests for composite waiting primitives (AllOf/AnyOf/Condition) and
+the deadline queue."""
 
 import pytest
 
 from repro.sim import AllOf, AnyOf, Condition, Simulator
+from repro.sim.primitives import DeadlineQueue
 
 
 @pytest.fixture
@@ -94,3 +96,72 @@ class TestCondition:
         sim.run()
         assert cond.ok
         assert len(cond.value) == 1
+
+
+class Item:
+    """A deadline-queue item: a name and the ``due`` stamp it carries."""
+
+    def __init__(self, name):
+        self.name = name
+        self.due = 0
+
+
+class TestDeadlineQueue:
+    def make(self, sim):
+        fired = []
+        queue = DeadlineQueue(
+            sim, lambda item: fired.append((sim.now, item.name)))
+        return queue, fired
+
+    def test_fires_in_deadline_tie_push_order(self, sim):
+        queue, fired = self.make(sim)
+        queue.push(2.0, 0, Item("late"))
+        queue.push(1.0, 1, Item("b"))
+        queue.push(1.0, 0, Item("a"))
+        queue.push(1.0, 1, Item("c"))
+        queue.arm()
+        sim.run()
+        assert fired == [(1.0, "a"), (1.0, "b"), (1.0, "c"), (2.0, "late")]
+
+    def test_push_replaces_and_cancel_withdraws(self, sim):
+        queue, fired = self.make(sim)
+        moved, gone = Item("moved"), Item("gone")
+        queue.push(1.0, 0, moved)
+        queue.push(3.0, 0, moved)
+        queue.push(2.0, 0, gone)
+        queue.arm()
+        assert queue.cancel(gone)
+        assert not queue.cancel(gone)
+        sim.run()
+        assert fired == [(3.0, "moved")]
+        assert moved.due == 0
+
+    def test_same_instant_push_fires_in_the_same_drain(self, sim):
+        fired = []
+        echo = Item("echo")
+
+        def fire(item):
+            fired.append((sim.now, item.name))
+            if item is not echo:
+                queue.push(sim.now, 0, echo)
+                queue.arm()
+
+        queue = DeadlineQueue(sim, fire)
+        queue.push(1.0, 0, Item("first"))
+        queue.arm()
+        sim.run()
+        assert fired == [(1.0, "first"), (1.0, "echo")]
+        assert sim._seq == 1  # one timer served both
+
+    def test_superseded_timer_is_readopted(self, sim):
+        queue, fired = self.make(sim)
+        item = Item("x")
+        queue.push(2.0, 0, item)
+        queue.arm()
+        queue.push(1.0, 0, item)
+        queue.arm()
+        queue.push(2.0, 0, item)
+        queue.arm()
+        sim.run()
+        assert fired == [(2.0, "x")]
+        assert sim._seq == 2  # the 1.0 timer fires stale; 2.0 is reused
