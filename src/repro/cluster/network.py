@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.observer import NullObserver
-from repro.sim.core import Event, Simulator
+from repro.sim.core import _PENDING, Event, Simulator
 from repro.sim.primitives import DeadlineQueue
 from repro.sim.resources import Resource
 from repro.util.units import Gbps, MICROSECOND
@@ -60,9 +60,14 @@ class NetworkSpec:
     local_latency: float = 0.5 * MICROSECOND
 
     def __post_init__(self) -> None:
-        if self.latency < 0 or self.local_latency < 0:
-            raise ValueError("latencies must be >= 0")
-        if self.bandwidth <= 0 or self.local_bandwidth <= 0:
+        # Chained comparisons, as the kernel guards: each also rejects
+        # NaN, which would otherwise surface far away (in HEFT's cost
+        # model, or as a flow that never completes).
+        if not (0.0 <= self.latency < _INF
+                and 0.0 <= self.local_latency < _INF):
+            raise ValueError("latencies must be finite and >= 0")
+        if not (0.0 < self.bandwidth <= _INF
+                and 0.0 < self.local_bandwidth <= _INF):
             raise ValueError("bandwidths must be > 0")
         if self.vcis < 1:
             raise ValueError("vcis must be >= 1")
@@ -103,9 +108,13 @@ class _Transfer(Event):
 
     def __init__(self, net: "Network", src: int, dst: int, nbytes: float,
                  name: str):
-        Event.__init__(self, net.sim, name)
+        # Event.__init__, inlined: one transfer per message.
+        self.sim = net.sim
+        self.name = name
         # Byte accounting runs first, before any waiter resumes.
-        self.callbacks.append(net._account)
+        self.callbacks = [net._account_cb]
+        self._value = _PENDING
+        self._ok = True
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
@@ -149,6 +158,9 @@ class Network:
         self._started = 0
         #: Cached per-pair event names ("flow:s->d"); bounded by n².
         self._flow_names: dict[tuple[int, int], str] = {}
+        # Bound once: every transfer shares them.
+        self._account_cb = self._account
+        self._overhead_done_cb = self._overhead_done
 
     @property
     def num_nodes(self) -> int:
@@ -176,14 +188,26 @@ class Network:
         if flow.remaining <= 0.0:
             self._release(flow)
             return
-        flow.order = self._started
-        self._started += 1
-        flow.last = self.sim.now
+        order = flow.order = self._started
+        self._started = order + 1
+        now = flow.last = self.sim._now
         tx_nic = flow.tx_nic
         rx_nic = flow.rx_nic
-        tx_nic.tx_flows[flow] = None
-        rx_nic.rx_flows[flow] = None
-        self._rebalance(tx_nic, rx_nic)
+        tx_flows = tx_nic.tx_flows
+        rx_flows = rx_nic.rx_flows
+        tx_flows[flow] = None
+        rx_flows[flow] = None
+        if len(tx_flows) > 1 or len(rx_flows) > 1:
+            self._rebalance(tx_nic, rx_nic)
+            return
+        # Alone on both sides: the line rate, priced in closed form
+        # (exactly what a rebalance of the two sides computes).
+        rate = self.spec.bandwidth
+        faults = self.faults
+        if faults is not None and faults.windowed:
+            rate *= faults.bandwidth_factor(flow.src, flow.dst, now)
+        flow.rate = rate
+        self._due.add(now + flow.remaining / rate, order, flow)
 
     def _rebalance(self, tx_nic: Nic | None = None, rx_nic: Nic | None = None) -> None:
         """Re-rate the flows on ``tx_nic``'s TX and ``rx_nic``'s RX side.
@@ -194,7 +218,7 @@ class Network:
         a flow whose rate did not change keeps its deadline, so its
         completion time is computed once per rate, not once per event.
         """
-        now = self.sim.now
+        now = self.sim._now
         if tx_nic is None:
             sides = [nic.tx_flows for nic in self.nics]
         else:
@@ -230,10 +254,14 @@ class Network:
         flow.remaining = 0.0
         tx_nic = flow.tx_nic
         rx_nic = flow.rx_nic
-        del tx_nic.tx_flows[flow]
-        del rx_nic.rx_flows[flow]
+        tx_flows = tx_nic.tx_flows
+        rx_flows = rx_nic.rx_flows
+        del tx_flows[flow]
+        del rx_flows[flow]
         self._release(flow)
-        self._rebalance(tx_nic, rx_nic)
+        if tx_flows or rx_flows:
+            # Sides left empty have no flow to re-rate.
+            self._rebalance(tx_nic, rx_nic)
 
     # ------------------------------------------------------------------
     # transfers
@@ -250,8 +278,10 @@ class Network:
         ``delay`` (a sender's software overhead) passes before the
         transfer reaches the NIC.
         """
-        self._check_node(src)
-        self._check_node(dst)
+        n = len(self.nics)
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_node(src)
+            self._check_node(dst)
         if not 0.0 <= nbytes < _INF:
             # Also rejects NaN/inf: a non-finite size would poison the
             # fluid-rate arithmetic and hang the flow engine.
@@ -274,35 +304,45 @@ class Network:
             self._flow_names[(src, dst)] = name
         flow = _Transfer(self, src, dst, nbytes, name)
         if delay:
-            sim.timeout(delay).callbacks.append(lambda _ev: self._begin(flow))
+            # The overhead timer carries the flow.
+            sim.timeout(delay, flow).callbacks.append(self._overhead_done_cb)
         else:
             self._begin(flow)
         return flow
 
-    def _begin(self, flow: _Transfer) -> None:
+    def _overhead_done(self, timer: Event) -> None:
+        """A sender's overhead timer fired; its value is the flow."""
+        self._begin(timer._value)
+
+    def _begin(self, flow: _Transfer, held: bool = False) -> None:
+        """The transfer reaches its NICs: take a TX channel, then an RX
+        channel, queueing for each that is busy, then admit the flow.
+        ``held`` marks the end of a hang hold, which is not re-checked."""
         faults = self.faults
-        if faults is not None and faults.windowed:
+        if not held and faults is not None and faults.windowed:
             # A hung endpoint's NIC is silent: hold the transfer (without
             # occupying channels) until the hang window closes.  Flows
             # already serializing are not paused — the hold models
             # admission at the NIC, which keeps the fluid model simple.
-            now = self.sim.now
+            now = self.sim._now
             release = faults.hold_until(flow.src, flow.dst, now)
             if release > now:
                 self.sim.timeout(release - now).callbacks.append(
-                    lambda _ev: self._acquire_tx(flow)
+                    lambda _ev: self._begin(flow, held=True)
                 )
                 return
-        self._acquire_tx(flow)
-
-    def _acquire_tx(self, flow: _Transfer) -> None:
-        channels = flow.tx_nic.tx_channels
-        if channels.try_acquire():
-            self._acquire_rx(flow)
-        else:
-            channels.request().callbacks.append(
-                lambda _ev: self._acquire_rx(flow)
-            )
+        tx = flow.tx_nic.tx_channels
+        if not tx.try_acquire():
+            tx.request().callbacks.append(lambda _ev: self._acquire_rx(flow))
+            return
+        rx = flow.rx_nic.rx_channels
+        if not rx.try_acquire():
+            rx.request().callbacks.append(lambda _ev: self._admit(flow))
+            return
+        # _admit, inlined: both channels were free, the common case.
+        if self.obs.enabled:
+            self.obs.gauge_add(f"link.{flow.src}->{flow.dst}", 1, node=flow.src)
+        self._start_flow(flow)
 
     def _acquire_rx(self, flow: _Transfer) -> None:
         channels = flow.rx_nic.rx_channels
@@ -330,8 +370,10 @@ class Network:
         latency = self.spec.latency
         faults = self.faults
         if faults is not None and faults.windowed:
-            latency *= faults.latency_factor(src, dst, self.sim.now)
-        flow.succeed(delay=latency)
+            latency *= faults.latency_factor(src, dst, self.sim._now)
+        # Inlined succeed(delay=latency): a flow is released once.
+        flow._value = None
+        self.sim._schedule(flow, latency)
 
     def _account(self, flow: _Transfer) -> None:
         nbytes = int(flow.nbytes)

@@ -46,7 +46,8 @@ from repro.cluster.machine import Cluster
 from repro.core.config import OMPCConfig
 from repro.core.memory import DeviceMemory
 from repro.core.tags import NOTIFY_TAG, TagAllocator
-from repro.mpi.comm import Communicator, MpiWorld
+from repro.mpi.comm import ANY_SOURCE, Communicator, MpiWorld
+from repro.mpi.request import Request
 from repro.mpi.vci import CommunicatorPool
 from repro.omp.task import Task
 from repro.sim.core import Event, Simulator
@@ -188,16 +189,16 @@ class EventSystem:
         skipped — their machinery is already dead — and a node that
         fails meanwhile counts as stopped.
         """
-        rank = self.control.rank(origin)
+        control = self.control
         exits = self._exits
         for node_id in range(self.cluster.num_nodes):
             if node_id in self._failed:
                 continue
             exits[node_id] = self.sim.event(f"exit{node_id}")
             note = Notification(EventType.EXIT, 0, origin)
-            yield from rank.send(
-                node_id, note, NOTIFICATION_BYTES, NOTIFY_TAG
-            )
+            yield from control._isend(
+                origin, node_id, note, NOTIFICATION_BYTES, NOTIFY_TAG
+            ).wait()
         for node_id in range(self.cluster.num_nodes):
             exit_ev = exits.get(node_id)
             if exit_ev is not None and node_id not in self._failed:
@@ -321,7 +322,8 @@ class EventSystem:
     # ------------------------------------------------------------------
     def _post_gate(self, node_id: int) -> None:
         """Post ``node_id``'s standing receive for its next notification."""
-        self.control.rank(node_id).irecv(tag=NOTIFY_TAG).then(self._notified)
+        self.control._irecv(node_id, ANY_SOURCE, NOTIFY_TAG).then(
+            self._notified)
 
     def _notified(self, ev: Event) -> None:
         """The gate: a notification matched a node's standing receive.
@@ -409,20 +411,18 @@ class EventSystem:
                                self.sim.now - start)
         tag = self.tags.allocate()
         note = Notification(event_type, tag, origin, info)
-        yield from self.control.rank(origin).send(
-            dst, note, NOTIFICATION_BYTES, NOTIFY_TAG
-        )
+        yield from self.control._isend(
+            origin, dst, note, NOTIFICATION_BYTES, NOTIFY_TAG
+        ).wait()
         return tag
 
-    def _await_completion(self, origin: int, src: int, tag: int):
-        """Generator: wait for the (tag-isolated) completion message.
+    def _completion(self, origin: int, src: int, tag: int) -> Request:
+        """The receive of the (tag-isolated) completion message.
 
         ``src`` may be :data:`~repro.mpi.comm.ANY_SOURCE` for events
         acknowledged by several nodes (broadcast).
         """
-        comm = self.pool.select(tag)
-        msg = yield from comm.rank(origin).recv(src=src, tag=tag)
-        return msg
+        return self.pool.select(tag)._irecv(origin, src, tag)
 
     # -- the plugin-visible operations ------------------------------------
     def alloc(self, dst: int, buffer_id: int, payload: Any = None,
@@ -445,13 +445,13 @@ class EventSystem:
                                       "nbytes": nbytes,
                                       "label": label,
                                       "owner": owner})
-        yield from self._await_completion(origin, dst, tag)
+        yield from self._completion(origin, dst, tag).wait()
 
     def delete(self, dst: int, buffer_id: int, origin: int = 0):
         """Generator: remove ``buffer_id`` from ``dst``."""
         tag = yield from self._begin(origin, dst, EventType.DELETE,
                                      {"buffer_id": buffer_id})
-        yield from self._await_completion(origin, dst, tag)
+        yield from self._completion(origin, dst, tag).wait()
 
     def submit(self, dst: int, buffer_id: int, payload: Any, nbytes: float,
                origin: int = 0, label: str | None = None):
@@ -461,8 +461,8 @@ class EventSystem:
                                       "nbytes": nbytes,
                                       "label": label})
         comm = self.pool.select(tag)
-        req = comm.rank(origin).isend(dst, payload, nbytes, tag)
-        yield from self._await_completion(origin, dst, tag)
+        req = comm._isend(origin, dst, payload, nbytes, tag)
+        yield from self._completion(origin, dst, tag).wait()
         yield from req.wait()
         self.obs.count("ompc.bytes_submitted", nbytes)
 
@@ -470,7 +470,7 @@ class EventSystem:
         """Generator: pull data ``dst`` → origin; returns the payload."""
         tag = yield from self._begin(origin, dst, EventType.RETRIEVE,
                                      {"buffer_id": buffer_id, "nbytes": nbytes})
-        msg = yield from self._await_completion(origin, dst, tag)
+        msg = yield from self._completion(origin, dst, tag).wait()
         self.obs.count("ompc.bytes_retrieved", nbytes)
         return msg.payload
 
@@ -485,7 +485,7 @@ class EventSystem:
         if self.config.event_origin_overhead:
             yield self.sim.timeout(self.config.event_origin_overhead)
         tag = self.tags.allocate()
-        ctrl = self.control.rank(origin)
+        ctrl = self.control
         note_src = Notification(
             EventType.EXCHANGE_SRC, tag, origin,
             {"buffer_id": buffer_id, "dst": dst, "nbytes": nbytes},
@@ -495,11 +495,13 @@ class EventSystem:
             {"buffer_id": buffer_id, "src": src, "nbytes": nbytes,
              "label": label},
         )
-        req_a = ctrl.isend(src, note_src, NOTIFICATION_BYTES, NOTIFY_TAG)
-        req_b = ctrl.isend(dst, note_dst, NOTIFICATION_BYTES, NOTIFY_TAG)
+        req_a = ctrl._isend(origin, src, note_src, NOTIFICATION_BYTES,
+                            NOTIFY_TAG)
+        req_b = ctrl._isend(origin, dst, note_dst, NOTIFICATION_BYTES,
+                            NOTIFY_TAG)
         yield from req_a.wait()
         yield from req_b.wait()
-        yield from self._await_completion(origin, dst, tag)
+        yield from self._completion(origin, dst, tag).wait()
         self.obs.count("ompc.bytes_exchanged", nbytes)
 
     def broadcast(self, src: int, dsts: list[int], buffer_id: int, nbytes: float,
@@ -517,7 +519,7 @@ class EventSystem:
         tag = self.tags.allocate()
         participants = [src] + list(dsts)
         tree = _binomial_tree(participants)
-        ctrl = self.control.rank(origin)
+        ctrl = self.control
         reqs = []
         for node_id in participants:
             parent, children = tree[node_id]
@@ -531,14 +533,13 @@ class EventSystem:
                 },
             )
             reqs.append(
-                ctrl.isend(node_id, note, NOTIFICATION_BYTES, NOTIFY_TAG)
+                ctrl._isend(origin, node_id, note, NOTIFICATION_BYTES,
+                            NOTIFY_TAG)
             )
         for req in reqs:
             yield from req.wait()
-        from repro.mpi.comm import ANY_SOURCE
-
         for _ in dsts:
-            yield from self._await_completion(origin, ANY_SOURCE, tag)
+            yield from self._completion(origin, ANY_SOURCE, tag).wait()
         self.obs.count("ompc.bytes_broadcast", nbytes * len(dsts))
 
     def execute(self, dst: int, task: Task, origin: int = 0, attempt: int = 0,
@@ -579,14 +580,13 @@ class EventSystem:
             info["params"] = task
             tag = yield from self._begin(origin, dst, EventType.EXECUTE,
                                          info)
-            msg = yield from self._await_completion(origin, dst, tag)
+            msg = yield from self._completion(origin, dst, tag).wait()
         else:
             tag = yield from self._begin(origin, dst, EventType.EXECUTE,
                                          info)
             comm = self.pool.select(tag)
-            req = comm.rank(origin).isend(dst, task,
-                                          PARAMS_BYTES, tag)
-            msg = yield from self._await_completion(origin, dst, tag)
+            req = comm._isend(origin, dst, task, PARAMS_BYTES, tag)
+            msg = yield from self._completion(origin, dst, tag).wait()
             yield from req.wait()
         if isinstance(msg.payload, tuple) and msg.payload[0] == "done":
             return msg.payload[1]
@@ -619,7 +619,7 @@ class _Chain:
     at once, so the node's next tenant finds them free.
     """
 
-    __slots__ = ("es", "node_id", "note", "rank", "step", "stopped",
+    __slots__ = ("es", "node_id", "note", "comm", "step", "stopped",
                  "slot_req", "span", "task", "device", "device_req", "busy",
                  "marker", "kernel_span", "before", "faults", "payload",
                  "children")
@@ -628,7 +628,8 @@ class _Chain:
         self.es = es
         self.node_id = node_id
         self.note = note
-        self.rank = es.pool.select(note.tag).rank(node_id)
+        #: The event's data communicator; the chain's rank is node_id.
+        self.comm = es.pool.select(note.tag)
         self.step = None
         self.stopped = False
         #: The queued handler-slot request, until it is granted.
@@ -657,7 +658,8 @@ class _Chain:
         if delay is None:
             step()
         else:
-            self.wait(self.es.sim.timeout(delay), step)
+            self.step = step
+            self.es.sim.timeout(delay).callbacks.append(self._resume)
 
     def _resume(self, ev: Event) -> None:
         if self.stopped:
@@ -665,18 +667,22 @@ class _Chain:
         if not ev._ok:
             self._fail(ev._value)
             return
-        self.run(self.step, ev._value)
+        # Inlined run(): one resume per MPI operation and timer.
+        try:
+            self.step(ev._value)
+        except SimulationError as exc:
+            self._fail(exc)
 
     def send(self, dst: int, payload: Any, nbytes: float, step) -> None:
         """Send on the event's channel; ``step`` runs on arrival."""
         self.step = step
-        self.rank.isend(dst, payload, nbytes, self.note.tag).then(
-            self._resume)
+        self.comm._isend(self.node_id, dst, payload, nbytes,
+                         self.note.tag).then(self._resume)
 
     def recv(self, src: int, step) -> None:
         """Receive on the event's channel; ``step`` gets the message."""
         self.step = step
-        self.rank.irecv(src, self.note.tag).then(self._resume)
+        self.comm._irecv(self.node_id, src, self.note.tag).then(self._resume)
 
     def complete(self, completion: Any) -> None:
         """The completion send, which ends the chain on arrival."""

@@ -63,7 +63,7 @@ from repro.mpi.datatypes import Message
 from repro.mpi.errors import MpiError
 from repro.mpi.matchtable import MatchStore
 from repro.mpi.request import Request
-from repro.sim.core import Event
+from repro.sim.core import _PENDING, Event
 from repro.sim.primitives import DeadlineQueue
 from repro.util.units import MICROSECOND
 
@@ -72,6 +72,8 @@ from repro.util.units import MICROSECOND
 ANY_SOURCE = -1
 #: Receive-tag wildcard (``MPI_ANY_TAG``).
 ANY_TAG = -1
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,16 @@ class TransportConfig:
     max_retries: int = 16
 
     def __post_init__(self) -> None:
-        if self.ack_bytes < 0:
-            raise ValueError("ack_bytes must be >= 0")
-        if self.rto <= 0:
-            raise ValueError("rto must be > 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
+        # Chained comparisons, as the kernel guards: each also rejects
+        # NaN, which would otherwise stop retransmission silently.
+        if not 0.0 <= self.ack_bytes < _INF:
+            raise ValueError(
+                f"ack_bytes must be finite and >= 0, got {self.ack_bytes!r}")
+        if not 0.0 < self.rto < _INF:
+            raise ValueError(f"rto must be finite and > 0, got {self.rto!r}")
+        if not 1.0 <= self.backoff < _INF:
+            raise ValueError(
+                f"backoff must be finite and >= 1, got {self.backoff!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
@@ -122,6 +128,8 @@ class MpiWorld:
             raise ValueError("overhead must be >= 0")
         self.cluster = cluster
         self.sim = cluster.sim
+        #: The fabric every send crosses (the cluster's, or a job view's).
+        self.network = cluster.network
         #: Ranks in the world: one per node (a cluster never resizes).
         self.size = cluster.num_nodes
         self.overhead = overhead
@@ -145,8 +153,11 @@ class MpiWorld:
         # Matching queues are per (rank, comm); one MatchStore per pair,
         # so traffic on one communicator never scans another's.  A store
         # exists only while it holds a buffered message or a pending
-        # receive: it is created by the first operation on its pair and
-        # dropped by the one that drains it (see :meth:`_drop_drained`).
+        # receive: the operation that finds no store for its pair builds
+        # one, and the one that drains it drops it.  A later operation
+        # on the pair builds a fresh store of the same name, so event
+        # names do not change; a store's arrival and posting counters
+        # only order entries it holds.
         self._queues: dict[tuple[int, int], MatchStore] = {}
         self.world = self.new_communicator()
 
@@ -172,34 +183,24 @@ class MpiWorld:
         self._next_comm_id += 1
         return comm
 
-    def _queue(self, rank: int, comm_id: int) -> MatchStore:
-        key = (rank, comm_id)
-        store = self._queues.get(key)
-        if store is None:
-            store = MatchStore(self.sim, name=f"mpi.q{rank}.c{comm_id}")
-            self._queues[key] = store
-        return store
-
     def _deliver(self, msg: Message) -> None:
         """Enqueue ``msg`` at its receiver."""
-        store = self._queue(msg.dst, msg.comm_id)
+        key = (msg.dst, msg.comm_id)
+        queues = self._queues
+        store = queues.get(key)
+        if store is None:
+            # A fresh store has no receive to match: it buffers msg.
+            queues[key] = store = MatchStore(
+                self.sim, name=f"mpi.q{msg.dst}.c{msg.comm_id}")
+            store.put_nowait(msg)
+            return
         store.put_nowait(msg)
-        self._drop_drained(msg.dst, msg.comm_id, store)
-
-    def _drop_drained(self, rank: int, comm_id: int,
-                      store: MatchStore) -> None:
-        """Forget ``store`` once it holds no message and no receive.
-
-        A later operation on the pair builds a fresh store of the same
-        name, so event names do not change; the store's arrival and
-        posting counters only order entries it holds.
-        """
-        if store.drained and self._queues.get((rank, comm_id)) is store:
-            del self._queues[(rank, comm_id)]
+        if store.drained:
+            del queues[key]
 
     def _dropped(self, src: int, dst: int) -> bool:
         """Consult the installed fault plan for one drop decision."""
-        faults = self.cluster.network.faults
+        faults = self.network.faults
         if faults is None or src == dst:
             return False
         if faults.drops(src, dst):
@@ -209,7 +210,13 @@ class MpiWorld:
 
 
 class Communicator:
-    """An isolated message-matching context (like ``MPI_Comm``)."""
+    """An isolated message-matching context (like ``MPI_Comm``).
+
+    ``_isend`` and ``_irecv`` take the calling rank explicitly: a
+    :class:`Rank` binds it, and the event system, whose ranks are its
+    node ids, calls them directly.  Both check every rank they are
+    given inline.
+    """
 
     def __init__(
         self,
@@ -232,7 +239,8 @@ class Communicator:
 
     def rank(self, rank_id: int) -> "Rank":
         """Bind a rank identity for issuing operations."""
-        self._check_rank(rank_id)
+        if not 0 <= rank_id < self.mpi.size:
+            self._check_rank(rank_id)
         return Rank(self, rank_id)
 
     def dup(self) -> "Communicator":
@@ -247,31 +255,33 @@ class Communicator:
         if not 0 <= rank_id < size:
             raise MpiError(f"rank {rank_id} out of range [0, {size})")
 
-    # -- internals shared by Rank --------------------------------------------
+    # -- point-to-point --------------------------------------------------------
     def _message(self, src: int, dst: int, payload: Any, nbytes: float,
                  tag: int) -> Message:
         """Check a send and stamp its next ``(src, dst)`` sequence number."""
-        self._check_rank(src)
-        self._check_rank(dst)
+        size = self.mpi.size
+        if not (0 <= src < size and 0 <= dst < size):
+            self._check_rank(src)
+            self._check_rank(dst)
         if tag < 0:
             raise MpiError(f"send tag must be >= 0, got {tag}")
         pair = (src, dst)
-        seq = self._send_seq.get(pair, 0)
-        self._send_seq[pair] = seq + 1
+        seq_of = self._send_seq
+        seq = seq_of.get(pair, 0)
+        seq_of[pair] = seq + 1
         return Message(self.comm_id, src, dst, tag, payload, nbytes, seq)
 
     def _isend(self, src: int, dst: int, payload: Any, nbytes: float, tag: int) -> Request:
         msg = self._message(src, dst, payload, nbytes, tag)
+        mpi = self.mpi
         if self.transport is not None and src != dst:
             event = _ReliableSend(self, msg)
             event.transmit()
+            request = Request(event, "send")
         else:
-            event = _Send(self, msg).start()
-        request = Request(event, "send")
-        if self.mpi.analysis.enabled and not self.service:
-            self.mpi.analysis.mpi.on_isend(
-                request, self.comm_id, src, dst, tag
-            )
+            request = _Send(mpi, msg)
+        if mpi.analysis.enabled and not self.service:
+            mpi.analysis.mpi.on_isend(request, self.comm_id, src, dst, tag)
         return request
 
     def _transport_accept(self, msg: Message, flow_id: int | None = None) -> None:
@@ -307,79 +317,103 @@ class Communicator:
                 )
 
     def _irecv(self, dst: int, src: int, tag: int) -> Request:
-        self._check_rank(dst)
-        if src != ANY_SOURCE:
+        mpi = self.mpi
+        size = mpi.size
+        if not 0 <= dst < size:
+            self._check_rank(dst)
+        if src != ANY_SOURCE and not 0 <= src < size:
             self._check_rank(src)
         if tag < 0 and tag != ANY_TAG:
             raise MpiError(f"recv tag must be >= 0 or ANY_TAG, got {tag}")
 
-        mpi = self.mpi
         comm_id = self.comm_id
-        store = mpi._queue(dst, comm_id)
-        get = store.get_match(src, tag)
-        mpi._drop_drained(dst, comm_id, store)
-
-        def cancel() -> bool:
-            withdrawn = store.cancel(get)
-            mpi._drop_drained(dst, comm_id, store)
-            return withdrawn
-
-        request = Request(get, "recv", canceller=cancel)
+        key = (dst, comm_id)
+        queues = mpi._queues
+        store = queues.get(key)
+        if store is None:
+            # A fresh store has no message to match: it holds the receive.
+            queues[key] = store = MatchStore(
+                mpi.sim, name=f"mpi.q{dst}.c{comm_id}")
+            get = store.get_match(src, tag)
+        else:
+            get = store.get_match(src, tag)
+            # Only a receive that matched at once can drain the store.
+            if get._value is not _PENDING and store.drained:
+                del queues[key]
+        request = _Recv(get, queues, key, store)
         if mpi.analysis.enabled and not self.service:
             mpi.analysis.mpi.on_irecv(request, comm_id, dst, src, tag)
         return request
 
 
-class _Send:
-    """One fire-and-forget send: overhead, fabric transfer, then — as the
-    arrival event's first waiter — drop check and enqueue.
+class _Recv(Request):
+    """A receive's request, which can withdraw the pending receive from
+    its match store (and drop the store once that drains it)."""
 
-    The arrival event is the send request's event, so the send costs no
+    kind = "recv"
+
+    def __init__(self, get: Event, queues: dict, key: tuple[int, int],
+                 store: MatchStore):
+        self._event = get
+        self._queues = queues
+        self._key = key
+        self._store = store
+
+    def _withdraw(self) -> bool:
+        store = self._store
+        withdrawn = store.cancel(self._event)
+        queues = self._queues
+        key = self._key
+        if store.drained and queues.get(key) is store:
+            del queues[key]
+        return withdrawn
+
+
+class _Send(Request):
+    """One fire-and-forget send's request, which also runs the send:
+    overhead and fabric transfer, then — as the arrival event's first
+    waiter — drop check and enqueue.
+
+    The arrival event is the request's event, so the send costs no
     simulator process and no generator frame; it runs once per
     point-to-point message, the hottest MPI path there is.
     """
 
-    __slots__ = ("comm", "msg", "span")
+    kind = "send"
 
-    def __init__(self, comm: Communicator, msg: Message):
-        mpi = comm.mpi
-        self.comm = comm
+    def __init__(self, mpi: MpiWorld, msg: Message):
+        self.mpi = mpi
         self.msg = msg
         obs = mpi.obs
         self.span = obs.begin(
             "mpi", f"send t{msg.tag}", msg.src,
             dst=msg.dst, nbytes=msg.nbytes, seq=msg.seq,
         ) if obs.enabled else None
-
-    def start(self) -> Event:
-        """Start the send; returns the event that completes it."""
-        msg = self.msg
-        mpi = self.comm.mpi
-        arrival = mpi.cluster.network.start_transfer(
+        arrival = self._event = mpi.network.start_transfer(
             msg.src, msg.dst, msg.nbytes, mpi.overhead
         )
         arrival.callbacks.append(self._arrive)
-        return arrival
 
     def _arrive(self, _ev: Event) -> None:
-        mpi = self.comm.mpi
+        mpi = self.mpi
         msg = self.msg
         span = self.span
-        obs = mpi.obs
-        if mpi._dropped(msg.src, msg.dst):
+        if mpi.network.faults is not None and mpi._dropped(msg.src, msg.dst):
             # Lost in the fabric; fire-and-forget senders never know.
             if span is not None:
-                obs.end(span, dropped=True)
+                mpi.obs.end(span, dropped=True)
             return
-        if span is not None:
-            flow = obs.new_flow()
-            obs.end(span, flow_id=flow, flow_phase="s")
+        if span is None:
+            mpi._deliver(msg)
+            return
+        obs = mpi.obs
+        flow = obs.new_flow()
+        obs.end(span, flow_id=flow, flow_phase="s")
         mpi._deliver(msg)
-        if span is not None:
-            obs.instant(
-                "mpi", f"recv t{msg.tag}", msg.dst,
-                flow_id=flow, flow_phase="f", src=msg.src,
-            )
+        obs.instant(
+            "mpi", f"recv t{msg.tag}", msg.dst,
+            flow_id=flow, flow_phase="f", src=msg.src,
+        )
 
 
 class _ReliableSend(Event):
@@ -406,7 +440,7 @@ class _ReliableSend(Event):
         self.msg = msg
         tc = comm.transport
         # The wait window covers the ack's own uncontended round trip.
-        self.rto = tc.rto + 2 * mpi.cluster.network.transfer_time(
+        self.rto = tc.rto + 2 * mpi.network.transfer_time(
             msg.dst, msg.src, tc.ack_bytes
         )
         self.attempt = 0
@@ -430,7 +464,7 @@ class _ReliableSend(Event):
                 dst=msg.dst, nbytes=msg.nbytes, seq=msg.seq,
                 attempt=self.attempt,
             )
-        arrival = mpi.cluster.network.start_transfer(
+        arrival = mpi.network.start_transfer(
             msg.src, msg.dst, msg.nbytes, mpi.overhead
         )
         arrival.callbacks.append(self._arrive)
@@ -457,8 +491,7 @@ class _ReliableSend(Event):
         if self.acked:
             self.succeed()  # an earlier copy's ack beat this copy home
         else:
-            mpi._rto.push(mpi.sim.now + self.rto, 0, self)
-            mpi._rto.arm()
+            mpi._rto.add(mpi.sim._now + self.rto, 0, self)
 
     def on_ack(self) -> None:
         """An ack got through."""
@@ -506,7 +539,7 @@ class _Ack:
         self.span = obs.begin(
             "mpi", f"ack t{msg.tag}", msg.dst, dst=msg.src, seq=msg.seq
         ) if obs.enabled else None
-        arrival = mpi.cluster.network.start_transfer(
+        arrival = mpi.network.start_transfer(
             msg.dst, msg.src, comm.transport.ack_bytes, mpi.overhead
         )
         arrival.callbacks.append(self._arrive)
@@ -531,6 +564,8 @@ class Rank:
     process running "on" the corresponding node.
     """
 
+    __slots__ = ("comm", "rank_id")
+
     def __init__(self, comm: Communicator, rank_id: int):
         self.comm = comm
         self.rank_id = rank_id
@@ -549,11 +584,9 @@ class Rank:
     # -- blocking (generators) ------------------------------------------------
     def send(self, dst: int, payload: Any, nbytes: float = 0.0, tag: int = 0):
         """Generator: send and wait for local completion."""
-        req = self.isend(dst, payload, nbytes, tag)
-        yield from req.wait()
+        yield from self.comm._isend(self.rank_id, dst, payload, nbytes,
+                                    tag).wait()
 
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: receive the next matching message (returns it)."""
-        req = self.irecv(src, tag)
-        msg = yield from req.wait()
-        return msg
+        return (yield from self.comm._irecv(self.rank_id, src, tag).wait())

@@ -70,7 +70,6 @@ class MatchStore:
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name or "store"
-        self._put_name = "put:" + self.name
         self._get_name = "get:" + self.name
         #: Buffered messages per (src, tag), as (arrival_seq, msg).
         self._slots: dict[tuple[int, int], deque[tuple[int, Any]]] = {}
@@ -154,7 +153,7 @@ class MatchStore:
         del self._tag_fifo[tag]
 
     def put(self, item: Any) -> Event:
-        ev = self.sim.event(self._put_name)
+        ev = Event(self.sim, "put:" + self.name)
         ev._value = item  # inlined succeed() on a fresh event
         self.sim._schedule(ev)
         self.put_nowait(item)
@@ -176,8 +175,12 @@ class MatchStore:
                         best is None or bucket[0][0] < best[0]):
                     best, best_key = bucket[0], key
         if best is not None:
-            buckets[best_key].popleft()
-            self._sweep_bucket(best_key)
+            bucket = buckets[best_key]
+            bucket.popleft()
+            if not bucket:
+                del buckets[best_key]
+            elif bucket[0][1] not in self._pending:
+                self._sweep_bucket(best_key)
             gev = best[1]
             del self._pending[gev]
             gev._value = item
@@ -197,7 +200,7 @@ class MatchStore:
 
     def get_match(self, src: int, tag: int) -> Event:
         """Post a receive for ``(src, tag)`` (either may be ``-1``/ANY)."""
-        ev = self.sim.event(self._get_name)
+        ev = Event(self.sim, self._get_name)
         # Earliest-arrival buffered message matching the pattern.
         best_key: tuple[int, int] | None = None
         best_arr = -1
@@ -228,7 +231,13 @@ class MatchStore:
             _arr, item = slot.popleft()
             if not slot:
                 del self._slots[best_key]
-            self._sweep_fifo(best_key[1])
+            # The tag's FIFO holds an entry for every message of the tag
+            # still buffered when it arrived; one left is item's own.
+            item_tag = best_key[1]
+            if len(self._tag_fifo[item_tag]) == 1:
+                del self._tag_fifo[item_tag]
+            else:
+                self._sweep_fifo(item_tag)
             self._n_items -= 1
             ev._value = item  # inlined succeed()
             self.sim._schedule(ev)

@@ -24,16 +24,12 @@ class Request:
     #: keeps the untracked fast path attribute-cheap.
     observer = None
 
-    def __init__(
-        self,
-        event: Event,
-        kind: str,
-        canceller: Callable[[], bool] | None = None,
-    ):
+    #: Set by a successful :meth:`cancel`.
+    cancelled = False
+
+    def __init__(self, event: Event, kind: str):
         self._event = event
         self.kind = kind
-        self._canceller = canceller
-        self.cancelled = False
 
     @property
     def event(self) -> Event:
@@ -54,12 +50,17 @@ class Request:
         successful cancel the request's event never fires — do not
         ``wait()`` on it.
         """
-        if self.cancelled or self._event.triggered or self._canceller is None:
+        if self.cancelled or self._event.triggered:
             return False
-        self.cancelled = self._canceller()
+        self.cancelled = self._withdraw()
         if self.cancelled and self.observer is not None:
             self.observer.on_cancel(self)
         return self.cancelled
+
+    def _withdraw(self) -> bool:
+        """Withdraw the pending operation; True if it was withdrawn.
+        A receive's request overrides this; a send cannot be withdrawn."""
+        return False
 
     def wait(self):
         """Generator: wait for completion and return the result.  A
@@ -82,10 +83,17 @@ class Request:
         wait, as it does a process's.
         """
         observer = self.observer
+        event = self._event
         if observer is not None:
             observer.on_wait(self)
-            self._event.add_callback(lambda _ev: observer.on_complete(self))
-        self._event.add_callback(callback)
+            event.add_callback(lambda _ev: observer.on_complete(self))
+        # Inlined add_callback: one call per operation on the event
+        # system's hot path.
+        callbacks = event.callbacks
+        if callbacks is None:
+            callback(event)
+        else:
+            callbacks.append(callback)
 
     @staticmethod
     def wait_all(requests: list["Request"]):

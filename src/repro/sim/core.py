@@ -19,7 +19,7 @@ its inputs.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from collections import deque
 from collections.abc import Generator
 from typing import Any, Callable
@@ -43,11 +43,12 @@ class Event:
 
     An event moves through three states: *pending* (just created),
     *triggered* (value or exception set, queued on the simulator heap),
-    and *processed* (callbacks executed).  Waiting on an already
-    processed event resumes the waiter immediately (at the current time).
+    and *processed* (callbacks executed, after which ``callbacks`` is
+    ``None``).  Waiting on an already processed event resumes the
+    waiter immediately (at the current time).
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "name")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "name")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -56,7 +57,6 @@ class Event:
         self.callbacks: list[Callable[[Event], None]] | None = []
         self._value: Any = _PENDING
         self._ok = True
-        self._processed = False
 
     # -- state inspection ------------------------------------------------
     @property
@@ -65,7 +65,7 @@ class Event:
 
     @property
     def processed(self) -> bool:
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -83,7 +83,7 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event with ``value`` after ``delay`` sim-seconds."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
         self._ok = True
@@ -92,7 +92,7 @@ class Event:
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         """Trigger the event with an exception after ``delay`` seconds."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() requires an exception, got {exc!r}")
@@ -111,7 +111,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
-            "processed" if self._processed
+            "processed" if self.callbacks is None
             else "triggered" if self.triggered
             else "pending"
         )
@@ -324,7 +324,7 @@ class Simulator:
         if delay == 0.0:
             self._fast.append((self._now, seq, ev))
         else:
-            heapq.heappush(self._heap, (self._now + delay, NORMAL, seq, ev))
+            heappush(self._heap, (self._now + delay, NORMAL, seq, ev))
         return ev
 
     # -- scheduling ----------------------------------------------------------
@@ -339,7 +339,7 @@ class Simulator:
         if delay == 0.0 and priority == NORMAL:
             self._fast.append((self._now, seq, event))
         else:
-            heapq.heappush(self._heap, (self._now + delay, priority, seq, event))
+            heappush(self._heap, (self._now + delay, priority, seq, event))
 
     # -- main loop -------------------------------------------------------------
     def run(
@@ -363,9 +363,8 @@ class Simulator:
 
         heap = self._heap
         fast = self._fast
-        heappop = heapq.heappop
         while fast or heap:
-            if stop_ev is not None and stop_ev._processed:
+            if stop_ev is not None and stop_ev.callbacks is None:
                 break
             # Peek the earliest entry across both lanes (the fast lane
             # holds NORMAL-priority events and is sorted by (time, seq)).
@@ -392,7 +391,6 @@ class Simulator:
             if self._event_tap is not None:
                 self._event_tap(when, prio, event)
             # Process the event: its callbacks run exactly once.
-            event._processed = True
             callbacks = event.callbacks
             event.callbacks = None
             for cb in callbacks:  # type: ignore[union-attr]

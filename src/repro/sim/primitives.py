@@ -61,7 +61,8 @@ class DeadlineQueue:
 
     :meth:`push` gives an item a deadline (replacing any earlier one),
     :meth:`cancel` withdraws it, and :meth:`arm` makes sure a timer is
-    scheduled for the earliest deadline.  That timer calls ``fire`` with
+    scheduled for the earliest deadline; :meth:`add` is a push followed
+    by an arm.  That timer calls ``fire`` with
     every item due by its fire time, in ``(when, tie, push order)``
     order, including items pushed for that same instant while they
     fire; pushes made during the drain arm no timer of their own.
@@ -95,6 +96,19 @@ class DeadlineQueue:
         item.due = stamp
         heappush(self._heap, (when, tie, stamp, item))
 
+    def add(self, when: float, tie: Any, item: Any) -> None:
+        """:meth:`push`, then :meth:`arm`.
+
+        Outside a drain the armed timer is at or before every live
+        deadline, so only a deadline earlier than it can need a timer;
+        a later one skips the arm.
+        """
+        stamp = self._pushes = self._pushes + 1
+        item.due = stamp
+        heappush(self._heap, (when, tie, stamp, item))
+        if when < self._at:
+            self.arm()
+
     def cancel(self, item: Any) -> bool:
         """Withdraw ``item``'s deadline; False if it had none."""
         if item.due:
@@ -111,14 +125,14 @@ class DeadlineQueue:
             when = heap[0][0]
             self._at = when
             if when not in self._timers:
-                delay = when - self.sim.now
+                delay = when - self.sim._now
                 # The timer's value is its fire time.
                 timer = self.sim.timeout(delay if delay > 0.0 else 0.0, when)
                 timer.callbacks.append(self._on_timer)
                 self._timers[when] = timer
 
     def _on_timer(self, timer: Event) -> None:
-        target = timer.value
+        target = timer._value
         del self._timers[target]
         if target != self._at:
             return  # superseded by an earlier deadline

@@ -6,6 +6,9 @@ from repro.cluster import Network, NetworkSpec
 from repro.sim import Simulator
 from repro.util.units import Gbps, MICROSECOND, MB
 
+NAN = float("nan")
+INF = float("inf")
+
 
 @pytest.fixture
 def sim():
@@ -30,6 +33,30 @@ class TestNetworkSpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NetworkSpec(**kwargs)
+
+    # Non-finite parameters used to be accepted and fail far away: a NaN
+    # bandwidth or latency surfaced inside HEFT as an empty min().
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_latency_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="latencies"):
+            NetworkSpec(latency=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_local_latency_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="latencies"):
+            NetworkSpec(local_latency=value)
+
+    def test_bandwidth_must_not_be_nan(self):
+        with pytest.raises(ValueError, match="bandwidths"):
+            NetworkSpec(bandwidth=NAN)
+
+    def test_local_bandwidth_must_not_be_nan(self):
+        with pytest.raises(ValueError, match="bandwidths"):
+            NetworkSpec(local_bandwidth=NAN)
+
+    def test_infinite_bandwidth_stays_legal(self):
+        spec = NetworkSpec(bandwidth=INF, local_bandwidth=INF)
+        assert spec.wire_time(1e9) == spec.latency
 
     def test_wire_time(self):
         spec = NetworkSpec(latency=1e-6, bandwidth=1e9, vcis=1)

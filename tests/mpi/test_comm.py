@@ -244,7 +244,7 @@ class TestProcessLessSend:
         sim.run()
         assert spawned == []
         assert all(r.test() for r in reqs)
-        got = [mpi._queue(d, mpi.world.comm_id).items
+        got = [mpi._queues[(d, mpi.world.comm_id)].items
                for d in range(3)]
         assert sorted(m.payload for q in got for m in q if m.payload != "self"
                       ) == list(range(12))

@@ -280,4 +280,8 @@ class TestIsendGuards:
         sim.process(sender())
         recv = sim.process(receiver())
         assert sim.run(until=recv) == "payload"
-        assert type(mpi._queue(1, mpi.world.comm_id)) is MatchStore
+        # The drained queue is gone; a pending receive builds a new one.
+        key = (1, mpi.world.comm_id)
+        assert key not in mpi._queues
+        mpi.world.rank(1).irecv(src=0, tag=4)
+        assert type(mpi._queues[key]) is MatchStore

@@ -6,6 +6,9 @@ from repro.cluster import Cluster, ClusterSpec, NetworkSpec
 from repro.core.faultmodel import FaultPlan, LinkLoss
 from repro.mpi import MpiError, MpiWorld, TransportConfig
 
+NAN = float("nan")
+INF = float("inf")
+
 
 def make_world(n=2, plan=None, transport=None, overhead=0.0):
     net = NetworkSpec(latency=1e-6, bandwidth=1e9)
@@ -26,6 +29,24 @@ class TestTransportConfigValidation:
             TransportConfig(max_retries=-1)
         with pytest.raises(ValueError):
             TransportConfig(ack_bytes=-1.0)
+
+    # Non-finite parameters used to be accepted: an infinite or NaN rto,
+    # or a NaN backoff, silently stopped retransmission, and a NaN
+    # ack_bytes failed the run at the first ack.
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_ack_bytes_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="ack_bytes"):
+            TransportConfig(ack_bytes=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_rto_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="rto"):
+            TransportConfig(rto=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_backoff_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="backoff"):
+            TransportConfig(backoff=value)
 
 
 class TestReliableDelivery:
@@ -201,7 +222,7 @@ class TestReliableChain:
         assert all(r.test() for r in reqs)
         assert mpi.stats["retransmissions"] > 0  # the loss path ran too
         got = [m.payload for d in range(3)
-               for m in mpi._queue(d, mpi.world.comm_id).items]
+               for m in mpi._queues[(d, mpi.world.comm_id)].items]
         assert sorted(got) == list(range(12))
 
     def test_unwaited_send_past_retry_cap_crashes_the_run(self):

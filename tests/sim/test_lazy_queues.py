@@ -15,7 +15,7 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.core import (FaultPlan, FaultTolerantRuntime, LinkLoss,
                         NodeFailure, OMPCConfig)
-from repro.core.events import EventSystem
+from repro.core.events import NUM_COMMS, EventSystem
 from repro.mpi import MpiWorld
 from repro.sim import Resource, Simulator, Store
 
@@ -31,6 +31,14 @@ MEASURED_IDLE_BYTES_PER_NODE = 3_941
 #: 30 % headroom, since CI runs Python 3.10–3.12.
 BUDGET_BYTES_PER_NODE = 1.3 * MEASURED_BYTES_PER_NODE
 IDLE_BUDGET_BYTES_PER_NODE = 1.3 * MEASURED_IDLE_BYTES_PER_NODE
+#: tracemalloc bytes per node that a finished run adds to a started
+#: event system, when every node took an event on every event-system
+#: communicator (as on the 1,024-node benchmark), measured on Python
+#: 3.11: sequence numbers and flow names per node pair, no match store.
+#: Keeping one ``Rank`` per (communicator, rank) and one queue name per
+#: (rank, communicator) raised it to 2,601.
+MEASURED_TRAFFIC_BYTES_PER_NODE = 1_869
+TRAFFIC_BUDGET_BYTES_PER_NODE = 1.3 * MEASURED_TRAFFIC_BYTES_PER_NODE
 #: tracemalloc bytes a finished head-kill run (the quick ``resilient``
 #: shape) still holds through its runtime, measured on Python 3.11:
 #: the cluster, its network and fault plan, no process and no head
@@ -134,6 +142,40 @@ def test_per_node_footprint_stays_within_budget():
         tracemalloc.stop()
     assert used / nodes < BUDGET_BYTES_PER_NODE, used / nodes
     assert idle / nodes < IDLE_BUDGET_BYTES_PER_NODE, idle / nodes
+
+
+def test_per_node_footprint_after_traffic_stays_within_budget():
+    nodes = 256
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cluster = Cluster(ClusterSpec(num_nodes=nodes))
+        events = EventSystem(cluster, MpiWorld(cluster), OMPCConfig())
+        events.start()
+        cluster.sim.run(until=0.0)
+        gc.collect()
+        started, _ = tracemalloc.get_traced_memory()
+
+        def origin():
+            # Tags are drawn in order, so each node's NUM_COMMS events
+            # cover every data communicator; notifications use the
+            # control one.
+            for node in range(nodes):
+                for buffer_id in range(NUM_COMMS // 2):
+                    yield from events.alloc(node, buffer_id)
+                    yield from events.delete(node, buffer_id)
+
+        cluster.sim.process(origin())
+        cluster.sim.run()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The only match stores left hold the gates' standing receives.
+    control = events.control.comm_id
+    assert set(events.mpi._queues) == {(n, control) for n in range(nodes)}
+    per_node = (held - started) / nodes
+    assert per_node < TRAFFIC_BUDGET_BYTES_PER_NODE, per_node
 
 
 def _resilient_run():
