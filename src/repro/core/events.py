@@ -707,6 +707,9 @@ class _Chain:
 
     def finish(self, _value=None) -> None:
         """The body is done: close the event and free the slot."""
+        # The last step is this bound method: dropping it leaves the
+        # chain no reference cycle, so reference counting frees it.
+        self.step = None
         es = self.es
         self._end_execute()
         if self.span is not None:
@@ -716,6 +719,7 @@ class _Chain:
 
     def _fail(self, exc: BaseException) -> None:
         self.stopped = True
+        self.step = None
         self._drop_device()
         self._end_execute()
         es = self.es
@@ -727,6 +731,7 @@ class _Chain:
     def stop(self, pool: _HandlerPool) -> None:
         """The node crashed: end the chain where it stands."""
         self.stopped = True
+        self.step = None
         if self.slot_req is not None:
             pool.cancel(self.slot_req)
         self._drop_device()

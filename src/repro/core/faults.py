@@ -400,6 +400,12 @@ class FTHead(Head):
         self.replay = LogReplay(self, detector)
         self.speculation = Speculation(self)
 
+    def close(self) -> None:
+        """The run ended: unlink each plug-in from this head; the result
+        still reads ``speculation.attempts``."""
+        for plugin in (self.checkpointer, self.replay, self.speculation):
+            plugin.head = None
+
     def live_workers(self) -> list[int]:
         return [n for n in range(1, self.core.cluster.num_nodes)
                 if n not in self.core.dead]
@@ -633,14 +639,20 @@ def plan_recovery(dm: DataManager, needed, dead=frozenset()) -> list:
             outputs.append((buf, version))
         steps.append(Replay(task, write.reads, tuple(outputs)))
 
-    for task, buf, version in needed:
-        need(task, buf, version)
-    while True:  # bring every rebuilt buffer to its current version
-        behind = [bufs[b] for b, at in made.items() if at < dm.version(b)]
-        if not behind:
-            return steps
-        for buf in behind:
-            need(needed[0][0], buf, dm.version(buf.buffer_id))
+    try:
+        for task, buf, version in needed:
+            need(task, buf, version)
+        while True:  # bring every rebuilt buffer to its current version
+            behind = [bufs[b] for b, at in made.items()
+                      if at < dm.version(b)]
+            if not behind:
+                return steps
+            for buf in behind:
+                need(needed[0][0], buf, dm.version(buf.buffer_id))
+    finally:
+        # ``need`` and ``replay`` close over each other: unlink them so
+        # reference counting frees both closures.
+        del need, replay
 
 
 # -- the recovery plug-ins ------------------------------------------------

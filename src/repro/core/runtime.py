@@ -331,6 +331,10 @@ class HeadCore:
     the shard's manager node.
     """
 
+    #: The "node may die" hook (see ``dead``): a runtime that loses
+    #: workers plugs in :meth:`guarded`.
+    guard = staticmethod(_unguarded)
+
     def __init__(self, cluster_spec: ClusterSpec, cfg: OMPCConfig,
                  program: OmpProgram, cluster=None,
                  result_type: type = OMPCRunResult):
@@ -384,12 +388,9 @@ class HeadCore:
         #: own set); ``yield from guard(nodes, operation)`` runs an
         #: event-system operation that touches ``nodes`` and raises
         #: :class:`_NodeCrashed` if one dies (:meth:`guarded`).  The
-        #: plain and sharded runtimes lose no worker: an empty set and a
-        #: guard that hands back the operation itself.
+        #: plain and sharded runtimes lose no worker: an empty set and
+        #: the class's :attr:`guard`, which hands back the operation.
         self.dead: set[int] = set()
-        self.guard = _unguarded
-        #: The target frame, :meth:`_run_target` unless a runtime wraps it.
-        self.run_target = self._run_target
         #: No physical stale-copy DELETE: the directory drops the copy,
         #: the bytes stay (set while head standbys replicate).
         self.tombstones = False
@@ -409,6 +410,8 @@ class HeadCore:
         #: Every process group of the run (:meth:`group`), ended by
         #: :meth:`close` when the run ends.
         self.groups: list[ProcessGroup] = []
+        #: Every :class:`Head` of the run, each closed by :meth:`close`.
+        self.heads: list[Head] = []
         #: The run's processes outside any head's epoch: the log's
         #: standby loops, a shard's manager, failover, lease and notify
         #: processes, and the operations frames wait on.
@@ -426,10 +429,24 @@ class HeadCore:
         pins the run's state.  Runs at the end of :meth:`finish` and on
         :meth:`drive`'s abort path.  The event system then reports to
         no sink: an armed kill that fires later still fails its node,
-        but holds nothing of the head through it."""
+        but holds nothing of the head through it.
+
+        The run's back-references go too, so reference counting frees
+        its state: each group's and the event system's failure sink,
+        each head's links to the objects that point back at it
+        (:meth:`Head.close`), the MPI world's communicator, and the
+        hooks a runtime plugged in (bound methods of this core or of its
+        head)."""
         for group in self.groups:
             group.close()
+            group.fail = _ended
+        heads, self.heads = self.heads, []
+        for head in heads:
+            head.close()
         self.events.on_error = _ended
+        self.mpi.close()
+        for hook in ("guard", "run_target", "on_commit"):
+            vars(self).pop(hook, None)
 
     def set_schedule(self, graph, schedule: Schedule) -> None:
         """Install the task→node assignment the frames dispatch by.
@@ -997,6 +1014,9 @@ class HeadCore:
             dm.unpin(dep_ids)
             self._mem_wake()
 
+    #: The target frame, :meth:`_run_target` unless a runtime wraps it.
+    run_target = _run_target
+
     def on_commit(self, task: Task, node: int, buf) -> None:
         """Commit bookkeeping, called right after each directory commit
         of a frame (a driver may replace it): ``buf`` is ``None`` for a
@@ -1114,6 +1134,7 @@ class Head:
         self.frame = frame
         self.slots = Resource(core.sim, capacity=core.cfg.head_threads,
                               name=f"{name}-threads")
+        core.heads.append(self)
         #: Head-side processes of the current incarnation, all
         #: interrupted when it dies: its frames unwind before the
         #: successor takes over, so no stale completion races it.
@@ -1123,6 +1144,10 @@ class Head:
         #: Task id -> node of each dispatch the adopted log leaves
         #: without a completion; re-issued with ``dedup``.
         self.in_doubt: dict[int, int] = {}
+
+    def close(self) -> None:
+        """The run ended (:meth:`HeadCore.close`): drop what links back
+        to this head.  A plain head holds no such link."""
 
     def spawn(self, task: Task) -> None:
         self.epoch.spawn(

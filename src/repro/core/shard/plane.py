@@ -95,6 +95,11 @@ class _ShardHead(Head):
         self.stats = ShardStats(shard=sid, manager=sid, nodes=nodes,
                                 tasks=len(sub))
 
+    def close(self) -> None:
+        """The run ended: the shards' shared ``peers`` list holds this
+        head, so drop it."""
+        self.peers = []
+
     def execute(self, task: Task):
         self.core.obs.count("shard.dispatches")
         yield from super().execute(task)

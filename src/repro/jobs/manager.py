@@ -237,11 +237,16 @@ class JobManager:
             self._procs[job.job_id] = proc
             yield proc
             result = finish()
+        # Each handler below keeps the error's text only and drops its
+        # traceback, whose frames would hold the ended run in a
+        # reference cycle.
         except Interrupt as exc:
+            exc.__traceback__ = None
             self.obs.end(run_span, outcome="preempted")
             self._on_preempted(job, finish(), str(exc.cause))
             return
         except ClusterExhausted as exc:
+            exc.__traceback__ = None
             # Permanent retires killed every worker of the partition;
             # record the exhaustion and keep serving other tenants.
             self.obs.count("jobs.cluster_exhausted")
@@ -249,10 +254,12 @@ class JobManager:
             self._on_crash(job, finish(), f"cluster exhausted: {exc}")
             return
         except RecoveryError as exc:
+            exc.__traceback__ = None
             self.obs.end(run_span, outcome="crashed")
             self._on_crash(job, finish(), str(exc))
             return
         except SimulationError as exc:
+            exc.__traceback__ = None
             self.obs.end(run_span, outcome="error")
             self._release_partition(job, dead_virtual=())
             self._finish_job(job, JobState.FAILED, error=str(exc))

@@ -183,6 +183,18 @@ class MpiWorld:
         self._next_comm_id += 1
         return comm
 
+    def close(self) -> None:
+        """The world's run is over: unlink what refers back to this
+        world, so reference counting frees it.  That is :attr:`world`,
+        and the waiters of every receive still pending (a failed node's
+        gate, a stopped detector's listener), each holding a
+        communicator of this world; a message that matches one later
+        still fires its event, which wakes nothing of the ended run."""
+        self.world = None
+        for store in self._queues.values():
+            for get in store.pending_receives():
+                get.callbacks.clear()
+
     def _deliver(self, msg: Message) -> None:
         """Enqueue ``msg`` at its receiver."""
         key = (msg.dst, msg.comm_id)

@@ -251,6 +251,10 @@ class MatchStore:
         self._pending[ev] = key
         return ev
 
+    def pending_receives(self) -> list[Event]:
+        """The events of the receives still pending, in posting order."""
+        return list(self._pending)
+
     def cancel(self, get_event: Event) -> bool:
         """Withdraw a pending receive in O(1) amortized."""
         key = self._pending.pop(get_event, None)

@@ -19,6 +19,7 @@ its inputs.
 
 from __future__ import annotations
 
+import gc
 from heapq import heappop, heappush
 from collections import deque
 from collections.abc import Generator
@@ -223,6 +224,11 @@ class Process(Event):
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
+                if isinstance(exc, Interrupt):
+                    # Its traceback holds this frame, and so this
+                    # process, which keeps the exception as its value:
+                    # an interrupted process would end in a cycle.
+                    exc.__traceback__ = None
                 if not self.callbacks:
                     # Nobody is waiting: crash the simulation loudly
                     # instead of silently swallowing the error.
@@ -351,72 +357,88 @@ class Simulator:
 
         Returns the event's value when ``until`` is an event, else the
         final simulation time.
+
+        The cyclic garbage collector is paused for the loop and restored
+        to the caller's setting on every exit: what a run allocates is
+        freed by reference counting alone (a chain drops its step when it
+        ends, a run's back-references are unlinked when it closes), so a
+        collection would only scan the live simulation state.
         """
         stop_at: float | None = None
         stop_ev: Event | None = None
         if isinstance(until, Event):
+            if until.sim is not self:
+                raise SimulationError(
+                    "until event belongs to a different simulator"
+                )
             stop_ev = until
         elif until is not None:
             stop_at = float(until)
             if stop_at < self._now:
                 raise ValueError("until is in the past")
 
-        heap = self._heap
-        fast = self._fast
-        while fast or heap:
-            if stop_ev is not None and stop_ev.callbacks is None:
-                break
-            # Peek the earliest entry across both lanes (the fast lane
-            # holds NORMAL-priority events and is sorted by (time, seq)).
-            take_fast = False
-            if fast:
-                when, fseq, event = fast[0]
-                if heap and heap[0] < (when, NORMAL, fseq):
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            heap = self._heap
+            fast = self._fast
+            while fast or heap:
+                if stop_ev is not None and stop_ev.callbacks is None:
+                    break
+                # Peek the earliest entry across both lanes (the fast lane
+                # holds NORMAL-priority events and is sorted by (time, seq)).
+                take_fast = False
+                if fast:
+                    when, fseq, event = fast[0]
+                    if heap and heap[0] < (when, NORMAL, fseq):
+                        when = heap[0][0]
+                        prio = heap[0][1]
+                    else:
+                        take_fast = True
+                        prio = NORMAL
+                else:
                     when = heap[0][0]
                     prio = heap[0][1]
+                if stop_at is not None and when > stop_at:
+                    self._now = stop_at
+                    return self._now
+                if take_fast:
+                    fast.popleft()
                 else:
-                    take_fast = True
-                    prio = NORMAL
-            else:
-                when = heap[0][0]
-                prio = heap[0][1]
-            if stop_at is not None and when > stop_at:
+                    event = heappop(heap)[3]
+                self._now = when
+                if self._event_tap is not None:
+                    self._event_tap(when, prio, event)
+                # Process the event: its callbacks run exactly once.
+                callbacks = event.callbacks
+                event.callbacks = None
+                for cb in callbacks:  # type: ignore[union-attr]
+                    cb(event)
+                if self._crash is not None:
+                    crash, self._crash = self._crash, None
+                    raise crash
+
+            if stop_ev is not None:
+                if not stop_ev.triggered:
+                    # Heap drained but the awaited event never fired: nothing
+                    # can ever trigger it now, so this is always a deadlock.
+                    raise DeadlockError(self._live_process_names())
+                if not stop_ev.ok:
+                    raise stop_ev.value
+                return stop_ev.value
+
+            if check_deadlock:
+                live = self._live_process_names()
+                if live:
+                    raise DeadlockError(live)
+            if stop_at is not None and self._now < stop_at:
+                # The heap drained before the horizon: idle time still
+                # passes, so the clock advances to exactly ``until``.
                 self._now = stop_at
-                return self._now
-            if take_fast:
-                fast.popleft()
-            else:
-                event = heappop(heap)[3]
-            self._now = when
-            if self._event_tap is not None:
-                self._event_tap(when, prio, event)
-            # Process the event: its callbacks run exactly once.
-            callbacks = event.callbacks
-            event.callbacks = None
-            for cb in callbacks:  # type: ignore[union-attr]
-                cb(event)
-            if self._crash is not None:
-                crash, self._crash = self._crash, None
-                raise crash
-
-        if stop_ev is not None:
-            if not stop_ev.triggered:
-                # Heap drained but the awaited event never fired: nothing
-                # can ever trigger it now, so this is always a deadlock.
-                raise DeadlockError(self._live_process_names())
-            if not stop_ev.ok:
-                raise stop_ev.value
-            return stop_ev.value
-
-        if check_deadlock:
-            live = self._live_process_names()
-            if live:
-                raise DeadlockError(live)
-        if stop_at is not None and self._now < stop_at:
-            # The heap drained before the horizon: idle time still
-            # passes, so the clock advances to exactly ``until``.
-            self._now = stop_at
-        return self._now
+            return self._now
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     def _live_process_names(self) -> list[str]:
         return [p.name for p in self._processes if p.is_alive]

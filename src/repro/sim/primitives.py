@@ -18,20 +18,22 @@ class Condition(Event):
     condition is met, the condition fails with the child's exception.
     """
 
-    __slots__ = ("_events", "_need", "_count", "_results")
+    __slots__ = ("_need", "_count", "_results")
 
     def __init__(self, sim: Simulator, events: list[Event], need: int, name: str = ""):
         super().__init__(sim, name or f"condition({need}/{len(events)})")
         if need < 0 or need > len(events):
             raise ValueError(f"need={need} out of range for {len(events)} events")
-        self._events = list(events)
         self._need = need
         self._count = 0
         self._results: dict[Event, Any] = {}
         if need == 0:
             self.succeed(self._results)
             return
-        for ev in self._events:
+        # The children are not kept: a child that never fires holds the
+        # condition through its callback, and the condition holding it
+        # back would make a reference cycle.
+        for ev in events:
             ev.add_callback(self._on_child)
 
     def _on_child(self, ev: Event) -> None:

@@ -66,6 +66,7 @@ def make_head(program, log=None, **cfg):
         _mem_wake=lambda: None,
         services=ProcessGroup(sim, lambda exc: None),
         group=lambda: ProcessGroup(sim, lambda exc: None),
+        heads=[],
     )
     repl = None
     if log is not None:

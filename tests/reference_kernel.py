@@ -61,6 +61,9 @@ class ScanStore(Store):
         """True while no message is buffered and no receive pending."""
         return not self._items and not self._getters
 
+    def pending_receives(self):
+        return [ev for ev, _match in self._getters]
+
 
 @contextmanager
 def reference_kernel():

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim import DeadlockError, Event, Interrupt, Simulator
@@ -103,6 +105,17 @@ class TestTimeAdvance:
         assert sim.run(until=4.0) == 4.0
         assert sim.run(until=6.0) == 6.0
         assert sim.now == 6.0
+
+    def test_run_until_a_foreign_event_is_rejected(self, sim):
+        other = Simulator()
+        sim.timeout(5.0)
+        with pytest.raises(SimulationError, match="different simulator"):
+            sim.run(until=other.timeout(1.0, "from-other"))
+        assert sim.now == 0.0
+        # Untriggered, it is rejected too, not reported as a deadlock.
+        with pytest.raises(SimulationError, match="different simulator"):
+            sim.run(until=other.event())
+        assert sim.run() == 5.0
 
 
 class TestProcess:
@@ -262,6 +275,16 @@ class TestInterrupt:
             sim.run()
         assert p.triggered and not p.ok
 
+    def test_an_interrupted_process_keeps_no_traceback(self, sim):
+        # The traceback's frames would hold the ended process, which
+        # holds the Interrupt as its value: a reference cycle.
+        p = sim.process(iter_forever(sim))
+        p.callbacks.append(lambda ev: None)  # a waiter, so no crash
+        sim.timeout(1.0).callbacks.append(lambda ev: p.interrupt("bye"))
+        sim.run()
+        assert isinstance(p.value, Interrupt)
+        assert p.value.__traceback__ is None
+
 
 def iter_forever(sim):
     """A process that waits on an event nothing triggers."""
@@ -392,3 +415,52 @@ class TestDeadlockDetection:
 
         sim.process(fine())
         assert sim.run(check_deadlock=True) == 1.0
+
+
+@pytest.fixture
+def collector():
+    """Restore the cyclic collector's setting after the test."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic collector for its loop and restores the
+    caller's setting on every exit."""
+
+    def test_disabled_inside_a_callback_and_enabled_after(self, sim,
+                                                          collector):
+        seen = []
+        sim.timeout(1.0).callbacks.append(
+            lambda ev: seen.append(gc.isenabled()))
+        assert sim.run() == 1.0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_a_crash(self, sim, collector):
+        def crash():
+            yield sim.timeout(1.0)
+            raise ValueError("boom")
+
+        sim.process(crash())
+        with pytest.raises(ValueError, match="boom"):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_restored_after_a_deadlock(self, sim, collector):
+        def stuck():
+            yield sim.event()
+
+        with pytest.raises(DeadlockError):
+            sim.run(until=sim.process(stuck()))
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_it_keeps_it_disabled(self, sim,
+                                                          collector):
+        sim.timeout(1.0)
+        gc.disable()
+        sim.run()
+        assert not gc.isenabled()

@@ -1,6 +1,8 @@
 """Tests for composite waiting primitives (AllOf/AnyOf/Condition) and
 the deadline queue."""
 
+import gc
+
 import pytest
 
 from repro.sim import AllOf, AnyOf, Condition, Simulator
@@ -71,6 +73,23 @@ class TestAnyOf:
 
         p = sim.process(waiter())
         assert sim.run(until=p) == {}
+
+    def test_a_child_that_never_fires_leaves_no_cycle(self, sim):
+        # The losing child keeps the condition through its callback, so
+        # the condition must not keep the child.
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            lost = sim.event()
+            cond = AnyOf(sim, [lost, sim.timeout(1.0)])
+            sim.run()
+            assert cond.ok
+            del cond, lost
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestCondition:
